@@ -5,15 +5,20 @@
 // the cluster churn experiment (gossip convergence + failover latency,
 // with and without snapshot-state replication), the flapping-link
 // experiment (false-positive suspicion under link flap), the delta sweep
-// (replicated bytes per capture tick, full-frame vs delta pipeline,
-// across app sizes), the durability experiment (kill-after-write record
-// loss and per-write latency across write concerns), the membership
-// scale sweep (bounded gossip dissemination at 200-1,000 simulated
-// hosts vs the full-table baseline), the storage-engine experiment
-// (sustained writes/sec and p99 put latency at 1M+ resident records,
-// seed single-lock store vs the PR 8 engine, plus a kill-mid-commit
-// crash audit), and the suspicion-timeout sweep (detection latency vs
-// false-positive rate à la Lifeguard).
+// (replicated bytes per capture tick against the full frame, across app
+// sizes), the durability experiment (kill-after-write record loss
+// across write concerns), the membership scale sweep (bounded gossip
+// dissemination at 200-1,000 simulated hosts), the storage-engine
+// experiment (sustained writes/sec and p99 put latency at 1M+ resident
+// records per sync policy, plus a kill-mid-commit crash audit), and the
+// suspicion-timeout sweep (detection latency vs false-positive rate à
+// la Lifeguard).
+//
+// These are the figures that need the simulated fabric: virtual-clock
+// testbed time, thousand-host sweeps, scripted kills and partitions.
+// Everything that runs on a real wire — control-plane round trips, watch
+// fan-out, durable-write and restore latency — is measured by the
+// benchmark/ module over spawned daemons instead.
 //
 // Usage:
 //
@@ -79,7 +84,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mdbench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	fig := fs.String("fig", "all", "figures to regenerate (comma-separated): 7, 8, 9, 10, clone, churn, flap, delta, durability, ctl, obs, members, store, suspicion, bundle, or all")
+	fig := fs.String("fig", "all", "figures to regenerate (comma-separated): 7, 8, 9, 10, clone, churn, flap, delta, durability, members, store, suspicion, or all")
 	csvPath := fs.String("csv", "", "also write the series as CSV to this file")
 	jsonPath := fs.String("json", "", "also write every figure that ran as one JSON document to this file")
 	rooms := fs.Int("rooms", 3, "overflow rooms for the clone-dispatch experiment")
@@ -89,12 +94,7 @@ func run(args []string, out io.Writer) error {
 	songBytes := fs.Int64("song-bytes", 2_000_000, "song size for the churn experiment (sets the snapshot frame size)")
 	deltaTicks := fs.Int("delta-ticks", 16, "mutated capture ticks per cell of the delta sweep")
 	durWrites := fs.Int("dur-writes", 16, "writes per phase and record kind for the durability experiment")
-	ctlRequests := fs.Int("ctl-requests", 2000, "round-trip requests for the control-plane experiment")
-	ctlWatchers := fs.Int("ctl-watchers", 16, "concurrent watchers for the control-plane fan-out experiment")
-	ctlEvents := fs.Int("ctl-events", 512, "events published to the control-plane watchers")
-	obsIters := fs.Int("obs-iters", 1_000_000, "raw metric-op iterations for the observability overhead experiment")
 	membersHosts := fs.String("members-hosts", "200,500,1000", "host counts for the membership scale sweep (comma-separated)")
-	membersBaseline := fs.String("members-baseline-hosts", "200,500", "host counts re-run with full-table gossip as the baseline (comma-separated; empty disables)")
 	storeRecords := fs.Int("store-records", 1_000_000, "resident records preloaded for the storage-engine experiment")
 	storeOps := fs.Int("store-ops", 200_000, "measured mixed writes for the storage-engine experiment")
 	storeWriters := fs.Int("store-writers", 8, "concurrent writers for the storage-engine experiment")
@@ -107,8 +107,6 @@ func run(args []string, out io.Writer) error {
 	suspCycles := fs.Int("suspicion-cycles", 6, "freeze/recover cycles per timeout for the suspicion sweep")
 	suspBlip := fs.Duration("suspicion-blip", 50*time.Millisecond, "freeze duration per cycle for the suspicion sweep")
 	suspTimeouts := fs.String("suspicion-timeouts", "10ms,25ms,50ms,100ms,250ms,500ms", "SuspicionTimeout values to sweep (comma-separated durations)")
-	bundleHosts := fs.Int("bundle-hosts", 16, "installing hosts for the bundle fan-out experiment")
-	bundleStateBytes := fs.Int("bundle-state-bytes", 256<<10, "initial-state payload packed into the benchmark bundle")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -125,9 +123,7 @@ func run(args []string, out io.Writer) error {
 		"flap":       func() error { return flap(out, &csv, doc, *spaces, *flapPeriod, *flapCycles) },
 		"delta":      func() error { return delta(out, &csv, doc, *deltaTicks) },
 		"durability": func() error { return durability(out, &csv, doc, *spaces, *durWrites) },
-		"ctl":        func() error { return ctlFig(out, &csv, doc, *ctlRequests, *ctlWatchers, *ctlEvents) },
-		"obs":        func() error { return obsFig(out, &csv, doc, *obsIters) },
-		"members":    func() error { return members(out, &csv, doc, *membersHosts, *membersBaseline) },
+		"members":    func() error { return members(out, &csv, doc, *membersHosts) },
 		"store": func() error {
 			cfg := bench.StoreConfig{Records: *storeRecords, Writers: *storeWriters, Ops: *storeOps,
 				ValueBytes: *storeValueBytes, BlobEvery: *storeBlobEvery, BlobBytes: *storeBlobBytes}
@@ -136,9 +132,8 @@ func run(args []string, out io.Writer) error {
 		"suspicion": func() error {
 			return suspicion(out, &csv, doc, *suspHosts, *suspCycles, *suspBlip, *suspTimeouts)
 		},
-		"bundle": func() error { return bundleFig(out, &csv, doc, *bundleHosts, *bundleStateBytes) },
 	}
-	all := []string{"7", "8", "9", "10", "clone", "churn", "flap", "delta", "durability", "ctl", "obs", "members", "store", "suspicion", "bundle"}
+	all := []string{"7", "8", "9", "10", "clone", "churn", "flap", "delta", "durability", "members", "store", "suspicion"}
 	var order []string
 	if *fig == "all" {
 		order = all
@@ -320,7 +315,7 @@ func churn(out io.Writer, csv *strings.Builder, doc map[string]any, spaces int, 
 }
 
 func delta(out io.Writer, csv *strings.Builder, doc map[string]any, ticks int) error {
-	fmt.Fprintln(out, "== Delta — replicated bytes per capture tick, full-frame vs delta pipeline ==")
+	fmt.Fprintln(out, "== Delta — replicated bytes per capture tick vs the full frame ==")
 	fmt.Fprintf(out, "   (media player, one small playback write per tick, %d ticks per cell)\n", ticks)
 	sizes := []int64{500_000, 2_000_000, 8_000_000}
 	points, err := bench.RunDeltaSweep(sizes, ticks)
@@ -328,22 +323,20 @@ func delta(out io.Writer, csv *strings.Builder, doc map[string]any, ticks int) e
 		return err
 	}
 	record(doc, "delta", map[string]any{"ticks": ticks, "song_bytes": sizes}, points)
-	fmt.Fprintf(out, "  %-10s %-6s %12s %12s %7s %7s %7s %7s\n",
-		"song", "mode", "base-bytes", "bytes/tick", "full", "delta", "idle0", "intact")
-	fmt.Fprintf(csv, "delta,song_bytes,mode,ticks,base_bytes,bytes_per_tick,full_frames,delta_frames,skipped_clean,state_intact\n")
-	// bytes/tick pairs: remember the full-mode figure to print the ratio.
-	perTick := make(map[int64]int64)
+	fmt.Fprintf(out, "  %-10s %12s %12s %7s %7s %7s %7s\n",
+		"song", "base-bytes", "bytes/tick", "full", "delta", "idle0", "intact")
+	fmt.Fprintf(csv, "delta,song_bytes,ticks,base_bytes,bytes_per_tick,full_frames,delta_frames,skipped_clean,state_intact\n")
 	for _, p := range points {
-		fmt.Fprintf(out, "  %-10d %-6s %12d %12d %7d %7d %7d %7v",
-			p.SongBytes, p.Mode, p.BaseBytes, p.BytesPerTick,
+		fmt.Fprintf(out, "  %-10d %12d %12d %7d %7d %7d %7v",
+			p.SongBytes, p.BaseBytes, p.BytesPerTick,
 			p.FullFrames, p.DeltaFrames, p.SkippedClean, p.StateIntact)
-		if p.Mode == "full" {
-			perTick[p.SongBytes] = p.BytesPerTick
-		} else if fullBytes := perTick[p.SongBytes]; fullBytes > 0 && p.BytesPerTick > 0 {
-			fmt.Fprintf(out, "  (%.0fx fewer bytes)", float64(fullBytes)/float64(p.BytesPerTick))
+		// The base publish is one full frame: what every tick would ship
+		// without the delta pipeline.
+		if p.BytesPerTick > 0 {
+			fmt.Fprintf(out, "  (%.0fx fewer bytes than a full frame)", float64(p.BaseBytes)/float64(p.BytesPerTick))
 		}
 		fmt.Fprintln(out)
-		fmt.Fprintf(csv, "delta,%d,%s,%d,%d,%d,%d,%d,%d,%v\n", p.SongBytes, p.Mode, p.Ticks,
+		fmt.Fprintf(csv, "delta,%d,%d,%d,%d,%d,%d,%d,%v\n", p.SongBytes, p.Ticks,
 			p.BaseBytes, p.BytesPerTick, p.FullFrames, p.DeltaFrames, p.SkippedClean, p.StateIntact)
 	}
 	fmt.Fprintln(out)
@@ -376,86 +369,26 @@ func durability(out io.Writer, csv *strings.Builder, doc map[string]any, spaces,
 	fmt.Fprintln(out, "   silent loss = writes reported OK that no surviving center holds")
 	concerns := []cluster.WriteConcern{cluster.WriteAsync, cluster.WriteOne, cluster.WriteQuorum}
 	var results []bench.DurabilityResult
-	fmt.Fprintf(out, "  %-8s %12s %12s %12s %12s %12s %8s %12s %10s\n",
-		"concern", "write-lat", "snap-lat", "wiresnap-gob", "wiresnap-v2", "cutoff-lat", "flagged", "silent-loss", "lost-total")
-	fmt.Fprintf(csv, "durability,concern,spaces,writes,write_lat_us,snap_lat_us,wire_snap_gob_us,wire_snap_fast_us,cutoff_lat_us,flagged,silent_loss,lost_total,durable\n")
+	fmt.Fprintf(out, "  %-8s %12s %12s %12s %8s %12s %10s\n",
+		"concern", "write-lat", "snap-lat", "cutoff-lat", "flagged", "silent-loss", "lost-total")
+	fmt.Fprintf(csv, "durability,concern,spaces,writes,write_lat_us,snap_lat_us,cutoff_lat_us,flagged,silent_loss,lost_total,durable\n")
 	for _, wc := range concerns {
 		res, err := bench.RunDurability(spaces, writes, wc)
 		if err != nil {
 			return err
 		}
 		results = append(results, res)
-		fmt.Fprintf(out, "  %-8s %10dµs %10dµs %10dµs %10dµs %10dµs %8d %12d %10d\n",
+		fmt.Fprintf(out, "  %-8s %10dµs %10dµs %10dµs %8d %12d %10d\n",
 			res.Concern, res.HealthyLatency.Microseconds(), res.SnapLatency.Microseconds(),
-			res.WireSnapGob.Microseconds(), res.WireSnapFast.Microseconds(),
 			res.DegradedLatency.Microseconds(), res.Flagged, res.SilentLoss, res.LostTotal)
-		fmt.Fprintf(csv, "durability,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+		fmt.Fprintf(csv, "durability,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 			res.Concern, res.Spaces, res.Writes,
 			res.HealthyLatency.Microseconds(), res.SnapLatency.Microseconds(),
-			res.WireSnapGob.Microseconds(), res.WireSnapFast.Microseconds(),
 			res.DegradedLatency.Microseconds(), res.Flagged, res.SilentLoss, res.LostTotal, res.Durable)
 	}
 	fmt.Fprintln(out)
 	csv.WriteString("\n")
 	record(doc, "durability", map[string]any{"spaces": spaces, "writes": writes}, results)
-	return nil
-}
-
-func ctlFig(out io.Writer, csv *strings.Builder, doc map[string]any, requests, watchers, events int) error {
-	fmt.Fprintf(out, "== Control plane — request round-trip and Watch fan-out (%d reqs, %d watchers, %d events) ==\n",
-		requests, watchers, events)
-	res, err := bench.RunCtl(requests, watchers, events)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  request rtt: info %dµs, apps %dµs\n",
-		res.InfoRTT.Microseconds(), res.AppsRTT.Microseconds())
-	fmt.Fprintf(out, "  %-12s %10s %10s %8s %14s\n",
-		"", "delivered", "lost", "elapsed", "events/sec")
-	for _, f := range []bench.CtlFanout{res.V1, res.V2} {
-		fmt.Fprintf(out, "  watch-%-6s %10d %10d %6dms %14.0f\n",
-			f.Proto, f.Delivered, f.Lost, f.Elapsed.Milliseconds(), f.EventsPerSec)
-	}
-	fmt.Fprintf(out, "  %-12s %10d %10d %6dms %14.0f   (%d live + %d replayed)\n",
-		"replay", int64(res.Replay.Replayed), res.Replay.Lost,
-		res.Replay.Elapsed.Milliseconds(), res.Replay.EventsPerSec,
-		res.Replay.Live, res.Replay.Replayed)
-	fmt.Fprintf(csv, "ctl,row,requests,watchers,events,info_rtt_us,apps_rtt_us,delivered,lost,elapsed_ms,events_per_sec\n")
-	for _, f := range []bench.CtlFanout{res.V1, res.V2} {
-		fmt.Fprintf(csv, "ctl,watch-%s,%d,%d,%d,%d,%d,%d,%d,%d,%.0f\n",
-			f.Proto, res.Requests, f.Watchers, f.Published,
-			res.InfoRTT.Microseconds(), res.AppsRTT.Microseconds(),
-			f.Delivered, f.Lost, f.Elapsed.Milliseconds(), f.EventsPerSec)
-	}
-	fmt.Fprintf(csv, "ctl,replay,%d,1,%d,%d,%d,%d,%d,%d,%.0f\n\n",
-		res.Requests, res.Replay.Burst,
-		res.InfoRTT.Microseconds(), res.AppsRTT.Microseconds(),
-		int64(res.Replay.Replayed), res.Replay.Lost,
-		res.Replay.Elapsed.Milliseconds(), res.Replay.EventsPerSec)
-	fmt.Fprintln(out)
-	record(doc, "ctl", map[string]any{"requests": requests, "watchers": watchers, "events": events}, res)
-	return nil
-}
-
-func obsFig(out io.Writer, csv *strings.Builder, doc map[string]any, iters int) error {
-	fmt.Fprintf(out, "== Observability — instrumentation overhead on the capture fast path (%d iters) ==\n", iters)
-	fmt.Fprintln(out, "   (idle tick = dirty-tracked clean skip; PR 3 baseline ~249 ns uninstrumented)")
-	res, err := bench.RunObs(iters)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  counter inc:        %v/op\n", res.CounterInc)
-	fmt.Fprintf(out, "  histogram observe:  %v/op\n", res.HistObserve)
-	fmt.Fprintf(out, "  instrumented idle capture tick: %v (%d metric op on the path)\n", res.IdleTick, res.IdleOps)
-	fmt.Fprintf(out, "  estimated overhead: %v -> ratio %.3fx (acceptance bar: 2x)\n", res.Overhead, res.OverheadRatio)
-	fmt.Fprintf(out, "  /metrics exposition: %v over %d series\n", res.Exposition, res.Series)
-	fmt.Fprintln(out)
-	fmt.Fprintf(csv, "obs,iters,counter_inc_ns,hist_observe_ns,idle_tick_ns,idle_ops,overhead_ns,overhead_ratio,exposition_ns,series\n")
-	fmt.Fprintf(csv, "obs,%d,%d,%d,%d,%d,%d,%.3f,%d,%d\n\n", res.Iters,
-		res.CounterInc.Nanoseconds(), res.HistObserve.Nanoseconds(),
-		res.IdleTick.Nanoseconds(), res.IdleOps, res.Overhead.Nanoseconds(),
-		res.OverheadRatio, res.Exposition.Nanoseconds(), res.Series)
-	record(doc, "obs", map[string]any{"iters": iters}, res)
 	return nil
 }
 
@@ -476,63 +409,35 @@ func parseHostCounts(spec string) ([]int, error) {
 	return out, nil
 }
 
-func members(out io.Writer, csv *strings.Builder, doc map[string]any, hostsSpec, baselineSpec string) error {
+func members(out io.Writer, csv *strings.Builder, doc map[string]any, hostsSpec string) error {
 	hosts, err := parseHostCounts(hostsSpec)
 	if err != nil {
 		return err
 	}
-	baseline, err := parseHostCounts(baselineSpec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "== Members — gossip dissemination at scale: bounded piggyback vs full-table ==")
+	fmt.Fprintln(out, "== Members — bounded gossip dissemination at scale ==")
 	fmt.Fprintln(out, "   (synchronous protocol rounds over netsim; kill-wall includes the suspicion window)")
-	fmt.Fprintf(out, "  %-6s %-6s %10s %9s %8s %12s %6s %6s %10s %6s\n",
-		"hosts", "mode", "bytes/msg", "upd/msg", "B/host/s", "bootstrap", "join", "kill", "kill-wall", "false")
-	fmt.Fprintf(csv, "members,hosts,mode,bytes_per_msg,updates_per_msg,bytes_per_host_sec,bootstrap_rounds,join_rounds,kill_rounds,kill_wall_ms,false_suspects,false_convictions\n")
-	row := func(r bench.MembersResult) {
-		mode := "bounded"
-		if r.FullTable {
-			mode = "full"
-		}
-		fmt.Fprintf(out, "  %-6d %-6s %10.0f %9.1f %8.0f %12d %6d %6d %8dms %6d\n",
-			r.Hosts, mode, r.BytesPerMsg, r.UpdatesPerMsg, r.BytesPerHostSec,
-			r.BootstrapRounds, r.JoinRounds, r.KillRounds, r.KillWall.Milliseconds(),
-			r.FalseSuspects+r.FalseConvictions)
-		fmt.Fprintf(csv, "members,%d,%s,%.1f,%.2f,%.1f,%d,%d,%d,%d,%d,%d\n",
-			r.Hosts, mode, r.BytesPerMsg, r.UpdatesPerMsg, r.BytesPerHostSec,
-			r.BootstrapRounds, r.JoinRounds, r.KillRounds, r.KillWall.Milliseconds(),
-			r.FalseSuspects, r.FalseConvictions)
-	}
-	var bounded, full []bench.MembersResult
-	boundedRate := map[int]float64{}
+	fmt.Fprintf(out, "  %-6s %10s %9s %8s %12s %6s %6s %10s %6s\n",
+		"hosts", "bytes/msg", "upd/msg", "B/host/s", "bootstrap", "join", "kill", "kill-wall", "false")
+	fmt.Fprintf(csv, "members,hosts,bytes_per_msg,updates_per_msg,bytes_per_host_sec,bootstrap_rounds,join_rounds,kill_rounds,kill_wall_ms,false_suspects,false_convictions\n")
+	var results []bench.MembersResult
 	for _, n := range hosts {
 		r, err := bench.RunMembers(n, bench.MembersConfig())
 		if err != nil {
 			return err
 		}
-		bounded = append(bounded, r)
-		boundedRate[n] = r.BytesPerHostSec
-		row(r)
-	}
-	for _, n := range baseline {
-		cfg := bench.MembersConfig()
-		cfg.FullTableGossip = true
-		r, err := bench.RunMembers(n, cfg)
-		if err != nil {
-			return err
-		}
-		full = append(full, r)
-		row(r)
-		if b := boundedRate[n]; b > 0 {
-			fmt.Fprintf(out, "         -> bounded dissemination sends %.1fx fewer bytes/host/sec at %d hosts\n",
-				r.BytesPerHostSec/b, n)
-		}
+		results = append(results, r)
+		fmt.Fprintf(out, "  %-6d %10.0f %9.1f %8.0f %12d %6d %6d %8dms %6d\n",
+			r.Hosts, r.BytesPerMsg, r.UpdatesPerMsg, r.BytesPerHostSec,
+			r.BootstrapRounds, r.JoinRounds, r.KillRounds, r.KillWall.Milliseconds(),
+			r.FalseSuspects+r.FalseConvictions)
+		fmt.Fprintf(csv, "members,%d,%.1f,%.2f,%.1f,%d,%d,%d,%d,%d,%d\n",
+			r.Hosts, r.BytesPerMsg, r.UpdatesPerMsg, r.BytesPerHostSec,
+			r.BootstrapRounds, r.JoinRounds, r.KillRounds, r.KillWall.Milliseconds(),
+			r.FalseSuspects, r.FalseConvictions)
 	}
 	fmt.Fprintln(out)
 	csv.WriteString("\n")
-	record(doc, "members", map[string]any{"hosts": hosts, "baseline_hosts": baseline},
-		map[string]any{"bounded": bounded, "full_table": full})
+	record(doc, "members", map[string]any{"hosts": hosts}, results)
 	return nil
 }
 
@@ -543,49 +448,25 @@ func storeFig(out io.Writer, csv *strings.Builder, doc map[string]any, cfg bench
 	if cfg.BlobEvery > 0 {
 		mix = fmt.Sprintf("every %dth write a %dKB snapshot frame", cfg.BlobEvery, cfg.BlobBytes/1024)
 	}
-	fmt.Fprintf(out, "   (%dB records, %s; seed interval = Sync ticker every %v, held under the seed's global write lock)\n",
+	fmt.Fprintf(out, "   (%dB records, %s; interval = fsync every %v)\n",
 		cfg.ValueBytes, mix, store.DefaultSyncEvery)
-	rows := []struct {
-		engine string
-		pol    store.SyncPolicy
-	}{
-		{"seed", store.SyncNever},
-		{"seed", store.SyncInterval},
-		{"engine", store.SyncNever},
-		{"engine", store.SyncInterval},
-		{"engine", store.SyncAlways},
-	}
-	fmt.Fprintf(out, "  %-8s %-9s %14s %14s %10s %10s %12s\n",
-		"engine", "sync", "load-w/s", "writes/sec", "p50", "p99", "disk-bytes")
-	fmt.Fprintf(csv, "store,engine,sync,records,writers,ops,load_writes_per_sec,writes_per_sec,p50_us,p99_us,blob_writes,disk_bytes\n")
+	fmt.Fprintf(out, "  %-9s %14s %14s %10s %10s %12s\n",
+		"sync", "load-w/s", "writes/sec", "p50", "p99", "disk-bytes")
+	fmt.Fprintf(csv, "store,sync,records,writers,ops,load_writes_per_sec,writes_per_sec,p50_us,p99_us,blob_writes,disk_bytes\n")
 	var results []bench.StoreResult
-	var seedRate, engineRate float64
-	for _, r := range rows {
-		res, err := bench.RunStore(cfg, r.engine, r.pol)
+	for _, pol := range []store.SyncPolicy{store.SyncNever, store.SyncInterval, store.SyncAlways} {
+		res, err := bench.RunStore(cfg, pol)
 		if err != nil {
 			return err
 		}
 		results = append(results, res)
-		// The headline ratio compares matched durability: both sides
-		// fsync on the same cadence, so it isolates the architecture
-		// (off-lock group commit vs fsync under the global write lock).
-		if res.Sync == store.SyncInterval.String() {
-			if res.Engine == "seed" {
-				seedRate = res.WritesPerSec
-			} else {
-				engineRate = res.WritesPerSec
-			}
-		}
-		fmt.Fprintf(out, "  %-8s %-9s %14.0f %14.0f %9dµs %9dµs %12d\n",
-			res.Engine, res.Sync, res.LoadWritesPerSec, res.WritesPerSec,
+		fmt.Fprintf(out, "  %-9s %14.0f %14.0f %9dµs %9dµs %12d\n",
+			res.Sync, res.LoadWritesPerSec, res.WritesPerSec,
 			res.P50.Microseconds(), res.P99.Microseconds(), res.DiskBytes)
-		fmt.Fprintf(csv, "store,%s,%s,%d,%d,%d,%.0f,%.0f,%d,%d,%d,%d\n",
-			res.Engine, res.Sync, res.Records, res.Writers, res.Ops,
+		fmt.Fprintf(csv, "store,%s,%d,%d,%d,%.0f,%.0f,%d,%d,%d,%d\n",
+			res.Sync, res.Records, res.Writers, res.Ops,
 			res.LoadWritesPerSec, res.WritesPerSec,
 			res.P50.Microseconds(), res.P99.Microseconds(), res.BlobWrites, res.DiskBytes)
-	}
-	if seedRate > 0 && engineRate > 0 {
-		fmt.Fprintf(out, "  -> engine sustains %.1fx the seed store's writes/sec at matched durability (%v fsync cadence)\n", engineRate/seedRate, store.DefaultSyncEvery)
 	}
 
 	var crash bench.StoreCrashResult
@@ -610,28 +491,6 @@ func storeFig(out io.Writer, csv *strings.Builder, doc map[string]any, cfg bench
 		"value_bytes": cfg.ValueBytes, "blob_every": cfg.BlobEvery, "blob_bytes": cfg.BlobBytes,
 		"crash_trials": crashTrials,
 	}, map[string]any{"rows": results, "crash": crash})
-	return nil
-}
-
-func bundleFig(out io.Writer, csv *strings.Builder, doc map[string]any, hosts, stateBytes int) error {
-	fmt.Fprintf(out, "== Bundle — signed app distribution: one push, %d-host install fan-out (%dKB initial state) ==\n",
-		hosts, stateBytes/1024)
-	fmt.Fprintln(out, "   (every host fetches, signature-checks, secret-resolves and runs a value-checked instance)")
-	res, err := bench.RunBundle(hosts, stateBytes)
-	if err != nil {
-		return err
-	}
-	record(doc, "bundle", map[string]any{"hosts": hosts, "state_bytes": stateBytes}, res)
-	fmt.Fprintf(out, "  bundle size: %d bytes signed (%d bytes initial state)\n", res.BundleBytes, res.StateBytes)
-	fmt.Fprintf(out, "  pack+sign: %v, push (verify+store): %v\n", res.Pack, res.Push)
-	fmt.Fprintf(out, "  install fan-out: %v total, %v/host, %.0f instances/sec, %d bytes fetched/host\n",
-		res.Install, res.InstallPerHost, res.InstancesPerSec, res.BytesPerHost)
-	fmt.Fprintln(out)
-	fmt.Fprintf(csv, "bundle,hosts,state_bytes,bundle_bytes,pack_us,push_us,install_ms,install_per_host_us,instances_per_sec,bytes_per_host\n")
-	fmt.Fprintf(csv, "bundle,%d,%d,%d,%d,%d,%d,%d,%.0f,%d\n\n",
-		res.Hosts, res.StateBytes, res.BundleBytes,
-		res.Pack.Microseconds(), res.Push.Microseconds(), res.Install.Milliseconds(),
-		res.InstallPerHost.Microseconds(), res.InstancesPerSec, res.BytesPerHost)
 	return nil
 }
 

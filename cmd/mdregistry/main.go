@@ -113,10 +113,6 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	listen := fs.String("listen", "127.0.0.1:7001", "TCP listen address")
 	storePath := fs.String("store", "", "storage engine directory (empty = in-memory)")
 	storeSync := fs.String("store-sync", "interval", "WAL fsync policy: always, interval, or never")
-	storeSyncEvery := fs.Duration("store-sync-every", 0, "fsync cadence under -store-sync interval (0 = engine default)")
-	storeSegBytes := fs.Int64("store-segment-bytes", 0, "WAL segment roll size in bytes (0 = engine default)")
-	storeBlobMin := fs.Int("store-blob-threshold", 0, "values >= this many bytes go to the blob log (0 = engine default)")
-	storeShards := fs.Int("store-shards", 0, "index shard count, rounded up to a power of two (0 = engine default)")
 	space := fs.String("space", "", "smart space served by this center (empty = standalone)")
 	peers := fedPeers{}
 	fs.Var(peers, "fed-peer", "federated peer center space=addr (repeatable; requires -space)")
@@ -144,20 +140,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 		if err != nil {
 			return err
 		}
-		opts := []store.Option{store.WithSyncPolicy(pol)}
-		if *storeSyncEvery > 0 {
-			opts = append(opts, store.WithSyncEvery(*storeSyncEvery))
-		}
-		if *storeSegBytes > 0 {
-			opts = append(opts, store.WithSegmentBytes(*storeSegBytes))
-		}
-		if *storeBlobMin > 0 {
-			opts = append(opts, store.WithBlobThreshold(*storeBlobMin))
-		}
-		if *storeShards > 0 {
-			opts = append(opts, store.WithShards(*storeShards))
-		}
-		db, err = store.Open(*storePath, opts...)
+		db, err = store.Open(*storePath, store.WithSyncPolicy(pol))
 		if err != nil {
 			return err
 		}

@@ -263,24 +263,19 @@ func TestFlapRejectsBadParams(t *testing.T) {
 	}
 }
 
-// TestChurnDeltaRestoreMatchesFullFrames is the acceptance check for the
-// delta pipeline's failover path: restoring a re-homed app from a
-// delta-chain record must be value-level identical to restoring from a
-// full-frame record, and the planted state must actually have crossed as
-// a delta (not a silent full-frame fallback).
-func TestChurnDeltaRestoreMatchesFullFrames(t *testing.T) {
-	relaxed := func() cluster.Config {
-		cfg := ChurnStateConfig()
-		cfg.ProbeInterval = 5 * time.Millisecond
-		cfg.ProbeTimeout = 100 * time.Millisecond
-		cfg.SuspicionTimeout = 300 * time.Millisecond
-		cfg.SyncInterval = 10 * time.Millisecond
-		cfg.ReplicateInterval = 5 * time.Millisecond
-		return cfg
-	}
-
-	deltaCfg := relaxed()
-	dres, err := RunChurnSized(3, deltaCfg, 100_000)
+// TestChurnDeltaRestoreIntact is the acceptance check for the delta
+// pipeline's failover path: restoring a re-homed app from a delta-chain
+// record must be value-level identical to the live state, and the
+// planted state must actually have crossed as a delta (not a silent
+// full-frame fallback).
+func TestChurnDeltaRestoreIntact(t *testing.T) {
+	cfg := ChurnStateConfig()
+	cfg.ProbeInterval = 5 * time.Millisecond
+	cfg.ProbeTimeout = 100 * time.Millisecond
+	cfg.SuspicionTimeout = 300 * time.Millisecond
+	cfg.SyncInterval = 10 * time.Millisecond
+	cfg.ReplicateInterval = 5 * time.Millisecond
+	dres, err := RunChurnSized(3, cfg, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,19 +288,6 @@ func TestChurnDeltaRestoreMatchesFullFrames(t *testing.T) {
 	if dres.DeltaBytes*5 > dres.SnapshotBytes {
 		t.Fatalf("delta frame (%d bytes) not meaningfully smaller than the record (%d bytes)",
 			dres.DeltaBytes, dres.SnapshotBytes)
-	}
-
-	fullCfg := relaxed()
-	fullCfg.FullSnapshotFrames = true
-	fres, err := RunChurnSized(3, fullCfg, 100_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fres.StateIntact {
-		t.Fatalf("full-frame restore lost state: %+v", fres)
-	}
-	if fres.SnapshotDeltas != 0 {
-		t.Fatalf("full-frame mode produced a delta chain: %+v", fres)
 	}
 }
 
@@ -364,59 +346,33 @@ func TestDurabilityRejectsBadParams(t *testing.T) {
 
 // TestDeltaSweepSavesBytes runs one small cell of the delta sweep and
 // checks the headline claims: >= 5x fewer replicated bytes per mutated
-// tick, zero serialization on idle ticks, and a value-intact record on
-// the peer center in both modes.
+// tick than the full frame the base publish shipped (which is what every
+// tick cost before the delta pipeline), zero serialization on idle
+// ticks, and a value-intact record on the peer center.
 func TestDeltaSweepSavesBytes(t *testing.T) {
 	points, err := RunDeltaSweep([]int64{200_000}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d, want 2", len(points))
+	if len(points) != 1 {
+		t.Fatalf("points = %d, want 1", len(points))
 	}
-	full, delta := points[0], points[1]
-	if full.Mode != "full" || delta.Mode != "delta" {
-		t.Fatalf("unexpected mode order: %+v", points)
+	p := points[0]
+	if !p.StateIntact {
+		t.Fatalf("record not value-intact: %+v", p)
 	}
-	for _, p := range points {
-		if !p.StateIntact {
-			t.Fatalf("%s-mode record not value-intact: %+v", p.Mode, p)
-		}
-		if p.SkippedClean != 3 {
-			t.Fatalf("%s-mode idle ticks not skipped cleanly: %+v", p.Mode, p)
-		}
+	if p.SkippedClean != 3 {
+		t.Fatalf("idle ticks not skipped cleanly: %+v", p)
 	}
-	if delta.BytesPerTick*5 > full.BytesPerTick {
-		t.Fatalf("delta pipeline saved too little: %d vs %d bytes/tick",
-			delta.BytesPerTick, full.BytesPerTick)
+	if p.BaseBytes < 200_000 {
+		t.Fatalf("base publish (%d bytes) is not the full frame of a 200 KB song: %+v", p.BaseBytes, p)
 	}
-	if delta.DeltaFrames == 0 || full.DeltaFrames != 0 {
-		t.Fatalf("frame kinds wrong: full=%+v delta=%+v", full, delta)
+	if p.BytesPerTick*5 > p.BaseBytes {
+		t.Fatalf("delta pipeline saved too little: %d bytes/tick vs a %d-byte full frame",
+			p.BytesPerTick, p.BaseBytes)
 	}
-}
-
-// TestRunCtlMeasures smokes the control-plane micro-bench at a tiny
-// scale: every request succeeds, all events reach every watcher on both
-// protocol generations when the burst fits the queues, no drops are
-// reported, and the replay scenario resumes the unread half loss-free.
-func TestRunCtlMeasures(t *testing.T) {
-	res, err := RunCtl(8, 3, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.InfoRTT <= 0 || res.AppsRTT <= 0 {
-		t.Fatalf("non-positive RTTs: %+v", res)
-	}
-	for _, f := range []CtlFanout{res.V1, res.V2} {
-		if f.Delivered != int64(3*16) || f.Lost != 0 {
-			t.Fatalf("%s fan-out delivered %d lost %d, want 48/0", f.Proto, f.Delivered, f.Lost)
-		}
-		if f.EventsPerSec <= 0 {
-			t.Fatalf("%s events/sec = %f", f.Proto, f.EventsPerSec)
-		}
-	}
-	if res.Replay.Live != 8 || res.Replay.Replayed != 8 || res.Replay.Lost != 0 {
-		t.Fatalf("replay = %+v, want 8 live + 8 replayed, 0 lost", res.Replay)
+	if p.DeltaFrames != int64(p.Ticks) || p.FullFrames != 1 {
+		t.Fatalf("frame kinds wrong, want 1 full base + %d deltas: %+v", p.Ticks, p)
 	}
 }
 
@@ -429,8 +385,16 @@ func TestMembersBoundedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BytesPerMsg <= 0 || res.BytesPerMsg > 2048 {
-		t.Fatalf("bytes/msg = %.0f, want bounded well under a full table", res.BytesPerMsg)
+	// Measured at 40 hosts: 211-347 bytes/msg over 190 runs (plain, -race
+	// and GOMAXPROCS=1). The spread is the rumor tail a bootstrap that
+	// converged in 30 rounds instead of 64 leaves in the metering window,
+	// not noise in the payload. The bound is 1.25x the top of that range;
+	// one full table at 40 hosts is ~2 KB, so a payload that started
+	// growing with the table fails long before it gets there.
+	const measuredMax = 347.0
+	if res.BytesPerMsg <= 0 || res.BytesPerMsg > 1.25*measuredMax {
+		t.Fatalf("bytes/msg = %.0f, want <= %.0f (1.25x the measured %.0f)",
+			res.BytesPerMsg, 1.25*measuredMax, measuredMax)
 	}
 	if res.JoinRounds <= 0 || res.JoinRounds > 30 {
 		t.Fatalf("join took %d rounds, want O(log N)", res.JoinRounds)
@@ -440,30 +404,6 @@ func TestMembersBoundedPayload(t *testing.T) {
 	}
 	if res.KillWall < res.Config.SuspicionTimeout {
 		t.Fatalf("kill converged in %v, inside the %v suspicion window", res.KillWall, res.Config.SuspicionTimeout)
-	}
-}
-
-// TestMembersBaselineCostsMore pins the tentpole claim at smoke scale:
-// full-table piggybacking pays more bytes per host per second than
-// bounded dissemination, and its payload grows with the table while the
-// bounded payload does not.
-func TestMembersBaselineCostsMore(t *testing.T) {
-	bounded, err := RunMembers(40, MembersConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := MembersConfig()
-	cfg.FullTableGossip = true
-	full, err := RunMembers(40, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.BytesPerHostSec <= bounded.BytesPerHostSec {
-		t.Fatalf("full-table %0.f B/host/s <= bounded %.0f — baseline should cost more",
-			full.BytesPerHostSec, bounded.BytesPerHostSec)
-	}
-	if full.BytesPerMsg <= bounded.BytesPerMsg {
-		t.Fatalf("full-table %.0f bytes/msg <= bounded %.0f", full.BytesPerMsg, bounded.BytesPerMsg)
 	}
 }
 

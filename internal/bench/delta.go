@@ -12,20 +12,19 @@ import (
 	"mdagent/internal/media"
 )
 
-// DeltaPoint is one (app size, pipeline mode) cell of the delta sweep:
-// a media player whose song dominates its wrap, mutated by one small
-// playback-position write per capture tick. "full" disables the delta
-// pipeline (every capture ships the whole wrap — the PR 2 behaviour);
-// "delta" is the default pipeline.
+// DeltaPoint is one app-size cell of the delta sweep: a media player
+// whose song dominates its wrap, mutated by one small playback-position
+// write per capture tick. BaseBytes is what shipping the whole wrap
+// costs — the price of every tick before the delta pipeline — so
+// BaseBytes/BytesPerTick is the saving.
 type DeltaPoint struct {
 	SongBytes int64
-	Mode      string // "full" or "delta"
-	Ticks     int    // mutated capture rounds after the initial base
+	Ticks     int // mutated capture rounds after the initial base
 
 	Publishes    int64
 	FullFrames   int64
 	DeltaFrames  int64
-	BaseBytes    int64 // bytes of the initial base publish
+	BaseBytes    int64 // bytes of the initial base publish (one full frame)
 	TotalBytes   int64 // all bytes put to the center across the run
 	BytesPerTick int64 // steady-state replicated bytes per mutated tick
 	SkippedClean int64 // idle ticks skipped with zero serialization
@@ -36,21 +35,20 @@ type DeltaPoint struct {
 // deltaSweepConfig is the cluster config the sweep runs at: state
 // replication on, the periodic loop effectively disabled (captures are
 // driven manually for determinism), no byte-budget pacing.
-func deltaSweepConfig(fullFrames bool) cluster.Config {
+func deltaSweepConfig() cluster.Config {
 	return cluster.Config{
-		ReplicateState:     true,
-		ReplicateInterval:  time.Hour,
-		ReplicateBudget:    -1,
-		FullSnapshotFrames: fullFrames,
-		Seed:               13,
+		ReplicateState:    true,
+		ReplicateInterval: time.Hour,
+		ReplicateBudget:   -1,
+		Seed:              13,
 	}
 }
 
 // RunDeltaSweep measures replicated bytes per capture tick as app size
-// grows, with the delta pipeline on and off. Each cell builds a 2-space
-// federation, runs the player with a song of the given size on the
-// first host, publishes the base, then performs ticks rounds of (small
-// state mutation, synchronous capture), followed by a few idle rounds.
+// grows. Each cell builds a 2-space federation, runs the player with a
+// song of the given size on the first host, publishes the base, then
+// performs ticks rounds of (small state mutation, synchronous capture),
+// followed by a few idle rounds.
 // The final record is pulled from the peer space's center and
 // value-checked against the live state — the same record failover would
 // restore from.
@@ -60,20 +58,18 @@ func RunDeltaSweep(sizes []int64, ticks int) ([]DeltaPoint, error) {
 	}
 	var out []DeltaPoint
 	for _, size := range sizes {
-		for _, mode := range []string{"full", "delta"} {
-			p, err := runDeltaCell(size, mode, ticks)
-			if err != nil {
-				return nil, fmt.Errorf("bench: delta cell %d/%s: %w", size, mode, err)
-			}
-			out = append(out, p)
+		p, err := runDeltaCell(size, ticks)
+		if err != nil {
+			return nil, fmt.Errorf("bench: delta cell %d: %w", size, err)
 		}
+		out = append(out, p)
 	}
 	return out, nil
 }
 
-func runDeltaCell(songBytes int64, mode string, ticks int) (DeltaPoint, error) {
-	p := DeltaPoint{SongBytes: songBytes, Mode: mode, Ticks: ticks}
-	mw, hosts, err := newFederation(2, deltaSweepConfig(mode == "full"))
+func runDeltaCell(songBytes int64, ticks int) (DeltaPoint, error) {
+	p := DeltaPoint{SongBytes: songBytes, Ticks: ticks}
+	mw, hosts, err := newFederation(2, deltaSweepConfig())
 	if err != nil {
 		return p, err
 	}

@@ -37,12 +37,6 @@ type DurabilityResult struct {
 	HealthyLatency time.Duration // mean per-write latency, registry records
 	SnapLatency    time.Duration // mean per-put latency, snapshot records
 
-	// Wire snap-put latency through a SnapshotClient on the fabric, same
-	// puts, async concern (no peer-ack wait): the codec comparison the
-	// fast path is judged by — gob seals vs compact v2 frames.
-	WireSnapGob  time.Duration
-	WireSnapFast time.Duration
-
 	// Partitioned-phase measurements (writer cut off from every peer).
 	DegradedLatency time.Duration // mean per-write latency while degraded
 	Flagged         int           // writes that returned ErrNotDurable (caller warned)
@@ -237,17 +231,6 @@ func RunDurability(n, writes int, concern cluster.WriteConcern) (DurabilityResul
 		time.Sleep(time.Millisecond)
 	}
 
-	// Wire leg: the same put stream through a SnapshotClient over the
-	// fabric, once per encoding. Async concern isolates the codec + wire
-	// cost from peer-ack waits; distinct app names keep every put a full
-	// frame, so the two runs move identical state.
-	if res.WireSnapGob, err = wireSnapLatency(net, fab, writes, "gob", transport.ProtoVersion); err != nil {
-		return res, err
-	}
-	if res.WireSnapFast, err = wireSnapLatency(net, fab, writes, "fast", transport.ProtoV2); err != nil {
-		return res, err
-	}
-
 	// Phase 2: the writer is cut off from every peer — its pushes fail
 	// and (with a synchronous concern) its membership view says the
 	// concern is unmeetable, so writes degrade to fast ErrNotDurable.
@@ -288,54 +271,6 @@ func RunDurability(n, writes int, concern cluster.WriteConcern) (DurabilityResul
 		}
 	}
 	return res, nil
-}
-
-// wireSnapLatency measures the mean per-put latency of full-frame
-// snapshot puts through a SnapshotClient pinned to one wire encoding,
-// against a dedicated standalone center (async concern, no peers) on
-// the same simulated network.
-func wireSnapLatency(net *netsim.Network, fab *transport.LocalFabric, writes int, label string, proto byte) (time.Duration, error) {
-	srvHost, cliHost := "wire-srv-"+label, "wire-cli-"+label
-	for _, h := range []string{srvHost, cliHost} {
-		if _, err := net.AddHost(h, "lan", netsim.PentiumM_1600(), 0); err != nil {
-			return 0, err
-		}
-	}
-	reg, err := registry.New(store.OpenMemory())
-	if err != nil {
-		return 0, err
-	}
-	space := "wire-" + label
-	srvEp, err := fab.Attach(cluster.CenterEndpointName(space), srvHost)
-	if err != nil {
-		return 0, err
-	}
-	ctr := cluster.NewCenter(space, reg, srvEp, cluster.Config{
-		SyncInterval: time.Hour, WriteConcern: cluster.WriteAsync, Seed: 7,
-	})
-	ctr.Serve(srvEp)
-	defer ctr.Stop()
-	cliEp, err := fab.Attach("wire-client-"+label, cliHost)
-	if err != nil {
-		return 0, err
-	}
-	cli := cluster.NewSnapshotClient(cliEp, cluster.CenterEndpointName(space))
-	cli.SetProto(proto)
-
-	ctx := context.Background()
-	var total time.Duration
-	for i := 0; i < writes; i++ {
-		put, err := durabilityFrame(fmt.Sprintf("wire-%s-%03d", label, i), label)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		if _, err := cli.PutSnapshot(ctx, put); err != nil {
-			return 0, fmt.Errorf("bench: wire %s put #%d: %w", label, i, err)
-		}
-		total += time.Since(start)
-	}
-	return total / time.Duration(writes), nil
 }
 
 // onAnySurvivor reports whether any surviving center holds the record.

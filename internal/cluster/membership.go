@@ -78,10 +78,6 @@ type Config struct {
 	// the bounded buffer evicted before it reached everyone (default 64;
 	// negative disables).
 	FullSyncEvery int
-	// FullTableGossip restores the pre-bounded behaviour: the full
-	// membership table on every probe and ack. The benchmark baseline,
-	// not something a deployment should want.
-	FullTableGossip bool
 
 	// ReplicateState opts hosts into the state pipeline: each host's
 	// replicator streams its applications' snapshots to its space's
@@ -101,10 +97,6 @@ type Config struct {
 	// capture is deferred B/budget seconds, so big apps capture less
 	// often (default 64 MB/s; negative disables pacing).
 	ReplicateBudget int64
-	// FullSnapshotFrames disables the delta pipeline — every capture
-	// publishes a full frame, the pre-delta behaviour. The benchmark
-	// baseline, not something a deployment should want.
-	FullSnapshotFrames bool
 
 	// WriteConcern is the federation write durability level: WriteAsync
 	// (default) returns as soon as a write lands locally; WriteOne and

@@ -38,9 +38,9 @@ func CenterEndpointName(space string) string { return "registry@" + space }
 // transport version byte, and dissemination is bounded: Updates carries
 // at most Config.MaxPiggyback queued member updates selected
 // fewest-transmissions-first, so the payload is O(1) in cluster size.
-// Full marks a full-table anti-entropy exchange (join bootstrap, Rejoin,
-// the FullSyncEvery cadence, and the FullTableGossip baseline): Table
-// carries the sender's whole table and the ack answers in kind.
+// Full marks a full-table anti-entropy exchange (join bootstrap, Rejoin
+// and the FullSyncEvery cadence): Table carries the sender's whole table
+// and the ack answers in kind.
 type pingMsg struct {
 	From    string
 	Updates []Member

@@ -55,9 +55,6 @@ type Config struct {
 	SensorTick time.Duration
 	// StorePath persists the registry to a directory when non-empty.
 	StorePath string
-	// StoreOptions tunes the storage engine (sync policy, segment size,
-	// blob threshold, shard count). Ignored when StorePath is empty.
-	StoreOptions []store.Option
 	// Cluster opts the deployment into the distribution layer: gossip
 	// membership per host, one federated registry center per smart space
 	// (replacing the single registry center as the engines' catalog), and
@@ -182,7 +179,7 @@ func New(cfg Config) (*Middleware, error) {
 	db := store.OpenMemory()
 	if cfg.StorePath != "" {
 		var err error
-		db, err = store.Open(cfg.StorePath, cfg.StoreOptions...)
+		db, err = store.Open(cfg.StorePath)
 		if err != nil {
 			return nil, err
 		}
@@ -318,7 +315,6 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 			ccfg.ReplicateInterval, state.Tuning{
 				RebaseEvery:       2 * ccfg.MaxDeltaChain,
 				BudgetBytesPerSec: ccfg.ReplicateBudget,
-				FullFrames:        ccfg.FullSnapshotFrames,
 			})
 		rep.OnPublish(func(put state.SnapshotPut, stamp state.SnapshotStamp) {
 			kind := "full"

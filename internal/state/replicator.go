@@ -34,9 +34,6 @@ type Tuning struct {
 	// bounded replication lag still get it. 0 takes the default
 	// (64 MB/s); negative disables pacing.
 	BudgetBytesPerSec int64
-	// FullFrames disables the delta pipeline entirely (every publish is
-	// a full frame, the pre-delta behaviour) — the benchmark baseline.
-	FullFrames bool
 }
 
 func (t Tuning) withDefaults() Tuning {
@@ -354,7 +351,7 @@ func (r *Replicator) capture(ctx context.Context, inst *app.Application, force b
 
 	// Cheapest viable capture: with a valid counter baseline, serialize
 	// only the components that changed since it.
-	if tr != nil && tr.haveBase && tr.seqValid && tr.inst == inst && tracked && !r.tune.FullFrames {
+	if tr != nil && tr.haveBase && tr.seqValid && tr.inst == inst && tracked {
 		changed := inst.ChangedSince(tr.changeSeq)
 		if changed == nil {
 			changed = []string{} // coordinator/profile-only change: empty component set
@@ -426,7 +423,7 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, inst *app.Applicatio
 	// digests moved. A component missing from a full wrap (not expressible
 	// by an overlay delta) forces a full frame.
 	dComps, dKinds := w.Components, w.Kinds
-	useDelta := tr.haveBase && !r.tune.FullFrames
+	useDelta := tr.haveBase
 	if useDelta && !partial {
 		dComps = make(map[string][]byte)
 		dKinds = make(map[string]app.ComponentKind)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -11,7 +12,8 @@ import (
 )
 
 // Crash-recovery scenarios (satellite: torn final frame, torn frame at
-// a segment boundary, partially-written blob, replay-after-compact).
+// a segment boundary, partially-written blob, replay-after-compact,
+// impossible length prefix in the WAL and in a seed-format log).
 // Each simulates the on-disk state a crash can leave and asserts the
 // store recovers to the last acknowledged state.
 
@@ -219,5 +221,103 @@ func TestCrashReplayAfterCompact(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("Get(%s) = len %d, %v (want len %d)", k, len(got), err, len(want))
 		}
+	}
+}
+
+// impossibleLength is a tail no writer produces: a length prefix far
+// larger than any file, followed by a few junk bytes.
+func impossibleLength(n uint64) []byte {
+	return append(binary.AppendUvarint(nil, n), "junk-after-the-length"...)
+}
+
+// TestCrashCorruptLengthPrefix leaves a length varint >= 2^63 at the
+// tail of the newest segment. Read as a signed number it is negative
+// and slips past a "body longer than the file" check; replay must treat
+// it as a torn frame, truncate it away and keep every earlier record.
+func TestCrashCorruptLengthPrefix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db")
+	s, err := Open(path, WithSyncPolicy(SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(newestSegment(t, path), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(impossibleLength(1<<63 + 5)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open after corrupt length prefix: %v", err)
+	}
+	for i := 0; i < 10; i++ {
+		if v, err := s2.Get(fmt.Sprintf("k%d", i)); err != nil || len(v) != 100 {
+			t.Fatalf("k%d lost to a corrupt tail: len %d, %v", i, len(v), err)
+		}
+	}
+	if err := s2.Put("post", []byte("crash")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if v, err := s3.Get("post"); err != nil || string(v) != "crash" {
+		t.Fatalf("append after truncated reopen lost: %q, %v", v, err)
+	}
+}
+
+// TestLegacyMigrationCorruptLength replaces the golden seed log's torn
+// final frame with a length prefix of 2^62: the migration must stop at
+// the last intact record instead of trying to allocate the body.
+func TestLegacyMigrationCorruptLength(t *testing.T) {
+	golden, err := os.ReadFile(goldenLegacyLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := 0 // end of the last frame whose body is wholly in the file
+	for {
+		n, vn := binary.Uvarint(golden[intact:])
+		if vn <= 0 || n > uint64(len(golden)-intact-vn) {
+			break
+		}
+		intact += vn + int(n)
+	}
+	if intact == 0 || intact == len(golden) {
+		t.Fatalf("golden log has %d intact bytes of %d, want a torn tail after some records", intact, len(golden))
+	}
+	path := filepath.Join(t.TempDir(), "reg.log")
+	if err := os.WriteFile(path, append(golden[:intact:intact], impossibleLength(1<<62)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open over legacy log with a corrupt length: %v", err)
+	}
+	defer s.Close()
+	if v, err := s.Get("b"); err != nil || string(v) != "2" {
+		t.Fatalf("Get(b) = %q, %v", v, err)
+	}
+	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
+		t.Fatal("legacy-deleted key resurrected")
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", s.Len())
 	}
 }

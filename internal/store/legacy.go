@@ -3,27 +3,16 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
-	"strings"
-	"sync"
 )
 
-// Legacy is the seed single-lock store: one map and one replayed gob
-// log behind a single RWMutex. It is kept (1) to migrate pre-PR-8 log
-// files into the engine layout and (2) as the before/after baseline for
-// bench.RunStore.
-type Legacy struct {
-	mu   sync.RWMutex
-	data map[string][]byte
-	path string   // "" for memory-only
-	log  *os.File // nil for memory-only
-}
+// The seed store kept one append-only gob log per store. Nothing writes
+// that format any more; this file only reads it, so a pre-PR-8 log file
+// still opens (Open migrates it into the engine's directory layout).
 
 // legacy log op codes.
 const (
@@ -39,43 +28,22 @@ type record struct {
 	Value []byte
 }
 
-// OpenLegacy opens (or creates) a seed-format store backed by the
-// single append-only gob log at path.
-func OpenLegacy(path string) (*Legacy, error) {
-	s := &Legacy{data: make(map[string][]byte), path: path}
-	if err := replayLegacy(path, s.data); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open legacy log: %w", err)
-	}
-	s.log = f
-	return s, nil
-}
-
-func replayLegacy(path string, into map[string][]byte) error {
-	f, err := os.Open(path)
+// replayLegacy applies every intact record of the seed-format log at
+// path to into and returns the offset of the end of the last one. A
+// torn or corrupt frame ends the replay at the last good record; a
+// missing file is an empty log.
+func replayLegacy(path string, into map[string][]byte) (int64, error) {
+	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: legacy replay: %w", err)
+		return 0, fmt.Errorf("store: legacy replay: %w", err)
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	for {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil // EOF or torn length
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil // torn frame from a crash mid-write
-		}
+	return scanFrames(raw, func(body []byte) bool {
 		var r record
 		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-			return nil // corrupt frame; stop at last good record
+			return false
 		}
 		switch r.Op {
 		case legacyOpPut:
@@ -83,119 +51,8 @@ func replayLegacy(path string, into map[string][]byte) error {
 		case legacyOpDelete:
 			delete(into, r.Key)
 		}
-	}
-}
-
-func encodeLegacyFrame(r record) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(r); err != nil {
-		return nil, fmt.Errorf("store: legacy encode: %w", err)
-	}
-	frame := make([]byte, 0, body.Len()+binary.MaxVarintLen64)
-	frame = binary.AppendUvarint(frame, uint64(body.Len()))
-	return append(frame, body.Bytes()...), nil
-}
-
-func (s *Legacy) append(r record) error {
-	if s.log == nil {
-		return nil
-	}
-	frame, err := encodeLegacyFrame(r)
-	if err != nil {
-		return err
-	}
-	if _, err := s.log.Write(frame); err != nil {
-		return fmt.Errorf("store: legacy append: %w", err)
-	}
-	return nil
-}
-
-// Put stores value under key, seed-style: gob-encode and write under
-// the global lock.
-func (s *Legacy) Put(key string, value []byte) error {
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.append(record{Op: legacyOpPut, Key: key, Value: cp}); err != nil {
-		return err
-	}
-	s.data[key] = cp
-	return nil
-}
-
-// Get returns a copy of the value stored under key.
-func (s *Legacy) Get(key string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return cp, nil
-}
-
-// Delete removes key.
-func (s *Legacy) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.data[key]; !ok {
-		return nil
-	}
-	if err := s.append(record{Op: legacyOpDelete, Key: key}); err != nil {
-		return err
-	}
-	delete(s.data, key)
-	return nil
-}
-
-// Keys returns all keys with the given prefix, sorted.
-func (s *Legacy) Keys(prefix string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for k := range s.data {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of live keys.
-func (s *Legacy) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
-}
-
-// Sync flushes the log, holding the global lock across the fsync —
-// the seed behaviour the engine's committer replaces.
-func (s *Legacy) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
-	return s.log.Sync()
-}
-
-// Close flushes and closes the log.
-func (s *Legacy) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
-	err := s.log.Sync()
-	if cerr := s.log.Close(); err == nil {
-		err = cerr
-	}
-	s.log = nil
-	return err
+		return true
+	}), nil
 }
 
 // migrateLegacyIfNeeded converts a seed-format log file at path into
@@ -220,7 +77,7 @@ func migrateLegacyIfNeeded(path string) error {
 	}
 
 	data := make(map[string][]byte)
-	if err := replayLegacy(parked, data); err != nil {
+	if _, err := replayLegacy(parked, data); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(path, 0o755); err != nil {

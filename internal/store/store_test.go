@@ -496,23 +496,19 @@ func TestBlobGC(t *testing.T) {
 	}
 }
 
+// goldenLegacyLog is a log the seed store itself wrote (put a, put b,
+// delete a, then a final frame torn mid-body), captured at the last
+// commit that still had the seed writer.
+const goldenLegacyLog = "testdata/seed-v0.log"
+
 // A pre-PR-8 single-file gob log is migrated into the engine layout.
 func TestLegacyMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "reg.log")
-	lg, err := OpenLegacy(path)
+	golden, err := os.ReadFile(goldenLegacyLog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.Put("a", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Put("b", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "reg.log")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -525,6 +521,9 @@ func TestLegacyMigration(t *testing.T) {
 	}
 	if v, err := s.Get("b"); err != nil || string(v) != "2" {
 		t.Fatalf("Get(b) = %q, %v", v, err)
+	}
+	if _, err := s.Get("c"); !errors.Is(err, ErrNotFound) {
+		t.Fatal("torn final legacy frame surfaced as a record")
 	}
 	if err := s.Put("c", []byte("3")); err != nil {
 		t.Fatal(err)

@@ -309,21 +309,37 @@ func replaySegment(path string, apply func(frame)) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: replay: %w", err)
 	}
-	off := int64(0)
-	for int(off) < len(raw) {
-		n, vn := binary.Uvarint(raw[off:])
-		if vn <= 0 || int64(len(raw))-off-int64(vn) < int64(n) {
-			break // torn length or torn body
-		}
-		body := raw[off+int64(vn) : off+int64(vn)+int64(n)]
+	return scanFrames(raw, func(body []byte) bool {
 		f, err := decodeBody(body)
 		if err != nil {
-			break // corrupt frame
+			return false // corrupt frame
 		}
 		apply(f)
-		off += int64(vn) + int64(n)
+		return true
+	}), nil
+}
+
+// scanFrames walks the uvarint-length-prefixed frames in raw (the
+// framing the WAL and the seed-format log share), handing each body to
+// each, and returns the offset of the end of the last frame each
+// accepted. It stops at a torn length, at a length larger than the
+// bytes that remain — a torn body, or garbage no writer produced — and
+// at the first body each rejects. Lengths are compared unsigned: a
+// length of 2^63 or more must not wrap into a negative that passes.
+func scanFrames(raw []byte, each func(body []byte) bool) int64 {
+	off := 0
+	for off < len(raw) {
+		n, vn := binary.Uvarint(raw[off:])
+		if vn <= 0 || n > uint64(len(raw)-off-vn) {
+			break
+		}
+		end := off + vn + int(n)
+		if !each(raw[off+vn : end]) {
+			break
+		}
+		off = end
 	}
-	return off, nil
+	return int64(off)
 }
 
 func (w *wal) openSegment(id uint64) error {
