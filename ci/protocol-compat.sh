@@ -1,18 +1,24 @@
 #!/usr/bin/env bash
 # Cross-version protocol smoke: build mdctl/mdagentd/mdregistry from the
-# merge-base of the change under test, then run both mixed pairs —
-# old client vs new daemon, and new client vs old daemon — over real
-# localhost TCP. Each pair smokes info, ps, and one watch event, so a
-# wire-format break (sealed-frame layout, watch negotiation, reply
-# shapes) fails here even though every same-version test passes.
+# merge-base of the change under test, then cross the two generations
+# over real localhost TCP. Control plane: old client vs new daemon and
+# new client vs old daemon, each smoking info, ps, and one watch event.
+# Snapshot wire: old mdagentd replicating to a new mdregistry and the
+# reverse, each asserting the center lists the app's snapshot. Every wire
+# op has one encoding and no fallback, so this N<->N-1 run is the only
+# net under a wire-format break (sealed-frame layout, fast-frame layout,
+# reply shapes) that every same-version test is blind to.
 #
 # In CI the base is merge-base with the PR's target branch; locally (or
-# on push builds) it falls back to HEAD^.
+# on push builds) it falls back to HEAD^, or to $COMPAT_BASE when set
+# (any commit-ish — e.g. HEAD to cross an uncommitted tree with it).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-if [ -n "${GITHUB_BASE_REF:-}" ]; then
+if [ -n "${COMPAT_BASE:-}" ]; then
+  BASE=$(git rev-parse "$COMPAT_BASE")
+elif [ -n "${GITHUB_BASE_REF:-}" ]; then
   git fetch -q origin "$GITHUB_BASE_REF"
   BASE=$(git merge-base HEAD "origin/$GITHUB_BASE_REF")
 else
@@ -24,14 +30,13 @@ WORK=$(mktemp -d)
 cleanup() {
   # shellcheck disable=SC2046
   kill $(jobs -p) 2>/dev/null || true
-  git worktree remove --force "$WORK/base" 2>/dev/null || true
   rm -rf "$WORK"
 }
 trap cleanup EXIT
 
-mkdir -p "$WORK/new" "$WORK/old"
+mkdir -p "$WORK/new" "$WORK/old" "$WORK/base"
 go build -o "$WORK/new/" ./cmd/mdctl ./cmd/mdagentd ./cmd/mdregistry
-git worktree add -q --detach "$WORK/base" "$BASE"
+git archive "$BASE" | tar -x -C "$WORK/base"
 (cd "$WORK/base" && go build -o "$WORK/old/" ./cmd/mdctl ./cmd/mdagentd ./cmd/mdregistry)
 
 # wait_line FILE PATTERN [TIMEOUT_SEC]: block until the pattern shows up
@@ -100,6 +105,45 @@ run_pair() {
   wait "$agent_pid" "$reg_pid" 2>/dev/null || true
 }
 
+# run_snap_pair AGENTD_DIR REGISTRY_DIR LABEL: a replicating mdagentd of
+# one generation streams its running app's state to a center of the
+# other; the center must list the snapshot within 10 s.
+run_snap_pair() {
+  local agentd=$1 registry=$2 label=$3
+  echo "-- pair: $label"
+  local dir="$WORK/run-$label"
+  mkdir -p "$dir"
+
+  "$registry/mdregistry" -listen 127.0.0.1:0 -space lab >"$dir/registry.log" 2>&1 &
+  local reg_pid=$!
+  wait_line "$dir/registry.log" "serving registry@lab on "
+  local reg_addr
+  reg_addr=$(addr_from "$dir/registry.log" "serving registry@lab on ")
+
+  "$agentd/mdagentd" -host hostA -listen 127.0.0.1:0 -registry "$reg_addr" \
+    -space lab -replicate 50ms -run smart-media-player >"$dir/agentd.log" 2>&1 &
+  local agent_pid=$!
+  wait_line "$dir/agentd.log" "serving on "
+
+  local deadline=$((SECONDS + 10))
+  until "$WORK/new/mdctl" -server "$reg_addr" snapshots 2>/dev/null |
+    awk '$1 == "smart-media-player" && $4 >= 1 { found = 1 } END { exit !found }'; do
+    if [ "$SECONDS" -ge "$deadline" ]; then
+      echo "center never listed a smart-media-player snapshot with seq >= 1" >&2
+      "$WORK/new/mdctl" -server "$reg_addr" snapshots >&2 || true
+      cat "$dir/agentd.log" "$dir/registry.log" >&2
+      return 1
+    fi
+    sleep 0.2
+  done
+  echo "   snapshot replicated: $("$WORK/new/mdctl" -server "$reg_addr" snapshots | awk '$1 == "smart-media-player"')"
+
+  kill "$agent_pid" "$reg_pid" 2>/dev/null || true
+  wait "$agent_pid" "$reg_pid" 2>/dev/null || true
+}
+
 run_pair "$WORK/new" "$WORK/old" old-client-vs-new-daemon
 run_pair "$WORK/old" "$WORK/new" new-client-vs-old-daemon
-echo "== protocol-compat: both mixed pairs passed"
+run_snap_pair "$WORK/old" "$WORK/new" old-agentd-vs-new-registry
+run_snap_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry
+echo "== protocol-compat: all four mixed pairs passed"

@@ -13,39 +13,10 @@ import (
 	"mdagent/internal/ctl"
 	"mdagent/internal/ctxkernel"
 	"mdagent/internal/migrate"
-	"mdagent/internal/obs"
 	"mdagent/internal/owl"
 	"mdagent/internal/registry"
 	"mdagent/internal/state"
 )
-
-// Bundle accounting — the same metric names every mdagent process
-// registers, so /metrics reads identically across the fleet.
-var (
-	mBundlePushes   = obs.Default.Counter("mdagent_bundle_pushes_total")
-	mBundleInstalls = obs.Default.Counter("mdagent_bundle_installs_total")
-	mBundleRejected = obs.Default.Counter("mdagent_bundle_rejected_total")
-	mBundleBytes    = obs.Default.Counter("mdagent_bundle_bytes_total")
-)
-
-// verifyBundle opens raw against the daemon's trusted keys and checks
-// the manifest names the app the bundle is stored (or pushed) as. Every
-// refusal books a rejection metric; every acceptance books the payload
-// bytes.
-func verifyBundle(name string, raw []byte, trusted []ed25519.PublicKey) (*bundle.Bundle, error) {
-	b, err := bundle.Open(raw, trusted)
-	if err != nil {
-		mBundleRejected.Inc()
-		return nil, fmt.Errorf("mdagentd: refuse bundle %q: %w", name, err)
-	}
-	if b.Manifest.App != name {
-		mBundleRejected.Inc()
-		return nil, fmt.Errorf("mdagentd: refuse bundle: %w: named %q but manifest declares %q",
-			bundle.ErrCorrupt, name, b.Manifest.App)
-	}
-	mBundleBytes.Add(int64(len(raw)))
-	return b, nil
-}
 
 // daemonBackend builds this host daemon's control-plane surface:
 // lifecycle on the local engine, introspection through the registry
@@ -78,13 +49,13 @@ func daemonBackend(host, space string, eng *migrate.Engine, cat *registry.Client
 		if !found {
 			return fmt.Errorf("mdagentd: %w: %q on %s", ctl.ErrUnknownApp, appName, host)
 		}
-		b, err := verifyBundle(appName, raw, trusted)
+		b, err := bundle.Admit(appName, raw, trusted)
 		if err != nil {
-			return err
+			return fmt.Errorf("mdagentd: %w", err)
 		}
 		factory, err := bundle.Instantiate(b, secrets)
 		if err != nil {
-			mBundleRejected.Inc()
+			bundle.Rejected.Inc()
 			return fmt.Errorf("mdagentd: instantiate bundle %q: %w", appName, err)
 		}
 		eng.InstallFactory(appName, factory)
@@ -98,7 +69,7 @@ func daemonBackend(host, space string, eng *migrate.Engine, cat *registry.Client
 		}); err != nil {
 			return err
 		}
-		mBundleInstalls.Inc()
+		bundle.Installs.Inc()
 		return nil
 	}
 
@@ -211,13 +182,14 @@ func daemonBackend(host, space string, eng *migrate.Engine, cat *registry.Client
 		PushBundle: func(ctx context.Context, name string, raw []byte) error {
 			// Verified before forwarding: a host daemon never launders an
 			// unsigned or untrusted artifact into the federation.
-			if _, err := verifyBundle(name, raw, trusted); err != nil {
-				return err
+			if _, err := bundle.Admit(name, raw, trusted); err != nil {
+				return fmt.Errorf("mdagentd: %w", err)
 			}
 			if err := cat.PutBundle(ctx, name, raw); err != nil {
 				return err
 			}
-			mBundlePushes.Inc()
+			bundle.Pushes.Inc()
+			bundle.Bytes.Add(int64(len(raw)))
 			return nil
 		},
 		ListBundles: func(ctx context.Context) ([]ctl.BundleInfo, error) {

@@ -34,7 +34,6 @@ package main
 
 import (
 	"context"
-	"crypto/ed25519"
 	"errors"
 	"flag"
 	"fmt"
@@ -83,26 +82,6 @@ func skeletonApps() map[string]skeletonApp {
 			factory:    func(h string) *app.Application { return demoapps.SlideShowSkeleton(h) },
 		},
 	}
-}
-
-// trustList accumulates repeated -trust-key hex Ed25519 public keys.
-type trustList []ed25519.PublicKey
-
-func (t *trustList) String() string {
-	parts := make([]string, 0, len(*t))
-	for _, k := range *t {
-		parts = append(parts, bundle.FormatPublicKey(k))
-	}
-	return strings.Join(parts, ",")
-}
-
-func (t *trustList) Set(v string) error {
-	k, err := bundle.ParsePublicKey(v)
-	if err != nil {
-		return err
-	}
-	*t = append(*t, k)
-	return nil
 }
 
 type peerList map[string]string
@@ -161,7 +140,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	replicate := fs.Duration("replicate", 0, "stream application snapshots to the space center on this interval (federated mode; 0 = off)")
 	concern := fs.String("write-concern", "", "write concern requested on every snapshot put: async, one, or quorum (empty = center default; needs -replicate)")
 	debugAddr := fs.String("debug-addr", "", "HTTP debug listen address: /metrics, /healthz, /debug/pprof (empty = off)")
-	trusted := trustList{}
+	trusted := bundle.TrustList{}
 	fs.Var(&trusted, "trust-key", "trusted bundle publisher key, hex ed25519 public key (repeatable; none = refuse every bundle)")
 	secretsFile := fs.String("secrets-file", "", "key=value file resolving bundle ref://file/... secret references")
 	if err := fs.Parse(args); err != nil {

@@ -86,7 +86,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	filter := fs.String("filter", "*", "watch: topic pattern — exact topic, \"prefix.*\", or \"*\"")
 	count := fs.Int("count", 0, "watch: exit after this many events (0 = until interrupted)")
 	forDur := fs.Duration("for", 0, "watch: exit after this duration (0 = until interrupted)")
-	fromSeq := fs.Uint64("from-seq", 0, "watch: replay the stream from this sequence number (0 = live from now; needs a v2 server)")
+	fromSeq := fs.Uint64("from-seq", 0, "watch: replay the stream from this sequence number (0 = live from now)")
 	static := fs.Bool("static", false, "migrate: static (whole-app) binding instead of adaptive")
 	host := fs.String("host", "", "run/stop/install: target host (default: the serving host)")
 	if err := fs.Parse(args); err != nil {
@@ -328,9 +328,9 @@ type watchLine struct {
 
 // watch streams events until stop closes, n events arrived (n > 0), or
 // d elapsed (d > 0). fromSeq > 0 asks the server to replay from that
-// sequence number; a server that cannot honor it (pre-v2, or the ring
-// aged the seq out) degrades to a live watch with a warning rather than
-// failing — the operator asked to see events, not to see an exit code.
+// sequence number; when the ring aged the seq out, the watch degrades to
+// live with a warning rather than failing — the operator asked to see
+// events, not to see an exit code.
 func watch(cli *ctl.Client, out io.Writer, stop <-chan struct{}, jsonOut bool, pattern string, n int, d time.Duration, fromSeq uint64) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -346,7 +346,7 @@ func watch(cli *ctl.Client, out io.Writer, stop <-chan struct{}, jsonOut bool, p
 		}
 	}()
 	events, err := cli.WatchFrom(ctx, pattern, fromSeq)
-	if fromSeq > 0 && (errors.Is(err, ctl.ErrReplayGap) || errors.Is(err, ctl.ErrUnsupported)) {
+	if fromSeq > 0 && errors.Is(err, ctl.ErrReplayGap) {
 		fmt.Fprintf(os.Stderr, "mdctl: replay from seq %d unavailable (%v); watching live from now\n", fromSeq, err)
 		events, err = cli.Watch(ctx, pattern)
 	}

@@ -49,26 +49,6 @@ import (
 	"mdagent/internal/transport"
 )
 
-// trustList accumulates repeated -trust-key hex Ed25519 public keys.
-type trustList []ed25519.PublicKey
-
-func (t *trustList) String() string {
-	parts := make([]string, 0, len(*t))
-	for _, k := range *t {
-		parts = append(parts, bundle.FormatPublicKey(k))
-	}
-	return strings.Join(parts, ",")
-}
-
-func (t *trustList) Set(v string) error {
-	k, err := bundle.ParsePublicKey(v)
-	if err != nil {
-		return err
-	}
-	*t = append(*t, k)
-	return nil
-}
-
 // fedPeers accumulates repeated -fed-peer space=addr flags.
 type fedPeers map[string]string
 
@@ -118,7 +98,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	fs.Var(peers, "fed-peer", "federated peer center space=addr (repeatable; requires -space)")
 	concern := fs.String("write-concern", "", "federation write durability: async (default), one, or quorum (requires -space)")
 	debugAddr := fs.String("debug-addr", "", "HTTP debug listen address: /metrics, /healthz, /debug/pprof (empty = off)")
-	trusted := trustList{}
+	trusted := bundle.TrustList{}
 	fs.Var(&trusted, "trust-key", "trusted bundle publisher key, hex ed25519 public key (repeatable; none = refuse every bundle push)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -221,14 +201,6 @@ func storeDesc(path string) string {
 	return path
 }
 
-// Bundle accounting — the same metric names every mdagent process
-// registers, so /metrics reads identically across the fleet.
-var (
-	mBundlePushes   = obs.Default.Counter("mdagent_bundle_pushes_total")
-	mBundleRejected = obs.Default.Counter("mdagent_bundle_rejected_total")
-	mBundleBytes    = obs.Default.Counter("mdagent_bundle_bytes_total")
-)
-
 // registryBackend is the center's control-plane surface: registry views,
 // bundle distribution, and the Watch stream. Lifecycle operations stay
 // unsupported — a registry center runs no applications.
@@ -252,15 +224,8 @@ func registryBackend(space string, reg *registry.Registry, center *cluster.Cente
 			// The center is the trust gate for the whole federation: a
 			// push lands here once and replicates everywhere, so an
 			// unsigned or untrusted artifact must die here.
-			b, err := bundle.Open(raw, trusted)
-			if err != nil {
-				mBundleRejected.Inc()
-				return fmt.Errorf("mdregistry: refuse bundle %q: %w", name, err)
-			}
-			if b.Manifest.App != name {
-				mBundleRejected.Inc()
-				return fmt.Errorf("mdregistry: refuse bundle: %w: named %q but manifest declares %q",
-					bundle.ErrCorrupt, name, b.Manifest.App)
+			if _, err := bundle.Admit(name, raw, trusted); err != nil {
+				return fmt.Errorf("mdregistry: %w", err)
 			}
 			if center != nil {
 				// A durability shortfall still stored the bundle locally;
@@ -272,8 +237,8 @@ func registryBackend(space string, reg *registry.Registry, center *cluster.Cente
 			} else if err := reg.PutBundle(name, raw); err != nil {
 				return err
 			}
-			mBundlePushes.Inc()
-			mBundleBytes.Add(int64(len(raw)))
+			bundle.Pushes.Inc()
+			bundle.Bytes.Add(int64(len(raw)))
 			return nil
 		},
 		ListBundles: func(context.Context) ([]ctl.BundleInfo, error) {

@@ -394,3 +394,43 @@ func TestUnknownSectionIsSkippedButSigned(t *testing.T) {
 		t.Fatalf("tampered unknown section: %v, want ErrBadSignature", err)
 	}
 }
+
+// TestAdmitBooksRejections pins the one admission gate every binary
+// shares: an accepted bundle books nothing (push, bytes and install are
+// the caller's to book once its write landed), each refusal books
+// exactly one rejection and keeps its typed sentinel.
+func TestAdmitBooksRejections(t *testing.T) {
+	raw, pub := packTest(t)
+	otherPub, _, err := GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := testManifest().App
+	for _, tc := range []struct {
+		label    string
+		name     string
+		trusted  []ed25519.PublicKey
+		wantErr  error
+		rejected int64
+	}{
+		{"good", app, []ed25519.PublicKey{pub}, nil, 0},
+		{"wrong name", app + "-evil-twin", []ed25519.PublicKey{pub}, ErrCorrupt, 1},
+		{"untrusted key", app, []ed25519.PublicKey{otherPub}, ErrUntrustedKey, 1},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			before := [...]int64{Rejected.Value(), Pushes.Value(), Bytes.Value(), Installs.Value()}
+			b, err := Admit(tc.name, raw, tc.trusted)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Admit err = %v, want %v", err, tc.wantErr)
+			}
+			if (b != nil) != (tc.wantErr == nil) {
+				t.Fatalf("Admit returned bundle %v alongside err %v", b != nil, err)
+			}
+			after := [...]int64{Rejected.Value(), Pushes.Value(), Bytes.Value(), Installs.Value()}
+			before[0] += tc.rejected
+			if after != before {
+				t.Fatalf("counters [rejected pushes bytes installs] = %v, want %v", after, before)
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strings"
 
 	"mdagent/internal/app"
 )
@@ -40,6 +41,27 @@ func ParsePublicKey(s string) (ed25519.PublicKey, error) {
 		return nil, fmt.Errorf("bundle: public key is %d bytes, want %d", len(b), ed25519.PublicKeySize)
 	}
 	return ed25519.PublicKey(b), nil
+}
+
+// TrustList is a flag.Value accumulating repeated -trust-key hex
+// Ed25519 public keys.
+type TrustList []ed25519.PublicKey
+
+func (t *TrustList) String() string {
+	parts := make([]string, 0, len(*t))
+	for _, k := range *t {
+		parts = append(parts, FormatPublicKey(k))
+	}
+	return strings.Join(parts, ",")
+}
+
+func (t *TrustList) Set(v string) error {
+	k, err := ParsePublicKey(v)
+	if err != nil {
+		return err
+	}
+	*t = append(*t, k)
+	return nil
 }
 
 // FormatPrivateKey renders a private key's 32-byte seed as hex — the

@@ -37,7 +37,7 @@ const (
 var ErrNotDurable = state.ErrNotDurable
 
 // Durability shortfalls normally cross the snapshot wire in-band
-// (putSnapshotReply.NotDurable), but any path where the text leaks into
+// (the put reply's not-durable flag), but any path where the text leaks into
 // an error reply should still satisfy errors.Is on the far side.
 func init() { transport.RegisterWireSentinel(ErrNotDurable) }
 

@@ -10,28 +10,24 @@ import (
 	"mdagent/internal/transport"
 )
 
-// Fast (ProtoV2) encoding of the snapshot hot path. A put body is
+// Fast-frame encoding of the snapshot put, the only encoding
+// MsgPutSnapshot has. A put body (transport.OpSnapPut) is
 //
 //	string app, string host, string space, time at, bool delta,
 //	bytes frame, 32 raw base-digest bytes, 32 raw new-digest bytes,
 //	string concern
 //
-// and a put outcome (reply body) is
+// and a put outcome (reply body, transport.OpSnapPutReply) is
 //
 //	byte flags (bit0 need-full, bit1 not-durable),
 //	uvarint seq, uvarint base-seq, uvarint chain
 //
-// Batched variants prefix a uvarint count and concatenate the bodies;
-// a batch outcome adds bit2 (errored) + an error string per entry, so
-// one bad put does not poison its batchmates' stamps. Gob (v1 seals)
-// remains the fallback for pre-v2 peers — the codec changes, the
-// semantics (in-band need-full/not-durable, write-concern header) do
-// not.
+// Need-full and not-durable ride in-band because the remote replicator
+// must tell them from a real failure; a hard failure is an error reply.
 
 const (
 	snapFlagNeedFull   byte = 1 << 0
 	snapFlagNotDurable byte = 1 << 1
-	snapFlagErr        byte = 1 << 2
 )
 
 // appendSnapPut appends one put body (no frame header).
@@ -65,12 +61,11 @@ func readSnapPut(r *transport.FastReader) state.SnapshotPut {
 	return put
 }
 
-// snapOutcome is one put's result inside a batch reply.
+// snapOutcome is one put's result as the reply frame carries it.
 type snapOutcome struct {
 	Stamp      state.SnapshotStamp
 	NeedFull   bool
 	NotDurable bool
-	Err        string // non-flag failure, per entry
 }
 
 func appendSnapOutcome(b []byte, o snapOutcome) []byte {
@@ -81,17 +76,10 @@ func appendSnapOutcome(b []byte, o snapOutcome) []byte {
 	if o.NotDurable {
 		flags |= snapFlagNotDurable
 	}
-	if o.Err != "" {
-		flags |= snapFlagErr
-	}
 	b = append(b, flags)
 	b = transport.AppendUint(b, o.Stamp.Seq)
 	b = transport.AppendUint(b, o.Stamp.BaseSeq)
-	b = transport.AppendUint(b, uint64(o.Stamp.Chain))
-	if o.Err != "" {
-		b = transport.AppendString(b, o.Err)
-	}
-	return b
+	return transport.AppendUint(b, uint64(o.Stamp.Chain))
 }
 
 func readSnapOutcome(r *transport.FastReader) snapOutcome {
@@ -105,28 +93,28 @@ func readSnapOutcome(r *transport.FastReader) snapOutcome {
 	o.Stamp.Seq = r.Uint()
 	o.Stamp.BaseSeq = r.Uint()
 	o.Stamp.Chain = int(r.Uint())
-	if flags&snapFlagErr != 0 {
-		o.Err = r.String()
-	}
 	return o
 }
 
-// encodeSnapPutFast seals one put as an OpSnapPut frame.
-func encodeSnapPutFast(put state.SnapshotPut) []byte {
+// encodeSnapPut seals one put as an OpSnapPut frame.
+func encodeSnapPut(put state.SnapshotPut) []byte {
 	return transport.SealFast(transport.OpSnapPut, appendSnapPut(make([]byte, 0, 128+len(put.Frame)), put))
 }
 
-// encodeSnapPutBatchFast seals a batch as an OpSnapPutBatch frame.
-func encodeSnapPutBatchFast(puts []state.SnapshotPut) []byte {
-	size := 16
-	for i := range puts {
-		size += 128 + len(puts[i].Frame)
+// decodeSnapPut parses an OpSnapPut frame. A payload of any other
+// version — a gob seal included — fails with OpenFast's ErrVersion
+// before its body is touched.
+func decodeSnapPut(payload []byte) (state.SnapshotPut, error) {
+	op, body, err := transport.OpenFast(payload)
+	if err != nil {
+		return state.SnapshotPut{}, err
 	}
-	b := transport.AppendUint(make([]byte, 0, size), uint64(len(puts)))
-	for i := range puts {
-		b = appendSnapPut(b, puts[i])
+	if op != transport.OpSnapPut {
+		return state.SnapshotPut{}, fmt.Errorf("cluster: unknown fast opcode %#x on %s", op, MsgPutSnapshot)
 	}
-	return transport.SealFast(transport.OpSnapPutBatch, b)
+	r := transport.NewFastReader(body)
+	put := readSnapPut(r)
+	return put, r.Err()
 }
 
 // decodeSnapOutcomeReply parses an OpSnapPutReply frame.
@@ -143,113 +131,34 @@ func decodeSnapOutcomeReply(payload []byte) (snapOutcome, error) {
 	return o, r.Err()
 }
 
-// decodeSnapBatchReply parses an OpSnapPutBatchReply frame into exactly
-// want outcomes — a count mismatch is a protocol error, not a partial
-// result.
-func decodeSnapBatchReply(payload []byte, want int) ([]snapOutcome, error) {
-	op, body, err := transport.OpenFast(payload)
+// putSnapshotFast serves MsgPutSnapshot on the center: the expected
+// signals (need-full, not-durable) ride in-band in the reply frame, hard
+// failures become error replies. That includes a malformed write-concern
+// header: the put was refused before anything was stored or enqueued, so
+// the error reply cannot poison the FIFO push workers.
+func (c *Center) putSnapshotFast(payload []byte) ([]byte, error) {
+	put, err := decodeSnapPut(payload)
 	if err != nil {
 		return nil, err
 	}
-	if op != transport.OpSnapPutBatchReply {
-		return nil, fmt.Errorf("cluster: unexpected fast reply opcode %#x", op)
-	}
-	r := transport.NewFastReader(body)
-	count := r.Uint()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if count != uint64(want) {
-		return nil, fmt.Errorf("cluster: batch reply has %d outcomes, sent %d puts", count, want)
-	}
-	out := make([]snapOutcome, 0, want)
-	for i := 0; i < want && r.Err() == nil; i++ {
-		out = append(out, readSnapOutcome(r))
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// outcomeOf maps a center-side put result into the in-band wire form,
-// mirroring the gob handler: need-full and not-durable are expected
-// signals, anything else is a per-entry error string.
-func outcomeOf(stamp state.SnapshotStamp, err error) snapOutcome {
+	stamp, err := c.PutSnapshot(context.Background(), put)
 	o := snapOutcome{Stamp: stamp}
 	switch {
 	case err == nil:
 	case errors.Is(err, state.ErrNeedFull):
-		o.Stamp = state.SnapshotStamp{}
-		o.NeedFull = true
+		o = snapOutcome{NeedFull: true}
 	case errors.Is(err, ErrNotDurable):
 		o.NotDurable = true
 	default:
-		o.Stamp = state.SnapshotStamp{}
-		o.Err = err.Error()
-	}
-	return o
-}
-
-// maxSnapBatch bounds one batch frame's put count — a sanity limit far
-// above what the replicator or bench ever sends, guarding the decoder
-// against a torn count prefix.
-const maxSnapBatch = 4096
-
-// putSnapshotFast serves a v2 MsgPutSnapshot frame (single or batch) on
-// the center. Single puts keep the gob path's contract — expected
-// signals (need-full, not-durable) ride in-band, hard failures become
-// error replies. Batch entries carry even hard failures in-band so one
-// bad put cannot void its batchmates' stamps.
-func (c *Center) putSnapshotFast(payload []byte) ([]byte, error) {
-	op, body, err := transport.OpenFast(payload)
-	if err != nil {
 		return nil, err
 	}
-	switch op {
-	case transport.OpSnapPut:
-		r := transport.NewFastReader(body)
-		put := readSnapPut(r)
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		stamp, perr := c.PutSnapshot(context.Background(), put)
-		o := outcomeOf(stamp, perr)
-		if o.Err != "" {
-			return nil, perr
-		}
-		return transport.SealFast(transport.OpSnapPutReply, appendSnapOutcome(nil, o)), nil
-	case transport.OpSnapPutBatch:
-		r := transport.NewFastReader(body)
-		count := r.Uint()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if count == 0 || count > maxSnapBatch {
-			return nil, fmt.Errorf("cluster: batch put count %d out of range", count)
-		}
-		b := transport.AppendUint(make([]byte, 0, 8+int(count)*16), count)
-		for i := uint64(0); i < count; i++ {
-			put := readSnapPut(r)
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			stamp, perr := c.PutSnapshot(context.Background(), put)
-			b = appendSnapOutcome(b, outcomeOf(stamp, perr))
-		}
-		return transport.SealFast(transport.OpSnapPutBatchReply, b), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown fast opcode %#x on %s", op, MsgPutSnapshot)
-	}
+	return transport.SealFast(transport.OpSnapPutReply, appendSnapOutcome(nil, o)), nil
 }
 
-// err maps a decoded outcome back to the Publisher error contract (the
-// inverse of outcomeOf, client side). The Err string rides a
-// RemoteError so registered sentinels keep matching through errors.Is.
+// err maps a decoded outcome back to the Publisher error contract,
+// client side.
 func (o snapOutcome) err(app string) error {
 	switch {
-	case o.Err != "":
-		return &transport.RemoteError{Msg: o.Err}
 	case o.NeedFull:
 		return state.ErrNeedFull
 	case o.NotDurable:

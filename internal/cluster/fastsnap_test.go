@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,9 +37,9 @@ func newSnapRig(t *testing.T) (*Center, *transport.Endpoint) {
 	return c, cliEp
 }
 
-// TestSnapPutFastCodecRoundTrip drives the raw v2 body codec over the
+// TestSnapPutFastCodecRoundTrip drives the raw frame codec over the
 // awkward values: epoch timestamps (the virtual testbed clock starts at
-// Unix(0,0)), empty concern, real digests, and a multi-put batch frame.
+// Unix(0,0)), empty concern, real digests.
 func TestSnapPutFastCodecRoundTrip(t *testing.T) {
 	puts := []state.SnapshotPut{
 		mustSnapshot(t, "player", "hostA", "pos-1"),
@@ -47,21 +48,11 @@ func TestSnapPutFastCodecRoundTrip(t *testing.T) {
 	puts[0].Concern = "quorum"
 	puts[1].At = time.Unix(0, 0) // epoch, not "zero time"
 
-	payload := encodeSnapPutBatchFast(puts)
-	op, body, err := transport.OpenFast(payload)
-	if err != nil || op != transport.OpSnapPutBatch {
-		t.Fatalf("OpenFast: op=%#x err=%v", op, err)
-	}
-	r := transport.NewFastReader(body)
-	if n := r.Uint(); n != 2 {
-		t.Fatalf("batch count = %d", n)
-	}
-	for i := range puts {
-		got := readSnapPut(r)
-		if err := r.Err(); err != nil {
+	for i, want := range puts {
+		got, err := decodeSnapPut(encodeSnapPut(want))
+		if err != nil {
 			t.Fatalf("put %d decode: %v", i, err)
 		}
-		want := puts[i]
 		if got.App != want.App || got.Host != want.Host || got.Delta != want.Delta ||
 			got.Concern != want.Concern || !got.At.Equal(want.At) {
 			t.Fatalf("put %d header mismatch:\n got %+v\nwant %+v", i, got, want)
@@ -78,42 +69,26 @@ func TestSnapPutFastCodecRoundTrip(t *testing.T) {
 		{Stamp: state.SnapshotStamp{Seq: 7, BaseSeq: 3, Chain: 4}},
 		{NeedFull: true},
 		{Stamp: state.SnapshotStamp{Seq: 9}, NotDurable: true},
-		{Err: "disk on fire"},
 	}
-	var b []byte
-	for _, o := range outcomes {
-		b = appendSnapOutcome(b, o)
-	}
-	or := transport.NewFastReader(b)
 	for i, want := range outcomes {
-		if got := readSnapOutcome(or); got != want {
-			t.Fatalf("outcome %d = %+v, want %+v", i, got, want)
+		got, err := decodeSnapOutcomeReply(transport.SealFast(transport.OpSnapPutReply, appendSnapOutcome(nil, want)))
+		if err != nil || got != want {
+			t.Fatalf("outcome %d = %+v (err %v), want %+v", i, got, err, want)
 		}
-	}
-	if err := or.Err(); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestSnapshotFastPathAgainstCenter is the diagonal and one off-diagonal
-// cell: a negotiating client confirms v2 against a new center with the
-// in-band signals (need-full) intact, and a gob-pinned client — how a
-// pre-v2 binary behaves, byte for byte — still round-trips against the
-// same center.
+// TestSnapshotFastPathAgainstCenter runs the client against a live
+// center: stamps come back, and the in-band need-full signal survives
+// the compact encoding.
 func TestSnapshotFastPathAgainstCenter(t *testing.T) {
 	_, cliEp := newSnapRig(t)
 	ctx := context.Background()
 
 	cli := NewSnapshotClient(cliEp, CenterEndpointName("alpha"))
-	if cli.Proto() != 0 {
-		t.Fatalf("pre-put proto = %d, want 0 (untried)", cli.Proto())
-	}
 	stamp, err := cli.PutSnapshot(ctx, mustSnapshot(t, "player", "hostA", "pos-1"))
 	if err != nil || stamp.Seq != 1 {
 		t.Fatalf("fast full put: stamp=%+v err=%v", stamp, err)
-	}
-	if cli.Proto() != transport.ProtoV2 {
-		t.Fatalf("proto after put = %d, want %d (v2 confirmed)", cli.Proto(), transport.ProtoV2)
 	}
 	stamp2, err := cli.PutSnapshot(ctx, mustDelta(t, "player", "hostA", "pos-1", "pos-2"))
 	if err != nil || stamp2.Seq != 2 || stamp2.Chain != 1 {
@@ -126,123 +101,55 @@ func TestSnapshotFastPathAgainstCenter(t *testing.T) {
 	if rec, found, err := cli.LatestSnapshot(ctx, "player"); err != nil || !found || snapValue(t, rec) != "pos-2" {
 		t.Fatalf("fetch after fast puts: found=%v err=%v", found, err)
 	}
+}
 
-	// Old client, new server: the pinned-gob path is exactly the frame
-	// sequence a pre-v2 client sends.
-	old := NewSnapshotClient(cliEp, CenterEndpointName("alpha"))
-	old.SetProto(transport.ProtoVersion)
-	stamp3, err := old.PutSnapshot(ctx, mustDelta(t, "player", "hostA", "pos-2", "pos-3"))
-	if err != nil || stamp3.Seq != 3 {
-		t.Fatalf("gob put against v2 center: stamp=%+v err=%v", stamp3, err)
+// TestSnapshotPutRefusesGobSeal: the snapshot put has one encoding, so
+// the retired gob-sealed request is refused with ErrVersion before its
+// body is read, and nothing is stored.
+func TestSnapshotPutRefusesGobSeal(t *testing.T) {
+	center, cliEp := newSnapRig(t)
+	payload, err := transport.EncodeSealed(mustSnapshot(t, "player", "hostA", "pos-1"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if old.Proto() != transport.ProtoVersion {
-		t.Fatalf("pinned client drifted to proto %d", old.Proto())
+	_, err = cliEp.Request(context.Background(), CenterEndpointName("alpha"), MsgPutSnapshot, payload)
+	if !errors.Is(err, transport.ErrVersion) {
+		t.Fatalf("gob-sealed snapshot put: err = %v, want ErrVersion", err)
 	}
-	if _, err := old.PutSnapshot(ctx, mustDelta(t, "player", "hostA", "bogus", "x")); !errors.Is(err, state.ErrNeedFull) {
-		t.Fatalf("stale-base delta over gob: err = %v, want ErrNeedFull", err)
+	if _, found := center.LatestSnapshot("player"); found {
+		t.Fatal("center stored a snapshot from a refused frame")
 	}
 }
 
-// TestSnapshotClientDowngradesToGobCenter is the other off-diagonal
-// cell: a negotiating client against a v1-era center (simulated with the
-// old handler shape — DecodeSealed or refuse) hits the typed version
-// refusal once, re-sends as gob, and sticks to gob for every later put
-// without another wasted round trip.
-func TestSnapshotClientDowngradesToGobCenter(t *testing.T) {
+// TestSnapshotClientReturnsVersionRefusal: a center from before the fast
+// frame (the old handler shape — DecodeSealed or refuse) answers
+// ErrVersion. The client returns it as the typed error it is, once, and
+// does not re-send the put in another encoding.
+func TestSnapshotClientReturnsVersionRefusal(t *testing.T) {
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
 	srvEp, err := fab.Attach("old-center", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fastFrames, gobFrames int
+	var requests atomic.Int32
 	srvEp.Handle(MsgPutSnapshot, func(msg transport.Message) ([]byte, error) {
-		// The pre-v2 handler body: straight to DecodeSealed, whose
-		// version check refuses the fast frame with ErrVersion.
+		requests.Add(1)
 		var put state.SnapshotPut
 		if err := transport.DecodeSealed(msg.Payload, &put); err != nil {
-			fastFrames++
 			return nil, err
 		}
-		gobFrames++
-		return transport.Encode(putSnapshotReply{Stamp: state.SnapshotStamp{Seq: uint64(gobFrames)}})
+		return nil, nil
 	})
 	cliEp, err := fab.Attach("new-client", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli := NewSnapshotClient(cliEp, "old-center")
-	ctx := context.Background()
-
-	put := mustSnapshot(t, "player", "hostA", "pos-1")
-	stamp, err := cli.PutSnapshot(ctx, put)
-	if err != nil || stamp.Seq != 1 {
-		t.Fatalf("first put through downgrade: stamp=%+v err=%v", stamp, err)
+	if _, err := cli.PutSnapshot(context.Background(), mustSnapshot(t, "player", "hostA", "pos-1")); !errors.Is(err, transport.ErrVersion) {
+		t.Fatalf("put against a pre-fast-frame center: err = %v, want ErrVersion", err)
 	}
-	if cli.Proto() != transport.ProtoVersion {
-		t.Fatalf("proto after refusal = %d, want %d (gob, sticky)", cli.Proto(), transport.ProtoVersion)
-	}
-	if stamp, err = cli.PutSnapshot(ctx, put); err != nil || stamp.Seq != 2 {
-		t.Fatalf("second put: stamp=%+v err=%v", stamp, err)
-	}
-	if fastFrames != 1 {
-		t.Fatalf("old center saw %d fast frames, want exactly 1 (the probe)", fastFrames)
-	}
-	if gobFrames != 2 {
-		t.Fatalf("old center saw %d gob puts, want 2", gobFrames)
-	}
-
-	// Batches degrade to sequential singles on a gob peer — same
-	// outcomes, no fast frame even attempted now the downgrade stuck.
-	outs, err := cli.PutSnapshotBatch(ctx, []state.SnapshotPut{put, put})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 || outs[0].Err != nil || outs[1].Err != nil {
-		t.Fatalf("batch fallback outcomes = %+v", outs)
-	}
-	if outs[0].Stamp.Seq != 3 || outs[1].Stamp.Seq != 4 {
-		t.Fatalf("batch fallback stamps = %d, %d, want 3, 4", outs[0].Stamp.Seq, outs[1].Stamp.Seq)
-	}
-	if fastFrames != 1 || gobFrames != 4 {
-		t.Fatalf("after batch: fast=%d gob=%d, want 1 and 4", fastFrames, gobFrames)
-	}
-}
-
-// TestSnapshotBatchPutMixedOutcomes sends one batch holding a good full
-// put, a good chained delta, and a stale-base delta: the bad entry comes
-// back as a per-entry ErrNeedFull while its batchmates keep their
-// stamps — one refusal cannot void the batch.
-func TestSnapshotBatchPutMixedOutcomes(t *testing.T) {
-	_, cliEp := newSnapRig(t)
-	cli := NewSnapshotClient(cliEp, CenterEndpointName("alpha"))
-	ctx := context.Background()
-
-	outs, err := cli.PutSnapshotBatch(ctx, []state.SnapshotPut{
-		mustSnapshot(t, "player", "hostA", "pos-1"),
-		mustDelta(t, "player", "hostA", "pos-1", "pos-2"),
-		mustDelta(t, "player", "hostA", "bogus", "pos-3"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 3 {
-		t.Fatalf("got %d outcomes", len(outs))
-	}
-	if outs[0].Err != nil || outs[0].Stamp.Seq != 1 {
-		t.Fatalf("outcome 0 = %+v", outs[0])
-	}
-	if outs[1].Err != nil || outs[1].Stamp.Seq != 2 || outs[1].Stamp.Chain != 1 {
-		t.Fatalf("outcome 1 = %+v", outs[1])
-	}
-	if !errors.Is(outs[2].Err, state.ErrNeedFull) {
-		t.Fatalf("outcome 2 err = %v, want ErrNeedFull", outs[2].Err)
-	}
-	if cli.Proto() != transport.ProtoV2 {
-		t.Fatalf("proto after batch = %d, want v2", cli.Proto())
-	}
-	// The good entries actually landed.
-	if rec, found, err := cli.LatestSnapshot(ctx, "player"); err != nil || !found || snapValue(t, rec) != "pos-2" {
-		t.Fatalf("state after mixed batch: found=%v err=%v", found, err)
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("old center saw %d requests for one refused put, want exactly 1", n)
 	}
 }

@@ -165,17 +165,6 @@ type snapDeltaMsg struct {
 // daemons join the state pipeline over the same endpoints that serve the
 // registry protocol.
 type (
-	putSnapshotReply struct {
-		Stamp state.SnapshotStamp
-		// NeedFull tells the remote replicator to re-send a full frame
-		// (carried in-band: typed errors do not survive the transport).
-		NeedFull bool
-		// NotDurable tells the remote replicator the put landed but fell
-		// short of its write concern (in-band for the same reason), so it
-		// re-queues instead of advancing its acked base.
-		NotDurable bool
-	}
-
 	// getSnapshotReq fetches an app's freshest snapshot. When the
 	// requester already holds a record of the app (Have set), the Have*
 	// fields describe it, and a center whose copy extends the same base

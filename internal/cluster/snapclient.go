@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"mdagent/internal/state"
 	"mdagent/internal/transport"
@@ -21,12 +18,6 @@ type SnapshotClient struct {
 	ep      *transport.Endpoint
 	server  string
 	concern string // write-concern header stamped on every put ("" = center default)
-
-	// proto is the negotiated put encoding: 0 = untried (optimistically
-	// fast), transport.ProtoV2 = fast confirmed, transport.ProtoVersion
-	// = gob (the peer refused a v2 frame once; the downgrade sticks for
-	// the client's life — centers don't upgrade mid-run).
-	proto atomic.Uint32
 
 	mu    sync.Mutex
 	cache map[string]state.SnapshotRecord // last record fetched per app, the base delta-aware pulls extend
@@ -56,71 +47,19 @@ func (c *SnapshotClient) SetWriteConcern(wc WriteConcern) {
 	c.concern = string(wc)
 }
 
-// SetProto pins the put encoding instead of negotiating:
-// transport.ProtoVersion forces gob (how a pre-v2 client behaves),
-// transport.ProtoV2 demands the fast path. The protocol-diff benchmarks
-// and the compat tests use it; production clients negotiate.
-func (c *SnapshotClient) SetProto(p byte) { c.proto.Store(uint32(p)) }
-
-// Proto reports the negotiated put encoding (0 until the first put).
-func (c *SnapshotClient) Proto() byte { return byte(c.proto.Load()) }
-
-// useFast reports whether puts should try the v2 encoding.
-func (c *SnapshotClient) useFast() bool {
-	return c.proto.Load() != uint32(transport.ProtoVersion)
-}
-
-// downgrade handles a fast put's failure: a version refusal from a
-// pre-v2 center makes the gob fallback sticky and reports retryable.
-func (c *SnapshotClient) downgrade(err error) bool {
-	if errors.Is(err, transport.ErrVersion) {
-		c.proto.Store(uint32(transport.ProtoVersion))
-		return true
-	}
-	return false
-}
-
-// PutSnapshot implements state.Publisher. A center that cannot apply a
-// delta put answers in-band; the client maps that back to
-// state.ErrNeedFull so the replicator's fallback works unchanged, and a
-// durability shortfall maps to state.ErrNotDurable so the replicator
-// re-queues instead of advancing its acked base.
-//
-// Encoding is negotiated optimistically: the first put goes out as a
-// compact v2 fast frame; a center that refuses the version (typed
-// ErrVersion reply) gets the same put re-sent as gob, and the client
-// sticks to gob from then on.
+// PutSnapshot implements state.Publisher: one OpSnapPut fast frame out,
+// one OpSnapPutReply back. A center that cannot apply a delta put
+// answers in-band; the client maps that back to state.ErrNeedFull so the
+// replicator's fallback works unchanged, and a durability shortfall maps
+// to state.ErrNotDurable so the replicator re-queues instead of
+// advancing its acked base. A center that predates the fast frame
+// refuses it with transport.ErrVersion, which is returned as is — the
+// replicator re-queues, as for any failed put.
 func (c *SnapshotClient) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.SnapshotStamp, error) {
 	if put.Concern == "" {
 		put.Concern = c.concern
 	}
-	if c.useFast() {
-		stamp, err := c.putFast(ctx, put)
-		if err == nil || !c.downgrade(err) {
-			return stamp, err
-		}
-		// Version refused: fall through to gob, stick to it.
-	}
-	payload, err := transport.EncodeSealed(put)
-	if err != nil {
-		return state.SnapshotStamp{}, err
-	}
-	var reply putSnapshotReply
-	if err := c.ep.RequestDecode(ctx, c.server, MsgPutSnapshot, payload, &reply); err != nil {
-		return state.SnapshotStamp{}, err
-	}
-	if reply.NeedFull {
-		return state.SnapshotStamp{}, state.ErrNeedFull
-	}
-	if reply.NotDurable {
-		return reply.Stamp, fmt.Errorf("cluster: remote put %s: %w", put.App, ErrNotDurable)
-	}
-	return reply.Stamp, nil
-}
-
-// putFast runs one v2 put round trip.
-func (c *SnapshotClient) putFast(ctx context.Context, put state.SnapshotPut) (state.SnapshotStamp, error) {
-	reply, err := c.ep.Request(ctx, c.server, MsgPutSnapshot, encodeSnapPutFast(put))
+	reply, err := c.ep.Request(ctx, c.server, MsgPutSnapshot, encodeSnapPut(put))
 	if err != nil {
 		return state.SnapshotStamp{}, err
 	}
@@ -128,58 +67,7 @@ func (c *SnapshotClient) putFast(ctx context.Context, put state.SnapshotPut) (st
 	if err != nil {
 		return state.SnapshotStamp{}, err
 	}
-	c.proto.Store(uint32(transport.ProtoV2)) // confirmed
 	return o.Stamp, o.err(put.App)
-}
-
-// PutSnapshotBatch publishes several puts in one round trip with
-// per-put outcomes: outcome i carries put i's stamp or its error
-// (state.ErrNeedFull / ErrNotDurable survive in-band exactly as on the
-// single-put path), so one refused delta cannot fail its batchmates.
-// Against a pre-v2 center the batch degrades to sequential single puts
-// — same results, one round trip per put.
-func (c *SnapshotClient) PutSnapshotBatch(ctx context.Context, puts []state.SnapshotPut) ([]SnapshotOutcome, error) {
-	if len(puts) == 0 {
-		return nil, nil
-	}
-	stamped := make([]state.SnapshotPut, len(puts))
-	for i, put := range puts {
-		if put.Concern == "" {
-			put.Concern = c.concern
-		}
-		stamped[i] = put
-	}
-	if c.useFast() {
-		reply, err := c.ep.Request(ctx, c.server, MsgPutSnapshot, encodeSnapPutBatchFast(stamped))
-		if err == nil {
-			outcomes, derr := decodeSnapBatchReply(reply.Payload, len(stamped))
-			if derr != nil {
-				return nil, derr
-			}
-			c.proto.Store(uint32(transport.ProtoV2))
-			out := make([]SnapshotOutcome, len(outcomes))
-			for i, o := range outcomes {
-				out[i] = SnapshotOutcome{Stamp: o.Stamp, Err: o.err(stamped[i].App)}
-			}
-			return out, nil
-		}
-		if !c.downgrade(err) {
-			return nil, err
-		}
-	}
-	// Gob peers have no batch op: sequential singles, same outcomes.
-	out := make([]SnapshotOutcome, len(stamped))
-	for i, put := range stamped {
-		stamp, err := c.PutSnapshot(ctx, put)
-		out[i] = SnapshotOutcome{Stamp: stamp, Err: err}
-	}
-	return out, nil
-}
-
-// SnapshotOutcome is one put's result from PutSnapshotBatch.
-type SnapshotOutcome struct {
-	Stamp state.SnapshotStamp
-	Err   error
 }
 
 // DropSnapshot implements state.Publisher.

@@ -7,31 +7,27 @@ import (
 
 	"mdagent/internal/bundle"
 	"mdagent/internal/ctl"
-	"mdagent/internal/obs"
 	"mdagent/internal/registry"
 )
 
-// Bundle accounting, process-wide. The cmd daemons register the same
-// names into obs.Default, so /metrics reads identically whether the
-// deployment is in-process or multi-process.
-var (
-	mBundlePushes   = obs.Default.Counter("mdagent_bundle_pushes_total")
-	mBundleInstalls = obs.Default.Counter("mdagent_bundle_installs_total")
-	mBundleRejected = obs.Default.Counter("mdagent_bundle_rejected_total")
-	mBundleBytes    = obs.Default.Counter("mdagent_bundle_bytes_total")
-)
-
 // PushBundle verifies a signed app bundle against the deployment's
-// trusted keys and stores it: at the first space's federated center
-// when clustered (whence it replicates everywhere), else at the single
-// registry. The bundle must be named for its manifest's app — storing
-// it under any other key would let an installer fetch a verified-but-
-// wrong artifact.
+// trusted keys (bundle.Admit) and stores it: at the first space's
+// federated center when clustered (whence it replicates everywhere),
+// else at the single registry.
 func (m *Middleware) PushBundle(ctx context.Context, name string, raw []byte) error {
-	if _, err := m.verifyBundle(name, raw); err != nil {
+	if _, err := bundle.Admit(name, raw, m.cfg.TrustedKeys); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if err := m.putBundle(ctx, name, raw); err != nil {
 		return err
 	}
-	mBundlePushes.Inc()
+	bundle.Pushes.Inc()
+	bundle.Bytes.Add(int64(len(raw)))
+	return nil
+}
+
+// putBundle writes an admitted bundle to the deployment's store.
+func (m *Middleware) putBundle(ctx context.Context, name string, raw []byte) error {
 	if m.Cluster != nil {
 		for _, space := range m.Cluster.Spaces() {
 			if center, ok := m.Cluster.Center(space); ok {
@@ -88,13 +84,13 @@ func (m *Middleware) InstallBundle(ctx context.Context, appName, host string) er
 	if !found {
 		return fmt.Errorf("core: %w: %q (push its bundle first)", ctl.ErrUnknownApp, appName)
 	}
-	b, err := m.verifyBundle(appName, raw)
+	b, err := bundle.Admit(appName, raw, m.cfg.TrustedKeys)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: %w", err)
 	}
 	factory, err := bundle.Instantiate(b, m.cfg.Secrets)
 	if err != nil {
-		mBundleRejected.Inc()
+		bundle.Rejected.Inc()
 		return fmt.Errorf("core: instantiate bundle %q: %w", appName, err)
 	}
 	rt.Engine.InstallFactory(appName, factory)
@@ -109,27 +105,8 @@ func (m *Middleware) InstallBundle(ctx context.Context, appName, host string) er
 	}); err != nil {
 		return err
 	}
-	mBundleInstalls.Inc()
+	bundle.Installs.Inc()
 	return nil
-}
-
-// verifyBundle opens raw against the deployment's trusted keys and
-// checks the manifest names the app it was stored (or pushed) as. Every
-// refusal books a rejection metric; every acceptance books the payload
-// bytes.
-func (m *Middleware) verifyBundle(name string, raw []byte) (*bundle.Bundle, error) {
-	b, err := bundle.Open(raw, m.cfg.TrustedKeys)
-	if err != nil {
-		mBundleRejected.Inc()
-		return nil, fmt.Errorf("core: refuse bundle %q: %w", name, err)
-	}
-	if b.Manifest.App != name {
-		mBundleRejected.Inc()
-		return nil, fmt.Errorf("core: refuse bundle: %w: named %q but manifest declares %q",
-			bundle.ErrCorrupt, name, b.Manifest.App)
-	}
-	mBundleBytes.Add(int64(len(raw)))
-	return b, nil
 }
 
 // getBundle reads a stored bundle, preferring the installing host's own

@@ -29,7 +29,7 @@ type acctRun struct {
 // in-band on the NEXT delivered event, so trailing losses need a
 // delivery to ride on — until delivered+lost == published or the
 // deadline passes.
-func runBurstWatch(t *testing.T, forceProto byte) acctRun {
+func runBurstWatch(t *testing.T) acctRun {
 	t.Helper()
 	fabric := transport.NewLocalFabric(nil)
 	srvEp, err := fabric.Attach("acct-srv", "")
@@ -45,7 +45,6 @@ func runBurstWatch(t *testing.T, forceProto byte) acctRun {
 		t.Fatal(err)
 	}
 	cli := ctl.NewClient(cliEp, "acct-srv")
-	cli.ForceProto = forceProto
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -54,8 +53,8 @@ func runBurstWatch(t *testing.T, forceProto byte) acctRun {
 		t.Fatal(err)
 	}
 
-	// Bursty publishers: enough concurrent volume to overflow the
-	// v1 per-watch queue (and the client sink) many times over.
+	// Bursty publishers: concurrent volume the replay ring must absorb
+	// while the watcher dawdles.
 	const publishers = 8
 	const perPublisher = 500
 	run := acctRun{published: &atomic.Int64{}}
@@ -131,45 +130,15 @@ func runBurstWatch(t *testing.T, forceProto byte) acctRun {
 	return run
 }
 
-// TestWatchDropAccountingConservation is the conservation law of the
-// v1 Watch stream's in-band drop accounting: under bursty publishers
-// and a deliberately slow watcher, every published event is either
-// delivered or counted in some delivered event's Lost — exactly, with
-// no double-counting across the server-side queue drop path and the
-// client-side sink drop path. The server-side share of those drops must
-// also land on the mdagent_ctl_watch_dropped_total counter (the
-// /metrics surface), which can never exceed the in-band total — the
-// in-band figure additionally counts client-sink drops the server
-// cannot see. Run under -race, the test also exercises the
-// publisher/pusher/sink interleavings the accounting must survive.
-func TestWatchDropAccountingConservation(t *testing.T) {
-	drops := obs.Default.Counter("mdagent_ctl_watch_dropped_total")
-	before := drops.Value()
-	run := runBurstWatch(t, 1) // pin the per-event gob stream
-	if run.lost == 0 {
-		t.Fatalf("burst never overflowed the watch queues (delivered %d, published %d): the test lost its teeth",
-			run.delivered, run.published.Load())
-	}
-	metric := drops.Value() - before
-	if metric <= 0 {
-		t.Fatalf("mdagent_ctl_watch_dropped_total did not move (in-band lost %d)", run.lost)
-	}
-	if metric > run.lost {
-		t.Fatalf("metric counted %d drops but only %d were reported in-band", metric, run.lost)
-	}
-	t.Logf("published %d, delivered %d, lost %d (metric %d)",
-		run.published.Load(), run.delivered, run.lost, metric)
-}
-
-// TestWatchConservationV2 runs the identical burst against the v2
-// stream: the replay ring is deeper than the whole burst, so the same
-// slow watcher that lost thousands of events on v1 must now see every
-// single one — zero Lost, delivered == published, strictly increasing
-// sequence numbers, and no movement on the drop counter.
+// TestWatchConservationV2 runs the burst against the sequenced stream:
+// the replay ring is deeper than the whole burst, so even a deliberately
+// slow watcher must see every single event — zero Lost, delivered ==
+// published, strictly increasing sequence numbers, and no movement on
+// the drop counter.
 func TestWatchConservationV2(t *testing.T) {
 	drops := obs.Default.Counter("mdagent_ctl_watch_dropped_total")
 	before := drops.Value()
-	run := runBurstWatch(t, 0) // negotiate: lands on v2
+	run := runBurstWatch(t)
 	if run.lost != 0 {
 		t.Fatalf("v2 stream lost %d events (delivered %d of %d): the ring should have absorbed the burst",
 			run.lost, run.delivered, run.published.Load())

@@ -24,12 +24,6 @@ type Client struct {
 	// itself is unbounded and lives until its context is canceled).
 	// Zero takes 30 seconds.
 	SubscribeTimeout time.Duration
-	// ForceProto pins the watch stream encoding instead of negotiating:
-	// 1 subscribes like a pre-v2 client (per-event gob pushes), 2
-	// demands the batched fast path. Zero negotiates — ask for v2, fall
-	// back to v1 when the server's ack shows it doesn't speak it. The
-	// protocol-diff benchmarks and the compat tests set this.
-	ForceProto byte
 }
 
 // NewClient creates a client that calls the control plane served at
@@ -152,17 +146,11 @@ func (c *Client) InstallApp(ctx context.Context, app, host string) error {
 
 // PushBundle uploads a signed app bundle to the serving center/host,
 // which verifies it against its trusted keys and (when federated)
-// replicates it to every space. The payload rides a v2 fast frame
-// unless ForceProto pins the client below v2 — a multi-megabyte bundle
-// skips gob's reflection walk and byte-slice re-copy.
+// replicates it to every space. The payload rides a fast frame: a
+// multi-megabyte bundle skips gob's reflection walk and byte-slice
+// re-copy.
 func (c *Client) PushBundle(ctx context.Context, name string, raw []byte) error {
-	if c.ForceProto != 0 && c.ForceProto < transport.ProtoV2 {
-		return c.call(ctx, MsgBundlePush, bundlePushReq{Name: name, Raw: raw}, nil)
-	}
-	body := transport.AppendString(make([]byte, 0, len(name)+len(raw)+16), name)
-	body = transport.AppendBytes(body, raw)
-	payload := transport.SealFast(transport.OpBundlePush, body)
-	return c.ep.RequestDecode(ctx, c.server, MsgBundlePush, payload, nil)
+	return c.ep.RequestDecode(ctx, c.server, MsgBundlePush, encodeBundlePush(name, raw), nil)
 }
 
 // Bundles lists the bundles stored at the serving center/host.
@@ -183,7 +171,7 @@ func (c *Client) InstallBundle(ctx context.Context, app, host string) error {
 // --- Watch: server-streamed typed events. ---
 
 // clientEvent is one pushed event as the sink buffers it: the bus form
-// plus the v2 stream metadata (Seq is zero on a v1 stream).
+// plus the stream metadata.
 type clientEvent struct {
 	Ev   ctxkernel.Event
 	Seq  uint64
@@ -201,12 +189,11 @@ type clientSink struct {
 	lost uint64
 }
 
-// sinkQueueLen sizes the sink buffer. It is deeper than the v1 server
-// queue because a v2 replay hands the client a whole ring's backlog in
-// a few dozen batched frames.
+// sinkQueueLen sizes the sink buffer: a replay hands the client a whole
+// ring's backlog in a few dozen batched frames.
 const sinkQueueLen = 4096
 
-// dispatcher fans incoming ctl.event pushes out to this endpoint's live
+// dispatcher fans incoming ctl.eventv2 pushes out to this endpoint's live
 // watches. One dispatcher per endpoint (the endpoint has a single
 // handler slot per message type), shared by every Client on it; the
 // registry entry is dropped again when its last watch ends, so
@@ -229,7 +216,7 @@ var (
 )
 
 // watchSlot allocates a watch id + sink on ep's dispatcher, creating
-// and registering the dispatcher (and its MsgEvent handler) on first
+// and registering the dispatcher (and its MsgEventV2 handler) on first
 // use. Creation and allocation happen under one lock so a concurrent
 // teardown of the endpoint's last watch cannot orphan the new slot.
 func watchSlot(ep *transport.Endpoint) (*dispatcher, uint64, *clientSink) {
@@ -239,21 +226,13 @@ func watchSlot(ep *transport.Endpoint) (*dispatcher, uint64, *clientSink) {
 	if !ok {
 		d = &dispatcher{sinks: make(map[uint64]*clientSink)}
 		dispatchers[ep] = d
-		// Both push encodings register as ordered handlers: a single
-		// worker per message type processes frames in arrival order, so
-		// the stream the watcher sees is the stream the server sent.
-		ep.HandleOrdered(MsgEvent, func(msg transport.Message) ([]byte, error) {
-			var em eventMsg
-			if err := transport.Decode(msg.Payload, &em); err != nil {
-				return nil, nil // torn push: drop (one-way, nothing to answer)
-			}
-			d.offer(em.ID, clientEvent{Ev: em.Event, Lost: em.Lost})
-			return nil, nil
-		})
+		// An ordered handler: a single worker processes frames in arrival
+		// order, so the stream the watcher sees is the stream the server
+		// sent.
 		ep.HandleOrdered(MsgEventV2, func(msg transport.Message) ([]byte, error) {
 			id, lost, events, err := decodeEventBatch(msg.Payload)
 			if err != nil {
-				return nil, nil // torn push: drop
+				return nil, nil // torn push: drop (one-way, nothing to answer)
 			}
 			if len(events) == 0 {
 				// Overflow report with nothing deliverable: bank the
@@ -348,21 +327,10 @@ func (c *Client) Watch(ctx context.Context, pattern string) (<-chan WatchEvent, 
 // that disconnected resumes at WatchEvent.Seq+1 with nothing dropped.
 // A from-seq the ring no longer retains fails with ErrReplayGap (the
 // caller decides whether live-from-now is acceptable); a server that
-// predates the v2 protocol fails a replay request with ErrUnsupported.
+// predates the sequenced stream fails the call with ErrVersion.
 func (c *Client) WatchFrom(ctx context.Context, pattern string, fromSeq uint64) (<-chan WatchEvent, error) {
-	proto := transport.ProtoV2
-	if c.ForceProto != 0 {
-		proto = c.ForceProto
-	}
-	if proto < transport.ProtoV2 && fromSeq != 0 {
-		return nil, fmt.Errorf("ctl: watch replay from seq %d: %w: needs protocol >= 2", fromSeq, ErrUnsupported)
-	}
 	d, id, sink := watchSlot(c.ep)
-	req := watchReq{ID: id, Pattern: pattern, FromSeq: fromSeq}
-	if proto >= transport.ProtoV2 {
-		req.Proto = proto
-	}
-	payload, err := transport.EncodeSealed(req)
+	payload, err := transport.EncodeSealed(watchReq{ID: id, Pattern: pattern, Proto: transport.ProtoV2, FromSeq: fromSeq})
 	if err != nil {
 		freeWatchSlot(c.ep, d, id)
 		return nil, err
@@ -378,23 +346,16 @@ func (c *Client) WatchFrom(ctx context.Context, pattern string, fromSeq uint64) 
 		freeWatchSlot(c.ep, d, id)
 		return nil, fmt.Errorf("ctl: watch subscribe: %w", err)
 	}
-	// Version detection: a v2 server acks the subscribe with a payload;
-	// a v1 server's watch handler returns nothing. (A v1 server also
-	// ignored the request's Proto and FromSeq fields — gob drops fields
-	// the decoder's struct doesn't have.)
-	v2 := false
-	if len(reply.Payload) > 0 {
-		var ack watchAck
-		if err := transport.Decode(reply.Payload, &ack); err == nil && ack.Proto >= transport.ProtoV2 {
-			v2 = true
-		}
-	}
-	if !v2 && fromSeq != 0 {
-		// The old server started a live v1 watch, oblivious to the
-		// replay ask. Honest failure beats silent drop: tear it down.
+	// A server older than the sequenced stream ignored Proto (gob drops
+	// fields the decoder's struct doesn't have), started a per-event
+	// watch this client cannot read, and answered with no ack. Honest
+	// failure beats a stream that never delivers: tear it down.
+	var ack watchAck
+	if err := transport.Decode(reply.Payload, &ack); err != nil || ack.Proto < transport.ProtoV2 {
 		c.unwatch(id)
 		freeWatchSlot(c.ep, d, id)
-		return nil, fmt.Errorf("ctl: watch replay from seq %d: %w: server speaks v1 only", fromSeq, ErrUnsupported)
+		return nil, fmt.Errorf("ctl: watch subscribe: %w: server acked protocol %d, need >= %d",
+			ErrVersion, ack.Proto, transport.ProtoV2)
 	}
 	out := make(chan WatchEvent, 16)
 	go func() {

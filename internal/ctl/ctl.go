@@ -18,10 +18,14 @@
 // callers share one errors.Is contract.
 //
 // Watch is server-streamed: the client subscribes with a kernel topic
-// pattern, the server pushes each matching bus event as a one-way
-// ctl.event message (riding the transport's learned reply route, so it
-// works over plain TCP without a listener on the client), and the
-// client surfaces them as typed events (ctxkernel.TypedEvent).
+// pattern, the server pushes matching bus events in sequenced batches as
+// one-way ctl.eventv2 messages (riding the transport's learned reply
+// route, so it works over plain TCP without a listener on the client),
+// and the client surfaces them as typed events (ctxkernel.TypedEvent).
+//
+// Every op has exactly one encoding: fast frames for the bundle push
+// and the event push, a version-sealed gob body for everything else. A
+// peer that offers anything else is refused with ErrVersion.
 package ctl
 
 import (
@@ -49,10 +53,9 @@ const (
 	MsgInstall   = "ctl.install"
 	MsgWatch     = "ctl.watch"
 	MsgUnwatch   = "ctl.unwatch"
-	// MsgBundlePush uploads a signed app bundle. The request payload is
-	// either a v2 fast frame (transport.OpBundlePush: name + raw bytes —
-	// the hot path for multi-megabyte bundles) or a v1 gob seal; the
-	// server sniffs the version byte, like the snapshot-put handler.
+	// MsgBundlePush uploads a signed app bundle. The request payload is a
+	// fast frame (transport.OpBundlePush: name + raw bytes), so a
+	// multi-megabyte bundle skips gob's reflection walk and re-copy.
 	MsgBundlePush = "ctl.bundle-push"
 	// MsgBundleList lists the bundles stored at the serving center/host.
 	MsgBundleList = "ctl.bundle-list"
@@ -62,14 +65,9 @@ const (
 	MsgMetrics = "ctl.metrics"
 	// MsgTrace returns an app's latest migration trace (obs.MigrationTrace).
 	MsgTrace = "ctl.trace"
-	// MsgEvent is the v1 server->client stream push (one-way, unsealed
-	// reply-direction frame carrying a gob eventMsg, one per event).
-	MsgEvent = "ctl.event"
-	// MsgEventV2 is the v2 stream push: one-way fast frames
+	// MsgEventV2 is the server->client stream push: one-way fast frames
 	// (transport.OpEventBatch) carrying a whole flush window of
-	// sequenced events. A distinct message type — not payload sniffing —
-	// separates the two push encodings, so a v1 client never sees a v2
-	// frame.
+	// sequenced events.
 	MsgEventV2 = "ctl.eventv2"
 )
 
@@ -199,16 +197,16 @@ type WatchEvent struct {
 	// Typed is the decoded form — one of the ctxkernel event structs,
 	// or ctxkernel.GenericEvent for topics outside the catalog.
 	Typed ctxkernel.TypedEvent
-	// Lost counts events the server dropped on this watch before this
-	// one because the client was not draining fast enough. On a v2
-	// stream it counts ring overflow: events that aged out of the
-	// server's replay ring before this watch's cursor reached them
-	// (an upper bound — it includes aged-out events that would not have
-	// matched the watch pattern).
+	// Lost counts events dropped on this watch before this one because
+	// the client was not draining fast enough: ring overflow — events
+	// that aged out of the server's replay ring before this watch's
+	// cursor reached them (an upper bound — it includes aged-out events
+	// that would not have matched the watch pattern) — plus events the
+	// client-side buffer could not hold.
 	Lost uint64
-	// Seq is the server's monotonic event sequence number on a v2
-	// stream (first event ever published is 1); resume a dropped stream
-	// with WatchFrom(ctx, pattern, Seq+1). Zero on a v1 stream.
+	// Seq is the server's monotonic event sequence number (first event
+	// ever published is 1); resume a dropped stream with
+	// WatchFrom(ctx, pattern, Seq+1).
 	Seq uint64
 }
 
@@ -249,13 +247,6 @@ type BundleInfo struct {
 type (
 	runReq struct{ App, Host string }
 
-	// bundlePushReq is the v1 (gob) form of a bundle push; v2 clients
-	// send a fast frame instead (see MsgBundlePush).
-	bundlePushReq struct {
-		Name string
-		Raw  []byte
-	}
-
 	// bundleInstallReq asks the serving host to instantiate a stored
 	// bundle. Host selects the target on a multi-host (in-process)
 	// server; "" means the server's own host.
@@ -265,22 +256,19 @@ type (
 		ID uint64
 		// Pattern is a kernel topic pattern: exact, "prefix.*", or "*".
 		Pattern string
-		// Proto is the newest push encoding the client accepts: >= 2
-		// requests batched fast-frame pushes (MsgEventV2). Gob drops
-		// unknown fields, so an old server reads a new client's request
-		// fine — and replies with an empty payload, which is how the
-		// client detects a v1-only server (a v2 server replies with a
-		// gob watchAck).
+		// Proto is the push encoding the client accepts. The server
+		// refuses anything below transport.ProtoV2 (batched fast-frame
+		// pushes on MsgEventV2) with ErrVersion.
 		Proto byte
 		// FromSeq, when non-zero, replays the stream from that sequence
 		// number (inclusive) out of the server's event ring instead of
-		// starting live. Requires Proto >= 2.
+		// starting live.
 		FromSeq uint64
 	}
 
-	// watchAck is a v2 server's reply to a watch subscribe. v1 servers
-	// reply with an empty payload (their handler returns nil), so the
-	// payload's mere presence is the version signal.
+	// watchAck is the server's reply to a watch subscribe. A server
+	// older than the sequenced stream replies with an empty payload,
+	// which the client turns into ErrVersion.
 	watchAck struct {
 		// Proto is the push encoding the server will use.
 		Proto byte
@@ -294,10 +282,4 @@ type (
 	unwatchReq struct{ ID uint64 }
 
 	traceReq struct{ App string }
-
-	eventMsg struct {
-		ID    uint64
-		Lost  uint64
-		Event ctxkernel.Event
-	}
 )

@@ -1,6 +1,8 @@
 package ctl
 
 import (
+	"fmt"
+
 	"mdagent/internal/ctxkernel"
 	"mdagent/internal/transport"
 )
@@ -63,8 +65,12 @@ func decodeEventBatch(payload []byte) (id, lost uint64, events []seqEvent, err e
 		se.Event.Topic = r.String()
 		se.Event.Source = r.String()
 		se.Event.At = r.Time()
-		if nattrs := r.Uint(); attrCountOK(nattrs, r) {
-			se.Event.Attrs = make(map[string]string, nattrs)
+		// The count comes off the wire: it caps only the map's size hint,
+		// and a count the frame cannot back fails on truncation below. No
+		// count may skip the loop, or the attribute bytes would be parsed
+		// as the next event.
+		if nattrs := r.Uint(); nattrs > 0 && r.Err() == nil {
+			se.Event.Attrs = make(map[string]string, min(nattrs, 64))
 			for a := uint64(0); a < nattrs && r.Err() == nil; a++ {
 				k := r.String()
 				se.Event.Attrs[k] = r.String()
@@ -78,8 +84,27 @@ func decodeEventBatch(payload []byte) (id, lost uint64, events []seqEvent, err e
 	return id, lost, events, nil
 }
 
-// attrCountOK guards the attribute-map allocation: a torn frame must not
-// make the decoder allocate a map sized by garbage.
-func attrCountOK(n uint64, r *transport.FastReader) bool {
-	return n > 0 && n < 1<<16 && r.Err() == nil
+// encodeBundlePush builds a bundle-push request frame
+// (transport.OpBundlePush): string name, bytes raw.
+func encodeBundlePush(name string, raw []byte) []byte {
+	body := transport.AppendString(make([]byte, 0, len(name)+len(raw)+16), name)
+	body = transport.AppendBytes(body, raw)
+	return transport.SealFast(transport.OpBundlePush, body)
+}
+
+// decodeBundlePush parses a bundle-push request frame; a payload of any
+// other version fails with OpenFast's ErrVersion. raw is copied out of
+// the frame: the bundle outlives the handler (it lands in the store).
+func decodeBundlePush(payload []byte) (name string, raw []byte, err error) {
+	op, body, err := transport.OpenFast(payload)
+	if err != nil {
+		return "", nil, err
+	}
+	if op != transport.OpBundlePush {
+		return "", nil, fmt.Errorf("ctl: bundle-push got fast opcode %#x", op)
+	}
+	r := transport.NewFastReader(body)
+	name = r.String()
+	raw = append([]byte(nil), r.Bytes()...)
+	return name, raw, r.Err()
 }

@@ -216,33 +216,35 @@ drain:
 	t.Logf("published %d, delivered %d, lost %d", published, delivered, lost)
 }
 
-// TestWatchMixedProtoPeers proves both off-diagonal cells of the watch
-// compat matrix. A v1 client against a v2 server gets the per-event gob
-// stream (no seqs, events intact). A v2 client against a v1-era server
-// — simulated with the old handler shape: gob-only decode, empty reply,
-// per-event gob pushes — detects the downgrade from the missing ack,
-// streams fine, and refuses a replay request with ErrUnsupported
-// instead of silently watching live.
+// TestWatchMixedProtoPeers pins both off-diagonal cells of the watch
+// compat matrix to a typed refusal: the sequenced batch stream is the
+// only stream, so a peer from before it gets ErrVersion — never a
+// fallback encoding, never a silent stream that will not deliver.
 func TestWatchMixedProtoPeers(t *testing.T) {
+	// The pre-sequenced-stream subscribe shape: no Proto, no FromSeq.
+	type oldWatchReq struct {
+		ID      uint64
+		Pattern string
+	}
+
 	t.Run("v1-client/v2-server", func(t *testing.T) {
 		rig := newReplayRig(t, 128)
-		cli := rig.client(t, "v1-cli")
-		cli.ForceProto = 1
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		stream, err := cli.Watch(ctx, "replay.*")
+		ep, err := rig.fabric.Attach("v1-cli", "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rig.publish(3, 0)
-		for i := 0; i < 3; i++ {
-			ev := recv(t, stream)
-			if ev.Seq != 0 {
-				t.Fatalf("v1 stream carried seq %d", ev.Seq)
-			}
-			if ev.Event.Attr("i") != fmt.Sprint(i) {
-				t.Fatalf("event %d carries i=%q", i, ev.Event.Attr("i"))
-			}
+		before := rig.kernel.SubscriberCount()
+		payload, err := transport.EncodeSealed(oldWatchReq{ID: 1, Pattern: "replay.*"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := ep.Request(ctx, "replay-srv", ctl.MsgWatch, payload); !errors.Is(err, transport.ErrVersion) {
+			t.Fatalf("watch with Proto 0: err = %v, want ErrVersion", err)
+		}
+		if got := rig.kernel.SubscriberCount(); got != before {
+			t.Fatalf("refused watch left %d kernel subscribers, want %d", got, before)
 		}
 	})
 
@@ -252,72 +254,46 @@ func TestWatchMixedProtoPeers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The v1-era server: decodes the subscribe into the old request
-		// shape (gob drops the Proto/FromSeq fields a new client sends),
-		// replies with no payload, and pushes each event as its own gob
-		// frame on MsgEvent.
-		type oldWatchReq struct {
-			ID      uint64
-			Pattern string
-		}
-		type oldEventMsg struct {
-			ID    uint64
-			Lost  uint64
-			Event ctxkernel.Event
-		}
-		// Cap 4: the refused replay attempt also subscribes before the
-		// client tears it down, and the handler must never block.
-		subscribed := make(chan oldWatchReq, 4)
+		// The old handler shape: decode the subscribe (gob drops the
+		// Proto/FromSeq fields a new client sends), start a watch, reply
+		// with no payload.
+		subscribed := make(chan uint64, 1)
 		srvEp.Handle(ctl.MsgWatch, func(msg transport.Message) ([]byte, error) {
 			var req oldWatchReq
 			if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 				return nil, err
 			}
-			subscribed <- req
-			go func() {
-				for i := 0; i < 3; i++ {
-					payload, _ := transport.Encode(oldEventMsg{ID: req.ID, Event: ctxkernel.Event{
-						Topic: "replay.tick", Source: "old-srv",
-						Attrs: map[string]string{"i": fmt.Sprint(i)},
-					}})
-					_ = srvEp.Send(msg.From, ctl.MsgEvent, payload)
-				}
-			}()
+			subscribed <- req.ID
 			return nil, nil
 		})
-		srvEp.Handle(ctl.MsgUnwatch, func(transport.Message) ([]byte, error) { return nil, nil })
+		unwatched := make(chan uint64, 1)
+		srvEp.Handle(ctl.MsgUnwatch, func(msg transport.Message) ([]byte, error) {
+			var req struct{ ID uint64 }
+			if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
+				return nil, err
+			}
+			unwatched <- req.ID
+			return nil, nil
+		})
 
 		cliEp, err := fabric.Attach("new-cli", "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		cli := ctl.NewClient(cliEp, "old-srv")
-		ctx, cancel := context.WithCancel(context.Background())
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-
-		// Replay against a v1 server: typed refusal, not silent live.
-		if _, err := cli.WatchFrom(ctx, "replay.*", 7); !errors.Is(err, ctl.ErrUnsupported) {
-			t.Fatalf("replay against v1 server: err = %v, want ErrUnsupported", err)
+		if _, err := cli.Watch(ctx, "replay.*"); !errors.Is(err, ctl.ErrVersion) {
+			t.Fatalf("watch against a pre-ack server: err = %v, want ErrVersion", err)
 		}
-
-		// Plain watch negotiates down to the gob stream.
-		stream, err := cli.Watch(ctx, "replay.*")
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Watch returned, so both requests were already answered.
 		select {
-		case <-subscribed:
-		case <-time.After(5 * time.Second):
-			t.Fatal("old server never saw the subscribe")
-		}
-		for i := 0; i < 3; i++ {
-			ev := recv(t, stream)
-			if ev.Seq != 0 {
-				t.Fatalf("downgraded stream carried seq %d", ev.Seq)
+		case torn := <-unwatched:
+			if id := <-subscribed; id != torn {
+				t.Fatalf("server started watch %d but the client tore down %d", id, torn)
 			}
-			if ev.Event.Attr("i") != fmt.Sprint(i) {
-				t.Fatalf("event %d carries i=%q", i, ev.Event.Attr("i"))
-			}
+		default:
+			t.Fatal("client left the old server's watch running: no ctl.unwatch sent")
 		}
 	})
 }

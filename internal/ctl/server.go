@@ -42,14 +42,9 @@ type Backend struct {
 	Kernel *ctxkernel.Kernel
 }
 
-// watchQueueLen bounds each watcher's server-side buffer. Kernel
-// handlers must never block the publisher, so an undrained watcher
-// drops events (counted, reported in-band as WatchEvent.Lost) instead
-// of stalling the bus.
-const watchQueueLen = 256
-
-// Defaults for the v2 stream: the replay ring's capacity in events, the
-// batching window a pusher waits after waking before it collects, and
+// The watch stream's fixed sizes: the replay ring's default capacity in
+// events, how long a pusher lingers after a publish kick before it
+// collects (one window of latency buys fewer, fuller push frames), and
 // the largest number of events packed into one push frame.
 const (
 	defaultRingSize    = 8192
@@ -57,22 +52,7 @@ const (
 	maxEventBatch      = 512
 )
 
-// watcher is one live watch subscription.
-type watcher struct {
-	client string // subscriber endpoint name (the push destination)
-	id     uint64 // client-chosen watch id
-	subID  int    // kernel subscription to tear down
-	queue  chan ctxkernel.Event
-	done   chan struct{}
-	once   sync.Once
-
-	mu   sync.Mutex
-	lost uint64
-}
-
-func (w *watcher) close() { w.once.Do(func() { close(w.done) }) }
-
-// --- v2 stream: one shared sequenced ring, per-watch cursors. ---
+// --- Watch stream: one shared sequenced ring, per-watch cursors. ---
 
 // watchHub is the server's replay ring: every kernel event, stamped
 // with a monotonic sequence number (the first event published after
@@ -91,7 +71,7 @@ type watchHub struct {
 	watchers map[*v2watcher]struct{}
 }
 
-// v2watcher is one live v2 watch: a cursor into the hub's ring. The
+// v2watcher is one live watch: a cursor into the hub's ring. The
 // cursor is guarded by the hub mutex (the pusher advances it, the
 // subscribe path sets it).
 type v2watcher struct {
@@ -113,7 +93,7 @@ func newWatchHub(kernel *ctxkernel.Kernel, size int) *watchHub {
 		next:     1,
 		watchers: make(map[*v2watcher]struct{}),
 	}
-	// One kernel subscription feeds every v2 watch; per-watch filtering
+	// One kernel subscription feeds every watch; per-watch filtering
 	// happens at collect time with the kernel's own matching rule.
 	h.subID = kernel.Subscribe("*", h.append)
 	return h
@@ -182,30 +162,20 @@ type Server struct {
 	// no caller deadline). Zero takes a minute — migrations move real
 	// megabytes.
 	OpTimeout time.Duration
-	// RingSize is the v2 replay ring's capacity in events (zero takes
+	// RingSize is the replay ring's capacity in events (zero takes
 	// defaultRingSize). Set before the first watch arrives.
 	RingSize int
-	// FlushWindow is how long a v2 pusher waits after a publish kick
-	// before collecting a batch, trading one window of latency for
-	// fewer, fuller push frames. Zero takes defaultFlushWindow;
-	// negative flushes immediately.
-	FlushWindow time.Duration
 
-	mu        sync.Mutex
-	watchers  map[string]map[uint64]*watcher   // v1: client endpoint -> id -> watcher
-	watchers2 map[string]map[uint64]*v2watcher // v2: client endpoint -> id -> cursor watch
-	hub       *watchHub                        // created on first v2 watch
-	pushers   sync.WaitGroup                   // live pushV2 goroutines; Close joins them
-	closed    bool
+	mu       sync.Mutex
+	watchers map[string]map[uint64]*v2watcher // client endpoint -> id -> cursor watch
+	hub      *watchHub                        // created on first watch
+	pushers  sync.WaitGroup                   // live push goroutines; Close joins them
+	closed   bool
 }
 
 // NewServer creates a control-plane server over b.
 func NewServer(b Backend) *Server {
-	return &Server{
-		b:         b,
-		watchers:  make(map[string]map[uint64]*watcher),
-		watchers2: make(map[string]map[uint64]*v2watcher),
-	}
+	return &Server{b: b, watchers: make(map[string]map[uint64]*v2watcher)}
 }
 
 func (s *Server) ringSize() int {
@@ -215,13 +185,6 @@ func (s *Server) ringSize() int {
 	return defaultRingSize
 }
 
-func (s *Server) flushWindow() time.Duration {
-	if s.FlushWindow != 0 {
-		return s.FlushWindow
-	}
-	return defaultFlushWindow
-}
-
 func (s *Server) timeout() time.Duration {
 	if s.OpTimeout > 0 {
 		return s.OpTimeout
@@ -229,8 +192,8 @@ func (s *Server) timeout() time.Duration {
 	return time.Minute
 }
 
-// handle wraps an operation handler with version negotiation and the
-// server's operation deadline.
+// handle wraps an operation handler with the sealed-request version
+// check and the server's operation deadline.
 func handle[Req any](s *Server, fn func(ctx context.Context, req Req) (any, error)) transport.Handler {
 	return func(msg transport.Message) ([]byte, error) {
 		var req Req
@@ -336,34 +299,9 @@ func (s *Server) Serve(ep *transport.Endpoint) *Server {
 		if s.b.PushBundle == nil {
 			return nil, fmt.Errorf("%w: bundle-push", ErrUnsupported)
 		}
-		var name string
-		var raw []byte
-		// The hot path is a v2 fast frame (no gob copy of a
-		// multi-megabyte payload); a v1 gob seal is the fallback. Any
-		// other version byte falls through to DecodeSealed's typed
-		// ErrVersion refusal.
-		if transport.IsFast(msg.Payload) {
-			op, body, err := transport.OpenFast(msg.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if op != transport.OpBundlePush {
-				return nil, fmt.Errorf("ctl: bundle-push got fast opcode %#x", op)
-			}
-			r := transport.NewFastReader(body)
-			name = r.String()
-			// FastReader.Bytes aliases the frame; the bundle outlives
-			// this handler (it lands in the store), so copy.
-			raw = append([]byte(nil), r.Bytes()...)
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-		} else {
-			var req bundlePushReq
-			if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-				return nil, err
-			}
-			name, raw = req.Name, req.Raw
+		name, raw, err := decodeBundlePush(msg.Payload)
+		if err != nil {
+			return nil, err
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), s.timeout())
 		defer cancel()
@@ -410,12 +348,11 @@ func (s *Server) Serve(ep *transport.Endpoint) *Server {
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		if req.Proto >= transport.ProtoV2 {
-			return s.addWatchV2(ep, msg.From, req)
+		if req.Proto < transport.ProtoV2 {
+			return nil, fmt.Errorf("%w: watch stream needs protocol >= %d, client offered %d",
+				ErrVersion, transport.ProtoV2, req.Proto)
 		}
-		// v1 clients cannot carry FromSeq (the field postdates them), so
-		// the legacy path ignores it — exactly what a pre-v2 server did.
-		return nil, s.addWatch(ep, msg.From, req)
+		return s.addWatch(ep, msg.From, req)
 	})
 	ep.Handle(MsgUnwatch, func(msg transport.Message) ([]byte, error) {
 		var req unwatchReq
@@ -428,97 +365,19 @@ func (s *Server) Serve(ep *transport.Endpoint) *Server {
 	return s
 }
 
-// Watch delivery accounting, process-wide: enqueued events and events
-// dropped because a watcher's queue was full (also reported in-band as
-// WatchEvent.Lost).
+// Watch delivery accounting, process-wide: pushed events and events that
+// aged out of the ring before a watch's cursor reached them (also
+// reported in-band as WatchEvent.Lost).
 var (
 	mWatchEvents = obs.Default.Counter("mdagent_ctl_watch_events_total")
 	mWatchDrops  = obs.Default.Counter("mdagent_ctl_watch_dropped_total")
 )
 
-// addWatch subscribes a client to the kernel and starts its pusher.
-func (s *Server) addWatch(ep *transport.Endpoint, client string, req watchReq) error {
-	if s.b.Kernel == nil {
-		return fmt.Errorf("%w: watch", ErrUnsupported)
-	}
-	if client == "" {
-		return fmt.Errorf("ctl: watch request carries no reply endpoint")
-	}
-	pattern := req.Pattern
-	if pattern == "" {
-		pattern = "*"
-	}
-	w := &watcher{
-		client: client, id: req.ID,
-		queue: make(chan ctxkernel.Event, watchQueueLen),
-		done:  make(chan struct{}),
-	}
-	// Subscribe before registering, so a racing unwatch always sees a
-	// fully formed watcher. The kernel handler runs on publisher
-	// goroutines and must be quick: enqueue or drop, never block.
-	w.subID = s.b.Kernel.Subscribe(pattern, func(ev ctxkernel.Event) {
-		select {
-		case w.queue <- ev:
-			mWatchEvents.Inc()
-		default:
-			mWatchDrops.Inc()
-			w.mu.Lock()
-			w.lost++
-			w.mu.Unlock()
-		}
-	})
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.b.Kernel.Unsubscribe(w.subID)
-		return fmt.Errorf("ctl: server closed")
-	}
-	byID := s.watchers[client]
-	if byID == nil {
-		byID = make(map[uint64]*watcher)
-		s.watchers[client] = byID
-	}
-	if old, ok := byID[req.ID]; ok {
-		// Same client re-subscribing an id: replace (idempotent retry).
-		s.removeLocked(old)
-	}
-	byID[req.ID] = w
-	s.mu.Unlock()
-	go s.push(ep, w)
-	return nil
-}
-
-// push drains one watcher's queue into one-way ctl.event messages. A
-// send failure (client gone, link dead) retires the watch — transport
-// learned-routes make sends to a departed client fail rather than hang.
-func (s *Server) push(ep *transport.Endpoint, w *watcher) {
-	for {
-		select {
-		case <-w.done:
-			return
-		case ev := <-w.queue:
-			w.mu.Lock()
-			lost := w.lost
-			w.lost = 0
-			w.mu.Unlock()
-			payload, err := transport.Encode(eventMsg{ID: w.id, Lost: lost, Event: ev})
-			if err != nil {
-				continue // unencodable event: drop it, keep the watch
-			}
-			if err := ep.Send(w.client, MsgEvent, payload); err != nil {
-				s.dropWatch(w.client, w.id)
-				return
-			}
-		}
-	}
-}
-
-// addWatchV2 registers a cursor watch on the replay ring and answers
-// with a watchAck (the reply payload's presence is what tells the
-// client it got a v2 stream). FromSeq outside the ring's retained
-// window is refused with ErrReplayGap — replaying silently from
-// somewhere else would break the "re-deliver instead of drop" promise.
-func (s *Server) addWatchV2(ep *transport.Endpoint, client string, req watchReq) ([]byte, error) {
+// addWatch registers a cursor watch on the replay ring and answers with
+// a watchAck. FromSeq outside the ring's retained window is refused with
+// ErrReplayGap — replaying silently from somewhere else would break the
+// "re-deliver instead of drop" promise.
+func (s *Server) addWatch(ep *transport.Endpoint, client string, req watchReq) ([]byte, error) {
 	if s.b.Kernel == nil {
 		return nil, fmt.Errorf("%w: watch", ErrUnsupported)
 	}
@@ -566,10 +425,10 @@ func (s *Server) addWatchV2(ep *transport.Endpoint, client string, req watchReq)
 		hub.remove(w)
 		return nil, fmt.Errorf("ctl: server closed")
 	}
-	byID := s.watchers2[client]
+	byID := s.watchers[client]
 	if byID == nil {
 		byID = make(map[uint64]*v2watcher)
-		s.watchers2[client] = byID
+		s.watchers[client] = byID
 	}
 	if old, ok := byID[req.ID]; ok {
 		hub.remove(old) // idempotent re-subscribe: replace
@@ -583,30 +442,29 @@ func (s *Server) addWatchV2(ep *transport.Endpoint, client string, req watchReq)
 	if w.cursor < next {
 		w.kick <- struct{}{} // replay backlog: wake the pusher immediately
 	}
-	go s.pushV2(ep, hub, w)
+	go s.push(ep, hub, w)
 	return transport.Encode(watchAck{Proto: transport.ProtoV2, Next: next, Ring: ring})
 }
 
-// pushV2 drains one cursor watch into batched fast-frame pushes: wake
-// on a publish kick, linger one flush window so a burst coalesces, then
-// collect and send full batches until the cursor catches the ring.
-func (s *Server) pushV2(ep *transport.Endpoint, hub *watchHub, w *v2watcher) {
+// push drains one cursor watch into batched fast-frame pushes: wake on
+// a publish kick, linger one flush window so a burst coalesces, then
+// collect and send full batches until the cursor catches the ring. A
+// send failure (client gone, link dead) retires the watch — transport
+// learned-routes make sends to a departed client fail rather than hang.
+func (s *Server) push(ep *transport.Endpoint, hub *watchHub, w *v2watcher) {
 	defer s.pushers.Done()
-	flush := s.flushWindow()
 	for {
 		select {
 		case <-w.done:
 			return
 		case <-w.kick:
 		}
-		if flush > 0 {
-			timer := time.NewTimer(flush)
-			select {
-			case <-w.done:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
+		timer := time.NewTimer(defaultFlushWindow)
+		select {
+		case <-w.done:
+			timer.Stop()
+			return
+		case <-timer.C:
 		}
 		for {
 			select {
@@ -638,28 +496,14 @@ func (s *Server) dropWatch(client string, id uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if w, ok := s.watchers[client][id]; ok {
-		s.removeLocked(w)
+		if s.hub != nil {
+			s.hub.remove(w)
+		}
 		delete(s.watchers[client], id)
 		if len(s.watchers[client]) == 0 {
 			delete(s.watchers, client)
 		}
 	}
-	if w, ok := s.watchers2[client][id]; ok {
-		if s.hub != nil {
-			s.hub.remove(w)
-		}
-		delete(s.watchers2[client], id)
-		if len(s.watchers2[client]) == 0 {
-			delete(s.watchers2, client)
-		}
-	}
-}
-
-func (s *Server) removeLocked(w *watcher) {
-	if s.b.Kernel != nil {
-		s.b.Kernel.Unsubscribe(w.subID)
-	}
-	w.close()
 }
 
 // Close retires every live watch and the replay hub, then joins the
@@ -672,19 +516,12 @@ func (s *Server) Close() {
 	s.closed = true
 	for client, byID := range s.watchers {
 		for id, w := range byID {
-			s.removeLocked(w)
-			delete(byID, id)
-		}
-		delete(s.watchers, client)
-	}
-	for client, byID := range s.watchers2 {
-		for id, w := range byID {
 			if s.hub != nil {
 				s.hub.remove(w)
 			}
 			delete(byID, id)
 		}
-		delete(s.watchers2, client)
+		delete(s.watchers, client)
 	}
 	if s.hub != nil {
 		s.hub.close()

@@ -165,9 +165,6 @@ func WithBlobThreshold(n int) Option { return func(o *Options) { o.BlobThreshold
 // WithSyncPolicy sets the commit durability policy.
 func WithSyncPolicy(p SyncPolicy) Option { return func(o *Options) { o.Sync = p } }
 
-// WithSyncEvery sets the background flush period under SyncInterval.
-func WithSyncEvery(d time.Duration) Option { return func(o *Options) { o.SyncEvery = d } }
-
 // WithCompactMinDead sets the auto-compaction trigger (<0 disables).
 func WithCompactMinDead(n int64) Option { return func(o *Options) { o.CompactMinDead = n } }
 

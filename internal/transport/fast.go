@@ -9,30 +9,25 @@ import (
 // ProtoV2 is the compact binary fast path. A v2 frame is
 // [version byte 0x02][opcode byte][binary body]: no gob type dictionary,
 // no reflection, just length-prefixed fields in a fixed per-opcode
-// layout. Gob (ProtoVersion=1 frames) stays the long-tail encoding and
-// the compatibility fallback: a v1 server refuses a v2 frame with a
-// typed ErrVersion reply (Open rejects the version byte), and the
-// client downgrades to gob for that peer. Only the hot ops — snapshot
-// puts and watch event pushes, plus their batched variants — have v2
-// layouts.
+// layout. Gob (ProtoVersion=1 frames) is the long-tail encoding. Each op
+// has exactly one of the two — the hot ops (snapshot put, watch event
+// push, bundle push) are v2 frames — and either opener refuses the
+// other's version byte with a typed ErrVersion.
 const ProtoV2 byte = 2
 
 // MaxProto is the newest protocol version this build speaks; servers
-// report it in their info reply so operators can audit a fleet's
-// negotiation state.
+// report it in their info reply so operators can audit a fleet.
 const MaxProto byte = ProtoV2
 
 // Fast-path opcodes. The opcode selects the body layout; request and
 // reply layouts are distinct opcodes so a frame is self-describing.
+// 0x02 and 0x04 (the batched snapshot put and its reply) are retired:
+// do not reuse.
 const (
 	// OpSnapPut carries one state.SnapshotPut.
 	OpSnapPut byte = 0x01
-	// OpSnapPutBatch carries a count-prefixed run of SnapshotPut bodies.
-	OpSnapPutBatch byte = 0x02
 	// OpSnapPutReply carries one snapshot-put outcome (stamp + flags).
 	OpSnapPutReply byte = 0x03
-	// OpSnapPutBatchReply carries a count-prefixed run of outcomes.
-	OpSnapPutBatchReply byte = 0x04
 	// OpEventBatch carries a watch-id-tagged run of sequenced events.
 	OpEventBatch byte = 0x10
 	// OpBundlePush carries one signed app bundle (name + raw bytes) —
@@ -48,13 +43,6 @@ func SealFast(op byte, body []byte) []byte {
 	out[1] = op
 	copy(out[2:], body)
 	return out
-}
-
-// IsFast reports whether payload is a v2 fast frame. Handlers that
-// serve both encodings sniff this before choosing a decode path; a gob
-// seal always starts with ProtoVersion (1), so the byte is unambiguous.
-func IsFast(payload []byte) bool {
-	return len(payload) >= 2 && payload[0] == ProtoV2
 }
 
 // OpenFast validates a v2 frame and returns its opcode and body. A

@@ -372,8 +372,9 @@ const ControlAlias = ctl.Alias
 
 // ProtoVersion is the newest control-plane (and registry/snapshot)
 // wire protocol version this build speaks — what ServerInfo.Proto
-// reports. v2 adds the binary fast path for snapshot puts and watch
-// pushes; every op still interoperates with v1 peers via negotiation.
+// reports. v2 is the binary fast path snapshot puts, watch pushes and
+// bundle pushes ride; each op has one encoding, and a peer offering
+// another is refused with ErrVersion.
 const ProtoVersion = transport.MaxProto
 
 // Typed sentinel errors shared by in-process and remote callers.
