@@ -48,6 +48,7 @@ import (
 	"mdagent/internal/app"
 	"mdagent/internal/bundle"
 	"mdagent/internal/cluster"
+	"mdagent/internal/core"
 	"mdagent/internal/ctl"
 	"mdagent/internal/ctxkernel"
 	"mdagent/internal/demoapps"
@@ -58,6 +59,7 @@ import (
 	"mdagent/internal/registry"
 	"mdagent/internal/state"
 	"mdagent/internal/transport"
+	"mdagent/internal/vclock"
 	"mdagent/internal/wsdl"
 )
 
@@ -202,6 +204,10 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	// lifecycle outcomes all surface here as typed events.
 	kernel := ctxkernel.NewKernel()
 
+	// This process is one host: the same runtime an in-process deployment
+	// holds per simulated host, over the TCP endpoint and registry client.
+	rt := core.NewHostRuntime(*host, *space, eng, lib, cat, kernel, &vclock.Real{}, "ctl", trusted, secrets)
+
 	// Federated mode: gossip membership with every peer host, multiplexed
 	// onto the engine endpoint.
 	var member *cluster.Node
@@ -225,9 +231,9 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 		// A (re)starting daemon announces itself: peers that convicted a
 		// previous incarnation of this host hold death certificates that
 		// only an alive rumor with a higher incarnation clears. Rejoin
-		// bumps ours and pings every peer so the refutation lands now;
-		// the periodic dead-member probe (Config.DeadProbeEvery) covers
-		// later silent reconnections, e.g. a healed network partition.
+		// bumps ours and pings every peer so the refutation lands now; the
+		// periodic dead-member probe covers later silent reconnections,
+		// e.g. a healed network partition.
 		member.Rejoin()
 		fmt.Fprintf(out, "mdagentd[%s]: rejoined membership (incarnation %d)\n", *host, member.Self().Incarnation)
 	}
@@ -238,7 +244,6 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	// deployment joins the state pipeline (and failover restores) exactly
 	// like an in-process one.
 	var snapCli *cluster.SnapshotClient
-	var repl *state.Replicator
 	if *space != "" {
 		// The snapshot client doubles as the control plane's window onto
 		// the center's replicated snapshot heads, so it exists in every
@@ -254,19 +259,8 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 		if *concern != "" {
 			snapCli.SetWriteConcern(wc)
 		}
-		repl = state.NewReplicator(*host, *space, eng.Apps, snapCli, nil, *replicate, state.Tuning{})
-		repl.OnPublish(func(put state.SnapshotPut, stamp state.SnapshotStamp) {
-			kind := "full"
-			if put.Delta {
-				kind = "delta"
-			}
-			kernel.PublishTyped("state", ctxkernel.StateReplicatedEvent{
-				App: put.App, Host: put.Host, FrameKind: kind,
-				Seq: stamp.Seq, Bytes: len(put.Frame), Chain: stamp.Chain, At: put.At,
-			})
-		})
-		repl.Start()
-		defer repl.Stop()
+		rt.StartReplicator(state.NewReplicator(*host, *space, eng.Apps, snapCli, nil, *replicate, state.Tuning{}))
+		defer rt.Replicator.Stop()
 		if wc != cluster.WriteAsync {
 			fmt.Fprintf(out, "mdagentd[%s]: replicating application state every %v (write concern %s)\n", *host, *replicate, wc)
 		} else {
@@ -279,7 +273,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	// (cmd/mdctl) needs only the listen address to run, stop, migrate,
 	// inspect, and watch this host.
 	node.AddAlias(ctl.Alias)
-	ctlSrv := ctl.NewServer(daemonBackend(*host, *space, eng, cat, member, snapCli, repl, skeletons, kernel, trusted, secrets))
+	ctlSrv := ctl.NewServer(daemonBackend(rt, cat, member, snapCli, skeletons, kernel, trusted))
 	ctlSrv.Serve(node.Endpoint())
 	defer ctlSrv.Close()
 
@@ -294,11 +288,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 
 	if *install != "" {
 		sk := skeletons[*install]
-		eng.InstallFactory(*install, sk.factory)
-		if err := cat.RegisterApp(ctx, registry.AppRecord{
-			Name: *install, Host: *host, Space: *space,
-			Description: sk.desc, Components: sk.components,
-		}); err != nil {
+		if err := rt.Install(ctx, *install, sk.desc, sk.components, sk.factory); err != nil {
 			return fmt.Errorf("register skeleton: %w", err)
 		}
 		fmt.Fprintf(out, "mdagentd[%s]: installed %s skeleton\n", *host, *install)
@@ -307,16 +297,8 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	if *runApp == "smart-media-player" {
 		song := media.GenerateFile("song1", *songBytes, 3)
 		lib.Add(song)
-		player := demoapps.NewMediaPlayer(*host, song)
-		if err := eng.Run(player); err != nil {
-			return err
-		}
-		if err := cat.RegisterApp(ctx, registry.AppRecord{
-			Name: "smart-media-player", Host: *host, Space: *space,
-			Description: demoapps.MediaPlayerDesc(), Components: player.Components(),
-			Running: true,
-		}); err != nil {
-			return fmt.Errorf("register app: %w", err)
+		if err := rt.Run(ctx, demoapps.NewMediaPlayer(*host, song)); err != nil {
+			return fmt.Errorf("run app: %w", err)
 		}
 		if err := cat.RegisterResource(ctx, demoapps.MusicResource(song, *host)); err != nil {
 			return fmt.Errorf("register resource: %w", err)
@@ -361,9 +343,9 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	// peers convict this host immediately instead of burning a suspicion
 	// window on it. Both steps are best-effort — a SIGTERM race with a
 	// dead center must not hang the shutdown.
-	if repl != nil {
+	if rt.Replicator != nil {
 		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = repl.SyncNow(sctx)
+		_ = rt.Replicator.SyncNow(sctx)
 		scancel()
 	}
 	if member != nil {

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mdagent/internal/cluster"
+	"mdagent/internal/ctl"
 	"mdagent/internal/registry"
 	"mdagent/internal/store"
 	"mdagent/internal/transport"
@@ -232,5 +234,95 @@ func TestDaemonReplicatesStateOverTCP(t *testing.T) {
 	}
 	if err := rec.Verify(); err != nil {
 		t.Fatalf("fetched record fails verification: %v", err)
+	}
+}
+
+// TestDaemonLifecycleOverCtl drives run / stop / run again / migrate
+// through ctl.Client against in-process daemons, so the backend's
+// delegating arms and the host runtime behind them run under -race and
+// coverage, not only behind the out-of-process mdctl e2e.
+func TestDaemonLifecycleOverCtl(t *testing.T) {
+	regAddr, reg := bootRegistry(t)
+	var outA, outB syncBuffer
+	addrB := startDaemon(t, &outB,
+		"-host", "hostB", "-listen", "127.0.0.1:0",
+		"-registry", regAddr, "-install", "smart-media-player")
+	addrA := startDaemon(t, &outA,
+		"-host", "hostA", "-listen", "127.0.0.1:0",
+		"-registry", regAddr, "-peer", "hostB="+addrB)
+
+	probe, err := transport.ListenTCP("probe@test", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { probe.Close() })
+	probe.AddPeer(ctl.Alias, addrA)
+	cli := ctl.NewClient(probe.Endpoint(), ctl.Alias)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const player = "smart-media-player"
+	running := func(host string) bool {
+		rec, found, err := reg.LookupApp(player, host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return found && rec.Running
+	}
+
+	if err := cli.RunApp(ctx, player, ""); !errors.Is(err, ctl.ErrAppNotFound) {
+		t.Fatalf("run before install: want ErrAppNotFound, got %v", err)
+	}
+	if err := cli.InstallApp(ctx, player, "hostZ"); !errors.Is(err, ctl.ErrUnknownHost) {
+		t.Fatalf("install addressed to another host: want ErrUnknownHost, got %v", err)
+	}
+	if err := cli.InstallApp(ctx, "no-such-app", ""); !errors.Is(err, ctl.ErrUnknownApp) {
+		t.Fatalf("install without skeleton or bundle: want ErrUnknownApp, got %v", err)
+	}
+	if err := cli.InstallApp(ctx, player, ""); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	if err := cli.RunApp(ctx, player, "hostA"); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !running("hostA") {
+		t.Fatal("run did not register a running record")
+	}
+	if err := cli.RunApp(ctx, player, ""); err == nil {
+		t.Fatal("second run of a running app accepted")
+	}
+	if !running("hostA") {
+		t.Fatal("refused duplicate run disturbed the running record")
+	}
+	if err := cli.StopApp(ctx, player, ""); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	if _, found, _ := reg.LookupApp(player, "hostA"); found {
+		t.Fatal("stop left the registry record behind")
+	}
+	if err := cli.StopApp(ctx, player, ""); !errors.Is(err, ctl.ErrAppNotFound) {
+		t.Fatalf("second stop: want ErrAppNotFound, got %v", err)
+	}
+	if err := cli.RunApp(ctx, player, ""); err != nil {
+		t.Fatalf("run after stop: %v", err)
+	}
+
+	if _, err := cli.Migrate(ctx, ctl.MigrateRequest{App: "no-such-app", To: "hostB"}); !errors.Is(err, ctl.ErrAppNotFound) {
+		t.Fatalf("migrate of an app not running here: want ErrAppNotFound, got %v", err)
+	}
+	if _, err := cli.Migrate(ctx, ctl.MigrateRequest{App: player, To: "hostZ"}); err == nil {
+		t.Fatal("migrate to an unreachable host accepted")
+	}
+	if !running("hostA") {
+		t.Fatal("failed migrate lost the app")
+	}
+	res, err := cli.Migrate(ctx, ctl.MigrateRequest{App: player, To: "hostB", Static: true})
+	if err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if res.App != player || res.From != "hostA" || res.To != "hostB" || res.BytesMoved == 0 {
+		t.Fatalf("migrate result: %+v", res)
+	}
+	if !running("hostB") || running("hostA") {
+		t.Fatalf("after migrate: hostA running=%v hostB running=%v", running("hostA"), running("hostB"))
 	}
 }

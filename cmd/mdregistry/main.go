@@ -231,7 +231,7 @@ func registryBackend(space string, reg *registry.Registry, center *cluster.Cente
 				// A durability shortfall still stored the bundle locally;
 				// anti-entropy finishes the fan-out (same contract as the
 				// registry write handlers).
-				if err := center.PutBundle(ctx, name, raw); err != nil && !errors.Is(err, state.ErrNotDurable) {
+				if err := state.IgnoreNotDurable(center.PutBundle(ctx, name, raw)); err != nil {
 					return err
 				}
 			} else if err := reg.PutBundle(name, raw); err != nil {

@@ -41,7 +41,7 @@ type MembersResult struct {
 }
 
 // MembersConfig is the gossip configuration the scale sweep runs at: the
-// default dissemination knobs (MaxPiggyback 8, λ=4, full sync every 64
+// default dissemination knobs (maxPiggyback 8, λ=4, full sync every 64
 // rounds), a suspicion window of 150 ms so one kill experiment stays
 // fast, and a probe timeout far above any real delay — in this rig a
 // probe fails only with netsim's fail-fast host-down error, so a slow

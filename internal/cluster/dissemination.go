@@ -4,7 +4,7 @@ package cluster
 // change a node observes — a member learned, escalated, convicted,
 // refuted, or leaving — is queued here once per member and rides along
 // on the next probes and acks, fewest-transmissions-first, until it has
-// been sent λ·log₂N times. Messages carry at most MaxPiggyback updates,
+// been sent λ·log₂N times. Messages carry at most maxPiggyback updates,
 // so gossip payload size is O(1) in cluster size where the pre-PR 7
 // full-table piggyback was O(N). Full-table exchanges survive in three
 // places — join bootstrap (a probe from an unknown sender is answered
@@ -38,14 +38,14 @@ func (n *Node) enqueueLocked(m Member) {
 // λ·⌈log₂(N+1)⌉ with a small floor so tiny clusters still repeat each
 // rumor a few times. Callers hold n.mu.
 func (n *Node) retransmitLimitLocked() int {
-	limit := n.cfg.RetransmitMult * bits.Len(uint(len(n.members)))
+	limit := retransmitMult * bits.Len(uint(len(n.members)))
 	if limit < 3 {
 		limit = 3
 	}
 	return limit
 }
 
-// selectUpdatesLocked picks up to MaxPiggyback queued updates for one
+// selectUpdatesLocked picks up to maxPiggyback queued updates for one
 // outgoing message, fewest-transmissions-first (ties broken by id so
 // tests are deterministic), charges each pick one transmission, and
 // evicts rumors that exhausted their budget. Callers hold n.mu.
@@ -65,7 +65,7 @@ func (n *Node) selectUpdatesLocked() []Member {
 		return ids[i] < ids[j]
 	})
 	limit := n.retransmitLimitLocked()
-	take := n.cfg.MaxPiggyback
+	take := maxPiggyback
 	if len(ids) < take {
 		take = len(ids)
 	}

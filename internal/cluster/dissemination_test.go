@@ -42,7 +42,7 @@ func drainQueue(t *testing.T, n *Node) {
 	t.Fatalf("queue never drained: depth %d", queueDepth(n))
 }
 
-// TestPiggybackBounded: outgoing payloads carry at most MaxPiggyback
+// TestPiggybackBounded: outgoing payloads carry at most maxPiggyback
 // updates no matter how large the table is — the O(1) property the
 // scale sweep measures.
 func TestPiggybackBounded(t *testing.T) {
@@ -64,8 +64,8 @@ func TestPiggybackBounded(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		load := n.load()
-		if len(load.updates) > n.cfg.MaxPiggyback {
-			t.Fatalf("message %d carried %d updates, cap is %d", i, len(load.updates), n.cfg.MaxPiggyback)
+		if len(load.updates) > maxPiggyback {
+			t.Fatalf("message %d carried %d updates, cap is %d", i, len(load.updates), maxPiggyback)
 		}
 		if queueDepth(n) == 0 {
 			return // every rumor sent its budget and was evicted

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -92,10 +91,10 @@ func (f *Failover) Rehome(ctx context.Context, deadHost string) ([]Rehoming, err
 		// the failover: the records landed at the planning center and
 		// anti-entropy keeps retrying delivery — aborting would strand
 		// the remaining apps over an advisory error.
-		if err := f.Center.RegisterApp(ctx, newRec); err != nil && !errors.Is(err, ErrNotDurable) {
+		if err := state.IgnoreNotDurable(f.Center.RegisterApp(ctx, newRec)); err != nil {
 			return done, err
 		}
-		if err := f.Center.UnregisterApp(ctx, rec.Name, deadHost); err != nil && !errors.Is(err, ErrNotDurable) {
+		if err := state.IgnoreNotDurable(f.Center.UnregisterApp(ctx, rec.Name, deadHost)); err != nil {
 			return done, err
 		}
 		r := Rehoming{App: rec.Name, From: deadHost, To: target, NewSpace: newRec.Space, Restored: restored}

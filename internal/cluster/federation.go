@@ -343,7 +343,7 @@ var _ state.Publisher = (*Center)(nil)
 // base digest does not match the stored state fails with
 // state.ErrNeedFull (the publisher re-sends a full frame); an accepted
 // delta is appended to the record's chain, compacted into a fresh base
-// when the chain grows past Config.MaxDeltaChain or outweighs half the
+// when the chain grows past MaxDeltaChain or outweighs half the
 // base frame, and pushed to peers as a delta-only message so the
 // federation wire carries kilobytes, not the multi-megabyte base.
 func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.SnapshotStamp, error) {
@@ -558,7 +558,7 @@ func (c *Center) deliverPush(peer string, it pushItem) error {
 }
 
 // chainHeavy reports whether a snapshot record's delta chain has grown
-// past Config.MaxDeltaChain deltas or outweighs half its base — past
+// past MaxDeltaChain deltas or outweighs half its base — past
 // that point the chain costs more to store, ship, and reassemble than
 // the base it amends.
 func (c *Center) chainHeavy(rec Record) bool {
@@ -569,7 +569,7 @@ func (c *Center) chainHeavy(rec Record) bool {
 	for _, d := range rec.Snap.Deltas {
 		deltaBytes += len(d)
 	}
-	return len(rec.Snap.Deltas) > c.cfg.MaxDeltaChain || deltaBytes > len(rec.Snap.Frame)/2
+	return len(rec.Snap.Deltas) > MaxDeltaChain || deltaBytes > len(rec.Snap.Frame)/2
 }
 
 // compactIfHeavy folds a heavy delta chain into a fresh base frame. The
@@ -1043,41 +1043,36 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 	// registrations succeed and the shortfall surfaces through the
 	// center's own durability events. Snapshot puts DO carry the verdict
 	// back (the put reply's not-durable flag) — remote replicators
-	// re-queue.
-	stripNotDurable := func(err error) error {
-		if errors.Is(err, ErrNotDurable) {
-			return nil
-		}
-		return err
-	}
+	// re-queue. Hence state.IgnoreNotDurable on every write below.
+	//
 	// ...then shadow the write handlers with replicating versions.
 	ep.Handle(registry.MsgRegisterApp, func(msg transport.Message) ([]byte, error) {
 		var rec registry.AppRecord
 		if err := transport.DecodeSealed(msg.Payload, &rec); err != nil {
 			return nil, err
 		}
-		return nil, stripNotDurable(c.RegisterApp(context.Background(), rec))
+		return nil, state.IgnoreNotDurable(c.RegisterApp(context.Background(), rec))
 	})
 	ep.Handle(registry.MsgUnregisterApp, func(msg transport.Message) ([]byte, error) {
 		var req struct{ Name, Host string }
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		return nil, stripNotDurable(c.UnregisterApp(context.Background(), req.Name, req.Host))
+		return nil, state.IgnoreNotDurable(c.UnregisterApp(context.Background(), req.Name, req.Host))
 	})
 	ep.Handle(registry.MsgRegisterResource, func(msg transport.Message) ([]byte, error) {
 		var res owl.Resource
 		if err := transport.DecodeSealed(msg.Payload, &res); err != nil {
 			return nil, err
 		}
-		return nil, stripNotDurable(c.RegisterResource(context.Background(), res))
+		return nil, state.IgnoreNotDurable(c.RegisterResource(context.Background(), res))
 	})
 	ep.Handle(registry.MsgRegisterDevice, func(msg transport.Message) ([]byte, error) {
 		var dev wsdl.DeviceProfile
 		if err := transport.DecodeSealed(msg.Payload, &dev); err != nil {
 			return nil, err
 		}
-		return nil, stripNotDurable(c.RegisterDevice(context.Background(), dev))
+		return nil, state.IgnoreNotDurable(c.RegisterDevice(context.Background(), dev))
 	})
 	ep.Handle(registry.MsgPutBundle, func(msg transport.Message) ([]byte, error) {
 		var req struct {
@@ -1087,7 +1082,7 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		return nil, stripNotDurable(c.PutBundle(context.Background(), req.Name, req.Raw))
+		return nil, state.IgnoreNotDurable(c.PutBundle(context.Background(), req.Name, req.Raw))
 	})
 	// Snapshot put/get: multi-process daemons (cmd/mdagentd) join the
 	// state pipeline over the same wire as their registry traffic. The
@@ -1114,7 +1109,7 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		return nil, stripNotDurable(c.DropSnapshot(context.Background(), req.App, req.Host))
+		return nil, state.IgnoreNotDurable(c.DropSnapshot(context.Background(), req.App, req.Host))
 	})
 	ep.Handle(MsgListSnaps, func(msg transport.Message) ([]byte, error) {
 		if _, err := transport.Open(msg.Payload); err != nil {

@@ -56,23 +56,8 @@ type Config struct {
 	SuspicionTimeout time.Duration
 	// SyncInterval is the federation anti-entropy period (default 250 ms).
 	SyncInterval time.Duration
-	// IndirectProbes is how many relays an indirect probe uses (default 2).
-	IndirectProbes int
-	// DeadProbeEvery makes every Nth protocol tick additionally probe one
-	// dead member, so a healed partition or restarted peer is rediscovered
-	// and its death certificate refuted without manual intervention
-	// (default 8; negative disables).
-	DeadProbeEvery int
 	// Seed feeds probe-target shuffling (default 1).
 	Seed int64
-	// MaxPiggyback caps how many membership updates ride on one gossip
-	// message (default 8). Bounded dissemination: payload size stays
-	// O(1) as the cluster grows, where full-table piggybacking was O(N).
-	MaxPiggyback int
-	// RetransmitMult is λ in the SWIM retransmit budget: a queued update
-	// rides along on λ·log₂N messages before the buffer evicts it
-	// (default 4).
-	RetransmitMult int
 	// FullSyncEvery makes every Nth protocol tick a full-table
 	// anti-entropy exchange with the probed member, repairing whatever
 	// the bounded buffer evicted before it reached everyone (default 64;
@@ -87,11 +72,6 @@ type Config struct {
 	// ReplicateInterval is the snapshot capture period (default 250 ms;
 	// meaningful only with ReplicateState).
 	ReplicateInterval time.Duration
-	// MaxDeltaChain bounds a replicated snapshot record's delta chain:
-	// the replicator re-baselines with a full frame after this many
-	// consecutive deltas, and a center compacts a stored chain this long
-	// into a fresh base (default 8).
-	MaxDeltaChain int
 	// ReplicateBudget is the size-aware capture cadence in acked bytes
 	// per second: after publishing B bytes for an app, its next periodic
 	// capture is deferred B/budget seconds, so big apps capture less
@@ -110,6 +90,29 @@ type Config struct {
 	AckTimeout time.Duration
 }
 
+// Protocol constants. Nothing ever set these to anything else, so they
+// are not Config fields.
+const (
+	// indirectProbes is how many relays an indirect probe uses.
+	indirectProbes = 2
+	// deadProbeEvery makes every Nth protocol tick additionally probe one
+	// dead member, so a healed partition or restarted peer is rediscovered
+	// and its death certificate refuted without manual intervention.
+	deadProbeEvery = 8
+	// maxPiggyback caps how many membership updates ride on one gossip
+	// message. Bounded dissemination: payload size stays O(1) as the
+	// cluster grows, where full-table piggybacking was O(N).
+	maxPiggyback = 8
+	// retransmitMult is λ in the SWIM retransmit budget: a queued update
+	// rides along on λ·log₂N messages before the buffer evicts it.
+	retransmitMult = 4
+	// MaxDeltaChain bounds a replicated snapshot record's delta chain: a
+	// center compacts a stored chain this long into a fresh base, and a
+	// host's replicator re-baselines with a full frame at twice this many
+	// consecutive deltas (core.AddHost).
+	MaxDeltaChain = 8
+)
+
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 100 * time.Millisecond
@@ -123,29 +126,14 @@ func (c Config) withDefaults() Config {
 	if c.SyncInterval <= 0 {
 		c.SyncInterval = 250 * time.Millisecond
 	}
-	if c.IndirectProbes <= 0 {
-		c.IndirectProbes = 2
-	}
-	if c.DeadProbeEvery == 0 {
-		c.DeadProbeEvery = 8
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MaxPiggyback <= 0 {
-		c.MaxPiggyback = 8
-	}
-	if c.RetransmitMult <= 0 {
-		c.RetransmitMult = 4
 	}
 	if c.FullSyncEvery == 0 {
 		c.FullSyncEvery = 64
 	}
 	if c.ReplicateInterval <= 0 {
 		c.ReplicateInterval = 250 * time.Millisecond
-	}
-	if c.MaxDeltaChain <= 0 {
-		c.MaxDeltaChain = 8
 	}
 	if c.ReplicateBudget == 0 {
 		c.ReplicateBudget = 64 << 20
@@ -333,7 +321,7 @@ func (n *Node) Stop() {
 }
 
 // Tick runs one protocol round synchronously: sweep overdue suspects,
-// every DeadProbeEvery rounds ping one dead member (partition-heal
+// every deadProbeEvery rounds ping one dead member (partition-heal
 // rediscovery), then probe the next live member in the shuffled rotation.
 // Every FullSyncEvery rounds the probe is a full-table anti-entropy
 // exchange instead of a bounded one. Tests drive it directly for
@@ -343,7 +331,7 @@ func (n *Node) Tick() {
 	n.sweep(time.Now())
 	n.mu.Lock()
 	n.ticks++
-	probeDead := n.cfg.DeadProbeEvery > 0 && n.ticks%uint64(n.cfg.DeadProbeEvery) == 0
+	probeDead := n.ticks%deadProbeEvery == 0
 	fullSync := n.cfg.FullSyncEvery > 0 && n.ticks%uint64(n.cfg.FullSyncEvery) == 0
 	n.mu.Unlock()
 	if probeDead {
@@ -528,7 +516,7 @@ func (n *Node) nextTarget() (Member, bool) {
 }
 
 // probe pings target directly, falling back to indirect probes through
-// IndirectProbes relays; on total failure the target becomes a suspect.
+// indirectProbes relays; on total failure the target becomes a suspect.
 // A full probe exchanges whole tables (the anti-entropy cadence).
 func (n *Node) probe(target Member, full bool) {
 	load := n.load()
@@ -590,7 +578,7 @@ func (n *Node) pingVia(relay, target Member, load gossipLoad) bool {
 	return true
 }
 
-// relays picks up to IndirectProbes alive members other than self and the
+// relays picks up to indirectProbes alive members other than self and the
 // target.
 func (n *Node) relays(targetID string) []Member {
 	n.mu.Lock()
@@ -604,8 +592,8 @@ func (n *Node) relays(targetID string) []Member {
 	}
 	sort.Slice(pool, func(i, j int) bool { return pool[i].ID < pool[j].ID })
 	n.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if len(pool) > n.cfg.IndirectProbes {
-		pool = pool[:n.cfg.IndirectProbes]
+	if len(pool) > indirectProbes {
+		pool = pool[:indirectProbes]
 	}
 	return pool
 }

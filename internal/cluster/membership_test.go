@@ -18,7 +18,6 @@ func testConfig() Config {
 		ProbeTimeout:     20 * time.Millisecond,
 		SuspicionTimeout: 30 * time.Millisecond,
 		SyncInterval:     5 * time.Millisecond,
-		IndirectProbes:   2,
 		Seed:             7,
 	}
 }
@@ -286,7 +285,7 @@ func TestRejoinClearsDeathCertificates(t *testing.T) {
 }
 
 // TestDeadProbeHealsPartitionWithoutRejoin: after a symmetric partition
-// heals, the periodic dead-member probe (Config.DeadProbeEvery) alone
+// heals, the periodic dead-member probe (deadProbeEvery) alone
 // must rediscover the other side — no explicit Rejoin call — because the
 // regular rotation never probes members marked dead.
 func TestDeadProbeHealsPartitionWithoutRejoin(t *testing.T) {

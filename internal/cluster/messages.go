@@ -36,7 +36,7 @@ func CenterEndpointName(space string) string { return "registry@" + space }
 
 // pingMsg is a direct probe. Probe payloads are sealed behind the
 // transport version byte, and dissemination is bounded: Updates carries
-// at most Config.MaxPiggyback queued member updates selected
+// at most maxPiggyback queued member updates selected
 // fewest-transmissions-first, so the payload is O(1) in cluster size.
 // Full marks a full-table anti-entropy exchange (join bootstrap, Rejoin
 // and the FullSyncEvery cadence): Table carries the sender's whole table

@@ -8,6 +8,7 @@ import (
 	"mdagent/internal/bundle"
 	"mdagent/internal/ctl"
 	"mdagent/internal/registry"
+	"mdagent/internal/state"
 )
 
 // PushBundle verifies a signed app bundle against the deployment's
@@ -31,7 +32,7 @@ func (m *Middleware) putBundle(ctx context.Context, name string, raw []byte) err
 	if m.Cluster != nil {
 		for _, space := range m.Cluster.Spaces() {
 			if center, ok := m.Cluster.Center(space); ok {
-				return ignoreNotDurable(center.PutBundle(ctx, name, raw))
+				return state.IgnoreNotDurable(center.PutBundle(ctx, name, raw))
 			}
 		}
 	}
@@ -66,16 +67,12 @@ func (m *Middleware) ListBundles(context.Context) ([]registry.BundleInfo, error)
 	return out, nil
 }
 
-// InstallBundle assembles an application factory from a stored, signed
-// bundle and installs it on host — the generic arm of InstallApp: no
-// compiled-in factory needed, the manifest is the skeleton. The bundle
-// is re-verified here even though the push path already did, because in
-// a federation the bytes may have arrived via replication from a center
-// this deployment never vetted.
+// InstallBundle installs a stored, signed bundle on host
+// (HostRuntime.InstallBundle); the bytes come from the deployment's store.
 func (m *Middleware) InstallBundle(ctx context.Context, appName, host string) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
+	rt, err := m.host(host)
+	if err != nil {
+		return err
 	}
 	raw, found, err := m.getBundle(ctx, rt.Space, appName)
 	if err != nil {
@@ -84,29 +81,7 @@ func (m *Middleware) InstallBundle(ctx context.Context, appName, host string) er
 	if !found {
 		return fmt.Errorf("core: %w: %q (push its bundle first)", ctl.ErrUnknownApp, appName)
 	}
-	b, err := bundle.Admit(appName, raw, m.cfg.TrustedKeys)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	factory, err := bundle.Instantiate(b, m.cfg.Secrets)
-	if err != nil {
-		bundle.Rejected.Inc()
-		return fmt.Errorf("core: instantiate bundle %q: %w", appName, err)
-	}
-	rt.Engine.InstallFactory(appName, factory)
-	specs := b.Manifest.Components
-	components := make([]string, 0, len(specs))
-	for _, spec := range specs {
-		components = append(components, spec.Name)
-	}
-	if err := m.registerApp(ctx, registry.AppRecord{
-		Name: appName, Host: host, Space: rt.Space,
-		Description: b.Manifest.Description, Components: components,
-	}); err != nil {
-		return err
-	}
-	bundle.Installs.Inc()
-	return nil
+	return rt.InstallBundle(ctx, appName, raw)
 }
 
 // getBundle reads a stored bundle, preferring the installing host's own
@@ -147,16 +122,13 @@ func (m *Middleware) ctlListBundles(ctx context.Context) ([]ctl.BundleInfo, erro
 // skeleton factory when the engine holds one, else the stored bundle,
 // else the typed ErrUnknownApp refusal.
 func (m *Middleware) ctlInstall(ctx context.Context, appName, host string) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
+	rt, err := m.host(host)
+	if err != nil {
+		return err
 	}
 	if factory, ok := rt.Engine.Factory(appName); ok {
 		inst := factory(host)
-		return m.registerApp(ctx, registry.AppRecord{
-			Name: appName, Host: host, Space: rt.Space,
-			Description: inst.Description(), Components: inst.Components(),
-		})
+		return rt.Install(ctx, appName, inst.Description(), inst.Components(), factory)
 	}
 	return m.InstallBundle(ctx, appName, host)
 }

@@ -174,19 +174,15 @@ func (m *Middleware) ctlStats(context.Context) ([]ctl.HostStats, error) {
 	return out, nil
 }
 
-// ctlRunApp runs an app by name on a host: the host must hold an
-// installed skeleton factory for it (the facade's typed RunApp covers
-// arbitrary constructed instances).
+// ctlRunApp runs an app by name on a host from its installed skeleton
+// factory (the facade's typed RunApp covers arbitrary constructed
+// instances).
 func (m *Middleware) ctlRunApp(ctx context.Context, appName, host string) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
+	rt, err := m.host(host)
+	if err != nil {
+		return err
 	}
-	factory, ok := rt.Engine.Factory(appName)
-	if !ok {
-		return fmt.Errorf("core: %w: no skeleton for %q installed on %s", ctl.ErrAppNotFound, appName, host)
-	}
-	return m.RunApp(ctx, host, factory(host))
+	return rt.RunInstalled(ctx, appName)
 }
 
 // ctlStopApp stops an app on host; "" locates the host running it.
@@ -211,8 +207,8 @@ func (m *Middleware) ctlMigrate(ctx context.Context, req ctl.MigrateRequest) (ct
 	// hostA" when x runs on hostC is an error, not a silent migration
 	// from hostC.
 	if req.Host != "" {
-		if _, ok := m.Host(req.Host); !ok {
-			return ctl.MigrateResult{}, fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, req.Host)
+		if _, err := m.host(req.Host); err != nil {
+			return ctl.MigrateResult{}, err
 		}
 		if from != req.Host {
 			return ctl.MigrateResult{}, fmt.Errorf("core: %w: %q is not running on %s", ctl.ErrAppNotFound, req.App, req.Host)
@@ -222,9 +218,14 @@ func (m *Middleware) ctlMigrate(ctx context.Context, req ctl.MigrateRequest) (ct
 	if err != nil {
 		return ctl.MigrateResult{}, err
 	}
+	return MigrateResultOf(rep), nil
+}
+
+// MigrateResultOf maps a follow-me report onto the control plane's reply.
+func MigrateResultOf(rep migrate.Report) ctl.MigrateResult {
 	return ctl.MigrateResult{
-		App: req.App, From: from, To: req.To,
+		App: rep.App, From: rep.FromHost, To: rep.ToHost,
 		Suspend: rep.Suspend, Migrate: rep.Migrate, Resume: rep.Resume,
 		BytesMoved: rep.BytesMoved, Carried: rep.Carried, Delta: rep.Delta,
-	}, nil
+	}
 }

@@ -10,7 +10,6 @@ package core
 import (
 	"context"
 	"crypto/ed25519"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -101,18 +100,6 @@ const (
 	TopicClusterDegraded = ctxkernel.TopicClusterDegraded
 )
 
-// HostRuntime is everything MDAgent runs on one host.
-type HostRuntime struct {
-	Host      string
-	Space     string
-	Engine    *migrate.Engine
-	Container *platform.Container
-	Library   *media.Library
-	// Replicator streams this host's application snapshots to its space
-	// center (nil unless Config.Cluster.ReplicateState).
-	Replicator *state.Replicator
-}
-
 // Middleware is one MDAgent deployment.
 type Middleware struct {
 	cfg Config
@@ -144,19 +131,6 @@ type Middleware struct {
 
 // maxRehomeAttempts bounds the failover retry loop for one dead host.
 const maxRehomeAttempts = 5
-
-// ignoreNotDurable treats a durability shortfall as success for callers
-// that only need the write to land locally: the record still replicates
-// via anti-entropy, and the shortfall already surfaced as a
-// cluster.degraded kernel event. Callers that must KNOW the write is on
-// peers (the replicator, the durability bench) check the error
-// themselves.
-func ignoreNotDurable(err error) error {
-	if errors.Is(err, state.ErrNotDurable) {
-		return nil
-	}
-	return err
-}
 
 // New builds an empty deployment from cfg.
 func New(cfg Config) (*Middleware, error) {
@@ -257,7 +231,7 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 		if err != nil {
 			return nil, err
 		}
-		if err := ignoreNotDurable(center.RegisterDevice(context.Background(), dev)); err != nil {
+		if err := state.IgnoreNotDurable(center.RegisterDevice(context.Background(), dev)); err != nil {
 			return nil, err
 		}
 		memberEp, err := m.Fabric.Attach(cluster.MemberEndpointName(host), host)
@@ -304,31 +278,19 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 	}
 	media.ServeLibrary(lib, mediaEp)
 
-	rt := &HostRuntime{Host: host, Space: spaceName, Engine: eng, Container: cont, Library: lib}
+	rt := NewHostRuntime(host, spaceName, eng, lib, cat, m.Kernel, m.Clock, "core", m.cfg.TrustedKeys, m.cfg.Secrets)
+	rt.Container = cont
 	if center != nil && m.Cluster.Config().ReplicateState {
 		ccfg := m.Cluster.Config()
 		// RebaseEvery sits above the center's compaction threshold on
 		// purpose: the center folds chains into fresh bases locally (no
 		// wire cost), so the publisher's own full-frame re-baseline is a
 		// safety net, not the steady-state bound.
-		rep := state.NewReplicator(host, spaceName, eng.Apps, center, m.Clock,
+		rt.StartReplicator(state.NewReplicator(host, spaceName, eng.Apps, center, m.Clock,
 			ccfg.ReplicateInterval, state.Tuning{
-				RebaseEvery:       2 * ccfg.MaxDeltaChain,
+				RebaseEvery:       2 * cluster.MaxDeltaChain,
 				BudgetBytesPerSec: ccfg.ReplicateBudget,
-			})
-		rep.OnPublish(func(put state.SnapshotPut, stamp state.SnapshotStamp) {
-			kind := "full"
-			if put.Delta {
-				kind = "delta"
-			}
-			m.Kernel.PublishTyped("state", ctxkernel.StateReplicatedEvent{
-				App: put.App, Host: put.Host, FrameKind: kind,
-				Seq: stamp.Seq, Bytes: len(put.Frame), Chain: stamp.Chain,
-				At: put.At,
-			})
-		})
-		rep.Start()
-		rt.Replicator = rep
+			}))
 	}
 	m.mu.Lock()
 	m.hosts[host] = rt
@@ -469,7 +431,14 @@ func (m *Middleware) rehomeDead(reporter *cluster.Node, deadHost string) bool {
 		return false
 	}
 	f := &cluster.Failover{
-		Center: center, Alive: reporter.AliveHosts, Launch: m.relaunch,
+		Center: center, Alive: reporter.AliveHosts,
+		Launch: func(rec registry.AppRecord, target string, snap *state.SnapshotRecord) (registry.AppRecord, bool, error) {
+			rt, ok := m.Host(target)
+			if !ok {
+				return registry.AppRecord{}, false, fmt.Errorf("core: unknown failover target %q", target)
+			}
+			return rt.Relaunch(rec, snap)
+		},
 		RestoreState: m.Cluster.Config().ReplicateState,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -592,74 +561,6 @@ func (m *Middleware) survivingCenter(reporter *cluster.Node, deadHost string) (*
 	return nil, false
 }
 
-// relaunch restores one application on the chosen survivor: through the
-// host's installed skeleton factory when one exists (the clone-dispatch
-// arrival machinery), else as a bare instance rebuilt from the replicated
-// interface description. When a replicated snapshot rides along, it is
-// unwrapped into the new instance before resumption, so the application
-// continues from its last replicated state instead of a blank skeleton.
-func (m *Middleware) relaunch(rec registry.AppRecord, target string, snap *state.SnapshotRecord) (registry.AppRecord, bool, error) {
-	rt, ok := m.Host(target)
-	if !ok {
-		return registry.AppRecord{}, false, fmt.Errorf("core: unknown failover target %q", target)
-	}
-	// Idempotent: a retried failover may find the app already relaunched
-	// here by an earlier partial attempt — that is success, not a
-	// duplicate-run error (and its live state must not be clobbered by a
-	// re-applied snapshot).
-	if existing, ok := rt.Engine.App(rec.Name); ok {
-		if existing.State() == app.Suspended {
-			if err := existing.Resume(); err != nil {
-				return registry.AppRecord{}, false, err
-			}
-		}
-		return registry.AppRecord{
-			Name: rec.Name, Host: target, Space: rt.Space,
-			Description: rec.Description, Components: existing.Components(), Running: true,
-		}, false, nil
-	}
-	var inst *app.Application
-	if factory, ok := rt.Engine.Factory(rec.Name); ok {
-		inst = factory(target)
-	} else {
-		inst = app.New(rec.Name, target, rec.Description)
-	}
-	restored := false
-	if snap != nil {
-		ts, err := snap.Snapshot()
-		// A frame that fails its checksum degrades to a skeleton
-		// relaunch; failover validated it, so an error here is a race
-		// with nothing better to fall back to anyway.
-		if err == nil && ts.Wrap.App == rec.Name {
-			if inst.State() == app.Running {
-				if err := inst.Suspend(); err != nil {
-					return registry.AppRecord{}, false, err
-				}
-			}
-			if err := inst.Unwrap(ts.Wrap); err != nil {
-				return registry.AppRecord{}, false, fmt.Errorf("core: restore snapshot for %s: %w", rec.Name, err)
-			}
-			inst.SetHost(target)
-			restored = true
-		}
-	}
-	if inst.State() == app.Suspended {
-		if err := inst.Resume(); err != nil {
-			return registry.AppRecord{}, false, err
-		}
-	}
-	if err := rt.Engine.Run(inst); err != nil {
-		return registry.AppRecord{}, false, err
-	}
-	if rt.Replicator != nil {
-		rt.Replicator.Reinstate(rec.Name)
-	}
-	return registry.AppRecord{
-		Name: rec.Name, Host: target, Space: rt.Space,
-		Description: rec.Description, Components: inst.Components(), Running: true,
-	}, restored, nil
-}
-
 // AddGateway provisions a gateway host bridging its space.
 func (m *Middleware) AddGateway(host, spaceName string, profile netsim.HostProfile) error {
 	if _, err := m.Net.AddGateway(host, spaceName, profile); err != nil {
@@ -677,6 +578,15 @@ func (m *Middleware) Host(host string) (*HostRuntime, bool) {
 	defer m.mu.Unlock()
 	rt, ok := m.hosts[host]
 	return rt, ok
+}
+
+// host is Host with the control plane's typed refusal for a miss.
+func (m *Middleware) host(host string) (*HostRuntime, error) {
+	rt, ok := m.Host(host)
+	if !ok {
+		return nil, fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
+	}
+	return rt, nil
 }
 
 // Hosts lists provisioned host ids, sorted.
@@ -708,101 +618,31 @@ func (m *Middleware) AddUser(user, badge, room string) error {
 
 // RunApp starts a constructed application on a host and registers it.
 func (m *Middleware) RunApp(ctx context.Context, host string, inst *app.Application) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
-	}
-	if err := rt.Engine.Run(inst); err != nil {
+	rt, err := m.host(host)
+	if err != nil {
 		return err
 	}
-	if rt.Replicator != nil {
-		// A restart after a graceful stop lifts the snapshot retirement.
-		rt.Replicator.Reinstate(inst.Name())
-	}
-	if err := m.registerApp(ctx, registry.AppRecord{
-		Name: inst.Name(), Host: host, Space: rt.Space,
-		Description: inst.Description(), Components: inst.Components(),
-		Running: true,
-	}); err != nil {
-		return err
-	}
-	m.Kernel.PublishTyped("core", ctxkernel.AppStartedEvent{
-		App: inst.Name(), Host: host, At: m.Clock.Now(),
-	})
-	return nil
+	return rt.Run(ctx, inst)
 }
 
-// StopApp gracefully stops a running application on a host: the instance
-// is suspended and removed from the engine, its replicated snapshot is
-// tombstoned (so failover never resurrects a deliberately stopped app),
-// and its registry record is unregistered — federation-wide when
-// clustered.
+// StopApp gracefully stops a running application on a host
+// (HostRuntime.Stop).
 func (m *Middleware) StopApp(ctx context.Context, host, appName string) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
-	}
-	// Remove from the engine LAST: if retiring or unregistering fails
-	// mid-way, the app must stay addressable so a retried StopApp can
-	// complete the tombstone path instead of erroring on a ghost.
-	inst, ok := rt.Engine.App(appName)
-	if !ok {
-		return fmt.Errorf("core: %w: no running app %q on %s", ctl.ErrAppNotFound, appName, host)
-	}
-	if inst.State() == app.Running {
-		if err := inst.Suspend(); err != nil {
-			return err
-		}
-	}
-	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
-	defer cancel()
-	stopRecords := func() error {
-		if m.Cluster != nil {
-			if center, ok := m.Cluster.Center(rt.Space); ok {
-				if rt.Replicator != nil {
-					if err := ignoreNotDurable(rt.Replicator.Retire(ctx, appName)); err != nil {
-						return err
-					}
-				}
-				return ignoreNotDurable(center.UnregisterApp(ctx, appName, host))
-			}
-		}
-		return m.Registry.UnregisterApp(appName, host)
-	}
-	if err := stopRecords(); err != nil {
+	rt, err := m.host(host)
+	if err != nil {
 		return err
 	}
-	rt.Engine.Remove(appName)
-	m.Kernel.PublishTyped("core", ctxkernel.AppStoppedEvent{
-		App: appName, Host: host, At: m.Clock.Now(),
-	})
-	return nil
+	return rt.Stop(ctx, appName)
 }
 
-// registerApp records an installation at the host's space center when
-// clustered, else at the single registry center.
-func (m *Middleware) registerApp(ctx context.Context, rec registry.AppRecord) error {
-	if m.Cluster != nil {
-		if center, ok := m.Cluster.Center(rec.Space); ok {
-			return ignoreNotDurable(center.RegisterApp(ctx, rec))
-		}
-	}
-	return m.Registry.RegisterApp(rec)
-}
-
-// InstallApp provisions an application skeleton factory on a host (the
-// "application exists at destination" case) and records the installed
-// components at the registry.
+// InstallApp provisions an application skeleton factory on a host
+// (HostRuntime.Install).
 func (m *Middleware) InstallApp(ctx context.Context, host, appName string, desc wsdl.Description, components []string, factory func(host string) *app.Application) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
+	rt, err := m.host(host)
+	if err != nil {
+		return err
 	}
-	rt.Engine.InstallFactory(appName, factory)
-	return m.registerApp(ctx, registry.AppRecord{
-		Name: appName, Host: host, Space: rt.Space,
-		Description: desc, Components: components,
-	})
+	return rt.Install(ctx, appName, desc, components, factory)
 }
 
 // RegisterResource records a resource in the registry center — the
@@ -812,7 +652,7 @@ func (m *Middleware) RegisterResource(res owl.Resource) error {
 	if m.Cluster != nil {
 		if space, ok := m.Directory.SpaceOfHost(res.Host); ok {
 			if center, ok := m.Cluster.Center(space); ok {
-				return ignoreNotDurable(center.RegisterResource(context.Background(), res))
+				return state.IgnoreNotDurable(center.RegisterResource(context.Background(), res))
 			}
 		}
 	}
@@ -874,35 +714,18 @@ func (m *Middleware) Walk(ctx context.Context, script sensor.Script) error {
 	return w.Run(ctx, script, m.Fusion.Consume)
 }
 
-// Migrate follow-mes a running application to destHost with the given
-// binding mode, planning against the deployment's catalog, and reports
-// the outcome on the kernel as a typed app.migrated / app.migrate-failed
-// event — the control plane's migration entry point, sharing the agents'
-// event contract so a Watch stream sees operator- and agent-driven moves
-// identically.
+// Migrate follow-mes a running application, wherever it runs, to destHost
+// (HostRuntime.Migrate on the host that holds it).
 func (m *Middleware) Migrate(ctx context.Context, appName, destHost string, binding migrate.BindingMode) (migrate.Report, error) {
 	_, srcHost, ok := m.FindApp(appName)
 	if !ok {
 		return migrate.Report{}, fmt.Errorf("core: %w: %q is not running anywhere", ctl.ErrAppNotFound, appName)
 	}
-	if _, ok := m.Host(destHost); !ok {
-		return migrate.Report{}, fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, destHost)
-	}
-	rt, _ := m.Host(srcHost)
-	rep, err := rt.Engine.FollowMe(ctx, appName, destHost, binding, owl.MatchSemantic)
-	now := m.Clock.Now()
-	if err != nil {
-		m.Kernel.PublishTyped("core", ctxkernel.AppMigrateFailedEvent{
-			App: appName, Dest: destHost, Reason: "control plane", Error: err.Error(), At: now,
-		})
+	if _, err := m.host(destHost); err != nil {
 		return migrate.Report{}, err
 	}
-	m.Kernel.PublishTyped("core", ctxkernel.AppMigratedEvent{
-		App: appName, Dest: destHost, Mode: migrate.FollowMe.String(), Reason: "control plane",
-		SuspendMs: rep.Suspend.Milliseconds(), MigrateMs: rep.Migrate.Milliseconds(),
-		ResumeMs: rep.Resume.Milliseconds(), Bytes: rep.BytesMoved, At: now,
-	})
-	return rep, nil
+	rt, _ := m.Host(srcHost)
+	return rt.Migrate(ctx, appName, destHost, binding)
 }
 
 // WaitAppOn blocks until the app runs on host, the timeout expires, or
@@ -912,9 +735,9 @@ func (m *Middleware) Migrate(ctx context.Context, appName, destHost string, bind
 // engine on each; a coarse poll remains only as a fallback for arrival
 // paths that bypass the kernel. A zero timeout waits on ctx alone.
 func (m *Middleware) WaitAppOn(ctx context.Context, appName, host string, timeout time.Duration) error {
-	rt, ok := m.Host(host)
-	if !ok {
-		return fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
+	rt, err := m.host(host)
+	if err != nil {
+		return err
 	}
 	if timeout > 0 {
 		var cancel context.CancelFunc

@@ -158,10 +158,6 @@ func (h *watchHub) close() { h.kernel.Unsubscribe(h.subID) }
 // several endpoints (the in-process deployment serves one per space).
 type Server struct {
 	b Backend
-	// OpTimeout bounds each operation handler (transport handlers carry
-	// no caller deadline). Zero takes a minute — migrations move real
-	// megabytes.
-	OpTimeout time.Duration
 	// RingSize is the replay ring's capacity in events (zero takes
 	// defaultRingSize). Set before the first watch arrives.
 	RingSize int
@@ -185,12 +181,9 @@ func (s *Server) ringSize() int {
 	return defaultRingSize
 }
 
-func (s *Server) timeout() time.Duration {
-	if s.OpTimeout > 0 {
-		return s.OpTimeout
-	}
-	return time.Minute
-}
+// opTimeout bounds each operation handler (transport handlers carry no
+// caller deadline). A minute — migrations move real megabytes.
+const opTimeout = time.Minute
 
 // handle wraps an operation handler with the sealed-request version
 // check and the server's operation deadline.
@@ -200,7 +193,7 @@ func handle[Req any](s *Server, fn func(ctx context.Context, req Req) (any, erro
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), s.timeout())
+		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		defer cancel()
 		out, err := fn(ctx, req)
 		if err != nil {
@@ -303,7 +296,7 @@ func (s *Server) Serve(ep *transport.Endpoint) *Server {
 		if err != nil {
 			return nil, err
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), s.timeout())
+		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		defer cancel()
 		return nil, s.b.PushBundle(ctx, name, raw)
 	})

@@ -3,7 +3,6 @@ package migrate
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -44,6 +43,7 @@ type Catalog interface {
 	RegisterApp(ctx context.Context, rec registry.AppRecord) error
 	Device(ctx context.Context, host string) (wsdl.DeviceProfile, bool, error)
 	PlanRebinding(ctx context.Context, src owl.Resource, destHost string, mode owl.MatchMode) (owl.Rebinding, error)
+	UnregisterApp(ctx context.Context, name, host string) error
 }
 
 var _ Catalog = (*registry.Client)(nil)
@@ -61,6 +61,11 @@ func (d Direct) LookupApp(_ context.Context, name, host string) (registry.AppRec
 // RegisterApp implements Catalog.
 func (d Direct) RegisterApp(_ context.Context, rec registry.AppRecord) error {
 	return d.R.RegisterApp(rec)
+}
+
+// UnregisterApp implements Catalog.
+func (d Direct) UnregisterApp(_ context.Context, name, host string) error {
+	return d.R.UnregisterApp(name, host)
 }
 
 // Device implements Catalog.
@@ -574,7 +579,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		// demotion: the record landed at the center and anti-entropy
 		// retries replication, so the stale-record risk the note warns
 		// about does not exist.
-		if err := e.cat.RegisterApp(demoteCtx, srcRec); err != nil && !errors.Is(err, state.ErrNotDurable) {
+		if err := state.IgnoreNotDurable(e.cat.RegisterApp(demoteCtx, srcRec)); err != nil {
 			demoteNote = append(demoteNote, "source record not demoted: "+err.Error())
 		}
 	}

@@ -58,6 +58,19 @@ var (
 	ErrNotDurable = errors.New("state: write acknowledged locally but not durable")
 )
 
+// IgnoreNotDurable treats a durability shortfall as success for callers
+// that only need the write to land locally: the record still replicates
+// via anti-entropy, and the shortfall already surfaced as a
+// cluster.degraded kernel event. Callers that must KNOW the write is on
+// peers (the replicator, the durability bench) check the error
+// themselves.
+func IgnoreNotDurable(err error) error {
+	if errors.Is(err, ErrNotDurable) {
+		return nil
+	}
+	return err
+}
+
 // frameVersion is the current frame-format version. Decoders accept any
 // version up to this one (there is only one so far).
 const frameVersion = 1
