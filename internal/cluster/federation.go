@@ -40,8 +40,12 @@ type Center struct {
 	// and invalidated by tombstones. Failover prefers it over a fresher
 	// head record that only ever existed on one center.
 	durable map[string]Record
-	peers   map[string]string // peer space -> endpoint name
-	rng     *rand.Rand
+	// chains is, per live snapshot record, the chain its persisted head
+	// names (snapstore.go); absent while the store holds the record in
+	// any other form.
+	chains map[string]diskChain
+	peers  map[string]string // peer space -> endpoint name
+	rng    *rand.Rand
 
 	// reachable, when set, is the membership view: whether a peer space's
 	// center is currently believed reachable. Durable writes consult it
@@ -66,6 +70,9 @@ type Center struct {
 	mNack    *obs.Counter   // failed deliveries + backlog refusals
 	mRejects *obs.Counter   // inbound deltas this center could not chain
 	mAckWait *obs.Histogram // synchronous write-concern ack wait
+	// mPersistErrs counts writes the store refused; each one failed the
+	// put, delta apply or push it belonged to instead of being acked.
+	mPersistErrs *obs.Counter
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -107,6 +114,7 @@ func NewCenter(space string, reg *registry.Registry, ep *transport.Endpoint, cfg
 		cfg:     cfg,
 		records: make(map[string]Record),
 		durable: make(map[string]Record),
+		chains:  make(map[string]diskChain),
 		peers:   make(map[string]string),
 		rng:     rand.New(rand.NewSource(cfg.Seed + int64(len(space)))),
 		pushers: make(map[string]chan pushItem),
@@ -117,19 +125,10 @@ func NewCenter(space string, reg *registry.Registry, ep *transport.Endpoint, cfg
 		mNack:    obs.Default.Counter("mdagent_fed_nack_total", "space", space),
 		mRejects: obs.Default.Counter("mdagent_fed_delta_rejects_total", "space", space),
 		mAckWait: obs.Default.Histogram("mdagent_fed_ack_wait_ns", "space", space),
+
+		mPersistErrs: obs.Default.Counter("mdagent_fed_persist_errors_total", "space", space),
 	}
-	db := reg.Store()
-	_ = db.Scan(fedKeyPrefix, func(_ string, raw []byte) error {
-		var r Record
-		if err := transport.Decode(raw, &r); err != nil {
-			return nil // corrupt frame; the peer re-offers it via anti-entropy
-		}
-		c.records[r.Key] = r
-		if r.Kind == RecordSnapshot && !r.Deleted && r.Snap.Durable {
-			c.durable[r.Key] = r // durability metadata survives a restart
-		}
-		return nil
-	})
+	c.loadRecords()
 	ep.Handle(MsgFedDigest, c.handleDigest)
 	ep.Handle(MsgFedPush, c.handlePush)
 	ep.Handle(MsgFedSnapDelta, c.handleSnapDelta)
@@ -251,9 +250,13 @@ func (c *Center) markDurable(key string, ver vclock.Version) {
 		return
 	}
 	rec.Snap.Durable = true
-	c.records[key] = rec
-	c.persist(rec)
-	c.durable[key] = rec
+	// A mark the store refused stays off this copy (counted, and the
+	// stash keeps its older record); the write itself did meet its
+	// concern, so the peers holding it are still told.
+	if c.persist(rec, headOnly) == nil {
+		c.records[key] = rec
+		c.durable[key] = rec
+	}
 	c.enqueuePushLocked(MsgFedDurable, transport.MustEncode(durableMsg{
 		From: c.space, Key: key, Version: ver.Clone(),
 	}), key, nil)
@@ -274,8 +277,10 @@ func (c *Center) handleDurable(msg transport.Message) ([]byte, error) {
 		return nil, nil // different (or newer) state here: nothing to stamp
 	}
 	rec.Snap.Durable = true
+	if err := c.persist(rec, headOnly); err != nil {
+		return nil, err
+	}
 	c.records[m.Key] = rec
-	c.persist(rec)
 	c.durable[m.Key] = rec
 	return nil, nil
 }
@@ -391,6 +396,7 @@ func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.
 		snap.Seq++
 		snap.Host, snap.Space, snap.At = put.Host, put.Space, put.At
 		snap.StateDigest = put.NewDigest
+		snap.Durable = false // the base's mark is not this write's: markDurable stamps it once acked
 		rec = Record{Key: key, Kind: RecordSnapshot, Snap: snap}
 	} else {
 		rec = Record{Key: key, Kind: RecordSnapshot, Snap: state.SnapshotRecord{
@@ -401,8 +407,15 @@ func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.
 	}
 	rec.Version = prev.Version.Tick(c.space)
 	rec.Origin = c.space
+	scope := wholeRecord
+	if put.Delta {
+		scope = newestDelta
+	}
+	if err := c.persist(rec, scope); err != nil {
+		c.mu.Unlock()
+		return state.SnapshotStamp{}, err
+	}
 	c.records[key] = rec
-	c.persist(rec)
 	stamp := state.SnapshotStamp{Seq: rec.Snap.Seq, BaseSeq: rec.Snap.BaseSeq, Chain: len(rec.Snap.Deltas)}
 	peerCount := len(c.peers)
 	required := requiredAcks(wc, len(c.peers))
@@ -610,8 +623,9 @@ func (c *Center) compactIfHeavy(key string) {
 	cur.Snap.Frame = frame
 	cur.Snap.BaseSeq = cur.Snap.Seq
 	cur.Snap.Deltas = nil
-	c.records[key] = cur
-	c.persist(cur)
+	if c.persist(cur, wholeRecord) == nil { // refused: the uncompacted record stays, in memory as on disk
+		c.records[key] = cur
+	}
 }
 
 // handleSnapDelta appends a peer's delta push to our copy of the record
@@ -666,8 +680,12 @@ func (c *Center) handleSnapDelta(msg transport.Message) ([]byte, error) {
 	rec.Snap.Durable = false // this copy's durability is the writer's call
 	rec.Version = m.Version.Clone()
 	rec.Origin = m.From
+	if err := c.persist(rec, newestDelta); err != nil {
+		// Not stored, so not held: the pusher must not book this ack.
+		c.mu.Unlock()
+		return nack, nil
+	}
 	c.records[m.Key] = rec
-	c.persist(rec)
 	c.mu.Unlock()
 	c.compactIfHeavy(m.Key)
 	return transport.Encode(snapDeltaAck{Applied: true})
@@ -858,15 +876,18 @@ func (c *Center) writeStamped(ctx context.Context, r Record) (Record, error) {
 	r.Origin = c.space
 	if r.Kind == RecordSnapshot {
 		r.Snap.Seq = prev.Snap.Seq + 1
-		if r.Deleted {
-			// A graceful-stop tombstone invalidates the durable stash:
-			// failover must never restore a deliberately stopped app from
-			// its last quorum-acked snapshot.
-			delete(c.durable, r.Key)
-		}
+	}
+	if err := c.persist(r, wholeRecord); err != nil {
+		c.mu.Unlock()
+		return r, err
+	}
+	if r.Kind == RecordSnapshot && r.Deleted {
+		// A graceful-stop tombstone invalidates the durable stash:
+		// failover must never restore a deliberately stopped app from
+		// its last quorum-acked snapshot.
+		delete(c.durable, r.Key)
 	}
 	c.records[r.Key] = r
-	c.persist(r)
 	err := c.applyToRegistry(r)
 	required := requiredAcks(wc, len(c.peers))
 	degraded := required > 0 && reach >= 0 && reach < required
@@ -908,14 +929,6 @@ func (c *Center) writeStamped(ctx context.Context, r Record) (Record, error) {
 	return r, nil
 }
 
-// persist writes a record's replication state through to the registry's
-// store (a no-op cost for memory-backed stores); callers hold c.mu.
-func (c *Center) persist(r Record) {
-	if raw, err := transport.Encode(r); err == nil {
-		_ = c.reg.Store().Put(fedKeyPrefix+r.Key, raw)
-	}
-}
-
 // apply installs a remotely received record if its version wins,
 // mirroring it into the local registry. Concurrent versions resolve
 // deterministically (higher origin space wins) with the merged vector,
@@ -934,15 +947,19 @@ func (c *Center) apply(r Record) (bool, error) {
 			merged := r.Version.Merge(ex.Version)
 			if !concurrentWins(r, ex) {
 				ex.Version = merged
+				if err := c.persist(ex, headOnly); err != nil {
+					return false, err
+				}
 				c.records[r.Key] = ex
-				c.persist(ex)
 				return false, nil
 			}
 			r.Version = merged
 		}
 	}
+	if err := c.persist(r, wholeRecord); err != nil {
+		return false, err
+	}
 	c.records[r.Key] = r
-	c.persist(r)
 	if r.Kind == RecordSnapshot {
 		if r.Deleted {
 			// A replicated tombstone invalidates the durable stash too.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mdagent/internal/app"
@@ -69,8 +70,19 @@ type Stats struct {
 	NotDurable int64
 }
 
-// track is one app's publisher-side view of the replication chain.
+// track is one app's publisher-side view of the replication chain, and
+// that app's publish slot: mu is held across a capture, its encode, the
+// Publisher call and the bookkeeping update, so an app publishes one
+// capture at a time (the acked base a delta is computed against cannot
+// move under it) while distinct apps publish concurrently.
 type track struct {
+	mu sync.Mutex
+	// retired is set by a Retire that removed this track from the table,
+	// before it waits for the slot: a publisher already queued for the
+	// slot must look the app up again once it gets it, whichever of the
+	// two wins the lock, rather than publish over the tombstone.
+	retired atomic.Bool
+
 	inst     *app.Application             // instance the fast-path counter belongs to
 	haveBase bool                         // a full frame has been acked
 	digest   [sha256.Size]byte            // canonical digest of the last acked state
@@ -115,10 +127,9 @@ type Replicator struct {
 	hooked    map[*app.Application]int // instance -> its OnRecord hook id
 	onPublish func(SnapshotPut, SnapshotStamp)
 
-	// pubMu serializes publishes: it is held across the capture, the
-	// Publisher call, and the bookkeeping update, so concurrent captures
-	// (periodic loop vs. OnRecord hook) publish one at a time and a
-	// retirement cannot interleave with an in-flight publish.
+	// pubMu guards the tables below and nothing else — it is never held
+	// across I/O or while waiting for a track's slot. Publishes are
+	// ordered per app by track.mu (lock order: track.mu, then pubMu).
 	pubMu   sync.Mutex
 	tracks  map[string]*track
 	retired map[string]bool // gracefully stopped apps: refuse publishes
@@ -257,17 +268,20 @@ func (r *Replicator) observe(inst *app.Application) {
 		}
 		// Off the recording goroutine: Record fires mid-migration inside
 		// the suspend window, which must not pay for a state encode and a
-		// center write. pubMu serializes with the periodic loop, and any
-		// misordering self-heals within one capture interval. Untracked
-		// on purpose (like the federation's pushAsync): a publish racing
-		// Stop fails harmlessly, and tying it to r.wg would race Stop's
-		// Wait.
+		// center write. The app's slot serializes with the periodic loop,
+		// and any misordering self-heals within one capture interval.
+		// Untracked on purpose (like the federation's pushAsync): a
+		// publish racing Stop fails harmlessly, and tying it to r.wg
+		// would race Stop's Wait.
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), r.interval*4+time.Second)
 			defer cancel()
-			r.pubMu.Lock()
-			pending, _ := r.publishWrapLocked(ctx, inst, ts.Wrap, ts.At, ts.ChangeSeq, inst.FullyTracked(), false)
-			r.pubMu.Unlock()
+			tr := r.slot(ts.Wrap.App)
+			if tr == nil {
+				return
+			}
+			pending, _ := r.publishWrapLocked(ctx, tr, inst, ts.Wrap, ts.At, ts.ChangeSeq, inst.FullyTracked(), false)
+			tr.mu.Unlock()
 			r.notify(pending)
 		}()
 	})
@@ -323,35 +337,66 @@ func (r *Replicator) Capture(ctx context.Context, inst *app.Application) error {
 	return err
 }
 
+// slot returns the app's track with its publish slot held (the caller
+// unlocks tr.mu), creating the track on first use, or nil when the app
+// is retired. The table lock is released before the wait for the slot,
+// so a publish in flight for one app never holds up another's.
+func (r *Replicator) slot(appName string) *track {
+	for {
+		r.pubMu.Lock()
+		if r.retired[appName] {
+			r.pubMu.Unlock()
+			return nil
+		}
+		tr := r.tracks[appName]
+		if tr == nil {
+			tr = &track{}
+			r.tracks[appName] = tr
+		}
+		r.pubMu.Unlock()
+		tr.mu.Lock()
+		if !tr.retired.Load() {
+			return tr
+		}
+		tr.mu.Unlock() // retired while we waited: re-check the table
+	}
+}
+
+// count updates the replication counters under the table lock.
+func (r *Replicator) count(f func(*Stats)) {
+	r.pubMu.Lock()
+	f(&r.stats)
+	r.pubMu.Unlock()
+}
+
 // capture is Capture with pacing control; it returns the notification to
-// fire once pubMu is released — publish observers run arbitrary kernel
+// fire once the slot is released — publish observers run arbitrary kernel
 // subscribers, which must be free to call back into the replicator
-// (Stats, Retire via StopApp) without self-deadlocking on pubMu.
+// (Stats, Retire via StopApp) without self-deadlocking.
 func (r *Replicator) capture(ctx context.Context, inst *app.Application, force bool) (*pendingPublish, error) {
 	appName := inst.Name()
-	r.pubMu.Lock()
-	defer r.pubMu.Unlock()
-	if r.retired[appName] {
+	tr := r.slot(appName)
+	if tr == nil {
 		return nil, nil
 	}
-	tr := r.tracks[appName]
-	if !force && tr != nil && !tr.nextAt.IsZero() && time.Now().Before(tr.nextAt) {
-		r.stats.SkippedBudget++
+	defer tr.mu.Unlock()
+	if !force && !tr.nextAt.IsZero() && time.Now().Before(tr.nextAt) {
+		r.count(func(s *Stats) { s.SkippedBudget++ })
 		return nil, nil // size-aware cadence: this app's byte budget is spent
 	}
 	// Read the counter before any serialization: a mutation landing
 	// mid-capture then looks newer than what we ship and re-captures.
 	seqNow := inst.ChangeSeq()
 	tracked := inst.FullyTracked()
-	if tr != nil && tr.haveBase && tr.seqValid && tr.inst == inst && tracked && tr.changeSeq == seqNow {
-		r.stats.SkippedClean++
+	if tr.haveBase && tr.seqValid && tr.inst == inst && tracked && tr.changeSeq == seqNow {
+		r.count(func(s *Stats) { s.SkippedClean++ })
 		r.mSkipClean.Inc()
 		return nil, nil
 	}
 
 	// Cheapest viable capture: with a valid counter baseline, serialize
 	// only the components that changed since it.
-	if tr != nil && tr.haveBase && tr.seqValid && tr.inst == inst && tracked {
+	if tr.haveBase && tr.seqValid && tr.inst == inst && tracked {
 		changed := inst.ChangedSince(tr.changeSeq)
 		if changed == nil {
 			changed = []string{} // coordinator/profile-only change: empty component set
@@ -360,7 +405,7 @@ func (r *Replicator) capture(ctx context.Context, inst *app.Application, force b
 		if err != nil {
 			return nil, fmt.Errorf("state: capture %s: %w", appName, err)
 		}
-		return r.publishWrapLocked(ctx, inst, w, r.clock.Now(), seqNow, tracked, true)
+		return r.publishWrapLocked(ctx, tr, inst, w, r.clock.Now(), seqNow, tracked, true)
 	}
 
 	// No usable baseline (first capture, untracked components, restart,
@@ -370,11 +415,11 @@ func (r *Replicator) capture(ctx context.Context, inst *app.Application, force b
 	if err != nil {
 		return nil, fmt.Errorf("state: capture %s: %w", appName, err)
 	}
-	return r.publishWrapLocked(ctx, inst, w, r.clock.Now(), seqNow, tracked, false)
+	return r.publishWrapLocked(ctx, tr, inst, w, r.clock.Now(), seqNow, tracked, false)
 }
 
 // pendingPublish is a successful publish awaiting its observer
-// notification, fired only after pubMu is released.
+// notification, fired only after the slot is released.
 type pendingPublish struct {
 	put   SnapshotPut
 	stamp SnapshotStamp
@@ -382,23 +427,16 @@ type pendingPublish struct {
 
 // publishWrapLocked ships one captured wrap (partial — changed
 // components only — or full) as a delta frame when the publisher holds
-// the matching base, else as a full frame. Callers hold pubMu and fire
-// the returned notification after releasing it.
+// the matching base, else as a full frame. Callers hold the app's slot
+// (tr.mu, from slot — which is where a retired app is refused, so
+// nothing here can overwrite a tombstone) and fire the returned
+// notification after releasing it.
 //
 // partial marks w as containing only the components changed since the
 // track's baseline; a full frame can then only be built by re-wrapping
 // the instance.
-func (r *Replicator) publishWrapLocked(ctx context.Context, inst *app.Application, w app.Wrap, at time.Time, seq uint64, seqValid, partial bool) (*pendingPublish, error) {
+func (r *Replicator) publishWrapLocked(ctx context.Context, tr *track, inst *app.Application, w app.Wrap, at time.Time, seq uint64, seqValid, partial bool) (*pendingPublish, error) {
 	appName := w.App
-	if r.retired[appName] {
-		return nil, nil // gracefully stopped: nothing may overwrite the tombstone
-	}
-	tr := r.tracks[appName]
-	if tr == nil {
-		tr = &track{}
-		r.tracks[appName] = tr
-	}
-
 	// Fold this capture's component digests over the acked state's.
 	sums := make(map[string][sha256.Size]byte, len(tr.compSums)+len(w.Components))
 	if partial {
@@ -413,7 +451,7 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, inst *app.Applicatio
 	if tr.haveBase && digest == tr.digest {
 		// Content-identical (counter moved but values did not, or an
 		// explicit snapshot of already-replicated state).
-		r.stats.SkippedDigest++
+		r.count(func(s *Stats) { s.SkippedDigest++ })
 		r.noteAcked(tr, inst, seq, seqValid, sums, digest)
 		return nil, nil
 	}
@@ -447,7 +485,7 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, inst *app.Applicatio
 		}
 		if tr.chain+1 > r.tune.RebaseEvery ||
 			float64(tr.deltaBytes)+float64(deltaSize) > r.tune.RebaseFraction*float64(tr.baseBytes) {
-			r.stats.Rebaselines++
+			r.count(func(s *Stats) { s.Rebaselines++ })
 			useDelta = false
 		}
 	}
@@ -467,10 +505,12 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, inst *app.Applicatio
 		stamp, err := r.pub.PutSnapshot(ctx, put)
 		switch {
 		case err == nil:
-			r.stats.Publishes++
-			r.stats.DeltaFrames++
-			r.stats.BytesPublished += int64(len(frame))
-			r.stats.DeltaBytes += int64(len(frame))
+			r.count(func(s *Stats) {
+				s.Publishes++
+				s.DeltaFrames++
+				s.BytesPublished += int64(len(frame))
+				s.DeltaBytes += int64(len(frame))
+			})
 			r.mPublishes.Inc()
 			r.mDeltaBytes.Add(int64(len(frame)))
 			tr.digest = digest
@@ -496,7 +536,7 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, inst *app.Applicatio
 			// center's copy moved past our base, so the retry degrades to
 			// a full frame) until a put meets the concern. Pace the retry
 			// like a publish so the loop honors the byte budget.
-			r.stats.NotDurable++
+			r.count(func(s *Stats) { s.NotDurable++ })
 			r.mNotDurable.Inc()
 			r.paceLocked(tr, len(frame))
 			return nil, nil
@@ -535,7 +575,7 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, inst *app.Applicatio
 	if errors.Is(err, ErrNotDurable) {
 		// Landed locally, short of its write concern: re-queue (see the
 		// delta path above) rather than advancing the acked base.
-		r.stats.NotDurable++
+		r.count(func(s *Stats) { s.NotDurable++ })
 		r.mNotDurable.Inc()
 		r.paceLocked(tr, len(frame))
 		return nil, nil
@@ -543,10 +583,12 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, inst *app.Applicatio
 	if err != nil {
 		return nil, fmt.Errorf("state: replicate %s: %w", appName, err)
 	}
-	r.stats.Publishes++
-	r.stats.FullFrames++
-	r.stats.BytesPublished += int64(len(frame))
-	r.stats.FullBytes += int64(len(frame))
+	r.count(func(s *Stats) {
+		s.Publishes++
+		s.FullFrames++
+		s.BytesPublished += int64(len(frame))
+		s.FullBytes += int64(len(frame))
+	})
 	r.mPublishes.Inc()
 	r.mFullBytes.Add(int64(len(frame)))
 	tr.haveBase = true
@@ -563,7 +605,7 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, inst *app.Applicatio
 }
 
 // noteAcked records the counter baseline the next dirty fast path checks
-// against. Callers hold pubMu.
+// against. Callers hold the track's slot.
 func (r *Replicator) noteAcked(tr *track, inst *app.Application, seq uint64, seqValid bool, sums map[string][sha256.Size]byte, digest [sha256.Size]byte) {
 	tr.inst = inst
 	tr.changeSeq = seq
@@ -573,11 +615,11 @@ func (r *Replicator) noteAcked(tr *track, inst *app.Application, seq uint64, seq
 }
 
 // paceLocked defers the app's next periodic capture in proportion to the
-// bytes just published. Callers hold pubMu. Wall-clock on purpose, not
-// r.clock: the capture loop runs on a real ticker even under virtual
-// clocks (a virtual clock advances only by charged costs and would
-// freeze the deferral window forever), so the pacing window must be
-// measured on the same axis the loop runs on.
+// bytes just published. Callers hold the track's slot. Wall-clock on
+// purpose, not r.clock: the capture loop runs on a real ticker even
+// under virtual clocks (a virtual clock advances only by charged costs
+// and would freeze the deferral window forever), so the pacing window
+// must be measured on the same axis the loop runs on.
 func (r *Replicator) paceLocked(tr *track, frameBytes int) {
 	if r.tune.BudgetBytesPerSec <= 0 {
 		return
@@ -606,12 +648,21 @@ func (r *Replicator) notify(p *pendingPublish) {
 // application stops gracefully on this host. Further publishes for the
 // app are refused (even ones already captured and racing this call)
 // until Reinstate, so the tombstone cannot be overwritten by a stale
-// in-flight snapshot.
+// in-flight snapshot: the app is marked retired first, so no new publish
+// starts; then the slot is taken, which waits out a publish already in
+// flight and turns back every publisher queued behind it; only then is
+// the tombstone written.
 func (r *Replicator) Retire(ctx context.Context, appName string) error {
 	r.pubMu.Lock()
 	r.retired[appName] = true
+	tr := r.tracks[appName]
 	delete(r.tracks, appName)
 	r.pubMu.Unlock()
+	if tr != nil {
+		tr.retired.Store(true)
+		tr.mu.Lock() // a publish in flight holds the slot until it is done
+		tr.mu.Unlock()
+	}
 	return r.pub.DropSnapshot(ctx, appName, r.host)
 }
 
@@ -627,8 +678,11 @@ func (r *Replicator) Reinstate(appName string) {
 // capture publishes a full frame even if its content is unchanged — used
 // when a superseded replica's stale snapshot may have claimed the
 // federation's latest slot and must be re-superseded by the live copy.
+// The baseline is reset under the app's slot, so a capture in flight
+// finishes against the old one and the next starts from nothing.
 func (r *Replicator) ForceRepublish(appName string) {
-	r.pubMu.Lock()
-	delete(r.tracks, appName)
-	r.pubMu.Unlock()
+	if tr := r.slot(appName); tr != nil {
+		tr.haveBase, tr.seqValid, tr.nextAt = false, false, time.Time{}
+		tr.mu.Unlock()
+	}
 }
