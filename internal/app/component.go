@@ -12,11 +12,11 @@
 package app
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"sync"
+
+	"mdagent/internal/gobcodec"
 )
 
 // ComponentKind classifies migratable application parts, following the
@@ -231,17 +231,17 @@ func (s *StateComponent) SizeBytes() int64 {
 func (s *StateComponent) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.fields); err != nil {
+	b, err := gobcodec.Encode(s.fields)
+	if err != nil {
 		return nil, fmt.Errorf("app: state snapshot: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // Restore implements Component.
 func (s *StateComponent) Restore(state []byte) error {
 	fields := make(map[string]string)
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&fields); err != nil {
+	if err := gobcodec.Decode(state, &fields); err != nil {
 		return fmt.Errorf("app: state restore: %w", err)
 	}
 	s.mu.Lock()

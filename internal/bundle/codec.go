@@ -5,11 +5,11 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 
 	"mdagent/internal/app"
+	"mdagent/internal/gobcodec"
 	"mdagent/internal/state"
 )
 
@@ -70,15 +70,15 @@ func Pack(m Manifest, w *app.Wrap, key ed25519.PrivateKey) ([]byte, error) {
 		}
 	}
 
-	var manifestBody bytes.Buffer
-	if err := gob.NewEncoder(&manifestBody).Encode(&m); err != nil {
+	manifestBody, err := gobcodec.Encode(&m)
+	if err != nil {
 		return nil, fmt.Errorf("bundle: pack %s: encode manifest: %w", m.App, err)
 	}
 
-	buf := make([]byte, 0, headerLen+2*sectionOverhead+manifestBody.Len())
+	buf := make([]byte, 0, headerLen+2*sectionOverhead+len(manifestBody))
 	buf = append(buf, magic[:]...)
 	buf = append(buf, Version)
-	buf = appendSection(buf, secManifest, manifestBody.Bytes())
+	buf = appendSection(buf, secManifest, manifestBody)
 	if w != nil {
 		frame, err := state.EncodeWrap(*w)
 		if err != nil {
@@ -206,7 +206,7 @@ func decode(raw []byte, trusted []ed25519.PublicKey, checkTrust bool) (*Bundle, 
 	}
 
 	b := &Bundle{Key: pub}
-	if err := gob.NewDecoder(bytes.NewReader(manifestSec.payload)).Decode(&b.Manifest); err != nil {
+	if err := gobcodec.Decode(manifestSec.payload, &b.Manifest); err != nil {
 		return nil, fmt.Errorf("%w: decode manifest: %v", ErrCorrupt, err)
 	}
 	if err := b.Manifest.Validate(); err != nil {

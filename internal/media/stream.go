@@ -49,9 +49,8 @@ func ServeLibrary(lib *Library, ep *transport.Endpoint) {
 		if req.Length > 0 && req.Offset+req.Length < end {
 			end = req.Offset + req.Length
 		}
-		chunk := make([]byte, end-req.Offset)
-		copy(chunk, f.Data[req.Offset:end])
-		return transport.Encode(fetchReply{Data: chunk, EOF: end == f.Size()})
+		// Encode only reads the slice; the reply is its own copy.
+		return transport.Encode(fetchReply{Data: f.Data[req.Offset:end], EOF: end == f.Size()})
 	})
 	ep.Handle(MsgMeta, func(m transport.Message) ([]byte, error) {
 		var req fetchReq

@@ -2,7 +2,9 @@ package migrate
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -644,5 +646,66 @@ func TestFollowMeWarmFallsBackWhenBaseLost(t *testing.T) {
 	}
 	if got := playbackPos(t, instA); got != "240000" {
 		t.Fatalf("fallback position = %q, want 240000", got)
+	}
+}
+
+// An application that returns to the host owning its data binds to that
+// data directly: it must not open a media stream from the host to itself
+// and keep a url pointing at where it already is.
+func TestFollowMeBackToDataOwnerBindsLocally(t *testing.T) {
+	r := newRig(t, songSize)
+	r.startPlayer(t, songSize)
+	ctx := ctxT(t)
+
+	if _, err := r.engA.FollowMe(ctx, "player", "hostB", BindingAdaptive, owl.MatchSemantic); err != nil {
+		t.Fatal(err)
+	}
+
+	// Return leg: any media request hostA receives now is its own.
+	mediaA, ok := r.fab.Lookup(MediaEndpointName("hostA"))
+	if !ok {
+		t.Fatal("no media endpoint on hostA")
+	}
+	var selfServed atomic.Int32
+	for _, op := range []string{media.MsgMeta, media.MsgFetch} {
+		mediaA.Handle(op, func(m transport.Message) ([]byte, error) {
+			selfServed.Add(1)
+			return nil, fmt.Errorf("%s from %s: hostA asked itself for its own data", m.Type, m.From)
+		})
+	}
+	rep, err := r.engB.FollowMe(ctx, "player", "hostA", BindingAdaptive, owl.MatchSemantic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := selfServed.Load(); n != 0 {
+		t.Fatalf("return leg issued %d media requests", n)
+	}
+	if len(rep.Rebindings) != 1 || rep.Rebindings[0].Action != owl.RebindUseLocal || rep.Rebindings[0].Target.ID != "song1" {
+		t.Fatalf("return rebindings = %+v, want use-local song1", rep.Rebindings)
+	}
+	instA, ok := r.engA.App("player")
+	if !ok {
+		t.Fatal("player not back on hostA")
+	}
+	res := instA.Resources()
+	if len(res) != 1 || res[0].ID != "song1" || res[0].Host != "hostA" {
+		t.Fatalf("resources on hostA = %+v", res)
+	}
+	if url, has := res[0].Attrs["url"]; has {
+		t.Fatalf("resource on its own host still bound by url %q", url)
+	}
+
+	// Next outward leg: the data stays behind again.
+	media.ServeLibrary(r.libA, mediaA)
+	rep, err = r.engA.FollowMe(ctx, "player", "hostB", BindingAdaptive, owl.MatchSemantic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rebindings) != 1 || rep.Rebindings[0].Action != owl.RebindRemote {
+		t.Fatalf("outward rebindings = %+v, want remote-url", rep.Rebindings)
+	}
+	instB, _ := r.engB.App("player")
+	if res := instB.Resources(); len(res) != 1 || !strings.HasPrefix(res[0].Attrs["url"], "mdagent://hostA/media/") {
+		t.Fatalf("resources on hostB = %+v, want a url to hostA", res)
 	}
 }

@@ -119,13 +119,26 @@ type Rebinding struct {
 }
 
 // PlanRebinding decides how to rebind src given the resources available at
-// the destination. Preference order follows the paper: use an equivalent
-// local resource when the ontology says one exists; otherwise carry the
+// the destination. A destination resource with src's own ID is src itself
+// — the application is moving to the host that owns it (the way back from
+// a remote-URL binding) — and is bound directly, whether or not src admits
+// substitution. Otherwise the preference order follows the paper: use an
+// equivalent local resource when the ontology says one exists; otherwise carry the
 // resource if it is transferable; otherwise fall back to a remote binding
 // if the resource can be served remotely (data resources); otherwise the
 // rebinding is impossible (e.g. a database that is neither transferable
 // nor substitutable, with no local twin).
 func (m *Matcher) PlanRebinding(src Resource, destAvail []Resource) Rebinding {
+	for _, cand := range destAvail {
+		if cand.ID == src.ID {
+			return Rebinding{
+				Source: src,
+				Action: RebindUseLocal,
+				Target: cand,
+				Reason: fmt.Sprintf("%s is hosted at the destination; binding to the resource itself", src.ID),
+			}
+		}
+	}
 	for _, cand := range destAvail {
 		if m.CanSubstitute(src, cand) {
 			return Rebinding{

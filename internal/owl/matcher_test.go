@@ -270,3 +270,27 @@ func TestSemanticCompatibilitySymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPlanRebindingSameResourceAtDestination(t *testing.T) {
+	o := stdOnto(t)
+	m := NewMatcher(o, MatchSemantic)
+	// The way back from TestPlanRebindingRemoteURLForData: the app returns
+	// to the host that owns the song. The song is not substitutable, but
+	// the destination's song1 is not a substitute — it is the song.
+	src := Resource{ID: "song1", Class: rdf.IMCL("MusicFile"), Host: "hostA", SizeBytes: 4 << 20,
+		Attrs: map[string]string{"url": "mdagent://hostA/media/song1"}}
+	o.AssertType(src.Term(), src.Class)
+	own := Resource{ID: "song1", Class: rdf.IMCL("MusicFile"), Host: "hostA", SizeBytes: 4 << 20}
+	other := Resource{ID: "song2", Class: rdf.IMCL("MusicFile"), Host: "hostA", SizeBytes: 1 << 20}
+	plan := m.PlanRebinding(src, []Resource{other, own})
+	if plan.Action != RebindUseLocal || plan.Target.ID != "song1" {
+		t.Fatalf("plan = %v -> %q, want use-local song1 (%s)", plan.Action, plan.Target.ID, plan.Reason)
+	}
+	if _, viaURL := plan.Target.Attrs["url"]; viaURL {
+		t.Fatalf("target still carries a url: %v", plan.Target.Attrs)
+	}
+	// Another song of the same class is still no stand-in.
+	if plan := m.PlanRebinding(src, []Resource{other}); plan.Action != RebindRemote {
+		t.Fatalf("plan against a different song = %v, want remote-url (%s)", plan.Action, plan.Reason)
+	}
+}

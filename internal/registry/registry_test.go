@@ -29,7 +29,7 @@ func testDesc(name string) wsdl.Description {
 	}
 }
 
-func newReg(t *testing.T) *Registry {
+func newReg(t testing.TB) *Registry {
 	t.Helper()
 	r, err := New(store.OpenMemory())
 	if err != nil {

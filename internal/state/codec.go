@@ -21,12 +21,12 @@ package state
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"mdagent/internal/app"
+	"mdagent/internal/gobcodec"
 )
 
 // Codec errors, wrapped with frame detail.
@@ -92,16 +92,16 @@ const headerLen = 10
 
 // encodeFrame gob-encodes payload and prepends the framing header.
 func encodeFrame(kind frameKind, payload any) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
+	body, err := gobcodec.Encode(payload)
+	if err != nil {
 		return nil, fmt.Errorf("state: encode frame: %w", err)
 	}
-	frame := make([]byte, headerLen, headerLen+body.Len())
+	frame := make([]byte, headerLen, headerLen+len(body))
 	copy(frame[0:4], magic[:])
 	frame[4] = frameVersion
 	frame[5] = byte(kind)
-	binary.BigEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(body.Bytes()))
-	return append(frame, body.Bytes()...), nil
+	binary.BigEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(body))
+	return append(frame, body...), nil
 }
 
 // verifyFrame validates the header and payload checksum, returning the
@@ -132,7 +132,7 @@ func decodeFrame(raw []byte, kind frameKind, out any) error {
 	if err != nil {
 		return err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(out); err != nil {
+	if err := gobcodec.Decode(body, out); err != nil {
 		return fmt.Errorf("state: decode frame: %w", err)
 	}
 	return nil

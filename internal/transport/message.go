@@ -8,12 +8,12 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
+
+	"mdagent/internal/gobcodec"
 )
 
 // Message is the unit of communication between endpoints.
@@ -85,11 +85,11 @@ func (e *RemoteError) Is(target error) bool {
 
 // Encode gob-encodes a value into a payload.
 func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	b, err := gobcodec.Encode(v)
+	if err != nil {
 		return nil, fmt.Errorf("transport: encode: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // MustEncode is Encode for values that cannot fail (no channels/funcs);
@@ -104,7 +104,7 @@ func MustEncode(v any) []byte {
 
 // Decode gob-decodes a payload into v (a pointer).
 func Decode(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+	if err := gobcodec.Decode(payload, v); err != nil {
 		return fmt.Errorf("transport: decode: %w", err)
 	}
 	return nil
