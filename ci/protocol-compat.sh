@@ -4,10 +4,14 @@
 # over real localhost TCP. Control plane: old client vs new daemon and
 # new client vs old daemon, each smoking info, ps, and one watch event.
 # Snapshot wire: old mdagentd replicating to a new mdregistry and the
-# reverse, each asserting the center lists the app's snapshot. Every wire
-# op has one encoding and no fallback, so this N<->N-1 run is the only
-# net under a wire-format break (sealed-frame layout, fast-frame layout,
-# reply shapes) that every same-version test is blind to.
+# reverse, each asserting the center lists the app's snapshot. Migration:
+# an mdagentd of one generation checks an application in at one of the
+# other; whenever the check-in encoding differs between the two, the
+# migration must fail promptly with the receiver's refusal and leave the
+# application running on the source. Every wire op has one encoding and
+# no fallback, so this N<->N-1 run is the only net under a wire-format
+# break (sealed-frame layout, fast-frame layout, reply shapes) that every
+# same-version test is blind to.
 #
 # In CI the base is merge-base with the PR's target branch; locally (or
 # on push builds) it falls back to HEAD^, or to $COMPAT_BASE when set
@@ -142,8 +146,77 @@ run_snap_pair() {
   wait "$agent_pid" "$reg_pid" 2>/dev/null || true
 }
 
+# run_migrate_pair SRC_DIR DST_DIR LABEL REFUSAL: hostA (one generation)
+# runs the player and is told to migrate it to hostB (the other). With
+# the same check-in encoding on both sides the migration succeeds and the
+# center lists the player running on hostB. Otherwise mdctl must exit
+# non-zero within 10 s — a hang is a failure — naming REFUSAL (the
+# receiver's own error text), and the center must still list the player
+# running on hostA.
+run_migrate_pair() {
+  local src=$1 dst=$2 label=$3 refusal=$4
+  echo "-- pair: $label"
+  local dir="$WORK/run-$label"
+  mkdir -p "$dir"
+
+  "$WORK/new/mdregistry" -listen 127.0.0.1:0 -space lab >"$dir/registry.log" 2>&1 &
+  local reg_pid=$!
+  wait_line "$dir/registry.log" "serving registry@lab on "
+  local reg_addr
+  reg_addr=$(addr_from "$dir/registry.log" "serving registry@lab on ")
+
+  "$dst/mdagentd" -host hostB -listen 127.0.0.1:0 -registry "$reg_addr" \
+    -space lab -install smart-media-player >"$dir/hostB.log" 2>&1 &
+  local b_pid=$!
+  wait_line "$dir/hostB.log" "serving on "
+  local b_addr
+  b_addr=$(addr_from "$dir/hostB.log" "serving on ")
+
+  "$src/mdagentd" -host hostA -listen 127.0.0.1:0 -registry "$reg_addr" \
+    -space lab -peer "hostB=$b_addr" -run smart-media-player >"$dir/hostA.log" 2>&1 &
+  local a_pid=$!
+  wait_line "$dir/hostA.log" "serving on "
+  local a_addr
+  a_addr=$(addr_from "$dir/hostA.log" "serving on ")
+
+  local status=0
+  timeout 10 "$WORK/new/mdctl" -server "$a_addr" migrate smart-media-player hostB \
+    >"$dir/migrate.log" 2>&1 || status=$?
+  if [ "$status" -eq 124 ]; then
+    echo "mdctl migrate hung for 10 s" >&2
+    cat "$dir/migrate.log" "$dir/hostA.log" "$dir/hostB.log" >&2
+    return 1
+  fi
+  local running_on=hostB
+  if [ "$status" -eq 0 ]; then
+    # Same check-in encoding on both sides (the change under test did
+    # not touch it): the migration simply works.
+    echo "   migrated: check-in encoding unchanged between the generations"
+  else
+    if ! grep -q "$refusal" "$dir/migrate.log"; then
+      echo "migration failed without the receiver's refusal '$refusal'" >&2
+      cat "$dir/migrate.log" >&2
+      return 1
+    fi
+    running_on=hostA
+    echo "   refused in time: $(head -1 "$dir/migrate.log")"
+  fi
+  if ! "$WORK/new/mdctl" -server "$reg_addr" ps |
+    awk -v host="$running_on" '$1 == "smart-media-player" && $2 == host && $4 == "true" { found = 1 } END { exit !found }'; then
+    echo "center does not list smart-media-player running on $running_on" >&2
+    "$WORK/new/mdctl" -server "$reg_addr" ps >&2 || true
+    return 1
+  fi
+  echo "   player running on $running_on"
+
+  kill "$a_pid" "$b_pid" "$reg_pid" 2>/dev/null || true
+  wait "$a_pid" "$b_pid" "$reg_pid" 2>/dev/null || true
+}
+
 run_pair "$WORK/new" "$WORK/old" old-client-vs-new-daemon
 run_pair "$WORK/old" "$WORK/new" new-client-vs-old-daemon
 run_snap_pair "$WORK/old" "$WORK/new" old-agentd-vs-new-registry
 run_snap_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry
-echo "== protocol-compat: all four mixed pairs passed"
+run_migrate_pair "$WORK/old" "$WORK/new" old-source-vs-new-destination "unsupported protocol version"
+run_migrate_pair "$WORK/new" "$WORK/old" new-source-vs-old-destination "gob"
+echo "== protocol-compat: all six mixed pairs passed"

@@ -298,6 +298,25 @@ func (w Wrap) TotalBytes() int64 {
 	return n
 }
 
+// View returns a wrap of only the named components of w, sharing their
+// bytes with it (captured bytes are immutable, see Component) and
+// carrying the same coordinator state and profile. It is how one capture
+// serves as both the rollback point and the transfer bundle.
+func (w Wrap) View(names []string) (Wrap, error) {
+	v := w
+	v.Components = make(map[string][]byte, len(names))
+	v.Kinds = make(map[string]ComponentKind, len(names))
+	for _, n := range names {
+		b, ok := w.Components[n]
+		if !ok {
+			return Wrap{}, fmt.Errorf("app: no component %q in wrap of %s", n, w.App)
+		}
+		v.Components[n] = b
+		v.Kinds[n] = w.Kinds[n]
+	}
+	return v, nil
+}
+
 // WrapComponents snapshots the named components (all when names is nil)
 // into a transferable bundle. The application should be suspended first
 // for a consistent cut.

@@ -48,6 +48,14 @@ func (k ComponentKind) String() string {
 
 // Component is a migratable application part: it must name itself, report
 // its payload size (for transfer costing) and serialize round-trip.
+//
+// Captured bytes are immutable. The slice Snapshot returns may be the one
+// the component holds, and the slice Restore is given may be kept: neither
+// side ever writes into it again. A component whose content changes
+// replaces its slice; it does not edit it. That is what lets every stage
+// between a suspended application and its resumed copy — the snapshot
+// history, the transfer wrap, the engine's warm-handoff base, a decoded
+// frame, state.ApplyDelta's result — share one copy of the bytes.
 type Component interface {
 	Name() string
 	Kind() ComponentKind
@@ -84,7 +92,8 @@ var (
 	_ ChangeNotifier = (*BlobComponent)(nil)
 )
 
-// NewBlob creates a blob component with the given payload.
+// NewBlob creates a blob component that adopts data as its payload: the
+// caller must not write into the slice afterwards (see Component).
 func NewBlob(name string, kind ComponentKind, data []byte) *BlobComponent {
 	return &BlobComponent{name: name, kind: kind, data: data}
 }
@@ -120,18 +129,18 @@ func (b *BlobComponent) Checksum() [32]byte {
 	return sha256.Sum256(b.data)
 }
 
-// Snapshot implements Component.
+// Snapshot implements Component. It returns the held slice, not a copy:
+// the payload is only ever replaced (SetContent, Restore), never written.
 func (b *BlobComponent) Snapshot() ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cp := make([]byte, len(b.data))
-	copy(cp, b.data)
-	return cp, nil
+	return b.data, nil
 }
 
-// SetContent replaces the payload in place — a media app swapping its
-// buffer, an editor saving a document. The mutation bumps the owning
-// application's dirty counter so the next state capture ships it.
+// SetContent replaces the payload with a copy of data (the caller keeps
+// its buffer) — a media app swapping its buffer, an editor saving a
+// document. The mutation bumps the owning application's dirty counter so
+// the next state capture ships it.
 func (b *BlobComponent) SetContent(data []byte) {
 	b.mu.Lock()
 	b.data = make([]byte, len(data))
@@ -143,11 +152,10 @@ func (b *BlobComponent) SetContent(data []byte) {
 	}
 }
 
-// Restore implements Component.
+// Restore implements Component. It adopts state as the payload.
 func (b *BlobComponent) Restore(state []byte) error {
 	b.mu.Lock()
-	b.data = make([]byte, len(state))
-	copy(b.data, state)
+	b.data = state
 	fn := b.onChange
 	b.mu.Unlock()
 	if fn != nil {

@@ -198,3 +198,79 @@ func TestOnRecordHookFires(t *testing.T) {
 		t.Fatalf("hook saw %v, want [hooked]", seen)
 	}
 }
+
+// TestCapturedBytesAreImmutable: Snapshot hands out the slice the blob
+// holds and Restore keeps the one it is given, so a capture is only safe
+// if nothing ever writes into either. Every way a blob's content can
+// change — SetContent, Restore, Unwrap — must leave an earlier capture
+// holding the old bytes, while a concurrent reader watches it (-race).
+func TestCapturedBytesAreImmutable(t *testing.T) {
+	a := New("doc", "h1", desc("doc"))
+	blob := NewBlob("body", KindData, []byte("first draft"))
+	if err := a.AddComponent(blob); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := a.Snapshots().Record("v1", at(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured := ts.Wrap.Components["body"]
+	view, err := ts.Wrap.View([]string{"body"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.Wrap.View([]string{"nope"}); err == nil {
+		t.Fatal("View of an unknown component accepted")
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if string(captured) != "first draft" {
+					t.Error("a capture changed under a reader")
+					return
+				}
+			}
+		}
+	}()
+
+	mine := []byte("second draft")
+	blob.SetContent(mine)
+	mine[0] = 'S' // the caller keeps its buffer
+	if got, _ := blob.Snapshot(); string(got) != "second draft" {
+		t.Fatalf("SetContent did not copy: blob holds %q", got)
+	}
+	if err := blob.Restore([]byte("third draft")); err != nil {
+		t.Fatal(err)
+	}
+	other, err := a.WrapComponents(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Components["body"] = []byte("fourth draft")
+	if err := a.Unwrap(other); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-done
+
+	for name, got := range map[string][]byte{
+		"the capture": captured, "the history": ts.Wrap.Components["body"], "a view of it": view.Components["body"],
+	} {
+		if string(got) != "first draft" {
+			t.Fatalf("%s now reads %q", name, got)
+		}
+	}
+	if err := a.Snapshots().Rollback("v1"); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := blob.Snapshot(); string(got) != "first draft" {
+		t.Fatalf("rollback restored %q", got)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mdagent/internal/app"
@@ -432,5 +434,79 @@ func TestAdmitBooksRejections(t *testing.T) {
 				t.Fatalf("counters [rejected pushes bytes installs] = %v, want %v", after, before)
 			}
 		})
+	}
+}
+
+// TestBundleWithV1StateSectionStillInstalls: testdata/bundle-v1-state.mdab
+// was packed and signed by the last commit whose state.EncodeWrap wrote
+// version 1 wrap frames (08d5f9d; key seed 00 01 .. 1f). A signature pins
+// a bundle's bytes, so bundles at rest keep their v1 state section for
+// good: it must open, verify, and install value-correct, while a bundle
+// packed today carries a version 2 frame.
+func TestBundleWithV1StateSectionStillInstalls(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "bundle-v1-state.mdab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := make([]byte, ed25519.SeedSize)
+	for i := range seed {
+		seed[i] = byte(i)
+	}
+	priv := ed25519.NewKeyFromSeed(seed)
+	stateVersion := func(raw []byte) byte {
+		secs, err := parseSections(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range secs {
+			if s.kind == secState {
+				return s.payload[4] // MDST: magic(4), version
+			}
+		}
+		t.Fatal("bundle has no state section")
+		return 0
+	}
+	if v := stateVersion(raw); v != 1 {
+		t.Fatalf("fixture's state section is a v%d frame", v)
+	}
+
+	b, err := Open(raw, []ed25519.PublicKey{priv.Public().(ed25519.PublicKey)})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	factory, err := Instantiate(b, Resolver{})
+	if err != nil {
+		t.Fatalf("Instantiate: %v", err)
+	}
+	a := factory("host-x")
+	doc, _ := a.Component("document")
+	if snap, _ := doc.Snapshot(); string(snap) != "dear diary" {
+		t.Fatalf("document = %q", snap)
+	}
+	sess, _ := a.Component("session")
+	if v, ok := sess.(*app.StateComponent).Get("cursor"); !ok || v != "42" {
+		t.Fatalf("session cursor = %q, %v", v, ok)
+	}
+	if v, _ := a.Coordinator().Get("page"); v != "3" || a.Profile().User != "bob" {
+		t.Fatalf("coordinator page = %q, profile %+v", v, a.Profile())
+	}
+	// Instances share the bundle's bytes; replacing one's content must
+	// not reach the next.
+	doc.(*app.BlobComponent).SetContent([]byte("scribbled over"))
+	other, _ := factory("host-y").Component("document")
+	if snap, _ := other.Snapshot(); string(snap) != "dear diary" {
+		t.Fatalf("a second instance starts from %q", snap)
+	}
+
+	repacked, err := Pack(b.Manifest, b.State, priv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := stateVersion(repacked); v != 2 {
+		t.Fatalf("a bundle packed today carries a v%d state frame", v)
+	}
+	if again, err := Open(repacked, []ed25519.PublicKey{priv.Public().(ed25519.PublicKey)}); err != nil ||
+		string(again.State.Components["document"]) != "dear diary" {
+		t.Fatalf("repacked bundle: %v", err)
 	}
 }

@@ -66,11 +66,21 @@ func (e *Engine) CloneDispatch(ctx context.Context, appName, destHost, cloneName
 		_ = a.Resume()
 		return rep, err
 	}
-	raw, err := state.EncodeWrap(wrap)
+	head, err := appendCheckinHead(checkinPayload{
+		App: appName, CloneName: cloneName, Mode: CloneDispatch,
+		Binding: BindingAdaptive, FromHost: e.host, FromEngine: e.ep.Name(),
+		checkinMeta: checkinMeta{Desc: a.Description(), Rebindings: plans},
+	})
 	if err != nil {
 		_ = a.Resume()
 		return rep, err
 	}
+	enc, err := state.AppendWrap(head, wrap)
+	if err != nil {
+		_ = a.Resume()
+		return rep, err
+	}
+	frameLen := len(enc) - len(head)
 	e.chargeSerialize(wrap.TotalBytes())
 	e.charge(e.costs.CheckoutOverhead)
 	if err := a.Resume(); err != nil {
@@ -81,15 +91,6 @@ func (e *Engine) CloneDispatch(ctx context.Context, appName, destHost, cloneName
 	// --- Dispatch. ---
 	migrateStart := clk.Now()
 	e.charge(e.costs.TransferOverhead)
-	payload := checkinPayload{
-		App: appName, CloneName: cloneName, Mode: CloneDispatch,
-		Binding: BindingAdaptive, WrapRaw: raw, Desc: a.Description(),
-		FromHost: e.host, FromEngine: e.ep.Name(), Rebindings: plans,
-	}
-	enc, err := transport.Encode(payload)
-	if err != nil {
-		return rep, err
-	}
 	var reply checkinReply
 	if err := e.ep.RequestDecode(ctx, EndpointName(destHost), MsgClone, enc, &reply); err != nil {
 		return rep, fmt.Errorf("migrate: clone checkin at %s: %w", destHost, err)
@@ -108,7 +109,7 @@ func (e *Engine) CloneDispatch(ctx context.Context, appName, destHost, cloneName
 		App: appName, Mode: CloneDispatch, Binding: BindingAdaptive,
 		FromHost: e.host, ToHost: destHost, InterSpace: interSpace,
 		Suspend: suspendDur, Migrate: migrateDur, Resume: resumeDur,
-		BytesMoved: int64(len(raw)), Carried: carried, Rebindings: plans,
+		BytesMoved: int64(frameLen), Carried: carried, Rebindings: plans,
 		AdaptNotes: reply.AdaptNotes, SyncLink: true, RestoredApp: cloneName,
 	}, nil
 }
@@ -131,8 +132,8 @@ func (e *Engine) syncForwarder(destEngine, destApp string) func(app.StateChange)
 // handleClone checks in a clone instance and wires the return half of the
 // synchronization link.
 func (e *Engine) handleClone(tm transport.Message) ([]byte, error) {
-	var p checkinPayload
-	if err := transport.Decode(tm.Payload, &p); err != nil {
+	p, err := decodeCheckin(tm.Payload)
+	if err != nil {
 		return nil, err
 	}
 	if p.CloneName == "" {

@@ -94,7 +94,7 @@ type Engine struct {
 	mu        sync.Mutex
 	apps      map[string]*app.Application
 	factories map[string]func(host string) *app.Application
-	bases     map[string]baseEntry // app -> last full wrap exchanged with a peer
+	bases     map[string]*baseEntry // app -> last full wrap exchanged with a peer
 
 	// mPhase holds one wall-clock duration histogram per migration phase
 	// (obs.PhaseSuspend..obs.PhaseRebind), pinned at construction.
@@ -106,16 +106,28 @@ type Engine struct {
 // in the warm-handoff path — as the reassembly base when a delta
 // checkin arrives (matched by digest), and as the diff baseline when
 // this engine sends the application back to the peer that shares it
-// (matched by peer + live instance counters).
+// (matched by peer + live instance counters). The wrap is held by
+// reference: it shares its component bytes with the frame or snapshot
+// it came from (captured bytes are immutable, see app.Component).
 type baseEntry struct {
-	wrap   app.Wrap
-	digest [sha256.Size]byte
-	peer   string // host on the other end of the exchange
+	wrap app.Wrap
+	peer string // host on the other end of the exchange
 	// inst/changeSeq track the live local instance the base was unwrapped
 	// into (arrival entries only): components mutated past changeSeq are
 	// exactly what a send-back delta must carry. nil after a send.
 	inst      *app.Application
 	changeSeq uint64
+
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
+}
+
+// Digest returns state.WrapDigest of the base, hashing it on the first
+// call: only a warm handoff reads it, so a cold hop — the only kind a
+// static ring of three hosts ever makes — hashes nothing.
+func (b *baseEntry) Digest() [sha256.Size]byte {
+	b.digestOnce.Do(func() { b.digest = state.WrapDigest(b.wrap) })
+	return b.digest
 }
 
 // needFullWrap is the in-band signal a destination returns when it
@@ -136,7 +148,7 @@ func NewEngine(host string, ep *transport.Endpoint, net *netsim.Network, dir *sp
 		costs:     costs,
 		apps:      make(map[string]*app.Application),
 		factories: make(map[string]func(host string) *app.Application),
-		bases:     make(map[string]baseEntry),
+		bases:     make(map[string]*baseEntry),
 		mPhase:    make(map[string]*obs.Histogram, 5),
 	}
 	for _, ph := range []string{obs.PhaseSuspend, obs.PhaseCapture, obs.PhaseTransfer, obs.PhaseRestore, obs.PhaseRebind} {
@@ -244,40 +256,6 @@ func (e *Engine) chargeDeserialize(bytes int64) {
 	if h, ok := e.net.Host(e.host); ok {
 		e.net.ChargeDeserialize(h, bytes)
 	}
-}
-
-// checkinPayload crosses the wire for follow-me and clone-dispatch.
-// Exactly one of WrapRaw (full wrap frame) and DeltaRaw (delta frame
-// against a base the destination already holds — the warm handoff) is
-// set.
-type checkinPayload struct {
-	App        string
-	CloneName  string // clone-dispatch: instance name at the destination
-	Mode       Mode
-	Binding    BindingMode
-	WrapRaw    []byte
-	DeltaRaw   []byte
-	Desc       wsdl.Description
-	FromHost   string
-	FromEngine string // source engine endpoint (sync links, remote media)
-	Rebindings []owl.Rebinding
-	// TraceID is the migration trace minted at the source; the
-	// destination records its restore/rebind spans under it. New in wire
-	// revision PR 6: gob leaves it zero when an older sender omits it
-	// (tracing is then skipped) and older receivers ignore the field, so
-	// the frame stays compatible in both directions.
-	TraceID string
-}
-
-type checkinReply struct {
-	ResumeNanos int64
-	AdaptNotes  []string
-	RestoredApp string
-	// Spans carries the destination-side trace spans (restore, rebind)
-	// back to the source, which merges them into its trace log so one
-	// `mdctl trace` against the source shows the full cross-host
-	// timeline. Same compatibility rule as checkinPayload.TraceID.
-	Spans []obs.Span
 }
 
 // planComponents decides which components the MA wraps and how each data
@@ -390,7 +368,10 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	rollback := func() {
 		_ = a.Resume()
 	}
-	if _, err := a.Snapshots().Record("pre-migrate", clk.Now()); err != nil {
+	// The one capture of this migration: the rollback point, and — as
+	// views sharing its bytes — whatever the transfer carries.
+	ts, err := a.Snapshots().Record("pre-migrate", clk.Now())
+	if err != nil {
 		rollback()
 		return rep, err
 	}
@@ -408,12 +389,17 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	// between two hosts), ship only the components mutated since — the
 	// dirty counters enumerate them, so nothing else is even serialized.
 	var (
-		raw      []byte
+		enc      []byte   // check-in body: head, then the state frame
+		frameLen int      // bytes of enc that are the state frame
 		wrap     app.Wrap // full wrap (cold path / fallback)
 		delta    state.WrapDelta
 		warm     bool
-		warmBase baseEntry
 	)
+	head := checkinPayload{
+		App: appName, Mode: FollowMe, Binding: binding,
+		FromHost: e.host, FromEngine: e.ep.Name(), TraceID: traceID,
+		checkinMeta: checkinMeta{Desc: a.Description(), Rebindings: plans},
+	}
 	// Warm only when the plan would carry every component anyway (static
 	// binding, or an adaptive plan that found nothing at the
 	// destination): the delta reassembles the destination's FULL state,
@@ -422,44 +408,55 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	// remote-URL data) must take the cold path or the cache temperature
 	// would change what lands at the destination.
 	e.mu.Lock()
-	warmBase, haveBase := e.bases[appName]
+	warmBase := e.bases[appName]
 	e.mu.Unlock()
-	if haveBase && warmBase.peer == destHost && warmBase.inst == a && a.FullyTracked() &&
+	if warmBase != nil && warmBase.peer == destHost && warmBase.inst == a && a.FullyTracked() &&
 		len(planned) == len(a.Components()) {
 		changed := a.ChangedSince(warmBase.changeSeq)
 		if changed == nil {
 			changed = []string{} // coordinator/profile-only drift
 		}
-		dw, werr := a.WrapComponents(changed)
+		dw, werr := ts.Wrap.View(changed)
 		if werr != nil {
 			rollback()
 			return rep, werr
 		}
 		delta = state.WrapDelta{
-			App: appName, FromHost: e.host, BaseDigest: warmBase.digest,
+			App: appName, FromHost: e.host, BaseDigest: warmBase.Digest(),
 			Components: dw.Components, Kinds: dw.Kinds,
 			CoordState: dw.CoordState, Profile: dw.Profile,
 		}
-		if raw, err = state.EncodeDelta(delta); err != nil {
+		raw, werr := state.EncodeDelta(delta)
+		if werr != nil {
 			rollback()
-			return rep, err
+			return rep, werr
 		}
+		head.Delta = true
+		h, werr := appendCheckinHead(head)
+		if werr != nil {
+			rollback()
+			return rep, werr
+		}
+		enc, frameLen = append(h, raw...), len(raw)
 		e.chargeSerialize(delta.TotalBytes())
 		carried = changed
 		warm = true
 	}
 	buildFull := func() error {
-		carried = planned
-		w, werr := a.WrapComponents(carried)
+		carried, warm, head.Delta = planned, false, false
+		var werr error
+		if wrap, werr = ts.Wrap.View(planned); werr != nil {
+			return werr
+		}
+		h, werr := appendCheckinHead(head)
 		if werr != nil {
 			return werr
 		}
-		wrap = w
-		if raw, werr = state.EncodeWrap(w); werr != nil {
+		if enc, werr = state.AppendWrap(h, wrap); werr != nil {
 			return werr
 		}
-		e.chargeSerialize(w.TotalBytes())
-		warm = false
+		frameLen = len(enc) - len(h)
+		e.chargeSerialize(wrap.TotalBytes())
 		return nil
 	}
 	if !warm {
@@ -481,31 +478,12 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		e.mu.Unlock()
 	}
 	suspendDur := clk.Now().Sub(suspendStart)
-	span(obs.PhaseCapture, captureWall, fmt.Sprintf("bytes=%d warm=%v", len(raw), warm))
+	span(obs.PhaseCapture, captureWall, fmt.Sprintf("bytes=%d warm=%v", frameLen, warm))
 
 	// --- Migration phase. ---
 	transferWall := time.Now()
 	migrateStart := clk.Now()
 	e.charge(e.costs.TransferOverhead)
-	makePayload := func() checkinPayload {
-		p := checkinPayload{
-			App: appName, Mode: FollowMe, Binding: binding,
-			Desc: a.Description(), FromHost: e.host, FromEngine: e.ep.Name(),
-			Rebindings: plans, TraceID: traceID,
-		}
-		if warm {
-			p.DeltaRaw = raw
-		} else {
-			p.WrapRaw = raw
-		}
-		return p
-	}
-	enc, err := transport.Encode(makePayload())
-	if err != nil {
-		checkinFailed()
-		rollback()
-		return rep, err
-	}
 	var reply checkinReply
 	err = e.ep.RequestDecode(ctx, EndpointName(destHost), MsgCheckin, enc, &reply)
 	if err != nil && warm && strings.Contains(err.Error(), needFullWrap) {
@@ -516,9 +494,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 			rollback()
 			return rep, ferr
 		}
-		if enc, err = transport.Encode(makePayload()); err == nil {
-			err = e.ep.RequestDecode(ctx, EndpointName(destHost), MsgCheckin, enc, &reply)
-		}
+		err = e.ep.RequestDecode(ctx, EndpointName(destHost), MsgCheckin, enc, &reply)
 	}
 	if err != nil {
 		// Check-in failed: restore from the pre-migration snapshot and
@@ -530,7 +506,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		rollback()
 		return rep, fmt.Errorf("migrate: checkin at %s: %w", destHost, err)
 	}
-	span(obs.PhaseTransfer, transferWall, fmt.Sprintf("bytes=%d", len(raw)))
+	span(obs.PhaseTransfer, transferWall, fmt.Sprintf("bytes=%d", frameLen))
 	// Merge the destination's restore/rebind spans so this host's trace
 	// log holds the complete five-phase, two-host timeline.
 	for _, sp := range reply.Spans {
@@ -543,12 +519,12 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	if warm {
 		if newBase, aerr := state.ApplyDelta(warmBase.wrap, delta); aerr == nil {
 			e.mu.Lock()
-			e.bases[appName] = baseEntry{wrap: newBase, digest: state.WrapDigest(newBase), peer: destHost}
+			e.bases[appName] = &baseEntry{wrap: newBase, peer: destHost}
 			e.mu.Unlock()
 		}
 	} else if wrapCovers(wrap, a) {
 		e.mu.Lock()
-		e.bases[appName] = baseEntry{wrap: wrap, digest: state.WrapDigest(wrap), peer: destHost}
+		e.bases[appName] = &baseEntry{wrap: wrap, peer: destHost}
 		e.mu.Unlock()
 	} else {
 		e.mu.Lock()
@@ -588,7 +564,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		App: appName, Mode: FollowMe, Binding: binding,
 		FromHost: e.host, ToHost: destHost, InterSpace: interSpace,
 		Suspend: suspendDur, Migrate: migrateDur, Resume: resumeDur,
-		BytesMoved: int64(len(raw)), Carried: carried, Rebindings: plans,
+		BytesMoved: int64(frameLen), Carried: carried, Rebindings: plans,
 		AdaptNotes: append(reply.AdaptNotes, demoteNote...), RestoredApp: reply.RestoredApp,
 		Delta: warm,
 	}, nil
@@ -611,8 +587,8 @@ func wrapCovers(w app.Wrap, a *app.Application) bool {
 // half). The resumption duration, measured on this host's clock, returns
 // to the source in the reply.
 func (e *Engine) handleCheckin(tm transport.Message) ([]byte, error) {
-	var p checkinPayload
-	if err := transport.Decode(tm.Payload, &p); err != nil {
+	p, err := decodeCheckin(tm.Payload)
+	if err != nil {
 		return nil, err
 	}
 	reply, err := e.restore(p, p.App)
@@ -646,31 +622,32 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 	}
 	restoreWall := time.Now()
 
+	// The frame aliases the message it arrived in, and the decoded wrap
+	// aliases the frame: from here to the resumed instance (and the warm
+	// base below) the component bytes are shared, never copied.
+	e.chargeDeserialize(int64(len(p.Frame)))
 	var wrap app.Wrap
-	if len(p.DeltaRaw) > 0 {
+	if p.Delta {
 		// Warm handoff: reassemble the full wrap from our cached base.
 		// Any mismatch — no base, wrong digest, torn frame — answers
 		// needFullWrap so the source retries cold instead of failing the
 		// migration.
-		e.chargeDeserialize(int64(len(p.DeltaRaw)))
-		d, err := state.DecodeDelta(p.DeltaRaw)
+		d, err := state.DecodeDelta(p.Frame)
 		if err != nil {
 			return reply, fmt.Errorf("%s: %v", needFullWrap, err)
 		}
 		e.mu.Lock()
-		be, ok := e.bases[p.App]
+		be := e.bases[p.App]
 		e.mu.Unlock()
-		if !ok || be.digest != d.BaseDigest {
+		if be == nil || be.Digest() != d.BaseDigest {
 			return reply, fmt.Errorf("%s: no base for %s", needFullWrap, p.App)
 		}
 		if wrap, err = state.ApplyDelta(be.wrap, d); err != nil {
 			return reply, fmt.Errorf("%s: %v", needFullWrap, err)
 		}
 	} else {
-		e.chargeDeserialize(int64(len(p.WrapRaw)))
 		var err error
-		wrap, err = state.DecodeWrap(p.WrapRaw)
-		if err != nil {
+		if wrap, err = state.DecodeWrap(p.Frame); err != nil {
 			return reply, err
 		}
 	}
@@ -704,14 +681,14 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 	// over their sync links, so their arrival wraps pin nothing.)
 	if p.Mode == FollowMe && wrapCovers(wrap, inst) {
 		e.mu.Lock()
-		e.bases[p.App] = baseEntry{
-			wrap: wrap, digest: state.WrapDigest(wrap), peer: p.FromHost,
+		e.bases[p.App] = &baseEntry{
+			wrap: wrap, peer: p.FromHost,
 			inst: inst, changeSeq: inst.ChangeSeq(),
 		}
 		e.mu.Unlock()
 	}
 
-	addSpan(obs.PhaseRestore, restoreWall, fmt.Sprintf("delta=%v", len(p.DeltaRaw) > 0))
+	addSpan(obs.PhaseRestore, restoreWall, fmt.Sprintf("delta=%v", p.Delta))
 	rebindWall := time.Now()
 
 	// Resource rebinding (paper §3.3).
@@ -751,11 +728,16 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 
 	// Re-register the installation so subsequent adaptive migrations know
 	// which components now exist on this host (paper §4.2.2: applications
-	// register themselves with the registry centers).
-	_ = e.cat.RegisterApp(ctx, registry.AppRecord{
+	// register themselves with the registry centers). The instance is
+	// running either way; a record that did not land is reported, as the
+	// source's failed demotion is, so an operator sees that the registry
+	// and the next adaptive plan are stale.
+	if err := state.IgnoreNotDurable(e.cat.RegisterApp(ctx, registry.AppRecord{
 		Name: p.App, Host: e.host, Description: p.Desc,
 		Components: inst.Components(), Running: true,
-	})
+	})); err != nil {
+		notes = append(notes, "destination record not registered: "+err.Error())
+	}
 
 	addSpan(obs.PhaseRebind, rebindWall, fmt.Sprintf("rebindings=%d", len(p.Rebindings)))
 	return checkinReply{

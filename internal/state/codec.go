@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sort"
 
 	"mdagent/internal/app"
 	"mdagent/internal/gobcodec"
@@ -71,9 +72,15 @@ func IgnoreNotDurable(err error) error {
 	return err
 }
 
-// frameVersion is the current frame-format version. Decoders accept any
-// version up to this one (there is only one so far).
-const frameVersion = 1
+// Frame-format versions. Version 1 is a gob payload behind the header:
+// every snapshot and delta frame (persisted at the centers), and the wrap
+// frames written before version 2 existed. Version 2 exists for wrap
+// frames only — a small gob meta, then the component bytes raw — because
+// a wrap is the multi-megabyte frame every migration copies.
+const (
+	frameV1 = 1
+	frameV2 = 2
+)
 
 // frameKind tags what a frame's payload decodes into.
 type frameKind uint8
@@ -84,71 +91,197 @@ const (
 	frameDelta    frameKind = 3 // state.WrapDelta (changed components only)
 )
 
+// maxVersion is the newest format of a kind this build reads.
+func (k frameKind) maxVersion() byte {
+	if k == frameWrap {
+		return frameV2
+	}
+	return frameV1
+}
+
 // magic identifies MDAgent state frames ("MDST").
 var magic = [4]byte{'M', 'D', 'S', 'T'}
 
 // headerLen = magic(4) + version(1) + kind(1) + crc32(4).
 const headerLen = 10
 
-// encodeFrame gob-encodes payload and prepends the framing header.
+// appendHeader appends a frame header whose CRC sealFrame fills in once
+// the body is behind it.
+func appendHeader(dst []byte, version byte, kind frameKind) []byte {
+	dst = append(dst, magic[:]...)
+	return append(dst, version, byte(kind), 0, 0, 0, 0)
+}
+
+// sealFrame writes the CRC32 of the body into the header of the frame
+// that starts at dst[start:].
+func sealFrame(dst []byte, start int) {
+	binary.BigEndian.PutUint32(dst[start+6:start+headerLen], crc32.ChecksumIEEE(dst[start+headerLen:]))
+}
+
+// encodeFrame gob-encodes payload behind a version 1 header.
 func encodeFrame(kind frameKind, payload any) ([]byte, error) {
 	body, err := gobcodec.Encode(payload)
 	if err != nil {
 		return nil, fmt.Errorf("state: encode frame: %w", err)
 	}
-	frame := make([]byte, headerLen, headerLen+len(body))
-	copy(frame[0:4], magic[:])
-	frame[4] = frameVersion
-	frame[5] = byte(kind)
-	binary.BigEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(body))
-	return append(frame, body...), nil
+	frame := appendHeader(make([]byte, 0, headerLen+len(body)), frameV1, kind)
+	frame = append(frame, body...)
+	sealFrame(frame, 0)
+	return frame, nil
 }
 
 // verifyFrame validates the header and payload checksum, returning the
-// payload body. It is the single source of truth for frame validation —
-// both the decoders and the cheap pre-restore check go through it.
-func verifyFrame(raw []byte, kind frameKind) ([]byte, error) {
+// format version and the payload body. It is the single source of truth
+// for frame validation — both the decoders and the cheap pre-restore
+// check go through it.
+func verifyFrame(raw []byte, kind frameKind) (byte, []byte, error) {
 	if len(raw) < headerLen || !bytes.Equal(raw[0:4], magic[:]) {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrBadFrame, len(raw))
+		return 0, nil, fmt.Errorf("%w (%d bytes)", ErrBadFrame, len(raw))
 	}
-	if v := raw[4]; v == 0 || v > frameVersion {
-		return nil, fmt.Errorf("%w: frame v%d, codec v%d", ErrVersion, raw[4], frameVersion)
+	got := frameKind(raw[5])
+	if v := raw[4]; v == 0 || v > got.maxVersion() {
+		return 0, nil, fmt.Errorf("%w: frame v%d, codec v%d", ErrVersion, v, got.maxVersion())
 	}
-	if got := frameKind(raw[5]); got != kind {
-		return nil, fmt.Errorf("%w: frame kind %d, want %d", ErrKind, got, kind)
+	if got != kind {
+		return 0, nil, fmt.Errorf("%w: frame kind %d, want %d", ErrKind, got, kind)
 	}
 	body := raw[headerLen:]
 	if sum := crc32.ChecksumIEEE(body); sum != binary.BigEndian.Uint32(raw[6:10]) {
-		return nil, fmt.Errorf("%w: payload crc %08x, header %08x", ErrChecksum,
+		return 0, nil, fmt.Errorf("%w: payload crc %08x, header %08x", ErrChecksum,
 			sum, binary.BigEndian.Uint32(raw[6:10]))
 	}
-	return body, nil
+	return raw[4], body, nil
 }
 
 // decodeFrame verifies the header and checksum, then gob-decodes the
 // payload into out.
 func decodeFrame(raw []byte, kind frameKind, out any) error {
-	body, err := verifyFrame(raw, kind)
+	_, body, err := verifyFrame(raw, kind)
 	if err != nil {
 		return err
 	}
+	return decodeBody(body, out)
+}
+
+func decodeBody(body []byte, out any) error {
 	if err := gobcodec.Decode(body, out); err != nil {
 		return fmt.Errorf("state: decode frame: %w", err)
 	}
 	return nil
 }
 
-// EncodeWrap serializes a mobile-agent wrap for transfer — the frame
-// follow-me and clone-dispatch put on the wire.
-func EncodeWrap(w app.Wrap) ([]byte, error) {
-	return encodeFrame(frameWrap, w)
+// wrapMeta is everything of a wrap but its component bytes: the head of a
+// version 2 wrap frame. Names is sorted; Kinds and Sizes run parallel to
+// it, and the components follow the meta back to back in that order.
+type wrapMeta struct {
+	App        string
+	FromHost   string
+	Names      []string
+	Kinds      []app.ComponentKind
+	Sizes      []uint64
+	CoordState map[string]string
+	Profile    app.UserProfile
 }
 
-// DecodeWrap verifies and deserializes a transferred wrap frame.
+// AppendWrap returns dst with the wrap frame of w behind it, in a buffer
+// allocated once at its final size (the frame's length is known from the
+// component lengths): a caller that puts a head in front of the frame
+// pays one allocation, and one copy of the components, for both.
+//
+// Layout (version 2): the 10-byte header, then the CRC'd body — a uvarint
+// meta length, the gob wrapMeta, the component bytes in Names order.
+func AppendWrap(dst []byte, w app.Wrap) ([]byte, error) {
+	names := make([]string, 0, len(w.Components))
+	for n := range w.Components {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	meta := wrapMeta{
+		App: w.App, FromHost: w.FromHost, Names: names,
+		Kinds: make([]app.ComponentKind, len(names)), Sizes: make([]uint64, len(names)),
+		CoordState: w.CoordState, Profile: w.Profile,
+	}
+	// bytes.Join sizes its result from the parts and does not zero it
+	// first; at 2.77 MB a grow-then-append pays a memclr per frame.
+	parts := make([][]byte, 3, 3+len(names))
+	for i, n := range names {
+		meta.Kinds[i] = w.Kinds[n]
+		meta.Sizes[i] = uint64(len(w.Components[n]))
+		parts = append(parts, w.Components[n])
+	}
+	head, err := gobcodec.Encode(&meta)
+	if err != nil {
+		return nil, fmt.Errorf("state: encode frame: %w", err)
+	}
+	parts[0] = dst
+	parts[1] = binary.AppendUvarint(appendHeader(make([]byte, 0, headerLen+binary.MaxVarintLen64), frameV2, frameWrap), uint64(len(head)))
+	parts[2] = head
+	out := bytes.Join(parts, nil)
+	sealFrame(out, len(dst))
+	return out, nil
+}
+
+// EncodeWrap serializes a mobile-agent wrap for transfer — the frame
+// follow-me and clone-dispatch put on the wire and a bundle carries as
+// its initial state.
+func EncodeWrap(w app.Wrap) ([]byte, error) {
+	return AppendWrap(nil, w)
+}
+
+// DecodeWrap verifies and deserializes a wrap frame. The components of a
+// version 2 frame alias raw, each capped at its own length so an append
+// reallocates instead of growing into its neighbour: the caller must not
+// write into raw afterwards (captured bytes are immutable, see
+// app.Component).
+//
+// Version 1 frames (one gob app.Wrap) are decoded and never written:
+// signed MDAB bundles at rest hold them as their state section, and a
+// signature pins the bytes, so they cannot be rewritten in place.
 func DecodeWrap(raw []byte) (app.Wrap, error) {
-	var w app.Wrap
-	if err := decodeFrame(raw, frameWrap, &w); err != nil {
+	version, body, err := verifyFrame(raw, frameWrap)
+	if err != nil {
 		return app.Wrap{}, err
+	}
+	if version == frameV1 {
+		var w app.Wrap
+		if err := decodeBody(body, &w); err != nil {
+			return app.Wrap{}, err
+		}
+		return w, nil
+	}
+	n, used := binary.Uvarint(body)
+	if used <= 0 || n > uint64(len(body)-used) {
+		return app.Wrap{}, fmt.Errorf("%w: wrap meta overruns the frame", ErrBadFrame)
+	}
+	var meta wrapMeta
+	if err := decodeBody(body[used:used+int(n)], &meta); err != nil {
+		return app.Wrap{}, err
+	}
+	if len(meta.Kinds) != len(meta.Names) || len(meta.Sizes) != len(meta.Names) {
+		return app.Wrap{}, fmt.Errorf("%w: wrap meta lists %d names, %d kinds, %d sizes",
+			ErrBadFrame, len(meta.Names), len(meta.Kinds), len(meta.Sizes))
+	}
+	w := app.Wrap{App: meta.App, FromHost: meta.FromHost, CoordState: meta.CoordState, Profile: meta.Profile}
+	if len(meta.Names) > 0 {
+		w.Components = make(map[string][]byte, len(meta.Names))
+		w.Kinds = make(map[string]app.ComponentKind, len(meta.Names))
+	}
+	rest := body[used+int(n):]
+	for i, name := range meta.Names {
+		if i > 0 && name <= meta.Names[i-1] {
+			return app.Wrap{}, fmt.Errorf("%w: wrap component %q out of order", ErrBadFrame, name)
+		}
+		size := meta.Sizes[i]
+		if size > uint64(len(rest)) {
+			return app.Wrap{}, fmt.Errorf("%w: wrap component %q claims %d bytes, %d remain",
+				ErrBadFrame, name, size, len(rest))
+		}
+		w.Components[name] = rest[:size:size]
+		w.Kinds[name] = meta.Kinds[i]
+		rest = rest[size:]
+	}
+	if len(rest) != 0 {
+		return app.Wrap{}, fmt.Errorf("%w: %d bytes after the last wrap component", ErrBadFrame, len(rest))
 	}
 	return w, nil
 }
@@ -157,7 +290,7 @@ func DecodeWrap(raw []byte) (app.Wrap, error) {
 // without the cost of a full gob decode — failover uses it to validate a
 // multi-megabyte frame before committing to a restore.
 func VerifySnapshot(raw []byte) error {
-	_, err := verifyFrame(raw, frameSnapshot)
+	_, _, err := verifyFrame(raw, frameSnapshot)
 	return err
 }
 

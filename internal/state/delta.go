@@ -59,7 +59,7 @@ func DecodeDelta(raw []byte) (WrapDelta, error) {
 // VerifyDelta checks a delta frame's header and payload checksum without
 // a full gob decode.
 func VerifyDelta(raw []byte) error {
-	_, err := verifyFrame(raw, frameDelta)
+	_, _, err := verifyFrame(raw, frameDelta)
 	return err
 }
 

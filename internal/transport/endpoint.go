@@ -11,6 +11,11 @@ import (
 // payload becomes the reply body; returning an error produces an error
 // reply. Handlers run on their own goroutine and may themselves issue
 // requests through the endpoint.
+//
+// A handler owns msg.Payload: it may keep the slice, or slices of it,
+// for as long as it likes, and nobody writes into it again. A TCP link
+// decodes a fresh slice per message; LocalFabric hands over the sender's
+// own, which is why no sender writes into a payload after sending it.
 type Handler func(msg Message) ([]byte, error)
 
 // fabric is the delivery substrate endpoints hang off.

@@ -11,8 +11,8 @@ import (
 // no reflection, just length-prefixed fields in a fixed per-opcode
 // layout. Gob (ProtoVersion=1 frames) is the long-tail encoding. Each op
 // has exactly one of the two — the hot ops (snapshot put, watch event
-// push, bundle push) are v2 frames — and either opener refuses the
-// other's version byte with a typed ErrVersion.
+// push, bundle push, migration check-in) are v2 frames — and either
+// opener refuses the other's version byte with a typed ErrVersion.
 const ProtoV2 byte = 2
 
 // MaxProto is the newest protocol version this build speaks; servers
@@ -34,6 +34,11 @@ const (
 	// the bundle-distribution hot path, where a multi-megabyte payload
 	// makes gob's reflection and copy costs visible.
 	OpBundlePush byte = 0x20
+	// OpCheckin carries one migration check-in (follow-me or clone): a
+	// small head, then the application's state frame as the rest of the
+	// body, so the multi-megabyte frame is neither re-encoded on the way
+	// out nor copied on the way in.
+	OpCheckin byte = 0x30
 )
 
 // SealFast frames a fast-path body: [ProtoV2][opcode][body].
@@ -182,6 +187,18 @@ func (r *FastReader) Fixed(n int) []byte {
 	}
 	v := r.b[r.off : r.off+n]
 	r.off += n
+	return v
+}
+
+// Rest reads everything not yet read — a trailing field that needs no
+// length prefix because it runs to the end of the body. The result
+// aliases the frame.
+func (r *FastReader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	v := r.b[r.off:]
+	r.off = len(r.b)
 	return v
 }
 

@@ -257,7 +257,8 @@ type (
 // the single wire format for migration and snapshot replication.
 func EncodeWrap(w Wrap) ([]byte, error) { return state.EncodeWrap(w) }
 
-// DecodeWrap verifies and decodes a framed wrap.
+// DecodeWrap verifies and decodes a framed wrap. The wrap's components
+// alias raw: do not write into raw afterwards.
 func DecodeWrap(raw []byte) (Wrap, error) { return state.DecodeWrap(raw) }
 
 // EncodeDelta frames a changed-components-only delta.
