@@ -27,9 +27,12 @@
 // center acks only after enough peer centers hold the write, so captured
 // state survives the center dying before its next federation push.
 //
-// Durations printed by -migrate-to are wall-clock (no simulated testbed
-// in multi-process mode); use cmd/mdbench for the paper's calibrated
-// numbers.
+// -migrate-to goes through the host runtime, the same entry point as
+// `mdctl migrate`: it refuses an app that is not running here with
+// ctl.ErrAppNotFound and publishes app.migrated (or app.migrate-failed)
+// on the host's kernel. Durations it prints are wall-clock (no simulated
+// testbed in multi-process mode); use cmd/mdbench for the paper's
+// calibrated numbers.
 package main
 
 import (
@@ -55,7 +58,6 @@ import (
 	"mdagent/internal/media"
 	"mdagent/internal/migrate"
 	"mdagent/internal/obs"
-	"mdagent/internal/owl"
 	"mdagent/internal/registry"
 	"mdagent/internal/state"
 	"mdagent/internal/transport"
@@ -313,7 +315,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 		}
 		mctx, mcancel := context.WithTimeout(context.Background(), 5*time.Minute)
 		defer mcancel()
-		rep, err := eng.FollowMe(mctx, "smart-media-player", *migrateTo, binding, owl.MatchSemantic)
+		rep, err := rt.Migrate(mctx, "smart-media-player", *migrateTo, binding)
 		if err != nil {
 			return fmt.Errorf("migrate: %w", err)
 		}

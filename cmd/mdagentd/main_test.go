@@ -176,6 +176,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestMigrateToWithoutRunIsTyped checks that -migrate-to of an app the
+// daemon is not running fails the way `mdctl migrate` does: with
+// ctl.ErrAppNotFound, not an untyped engine error.
+func TestMigrateToWithoutRunIsTyped(t *testing.T) {
+	regAddr, _ := bootRegistry(t)
+	var out syncBuffer
+	err := run([]string{
+		"-host", "hostA", "-listen", "127.0.0.1:0",
+		"-registry", regAddr, "-migrate-to", "hostB",
+	}, &out, nil, nil)
+	if !errors.Is(err, ctl.ErrAppNotFound) {
+		t.Fatalf("err = %v, want ctl.ErrAppNotFound\noutput:\n%s", err, out.String())
+	}
+}
+
 // TestDaemonReplicatesStateOverTCP boots a federated center and one
 // daemon with -replicate, then watches the daemon's snapshot arrive at
 // the center over the wire protocol — and reads it back through a

@@ -100,7 +100,9 @@ func (m *MobileAgentBody) reply(a *platform.Agent, msg platform.ACLMessage, res 
 	}
 	content, err := transport.Encode(res)
 	if err != nil {
-		return
+		// An unencodable result must still answer, or the AA waits out its
+		// whole timeout; the error text is the Failure's content.
+		perf, content = platform.Failure, []byte(err.Error())
 	}
 	_ = a.Send(msg.Reply(perf, content))
 }
@@ -377,8 +379,15 @@ func bindLimit(rs []rules.Rule, limitMs float64) []rules.Rule {
 
 // order sends the MA a move request and publishes the outcome.
 func (b *AutonomousBody) order(ev ctxkernel.Event, order MoveOrder) {
+	failed := func(msg string) ctxkernel.AppMigrateFailedEvent {
+		return ctxkernel.AppMigrateFailedEvent{
+			App: order.App, Dest: order.DestHost, Reason: order.Reason,
+			Error: msg, At: ev.At,
+		}
+	}
 	content, err := transport.Encode(order)
 	if err != nil {
+		b.Kernel.PublishTyped(b.agent.Name(), failed(err.Error()))
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -390,22 +399,18 @@ func (b *AutonomousBody) order(ev ctxkernel.Event, order MoveOrder) {
 		Protocol:     "fipa-request",
 		Content:      content,
 	})
-	failed := func(msg string) ctxkernel.AppMigrateFailedEvent {
-		return ctxkernel.AppMigrateFailedEvent{
-			App: order.App, Dest: order.DestHost, Reason: order.Reason,
-			Error: msg, At: ev.At,
-		}
-	}
 	if err != nil {
 		b.Kernel.PublishTyped(b.agent.Name(), failed(err.Error()))
 		return
 	}
 	var res MoveResult
 	if derr := transport.Decode(reply.Content, &res); derr != nil {
-		b.Kernel.PublishTyped(b.agent.Name(), ctxkernel.AppMigratedEvent{
-			App: order.App, Dest: order.DestHost,
-			Mode: order.Mode.String(), Reason: order.Reason, At: ev.At,
-		})
+		// A Failure the MA could not encode carries its error as text.
+		msg := string(reply.Content)
+		if reply.Performative != platform.Failure {
+			msg = fmt.Sprintf("agents: undecodable %s reply from %s: %v", reply.Performative, b.MAName, derr)
+		}
+		b.Kernel.PublishTyped(b.agent.Name(), failed(msg))
 		return
 	}
 	if res.Err != "" {

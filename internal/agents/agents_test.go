@@ -135,7 +135,7 @@ func newAgentRig(t *testing.T) *agentRig {
 	}
 
 	// Platform: one container per host; MA and AA live on hostA.
-	plat := platform.NewPlatform(fab, net)
+	plat := platform.NewPlatform(fab)
 	contA, err := plat.NewContainer("container@hostA", "hostA")
 	if err != nil {
 		t.Fatal(err)
@@ -330,6 +330,50 @@ func TestMARejectsGarbageOrder(t *testing.T) {
 	}
 	if reply.Performative != platform.Failure {
 		t.Fatalf("reply = %s, want failure", reply.Performative)
+	}
+}
+
+// TestAAReportsUndecodableReplyAsFailure points the AA at a stand-in
+// mobility agent that answers Inform with content that does not decode:
+// the AA must report one failed move, not a migration with zero timings.
+func TestAAReportsUndecodableReplyAsFailure(t *testing.T) {
+	r := newAgentRig(t)
+	standIn, err := r.contA.CreateAgent("stand-in-ma", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standIn.AddBehaviour(platform.MessageHandler(platform.MatchOntology(MobilityOntology), func(a *platform.Agent, msg platform.ACLMessage) {
+		_ = a.Send(msg.Reply(platform.Inform, []byte("not gob")))
+	}))
+	r.aaBody.MAName = "stand-in-ma"
+
+	var mu sync.Mutex
+	var migrated, failed []string
+	r.kernel.Subscribe(TopicMigrated, func(ev ctxkernel.Event) {
+		mu.Lock()
+		migrated = append(migrated, ev.Attr("dest"))
+		mu.Unlock()
+	})
+	r.kernel.Subscribe(TopicMigrateFailed, func(ev ctxkernel.Event) {
+		mu.Lock()
+		failed = append(failed, ev.Attr("dest"))
+		mu.Unlock()
+	})
+
+	r.kernel.Publish(userEvent(ctxkernel.TopicUserEntered, "alice", "office822"))
+	waitFor(t, "migrate-failed event", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(failed) > 0 || len(migrated) > 0
+	})
+	time.Sleep(20 * time.Millisecond) // let a wrongly published second event land
+	mu.Lock()
+	defer mu.Unlock()
+	if len(failed) != 1 || len(migrated) != 0 {
+		t.Fatalf("failed = %v, migrated = %v; want one failure to hostB and no migration", failed, migrated)
+	}
+	if failed[0] != "hostB" {
+		t.Fatalf("failure dest = %q, want hostB", failed[0])
 	}
 }
 

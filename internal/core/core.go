@@ -177,7 +177,7 @@ func New(cfg Config) (*Middleware, error) {
 		Classifier: ctxkernel.NewClassifier(),
 		Monitor:    ctxkernel.NewMonitor(ctxkernel.NewKernel()), // replaced below
 		Predictor:  ctxkernel.NewPredictor(),
-		Platform:   platform.NewPlatform(fab, net),
+		Platform:   platform.NewPlatform(fab),
 		hosts:      make(map[string]*HostRuntime),
 		db:         db,
 	}

@@ -5,16 +5,9 @@
 // FIPA-flavoured ACL messages, JADE-style behaviours scheduled on a
 // per-agent goroutine, agent lifecycle management (start / suspend /
 // resume / kill), containers with an AMS (agent directory) and DF (service
-// directory), remote messaging over internal/transport, and the mobility
-// service that moves agents between containers.
-//
-// Code mobility substitution (see DESIGN.md §3.1): Go cannot ship compiled
-// code, so agent migration is state-only — a moving agent is snapshotted,
-// its registered type name plus state (plus, when the destination lacks
-// the type, a synthetic "code image" sized like the real code) is
-// transferred, and the destination re-instantiates it from a factory
-// registry. This preserves the byte counts and phase structure the paper's
-// evaluation measures.
+// directory), and remote messaging over internal/transport. Platform
+// agents do not move: applications move through migrate.Engine, which the
+// mobile agents drive (DESIGN.md §3.1).
 package platform
 
 import (
@@ -100,9 +93,6 @@ func (m ACLMessage) Reply(p Performative, content []byte) ACLMessage {
 
 // Template filters mailbox messages.
 type Template func(ACLMessage) bool
-
-// MatchAll accepts every message.
-func MatchAll() Template { return func(ACLMessage) bool { return true } }
 
 // MatchPerformative accepts messages with the given performative.
 func MatchPerformative(p Performative) Template {

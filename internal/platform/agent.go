@@ -14,7 +14,6 @@ const (
 	StateInitiated AgentState = iota + 1
 	StateActive
 	StateSuspended
-	StateMoving
 	StateDeleted
 )
 
@@ -26,8 +25,6 @@ func (s AgentState) String() string {
 		return "active"
 	case StateSuspended:
 		return "suspended"
-	case StateMoving:
-		return "moving"
 	case StateDeleted:
 		return "deleted"
 	default:
@@ -42,14 +39,6 @@ type Body interface {
 	Setup(a *Agent) error
 }
 
-// MobileBody is a Body whose agent can migrate: its state must serialize
-// to bytes and restore on the far side.
-type MobileBody interface {
-	Body
-	Snapshot() ([]byte, error)
-	Restore(state []byte) error
-}
-
 // Agent is one schedulable agent: a mailbox, a behaviour queue, and a
 // scheduler goroutine, living in a Container.
 type Agent struct {
@@ -60,7 +49,6 @@ type Agent struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
 	state      AgentState
-	parked     bool // scheduler is waiting (quiesced)
 	mailbox    []ACLMessage
 	mailSeq    uint64 // bumped on every Post
 	behaviours []Behaviour
@@ -85,9 +73,6 @@ func (a *Agent) Name() string { return a.name }
 
 // Container returns the agent's current container.
 func (a *Agent) Container() *Container { return a.container }
-
-// Body returns the user body (for inspection in tests and tools).
-func (a *Agent) Body() Body { return a.body }
 
 // State returns the agent's lifecycle state.
 func (a *Agent) State() AgentState {
@@ -177,13 +162,6 @@ func (a *Agent) ReceiveWait(ctx context.Context, tmpl Template) (ACLMessage, err
 	}
 }
 
-// MailboxLen reports queued messages (diagnostics).
-func (a *Agent) MailboxLen() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.mailbox)
-}
-
 // Send routes an ACL message from this agent through the platform.
 func (a *Agent) Send(msg ACLMessage) error {
 	msg.Sender = a.name
@@ -214,7 +192,7 @@ func (a *Agent) Suspend() {
 // Resume reactivates a suspended agent.
 func (a *Agent) Resume() {
 	a.mu.Lock()
-	if a.state == StateSuspended || a.state == StateMoving {
+	if a.state == StateSuspended {
 		a.state = StateActive
 		a.cond.Broadcast()
 	}
@@ -240,28 +218,6 @@ func (a *Agent) Kill() {
 	<-a.done
 }
 
-// setMoving transitions to the Moving state for migration, parking the
-// scheduler. Returns false if the agent is not active or suspended.
-func (a *Agent) setMoving() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.state != StateActive && a.state != StateSuspended {
-		return false
-	}
-	a.state = StateMoving
-	a.cond.Broadcast()
-	return true
-}
-
-// awaitParked blocks until the scheduler has quiesced (parked) or exited.
-func (a *Agent) awaitParked() {
-	a.mu.Lock()
-	for !a.parked && a.state != StateDeleted {
-		a.cond.Wait()
-	}
-	a.mu.Unlock()
-}
-
 // run is the scheduler goroutine: JADE-style rounds over the behaviour
 // queue, parking when every behaviour is blocked and no new mail arrived.
 func (a *Agent) run() {
@@ -275,24 +231,16 @@ func (a *Agent) run() {
 
 		switch a.state {
 		case StateDeleted:
-			a.parked = true
-			a.cond.Broadcast()
 			a.mu.Unlock()
 			return
-		case StateSuspended, StateMoving:
-			a.parked = true
-			a.cond.Broadcast()
+		case StateSuspended:
 			a.cond.Wait()
-			a.parked = false
 			a.mu.Unlock()
 			continue
 		}
 
 		if len(a.behaviours) == 0 {
-			a.parked = true
-			a.cond.Broadcast()
 			a.cond.Wait()
-			a.parked = false
 			a.mu.Unlock()
 			continue
 		}
@@ -324,10 +272,7 @@ func (a *Agent) run() {
 		a.behaviours = remaining
 		noNewInput := a.mailSeq == seenMail && len(a.added) == 0
 		if !progress && noNewInput && a.state == StateActive {
-			a.parked = true
-			a.cond.Broadcast()
 			a.cond.Wait()
-			a.parked = false
 		}
 		a.mu.Unlock()
 	}

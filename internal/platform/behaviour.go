@@ -27,20 +27,6 @@ type BehaviourFunc func(a *Agent) BehaviourStatus
 // Action implements Behaviour.
 func (f BehaviourFunc) Action(a *Agent) BehaviourStatus { return f(a) }
 
-// OneShot runs fn exactly once.
-func OneShot(fn func(a *Agent)) Behaviour {
-	return BehaviourFunc(func(a *Agent) BehaviourStatus {
-		fn(a)
-		return StatusDone
-	})
-}
-
-// Cyclic runs fn every scheduling round until the agent dies. fn should
-// return StatusBlocked when it has no work, to avoid spinning.
-func Cyclic(fn func(a *Agent) BehaviourStatus) Behaviour {
-	return BehaviourFunc(fn)
-}
-
 // MessageHandler runs fn for every mailbox message matching tmpl and
 // blocks between messages — the workhorse for reactive agents.
 func MessageHandler(tmpl Template, fn func(a *Agent, msg ACLMessage)) Behaviour {
@@ -50,43 +36,6 @@ func MessageHandler(tmpl Template, fn func(a *Agent, msg ACLMessage)) Behaviour 
 			return StatusBlocked
 		}
 		fn(a, msg)
-		return StatusContinue
-	})
-}
-
-// Sequence runs behaviours one after another; each child runs (possibly
-// over many rounds) until it reports done, then the next starts.
-func Sequence(children ...Behaviour) Behaviour {
-	idx := 0
-	return BehaviourFunc(func(a *Agent) BehaviourStatus {
-		for idx < len(children) {
-			switch children[idx].Action(a) {
-			case StatusDone:
-				idx++
-				continue
-			case StatusBlocked:
-				return StatusBlocked
-			default:
-				return StatusContinue
-			}
-		}
-		return StatusDone
-	})
-}
-
-// Ticker runs fn every n scheduling opportunities (a lightweight stand-in
-// for JADE's TickerBehaviour; rounds, not wall time, so it composes with
-// virtual clocks).
-func Ticker(n int, fn func(a *Agent)) Behaviour {
-	if n < 1 {
-		n = 1
-	}
-	count := 0
-	return BehaviourFunc(func(a *Agent) BehaviourStatus {
-		count++
-		if count%n == 0 {
-			fn(a)
-		}
 		return StatusContinue
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"mdagent/internal/netsim"
 	"mdagent/internal/transport"
 )
 
@@ -25,7 +24,6 @@ type ServiceAd struct {
 // JADE's main container.
 type Platform struct {
 	fabric *transport.LocalFabric
-	net    *netsim.Network // optional; enables CPU cost charging
 
 	mu         sync.RWMutex
 	containers map[string]*Container // container name -> container
@@ -33,13 +31,10 @@ type Platform struct {
 	df         map[string][]ServiceAd
 }
 
-// NewPlatform creates a platform over a local fabric. net may be nil;
-// when present, agent migration charges serialize/deserialize CPU costs
-// to the hosts involved.
-func NewPlatform(fabric *transport.LocalFabric, net *netsim.Network) *Platform {
+// NewPlatform creates a platform over a local fabric.
+func NewPlatform(fabric *transport.LocalFabric) *Platform {
 	return &Platform{
 		fabric:     fabric,
-		net:        net,
 		containers: make(map[string]*Container),
 		ams:        make(map[string]string),
 		df:         make(map[string][]ServiceAd),
@@ -59,11 +54,8 @@ func (p *Platform) NewContainer(name, host string) (*Container, error) {
 		host:     host,
 		ep:       ep,
 		agents:   make(map[string]*Agent),
-		types:    newTypeRegistry(),
 	}
 	ep.Handle(MsgACL, c.handleRemoteACL)
-	ep.Handle(MsgMove, c.handleMove)
-	ep.Handle(MsgClone, c.handleClone)
 	p.mu.Lock()
 	p.containers[name] = c
 	p.mu.Unlock()
@@ -148,8 +140,7 @@ func (p *Platform) Agents() []string {
 }
 
 // Container hosts agents on one netsim host, with a transport endpoint
-// for inter-container traffic and a local factory registry of installed
-// agent/component types.
+// for inter-container traffic.
 type Container struct {
 	platform *Platform
 	name     string
@@ -158,7 +149,6 @@ type Container struct {
 
 	mu     sync.RWMutex
 	agents map[string]*Agent
-	types  *typeRegistry
 }
 
 // Name returns the container name.
@@ -192,18 +182,6 @@ func (c *Container) Agent(name string) (*Agent, bool) {
 	defer c.mu.RUnlock()
 	a, ok := c.agents[name]
 	return a, ok
-}
-
-// LocalAgents returns local agent names, sorted.
-func (c *Container) LocalAgents() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.agents))
-	for n := range c.agents {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // KillAgent terminates a local agent and deregisters it.

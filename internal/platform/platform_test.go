@@ -2,7 +2,6 @@ package platform
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -26,45 +25,7 @@ func (e *echoBody) Setup(a *Agent) error {
 	return nil
 }
 
-// counterBody is a mobile body: its state is a counter.
-type counterBody struct {
-	mu    sync.Mutex
-	Count int
-}
-
-func (c *counterBody) Setup(a *Agent) error {
-	a.AddBehaviour(MessageHandler(MatchPerformative(Inform), func(a *Agent, msg ACLMessage) {
-		c.mu.Lock()
-		c.Count++
-		c.mu.Unlock()
-	}))
-	return nil
-}
-
-func (c *counterBody) Snapshot() ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return json.Marshal(struct{ Count int }{c.Count})
-}
-
-func (c *counterBody) Restore(state []byte) error {
-	var s struct{ Count int }
-	if err := json.Unmarshal(state, &s); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.Count = s.Count
-	c.mu.Unlock()
-	return nil
-}
-
-func (c *counterBody) value() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Count
-}
-
-func testRig(t *testing.T) (*Platform, *Container, *Container, *vclock.Virtual) {
+func testRig(t *testing.T) (*Platform, *Container, *Container) {
 	t.Helper()
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	net := netsim.New(clk, netsim.WithSeed(2))
@@ -76,7 +37,7 @@ func testRig(t *testing.T) (*Platform, *Container, *Container, *vclock.Virtual) 
 	}
 	fab := transport.NewLocalFabric(net)
 	t.Cleanup(func() { fab.Close() })
-	p := NewPlatform(fab, net)
+	p := NewPlatform(fab)
 	ca, err := p.NewContainer("main", "hostA")
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +46,7 @@ func testRig(t *testing.T) (*Platform, *Container, *Container, *vclock.Virtual) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, ca, cb, clk
+	return p, ca, cb
 }
 
 func ctxT(t *testing.T) context.Context {
@@ -96,7 +57,7 @@ func ctxT(t *testing.T) context.Context {
 }
 
 func TestAgentLifecycle(t *testing.T) {
-	_, ca, _, _ := testRig(t)
+	_, ca, _ := testRig(t)
 	a, err := ca.CreateAgent("echo", &echoBody{})
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +87,77 @@ func TestAgentLifecycle(t *testing.T) {
 	}
 }
 
+// recorderBody records the content of every Inform it handles, in order.
+type recorderBody struct {
+	mu  sync.Mutex
+	got []string
+}
+
+func (r *recorderBody) Setup(a *Agent) error {
+	a.AddBehaviour(MessageHandler(MatchPerformative(Inform), func(_ *Agent, msg ACLMessage) {
+		r.mu.Lock()
+		r.got = append(r.got, string(msg.Content))
+		r.mu.Unlock()
+	}))
+	return nil
+}
+
+func (r *recorderBody) handled() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.got...)
+}
+
+// TestSuspendedAgentParks checks the scheduler's park paths: a suspended
+// agent runs no behaviour while mail queues, handles the queue in order
+// once resumed, and can be killed while suspended.
+func TestSuspendedAgentParks(t *testing.T) {
+	_, ca, _ := testRig(t)
+	body := &recorderBody{}
+	a, err := ca.CreateAgent("rec", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Suspend()
+	want := []string{"m0", "m1", "m2", "m3", "m4"}
+	for _, m := range want {
+		a.Post(ACLMessage{Performative: Inform, Receiver: "rec", Content: []byte(m)})
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := body.handled(); len(got) != 0 {
+		t.Fatalf("suspended agent handled %v", got)
+	}
+
+	a.Resume()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(body.handled()) < len(want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("handled %v after resume, want %v", body.handled(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := body.handled(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("handled %v, want %v", got, want)
+	}
+
+	a.Suspend()
+	killed := make(chan error, 1)
+	go func() { killed <- ca.KillAgent("rec") }()
+	select {
+	case err := <-killed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("KillAgent of a suspended agent did not return")
+	}
+	if got := a.State(); got != StateDeleted {
+		t.Fatalf("state after kill = %v, want deleted", got)
+	}
+}
+
 func TestDuplicateAgentNameRejected(t *testing.T) {
-	_, ca, cb, _ := testRig(t)
+	_, ca, cb := testRig(t)
 	if _, err := ca.CreateAgent("x", &echoBody{}); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +167,7 @@ func TestDuplicateAgentNameRejected(t *testing.T) {
 }
 
 func TestLocalRequestReply(t *testing.T) {
-	_, ca, _, _ := testRig(t)
+	_, ca, _ := testRig(t)
 	if _, err := ca.CreateAgent("echo", &echoBody{}); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +190,7 @@ func TestLocalRequestReply(t *testing.T) {
 }
 
 func TestRemoteRequestReplyAcrossContainers(t *testing.T) {
-	_, ca, cb, _ := testRig(t)
+	_, ca, cb := testRig(t)
 	if _, err := cb.CreateAgent("echo", &echoBody{}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +210,7 @@ func TestRemoteRequestReplyAcrossContainers(t *testing.T) {
 }
 
 func TestSendToUnknownAgentFails(t *testing.T) {
-	_, ca, _, _ := testRig(t)
+	_, ca, _ := testRig(t)
 	a, err := ca.CreateAgent("solo", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +224,7 @@ func TestSendToUnknownAgentFails(t *testing.T) {
 }
 
 func TestAMSAndDF(t *testing.T) {
-	p, ca, cb, _ := testRig(t)
+	p, ca, cb := testRig(t)
 	if _, err := ca.CreateAgent("a1", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -224,260 +254,16 @@ func TestAMSAndDF(t *testing.T) {
 	}
 }
 
-func TestBehaviourSequenceAndTicker(t *testing.T) {
-	_, ca, _, _ := testRig(t)
-	a, err := ca.CreateAgent("seq", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var order []string
-	var wg sync.WaitGroup
-	wg.Add(1)
-	a.AddBehaviour(Sequence(
-		OneShot(func(*Agent) { mu.Lock(); order = append(order, "first"); mu.Unlock() }),
-		OneShot(func(*Agent) { mu.Lock(); order = append(order, "second"); mu.Unlock() }),
-		OneShot(func(*Agent) { wg.Done() }),
-	))
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
 func TestReceiveWaitCancellation(t *testing.T) {
-	_, ca, _, _ := testRig(t)
+	_, ca, _ := testRig(t)
 	a, err := ca.CreateAgent("waiter", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := a.ReceiveWait(ctx, MatchAll()); err == nil {
+	if _, err := a.ReceiveWait(ctx, nil); err == nil {
 		t.Fatal("ReceiveWait returned without message or cancellation")
-	}
-}
-
-func TestMoveAgentStateOnly(t *testing.T) {
-	_, ca, cb, clk := testRig(t)
-	RegisterType("test.counter", func() MobileBody { return &counterBody{} })
-	if err := ca.Install("test.counter"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cb.Install("test.counter"); err != nil {
-		t.Fatal(err)
-	}
-	a, err := ca.CreateAgent("ctr", &counterBody{Count: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = a
-
-	before := clk.Now()
-	out, err := ca.MoveAgent(ctxT(t), "ctr", "remote", "test.counter", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.DestHadType || out.CarriedCode || out.CodeBytes != 0 {
-		t.Fatalf("outcome = %+v, want state-only move", out)
-	}
-	if out.StateBytes <= 0 {
-		t.Fatalf("StateBytes = %d", out.StateBytes)
-	}
-	// Virtual time advanced: serialize + transfer + deserialize.
-	if clk.Now().Sub(before) <= 0 {
-		t.Fatal("move charged no virtual time")
-	}
-	// Gone from source, alive at destination with restored state.
-	if _, ok := ca.Agent("ctr"); ok {
-		t.Fatal("agent still on source after move")
-	}
-	moved, ok := cb.Agent("ctr")
-	if !ok {
-		t.Fatal("agent missing at destination")
-	}
-	body, ok := moved.Body().(*counterBody)
-	if !ok {
-		t.Fatalf("body type = %T", moved.Body())
-	}
-	if body.value() != 41 {
-		t.Fatalf("restored count = %d, want 41", body.value())
-	}
-	// The moved agent still works: an Inform bumps the counter.
-	sender, err := ca.CreateAgent("sender", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sender.Send(ACLMessage{Performative: Inform, Receiver: "ctr"}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for body.value() != 42 {
-		if time.Now().After(deadline) {
-			t.Fatalf("count = %d, want 42", body.value())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestMoveCarriesCodeImageWhenTypeMissing(t *testing.T) {
-	_, ca, cb, _ := testRig(t)
-	RegisterType("test.counter2", func() MobileBody { return &counterBody{} })
-	if err := ca.Install("test.counter2"); err != nil {
-		t.Fatal(err)
-	}
-	// cb deliberately lacks the type.
-	if cb.Installed("test.counter2") {
-		t.Fatal("precondition: remote should lack type")
-	}
-	if _, err := ca.CreateAgent("c2", &counterBody{Count: 7}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Without a code image the move must fail and the agent must survive.
-	_, err := ca.MoveAgent(ctxT(t), "c2", "remote", "test.counter2", nil)
-	if err == nil || !strings.Contains(err.Error(), "code image") {
-		t.Fatalf("err = %v, want code-image failure", err)
-	}
-	a, ok := ca.Agent("c2")
-	if !ok {
-		t.Fatal("agent lost after failed move")
-	}
-	if got := a.State(); got != StateActive {
-		t.Fatalf("state after failed move = %v, want active (resumed)", got)
-	}
-
-	// With a code image the move succeeds and installs the type.
-	img := make([]byte, 128<<10) // 128 KiB of "code"
-	out, err := ca.MoveAgent(ctxT(t), "c2", "remote", "test.counter2", img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.CarriedCode || out.DestHadType || out.CodeBytes != len(img) {
-		t.Fatalf("outcome = %+v, want carried code", out)
-	}
-	if !cb.Installed("test.counter2") {
-		t.Fatal("code image did not install the type")
-	}
-	moved, ok := cb.Agent("c2")
-	if !ok {
-		t.Fatal("agent missing after code-carrying move")
-	}
-	if moved.Body().(*counterBody).value() != 7 {
-		t.Fatal("state lost in code-carrying move")
-	}
-}
-
-func TestMoveValidation(t *testing.T) {
-	_, ca, _, _ := testRig(t)
-	ctx := ctxT(t)
-	if _, err := ca.MoveAgent(ctx, "ghost", "remote", "t", nil); err == nil {
-		t.Fatal("moving unknown agent accepted")
-	}
-	if _, err := ca.CreateAgent("immobile", &echoBody{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ca.MoveAgent(ctx, "immobile", "remote", "t", nil); err == nil {
-		t.Fatal("moving non-mobile body accepted")
-	}
-	RegisterType("test.counter3", func() MobileBody { return &counterBody{} })
-	if _, err := ca.CreateAgent("c3", &counterBody{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ca.MoveAgent(ctx, "c3", "main", "test.counter3", nil); err == nil {
-		t.Fatal("move to same container accepted")
-	}
-	if _, err := ca.MoveAgent(ctx, "c3", "nonexistent", "test.counter3", nil); err == nil {
-		t.Fatal("move to unknown container accepted")
-	}
-}
-
-func TestCloneAgentKeepsOriginal(t *testing.T) {
-	_, ca, cb, _ := testRig(t)
-	RegisterType("test.counter4", func() MobileBody { return &counterBody{} })
-	if err := cb.Install("test.counter4"); err != nil {
-		t.Fatal(err)
-	}
-	orig := &counterBody{Count: 10}
-	if _, err := ca.CreateAgent("proto", orig); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ca.CloneAgent(ctxT(t), "proto", "remote", "proto-clone1", "test.counter4", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.RestoredName != "proto-clone1" {
-		t.Fatalf("outcome = %+v", out)
-	}
-	// Original alive and active.
-	a, ok := ca.Agent("proto")
-	if !ok || a.State() != StateActive {
-		t.Fatalf("original gone or not active: %v", a.State())
-	}
-	// Clone alive with copied state, independent of the original.
-	clone, ok := cb.Agent("proto-clone1")
-	if !ok {
-		t.Fatal("clone missing")
-	}
-	cb2 := clone.Body().(*counterBody)
-	if cb2.value() != 10 {
-		t.Fatalf("clone state = %d", cb2.value())
-	}
-	orig.mu.Lock()
-	orig.Count = 99
-	orig.mu.Unlock()
-	if cb2.value() != 10 {
-		t.Fatal("clone shares state with original")
-	}
-}
-
-func TestCloneValidation(t *testing.T) {
-	_, ca, _, _ := testRig(t)
-	ctx := ctxT(t)
-	if _, err := ca.CloneAgent(ctx, "ghost", "remote", "x", "t", nil); err == nil {
-		t.Fatal("cloning unknown agent accepted")
-	}
-	RegisterType("test.counter5", func() MobileBody { return &counterBody{} })
-	if _, err := ca.CreateAgent("c5", &counterBody{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ca.CloneAgent(ctx, "c5", "main", "c5", "test.counter5", nil); err == nil {
-		t.Fatal("self-clone accepted")
-	}
-	// Clone into the same container under a new name is legal.
-	if err := ca.Install("test.counter5"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ca.CloneAgent(ctx, "c5", "main", "c5-twin", "test.counter5", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ca.Agent("c5-twin"); !ok {
-		t.Fatal("same-container clone missing")
-	}
-}
-
-func TestInstallUnknownTypeFails(t *testing.T) {
-	_, ca, _, _ := testRig(t)
-	if err := ca.Install("never.registered"); err == nil {
-		t.Fatal("installing unknown type accepted")
-	}
-	if got := ca.InstalledTypes(); len(got) != 0 {
-		t.Fatalf("InstalledTypes = %v", got)
-	}
-}
-
-func TestCatalogTypesListed(t *testing.T) {
-	RegisterType("test.zzz", func() MobileBody { return &counterBody{} })
-	found := false
-	for _, n := range CatalogTypes() {
-		if n == "test.zzz" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered type missing from catalog")
 	}
 }
 
@@ -500,9 +286,6 @@ func TestTemplates(t *testing.T) {
 	}
 	if MatchAnd(MatchPerformative(Request))(m) {
 		t.Fatal("MatchAnd accepted mismatched performative")
-	}
-	if !MatchAll()(m) {
-		t.Fatal("MatchAll rejected")
 	}
 }
 
