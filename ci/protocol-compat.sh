@@ -8,7 +8,11 @@
 # an mdagentd of one generation checks an application in at one of the
 # other; whenever the check-in encoding differs between the two, the
 # migration must fail promptly with the receiver's refusal and leave the
-# application running on the source. Every wire op has one encoding and
+# application running on the source. Bundles: a bundle pushed through an
+# mdagentd of one generation is forwarded to a center of the other; the
+# forward rides the center's ctl.bundle-push (one trust gate), so a daemon
+# that still forwards over the retired registry.put-bundle op is refused
+# promptly and nothing is stored. Every wire op has one encoding and
 # no fallback, so this N<->N-1 run is the only net under a wire-format
 # break (sealed-frame layout, fast-frame layout, reply shapes) that every
 # same-version test is blind to.
@@ -213,10 +217,83 @@ run_migrate_pair() {
   wait "$a_pid" "$b_pid" "$reg_pid" 2>/dev/null || true
 }
 
+# run_bundle_pair AGENTD_DIR REGISTRY_DIR LABEL REFUSAL: both sides trust
+# a key made with `mdctl bundle keygen`, and a bundle signed with it is
+# pushed through the mdagentd (one generation), which forwards it to the
+# center (the other). With an empty REFUSAL the push must succeed and the
+# center list the bundle; otherwise mdctl must exit non-zero within 10 s
+# naming REFUSAL, and the center must list nothing.
+run_bundle_pair() {
+  local agentd=$1 registry=$2 label=$3 refusal=$4
+  echo "-- pair: $label"
+  local dir="$WORK/run-$label"
+  mkdir -p "$dir"
+
+  "$WORK/new/mdctl" -server 127.0.0.1:1 bundle keygen -out "$dir/publisher" >/dev/null
+  local key
+  key=$(cat "$dir/publisher.pub")
+  cat >"$dir/spec.json" <<'SPEC'
+{"app": "compat-notepad", "components": [{"name": "notes", "kind": "state"}],
+ "state": {"notes": {"line1": "pushed through a host daemon"}}}
+SPEC
+  "$WORK/new/mdctl" -server 127.0.0.1:1 bundle pack -spec "$dir/spec.json" \
+    -key "$dir/publisher.key" -out "$dir/notepad.mdab" >/dev/null
+
+  "$registry/mdregistry" -listen 127.0.0.1:0 -space lab -trust-key "$key" \
+    >"$dir/registry.log" 2>&1 &
+  local reg_pid=$!
+  wait_line "$dir/registry.log" "serving registry@lab on "
+  local reg_addr
+  reg_addr=$(addr_from "$dir/registry.log" "serving registry@lab on ")
+
+  "$agentd/mdagentd" -host hostA -listen 127.0.0.1:0 -registry "$reg_addr" \
+    -space lab -trust-key "$key" >"$dir/agentd.log" 2>&1 &
+  local agent_pid=$!
+  wait_line "$dir/agentd.log" "serving on "
+  local agent_addr
+  agent_addr=$(addr_from "$dir/agentd.log" "serving on ")
+
+  local status=0
+  timeout 10 "$WORK/new/mdctl" -server "$agent_addr" bundle push "$dir/notepad.mdab" \
+    >"$dir/push.log" 2>&1 || status=$?
+  if [ "$status" -eq 124 ]; then
+    echo "mdctl bundle push hung for 10 s" >&2
+    cat "$dir/push.log" "$dir/agentd.log" "$dir/registry.log" >&2
+    return 1
+  fi
+  "$WORK/new/mdctl" -server "$reg_addr" bundle list >"$dir/list.log"
+  local listed=0
+  grep -q compat-notepad "$dir/list.log" || listed=$?
+  if [ -z "$refusal" ]; then
+    if [ "$status" -ne 0 ] || [ "$listed" -ne 0 ]; then
+      echo "forwarded push failed (exit $status) or the center does not list it" >&2
+      cat "$dir/push.log" "$dir/agentd.log" "$dir/registry.log" >&2
+      return 1
+    fi
+    echo "   forwarded and stored: $(head -1 "$dir/push.log")"
+  else
+    if [ "$status" -eq 0 ] || ! grep -q "$refusal" "$dir/push.log"; then
+      echo "push through the old daemon was not refused with '$refusal' (exit $status)" >&2
+      cat "$dir/push.log" >&2
+      return 1
+    fi
+    if [ "$listed" -eq 0 ]; then
+      echo "the center stored a bundle it refused" >&2
+      return 1
+    fi
+    echo "   refused in time, nothing stored: $(head -1 "$dir/push.log")"
+  fi
+
+  kill "$agent_pid" "$reg_pid" 2>/dev/null || true
+  wait "$agent_pid" "$reg_pid" 2>/dev/null || true
+}
+
 run_pair "$WORK/new" "$WORK/old" old-client-vs-new-daemon
 run_pair "$WORK/old" "$WORK/new" new-client-vs-old-daemon
 run_snap_pair "$WORK/old" "$WORK/new" old-agentd-vs-new-registry
 run_snap_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry
 run_migrate_pair "$WORK/old" "$WORK/new" old-source-vs-new-destination "unsupported protocol version"
 run_migrate_pair "$WORK/new" "$WORK/old" new-source-vs-old-destination "gob"
-echo "== protocol-compat: all six mixed pairs passed"
+run_bundle_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry-bundle ""
+run_bundle_pair "$WORK/old" "$WORK/new" old-agentd-vs-new-registry-bundle "no handler"
+echo "== protocol-compat: all eight mixed pairs passed"

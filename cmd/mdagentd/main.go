@@ -65,26 +65,12 @@ import (
 	"mdagent/internal/wsdl"
 )
 
-// skeletonApp describes an installable demo-app skeleton — the single
-// source of truth for what -install accepts and how it wires up.
-type skeletonApp struct {
-	desc       wsdl.Description
-	components []string
-	factory    func(host string) *app.Application
-}
-
-func skeletonApps() map[string]skeletonApp {
-	return map[string]skeletonApp{
-		"smart-media-player": {
-			desc:       demoapps.MediaPlayerDesc(),
-			components: demoapps.MediaPlayerSkeletonComponents(),
-			factory:    func(h string) *app.Application { return demoapps.MediaPlayerSkeleton(h) },
-		},
-		"ubiquitous-slideshow": {
-			desc:       demoapps.SlideShowDesc(),
-			components: demoapps.SlideShowSkeletonComponents(),
-			factory:    func(h string) *app.Application { return demoapps.SlideShowSkeleton(h) },
-		},
+// skeletonApps are the compiled-in demo-app skeletons by name — the
+// single source of truth for what -install accepts.
+func skeletonApps() map[string]func(host string) *app.Application {
+	return map[string]func(host string) *app.Application{
+		"smart-media-player":   demoapps.MediaPlayerSkeleton,
+		"ubiquitous-slideshow": demoapps.SlideShowSkeleton,
 	}
 }
 
@@ -273,9 +259,32 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	// Control plane: the daemon answers the versioned ctl protocol on its
 	// existing endpoint under the well-known "ctl" alias, so an operator
 	// (cmd/mdctl) needs only the listen address to run, stop, migrate,
-	// inspect, and watch this host.
+	// inspect, and watch this host. Lifecycle goes to the host runtime,
+	// views come from the center, and an admitted bundle push is forwarded
+	// to the center's own control plane, whose trust gate sees every
+	// bundle write.
 	node.AddAlias(ctl.Alias)
-	ctlSrv := ctl.NewServer(daemonBackend(rt, cat, member, snapCli, skeletons, kernel, trusted))
+	d := core.Deployment{
+		Info:      ctl.ServerInfo{Role: "host", Host: *host, Space: *space},
+		Hosts:     func() []*core.HostRuntime { return []*core.HostRuntime{rt} },
+		Records:   cat.Apps,
+		PutBundle: ctl.NewClient(node.Endpoint(), registryName).PushBundle,
+		GetBundle: func(ctx context.Context, _, name string) ([]byte, bool, error) {
+			return cat.GetBundle(ctx, name)
+		},
+		ListBundles: cat.Bundles,
+		Skeletons:   skeletons,
+		Trusted:     trusted,
+		Kernel:      kernel,
+	}
+	if member != nil {
+		d.Members = member.Members
+	}
+	if snapCli != nil {
+		d.Heads = snapCli.SnapshotHeads
+	}
+	backend := core.Backend(d)
+	ctlSrv := ctl.NewServer(backend)
 	ctlSrv.Serve(node.Endpoint())
 	defer ctlSrv.Close()
 
@@ -289,8 +298,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	}
 
 	if *install != "" {
-		sk := skeletons[*install]
-		if err := rt.Install(ctx, *install, sk.desc, sk.components, sk.factory); err != nil {
+		if err := backend.Install(ctx, *install, ""); err != nil {
 			return fmt.Errorf("register skeleton: %w", err)
 		}
 		fmt.Fprintf(out, "mdagentd[%s]: installed %s skeleton\n", *host, *install)

@@ -324,8 +324,8 @@ func TestDaemonLifecycleOverCtl(t *testing.T) {
 	if _, err := cli.Migrate(ctx, ctl.MigrateRequest{App: "no-such-app", To: "hostB"}); !errors.Is(err, ctl.ErrAppNotFound) {
 		t.Fatalf("migrate of an app not running here: want ErrAppNotFound, got %v", err)
 	}
-	if _, err := cli.Migrate(ctx, ctl.MigrateRequest{App: player, To: "hostZ"}); err == nil {
-		t.Fatal("migrate to an unreachable host accepted")
+	if _, err := cli.Migrate(ctx, ctl.MigrateRequest{App: player, To: "hostZ"}); !errors.Is(err, ctl.ErrUnknownHost) {
+		t.Fatalf("migrate to an unreachable host: want ErrUnknownHost, got %v", err)
 	}
 	if !running("hostA") {
 		t.Fatal("failed migrate lost the app")

@@ -25,7 +25,6 @@ package main
 
 import (
 	"context"
-	"crypto/ed25519"
 	"errors"
 	"flag"
 	"fmt"
@@ -147,12 +146,21 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	kernel := ctxkernel.NewKernel()
 	node.AddAlias(ctl.Alias)
 
+	// The center's control plane: registry views, the bundle store and
+	// its trust gate, the Watch stream. No hosts: a registry center runs
+	// no applications, so lifecycle ops are unsupported.
+	d := core.Deployment{
+		Info:        ctl.ServerInfo{Role: "registry", Space: *space},
+		Records:     func(context.Context) ([]registry.AppRecord, error) { return reg.Apps() },
+		PutBundle:   func(_ context.Context, name string, raw []byte) error { return reg.PutBundle(name, raw) },
+		ListBundles: func(context.Context) ([]registry.BundleInfo, error) { return reg.Bundles() },
+		Trusted:     trusted,
+		Kernel:      kernel,
+	}
+	var banner string
 	if *space == "" {
 		reg.Serve(node.Endpoint())
-		ctlSrv := ctl.NewServer(registryBackend(*space, reg, nil, kernel, trusted))
-		ctlSrv.Serve(node.Endpoint())
-		defer ctlSrv.Close()
-		fmt.Fprintf(out, "mdregistry: serving registry-center on %s (store: %s)\n", node.Addr(), storeDesc(*storePath))
+		banner = fmt.Sprintf("mdregistry: serving registry-center on %s (store: %s)", node.Addr(), storeDesc(*storePath))
 	} else {
 		center := cluster.NewCenter(*space, reg, node.Endpoint(), cluster.Config{WriteConcern: wc})
 		for peerSpace, addr := range peers {
@@ -170,12 +178,20 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 		center.Serve(node.Endpoint())
 		center.Start()
 		defer center.Stop()
-		ctlSrv := ctl.NewServer(registryBackend(*space, reg, center, kernel, trusted))
-		ctlSrv.Serve(node.Endpoint())
-		defer ctlSrv.Close()
-		fmt.Fprintf(out, "mdregistry: serving %s on %s, federated with %d peer(s) (store: %s, write concern: %s)\n",
+		d.Heads = func(context.Context) ([]state.SnapshotHead, error) { return center.SnapshotHeads(), nil }
+		// A durability shortfall still stored the bundle locally;
+		// anti-entropy finishes the fan-out (same contract as the registry
+		// write handlers).
+		d.PutBundle = func(ctx context.Context, name string, raw []byte) error {
+			return state.IgnoreNotDurable(center.PutBundle(ctx, name, raw))
+		}
+		banner = fmt.Sprintf("mdregistry: serving %s on %s, federated with %d peer(s) (store: %s, write concern: %s)",
 			endpoint, node.Addr(), len(peers), storeDesc(*storePath), wc)
 	}
+	ctlSrv := ctl.NewServer(core.Backend(d))
+	ctlSrv.Serve(node.Endpoint())
+	defer ctlSrv.Close()
+	fmt.Fprintln(out, banner)
 
 	if *debugAddr != "" {
 		dbg, err := obs.ServeDebug(*debugAddr, nil)
@@ -199,66 +215,4 @@ func storeDesc(path string) string {
 		return "in-memory"
 	}
 	return path
-}
-
-// registryBackend is the center's control-plane surface: registry views,
-// bundle distribution, and the Watch stream. Lifecycle operations stay
-// unsupported — a registry center runs no applications.
-func registryBackend(space string, reg *registry.Registry, center *cluster.Center, kernel *ctxkernel.Kernel, trusted []ed25519.PublicKey) ctl.Backend {
-	b := ctl.Backend{
-		Info: func(context.Context) (ctl.ServerInfo, error) {
-			return ctl.ServerInfo{Role: "registry", Space: space}, nil
-		},
-		Apps: func(context.Context) ([]ctl.AppInfo, error) {
-			recs, err := reg.Apps()
-			if err != nil {
-				return nil, err
-			}
-			var heads []state.SnapshotHead
-			if center != nil {
-				heads = center.SnapshotHeads()
-			}
-			return ctl.JoinApps(recs, heads), nil
-		},
-		PushBundle: func(ctx context.Context, name string, raw []byte) error {
-			// The center is the trust gate for the whole federation: a
-			// push lands here once and replicates everywhere, so an
-			// unsigned or untrusted artifact must die here.
-			if _, err := bundle.Admit(name, raw, trusted); err != nil {
-				return fmt.Errorf("mdregistry: %w", err)
-			}
-			if center != nil {
-				// A durability shortfall still stored the bundle locally;
-				// anti-entropy finishes the fan-out (same contract as the
-				// registry write handlers).
-				if err := state.IgnoreNotDurable(center.PutBundle(ctx, name, raw)); err != nil {
-					return err
-				}
-			} else if err := reg.PutBundle(name, raw); err != nil {
-				return err
-			}
-			bundle.Pushes.Inc()
-			bundle.Bytes.Add(int64(len(raw)))
-			return nil
-		},
-		ListBundles: func(context.Context) ([]ctl.BundleInfo, error) {
-			infos, err := reg.Bundles()
-			if err != nil {
-				return nil, err
-			}
-			out := make([]ctl.BundleInfo, 0, len(infos))
-			for _, info := range infos {
-				out = append(out, ctl.BundleInfo{Name: info.Name, Bytes: info.Bytes})
-			}
-			return out, nil
-		},
-		Metrics: core.ObsMetrics,
-		Kernel:  kernel,
-	}
-	if center != nil {
-		b.Snapshots = func(context.Context) ([]state.SnapshotHead, error) {
-			return center.SnapshotHeads(), nil
-		}
-	}
-	return b
 }

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mdagent/internal/bundle"
 	"mdagent/internal/cluster"
+	"mdagent/internal/ctl"
 	"mdagent/internal/registry"
 	"mdagent/internal/transport"
 	"mdagent/internal/wsdl"
@@ -161,6 +164,53 @@ func TestStandaloneServesLegacyName(t *testing.T) {
 	}
 	if _, found, err := cat.Device(ctx, "h1"); err != nil || !found {
 		t.Fatalf("device roundtrip: found=%v err=%v", found, err)
+	}
+}
+
+// TestRawBundlePutIsRefused: the control plane's bundle push is the only
+// way a bundle is written, so bytes sent as the retired registry
+// put-bundle op must find no handler — on a standalone center and on a
+// federated one — and never show up in the bundle list.
+func TestRawBundlePutIsRefused(t *testing.T) {
+	for _, mode := range []struct {
+		name     string
+		endpoint string
+		args     []string
+	}{
+		{"standalone", "registry-center", nil},
+		{"federated", cluster.CenterEndpointName("lab"), []string{"-space", "lab"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			var out syncBuffer
+			addr := startCenter(t, &out, append([]string{"-listen", "127.0.0.1:0"}, mode.args...)...)
+			client, err := transport.ListenTCP("test-client", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			client.AddPeer(mode.endpoint, addr)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+
+			garbage := []byte("not a bundle")
+			if err := ctl.NewClient(client.Endpoint(), mode.endpoint).PushBundle(ctx, "evil", garbage); !errors.Is(err, bundle.ErrNotBundle) {
+				t.Fatalf("ctl bundle push of garbage: want ErrNotBundle, got %v", err)
+			}
+			payload, err := transport.EncodeSealed(struct {
+				Name string
+				Raw  []byte
+			}{"evil", garbage})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.Endpoint().Request(ctx, mode.endpoint, "registry.put-bundle", payload); !errors.Is(err, transport.ErrNoHandler) {
+				t.Fatalf("raw put-bundle: want ErrNoHandler, got %v", err)
+			}
+			infos, err := ctl.NewClient(client.Endpoint(), mode.endpoint).Bundles(ctx)
+			if err != nil || len(infos) != 0 {
+				t.Fatalf("bundle list after refused writes: %+v err=%v", infos, err)
+			}
+		})
 	}
 }
 

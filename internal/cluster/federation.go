@@ -816,9 +816,10 @@ func (c *Center) RegisterDevice(ctx context.Context, dev wsdl.DeviceProfile) err
 // PutBundle stores a signed app bundle federation-wide: one push to any
 // center replicates the bundle to every space under the configured
 // write concern, so any host in the federation can install it. The
-// center stores the bytes opaquely — the pushing daemon verified the
-// signature against its trusted set, and every installing host verifies
-// again before instantiating.
+// center stores the bytes opaquely — its control plane's push op is the
+// only wire path here and admits the bundle against the center's trusted
+// set first, and every installing host verifies again before
+// instantiating.
 func (c *Center) PutBundle(ctx context.Context, name string, raw []byte) error {
 	if name == "" {
 		return fmt.Errorf("cluster: bundle has no name")
@@ -1090,16 +1091,6 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 			return nil, err
 		}
 		return nil, state.IgnoreNotDurable(c.RegisterDevice(context.Background(), dev))
-	})
-	ep.Handle(registry.MsgPutBundle, func(msg transport.Message) ([]byte, error) {
-		var req struct {
-			Name string
-			Raw  []byte
-		}
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		return nil, state.IgnoreNotDurable(c.PutBundle(context.Background(), req.Name, req.Raw))
 	})
 	// Snapshot put/get: multi-process daemons (cmd/mdagentd) join the
 	// state pipeline over the same wire as their registry traffic. The

@@ -2,58 +2,110 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
+	"mdagent/internal/cluster"
 	"mdagent/internal/ctl"
-	"mdagent/internal/migrate"
-	"mdagent/internal/obs"
 	"mdagent/internal/registry"
 	"mdagent/internal/state"
 	"mdagent/internal/transport"
 )
 
 // ControlBackend exposes the full deployment to the versioned control
-// plane: lifecycle (run/stop/migrate by name), introspection (members +
-// incarnations, registry records joined with snapshot heads, replicator
-// stats), and the kernel as the Watch event source. cmd daemons build
-// their own narrower backends; this one is the in-process reference.
-func (m *Middleware) ControlBackend() ctl.Backend {
-	return ctl.Backend{
-		Info: func(context.Context) (ctl.ServerInfo, error) {
-			return ctl.ServerInfo{Role: "middleware"}, nil
-		},
-		Members:       m.ctlMembers,
-		Apps:          m.ctlApps,
-		Snapshots:     m.ctlSnapshots,
-		Stats:         m.ctlStats,
-		RunApp:        m.ctlRunApp,
-		StopApp:       m.ctlStopApp,
-		Migrate:       m.ctlMigrate,
-		Install:       m.ctlInstall,
-		PushBundle:    m.PushBundle,
-		ListBundles:   m.ctlListBundles,
-		InstallBundle: m.InstallBundle,
-		Metrics:       ObsMetrics,
-		Trace:         ObsTrace,
-		Kernel:        m.Kernel,
-	}
-}
+// plane (Backend over every provisioned host): lifecycle by name,
+// introspection (members + incarnations, registry records joined with
+// snapshot heads, replicator stats), bundles, and the kernel as the
+// Watch event source.
+func (m *Middleware) ControlBackend() ctl.Backend { return Backend(m.deployment()) }
 
-// ObsMetrics is the shared ctl.Backend.Metrics implementation: a
-// snapshot of the process-wide obs registry. The cmd daemons reuse it.
-func ObsMetrics(context.Context) ([]obs.Sample, error) {
-	return obs.Default.Snapshot(), nil
-}
-
-// ObsTrace is the shared ctl.Backend.Trace implementation: the latest
-// migration trace recorded for app in this process.
-func ObsTrace(_ context.Context, app string) (obs.MigrationTrace, error) {
-	tr, ok := obs.Traces.Latest(app)
-	if !ok {
-		return obs.MigrationTrace{}, fmt.Errorf("core: %w: no migration trace for %q", ctl.ErrAppNotFound, app)
+// deployment is what the in-process control plane sees: every host, and
+// the single registry or, clustered, every space's center.
+func (m *Middleware) deployment() Deployment {
+	d := Deployment{
+		Info:    ctl.ServerInfo{Role: "middleware"},
+		Hosts:   m.runtimes,
+		Trusted: m.cfg.TrustedKeys,
+		Kernel:  m.Kernel,
 	}
-	return tr, nil
+	if m.Cluster == nil {
+		d.Records = func(context.Context) ([]registry.AppRecord, error) { return m.Registry.Apps() }
+		d.PutBundle = func(_ context.Context, name string, raw []byte) error { return m.Registry.PutBundle(name, raw) }
+		d.GetBundle = func(_ context.Context, _, name string) ([]byte, bool, error) { return m.Registry.GetBundle(name) }
+		d.ListBundles = func(context.Context) ([]registry.BundleInfo, error) { return m.Registry.Bundles() }
+		return d
+	}
+	// Clustered, the views are unions over every space's center: centers
+	// converge via federation, and mid-replication Backend keeps the
+	// freshest snapshot head per app.
+	d.Members = func() []cluster.Member {
+		// One node's view, not a union of mid-gossip views: any node
+		// converges to the same table.
+		for _, rt := range m.runtimes() {
+			if node, ok := m.Cluster.Node(rt.Host); ok {
+				return node.Members()
+			}
+		}
+		return nil
+	}
+	d.Records = func(context.Context) ([]registry.AppRecord, error) {
+		var recs []registry.AppRecord
+		seen := make(map[string]bool)
+		for _, center := range m.centers("") {
+			rs, err := center.Registry().Apps()
+			if err != nil {
+				return nil, err
+			}
+			for _, r := range rs {
+				if key := r.Name + "\x00" + r.Host; !seen[key] {
+					seen[key] = true
+					recs = append(recs, r)
+				}
+			}
+		}
+		return recs, nil
+	}
+	d.Heads = func(context.Context) ([]state.SnapshotHead, error) {
+		var heads []state.SnapshotHead
+		for _, center := range m.centers("") {
+			heads = append(heads, center.SnapshotHeads()...)
+		}
+		return heads, nil
+	}
+	// A push lands at the first space's center, whence it replicates
+	// everywhere; an install reads the installing host's own space center
+	// first, the one it can reach mid-replication.
+	d.PutBundle = func(ctx context.Context, name string, raw []byte) error {
+		if centers := m.centers(""); len(centers) > 0 {
+			return state.IgnoreNotDurable(centers[0].PutBundle(ctx, name, raw))
+		}
+		return m.Registry.PutBundle(name, raw)
+	}
+	d.GetBundle = func(ctx context.Context, space, name string) ([]byte, bool, error) {
+		for _, center := range m.centers(space) {
+			raw, found, err := center.GetBundle(ctx, name)
+			if err != nil || found {
+				return raw, found, err
+			}
+		}
+		return nil, false, nil
+	}
+	d.ListBundles = func(ctx context.Context) ([]registry.BundleInfo, error) {
+		var out []registry.BundleInfo
+		seen := make(map[string]bool)
+		for _, center := range m.centers("") {
+			infos, err := center.Bundles(ctx)
+			if err != nil {
+				return nil, err
+			}
+			for _, info := range infos {
+				if !seen[info.Name] {
+					seen[info.Name] = true
+					out = append(out, info)
+				}
+			}
+		}
+		return out, nil
+	}
+	return d
 }
 
 // ServeControl binds the control plane onto ep — tests and multi-space
@@ -62,170 +114,17 @@ func (m *Middleware) ServeControl(ep *transport.Endpoint) *ctl.Server {
 	return ctl.NewServer(m.ControlBackend()).Serve(ep)
 }
 
-// ctlMembers reports the gossip view of the first (sorted) provisioned
-// host's node — any node converges to the same table; picking one keeps
-// the answer a consistent cut instead of a union of mid-gossip views.
-func (m *Middleware) ctlMembers(context.Context) ([]ctl.MemberInfo, error) {
-	if m.Cluster == nil {
-		return nil, fmt.Errorf("%w: deployment is not clustered", ctl.ErrUnsupported)
+// centers lists the federation's space centers in space order, the
+// center of first (when it has one) leading.
+func (m *Middleware) centers(first string) []*cluster.Center {
+	var out []*cluster.Center
+	if center, ok := m.Cluster.Center(first); ok {
+		out = append(out, center)
 	}
-	for _, host := range m.Hosts() {
-		node, ok := m.Cluster.Node(host)
-		if !ok {
-			continue
-		}
-		members := node.Members()
-		out := make([]ctl.MemberInfo, 0, len(members))
-		for _, mem := range members {
-			out = append(out, ctl.MemberInfo{
-				ID: mem.ID, Space: mem.Space,
-				State: mem.State.String(), Incarnation: mem.Incarnation,
-			})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-		return out, nil
-	}
-	return nil, nil
-}
-
-// snapshotHeads unions every center's snapshot heads (centers converge
-// via federation; mid-replication they may briefly disagree, so
-// consumers pick the freshest Seq per app).
-func (m *Middleware) snapshotHeads() []state.SnapshotHead {
-	if m.Cluster == nil {
-		return nil
-	}
-	var heads []state.SnapshotHead
 	for _, space := range m.Cluster.Spaces() {
-		center, ok := m.Cluster.Center(space)
-		if !ok {
-			continue
-		}
-		heads = append(heads, center.SnapshotHeads()...)
-	}
-	return heads
-}
-
-// ctlApps joins installation records with replicated snapshot heads.
-func (m *Middleware) ctlApps(context.Context) ([]ctl.AppInfo, error) {
-	var recs []registry.AppRecord
-	if m.Cluster != nil {
-		seen := make(map[string]bool)
-		for _, space := range m.Cluster.Spaces() {
-			center, ok := m.Cluster.Center(space)
-			if !ok {
-				continue
-			}
-			rs, err := center.Registry().Apps()
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range rs {
-				key := r.Name + "\x00" + r.Host
-				if !seen[key] {
-					seen[key] = true
-					recs = append(recs, r)
-				}
-			}
-		}
-	} else {
-		var err error
-		recs, err = m.Registry.Apps()
-		if err != nil {
-			return nil, err
+		if center, ok := m.Cluster.Center(space); ok && space != first {
+			out = append(out, center)
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Host != recs[j].Host {
-			return recs[i].Host < recs[j].Host
-		}
-		return recs[i].Name < recs[j].Name
-	})
-	return ctl.JoinApps(recs, m.snapshotHeads()), nil
-}
-
-func (m *Middleware) ctlSnapshots(context.Context) ([]state.SnapshotHead, error) {
-	if m.Cluster == nil {
-		return nil, fmt.Errorf("%w: deployment is not clustered", ctl.ErrUnsupported)
-	}
-	freshest := make(map[string]state.SnapshotHead)
-	for _, h := range m.snapshotHeads() {
-		if ex, ok := freshest[h.App]; !ok || h.Seq > ex.Seq {
-			freshest[h.App] = h
-		}
-	}
-	out := make([]state.SnapshotHead, 0, len(freshest))
-	for _, h := range freshest {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
-	return out, nil
-}
-
-func (m *Middleware) ctlStats(context.Context) ([]ctl.HostStats, error) {
-	var out []ctl.HostStats
-	for _, host := range m.Hosts() {
-		rt, ok := m.Host(host)
-		if !ok || rt.Replicator == nil {
-			continue
-		}
-		out = append(out, ctl.HostStats{Host: host, Stats: rt.Replicator.Stats()})
-	}
-	return out, nil
-}
-
-// ctlRunApp runs an app by name on a host from its installed skeleton
-// factory (the facade's typed RunApp covers arbitrary constructed
-// instances).
-func (m *Middleware) ctlRunApp(ctx context.Context, appName, host string) error {
-	rt, err := m.host(host)
-	if err != nil {
-		return err
-	}
-	return rt.RunInstalled(ctx, appName)
-}
-
-// ctlStopApp stops an app on host; "" locates the host running it.
-func (m *Middleware) ctlStopApp(ctx context.Context, appName, host string) error {
-	if host == "" {
-		var ok bool
-		if _, host, ok = m.FindApp(appName); !ok {
-			return fmt.Errorf("core: %w: %q is not running anywhere", ctl.ErrAppNotFound, appName)
-		}
-	}
-	return m.StopApp(ctx, host, appName)
-}
-
-func (m *Middleware) ctlMigrate(ctx context.Context, req ctl.MigrateRequest) (ctl.MigrateResult, error) {
-	binding := migrate.BindingAdaptive
-	if req.Static {
-		binding = migrate.BindingStatic
-	}
-	_, from, _ := m.FindApp(req.App)
-	// An explicit source host must match reality — the documented
-	// contract (and the daemon backend's behavior): migrating "x from
-	// hostA" when x runs on hostC is an error, not a silent migration
-	// from hostC.
-	if req.Host != "" {
-		if _, err := m.host(req.Host); err != nil {
-			return ctl.MigrateResult{}, err
-		}
-		if from != req.Host {
-			return ctl.MigrateResult{}, fmt.Errorf("core: %w: %q is not running on %s", ctl.ErrAppNotFound, req.App, req.Host)
-		}
-	}
-	rep, err := m.Migrate(ctx, req.App, req.To, binding)
-	if err != nil {
-		return ctl.MigrateResult{}, err
-	}
-	return MigrateResultOf(rep), nil
-}
-
-// MigrateResultOf maps a follow-me report onto the control plane's reply.
-func MigrateResultOf(rep migrate.Report) ctl.MigrateResult {
-	return ctl.MigrateResult{
-		App: rep.App, From: rep.FromHost, To: rep.ToHost,
-		Suspend: rep.Suspend, Migrate: rep.Migrate, Resume: rep.Resume,
-		BytesMoved: rep.BytesMoved, Carried: rep.Carried, Delta: rep.Delta,
-	}
+	return out
 }

@@ -601,6 +601,18 @@ func (m *Middleware) Hosts() []string {
 	return out
 }
 
+// runtimes lists the provisioned host runtimes, sorted by host.
+func (m *Middleware) runtimes() []*HostRuntime {
+	m.mu.Lock()
+	out := make([]*HostRuntime, 0, len(m.hosts))
+	for _, rt := range m.hosts {
+		out = append(out, rt)
+	}
+	m.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
+	return out
+}
+
 // AddRoom places a room (with its Cricket beacon) at a position and
 // assigns the serving host.
 func (m *Middleware) AddRoom(room, host string, center sensor.Point) error {
@@ -678,14 +690,7 @@ func (m *Middleware) FindApp(appName string) (*app.Application, string, bool) {
 // paper's per-host AA/MA managers, Fig. 2). Cancellation is checked
 // between hosts.
 func (m *Middleware) StartAgents(ctx context.Context, policy agents.Policy) error {
-	m.mu.Lock()
-	hosts := make([]*HostRuntime, 0, len(m.hosts))
-	for _, rt := range m.hosts {
-		hosts = append(hosts, rt)
-	}
-	m.mu.Unlock()
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i].Host < hosts[j].Host })
-	for _, rt := range hosts {
+	for _, rt := range m.runtimes() {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: start agents interrupted: %w", err)
 		}
@@ -715,16 +720,13 @@ func (m *Middleware) Walk(ctx context.Context, script sensor.Script) error {
 }
 
 // Migrate follow-mes a running application, wherever it runs, to destHost
-// (HostRuntime.Migrate on the host that holds it).
+// (HostRuntime.Migrate on the host that holds it, which also answers an
+// unknown destination with ctl.ErrUnknownHost).
 func (m *Middleware) Migrate(ctx context.Context, appName, destHost string, binding migrate.BindingMode) (migrate.Report, error) {
-	_, srcHost, ok := m.FindApp(appName)
-	if !ok {
-		return migrate.Report{}, fmt.Errorf("core: %w: %q is not running anywhere", ctl.ErrAppNotFound, appName)
-	}
-	if _, err := m.host(destHost); err != nil {
+	rt, err := pickHost(m.runtimes(), "", appName)
+	if err != nil {
 		return migrate.Report{}, err
 	}
-	rt, _ := m.Host(srcHost)
 	return rt.Migrate(ctx, appName, destHost, binding)
 }
 
@@ -791,16 +793,10 @@ func (m *Middleware) WaitAppOn(ctx context.Context, appName, host string, timeou
 
 // Close tears the deployment down.
 func (m *Middleware) Close() error {
-	m.mu.Lock()
-	reps := make([]*state.Replicator, 0, len(m.hosts))
-	for _, rt := range m.hosts {
+	for _, rt := range m.runtimes() {
 		if rt.Replicator != nil {
-			reps = append(reps, rt.Replicator)
+			rt.Replicator.Stop()
 		}
-	}
-	m.mu.Unlock()
-	for _, rep := range reps {
-		rep.Stop()
 	}
 	if m.Cluster != nil {
 		m.Cluster.Stop()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"crypto/ed25519"
+	"errors"
 	"fmt"
 	"time"
 
@@ -15,7 +16,9 @@ import (
 	"mdagent/internal/owl"
 	"mdagent/internal/platform"
 	"mdagent/internal/registry"
+	"mdagent/internal/space"
 	"mdagent/internal/state"
+	"mdagent/internal/transport"
 	"mdagent/internal/vclock"
 	"mdagent/internal/wsdl"
 )
@@ -198,6 +201,11 @@ func (rt *HostRuntime) Migrate(ctx context.Context, appName, destHost string, bi
 	}
 	rep, err := rt.Engine.FollowMe(ctx, appName, destHost, binding, owl.MatchSemantic)
 	now := rt.clock.Now()
+	if errors.Is(err, transport.ErrNoRoute) || errors.Is(err, space.ErrUnknownHost) {
+		// The engine cannot address the destination: no route to its
+		// check-in endpoint, or a host the space directory does not know.
+		err = fmt.Errorf("core: %w: %q: %w", ctl.ErrUnknownHost, destHost, err)
+	}
 	if err != nil {
 		rt.kernel.PublishTyped(rt.source, ctxkernel.AppMigrateFailedEvent{
 			App: appName, Dest: destHost, Reason: "control plane", Error: err.Error(), At: now,

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"mdagent/internal/ctxkernel"
-	"mdagent/internal/registry"
 	"mdagent/internal/state"
 	"mdagent/internal/transport"
 )
@@ -208,33 +207,6 @@ type WatchEvent struct {
 	// ever published is 1); resume a dropped stream with
 	// WatchFrom(ctx, pattern, Seq+1).
 	Seq uint64
-}
-
-// JoinApps builds the control plane's app listing: one AppInfo per
-// installation record, with the freshest snapshot head (highest Seq)
-// for the app joined on. Every backend — in-process middleware, host
-// daemon, registry center — uses this one join so the `ps` surface
-// cannot drift between them.
-func JoinApps(recs []registry.AppRecord, heads []state.SnapshotHead) []AppInfo {
-	freshest := make(map[string]state.SnapshotHead, len(heads))
-	for _, h := range heads {
-		if ex, ok := freshest[h.App]; !ok || h.Seq > ex.Seq {
-			freshest[h.App] = h
-		}
-	}
-	out := make([]AppInfo, 0, len(recs))
-	for _, r := range recs {
-		info := AppInfo{
-			Name: r.Name, Host: r.Host, Space: r.Space,
-			Components: r.Components, Running: r.Running,
-		}
-		if h, ok := freshest[r.Name]; ok {
-			head := h
-			info.Snapshot = &head
-		}
-		out = append(out, info)
-	}
-	return out
 }
 
 // BundleInfo is one stored bundle in a bundle.list reply.

@@ -13,9 +13,9 @@ import (
 )
 
 // Backend is what a control-plane server exposes. Any nil operation
-// answers ErrUnsupported, so each daemon serves exactly the surface it
-// has: mdagentd serves lifecycle + membership, mdregistry serves the
-// registry views, the in-process Middleware serves everything.
+// answers ErrUnsupported, so each endpoint serves exactly the surface it
+// has. core.Backend builds the one used by the in-process Middleware,
+// mdagentd and mdregistry alike.
 type Backend struct {
 	Info      func(ctx context.Context) (ServerInfo, error)
 	Members   func(ctx context.Context) ([]MemberInfo, error)

@@ -28,14 +28,6 @@ func New() *Ontology {
 	return &Ontology{g: rdf.NewGraph(), ns: rdf.NewNamespaces()}
 }
 
-// FromGraph wraps an existing graph (e.g. parsed from Turtle).
-func FromGraph(g *rdf.Graph, ns *rdf.Namespaces) *Ontology {
-	if ns == nil {
-		ns = rdf.NewNamespaces()
-	}
-	return &Ontology{g: g, ns: ns}
-}
-
 // Graph exposes the underlying triple store.
 func (o *Ontology) Graph() *rdf.Graph { return o.g }
 

@@ -170,17 +170,6 @@ func TestQueryTextErrors(t *testing.T) {
 	}
 }
 
-func TestFromGraphWithNilNamespaces(t *testing.T) {
-	g := rdf.NewGraph()
-	o := FromGraph(g, nil)
-	if o.Namespaces() == nil {
-		t.Fatal("nil namespaces not defaulted")
-	}
-	if o.Graph() != g {
-		t.Fatal("graph not retained")
-	}
-}
-
 func TestLocalName(t *testing.T) {
 	tests := []struct {
 		in   rdf.Term

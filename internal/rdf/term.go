@@ -2,9 +2,8 @@
 // resource descriptions and reasoning (paper §4.4). The paper models
 // resources and their inter-relations in OWL (an RDF vocabulary) and runs
 // Jena rules over them; this package provides the RDF data model — terms,
-// triples, an indexed graph with pattern matching, conjunctive queries,
-// namespaces and a Turtle-lite reader/writer — on which internal/owl and
-// internal/rules are built.
+// triples, an indexed graph with pattern matching, conjunctive queries and
+// namespaces — on which internal/owl and internal/rules are built.
 package rdf
 
 import (

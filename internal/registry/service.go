@@ -22,7 +22,6 @@ const (
 	MsgQuery            = "registry.query"
 	MsgPlanRebinding    = "registry.plan-rebinding"
 	MsgListApps         = "registry.list-apps"
-	MsgPutBundle        = "registry.put-bundle"
 	MsgGetBundle        = "registry.get-bundle"
 	MsgListBundles      = "registry.list-bundles"
 )
@@ -53,11 +52,6 @@ type (
 	deviceReply struct {
 		Dev   wsdl.DeviceProfile
 		Found bool
-	}
-
-	putBundleReq struct {
-		Name string
-		Raw  []byte
 	}
 
 	getBundleReq struct{ Name string }
@@ -182,13 +176,6 @@ func (r *Registry) Serve(ep *transport.Endpoint) *Registry {
 			return nil, err
 		}
 		return transport.Encode(plan)
-	})
-	ep.Handle(MsgPutBundle, func(msg transport.Message) ([]byte, error) {
-		var req putBundleReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		return nil, r.PutBundle(req.Name, req.Raw)
 	})
 	ep.Handle(MsgGetBundle, func(msg transport.Message) ([]byte, error) {
 		var req getBundleReq
@@ -315,13 +302,6 @@ func (c *Client) Query(ctx context.Context, q string) ([]map[string]string, erro
 		return nil, err
 	}
 	return rows, nil
-}
-
-// PutBundle stores a bundle's raw bytes at the center. Against a
-// federated center this routes through the replication machinery (the
-// center shadows the handler), so one push fans out to every space.
-func (c *Client) PutBundle(ctx context.Context, name string, raw []byte) error {
-	return c.call(ctx, MsgPutBundle, putBundleReq{Name: name, Raw: raw}, nil)
 }
 
 // GetBundle fetches a stored bundle's bytes.

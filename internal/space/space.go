@@ -8,10 +8,14 @@
 package space
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 )
+
+// ErrUnknownHost reports a host no space holds.
+var ErrUnknownHost = errors.New("space: unknown host")
 
 // Space is one administrative smart space.
 type Space struct {
@@ -81,7 +85,7 @@ func (d *Directory) AssignRoom(room, host string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.hostSpace[host]; !ok {
-		return fmt.Errorf("space: unknown host %q", host)
+		return fmt.Errorf("%w %q", ErrUnknownHost, host)
 	}
 	if existing, dup := d.roomHost[room]; dup {
 		return fmt.Errorf("space: room %q already served by %q", room, existing)
@@ -148,11 +152,11 @@ func (d *Directory) CrossesSpaces(fromHost, toHost string) (crosses, possible bo
 	defer d.mu.RUnlock()
 	sa, ok := d.hostSpace[fromHost]
 	if !ok {
-		return false, false, fmt.Errorf("space: unknown host %q", fromHost)
+		return false, false, fmt.Errorf("%w %q", ErrUnknownHost, fromHost)
 	}
 	sb, ok := d.hostSpace[toHost]
 	if !ok {
-		return false, false, fmt.Errorf("space: unknown host %q", toHost)
+		return false, false, fmt.Errorf("%w %q", ErrUnknownHost, toHost)
 	}
 	if sa == sb {
 		return false, true, nil

@@ -68,7 +68,10 @@ func RegisterWireSentinel(err error) {
 	sentinelMu.Unlock()
 }
 
-func init() { RegisterWireSentinel(ErrVersion) }
+func init() {
+	RegisterWireSentinel(ErrVersion)
+	RegisterWireSentinel(ErrNoHandler)
+}
 
 // Is makes registered typed sentinels survive the wire: a handler's
 // error crosses as its string, so a remote error matches a registered

@@ -35,7 +35,7 @@
 // The same deployment is operable from outside through the versioned
 // control plane: ServeControl binds it onto a transport endpoint, and a
 // Client (or cmd/mdctl against the TCP daemons) can run, stop, migrate,
-// inspect, and Watch typed events:
+// inspect, Watch typed events, and push and install signed bundles:
 //
 //	ep, _ := mw.Fabric.Attach("operator", "")
 //	mw.ServeControl(ep)
@@ -281,9 +281,11 @@ func WrapDigest(w Wrap) [32]byte { return state.WrapDigest(w) }
 // any host in the federation can instantiate without a compiled-in
 // factory. Secrets never ride in a bundle: the manifest carries ref://
 // references that a Resolver answers from the environment or a secrets
-// file at install time. Push one bundle to any registry center
-// (Middleware.PushBundle, `mdctl bundle push`) and every space
-// replicates it; install anywhere with Middleware.InstallBundle.
+// file at install time. Bundles are pushed and installed through the
+// control plane (Client.PushBundle / InstallBundle, `mdctl bundle push`),
+// not through Middleware methods: push one to any registry center — or a
+// host daemon, which forwards it to its center — and every space
+// replicates it; install it on any host.
 type (
 	// Bundle is a verified (or inspected) portable app bundle.
 	Bundle = bundle.Bundle
