@@ -220,9 +220,12 @@ run_migrate_pair() {
 # run_bundle_pair AGENTD_DIR REGISTRY_DIR LABEL REFUSAL: both sides trust
 # a key made with `mdctl bundle keygen`, and a bundle signed with it is
 # pushed through the mdagentd (one generation), which forwards it to the
-# center (the other). With an empty REFUSAL the push must succeed and the
-# center list the bundle; otherwise mdctl must exit non-zero within 10 s
-# naming REFUSAL, and the center must list nothing.
+# center (the other). A push that succeeds must leave the bundle listed
+# at the center: both generations forward over the same op. A push that
+# fails must exit non-zero within 10 s naming REFUSAL (an empty REFUSAL
+# means the pair has to succeed), and the center must list nothing. The
+# refusal only happens when the old daemon predates the one bundle write
+# gate and still forwards over the retired registry.put-bundle op.
 run_bundle_pair() {
   local agentd=$1 registry=$2 label=$3 refusal=$4
   echo "-- pair: $label"
@@ -264,17 +267,17 @@ SPEC
   "$WORK/new/mdctl" -server "$reg_addr" bundle list >"$dir/list.log"
   local listed=0
   grep -q compat-notepad "$dir/list.log" || listed=$?
-  if [ -z "$refusal" ]; then
-    if [ "$status" -ne 0 ] || [ "$listed" -ne 0 ]; then
-      echo "forwarded push failed (exit $status) or the center does not list it" >&2
+  if [ "$status" -eq 0 ]; then
+    if [ "$listed" -ne 0 ]; then
+      echo "forwarded push succeeded but the center does not list it" >&2
       cat "$dir/push.log" "$dir/agentd.log" "$dir/registry.log" >&2
       return 1
     fi
     echo "   forwarded and stored: $(head -1 "$dir/push.log")"
   else
-    if [ "$status" -eq 0 ] || ! grep -q "$refusal" "$dir/push.log"; then
-      echo "push through the old daemon was not refused with '$refusal' (exit $status)" >&2
-      cat "$dir/push.log" >&2
+    if [ -z "$refusal" ] || ! grep -q "$refusal" "$dir/push.log"; then
+      echo "forwarded push failed (exit $status) without the refusal '$refusal'" >&2
+      cat "$dir/push.log" "$dir/agentd.log" "$dir/registry.log" >&2
       return 1
     fi
     if [ "$listed" -eq 0 ]; then

@@ -19,7 +19,6 @@ import (
 	"mdagent/internal/app"
 	"mdagent/internal/bundle"
 	"mdagent/internal/cluster"
-	"mdagent/internal/ctl"
 	"mdagent/internal/ctxkernel"
 	"mdagent/internal/media"
 	"mdagent/internal/migrate"
@@ -580,15 +579,6 @@ func (m *Middleware) Host(host string) (*HostRuntime, bool) {
 	return rt, ok
 }
 
-// host is Host with the control plane's typed refusal for a miss.
-func (m *Middleware) host(host string) (*HostRuntime, error) {
-	rt, ok := m.Host(host)
-	if !ok {
-		return nil, fmt.Errorf("core: %w: %q", ctl.ErrUnknownHost, host)
-	}
-	return rt, nil
-}
-
 // Hosts lists provisioned host ids, sorted.
 func (m *Middleware) Hosts() []string {
 	m.mu.Lock()
@@ -630,7 +620,7 @@ func (m *Middleware) AddUser(user, badge, room string) error {
 
 // RunApp starts a constructed application on a host and registers it.
 func (m *Middleware) RunApp(ctx context.Context, host string, inst *app.Application) error {
-	rt, err := m.host(host)
+	rt, err := pickHost(m.runtimes(), host, "")
 	if err != nil {
 		return err
 	}
@@ -640,7 +630,7 @@ func (m *Middleware) RunApp(ctx context.Context, host string, inst *app.Applicat
 // StopApp gracefully stops a running application on a host
 // (HostRuntime.Stop).
 func (m *Middleware) StopApp(ctx context.Context, host, appName string) error {
-	rt, err := m.host(host)
+	rt, err := pickHost(m.runtimes(), host, "")
 	if err != nil {
 		return err
 	}
@@ -650,7 +640,7 @@ func (m *Middleware) StopApp(ctx context.Context, host, appName string) error {
 // InstallApp provisions an application skeleton factory on a host
 // (HostRuntime.Install).
 func (m *Middleware) InstallApp(ctx context.Context, host, appName string, desc wsdl.Description, components []string, factory func(host string) *app.Application) error {
-	rt, err := m.host(host)
+	rt, err := pickHost(m.runtimes(), host, "")
 	if err != nil {
 		return err
 	}
@@ -737,7 +727,7 @@ func (m *Middleware) Migrate(ctx context.Context, appName, destHost string, bind
 // engine on each; a coarse poll remains only as a fallback for arrival
 // paths that bypass the kernel. A zero timeout waits on ctx alone.
 func (m *Middleware) WaitAppOn(ctx context.Context, appName, host string, timeout time.Duration) error {
-	rt, err := m.host(host)
+	rt, err := pickHost(m.runtimes(), host, "")
 	if err != nil {
 		return err
 	}
