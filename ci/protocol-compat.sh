@@ -17,6 +17,15 @@
 # break (sealed-frame layout, fast-frame layout, reply shapes) that every
 # same-version test is blind to.
 #
+# All of that rides on the link envelope and its handshake
+# (internal/transport/envelope.go), which is probed first and judged by
+# outcome: a new mdctl asks an old mdregistry for info. If it answers,
+# the generations share the envelope and the eight pairs run. If it is
+# refused naming "unsupported protocol version" — a base from before the
+# envelope — every cross-generation link ends at the handshake, so the
+# script checks instead that each direction is refused in time and that
+# the new daemon keeps serving.
+#
 # In CI the base is merge-base with the PR's target branch; locally (or
 # on push builds) it falls back to HEAD^, or to $COMPAT_BASE when set
 # (any commit-ish — e.g. HEAD to cross an uncommitted tree with it).
@@ -290,6 +299,88 @@ SPEC
   kill "$agent_pid" "$reg_pid" 2>/dev/null || true
   wait "$agent_pid" "$reg_pid" 2>/dev/null || true
 }
+
+# expect_refusal LABEL SECS LOG CMD...: CMD must exit non-zero within
+# SECS naming the handshake's ErrVersion.
+expect_refusal() {
+  local label=$1 secs=$2 log=$3
+  shift 3
+  local status=0
+  timeout "$secs" "$@" >"$log" 2>&1 || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "$label: wanted a refusal within $secs s, got exit $status" >&2
+    cat "$log" >&2
+    return 1
+  fi
+  if ! grep -q "unsupported protocol version" "$log"; then
+    echo "$label: failed without naming the envelope refusal" >&2
+    cat "$log" >&2
+    return 1
+  fi
+  echo "   $label: refused in time: $(grep -m1 "unsupported protocol version" "$log")"
+}
+
+# envelopes_differ: probe the envelope with a new mdctl against an old
+# mdregistry. Returns 1 when they match; when they differ, checks both
+# directions across the break and returns 0.
+envelopes_differ() {
+  echo "-- envelope probe"
+  local dir="$WORK/run-envelope"
+  mkdir -p "$dir"
+  "$WORK/old/mdregistry" -listen 127.0.0.1:0 -space lab >"$dir/old-registry.log" 2>&1 &
+  local old_pid=$!
+  wait_line "$dir/old-registry.log" "serving registry@lab on " || return 2
+  local old_addr
+  old_addr=$(addr_from "$dir/old-registry.log" "serving registry@lab on ")
+
+  local status=0
+  timeout 5 "$WORK/new/mdctl" -server "$old_addr" info >"$dir/probe.log" 2>&1 || status=$?
+  if [ "$status" -eq 0 ]; then
+    echo "   envelopes match: $(head -1 "$dir/probe.log")"
+    kill "$old_pid" 2>/dev/null || true
+    wait "$old_pid" 2>/dev/null || true
+    return 1
+  fi
+  expect_refusal "new mdctl -> old mdregistry" 5 "$dir/probe.log" \
+    "$WORK/new/mdctl" -server "$old_addr" info || return 2
+  expect_refusal "new mdagentd -> old mdregistry" 5 "$dir/new-agentd.log" \
+    "$WORK/new/mdagentd" -host hostA -listen 127.0.0.1:0 -registry "$old_addr" -space lab || return 2
+
+  "$WORK/new/mdregistry" -listen 127.0.0.1:0 -space lab >"$dir/new-registry.log" 2>&1 &
+  local new_pid=$!
+  wait_line "$dir/new-registry.log" "serving registry@lab on " || return 2
+  local new_addr
+  new_addr=$(addr_from "$dir/new-registry.log" "serving registry@lab on ")
+  # An old client cannot read the new preamble and waits out its own
+  # -timeout; it must not hang past it.
+  status=0
+  timeout 10 "$WORK/old/mdctl" -timeout 3s -server "$new_addr" info >"$dir/old-mdctl.log" 2>&1 || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "old mdctl -> new mdregistry: wanted a failure within 10 s, got exit $status" >&2
+    cat "$dir/old-mdctl.log" >&2
+    return 2
+  fi
+  echo "   old mdctl -> new mdregistry: failed in time: $(head -1 "$dir/old-mdctl.log")"
+  if ! "$WORK/new/mdctl" -timeout 5s -server "$new_addr" info >"$dir/new-mdctl.log" 2>&1; then
+    echo "new mdregistry stopped answering after the old client" >&2
+    cat "$dir/new-mdctl.log" "$dir/new-registry.log" >&2
+    return 2
+  fi
+  echo "   new mdregistry still serving: $(head -1 "$dir/new-mdctl.log")"
+  kill "$old_pid" "$new_pid" 2>/dev/null || true
+  wait "$old_pid" "$new_pid" 2>/dev/null || true
+}
+
+status=0
+envelopes_differ || status=$?
+case $status in
+0)
+  echo "== protocol-compat: envelopes differ; every cross-generation link refused in time, nothing hung"
+  exit 0
+  ;;
+1) ;;
+*) exit 1 ;;
+esac
 
 run_pair "$WORK/new" "$WORK/old" old-client-vs-new-daemon
 run_pair "$WORK/old" "$WORK/new" new-client-vs-old-daemon

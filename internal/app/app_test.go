@@ -86,6 +86,25 @@ func TestBlobSnapshotRestoreChecksum(t *testing.T) {
 	}
 }
 
+// TestSizedBlobFillMatchesFormula: the period-doubling fill writes the
+// same bytes as the per-byte formula, at sizes around the 256-byte
+// period and at the skeleton UI's size, for names of several lengths.
+func TestSizedBlobFillMatchesFormula(t *testing.T) {
+	for _, name := range []string{"", "x", "main-ui", strings.Repeat("n", 300)} {
+		for _, size := range []int64{0, 1, 255, 256, 257, 400<<10 + 3} {
+			b := NewSizedBlob(name, KindUI, size)
+			if int64(len(b.data)) != size {
+				t.Fatalf("name %q: %d bytes, want %d", name, len(b.data), size)
+			}
+			for i, got := range b.data {
+				if want := byte(i*131 + len(name)); got != want {
+					t.Fatalf("name %q, size %d: byte %d = %#x, want %#x", name, size, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestStateComponentRoundTrip(t *testing.T) {
 	s := NewState("st")
 	s.Set("track", "song-3")

@@ -99,11 +99,18 @@ func NewBlob(name string, kind ComponentKind, data []byte) *BlobComponent {
 }
 
 // NewSizedBlob creates a blob of size bytes of deterministic content,
-// convenient for synthetic logic/UI/data payloads.
+// convenient for synthetic logic/UI/data payloads. Byte i is
+// byte(i*131 + len(name)), which repeats every 256 bytes: one period is
+// computed and then doubled with copy, so the fill costs the same
+// wherever the linker places it.
 func NewSizedBlob(name string, kind ComponentKind, size int64) *BlobComponent {
 	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(i*131 + len(name))
+	period := data[:min(len(data), 256)]
+	for i := range period {
+		period[i] = byte(i*131 + len(name))
+	}
+	for n := len(period); n < len(data); n *= 2 {
+		copy(data[n:], data[:n])
 	}
 	return NewBlob(name, kind, data)
 }

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -295,11 +297,15 @@ func TestServeRejectsMalformedWriteConcernHeader(t *testing.T) {
 }
 
 // TestSnapshotClientConnectionDropMidAck runs a center-shaped TCP
-// listener that reads each request and slams the connection shut before
-// any reply bytes: the client must surface a bounded error (its
-// context), not a hang or a panic, and must recover once pointed at a
-// real center.
+// listener that completes the link handshake, reads each request and
+// slams the connection shut before any reply bytes: the client must
+// surface a bounded error (its context), not a hang or a panic, and must
+// recover once pointed at a real center.
 func TestSnapshotClientConnectionDropMidAck(t *testing.T) {
+	preamble, err := os.ReadFile("../transport/testdata/wire/preamble.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -314,10 +320,18 @@ func TestSnapshotClientConnectionDropMidAck(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Read exactly one request frame, then drop the connection
-			// without replying — the "mid-ack" failure.
-			var msg transport.Message
-			_ = gob.NewDecoder(conn).Decode(&msg)
+			// Answer the dialer's preamble with this build's, read exactly
+			// one request envelope (header and payload lengths, then both),
+			// then drop the connection without replying — the "mid-ack"
+			// failure.
+			prefix := make([]byte, 8)
+			if _, err := io.ReadFull(conn, make([]byte, len(preamble))); err == nil {
+				conn.Write(preamble)
+				if _, err := io.ReadFull(conn, prefix); err == nil {
+					n := int64(binary.BigEndian.Uint32(prefix)) + int64(binary.BigEndian.Uint32(prefix[4:]))
+					io.CopyN(io.Discard, conn, n)
+				}
+			}
 			conn.Close()
 		}
 	}()

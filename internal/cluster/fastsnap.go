@@ -98,7 +98,13 @@ func readSnapOutcome(r *transport.FastReader) snapOutcome {
 
 // encodeSnapPut seals one put as an OpSnapPut frame.
 func encodeSnapPut(put state.SnapshotPut) []byte {
-	return transport.SealFast(transport.OpSnapPut, appendSnapPut(make([]byte, 0, 128+len(put.Frame)), put))
+	b := append(make([]byte, 0, 130+len(put.Frame)), transport.ProtoV2, transport.OpSnapPut)
+	return appendSnapPut(b, put)
+}
+
+// encodeSnapOutcome seals one put outcome as an OpSnapPutReply frame.
+func encodeSnapOutcome(o snapOutcome) []byte {
+	return appendSnapOutcome([]byte{transport.ProtoV2, transport.OpSnapPutReply}, o)
 }
 
 // decodeSnapPut parses an OpSnapPut frame. A payload of any other
@@ -152,7 +158,7 @@ func (c *Center) putSnapshotFast(payload []byte) ([]byte, error) {
 	default:
 		return nil, err
 	}
-	return transport.SealFast(transport.OpSnapPutReply, appendSnapOutcome(nil, o)), nil
+	return encodeSnapOutcome(o), nil
 }
 
 // err maps a decoded outcome back to the Publisher error contract,

@@ -71,7 +71,7 @@ func TestSnapPutFastCodecRoundTrip(t *testing.T) {
 		{Stamp: state.SnapshotStamp{Seq: 9}, NotDurable: true},
 	}
 	for i, want := range outcomes {
-		got, err := decodeSnapOutcomeReply(transport.SealFast(transport.OpSnapPutReply, appendSnapOutcome(nil, want)))
+		got, err := decodeSnapOutcomeReply(encodeSnapOutcome(want))
 		if err != nil || got != want {
 			t.Fatalf("outcome %d = %+v (err %v), want %+v", i, got, err, want)
 		}

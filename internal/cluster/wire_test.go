@@ -46,7 +46,7 @@ func TestGoldenWireFrames(t *testing.T) {
 
 	outcome := snapOutcome{Stamp: state.SnapshotStamp{Seq: 7, BaseSeq: 3, Chain: 4}, NotDurable: true}
 	golden = goldenWire(t, "snap-put-reply.bin")
-	if got := transport.SealFast(transport.OpSnapPutReply, appendSnapOutcome(nil, outcome)); !bytes.Equal(got, golden) {
+	if got := encodeSnapOutcome(outcome); !bytes.Equal(got, golden) {
 		t.Fatalf("OpSnapPutReply re-encodes to %x, recorded %x", got, golden)
 	}
 	if got, err := decodeSnapOutcomeReply(golden); err != nil || got != outcome {
@@ -63,7 +63,7 @@ func FuzzSnapPutFrame(f *testing.F) {
 	f.Add(golden)
 	f.Add(golden[:len(golden)-40]) // torn inside the digests
 	f.Add(goldenWire(f, "snap-put-reply.bin"))
-	f.Add(transport.SealFast(transport.OpSnapPut, []byte{0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})) // 4 GiB frame claimed
+	f.Add(append([]byte{transport.ProtoV2, transport.OpSnapPut}, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)) // 4 GiB frame claimed
 	f.Add(transport.Seal([]byte("gob")))
 	f.Add([]byte{})
 

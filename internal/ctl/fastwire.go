@@ -21,7 +21,7 @@ type seqEvent struct {
 //	count × (uvarint seq, string topic, string source, time at,
 //	         uvarint nattrs, nattrs × (string key, string value))
 func encodeEventBatch(id, lost uint64, events []seqEvent) []byte {
-	b := make([]byte, 0, 16+len(events)*96)
+	b := append(make([]byte, 0, 18+len(events)*96), transport.ProtoV2, transport.OpEventBatch)
 	b = transport.AppendUint(b, id)
 	b = transport.AppendUint(b, lost)
 	b = transport.AppendUint(b, uint64(len(events)))
@@ -36,7 +36,7 @@ func encodeEventBatch(id, lost uint64, events []seqEvent) []byte {
 			b = transport.AppendString(b, v)
 		}
 	}
-	return transport.SealFast(transport.OpEventBatch, b)
+	return b
 }
 
 // decodeEventBatch parses a v2 push frame. The decoded events own their
@@ -87,14 +87,15 @@ func decodeEventBatch(payload []byte) (id, lost uint64, events []seqEvent, err e
 // encodeBundlePush builds a bundle-push request frame
 // (transport.OpBundlePush): string name, bytes raw.
 func encodeBundlePush(name string, raw []byte) []byte {
-	body := transport.AppendString(make([]byte, 0, len(name)+len(raw)+16), name)
-	body = transport.AppendBytes(body, raw)
-	return transport.SealFast(transport.OpBundlePush, body)
+	b := append(make([]byte, 0, len(name)+len(raw)+18), transport.ProtoV2, transport.OpBundlePush)
+	b = transport.AppendString(b, name)
+	return transport.AppendBytes(b, raw)
 }
 
 // decodeBundlePush parses a bundle-push request frame; a payload of any
-// other version fails with OpenFast's ErrVersion. raw is copied out of
-// the frame: the bundle outlives the handler (it lands in the store).
+// other version fails with OpenFast's ErrVersion. raw aliases payload,
+// which the handler owns (transport.Handler), so the bundle may outlive
+// the handler — it lands in the store — without a copy.
 func decodeBundlePush(payload []byte) (name string, raw []byte, err error) {
 	op, body, err := transport.OpenFast(payload)
 	if err != nil {
@@ -105,6 +106,6 @@ func decodeBundlePush(payload []byte) (name string, raw []byte, err error) {
 	}
 	r := transport.NewFastReader(body)
 	name = r.String()
-	raw = append([]byte(nil), r.Bytes()...)
+	raw = r.Bytes()
 	return name, raw, r.Err()
 }

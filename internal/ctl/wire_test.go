@@ -137,7 +137,7 @@ func desyncedAttrCount() []byte {
 			b = transport.AppendUint(b, 0)
 		}
 	}
-	return transport.SealFast(transport.OpEventBatch, b)
+	return append([]byte{transport.ProtoV2, transport.OpEventBatch}, b...)
 }
 
 func TestEventBatchAttrCountOutOfRange(t *testing.T) {
@@ -155,7 +155,7 @@ func FuzzEventBatch(f *testing.F) {
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
 	f.Add(desyncedAttrCount())
-	f.Add(transport.SealFast(transport.OpEventBatch, []byte{1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}))
+	f.Add(append([]byte{transport.ProtoV2, transport.OpEventBatch}, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f))
 	f.Add(goldenWire(f, "bundle-push.bin"))
 	f.Add([]byte{})
 

@@ -169,8 +169,8 @@ func FuzzDecodeCheckin(f *testing.F) {
 		flipped[2] ^= 0x7f // the app name's length
 		f.Add(flipped)
 	}
-	f.Add(transport.SealFast(transport.OpCheckin, []byte{0xff, 0xff, 0xff, 0xff, 0x0f})) // 4 GiB app name claimed
-	f.Add(transport.MustEncode(goldenHead))                                              // an older host's gob check-in
+	f.Add(append([]byte{transport.ProtoV2, transport.OpCheckin}, 0xff, 0xff, 0xff, 0xff, 0x0f)) // 4 GiB app name claimed
+	f.Add(transport.MustEncode(goldenHead))                                                     // an older host's gob check-in
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

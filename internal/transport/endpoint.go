@@ -74,7 +74,7 @@ func (e *Endpoint) Handle(msgType string, h Handler) {
 // HandleOrdered registers a handler whose messages are processed in
 // arrival order by a single worker goroutine, instead of one goroutine
 // per message. Both fabrics deliver in send order (LocalFabric
-// dispatches synchronously; a TCP link writes through one encoder), so
+// dispatches synchronously; a TCP link has one reader and one writer), so
 // this is all a stream consumer needs for in-order delivery — the
 // control plane's watch pushes use it. The queue is bounded; a full
 // queue blocks the fabric's delivery path, which backpressures the

@@ -41,15 +41,6 @@ const (
 	OpCheckin byte = 0x30
 )
 
-// SealFast frames a fast-path body: [ProtoV2][opcode][body].
-func SealFast(op byte, body []byte) []byte {
-	out := make([]byte, 2+len(body))
-	out[0] = ProtoV2
-	out[1] = op
-	copy(out[2:], body)
-	return out
-}
-
 // OpenFast validates a v2 frame and returns its opcode and body. A
 // frame of another version fails with ErrVersion, exactly as Open does
 // for non-v1 frames, so both directions of a version mismatch surface

@@ -18,7 +18,7 @@ func TestFastFrameRoundTrip(t *testing.T) {
 	at := time.Unix(1700000000, 123456789)
 	digest := bytes.Repeat([]byte{0xAB}, 32)
 
-	var b []byte
+	b := []byte{ProtoV2, OpSnapPut}
 	b = AppendUint(b, 0)
 	b = AppendUint(b, 1<<40+7)
 	b = AppendString(b, "")
@@ -32,8 +32,7 @@ func TestFastFrameRoundTrip(t *testing.T) {
 	b = AppendTime(b, at)
 	b = append(b, digest...)
 
-	frame := SealFast(OpSnapPut, b)
-	op, body, err := OpenFast(frame)
+	op, body, err := OpenFast(b)
 	if err != nil || op != OpSnapPut {
 		t.Fatalf("OpenFast: op=%#x err=%v", op, err)
 	}
@@ -85,7 +84,7 @@ func TestFastFrameRoundTrip(t *testing.T) {
 // refuses v1 and short frames the same way — the refusal every
 // one-encoding op relies on.
 func TestFastFrameRefusals(t *testing.T) {
-	if _, err := Open(SealFast(OpSnapPut, []byte("x"))); !errors.Is(err, ErrVersion) {
+	if _, err := Open([]byte{ProtoV2, OpSnapPut, 'x'}); !errors.Is(err, ErrVersion) {
 		t.Fatalf("Open(v2 frame) = %v, want ErrVersion", err)
 	}
 	if _, _, err := OpenFast(Seal([]byte("x"))); !errors.Is(err, ErrVersion) {

@@ -3,8 +3,10 @@
 // named endpoints. Two fabrics are provided — an in-process fabric that
 // charges transfer costs to the netsim network (used by tests, examples
 // and the benchmark harness, where it stands in for the paper's 10 Mbps
-// Ethernet), and a TCP fabric with length-prefixed gob frames for real
-// multi-process deployments (cmd/mdagentd, cmd/mdregistry).
+// Ethernet), and a TCP fabric for real multi-process deployments
+// (cmd/mdagentd, cmd/mdregistry) that opens every link with a version
+// handshake and frames each message as a binary length-prefixed envelope
+// whose payload crosses the socket uncopied (envelope.go).
 package transport
 
 import (
@@ -30,7 +32,9 @@ type Message struct {
 // ErrClosed is returned when sending through a closed endpoint or fabric.
 var ErrClosed = errors.New("transport: closed")
 
-// ErrNoRoute is returned when the destination endpoint is unknown.
+// ErrNoRoute is returned when the destination endpoint is unknown — by
+// the sending fabric, or as an error reply from a TCP node that does not
+// serve the name a request was addressed to.
 var ErrNoRoute = errors.New("transport: no route to endpoint")
 
 // ErrNoHandler is returned (as an error reply) when the destination has no
@@ -71,6 +75,7 @@ func RegisterWireSentinel(err error) {
 func init() {
 	RegisterWireSentinel(ErrVersion)
 	RegisterWireSentinel(ErrNoHandler)
+	RegisterWireSentinel(ErrNoRoute)
 }
 
 // Is makes registered typed sentinels survive the wire: a handler's

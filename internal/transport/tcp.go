@@ -1,16 +1,17 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
 )
 
-// TCPNode hosts one endpoint reachable over TCP with gob-framed messages.
-// Peers are registered by (endpoint name, address); outbound connections
-// are dialed lazily and reused. This is the fabric behind cmd/mdagentd and
-// cmd/mdregistry for real multi-process deployments.
+// TCPNode hosts one endpoint reachable over TCP, one envelope per message
+// (envelope.go). Peers are registered by (endpoint name, address);
+// outbound connections are dialed lazily, handshaken once and reused.
+// This is the fabric behind cmd/mdagentd and cmd/mdregistry for real
+// multi-process deployments.
 type TCPNode struct {
 	ep *Endpoint
 	ln net.Listener
@@ -27,14 +28,41 @@ type TCPNode struct {
 
 type tcpLink struct {
 	conn net.Conn
-	mu   sync.Mutex // serializes writes on the shared encoder
-	enc  *gob.Encoder
+	r    *bufio.Reader // read by the handshake, then by readLoop alone
+
+	// Writes are serialized by mu, which guards the fields below. vec and
+	// out live in the link because net.Buffers.WriteTo takes its receiver
+	// by pointer through an interface: a local would escape, an
+	// allocation per send.
+	mu  sync.Mutex
+	hdr []byte      // the outgoing envelope's prefix and header
+	vec [2][]byte   // header, payload: one writev
+	out net.Buffers // vec as WriteTo consumes it
 }
 
+func newTCPLink(conn net.Conn) *tcpLink {
+	return &tcpLink{conn: conn, r: bufio.NewReader(conn)}
+}
+
+// send writes one envelope: the header from the link's scratch buffer and
+// the payload from the caller's slice, in one writev.
 func (l *tcpLink) send(msg Message) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.enc.Encode(msg)
+	hdr, err := appendEnvelope(l.hdr[:0], msg)
+	if err != nil {
+		return err
+	}
+	l.hdr = hdr
+	l.vec = [2][]byte{hdr, msg.Payload}
+	l.out = l.vec[:]
+	_, err = l.out.WriteTo(l.conn)
+	l.vec[1] = nil // do not pin the payload until the next send
+	if err != nil {
+		// The peer may hold a torn envelope; nothing can follow it.
+		l.conn.Close()
+	}
+	return err
 }
 
 // ListenTCP starts a node named name listening on addr (e.g. "127.0.0.1:0").
@@ -66,8 +94,8 @@ func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
 // AddAlias declares an extra endpoint name this node answers to.
 // Daemons multiplex several logical services onto one handler table
 // (mdagentd serves migrate.* and media.* on its engine endpoint); without
-// an alias, a message addressed to the service name would be silently
-// dropped and the sender would hang until its deadline.
+// an alias, a request addressed to the service name would be refused
+// with ErrNoRoute.
 func (n *TCPNode) AddAlias(name string) {
 	n.mu.Lock()
 	n.aliases[name] = true
@@ -98,13 +126,13 @@ func (n *TCPNode) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		link := &tcpLink{conn: conn, enc: gob.NewEncoder(conn)}
+		link := newTCPLink(conn)
 		if !n.trackLink(link) {
 			conn.Close()
 			return
 		}
 		n.wg.Add(1)
-		go n.readLoop(link)
+		go n.readLoop(link, true)
 	}
 }
 
@@ -120,14 +148,12 @@ func (n *TCPNode) trackLink(link *tcpLink) bool {
 	return true
 }
 
-// readLoop consumes messages from link. The link's single encoder is shared
-// with the write path, so learned reply routes never open a second gob
-// stream on the same connection.
-func (n *TCPNode) readLoop(link *tcpLink) {
+// readLoop consumes envelopes from link until it fails; an inbound link
+// first answers the dialer's handshake. Replies to a learned sender go
+// out on the same link.
+func (n *TCPNode) readLoop(link *tcpLink, inbound bool) {
 	defer n.wg.Done()
-	conn := link.conn
-	defer conn.Close()
-	dec := gob.NewDecoder(conn)
+	defer link.conn.Close()
 	var learned string
 	defer func() {
 		n.mu.Lock()
@@ -137,9 +163,14 @@ func (n *TCPNode) readLoop(link *tcpLink) {
 		}
 		n.mu.Unlock()
 	}()
+	if inbound && link.acceptHandshake() != nil {
+		return
+	}
+	var scratch []byte
 	for {
-		var msg Message
-		if err := dec.Decode(&msg); err != nil {
+		msg, buf, err := readEnvelope(link.r, scratch)
+		scratch = buf
+		if err != nil {
 			return
 		}
 		// Remember the inbound link so replies to this sender flow back on
@@ -150,11 +181,19 @@ func (n *TCPNode) readLoop(link *tcpLink) {
 			n.mu.Unlock()
 			learned = msg.From
 		}
-		if n.isLocal(msg.To) {
+		switch {
+		case n.isLocal(msg.To):
 			n.ep.dispatch(msg)
+		case msg.ID != 0 && !msg.IsReply:
+			// TCP nodes are not routers: every node hosts one endpoint
+			// (plus aliases). A request for another name is refused at
+			// once rather than left to the caller's deadline; one-way
+			// sends and stray replies are dropped.
+			_ = link.send(Message{
+				Type: msg.Type, From: n.ep.name, To: msg.From, ID: msg.ID, IsReply: true,
+				Err: fmt.Sprintf("%v: %q", ErrNoRoute, msg.To),
+			})
 		}
-		// Messages for other endpoints are dropped: TCP nodes are not
-		// routers; every node hosts exactly one endpoint (plus aliases).
 	}
 }
 
@@ -231,7 +270,11 @@ func (n *TCPNode) dialLink(addr string) (*tcpLink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	link := &tcpLink{conn: conn, enc: gob.NewEncoder(conn)}
+	link := newTCPLink(conn)
+	if err := link.dialHandshake(); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+	}
 	n.mu.Lock()
 	if existing, raced := n.conns[addr]; raced {
 		n.mu.Unlock()
@@ -248,7 +291,7 @@ func (n *TCPNode) dialLink(addr string) (*tcpLink, error) {
 	n.mu.Unlock()
 	// Replies flow back on the same connection.
 	n.wg.Add(1)
-	go n.readLoop(link)
+	go n.readLoop(link, false)
 	return link, nil
 }
 
