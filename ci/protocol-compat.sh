@@ -165,7 +165,9 @@ run_snap_pair() {
 # center lists the player running on hostB. Otherwise mdctl must exit
 # non-zero within 10 s — a hang is a failure — naming REFUSAL (the
 # receiver's own error text), and the center must still list the player
-# running on hostA.
+# running on hostA. Either way the center must list it running on exactly
+# one host: a pair that both registers the arrival and leaves the source's
+# record running would show two.
 run_migrate_pair() {
   local src=$1 dst=$2 label=$3 refusal=$4
   echo "-- pair: $label"
@@ -215,8 +217,8 @@ run_migrate_pair() {
     echo "   refused in time: $(head -1 "$dir/migrate.log")"
   fi
   if ! "$WORK/new/mdctl" -server "$reg_addr" ps |
-    awk -v host="$running_on" '$1 == "smart-media-player" && $2 == host && $4 == "true" { found = 1 } END { exit !found }'; then
-    echo "center does not list smart-media-player running on $running_on" >&2
+    awk -v host="$running_on" '$1 == "smart-media-player" && $4 == "true" { n++; on = $2 } END { exit !(n == 1 && on == host) }'; then
+    echo "center does not list smart-media-player running on $running_on and nowhere else" >&2
     "$WORK/new/mdctl" -server "$reg_addr" ps >&2 || true
     return 1
   fi
@@ -387,7 +389,7 @@ run_pair "$WORK/old" "$WORK/new" new-client-vs-old-daemon
 run_snap_pair "$WORK/old" "$WORK/new" old-agentd-vs-new-registry
 run_snap_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry
 run_migrate_pair "$WORK/old" "$WORK/new" old-source-vs-new-destination "unsupported protocol version"
-run_migrate_pair "$WORK/new" "$WORK/old" new-source-vs-old-destination "gob"
+run_migrate_pair "$WORK/new" "$WORK/old" new-source-vs-old-destination "unknown fast opcode"
 run_bundle_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry-bundle ""
 run_bundle_pair "$WORK/old" "$WORK/new" old-agentd-vs-new-registry-bundle "no handler"
 echo "== protocol-compat: all eight mixed pairs passed"

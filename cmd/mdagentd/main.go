@@ -185,7 +185,13 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	media.ServeLibrary(lib, node.Endpoint())
 
 	cat := registry.NewClient(node.Endpoint(), registryName)
-	eng := migrate.NewEngine(*host, node.Endpoint(), nil, nil, cat, migrate.DefaultCosts())
+	// The device profile the daemon registers is the one its engine adapts
+	// every arrival to.
+	dev := wsdl.DeviceProfile{
+		Host: *host, ScreenWidth: 1024, ScreenHeight: 768,
+		MemoryMB: 512, HasAudio: true, HasDisplay: true,
+	}
+	eng := migrate.NewEngine(*host, dev, node.Endpoint(), nil, nil, cat, migrate.DefaultCosts())
 
 	// The daemon's local context kernel feeds the control plane's Watch
 	// stream: membership transitions, replication publishes, and
@@ -290,10 +296,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := cat.RegisterDevice(ctx, wsdl.DeviceProfile{
-		Host: *host, ScreenWidth: 1024, ScreenHeight: 768,
-		MemoryMB: 512, HasAudio: true, HasDisplay: true,
-	}); err != nil {
+	if err := cat.RegisterDevice(ctx, dev); err != nil {
 		return fmt.Errorf("register device: %w", err)
 	}
 

@@ -87,8 +87,8 @@ func newAgentRig(t *testing.T) *agentRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engA := migrate.NewEngine("hostA", epA, net, dir, migrate.Direct{R: reg}, migrate.DefaultCosts())
-	engB := migrate.NewEngine("hostB", epB, net, dir, migrate.Direct{R: reg}, migrate.DefaultCosts())
+	engA := migrate.NewEngine("hostA", wsdl.DeviceProfile{}, epA, net, dir, migrate.Direct{R: reg}, migrate.DefaultCosts())
+	engB := migrate.NewEngine("hostB", wsdl.DeviceProfile{}, epB, net, dir, migrate.Direct{R: reg}, migrate.DefaultCosts())
 
 	libA := media.NewLibrary("hostA")
 	libA.Add(media.GenerateFile("song1", 2<<20, 3))

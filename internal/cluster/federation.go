@@ -324,6 +324,39 @@ func (c *Center) RegisterApp(ctx context.Context, rec registry.AppRecord) error 
 	return c.write(ctx, Record{Key: rec.Key(), Kind: RecordApp, App: rec})
 }
 
+// MoveApp is a follow-me's commit point (DESIGN §6): one writeAll that
+// demotes the application's running record at from, then stores rec
+// running — the demotion persisted first, so a crash between the two
+// leaves none running, never two — replicated in one push. An empty from
+// (a clone arriving) makes it a plain register. Only a record this center
+// owns (Origin is this space) is demoted: demoting another center's would
+// race its owner's pushes. The result says whether this center owns it;
+// false tells the source to demote it at its own center.
+func (c *Center) MoveApp(ctx context.Context, rec registry.AppRecord, from string) (bool, error) {
+	if rec.Space == "" {
+		rec.Space = c.space
+	}
+	rec.Running = true
+	if err := rec.Validate(); err != nil {
+		return false, err
+	}
+	owned := from == "" || from == rec.Host
+	err := c.writeAll(ctx, func() []Record {
+		var recs []Record
+		if !owned {
+			key := registry.AppRecord{Name: rec.Name, Host: from}.Key()
+			src, ok := c.records[key]
+			owned = ok && src.Origin == c.space
+			if owned && !src.Deleted && src.App.Running {
+				src.App.Running = false
+				recs = append(recs, Record{Key: key, Kind: RecordApp, App: src.App})
+			}
+		}
+		return append(recs, Record{Key: rec.Key(), Kind: RecordApp, App: rec})
+	})
+	return owned, err
+}
+
 // UnregisterApp tombstones an application installation across the
 // federation.
 func (c *Center) UnregisterApp(ctx context.Context, name, host string) error {
@@ -847,49 +880,61 @@ func (c *Center) Bundles(_ context.Context) ([]registry.BundleInfo, error) {
 // write stamps a locally originated record and replicates it under the
 // center's configured write concern.
 func (c *Center) write(ctx context.Context, r Record) error {
-	_, err := c.writeStamped(ctx, r)
-	return err
+	return c.writeAll(ctx, func() []Record { return []Record{r} })
 }
 
-// writeStamped stamps a locally originated record, replicates it, and
-// returns it as stamped. Stamping, installing, and mirroring into the
-// registry happen under one critical section: two racing writers must
-// produce two *ordered* versions (the second ticks on top of the first),
-// never two identical vectors that peers could receive in different
-// orders and diverge on. Snapshot records additionally get the next
-// capture sequence under the same section.
+// writeAll stamps the locally originated records pick returns, in order,
+// and replicates them as one push. pick runs under c.mu, so what it reads
+// of c.records cannot change before the write lands. Stamping, persisting,
+// installing and mirroring into the registry happen under that one
+// critical section: two racing writers must produce two *ordered*
+// versions (the second ticks on top of the first), never two identical
+// vectors that peers could receive in different orders and diverge on.
+// Every record is persisted, in order, before any is installed in memory,
+// so a refused persist leaves the center's view untouched. Snapshot
+// records additionally get the next capture sequence under the same
+// section.
 //
-// Under a synchronous write concern the record is pushed through the
+// Under a synchronous write concern the records are pushed through the
 // per-peer FIFO workers and the call blocks until enough peers acked (or
-// the ack window closes, returning the record plus ErrNotDurable — the
-// write landed locally and anti-entropy keeps retrying delivery). Under
-// WriteAsync, and in degraded mode, the unordered best-effort pushAsync
-// path is kept.
-func (c *Center) writeStamped(ctx context.Context, r Record) (Record, error) {
+// the ack window closes, returning ErrNotDurable — the write landed
+// locally and anti-entropy keeps retrying delivery). Under WriteAsync,
+// and in degraded mode, the unordered best-effort pushAsync path is kept.
+func (c *Center) writeAll(ctx context.Context, pick func() []Record) error {
 	wc := c.cfg.WriteConcern
 	reach := -1
 	if wc != WriteAsync {
 		reach = c.reachablePeers()
 	}
 	c.mu.Lock()
-	prev := c.records[r.Key]
-	r.Version = prev.Version.Tick(c.space)
-	r.Origin = c.space
-	if r.Kind == RecordSnapshot {
-		r.Snap.Seq = prev.Snap.Seq + 1
+	recs := pick()
+	for i := range recs {
+		r := &recs[i]
+		prev := c.records[r.Key]
+		r.Version = prev.Version.Tick(c.space)
+		r.Origin = c.space
+		if r.Kind == RecordSnapshot {
+			r.Snap.Seq = prev.Snap.Seq + 1
+		}
+		if err := c.persist(*r, wholeRecord); err != nil {
+			c.mu.Unlock()
+			return err
+		}
 	}
-	if err := c.persist(r, wholeRecord); err != nil {
-		c.mu.Unlock()
-		return r, err
+	var err error
+	for _, r := range recs {
+		if r.Kind == RecordSnapshot && r.Deleted {
+			// A graceful-stop tombstone invalidates the durable stash:
+			// failover must never restore a deliberately stopped app from
+			// its last quorum-acked snapshot.
+			delete(c.durable, r.Key)
+		}
+		c.records[r.Key] = r
+		if aerr := c.applyToRegistry(r); err == nil {
+			err = aerr
+		}
 	}
-	if r.Kind == RecordSnapshot && r.Deleted {
-		// A graceful-stop tombstone invalidates the durable stash:
-		// failover must never restore a deliberately stopped app from
-		// its last quorum-acked snapshot.
-		delete(c.durable, r.Key)
-	}
-	c.records[r.Key] = r
-	err := c.applyToRegistry(r)
+	key := recs[len(recs)-1].Key
 	required := requiredAcks(wc, len(c.peers))
 	degraded := required > 0 && reach >= 0 && reach < required
 	var acks chan error
@@ -899,35 +944,33 @@ func (c *Center) writeStamped(ctx context.Context, r Record) (Record, error) {
 	if err == nil && required > 0 && !degraded {
 		acks = make(chan error, len(c.peers))
 		sent = c.enqueuePushLocked(MsgFedPush,
-			transport.MustEncode(pushMsg{From: c.space, Records: []Record{r}}), r.Key, acks)
+			transport.MustEncode(pushMsg{From: c.space, Records: recs}), key, acks)
 	}
-	ver := r.Version.Clone()
 	c.mu.Unlock()
 	if err != nil {
-		return r, err
+		return err
 	}
 	if required == 0 {
-		c.pushAsync([]Record{r})
+		c.pushAsync(recs)
 		if wc != WriteAsync {
-			c.reportDurability(DurabilityEvent{Key: r.Key, Concern: wc, Durable: true})
+			c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Durable: true})
 		}
-		return r, nil
+		return nil
 	}
 	if degraded {
-		c.pushAsync([]Record{r})
-		c.reportDurability(DurabilityEvent{Key: r.Key, Concern: wc, Required: required, Degraded: true})
-		return r, fmt.Errorf("cluster: write %s: %d peers reachable, concern %s unmeetable: %w",
-			r.Key, reach, wc, ErrNotDurable)
+		c.pushAsync(recs)
+		c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Required: required, Degraded: true})
+		return fmt.Errorf("cluster: write %s: %d peers reachable, concern %s unmeetable: %w",
+			key, reach, wc, ErrNotDurable)
 	}
 	acked := c.awaitAcks(ctx, acks, sent, required)
 	if acked < required {
-		c.reportDurability(DurabilityEvent{Key: r.Key, Concern: wc, Required: required, Acked: acked})
-		return r, fmt.Errorf("cluster: write %s acked by %d/%d peers (concern %s): %w",
-			r.Key, acked, required, wc, ErrNotDurable)
+		c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Required: required, Acked: acked})
+		return fmt.Errorf("cluster: write %s acked by %d/%d peers (concern %s): %w",
+			key, acked, required, wc, ErrNotDurable)
 	}
-	c.markDurable(r.Key, ver)
-	c.reportDurability(DurabilityEvent{Key: r.Key, Concern: wc, Required: required, Acked: acked, Durable: true})
-	return r, nil
+	c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Required: required, Acked: acked, Durable: true})
+	return nil
 }
 
 // apply installs a remotely received record if its version wins,
@@ -1035,16 +1078,10 @@ func (c *Center) LookupApp(_ context.Context, name, host string) (registry.AppRe
 	return c.reg.LookupApp(name, host)
 }
 
-// Device reads a host device profile from the replicated view.
-func (c *Center) Device(_ context.Context, host string) (wsdl.DeviceProfile, bool, error) {
-	dev, ok := c.reg.Device(host)
-	return dev, ok, nil
-}
-
-// PlanRebinding answers a rebinding plan against the replicated union of
-// every space's resources.
-func (c *Center) PlanRebinding(_ context.Context, src owl.Resource, destHost string, mode owl.MatchMode) (owl.Rebinding, error) {
-	return c.reg.PlanRebinding(src, destHost, mode)
+// PlanMove answers a follow-me source's one read against the replicated
+// union of every space's records and resources.
+func (c *Center) PlanMove(_ context.Context, appName, destHost string, resources []owl.Resource, mode owl.MatchMode) (registry.MovePlan, error) {
+	return c.reg.PlanMove(appName, destHost, resources, mode)
 }
 
 // Serve binds the standard registry wire protocol onto ep with the write
@@ -1071,6 +1108,10 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 		}
 		return nil, state.IgnoreNotDurable(c.RegisterApp(context.Background(), rec))
 	})
+	ep.Handle(registry.MsgMoveApp, registry.MoveAppHandler(func(rec registry.AppRecord, from string) (bool, error) {
+		demoted, err := c.MoveApp(context.Background(), rec, from)
+		return demoted, state.IgnoreNotDurable(err)
+	}))
 	ep.Handle(registry.MsgUnregisterApp, func(msg transport.Message) ([]byte, error) {
 		var req struct{ Name, Host string }
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {

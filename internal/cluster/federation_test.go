@@ -85,7 +85,7 @@ func TestFederationReplicatesAllRecordKinds(t *testing.T) {
 	if !got.Running || len(got.Components) != 2 || got.Space != "alpha" {
 		t.Fatalf("replicated record mangled: %+v", got)
 	}
-	if _, found, _ := b.Device(ctx, "hostA"); !found {
+	if _, found := b.Registry().Device("hostA"); !found {
 		t.Fatal("device profile not replicated")
 	}
 	res, err := b.Registry().ResourcesOnHost("hostA")

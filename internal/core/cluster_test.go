@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"mdagent/internal/ctxkernel"
 	"mdagent/internal/demoapps"
 	"mdagent/internal/media"
+	"mdagent/internal/migrate"
 	"mdagent/internal/netsim"
 	"mdagent/internal/wsdl"
 )
@@ -537,4 +539,57 @@ func TestPartitionHealRearmsFailover(t *testing.T) {
 	if inst, ok := rt2.Engine.App("smart-media-player"); !ok || inst.State() != app.Running {
 		t.Fatal("re-homed copy on h2 disturbed by reconciliation")
 	}
+}
+
+// TestFollowMeAcrossCentersLeavesOneRunningRecord: h1 and h2 register
+// with different federated centers (lab1, lab2). The destination's
+// commit at lab2 cannot demote h1's record — lab1 owns it — so lab2 says
+// so and the source demotes it at lab1 after the reply. Once
+// anti-entropy settles, every center lists the player running on h2
+// only.
+func TestFollowMeAcrossCentersLeavesOneRunningRecord(t *testing.T) {
+	mw := newFederatedDeploymentSong(t, clusterTestConfig(), 64<<10)
+	ctx := context.Background()
+	const player = "smart-media-player"
+	lab2, _ := mw.Cluster.Center("lab2")
+	waitFor(t, 5*time.Second, "h1's running record at lab2", func() bool {
+		rec, found, _ := lab2.LookupApp(ctx, player, "h1")
+		return found && rec.Running
+	})
+
+	rep, err := mw.Migrate(ctx, player, "h2", migrate.BindingAdaptive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, note := range rep.AdaptNotes {
+		if strings.Contains(note, "not demoted") {
+			t.Fatalf("report: %q", note)
+		}
+	}
+	running := func(c *cluster.Center) []string {
+		recs, err := c.Registry().Apps()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hosts []string
+		for _, rec := range recs {
+			if rec.Name == player && rec.Running {
+				hosts = append(hosts, rec.Host)
+			}
+		}
+		return hosts
+	}
+	spaces := []string{"lab1", "lab2", "lab3"}
+	waitFor(t, 5*time.Second, "every center to list the player running on h2 only", func() bool {
+		for _, s := range spaces {
+			c, _ := mw.Cluster.Center(s)
+			if err := c.SyncNow(ctx); err != nil {
+				return false
+			}
+			if got := running(c); len(got) != 1 || got[0] != "h2" {
+				return false
+			}
+		}
+		return true
+	})
 }

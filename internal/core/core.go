@@ -265,7 +265,7 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 	if err != nil {
 		return nil, err
 	}
-	eng := migrate.NewEngine(host, ep, m.Net, m.Directory, cat, m.cfg.Costs)
+	eng := migrate.NewEngine(host, dev, ep, m.Net, m.Directory, cat, m.cfg.Costs)
 	cont, err := m.Platform.NewContainer("container@"+host, host)
 	if err != nil {
 		return nil, err

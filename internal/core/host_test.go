@@ -52,7 +52,7 @@ func standaloneHost(t *testing.T, wrap func(migrate.Catalog) migrate.Catalog) (*
 		t.Fatal(err)
 	}
 	cat := wrap(migrate.Direct{R: reg})
-	eng := migrate.NewEngine("hostA", ep, nil, nil, cat, migrate.DefaultCosts())
+	eng := migrate.NewEngine("hostA", wsdl.DeviceProfile{}, ep, nil, nil, cat, migrate.DefaultCosts())
 	kernel := ctxkernel.NewKernel()
 	rt := NewHostRuntime("hostA", "lab", eng, media.NewLibrary("hostA"), cat, kernel, &vclock.Real{}, "test", nil, bundle.Resolver{})
 	return rt, reg, kernel

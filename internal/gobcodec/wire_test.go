@@ -43,6 +43,8 @@ func wireValues() []any {
 		playerRecord(),
 		song,
 		owl.Rebinding{Source: song, Action: owl.RebindUseLocal, Target: song, Reason: "it is the song"},
+		registry.MovePlan{Dest: playerRecord(), DestFound: true, Rebindings: []owl.Rebinding{
+			{Source: song, Action: owl.RebindRemote, Reason: "untransferable"}}},
 		wsdl.DeviceProfile{Host: "hostB", ScreenWidth: 800, ScreenHeight: 600, MemoryMB: 512, HasAudio: true, HasDisplay: true, Platform: "linux"},
 		ctl.MigrateRequest{App: "smart-media-player", To: "hostB"},
 		ctl.MigrateResult{App: "smart-media-player", From: "hostA", To: "hostB", Suspend: time.Millisecond,

@@ -68,7 +68,7 @@ func (e *Engine) CloneDispatch(ctx context.Context, appName, destHost, cloneName
 	}
 	head, err := appendCheckinHead(checkinPayload{
 		App: appName, CloneName: cloneName, Mode: CloneDispatch,
-		Binding: BindingAdaptive, FromHost: e.host, FromEngine: e.ep.Name(),
+		Binding: BindingAdaptive, FromHost: e.host, FromEngine: e.ep.Name(), Budget: budgetOf(ctx),
 		checkinMeta: checkinMeta{Desc: a.Description(), Rebindings: plans},
 	})
 	if err != nil {

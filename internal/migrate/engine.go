@@ -37,12 +37,13 @@ func MediaEndpointName(host string) string { return "media@" + host }
 
 // Catalog is the registry view the engine needs; *registry.Client
 // satisfies it for networked deployments and Direct adapts an in-process
-// *registry.Registry.
+// *registry.Registry. A follow-me asks it twice: PlanMove at the source,
+// MoveApp — the migration's commit point — at the destination.
 type Catalog interface {
+	PlanMove(ctx context.Context, appName, destHost string, resources []owl.Resource, mode owl.MatchMode) (registry.MovePlan, error)
+	MoveApp(ctx context.Context, rec registry.AppRecord, from string) (bool, error)
 	LookupApp(ctx context.Context, name, host string) (registry.AppRecord, bool, error)
 	RegisterApp(ctx context.Context, rec registry.AppRecord) error
-	Device(ctx context.Context, host string) (wsdl.DeviceProfile, bool, error)
-	PlanRebinding(ctx context.Context, src owl.Resource, destHost string, mode owl.MatchMode) (owl.Rebinding, error)
 	UnregisterApp(ctx context.Context, name, host string) error
 }
 
@@ -68,15 +69,14 @@ func (d Direct) UnregisterApp(_ context.Context, name, host string) error {
 	return d.R.UnregisterApp(name, host)
 }
 
-// Device implements Catalog.
-func (d Direct) Device(_ context.Context, host string) (wsdl.DeviceProfile, bool, error) {
-	dev, ok := d.R.Device(host)
-	return dev, ok, nil
+// PlanMove implements Catalog.
+func (d Direct) PlanMove(_ context.Context, appName, destHost string, resources []owl.Resource, mode owl.MatchMode) (registry.MovePlan, error) {
+	return d.R.PlanMove(appName, destHost, resources, mode)
 }
 
-// PlanRebinding implements Catalog.
-func (d Direct) PlanRebinding(_ context.Context, src owl.Resource, destHost string, mode owl.MatchMode) (owl.Rebinding, error) {
-	return d.R.PlanRebinding(src, destHost, mode)
+// MoveApp implements Catalog.
+func (d Direct) MoveApp(_ context.Context, rec registry.AppRecord, from string) (bool, error) {
+	return d.R.MoveApp(rec, from)
 }
 
 // Engine is one host's migration engine. It holds the running application
@@ -85,6 +85,7 @@ func (d Direct) PlanRebinding(_ context.Context, src owl.Resource, destHost stri
 // messages from peer engines.
 type Engine struct {
 	host  string
+	dev   wsdl.DeviceProfile // what arrivals adapt to; zero: no adaptation
 	net   *netsim.Network
 	dir   *space.Directory
 	ep    *transport.Endpoint
@@ -136,11 +137,14 @@ func (b *baseEntry) Digest() [sha256.Size]byte {
 // errors cross process boundaries as strings.
 const needFullWrap = "migrate: need full wrap"
 
-// NewEngine creates an engine for host, serving on ep. dir may be nil
+// NewEngine creates an engine for host, serving on ep. dev is the host's
+// device profile — the one it registers — which every arrival adapts to;
+// a zero profile means none, and arrivals are not adapted. dir may be nil
 // (no space topology checks); net may be nil (no CPU cost charging).
-func NewEngine(host string, ep *transport.Endpoint, net *netsim.Network, dir *space.Directory, cat Catalog, costs CostProfile) *Engine {
+func NewEngine(host string, dev wsdl.DeviceProfile, ep *transport.Endpoint, net *netsim.Network, dir *space.Directory, cat Catalog, costs CostProfile) *Engine {
 	e := &Engine{
 		host:      host,
+		dev:       dev,
 		net:       net,
 		dir:       dir,
 		ep:        ep,
@@ -267,11 +271,16 @@ func (e *Engine) planComponents(ctx context.Context, a *app.Application, destHos
 		// Original design [7]: everything moves, no rebinding plans.
 		return a.Components(), nil, nil
 	}
-	carried := a.ComponentsOfKind(app.KindState)
-	destRec, found, err := e.cat.LookupApp(ctx, a.Name(), destHost)
+	resources := a.Resources()
+	mp, err := e.cat.PlanMove(ctx, a.Name(), destHost, resources, match)
 	if err != nil {
-		return nil, nil, fmt.Errorf("migrate: registry lookup: %w", err)
+		return nil, nil, fmt.Errorf("migrate: move plan: %w", err)
 	}
+	if len(mp.Rebindings) != len(resources) {
+		return nil, nil, fmt.Errorf("migrate: move plan holds %d rebindings for %d resources", len(mp.Rebindings), len(resources))
+	}
+	carried := a.ComponentsOfKind(app.KindState)
+	destRec, found := mp.Dest, mp.DestFound
 	for _, kind := range []app.ComponentKind{app.KindLogic, app.KindUI} {
 		for _, name := range a.ComponentsOfKind(kind) {
 			if !found || !destRec.HasComponent(name) {
@@ -281,11 +290,8 @@ func (e *Engine) planComponents(ctx context.Context, a *app.Application, destHos
 	}
 	var plans []owl.Rebinding
 	covered := make(map[string]bool)
-	for _, res := range a.Resources() {
-		plan, err := e.cat.PlanRebinding(ctx, res, destHost, match)
-		if err != nil {
-			return nil, nil, fmt.Errorf("migrate: rebinding plan for %s: %w", res.ID, err)
-		}
+	for i, res := range resources {
+		plan := mp.Rebindings[i]
 		if plan.Action == owl.RebindImpossible {
 			return nil, nil, fmt.Errorf("migrate: resource %s cannot be rebound at %s: %s", res.ID, destHost, plan.Reason)
 		}
@@ -397,7 +403,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	)
 	head := checkinPayload{
 		App: appName, Mode: FollowMe, Binding: binding,
-		FromHost: e.host, FromEngine: e.ep.Name(), TraceID: traceID,
+		FromHost: e.host, FromEngine: e.ep.Name(), TraceID: traceID, Budget: budgetOf(ctx),
 		checkinMeta: checkinMeta{Desc: a.Description(), Rebindings: plans},
 	}
 	// Warm only when the plan would carry every component anyway (static
@@ -537,27 +543,13 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		migrateDur = 0
 	}
 
-	// The instance left this host: demote the source record to a plain
-	// installation so cluster failover never resurrects a departed app
-	// from a stale record if this host later dies. A fresh context keeps
-	// the demotion from being skipped just because a long transfer
-	// exhausted the caller's deadline; failure is reported in the report
-	// so operators can see the stale record risk.
-	demoteCtx, demoteCancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer demoteCancel()
+	// The destination's commit demoted this host's record, unless its
+	// center does not own it (the hosts register with different federated
+	// centers): then this host demotes it, so failover never resurrects a
+	// departed app from it.
 	var demoteNote []string
-	if srcRec, found, err := e.cat.LookupApp(demoteCtx, appName, e.host); err != nil {
-		demoteNote = append(demoteNote, "source record not demoted: "+err.Error())
-	} else if found && srcRec.Running {
-		srcRec.Running = false
-		// A durability shortfall (state.ErrNotDurable from a federated
-		// center running a synchronous write concern) is not a failed
-		// demotion: the record landed at the center and anti-entropy
-		// retries replication, so the stale-record risk the note warns
-		// about does not exist.
-		if err := state.IgnoreNotDurable(e.cat.RegisterApp(demoteCtx, srcRec)); err != nil {
-			demoteNote = append(demoteNote, "source record not demoted: "+err.Error())
-		}
+	if !reply.SourceDemoted {
+		demoteNote = e.demoteSource(appName)
 	}
 
 	return Report{
@@ -568,6 +560,27 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		AdaptNotes: append(reply.AdaptNotes, demoteNote...), RestoredApp: reply.RestoredApp,
 		Delta: warm,
 	}, nil
+}
+
+// demoteSource turns this host's running record of appName into a plain
+// installation, on a fresh context so that a long transfer that
+// exhausted the caller's deadline does not skip it. A failure comes back
+// as a note for the report, so operators can see the stale record risk.
+func (e *Engine) demoteSource(appName string) []string {
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	rec, found, err := e.cat.LookupApp(ctx, appName, e.host)
+	if err == nil && found && rec.Running {
+		rec.Running = false
+		// A durability shortfall (state.ErrNotDurable from a federated
+		// center running a synchronous write concern) is not a failed
+		// demotion: the record landed and anti-entropy retries replication.
+		err = state.IgnoreNotDurable(e.cat.RegisterApp(ctx, rec))
+	}
+	if err != nil {
+		return []string{"source record not demoted: " + err.Error()}
+	}
+	return nil
 }
 
 // wrapCovers reports whether the wrap snapshots every component of the
@@ -598,11 +611,21 @@ func (e *Engine) handleCheckin(tm transport.Message) ([]byte, error) {
 	return transport.Encode(reply)
 }
 
-// restore is the shared arrival path for follow-me and clone-dispatch.
+// restore is the shared arrival path for follow-me and clone-dispatch. It
+// runs within the source's budget and ends in the commit point, the
+// registry's MoveApp; a restore that fails before or at the commit
+// discards the arrival, and the source, seeing the check-in fail, rolls
+// back.
 func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, error) {
 	var reply checkinReply
 	clk := e.clock()
 	start := clk.Now()
+	timeout := restoreTimeout
+	if p.Budget > 0 && p.Budget < timeout {
+		timeout = p.Budget
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
 
 	// Destination-side trace spans: recorded locally and returned in the
 	// reply so the source assembles the full timeline. Clone dispatches
@@ -670,30 +693,24 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 		if err := inst.Suspend(); err != nil {
 			return reply, err
 		}
+		// An arrival that does not commit leaves the instance it
+		// suspended running again.
+		defer func() {
+			if inst.State() == app.Suspended {
+				_ = inst.Resume()
+			}
+		}()
 	}
 	if err := inst.Unwrap(wrap); err != nil {
 		return reply, err
 	}
 	inst.SetHost(e.host)
-	// Cache the arrival as a warm-handoff base when it pins the full
-	// state of a follow-me instance: a later follow-me back to the source
-	// then ships only what changed here. (Clones evolve independently
-	// over their sync links, so their arrival wraps pin nothing.)
-	if p.Mode == FollowMe && wrapCovers(wrap, inst) {
-		e.mu.Lock()
-		e.bases[p.App] = &baseEntry{
-			wrap: wrap, peer: p.FromHost,
-			inst: inst, changeSeq: inst.ChangeSeq(),
-		}
-		e.mu.Unlock()
-	}
+	changeSeq := inst.ChangeSeq()
 
 	addSpan(obs.PhaseRestore, restoreWall, fmt.Sprintf("delta=%v", p.Delta))
 	rebindWall := time.Now()
 
 	// Resource rebinding (paper §3.3).
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	for _, plan := range p.Rebindings {
 		switch plan.Action {
 		case owl.RebindUseLocal:
@@ -707,10 +724,10 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 		}
 	}
 
-	// Adaptation to the destination device (paper §4.2.2).
+	// Adaptation to this host's device (paper §4.2.2).
 	var notes []string
-	if dev, ok, err := e.cat.Device(ctx, e.host); err == nil && ok {
-		plan, _, aerr := inst.Adaptor().Apply(inst, dev)
+	if e.dev != (wsdl.DeviceProfile{}) {
+		plan, _, aerr := inst.Adaptor().Apply(inst, e.dev)
 		if aerr != nil {
 			return reply, aerr
 		}
@@ -718,6 +735,36 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 		notes = plan.Notes
 	}
 
+	// The commit point: one registry write demotes the source's record
+	// and registers this installation running (paper §4.2.2). Past the
+	// budget the source has given up and runs the app again: no commit.
+	if err := ctx.Err(); err != nil {
+		return reply, fmt.Errorf("migrate: check-in at %s outlived the source's budget: %w", e.host, err)
+	}
+	var from string
+	if p.Mode == FollowMe {
+		from = p.FromHost
+	}
+	demoted, err := e.cat.MoveApp(ctx, registry.AppRecord{
+		Name: p.App, Host: e.host, Description: p.Desc,
+		Components: inst.Components(), Running: true,
+	}, from)
+	if err = state.IgnoreNotDurable(err); err != nil {
+		return reply, fmt.Errorf("migrate: commit at %s: %w", e.host, err)
+	}
+
+	// Cache the arrival as a warm-handoff base when it pins the full
+	// state of a follow-me instance: a later follow-me back to the source
+	// then ships only what changed here. (Clones evolve independently
+	// over their sync links, so their arrival wraps pin nothing.)
+	if p.Mode == FollowMe && wrapCovers(wrap, inst) {
+		e.mu.Lock()
+		e.bases[p.App] = &baseEntry{
+			wrap: wrap, peer: p.FromHost,
+			inst: inst, changeSeq: changeSeq,
+		}
+		e.mu.Unlock()
+	}
 	e.charge(e.costs.CheckinOverhead)
 	if err := inst.Resume(); err != nil {
 		return reply, err
@@ -726,25 +773,13 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 	e.apps[instanceName] = inst
 	e.mu.Unlock()
 
-	// Re-register the installation so subsequent adaptive migrations know
-	// which components now exist on this host (paper §4.2.2: applications
-	// register themselves with the registry centers). The instance is
-	// running either way; a record that did not land is reported, as the
-	// source's failed demotion is, so an operator sees that the registry
-	// and the next adaptive plan are stale.
-	if err := state.IgnoreNotDurable(e.cat.RegisterApp(ctx, registry.AppRecord{
-		Name: p.App, Host: e.host, Description: p.Desc,
-		Components: inst.Components(), Running: true,
-	})); err != nil {
-		notes = append(notes, "destination record not registered: "+err.Error())
-	}
-
 	addSpan(obs.PhaseRebind, rebindWall, fmt.Sprintf("rebindings=%d", len(p.Rebindings)))
 	return checkinReply{
-		ResumeNanos: int64(clk.Now().Sub(start)),
-		AdaptNotes:  notes,
-		RestoredApp: instanceName,
-		Spans:       spans,
+		ResumeNanos:   int64(clk.Now().Sub(start)),
+		AdaptNotes:    notes,
+		RestoredApp:   instanceName,
+		Spans:         spans,
+		SourceDemoted: demoted,
 	}, nil
 }
 

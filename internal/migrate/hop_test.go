@@ -13,6 +13,7 @@ import (
 	"mdagent/internal/registry"
 	"mdagent/internal/store"
 	"mdagent/internal/transport"
+	"mdagent/internal/wsdl"
 )
 
 // tcpRing builds the followme-static-cold deployment inside this process:
@@ -41,7 +42,7 @@ func tcpRing(tb testing.TB, hosts ...string) []*Engine {
 				nodes[i].AddPeer(EndpointName(peer), nodes[j].Addr())
 			}
 		}
-		engines[i] = NewEngine(h, nodes[i].Endpoint(), nil, nil, Direct{R: reg}, CostProfile{})
+		engines[i] = NewEngine(h, wsdl.DeviceProfile{}, nodes[i].Endpoint(), nil, nil, Direct{R: reg}, CostProfile{})
 	}
 	player := demoapps.NewMediaPlayer(hosts[0], media.GenerateFile("song1", songSize, 3))
 	if err := engines[0].Run(player); err != nil {

@@ -84,8 +84,11 @@ func newRig(t *testing.T, fileSize int64) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engA := NewEngine("hostA", epA, net, dir, Direct{R: reg}, DefaultCosts())
-	engB := NewEngine("hostB", epB, net, dir, Direct{R: reg}, DefaultCosts())
+	devB := wsdl.DeviceProfile{
+		Host: "hostB", ScreenWidth: 800, ScreenHeight: 600, MemoryMB: 512, HasAudio: true, HasDisplay: true,
+	}
+	engA := NewEngine("hostA", wsdl.DeviceProfile{}, epA, net, dir, Direct{R: reg}, DefaultCosts())
+	engB := NewEngine("hostB", devB, epB, net, dir, Direct{R: reg}, DefaultCosts())
 
 	// Media library on hostA serving the song.
 	libA := media.NewLibrary("hostA")
@@ -110,9 +113,7 @@ func newRig(t *testing.T, fileSize int64) *rig {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterDevice(wsdl.DeviceProfile{
-		Host: "hostB", ScreenWidth: 800, ScreenHeight: 600, MemoryMB: 512, HasAudio: true, HasDisplay: true,
-	}); err != nil {
+	if err := reg.RegisterDevice(devB); err != nil {
 		t.Fatal(err)
 	}
 	// The music resource: untransferable data on hostA.
@@ -408,7 +409,7 @@ func TestInterSpaceRequiresGateway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engD := NewEngine("hostD", epD, r.net, r.dir, Direct{R: r.reg}, DefaultCosts())
+	engD := NewEngine("hostD", wsdl.DeviceProfile{}, epD, r.net, r.dir, Direct{R: r.reg}, DefaultCosts())
 	_ = engD
 	rep, err := r.engA.FollowMe(ctx, "player", "hostD", BindingStatic, owl.MatchSemantic)
 	if err != nil {

@@ -1,7 +1,9 @@
 package migrate
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"mdagent/internal/obs"
 	"mdagent/internal/owl"
@@ -10,13 +12,19 @@ import (
 )
 
 // checkinPayload crosses the wire for follow-me and clone-dispatch as one
-// fast frame, [ProtoV2][OpCheckin]: the head fields, Desc and Rebindings
-// as one gob blob, the Delta flag, then Frame as the rest of the body.
+// fast frame, [ProtoV2][OpCheckin]: the source's budget, the head fields,
+// Desc and Rebindings as one gob blob, the Delta flag, then Frame as the
+// rest of the body.
 // The head is what appendCheckinHead writes; the source appends the state
 // frame straight behind it (state.AppendWrap), so the check-in body is
 // the only payload-sized buffer it allocates, and the destination's Frame
 // aliases the message it arrived in.
 type checkinPayload struct {
+	// Budget is what was left of the source's deadline when it wrote the
+	// head — a duration, not a time, because host clocks are skewed; 0
+	// when the source had none. The destination restores within it (and
+	// within restoreTimeout), and commits nothing once it is spent.
+	Budget     time.Duration
 	App        string
 	CloneName  string // clone-dispatch: instance name at the destination
 	Mode       Mode
@@ -49,6 +57,23 @@ type checkinReply struct {
 	// `mdctl trace` against the source shows the full cross-host
 	// timeline.
 	Spans []obs.Span
+	// SourceDemoted says the destination's registry.move-app took care of
+	// the source's record; false only when the destination's center does
+	// not own it, and the source demotes it itself.
+	SourceDemoted bool
+}
+
+// restoreTimeout bounds an arrival whose source sent no budget, and caps
+// the budget it did send.
+const restoreTimeout = 60 * time.Second
+
+// budgetOf is the check-in head's Budget for a source running under ctx.
+func budgetOf(ctx context.Context) time.Duration {
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return 0
+	}
+	return max(time.Until(dl), 1) // already spent: 1 ns, never 0 ("none")
 }
 
 // appendCheckinHead writes everything of a check-in body but p.Frame.
@@ -59,6 +84,7 @@ func appendCheckinHead(p checkinPayload) ([]byte, error) {
 	}
 	b := make([]byte, 0, 128+len(meta))
 	b = append(b, transport.ProtoV2, transport.OpCheckin)
+	b = transport.AppendUint(b, uint64(p.Budget))
 	b = transport.AppendString(b, p.App)
 	b = transport.AppendString(b, p.CloneName)
 	b = transport.AppendUint(b, uint64(p.Mode))
@@ -72,17 +98,25 @@ func appendCheckinHead(p checkinPayload) ([]byte, error) {
 
 // decodeCheckin parses a check-in body. A payload of any other version —
 // the gob check-in of an older host included — fails with OpenFast's
-// ErrVersion before its body is touched. Frame aliases payload.
+// ErrVersion before its body is touched, and so does the retired 0x30
+// check-in of a host that leaves the source to demote its own record. A
+// budget past restoreTimeout reads as restoreTimeout. Frame aliases
+// payload.
 func decodeCheckin(payload []byte) (checkinPayload, error) {
 	var p checkinPayload
 	op, body, err := transport.OpenFast(payload)
 	if err != nil {
 		return p, err
 	}
-	if op != transport.OpCheckin {
+	switch op {
+	case transport.OpCheckin:
+	case transport.OpCheckinRetired:
+		return p, fmt.Errorf("%w: check-in opcode %#x is retired: the sending host does not commit moves at the destination", transport.ErrVersion, op)
+	default:
 		return p, fmt.Errorf("migrate: unknown fast opcode %#x on a check-in", op)
 	}
 	r := transport.NewFastReader(body)
+	p.Budget = time.Duration(min(r.Uint(), uint64(restoreTimeout)))
 	p.App = r.String()
 	p.CloneName = r.String()
 	p.Mode = Mode(r.Uint())

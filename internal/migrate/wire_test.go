@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mdagent/internal/app"
 	"mdagent/internal/netsim"
@@ -34,7 +36,8 @@ func goldenWire(t testing.TB, name string) []byte {
 // order and the frames should be reproducible.
 var (
 	goldenHead = checkinPayload{
-		App: "player", Mode: FollowMe, Binding: BindingStatic,
+		Budget: 59*time.Second + 250*time.Millisecond,
+		App:    "player", Mode: FollowMe, Binding: BindingStatic,
 		FromHost: "hostA", FromEngine: "migrate@hostA", TraceID: "t-0001",
 		checkinMeta: checkinMeta{Desc: playerDesc(), Rebindings: []owl.Rebinding{{
 			Source: owl.Resource{ID: "song1", Class: rdf.IMCL("MusicFile"), Host: "hostA", SizeBytes: 19,
@@ -70,7 +73,7 @@ func goldenCheckins(t testing.TB) (static, delta []byte) {
 		t.Fatal(err)
 	}
 	warm := goldenHead
-	warm.FromHost, warm.FromEngine, warm.TraceID, warm.Delta = "hostB", "migrate@hostB", "t-0002", true
+	warm.Budget, warm.FromHost, warm.FromEngine, warm.TraceID, warm.Delta = 0, "hostB", "migrate@hostB", "t-0002", true
 	if head, err = appendCheckinHead(warm); err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +89,11 @@ func goldenCheckins(t testing.TB) (static, delta []byte) {
 // process assigns at first use, so a recorded frame must decode to the
 // recorded value and hold its fixed-layout parts — the fast-frame head up
 // to the meta, the raw component bytes at the end — where the layout
-// says; it need not re-encode to the same bytes.
+// says; it need not re-encode to the same bytes. The two check-ins of the
+// retired opcode 0x30 are refused with ErrVersion.
 func TestGoldenCheckinFrames(t *testing.T) {
 	prefix := []byte{transport.ProtoV2, transport.OpCheckin}
+	prefix = transport.AppendUint(prefix, uint64(goldenHead.Budget))
 	prefix = transport.AppendString(prefix, "player")
 	prefix = transport.AppendString(prefix, "")
 	prefix = transport.AppendUint(prefix, uint64(FollowMe))
@@ -131,7 +136,7 @@ func TestGoldenCheckinFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !p.Delta || p.FromHost != "hostB" || p.TraceID != "t-0002" || !reflect.DeepEqual(p.Rebindings, goldenHead.Rebindings) {
+		if !p.Delta || p.Budget != 0 || p.FromHost != "hostB" || p.TraceID != "t-0002" || !reflect.DeepEqual(p.Rebindings, goldenHead.Rebindings) {
 			t.Fatalf("decoded head %+v", p)
 		}
 		d, err := state.DecodeDelta(p.Frame)
@@ -147,6 +152,38 @@ func TestGoldenCheckinFrames(t *testing.T) {
 			t.Fatalf("today's encoder writes another layout (err %v):\n%x", err, now)
 		}
 	})
+	t.Run("retired", func(t *testing.T) {
+		for _, name := range []string{"checkin-static-0x30.bin", "checkin-delta-0x30.bin"} {
+			golden := goldenWire(t, name)
+			if golden[1] != transport.OpCheckinRetired {
+				t.Fatalf("%s: opcode %#x", name, golden[1])
+			}
+			if _, err := decodeCheckin(golden); !errors.Is(err, transport.ErrVersion) {
+				t.Fatalf("%s: err = %v, want ErrVersion", name, err)
+			}
+		}
+	})
+}
+
+// TestRetiredCheckinIsRefused: a host that registers the arrival and
+// leaves the source to demote its own record sends opcode 0x30. Both
+// arrival ops refuse it with the typed ErrVersion before the body is
+// read: no instance, no registry write.
+func TestRetiredCheckinIsRefused(t *testing.T) {
+	r := newRig(t, songSize)
+	before, _ := r.reg.Apps()
+	for _, op := range []string{MsgCheckin, MsgClone} {
+		_, err := r.engA.ep.Request(ctxT(t), EndpointName("hostB"), op, goldenWire(t, "checkin-static-0x30.bin"))
+		if !errors.Is(err, transport.ErrVersion) {
+			t.Fatalf("%s with opcode 0x30: err = %v, want ErrVersion", op, err)
+		}
+	}
+	if _, ok := r.engB.App("player"); ok {
+		t.Fatal("a refused check-in left an instance behind")
+	}
+	if after, _ := r.reg.Apps(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused check-in wrote the registry: %+v", after)
+	}
 }
 
 // gobSlack: see internal/state's FuzzDecodeWrap — what encoding/gob may
@@ -161,22 +198,28 @@ const gobSlack = 64 << 20
 func FuzzDecodeCheckin(f *testing.F) {
 	static := goldenWire(f, "checkin-static.bin")
 	delta := goldenWire(f, "checkin-delta.bin")
-	for _, g := range [][]byte{static, delta} {
+	for _, g := range [][]byte{static, delta, goldenWire(f, "checkin-static-0x30.bin"), goldenWire(f, "checkin-delta-0x30.bin")} {
 		f.Add(g)
 		f.Add(g[:len(g)/2])
 		f.Add(g[:12])
 		flipped := append([]byte(nil), g...)
-		flipped[2] ^= 0x7f // the app name's length
+		flipped[2] ^= 0x7f // the budget's first byte (the app name's length at 0x30)
 		f.Add(flipped)
 	}
-	f.Add(append([]byte{transport.ProtoV2, transport.OpCheckin}, 0xff, 0xff, 0xff, 0xff, 0x0f)) // 4 GiB app name claimed
-	f.Add(transport.MustEncode(goldenHead))                                                     // an older host's gob check-in
+	f.Add(append([]byte{transport.ProtoV2, transport.OpCheckin}, 0xff, 0xff, 0xff, 0xff, 0x0f)) // 4 GiB budget claimed, then nothing
+	huge := transport.AppendUint([]byte{transport.ProtoV2, transport.OpCheckin}, math.MaxUint64)
+	f.Add(append(huge, static[2+len(transport.AppendUint(nil, uint64(goldenHead.Budget))):]...))   // a 2^64-1 ns budget on a good check-in
+	f.Add(append([]byte{transport.ProtoV2, transport.OpCheckin, 0}, 0xff, 0xff, 0xff, 0xff, 0x0f)) // 4 GiB app name claimed
+	f.Add(transport.MustEncode(goldenHead))                                                        // an older host's gob check-in
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		p, err := decodeCheckin(data)
+		if err == nil && (p.Budget < 0 || p.Budget > restoreTimeout) {
+			t.Fatalf("budget %v outside [0, %v]", p.Budget, restoreTimeout)
+		}
 		if err == nil {
 			if p.Delta {
 				_, _ = state.DecodeDelta(p.Frame)
@@ -403,45 +446,40 @@ func TestWarmBaseSurvivesOnADecodedFrame(t *testing.T) {
 	}
 }
 
-// failingCatalog refuses to register records of one host.
+// failingCatalog refuses to commit moves to one host.
 type failingCatalog struct {
 	Direct
 	host string
 }
 
-func (c failingCatalog) RegisterApp(ctx context.Context, rec registry.AppRecord) error {
+func (c failingCatalog) MoveApp(ctx context.Context, rec registry.AppRecord, from string) (bool, error) {
 	if rec.Host == c.host {
-		return errors.New("registry unreachable")
+		return false, errors.New("registry unreachable")
 	}
-	return c.Direct.RegisterApp(ctx, rec)
+	return c.Direct.MoveApp(ctx, rec, from)
 }
 
-// TestDestinationRegistrationFailureIsReported: the destination used to
-// drop the error of its own RegisterApp, leaving the application running
-// on a host the registry does not list, with nobody told. The application
-// still resumes — it is already there — and the report says so, next to
-// where the source's failed demotion would.
-func TestDestinationRegistrationFailureIsReported(t *testing.T) {
+// TestFailedCommitFailsTheMigration: registry.move-app is the migration's
+// commit point, so a destination whose commit fails discards the arrival
+// and fails the check-in. The source rolls back: the application runs
+// there, and the registry still lists it running there and nowhere else.
+func TestFailedCommitFailsTheMigration(t *testing.T) {
 	r := newRig(t, songSize)
-	r.startPlayer(t, songSize)
+	inst := r.startPlayer(t, songSize)
+	registerRunning(t, r.reg, "player", "hostA")
 	r.engB.cat = failingCatalog{Direct: Direct{R: r.reg}, host: "hostB"}
 
-	rep, err := r.engA.FollowMe(ctxT(t), "player", "hostB", BindingAdaptive, owl.MatchSemantic)
-	if err != nil {
-		t.Fatal(err)
+	_, err := r.engA.FollowMe(ctxT(t), "player", "hostB", BindingAdaptive, owl.MatchSemantic)
+	if err == nil || !strings.Contains(err.Error(), "registry unreachable") {
+		t.Fatalf("FollowMe with a failing commit: err = %v", err)
 	}
-	noted := false
-	for _, n := range rep.AdaptNotes {
-		noted = noted || strings.Contains(n, "destination record not registered: registry unreachable")
+	if got, ok := r.engA.App("player"); !ok || got != inst || inst.State() != app.Running {
+		t.Fatal("the application does not run at the source after the failed commit")
 	}
-	if !noted {
-		t.Fatalf("AdaptNotes = %q, want the destination's registration failure", rep.AdaptNotes)
+	if _, ok := r.engB.App("player"); ok {
+		t.Fatal("the destination kept the uncommitted arrival")
 	}
-	inst, ok := r.engB.App("player")
-	if !ok || inst.State() != app.Running {
-		t.Fatal("the application did not resume at the destination")
-	}
-	if rec, found, _ := r.reg.LookupApp("player", "hostB"); found && rec.Running {
-		t.Fatal("the failing catalog registered the record after all")
+	if got := runningHosts(t, r.reg, "player"); !reflect.DeepEqual(got, []string{"hostA"}) {
+		t.Fatalf("registry lists the player running on %v, want [hostA]", got)
 	}
 }

@@ -290,12 +290,79 @@ func (r *Registry) Query(q string) ([]map[string]string, error) {
 // PlanRebinding answers the rebinding question for a source resource
 // against a destination host's inventory, using the given match mode.
 func (r *Registry) PlanRebinding(src owl.Resource, destHost string, mode owl.MatchMode) (owl.Rebinding, error) {
-	avail, err := r.ResourcesOnHost(destHost)
+	plans, err := r.rebindings([]owl.Resource{src}, destHost, mode)
 	if err != nil {
 		return owl.Rebinding{}, err
+	}
+	return plans[0], nil
+}
+
+// rebindings plans each resource against destHost's inventory, read once.
+func (r *Registry) rebindings(resources []owl.Resource, destHost string, mode owl.MatchMode) ([]owl.Rebinding, error) {
+	avail, err := r.ResourcesOnHost(destHost)
+	if err != nil {
+		return nil, err
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	m := owl.NewMatcher(r.onto, mode)
-	return m.PlanRebinding(src, avail), nil
+	plans := make([]owl.Rebinding, len(resources))
+	for i, res := range resources {
+		plans[i] = m.PlanRebinding(res, avail)
+	}
+	return plans, nil
+}
+
+// MovePlan is everything a follow-me's source asks the registry before
+// it captures: the application's installation at the destination, if
+// any, and one rebinding plan per resource, in the order asked.
+type MovePlan struct {
+	Dest       AppRecord
+	DestFound  bool
+	Rebindings []owl.Rebinding
+}
+
+// PlanMove answers a follow-me source's one read from the same reads
+// LookupApp and PlanRebinding make.
+func (r *Registry) PlanMove(appName, destHost string, resources []owl.Resource, mode owl.MatchMode) (MovePlan, error) {
+	var plan MovePlan
+	var err error
+	if plan.Dest, plan.DestFound, err = r.LookupApp(appName, destHost); err != nil {
+		return MovePlan{}, err
+	}
+	if len(resources) > 0 {
+		if plan.Rebindings, err = r.rebindings(resources, destHost, mode); err != nil {
+			return MovePlan{}, err
+		}
+	}
+	return plan, nil
+}
+
+// MoveApp is a follow-me's commit point: it demotes the application's
+// running record at from, then stores rec running — demotion first, so a
+// crash between the writes leaves none running, never two. An empty from
+// (a clone arriving) makes it a plain register. It reports whether the
+// source's record is taken care of: always, on success, since a
+// standalone registry is the only place that record lives.
+func (r *Registry) MoveApp(rec AppRecord, from string) (bool, error) {
+	rec.Running = true
+	if err := rec.Validate(); err != nil {
+		return false, err
+	}
+	if from != "" && from != rec.Host {
+		src, found, err := r.LookupApp(rec.Name, from)
+		if err != nil {
+			return false, err
+		}
+		if found && src.Running {
+			src.Running = false
+			if err := r.RegisterApp(src); err != nil {
+				return false, err
+			}
+		}
+	}
+	if err := r.RegisterApp(rec); err != nil {
+		return false, err
+	}
+	return true, nil
 }

@@ -3,6 +3,7 @@ package registry
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -281,10 +282,6 @@ func TestRemoteClientOverLocalFabric(t *testing.T) {
 	if err := cli.RegisterResource(ctx, owl.Resource{ID: "prn", Class: rdf.IMCL("Printer"), Host: "hostA", Substitutable: true}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cli.ResourcesOnHost(ctx, "hostA")
-	if err != nil || len(res) != 1 {
-		t.Fatalf("remote ResourcesOnHost = %v, %v", res, err)
-	}
 
 	if err := cli.RegisterDevice(ctx, wsdl.DeviceProfile{Host: "hostA", MemoryMB: 128}); err != nil {
 		t.Fatal(err)
@@ -294,23 +291,30 @@ func TestRemoteClientOverLocalFabric(t *testing.T) {
 		t.Fatalf("remote Device = %+v, %v, %v", dev, ok, err)
 	}
 
-	rows, err := cli.Query(ctx, `(?r rdf:type imcl:Printer)`)
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("remote Query = %v, %v", rows, err)
-	}
-
-	plan, err := cli.PlanRebinding(ctx, res[0], "hostA", owl.MatchSemantic)
+	prn := owl.Resource{ID: "prn", Class: rdf.IMCL("Printer"), Host: "hostA", Substitutable: true}
+	plan, err := cli.PlanRebinding(ctx, prn, "hostA", owl.MatchSemantic)
 	if err != nil || plan.Action != owl.RebindUseLocal {
 		t.Fatalf("remote PlanRebinding = %+v, %v", plan, err)
 	}
-
-	recs, err := cli.FindApp(ctx, "player")
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("remote FindApp = %v, %v", recs, err)
+	mp, err := cli.PlanMove(ctx, "player", "hostA", []owl.Resource{prn, prn}, owl.MatchSemantic)
+	if err != nil || !mp.DestFound || mp.Dest.Name != "player" || len(mp.Rebindings) != 2 || !reflect.DeepEqual(mp.Rebindings[1], plan) {
+		t.Fatalf("remote PlanMove = %+v, %v", mp, err)
 	}
-	apps, err := cli.AppsOnHost(ctx, "hostA")
-	if err != nil || len(apps) != 1 {
-		t.Fatalf("remote AppsOnHost = %v, %v", apps, err)
+
+	// The commit of a move hostA -> hostB: hostA's record demoted,
+	// hostB's registered running, the source told it has nothing to do.
+	if err := cli.RegisterApp(ctx, AppRecord{Name: "player", Host: "hostA", Description: testDesc("player"), Running: true}); err != nil {
+		t.Fatal(err)
+	}
+	demoted, err := cli.MoveApp(ctx, AppRecord{Name: "player", Host: "hostB", Description: testDesc("player")}, "hostA")
+	if err != nil || !demoted {
+		t.Fatalf("remote MoveApp = %v, %v", demoted, err)
+	}
+	if a, _, _ := cli.LookupApp(ctx, "player", "hostA"); a.Running {
+		t.Fatal("MoveApp left the source record running")
+	}
+	if b, found, _ := cli.LookupApp(ctx, "player", "hostB"); !found || !b.Running {
+		t.Fatalf("MoveApp did not register the destination running: %+v", b)
 	}
 	if err := cli.UnregisterApp(ctx, "player", "hostA"); err != nil {
 		t.Fatal(err)
@@ -338,7 +342,7 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	if err := cli.RegisterApp(ctx, AppRecord{}); err == nil {
 		t.Fatal("invalid app accepted remotely")
 	}
-	if _, err := cli.Query(ctx, "((("); err == nil {
-		t.Fatal("broken query accepted remotely")
+	if _, err := cli.MoveApp(ctx, AppRecord{Host: "hostB"}, "hostA"); err == nil {
+		t.Fatal("nameless move accepted remotely")
 	}
 }

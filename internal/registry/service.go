@@ -13,14 +13,12 @@ const (
 	MsgRegisterApp      = "registry.register-app"
 	MsgUnregisterApp    = "registry.unregister-app"
 	MsgLookupApp        = "registry.lookup-app"
-	MsgFindApp          = "registry.find-app"
-	MsgAppsOnHost       = "registry.apps-on-host"
 	MsgRegisterResource = "registry.register-resource"
-	MsgResourcesOnHost  = "registry.resources-on-host"
 	MsgRegisterDevice   = "registry.register-device"
 	MsgDevice           = "registry.device"
-	MsgQuery            = "registry.query"
 	MsgPlanRebinding    = "registry.plan-rebinding"
+	MsgPlanMove         = "registry.plan-move"
+	MsgMoveApp          = "registry.move-app"
 	MsgListApps         = "registry.list-apps"
 	MsgGetBundle        = "registry.get-bundle"
 	MsgListBundles      = "registry.list-bundles"
@@ -41,13 +39,25 @@ type (
 
 	hostReq struct{ Host string }
 
-	queryReq struct{ Query string }
-
 	rebindingReq struct {
 		Src      owl.Resource
 		DestHost string
 		Mode     owl.MatchMode
 	}
+
+	planMoveReq struct {
+		App       string
+		DestHost  string
+		Resources []owl.Resource
+		Mode      owl.MatchMode
+	}
+
+	moveAppReq struct {
+		Rec  AppRecord
+		From string
+	}
+
+	moveAppReply struct{ SourceDemoted bool }
 
 	deviceReply struct {
 		Dev   wsdl.DeviceProfile
@@ -90,45 +100,12 @@ func (r *Registry) Serve(ep *transport.Endpoint) *Registry {
 		}
 		return transport.Encode(lookupAppReply{Rec: rec, Found: found})
 	})
-	ep.Handle(MsgFindApp, func(msg transport.Message) ([]byte, error) {
-		var req appKeyReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		recs, err := r.FindApp(req.Name)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(recs)
-	})
-	ep.Handle(MsgAppsOnHost, func(msg transport.Message) ([]byte, error) {
-		var req hostReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		recs, err := r.AppsOnHost(req.Host)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(recs)
-	})
 	ep.Handle(MsgRegisterResource, func(msg transport.Message) ([]byte, error) {
 		var res owl.Resource
 		if err := transport.DecodeSealed(msg.Payload, &res); err != nil {
 			return nil, err
 		}
 		return nil, r.RegisterResource(res)
-	})
-	ep.Handle(MsgResourcesOnHost, func(msg transport.Message) ([]byte, error) {
-		var req hostReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		res, err := r.ResourcesOnHost(req.Host)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(res)
 	})
 	ep.Handle(MsgRegisterDevice, func(msg transport.Message) ([]byte, error) {
 		var dev wsdl.DeviceProfile
@@ -155,17 +132,18 @@ func (r *Registry) Serve(ep *transport.Endpoint) *Registry {
 		}
 		return transport.Encode(recs)
 	})
-	ep.Handle(MsgQuery, func(msg transport.Message) ([]byte, error) {
-		var req queryReq
+	ep.Handle(MsgPlanMove, func(msg transport.Message) ([]byte, error) {
+		var req planMoveReq
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		rows, err := r.Query(req.Query)
+		plan, err := r.PlanMove(req.App, req.DestHost, req.Resources, req.Mode)
 		if err != nil {
 			return nil, err
 		}
-		return transport.Encode(rows)
+		return transport.Encode(plan)
 	})
+	ep.Handle(MsgMoveApp, MoveAppHandler(r.MoveApp))
 	ep.Handle(MsgPlanRebinding, func(msg transport.Message) ([]byte, error) {
 		var req rebindingReq
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
@@ -199,6 +177,22 @@ func (r *Registry) Serve(ep *transport.Endpoint) *Registry {
 		return transport.Encode(infos)
 	})
 	return r
+}
+
+// MoveAppHandler serves registry.move-app with move: a registry's own
+// MoveApp, or a federated center's replicating one.
+func MoveAppHandler(move func(rec AppRecord, from string) (bool, error)) transport.Handler {
+	return func(msg transport.Message) ([]byte, error) {
+		var req moveAppReq
+		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
+			return nil, err
+		}
+		demoted, err := move(req.Rec, req.From)
+		if err != nil {
+			return nil, err
+		}
+		return transport.Encode(moveAppReply{SourceDemoted: demoted})
+	}
 }
 
 // Client is a typed remote handle to a registry center endpoint.
@@ -240,15 +234,6 @@ func (c *Client) LookupApp(ctx context.Context, name, host string) (AppRecord, b
 	return reply.Rec, reply.Found, nil
 }
 
-// FindApp lists installations of an app on every host.
-func (c *Client) FindApp(ctx context.Context, name string) ([]AppRecord, error) {
-	var recs []AppRecord
-	if err := c.call(ctx, MsgFindApp, appKeyReq{Name: name}, &recs); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
 // Apps lists every application installation record at the center.
 func (c *Client) Apps(ctx context.Context) ([]AppRecord, error) {
 	var recs []AppRecord
@@ -258,27 +243,9 @@ func (c *Client) Apps(ctx context.Context) ([]AppRecord, error) {
 	return recs, nil
 }
 
-// AppsOnHost lists every app installed on a host.
-func (c *Client) AppsOnHost(ctx context.Context, host string) ([]AppRecord, error) {
-	var recs []AppRecord
-	if err := c.call(ctx, MsgAppsOnHost, hostReq{Host: host}, &recs); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
 // RegisterResource registers a resource description.
 func (c *Client) RegisterResource(ctx context.Context, res owl.Resource) error {
 	return c.call(ctx, MsgRegisterResource, res, nil)
-}
-
-// ResourcesOnHost lists the resources on a host.
-func (c *Client) ResourcesOnHost(ctx context.Context, host string) ([]owl.Resource, error) {
-	var res []owl.Resource
-	if err := c.call(ctx, MsgResourcesOnHost, hostReq{Host: host}, &res); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // RegisterDevice registers a host device profile.
@@ -293,15 +260,6 @@ func (c *Client) Device(ctx context.Context, host string) (wsdl.DeviceProfile, b
 		return wsdl.DeviceProfile{}, false, err
 	}
 	return reply.Dev, reply.Found, nil
-}
-
-// Query runs a textual OWL-QL query at the registry.
-func (c *Client) Query(ctx context.Context, q string) ([]map[string]string, error) {
-	var rows []map[string]string
-	if err := c.call(ctx, MsgQuery, queryReq{Query: q}, &rows); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // GetBundle fetches a stored bundle's bytes.
@@ -329,4 +287,26 @@ func (c *Client) PlanRebinding(ctx context.Context, src owl.Resource, destHost s
 		return owl.Rebinding{}, err
 	}
 	return plan, nil
+}
+
+// PlanMove asks for a follow-me's plan in one round trip: the app's
+// installation at destHost and a rebinding plan per resource.
+func (c *Client) PlanMove(ctx context.Context, appName, destHost string, resources []owl.Resource, mode owl.MatchMode) (MovePlan, error) {
+	var plan MovePlan
+	if err := c.call(ctx, MsgPlanMove, planMoveReq{App: appName, DestHost: destHost, Resources: resources, Mode: mode}, &plan); err != nil {
+		return MovePlan{}, err
+	}
+	return plan, nil
+}
+
+// MoveApp commits a follow-me at the center: the record at from is
+// demoted and rec stored running, in one write. It reports whether the
+// center took care of the source's record (see Registry.MoveApp and
+// cluster.Center.MoveApp).
+func (c *Client) MoveApp(ctx context.Context, rec AppRecord, from string) (bool, error) {
+	var reply moveAppReply
+	if err := c.call(ctx, MsgMoveApp, moveAppReq{Rec: rec, From: from}, &reply); err != nil {
+		return false, err
+	}
+	return reply.SourceDemoted, nil
 }

@@ -21,8 +21,9 @@ const MaxProto byte = ProtoV2
 
 // Fast-path opcodes. The opcode selects the body layout; request and
 // reply layouts are distinct opcodes so a frame is self-describing.
-// 0x02 and 0x04 (the batched snapshot put and its reply) are retired:
-// do not reuse.
+// 0x02 and 0x04 (the batched snapshot put and its reply) and 0x30 (the
+// check-in before it carried the source's budget and ended in a commit)
+// are retired: do not reuse.
 const (
 	// OpSnapPut carries one state.SnapshotPut.
 	OpSnapPut byte = 0x01
@@ -35,10 +36,15 @@ const (
 	// makes gob's reflection and copy costs visible.
 	OpBundlePush byte = 0x20
 	// OpCheckin carries one migration check-in (follow-me or clone): a
-	// small head, then the application's state frame as the rest of the
-	// body, so the multi-megabyte frame is neither re-encoded on the way
-	// out nor copied on the way in.
-	OpCheckin byte = 0x30
+	// small head, led by the source's remaining budget, then the
+	// application's state frame as the rest of the body, so the
+	// multi-megabyte frame is neither re-encoded on the way out nor
+	// copied on the way in.
+	OpCheckin byte = 0x31
+	// OpCheckinRetired is the check-in of hosts that registered the
+	// arrival and left the source to demote its own record; a
+	// destination refuses it with ErrVersion.
+	OpCheckinRetired byte = 0x30
 )
 
 // OpenFast validates a v2 frame and returns its opcode and body. A

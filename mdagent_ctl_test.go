@@ -234,7 +234,7 @@ func TestControlPlaneVersionNegotiation(t *testing.T) {
 		t.Fatalf("future-version frame error = %v, want ErrVersion", err)
 	}
 	// The same contract holds on the existing snapshot/registry wire.
-	_, err = probeEp.Request(ctx, "registry-center", "registry.find-app", transport.SealV(42, body))
+	_, err = probeEp.Request(ctx, "registry-center", "registry.lookup-app", transport.SealV(42, body))
 	if !errors.Is(err, mdagent.ErrVersion) {
 		t.Fatalf("registry future-version frame error = %v, want ErrVersion", err)
 	}
