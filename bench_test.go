@@ -23,7 +23,6 @@ import (
 	"mdagent/internal/rdf"
 	"mdagent/internal/registry"
 	"mdagent/internal/rules"
-	"mdagent/internal/store"
 	"mdagent/internal/wsdl"
 )
 
@@ -310,10 +309,7 @@ func BenchmarkAblationRegistry(b *testing.B) {
 	}
 	for _, population := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("apps-%d", population), func(b *testing.B) {
-			reg, err := registry.New(store.OpenMemory())
-			if err != nil {
-				b.Fatal(err)
-			}
+			reg := registry.New()
 			for i := 0; i < population; i++ {
 				d := desc
 				d.Name = fmt.Sprintf("app-%d", i)

@@ -12,7 +12,9 @@
 # mdagentd of one generation is forwarded to a center of the other; the
 # forward rides the center's ctl.bundle-push (one trust gate), so a daemon
 # that still forwards over the retired registry.put-bundle op is refused
-# promptly and nothing is stored. Every wire op has one encoding and
+# promptly and nothing is stored. Store upgrades: a -store directory the
+# old mdregistry wrote (standalone, then federated) opens under the new
+# one with the same apps and bundles listed. Every wire op has one encoding and
 # no fallback, so this N<->N-1 run is the only net under a wire-format
 # break (sealed-frame layout, fast-frame layout, reply shapes) that every
 # same-version test is blind to.
@@ -302,6 +304,84 @@ SPEC
   wait "$agent_pid" "$reg_pid" 2>/dev/null || true
 }
 
+# run_store_upgrade_pair SPACE LABEL: the old mdregistry — standalone
+# when SPACE is empty, else the center of SPACE — takes one install
+# registration (an old mdagentd's -install) and one bundle push into a
+# -store directory, then stops. The new mdregistry opens the same
+# directory (converting the store on first open when the layouts differ)
+# and must list the same apps and bundles.
+run_store_upgrade_pair() {
+  local space=$1 label=$2
+  echo "-- pair: $label"
+  local dir="$WORK/run-$label"
+  mkdir -p "$dir"
+  local name=registry-center
+  local space_flags=()
+  if [ -n "$space" ]; then
+    name="registry@$space"
+    space_flags=(-space "$space")
+  fi
+
+  "$WORK/new/mdctl" -server 127.0.0.1:1 bundle keygen -out "$dir/publisher" >/dev/null
+  local key
+  key=$(cat "$dir/publisher.pub")
+  cat >"$dir/spec.json" <<'SPEC'
+{"app": "compat-notepad", "components": [{"name": "notes", "kind": "state"}],
+ "state": {"notes": {"line1": "stored by one generation, read by the next"}}}
+SPEC
+  "$WORK/new/mdctl" -server 127.0.0.1:1 bundle pack -spec "$dir/spec.json" \
+    -key "$dir/publisher.key" -out "$dir/notepad.mdab" >/dev/null
+
+  "$WORK/old/mdregistry" -listen 127.0.0.1:0 "${space_flags[@]}" -store "$dir/store" \
+    -trust-key "$key" >"$dir/old-registry.log" 2>&1 &
+  local reg_pid=$!
+  wait_line "$dir/old-registry.log" "serving $name on "
+  local reg_addr
+  reg_addr=$(addr_from "$dir/old-registry.log" "serving $name on ")
+
+  "$WORK/old/mdagentd" -host hostA -listen 127.0.0.1:0 -registry "$reg_addr" \
+    "${space_flags[@]}" -install smart-media-player >"$dir/agentd.log" 2>&1 &
+  local agent_pid=$!
+  wait_line "$dir/agentd.log" "serving on "
+  "$WORK/old/mdctl" -server "$reg_addr" bundle push "$dir/notepad.mdab" >/dev/null
+  local deadline=$((SECONDS + 10))
+  until "$WORK/new/mdctl" -server "$reg_addr" ps 2>/dev/null | grep -q smart-media-player; do
+    if [ "$SECONDS" -ge "$deadline" ]; then
+      echo "the old registry never listed the installed smart-media-player" >&2
+      cat "$dir/agentd.log" "$dir/old-registry.log" >&2
+      return 1
+    fi
+    sleep 0.2
+  done
+  "$WORK/new/mdctl" -server "$reg_addr" ps >"$dir/ps-old.txt"
+  "$WORK/new/mdctl" -server "$reg_addr" bundle list >"$dir/bundles-old.txt"
+  kill "$agent_pid" 2>/dev/null || true
+  wait "$agent_pid" 2>/dev/null || true
+  kill "$reg_pid" 2>/dev/null || true
+  wait "$reg_pid" 2>/dev/null || true
+
+  "$WORK/new/mdregistry" -listen 127.0.0.1:0 "${space_flags[@]}" -store "$dir/store" \
+    >"$dir/new-registry.log" 2>&1 &
+  reg_pid=$!
+  wait_line "$dir/new-registry.log" "serving $name on "
+  reg_addr=$(addr_from "$dir/new-registry.log" "serving $name on ")
+  "$WORK/new/mdctl" -server "$reg_addr" ps >"$dir/ps-new.txt"
+  "$WORK/new/mdctl" -server "$reg_addr" bundle list >"$dir/bundles-new.txt"
+  if ! grep -q compat-notepad "$dir/bundles-old.txt" ||
+    ! cmp -s "$dir/ps-old.txt" "$dir/ps-new.txt" ||
+    ! cmp -s "$dir/bundles-old.txt" "$dir/bundles-new.txt"; then
+    echo "the new mdregistry lists other apps or bundles from the old one's store" >&2
+    diff "$dir/ps-old.txt" "$dir/ps-new.txt" >&2 || true
+    diff "$dir/bundles-old.txt" "$dir/bundles-new.txt" >&2 || true
+    cat "$dir/new-registry.log" >&2
+    return 1
+  fi
+  echo "   same apps and bundles after the upgrade: $(grep smart-media-player "$dir/ps-new.txt" | head -1)"
+
+  kill "$reg_pid" 2>/dev/null || true
+  wait "$reg_pid" 2>/dev/null || true
+}
+
 # expect_refusal LABEL SECS LOG CMD...: CMD must exit non-zero within
 # SECS naming the handshake's ErrVersion.
 expect_refusal() {
@@ -392,4 +472,6 @@ run_migrate_pair "$WORK/old" "$WORK/new" old-source-vs-new-destination "unsuppor
 run_migrate_pair "$WORK/new" "$WORK/old" new-source-vs-old-destination "unknown fast opcode"
 run_bundle_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry-bundle ""
 run_bundle_pair "$WORK/old" "$WORK/new" old-agentd-vs-new-registry-bundle "no handler"
-echo "== protocol-compat: all eight mixed pairs passed"
+run_store_upgrade_pair "" standalone-store-upgrade
+run_store_upgrade_pair lab federated-store-upgrade
+echo "== protocol-compat: all eight mixed pairs and both store upgrades passed"

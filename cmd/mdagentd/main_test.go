@@ -34,21 +34,17 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// bootRegistry serves a plain registry center on 127.0.0.1:0 and returns
-// its address and the registry for assertions.
+// bootRegistry serves a standalone registry center (one with no peers)
+// on 127.0.0.1:0 and returns its address and its index for assertions.
 func bootRegistry(t *testing.T) (string, *registry.Registry) {
 	t.Helper()
-	reg, err := registry.New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
 	node, err := transport.ListenTCP("registry-center", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	reg.Serve(node.Endpoint())
-	return node.Addr(), reg
+	center := cluster.NewCenter("", store.OpenMemory(), node.Endpoint(), cluster.Config{}).Serve(node.Endpoint())
+	return node.Addr(), center.Registry()
 }
 
 // startDaemon runs the mdagentd run() in a goroutine and returns its
@@ -128,16 +124,12 @@ func TestEndToEndMigrationOverTCP(t *testing.T) {
 // federated mode, then waits for gossip to converge: hostA has no -peer,
 // so it can only learn of hostB through hostB's SWIM probes.
 func TestFederatedDaemonsGossip(t *testing.T) {
-	reg, err := registry.New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
 	node, err := transport.ListenTCP("registry@lab", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	reg.Serve(node.Endpoint())
+	cluster.NewCenter("lab", store.OpenMemory(), node.Endpoint(), cluster.Config{}).Serve(node.Endpoint())
 
 	var outA, outB syncBuffer
 	addrA := startDaemon(t, &outA,
@@ -196,16 +188,12 @@ func TestMigrateToWithoutRunIsTyped(t *testing.T) {
 // the center over the wire protocol — and reads it back through a
 // SnapshotClient, the same path a remote failover planner would use.
 func TestDaemonReplicatesStateOverTCP(t *testing.T) {
-	reg, err := registry.New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
 	node, err := transport.ListenTCP("registry@lab", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	center := cluster.NewCenter("lab", reg, node.Endpoint(), cluster.Config{})
+	center := cluster.NewCenter("lab", store.OpenMemory(), node.Endpoint(), cluster.Config{})
 	center.Serve(node.Endpoint())
 
 	var outA syncBuffer

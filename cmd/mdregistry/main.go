@@ -20,7 +20,11 @@
 //
 // Standalone centers serve the endpoint name "registry-center"; federated
 // centers serve "registry@<space>" (point mdagentd's -registry and -space
-// flags accordingly).
+// flags accordingly). Both are the same cluster.Center: a standalone
+// registry is a center with no peers, so both serve the same registry and
+// snapshot ops, keep one durable copy of each record under the store's
+// fed/ keys, and convert a store written by an older binary (which kept a
+// second, registry-layout copy) the first time they open it.
 package main
 
 import (
@@ -126,10 +130,6 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	}
 	defer db.Close()
 
-	reg, err := registry.New(db)
-	if err != nil {
-		return err
-	}
 	endpoint := "registry-center"
 	if *space != "" {
 		endpoint = cluster.CenterEndpointName(*space)
@@ -146,45 +146,43 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	kernel := ctxkernel.NewKernel()
 	node.AddAlias(ctl.Alias)
 
-	// The center's control plane: registry views, the bundle store and
-	// its trust gate, the Watch stream. No hosts: a registry center runs
-	// no applications, so lifecycle ops are unsupported.
+	// Standalone is a center with no peers.
+	center := cluster.NewCenter(*space, db, node.Endpoint(), cluster.Config{WriteConcern: wc})
+	for peerSpace, addr := range peers {
+		peerEndpoint := cluster.CenterEndpointName(peerSpace)
+		node.AddPeer(peerEndpoint, addr)
+		center.AddPeer(peerSpace, peerEndpoint)
+	}
+	center.OnDurability(func(ev cluster.DurabilityEvent) {
+		kernel.PublishTyped("cluster", ctxkernel.FederationWriteEvent{
+			Space: *space, Key: ev.Key, Concern: string(ev.Concern),
+			Acked: ev.Acked, Required: ev.Required,
+			Durable: ev.Durable, Degraded: ev.Degraded, At: time.Now(),
+		})
+	})
+	center.Serve(node.Endpoint())
+	center.Start()
+	defer center.Stop()
+
+	// The center's control plane: its records, snapshot heads, the bundle
+	// store and its trust gate, the Watch stream. No hosts: a registry
+	// center runs no applications, so lifecycle ops are unsupported.
 	d := core.Deployment{
-		Info:        ctl.ServerInfo{Role: "registry", Space: *space},
-		Records:     func(context.Context) ([]registry.AppRecord, error) { return reg.Apps() },
-		PutBundle:   func(_ context.Context, name string, raw []byte) error { return reg.PutBundle(name, raw) },
-		ListBundles: func(context.Context) ([]registry.BundleInfo, error) { return reg.Bundles() },
+		Info:    ctl.ServerInfo{Role: "registry", Space: *space},
+		Records: func(context.Context) ([]registry.AppRecord, error) { return center.Registry().Apps() },
+		Heads:   func(context.Context) ([]state.SnapshotHead, error) { return center.SnapshotHeads(), nil },
+		// A durability shortfall still stored the bundle locally;
+		// anti-entropy finishes the fan-out (same contract as the
+		// registry write handlers).
+		PutBundle: func(ctx context.Context, name string, raw []byte) error {
+			return state.IgnoreNotDurable(center.PutBundle(ctx, name, raw))
+		},
+		ListBundles: center.Bundles,
 		Trusted:     trusted,
 		Kernel:      kernel,
 	}
-	var banner string
-	if *space == "" {
-		reg.Serve(node.Endpoint())
-		banner = fmt.Sprintf("mdregistry: serving registry-center on %s (store: %s)", node.Addr(), storeDesc(*storePath))
-	} else {
-		center := cluster.NewCenter(*space, reg, node.Endpoint(), cluster.Config{WriteConcern: wc})
-		for peerSpace, addr := range peers {
-			peerEndpoint := cluster.CenterEndpointName(peerSpace)
-			node.AddPeer(peerEndpoint, addr)
-			center.AddPeer(peerSpace, peerEndpoint)
-		}
-		center.OnDurability(func(ev cluster.DurabilityEvent) {
-			kernel.PublishTyped("cluster", ctxkernel.FederationWriteEvent{
-				Space: *space, Key: ev.Key, Concern: string(ev.Concern),
-				Acked: ev.Acked, Required: ev.Required,
-				Durable: ev.Durable, Degraded: ev.Degraded, At: time.Now(),
-			})
-		})
-		center.Serve(node.Endpoint())
-		center.Start()
-		defer center.Stop()
-		d.Heads = func(context.Context) ([]state.SnapshotHead, error) { return center.SnapshotHeads(), nil }
-		// A durability shortfall still stored the bundle locally;
-		// anti-entropy finishes the fan-out (same contract as the registry
-		// write handlers).
-		d.PutBundle = func(ctx context.Context, name string, raw []byte) error {
-			return state.IgnoreNotDurable(center.PutBundle(ctx, name, raw))
-		}
+	banner := fmt.Sprintf("mdregistry: serving registry-center on %s (store: %s)", node.Addr(), storeDesc(*storePath))
+	if *space != "" {
 		banner = fmt.Sprintf("mdregistry: serving %s on %s, federated with %d peer(s) (store: %s, write concern: %s)",
 			endpoint, node.Addr(), len(peers), storeDesc(*storePath), wc)
 	}

@@ -142,7 +142,8 @@ func TestFederatedCentersReplicateOverTCP(t *testing.T) {
 }
 
 // TestStandaloneServesLegacyName keeps the paper topology working: no
-// -space means the center answers as "registry-center".
+// -space means the center answers as "registry-center". It is a center
+// with no peers, so its control plane lists snapshot heads too — none.
 func TestStandaloneServesLegacyName(t *testing.T) {
 	var out syncBuffer
 	addr := startCenter(t, &out, "-listen", "127.0.0.1:0")
@@ -164,6 +165,9 @@ func TestStandaloneServesLegacyName(t *testing.T) {
 	}
 	if _, found, err := cat.Device(ctx, "h1"); err != nil || !found {
 		t.Fatalf("device roundtrip: found=%v err=%v", found, err)
+	}
+	if heads, err := ctl.NewClient(client.Endpoint(), "registry-center").Snapshots(ctx); err != nil || len(heads) != 0 {
+		t.Fatalf("standalone snapshots = %+v, %v; want an empty list", heads, err)
 	}
 }
 

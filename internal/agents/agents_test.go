@@ -1,12 +1,14 @@
 package agents
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mdagent/internal/app"
+	"mdagent/internal/cluster"
 	"mdagent/internal/ctxkernel"
 	"mdagent/internal/media"
 	"mdagent/internal/migrate"
@@ -59,10 +61,11 @@ func newAgentRig(t *testing.T) *agentRig {
 	fab := transport.NewLocalFabric(net)
 	t.Cleanup(func() { fab.Close() })
 
-	reg, err := registry.New(store.OpenMemory())
+	regEp, err := fab.Attach("registry-center", "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := cluster.NewCenter("", store.OpenMemory(), regEp, cluster.Config{})
 	dir := space.NewDirectory()
 	if err := dir.AddSpace("lab-space"); err != nil {
 		t.Fatal(err)
@@ -87,8 +90,8 @@ func newAgentRig(t *testing.T) *agentRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engA := migrate.NewEngine("hostA", wsdl.DeviceProfile{}, epA, net, dir, migrate.Direct{R: reg}, migrate.DefaultCosts())
-	engB := migrate.NewEngine("hostB", wsdl.DeviceProfile{}, epB, net, dir, migrate.Direct{R: reg}, migrate.DefaultCosts())
+	engA := migrate.NewEngine("hostA", wsdl.DeviceProfile{}, epA, net, dir, reg, migrate.DefaultCosts())
+	engB := migrate.NewEngine("hostB", wsdl.DeviceProfile{}, epB, net, dir, reg, migrate.DefaultCosts())
 
 	libA := media.NewLibrary("hostA")
 	libA.Add(media.GenerateFile("song1", 2<<20, 3))
@@ -105,12 +108,12 @@ func newAgentRig(t *testing.T) *agentRig {
 		}
 		return inst
 	})
-	if err := reg.RegisterApp(registry.AppRecord{
+	if err := reg.RegisterApp(context.Background(), registry.AppRecord{
 		Name: "player", Host: "hostB", Description: playerDesc(), Components: []string{"main-ui"},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterResource(owl.Resource{
+	if err := reg.RegisterResource(context.Background(), owl.Resource{
 		ID: "song1", Class: rdf.IMCL("MusicFile"), Host: "hostA", SizeBytes: 2 << 20,
 	}); err != nil {
 		t.Fatal(err)

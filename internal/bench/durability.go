@@ -88,15 +88,11 @@ func centerFederation(n int, net *netsim.Network, fab *transport.LocalFabric, cf
 		if _, err := net.AddHost(host, "lan", netsim.PentiumM_1600(), 0); err != nil {
 			return nil, err
 		}
-		reg, err := registry.New(store.OpenMemory())
-		if err != nil {
-			return nil, err
-		}
 		ep, err := fab.Attach(cluster.CenterEndpointName(space), host)
 		if err != nil {
 			return nil, err
 		}
-		centers[i] = cluster.NewCenter(space, reg, ep, cfg)
+		centers[i] = cluster.NewCenter(space, store.OpenMemory(), ep, cfg)
 	}
 	for i, a := range centers {
 		for j, b := range centers {

@@ -20,13 +20,9 @@ import (
 	"sort"
 	"sync"
 
-	"mdagent/internal/migrate"
-	"mdagent/internal/registry"
+	"mdagent/internal/store"
 	"mdagent/internal/transport"
 )
-
-// A Center doubles as the registry view migration engines plan against.
-var _ migrate.Catalog = (*Center)(nil)
 
 // Cluster assembles one deployment's membership nodes and federated
 // centers: centers are fully meshed as they are added, nodes join the
@@ -55,16 +51,16 @@ func New(cfg Config) *Cluster {
 // Config returns the effective (defaulted) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// AddCenter creates the federated registry center for a space on ep and
-// meshes it with every existing center. Adding a space twice returns the
-// existing center.
-func (c *Cluster) AddCenter(space string, reg *registry.Registry, ep *transport.Endpoint) *Center {
+// AddCenter creates the federated registry center for a space over db on
+// ep and meshes it with every existing center. Adding a space twice
+// returns the existing center.
+func (c *Cluster) AddCenter(space string, db *store.Store, ep *transport.Endpoint) *Center {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ctr, ok := c.centers[space]; ok {
 		return ctr
 	}
-	ctr := NewCenter(space, reg, ep, c.cfg)
+	ctr := NewCenter(space, db, ep, c.cfg)
 	for peerSpace, peer := range c.centers {
 		ctr.AddPeer(peerSpace, peer.ep.Name())
 		peer.AddPeer(space, ep.Name())

@@ -31,15 +31,11 @@ func newCenterTrio(t *testing.T, cfg Config) [3]*Center {
 	t.Cleanup(func() { fab.Close() })
 	var out [3]*Center
 	for i, space := range []string{"alpha", "beta", "gamma"} {
-		regDB, err := registry.New(store.OpenMemory())
-		if err != nil {
-			t.Fatal(err)
-		}
 		ep, err := fab.Attach(CenterEndpointName(space), "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = NewCenter(space, regDB, ep, cfg)
+		out[i] = NewCenter(space, store.OpenMemory(), ep, cfg)
 	}
 	for i, a := range out {
 		for j, b := range out {
@@ -122,10 +118,6 @@ func TestDurableWriteBlocksUntilPeersHoldIt(t *testing.T) {
 func TestDurableWriteShortfallReturnsErrNotDurable(t *testing.T) {
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
-	regDB, err := registry.New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ep, err := fab.Attach(CenterEndpointName("alpha"), "")
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +125,7 @@ func TestDurableWriteShortfallReturnsErrNotDurable(t *testing.T) {
 	cfg := durableConfig(WriteOne)
 	cfg.ProbeTimeout = 30 * time.Millisecond
 	cfg.AckTimeout = 100 * time.Millisecond
-	c := NewCenter("alpha", regDB, ep, cfg)
+	c := NewCenter("alpha", store.OpenMemory(), ep, cfg)
 	c.AddPeer("beta", CenterEndpointName("beta")) // never attached: unreachable
 	ctx := context.Background()
 
@@ -197,17 +189,13 @@ func TestDurableDeltaFallsBackToFullRecord(t *testing.T) {
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
 	mk := func(space string) *Center {
-		regDB, err := registry.New(store.OpenMemory())
-		if err != nil {
-			t.Fatal(err)
-		}
 		ep, err := fab.Attach(CenterEndpointName(space), "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := durableConfig(WriteOne)
 		cfg.ProbeTimeout = 50 * time.Millisecond
-		return NewCenter(space, regDB, ep, cfg)
+		return NewCenter(space, store.OpenMemory(), ep, cfg)
 	}
 	a := mk("alpha")
 	a.AddPeer("beta", CenterEndpointName("beta"))
@@ -248,15 +236,11 @@ func TestServeRejectsMalformedWriteConcernHeader(t *testing.T) {
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
 	mk := func(space string) *Center {
-		regDB, err := registry.New(store.OpenMemory())
-		if err != nil {
-			t.Fatal(err)
-		}
 		ep, err := fab.Attach(CenterEndpointName(space), "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter(space, regDB, ep, testConfig()).Serve(ep)
+		return NewCenter(space, store.OpenMemory(), ep, testConfig()).Serve(ep)
 	}
 	a, b := mk("alpha"), mk("beta")
 	a.AddPeer("beta", CenterEndpointName("beta"))
@@ -356,16 +340,12 @@ func TestSnapshotClientConnectionDropMidAck(t *testing.T) {
 	}
 
 	// Recovery: the same client node reaches a real center afterwards.
-	regDB, err := registry.New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv, err := transport.ListenTCP(CenterEndpointName("real"), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	NewCenter("real", regDB, srv.Endpoint(), testConfig()).Serve(srv.Endpoint())
+	NewCenter("real", store.OpenMemory(), srv.Endpoint(), testConfig()).Serve(srv.Endpoint())
 	node.AddPeer(CenterEndpointName("real"), srv.Addr())
 	cli2 := NewSnapshotClient(node.Endpoint(), CenterEndpointName("real"))
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
@@ -387,15 +367,11 @@ func TestFailoverPrefersDurableSnapshot(t *testing.T) {
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
 	mk := func(space string, cfg Config) *Center {
-		regDB, err := registry.New(store.OpenMemory())
-		if err != nil {
-			t.Fatal(err)
-		}
 		ep, err := fab.Attach(CenterEndpointName(space), "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter(space, regDB, ep, cfg)
+		return NewCenter(space, store.OpenMemory(), ep, cfg)
 	}
 	cfg := durableConfig(WriteQuorum)
 	cfg.ProbeTimeout = 50 * time.Millisecond

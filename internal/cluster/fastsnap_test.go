@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"mdagent/internal/registry"
 	"mdagent/internal/state"
 	"mdagent/internal/store"
 	"mdagent/internal/transport"
@@ -20,15 +19,11 @@ func newSnapRig(t *testing.T) (*Center, *transport.Endpoint) {
 	t.Helper()
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
-	regDB, err := registry.New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ep, err := fab.Attach(CenterEndpointName("alpha"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCenter("alpha", regDB, ep, testConfig())
+	c := NewCenter("alpha", store.OpenMemory(), ep, testConfig())
 	c.Serve(ep)
 	cliEp, err := fab.Attach("client@test", "")
 	if err != nil {

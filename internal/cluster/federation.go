@@ -14,23 +14,30 @@ import (
 	"mdagent/internal/owl"
 	"mdagent/internal/registry"
 	"mdagent/internal/state"
+	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/vclock"
 	"mdagent/internal/wsdl"
 )
 
 // Center is one smart space's registry center, federated with its peers:
-// every app, resource, and device record written here is stamped with a
-// per-record version vector (vclock.Version), pushed to peer centers
-// best-effort, and reconciled by periodic anti-entropy digests. Reads see
-// the union of all spaces once replication converges, so OWL rebinding
-// queries resolve against every space's inventory. Center satisfies
-// migrate.Catalog, so engines use it exactly like a single registry.
+// every app, resource, device and bundle record written here is stamped
+// with a per-record version vector (vclock.Version), pushed to peer
+// centers, and reconciled by periodic anti-entropy digests. Reads see the
+// union of all spaces once replication converges, so OWL rebinding
+// queries resolve against every space's inventory. A center with no peers
+// is the paper's single registry center: it serves the same ops and
+// stores its records the same way. Engines plan and commit against it
+// directly (it has migrate.Catalog's shape) or over the wire.
 type Center struct {
 	space string
-	reg   *registry.Registry
-	ep    *transport.Endpoint
-	cfg   Config
+	db    *store.Store // the records' one durable copy, under fed/ (snapstore.go)
+	// reg is the read index over the live records, in memory only: it is
+	// rebuilt from them on every open and updated with every record that
+	// wins, under c.mu.
+	reg *registry.Registry
+	ep  *transport.Endpoint
+	cfg Config
 
 	mu      sync.Mutex
 	records map[string]Record
@@ -55,13 +62,12 @@ type Center struct {
 	// onDurability observes each synchronous-concern write outcome.
 	onDurability func(DurabilityEvent)
 
-	// pushers carries snapshot pushes (full records and deltas) to one
-	// FIFO worker per peer, so each peer receives them in write order —
-	// a reordered delta would be dropped at the peer and cost an
-	// anti-entropy round to repair — while a dead peer only stalls its
-	// own queue, never the healthy ones. Non-snapshot records keep the
-	// unordered pushAsync path under WriteAsync; synchronous concerns
-	// route every write through the workers so acks flow back per peer.
+	// pushers carries every push (records, snapshot deltas, durable
+	// marks) to one FIFO worker per peer, so each peer receives them in
+	// write order — a reordered delta would be dropped at the peer and
+	// cost an anti-entropy round to repair — while a dead peer only
+	// stalls its own queue, never the healthy ones. Under a synchronous
+	// concern the workers send each delivery verdict back to the writer.
 	pushers map[string]chan pushItem // peer endpoint -> ordered queue
 
 	// Process-wide metrics, pinned at construction.
@@ -98,18 +104,21 @@ var errPushBacklog = errors.New("cluster: peer push queue full")
 // replication state (records + version vectors) under.
 const fedKeyPrefix = "fed/"
 
-// NewCenter creates the center for space over local registry reg, serving
-// federation messages on ep. Replication state is persisted to the
-// registry's store, so a center backed by a durable store resumes its
-// version history after a restart instead of re-issuing counters its
-// peers have already seen (which they would reject as stale). Call Start
-// to begin anti-entropy; pushes and digest answers work as soon as it is
-// created.
-func NewCenter(space string, reg *registry.Registry, ep *transport.Endpoint, cfg Config) *Center {
+// NewCenter creates the center for space over store db, serving
+// federation messages on ep; Serve adds the registry and snapshot ops. An
+// empty space with no peers is a standalone registry center. The records
+// and their version vectors are the store's only content, so a center
+// backed by a durable store resumes its version history after a restart
+// instead of re-issuing counters its peers have already seen (which they
+// would reject as stale), and its reads are rebuilt from the same records.
+// Call Start to begin anti-entropy; pushes and digest answers work as
+// soon as it is created.
+func NewCenter(space string, db *store.Store, ep *transport.Endpoint, cfg Config) *Center {
 	cfg = cfg.withDefaults()
 	c := &Center{
 		space:   space,
-		reg:     reg,
+		db:      db,
+		reg:     registry.New(),
 		ep:      ep,
 		cfg:     cfg,
 		records: make(map[string]Record),
@@ -139,8 +148,9 @@ func NewCenter(space string, reg *registry.Registry, ep *transport.Endpoint, cfg
 // Space returns the smart space this center serves.
 func (c *Center) Space() string { return c.space }
 
-// Registry exposes the center's local registry — after convergence it
-// holds the union of every federated space's records.
+// Registry exposes the center's read index — after convergence it holds
+// the union of every federated space's records. Writes go through the
+// center.
 func (c *Center) Registry() *registry.Registry { return c.reg }
 
 // AddPeer federates with another space's center at the given endpoint.
@@ -450,14 +460,6 @@ func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.
 	}
 	c.records[key] = rec
 	stamp := state.SnapshotStamp{Seq: rec.Snap.Seq, BaseSeq: rec.Snap.BaseSeq, Chain: len(rec.Snap.Deltas)}
-	peerCount := len(c.peers)
-	required := requiredAcks(wc, len(c.peers))
-	// Degraded mode: the membership view says too few peer centers are
-	// reachable to ever meet the concern — fall back to async replication
-	// and fail fast instead of waiting out ack timeouts per write.
-	degraded := required > 0 && reach >= 0 && reach < required
-	var acks chan error
-	sent := 0
 	// Enqueue while still holding c.mu: two racing puts must hit the
 	// ordered push queue in the same order their sequences were assigned.
 	// A delta put always pushes just the delta — even when this center
@@ -465,41 +467,86 @@ func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.
 	// and compact independently; only a fresh base frame needs the full
 	// record on the wire. (A durable delta push falls back to the full
 	// record per peer when the peer cannot chain the delta.)
-	if required > 0 && !degraded {
-		acks = make(chan error, len(c.peers))
-	}
+	var rep replication
 	if put.Delta {
-		sent = c.enqueuePushLocked(MsgFedSnapDelta, transport.MustEncode(snapDeltaMsg{
+		rep = c.replicateLocked(MsgFedSnapDelta, snapDeltaMsg{
 			From: c.space, Key: rec.Key, Version: rec.Version.Clone(),
 			Seq: rec.Snap.Seq, Host: rec.Snap.Host, Space: rec.Snap.Space, At: rec.Snap.At,
 			BaseDigest: put.BaseDigest, NewDigest: put.NewDigest, Delta: put.Frame,
-		}), key, acks)
+		}, key, wc, reach)
 	} else {
-		sent = c.enqueuePushLocked(MsgFedPush, transport.MustEncode(pushMsg{From: c.space, Records: []Record{rec}}), key, acks)
+		rep = c.replicateLocked(MsgFedPush, pushMsg{From: c.space, Records: []Record{rec}}, key, wc, reach)
 	}
 	ver := rec.Version.Clone()
 	c.mu.Unlock()
 	c.compactIfHeavy(key)
-	if required == 0 {
-		if wc != WriteAsync {
-			c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Durable: true})
+	return stamp, c.verdict(ctx, rep, func() { c.markDurable(key, ver) })
+}
+
+// replication is what one stored write owes its write concern, fixed
+// under c.mu when the write is handed to the push workers.
+type replication struct {
+	key      string
+	wc       WriteConcern
+	peers    int // peer centers at enqueue time
+	reach    int // of those, reachable per the membership view; -1 = no view
+	required int // peer acks the concern needs
+	acks     chan error
+	sent     int // verdicts that will arrive on acks
+}
+
+// degraded reports a write whose concern the membership view says is
+// unmeetable: too few peer centers are reachable to ever ack it, so it
+// replicates best-effort and fails fast instead of waiting out the ack
+// window.
+func (r replication) degraded() bool {
+	return r.required > 0 && r.reach >= 0 && r.reach < r.required
+}
+
+// replicateLocked hands one write's push, msg, to every peer's ordered
+// worker; a center with no peers encodes nothing. An async or degraded
+// write enqueues without an ack channel: a stalled peer's full queue
+// drops it (counted as a nack) and anti-entropy repairs it. Callers hold
+// c.mu.
+func (c *Center) replicateLocked(msgType string, msg any, key string, wc WriteConcern, reach int) replication {
+	r := replication{key: key, wc: wc, peers: len(c.peers), reach: reach, required: requiredAcks(wc, len(c.peers))}
+	if r.peers == 0 {
+		return r
+	}
+	if r.required > 0 && !r.degraded() {
+		r.acks = make(chan error, r.peers)
+	}
+	r.sent = c.enqueuePushLocked(msgType, transport.MustEncode(msg), key, r.acks)
+	return r
+}
+
+// verdict is a stored write's outcome under its concern, reported to the
+// durability observer: nothing to wait for, a degraded fail-fast, or the
+// ack wait. met runs once the concern is met, before the report. Called
+// off c.mu.
+func (c *Center) verdict(ctx context.Context, r replication, met func()) error {
+	switch {
+	case r.required == 0:
+		if r.wc != WriteAsync {
+			c.reportDurability(DurabilityEvent{Key: r.key, Concern: r.wc, Durable: true})
 		}
-		return stamp, nil
+		return nil
+	case r.degraded():
+		c.reportDurability(DurabilityEvent{Key: r.key, Concern: r.wc, Required: r.required, Degraded: true})
+		return fmt.Errorf("cluster: write %s: %d/%d peers reachable, concern %s unmeetable: %w",
+			r.key, r.reach, r.peers, r.wc, ErrNotDurable)
 	}
-	if degraded {
-		c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Required: required, Degraded: true})
-		return stamp, fmt.Errorf("cluster: put %s: %d/%d peers reachable, concern %s unmeetable: %w",
-			key, reach, peerCount, wc, ErrNotDurable)
+	acked := c.awaitAcks(ctx, r.acks, r.sent, r.required)
+	if acked < r.required {
+		c.reportDurability(DurabilityEvent{Key: r.key, Concern: r.wc, Required: r.required, Acked: acked})
+		return fmt.Errorf("cluster: write %s acked by %d/%d peers (concern %s): %w",
+			r.key, acked, r.required, r.wc, ErrNotDurable)
 	}
-	acked := c.awaitAcks(ctx, acks, sent, required)
-	if acked < required {
-		c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Required: required, Acked: acked})
-		return stamp, fmt.Errorf("cluster: put %s acked by %d/%d peers (concern %s): %w",
-			key, acked, required, wc, ErrNotDurable)
+	if met != nil {
+		met()
 	}
-	c.markDurable(key, ver)
-	c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Required: required, Acked: acked, Durable: true})
-	return stamp, nil
+	c.reportDurability(DurabilityEvent{Key: r.key, Concern: r.wc, Required: r.required, Acked: acked, Durable: true})
+	return nil
 }
 
 // enqueuePushLocked hands one pre-encoded message to every peer's
@@ -861,21 +908,41 @@ func (c *Center) PutBundle(ctx context.Context, name string, raw []byte) error {
 		return fmt.Errorf("cluster: bundle %q is empty", name)
 	}
 	return c.write(ctx, Record{
-		Key:  "bundle/" + name,
+		Key:  bundleKey(name),
 		Kind: RecordBundle,
 		Bdl:  registry.BundleRecord{Name: name, Raw: raw},
 	})
 }
 
-// GetBundle reads a bundle from the replicated view.
+// GetBundle returns a copy of a bundle's bytes from the replicated view:
+// the record holds them, and they outlive the call (they cross the wire
+// and feed the verifier).
 func (c *Center) GetBundle(_ context.Context, name string) ([]byte, bool, error) {
-	return c.reg.GetBundle(name)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.records[bundleKey(name)]
+	if !ok || r.Deleted || r.Kind != RecordBundle {
+		return nil, false, nil
+	}
+	return append([]byte(nil), r.Bdl.Raw...), true, nil
 }
 
-// Bundles lists the bundles in the replicated view.
+// Bundles lists the bundles in the replicated view, sorted by name.
 func (c *Center) Bundles(_ context.Context) ([]registry.BundleInfo, error) {
-	return c.reg.Bundles()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []registry.BundleInfo
+	for _, r := range c.records {
+		if r.Kind == RecordBundle && !r.Deleted {
+			out = append(out, registry.BundleInfo{Name: r.Bdl.Name, Bytes: int64(len(r.Bdl.Raw))})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
 }
+
+// bundleKey is the replication-table key of a bundle.
+func bundleKey(name string) string { return "bundle/" + name }
 
 // write stamps a locally originated record and replicates it under the
 // center's configured write concern.
@@ -886,20 +953,17 @@ func (c *Center) write(ctx context.Context, r Record) error {
 // writeAll stamps the locally originated records pick returns, in order,
 // and replicates them as one push. pick runs under c.mu, so what it reads
 // of c.records cannot change before the write lands. Stamping, persisting,
-// installing and mirroring into the registry happen under that one
-// critical section: two racing writers must produce two *ordered*
-// versions (the second ticks on top of the first), never two identical
-// vectors that peers could receive in different orders and diverge on.
-// Every record is persisted, in order, before any is installed in memory,
-// so a refused persist leaves the center's view untouched. Snapshot
-// records additionally get the next capture sequence under the same
-// section.
+// installing and indexing happen under that one critical section: two
+// racing writers must produce two *ordered* versions (the second ticks on
+// top of the first), never two identical vectors that peers could receive
+// in different orders and diverge on. Every record is persisted, in
+// order, before any is installed in memory, so a refused persist leaves
+// the center's view untouched. Snapshot records additionally get the next
+// capture sequence under the same section.
 //
-// Under a synchronous write concern the records are pushed through the
-// per-peer FIFO workers and the call blocks until enough peers acked (or
-// the ack window closes, returning ErrNotDurable — the write landed
-// locally and anti-entropy keeps retrying delivery). Under WriteAsync,
-// and in degraded mode, the unordered best-effort pushAsync path is kept.
+// Under a synchronous write concern the call blocks until enough peers
+// acked the push (or the ack window closes, returning ErrNotDurable — the
+// write landed locally and anti-entropy keeps retrying delivery).
 func (c *Center) writeAll(ctx context.Context, pick func() []Record) error {
 	wc := c.cfg.WriteConcern
 	reach := -1
@@ -930,55 +994,25 @@ func (c *Center) writeAll(ctx context.Context, pick func() []Record) error {
 			delete(c.durable, r.Key)
 		}
 		c.records[r.Key] = r
-		if aerr := c.applyToRegistry(r); err == nil {
-			err = aerr
+		if ierr := c.index(r); err == nil {
+			err = ierr
 		}
 	}
-	key := recs[len(recs)-1].Key
-	required := requiredAcks(wc, len(c.peers))
-	degraded := required > 0 && reach >= 0 && reach < required
-	var acks chan error
-	sent := 0
-	// Only an error-free write replicates synchronously — mirroring the
-	// async path, which also suppresses its push on a registry error.
-	if err == nil && required > 0 && !degraded {
-		acks = make(chan error, len(c.peers))
-		sent = c.enqueuePushLocked(MsgFedPush,
-			transport.MustEncode(pushMsg{From: c.space, Records: recs}), key, acks)
-	}
-	c.mu.Unlock()
 	if err != nil {
+		c.mu.Unlock()
 		return err
 	}
-	if required == 0 {
-		c.pushAsync(recs)
-		if wc != WriteAsync {
-			c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Durable: true})
-		}
-		return nil
-	}
-	if degraded {
-		c.pushAsync(recs)
-		c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Required: required, Degraded: true})
-		return fmt.Errorf("cluster: write %s: %d peers reachable, concern %s unmeetable: %w",
-			key, reach, wc, ErrNotDurable)
-	}
-	acked := c.awaitAcks(ctx, acks, sent, required)
-	if acked < required {
-		c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Required: required, Acked: acked})
-		return fmt.Errorf("cluster: write %s acked by %d/%d peers (concern %s): %w",
-			key, acked, required, wc, ErrNotDurable)
-	}
-	c.reportDurability(DurabilityEvent{Key: key, Concern: wc, Required: required, Acked: acked, Durable: true})
-	return nil
+	rep := c.replicateLocked(MsgFedPush, pushMsg{From: c.space, Records: recs}, recs[len(recs)-1].Key, wc, reach)
+	c.mu.Unlock()
+	return c.verdict(ctx, rep, nil)
 }
 
-// apply installs a remotely received record if its version wins,
-// mirroring it into the local registry. Concurrent versions resolve
-// deterministically (higher origin space wins) with the merged vector,
-// so every center converges to the same state regardless of delivery
-// order. The registry mirror happens under c.mu so two winning applies
-// cannot land in the registry out of version order.
+// apply installs a remotely received record if its version wins and
+// indexes it. Concurrent versions resolve deterministically (higher
+// origin space wins) with the merged vector, so every center converges to
+// the same state regardless of delivery order. Indexing happens under
+// c.mu so two winning applies cannot land in the index out of version
+// order.
 func (c *Center) apply(r Record) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1014,7 +1048,7 @@ func (c *Center) apply(r Record) (bool, error) {
 			c.durable[r.Key] = r
 		}
 	}
-	return true, c.applyToRegistry(r)
+	return true, c.index(r)
 }
 
 // concurrentWins resolves a concurrent-version conflict deterministically
@@ -1040,8 +1074,10 @@ func concurrentWins(r, ex Record) bool {
 	return r.Origin >= ex.Origin
 }
 
-// applyToRegistry mirrors a winning record into the local registry.
-func (c *Center) applyToRegistry(r Record) error {
+// index updates the read index with a winning record. Snapshots and
+// bundles are read from c.records directly, and a resource or device
+// tombstone only stops replication. Callers hold c.mu.
+func (c *Center) index(r Record) error {
 	switch r.Kind {
 	case RecordApp:
 		if r.Deleted {
@@ -1050,7 +1086,7 @@ func (c *Center) applyToRegistry(r Record) error {
 		return c.reg.RegisterApp(r.App)
 	case RecordResource:
 		if r.Deleted {
-			return nil // resource tombstones only stop replication
+			return nil
 		}
 		return c.reg.RegisterResource(r.Res)
 	case RecordDevice:
@@ -1058,20 +1094,13 @@ func (c *Center) applyToRegistry(r Record) error {
 			return nil
 		}
 		return c.reg.RegisterDevice(r.Dev)
-	case RecordSnapshot:
-		// Snapshots live only in the replication table (and its persisted
-		// mirror); the registry proper never sees them.
+	case RecordSnapshot, RecordBundle:
 		return nil
-	case RecordBundle:
-		if r.Deleted {
-			return c.reg.DeleteBundle(r.Bdl.Name)
-		}
-		return c.reg.PutBundle(r.Bdl.Name, r.Bdl.Raw)
 	}
 	return fmt.Errorf("cluster: unknown record kind %d", r.Kind)
 }
 
-// --- Read API (local registry = converged union; Catalog shape). ---
+// --- Read API (the index holds the converged union; Catalog shape). ---
 
 // LookupApp reads one installation record from the replicated view.
 func (c *Center) LookupApp(_ context.Context, name, host string) (registry.AppRecord, bool, error) {
@@ -1084,54 +1113,127 @@ func (c *Center) PlanMove(_ context.Context, appName, destHost string, resources
 	return c.reg.PlanMove(appName, destHost, resources, mode)
 }
 
-// Serve binds the standard registry wire protocol onto ep with the write
-// operations routed through the center (versioned + replicated) instead
-// of straight into the local store — remote daemons talk to a federated
-// center exactly as they would to a standalone registry, but their
-// registrations propagate to every space. Reads keep the plain registry
-// handlers (the local store holds the converged union).
+// Serve binds the registry wire protocol and the snapshot ops onto ep —
+// the only server of either. Reads come from the index (the converged
+// union); writes are stamped and replicated. The registry wire protocol
+// has no reply body for writes, so a durability shortfall cannot be
+// reported in-band there; the write landed locally and anti-entropy
+// retries delivery, so remote registrations succeed and the shortfall
+// surfaces through the center's own durability events. Snapshot puts DO
+// carry the verdict back (the put reply's not-durable flag) — remote
+// replicators re-queue. Hence state.IgnoreNotDurable on every other write.
 func (c *Center) Serve(ep *transport.Endpoint) *Center {
-	c.reg.Serve(ep) // read handlers + fallback writes...
-	// The registry wire protocol has no reply body for writes, so a
-	// durability shortfall cannot be reported in-band there; the write
-	// landed locally and anti-entropy retries delivery, so remote
-	// registrations succeed and the shortfall surfaces through the
-	// center's own durability events. Snapshot puts DO carry the verdict
-	// back (the put reply's not-durable flag) — remote replicators
-	// re-queue. Hence state.IgnoreNotDurable on every write below.
-	//
-	// ...then shadow the write handlers with replicating versions.
+	bg := context.Background()
 	ep.Handle(registry.MsgRegisterApp, func(msg transport.Message) ([]byte, error) {
 		var rec registry.AppRecord
 		if err := transport.DecodeSealed(msg.Payload, &rec); err != nil {
 			return nil, err
 		}
-		return nil, state.IgnoreNotDurable(c.RegisterApp(context.Background(), rec))
+		return nil, state.IgnoreNotDurable(c.RegisterApp(bg, rec))
 	})
-	ep.Handle(registry.MsgMoveApp, registry.MoveAppHandler(func(rec registry.AppRecord, from string) (bool, error) {
-		demoted, err := c.MoveApp(context.Background(), rec, from)
-		return demoted, state.IgnoreNotDurable(err)
-	}))
 	ep.Handle(registry.MsgUnregisterApp, func(msg transport.Message) ([]byte, error) {
-		var req struct{ Name, Host string }
+		var req registry.AppKeyReq
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		return nil, state.IgnoreNotDurable(c.UnregisterApp(context.Background(), req.Name, req.Host))
+		return nil, state.IgnoreNotDurable(c.UnregisterApp(bg, req.Name, req.Host))
+	})
+	ep.Handle(registry.MsgLookupApp, func(msg transport.Message) ([]byte, error) {
+		var req registry.AppKeyReq
+		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
+			return nil, err
+		}
+		rec, found, err := c.reg.LookupApp(req.Name, req.Host)
+		if err != nil {
+			return nil, err
+		}
+		return transport.Encode(registry.LookupAppReply{Rec: rec, Found: found})
 	})
 	ep.Handle(registry.MsgRegisterResource, func(msg transport.Message) ([]byte, error) {
 		var res owl.Resource
 		if err := transport.DecodeSealed(msg.Payload, &res); err != nil {
 			return nil, err
 		}
-		return nil, state.IgnoreNotDurable(c.RegisterResource(context.Background(), res))
+		return nil, state.IgnoreNotDurable(c.RegisterResource(bg, res))
 	})
 	ep.Handle(registry.MsgRegisterDevice, func(msg transport.Message) ([]byte, error) {
 		var dev wsdl.DeviceProfile
 		if err := transport.DecodeSealed(msg.Payload, &dev); err != nil {
 			return nil, err
 		}
-		return nil, state.IgnoreNotDurable(c.RegisterDevice(context.Background(), dev))
+		return nil, state.IgnoreNotDurable(c.RegisterDevice(bg, dev))
+	})
+	ep.Handle(registry.MsgDevice, func(msg transport.Message) ([]byte, error) {
+		var req registry.HostReq
+		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
+			return nil, err
+		}
+		dev, found := c.reg.Device(req.Host)
+		return transport.Encode(registry.DeviceReply{Dev: dev, Found: found})
+	})
+	ep.Handle(registry.MsgPlanRebinding, func(msg transport.Message) ([]byte, error) {
+		var req registry.RebindingReq
+		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
+			return nil, err
+		}
+		plan, err := c.reg.PlanRebinding(req.Src, req.DestHost, req.Mode)
+		if err != nil {
+			return nil, err
+		}
+		return transport.Encode(plan)
+	})
+	ep.Handle(registry.MsgPlanMove, func(msg transport.Message) ([]byte, error) {
+		var req registry.PlanMoveReq
+		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
+			return nil, err
+		}
+		plan, err := c.reg.PlanMove(req.App, req.DestHost, req.Resources, req.Mode)
+		if err != nil {
+			return nil, err
+		}
+		return transport.Encode(plan)
+	})
+	ep.Handle(registry.MsgMoveApp, func(msg transport.Message) ([]byte, error) {
+		var req registry.MoveAppReq
+		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
+			return nil, err
+		}
+		demoted, err := c.MoveApp(bg, req.Rec, req.From)
+		if err = state.IgnoreNotDurable(err); err != nil {
+			return nil, err
+		}
+		return transport.Encode(registry.MoveAppReply{SourceDemoted: demoted})
+	})
+	ep.Handle(registry.MsgListApps, func(msg transport.Message) ([]byte, error) {
+		if _, err := transport.Open(msg.Payload); err != nil {
+			return nil, err
+		}
+		recs, err := c.reg.Apps()
+		if err != nil {
+			return nil, err
+		}
+		return transport.Encode(recs)
+	})
+	ep.Handle(registry.MsgGetBundle, func(msg transport.Message) ([]byte, error) {
+		var req registry.GetBundleReq
+		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
+			return nil, err
+		}
+		raw, found, err := c.GetBundle(bg, req.Name)
+		if err != nil {
+			return nil, err
+		}
+		return transport.Encode(registry.GetBundleReply{Raw: raw, Found: found})
+	})
+	ep.Handle(registry.MsgListBundles, func(msg transport.Message) ([]byte, error) {
+		if _, err := transport.Open(msg.Payload); err != nil {
+			return nil, err
+		}
+		infos, err := c.Bundles(bg)
+		if err != nil {
+			return nil, err
+		}
+		return transport.Encode(infos)
 	})
 	// Snapshot put/get: multi-process daemons (cmd/mdagentd) join the
 	// state pipeline over the same wire as their registry traffic. The
@@ -1251,30 +1353,6 @@ func (c *Center) pullFrom(ctx context.Context, endpoint string) error {
 		}
 	}
 	return nil
-}
-
-// pushAsync best-effort sends records to every peer without blocking the
-// writer; anti-entropy repairs anything a push misses.
-func (c *Center) pushAsync(records []Record) {
-	c.mu.Lock()
-	eps := make([]string, 0, len(c.peers))
-	for _, ep := range c.peers {
-		eps = append(eps, ep)
-	}
-	c.mu.Unlock()
-	if len(eps) == 0 {
-		return
-	}
-	payload := transport.MustEncode(pushMsg{From: c.space, Records: records})
-	// Untracked on purpose: a push races shutdown harmlessly (the endpoint
-	// just reports closed), and tying it to c.wg would race Stop's Wait.
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-		defer cancel()
-		for _, ep := range eps {
-			_, _ = c.ep.Request(ctx, ep, MsgFedPush, payload)
-		}
-	}()
 }
 
 func (c *Center) handleDigest(msg transport.Message) ([]byte, error) {

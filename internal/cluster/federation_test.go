@@ -25,15 +25,11 @@ func newCenterPair(t *testing.T) (*Center, *Center) {
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
 	mk := func(space string) *Center {
-		regDB, err := registry.New(store.OpenMemory())
-		if err != nil {
-			t.Fatal(err)
-		}
 		ep, err := fab.Attach(CenterEndpointName(space), "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter(space, regDB, ep, testConfig())
+		return NewCenter(space, store.OpenMemory(), ep, testConfig())
 	}
 	a, b := mk("alpha"), mk("beta")
 	a.AddPeer("beta", CenterEndpointName("beta"))
@@ -244,16 +240,12 @@ func TestFederationVersionsSurviveRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg, err := registry.New(db)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fab := transport.NewLocalFabric(nil)
 		ep, err := fab.Attach(CenterEndpointName("alpha"), "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter("alpha", reg, ep, testConfig()), func() {
+		return NewCenter("alpha", db, ep, testConfig()), func() {
 			fab.Close()
 			db.Close()
 		}
@@ -591,15 +583,11 @@ func TestFederationDeltaChainCompactionAndPush(t *testing.T) {
 func TestSnapshotWireProtocol(t *testing.T) {
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
-	regDB, err := registry.New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ep, err := fab.Attach(CenterEndpointName("alpha"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCenter("alpha", regDB, ep, testConfig())
+	c := NewCenter("alpha", store.OpenMemory(), ep, testConfig())
 	c.Serve(ep)
 	cliEp, err := fab.Attach("client@test", "")
 	if err != nil {
@@ -648,15 +636,11 @@ func TestSnapshotWireProtocol(t *testing.T) {
 func TestSnapshotDeltaAwareFetch(t *testing.T) {
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
-	regDB, err := registry.New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ep, err := fab.Attach(CenterEndpointName("alpha"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCenter("alpha", regDB, ep, testConfig())
+	c := NewCenter("alpha", store.OpenMemory(), ep, testConfig())
 	c.Serve(ep)
 	cliEp, err := fab.Attach("client@test", "")
 	if err != nil {

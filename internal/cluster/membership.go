@@ -344,8 +344,8 @@ func (n *Node) Tick() {
 			// never probe each other again. Off the protocol round: in the
 			// common case the member really is dead and the ping eats the
 			// full ProbeTimeout, which must not stall live probing.
-			// Untracked on purpose, like the federation's pushAsync: a
-			// probe racing shutdown just reports a closed endpoint.
+			// Untracked on purpose: a probe racing shutdown just reports a
+			// closed endpoint.
 			load := n.load(dead)
 			go n.ping(dead.Endpoint, load)
 		}

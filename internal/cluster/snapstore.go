@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -9,15 +10,17 @@ import (
 	"strconv"
 	"strings"
 
+	"mdagent/internal/registry"
 	"mdagent/internal/state"
 	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/vclock"
 )
 
-// On-disk layout of the replication table (DESIGN.md §4). Every record
-// has one key under fed/. For app, resource, device and bundle records
-// and for tombstones its value is the whole record, gob-encoded. A live
+// On-disk layout of the replication table (DESIGN.md §4), the center's
+// only durable state. Every record has one key under fed/. For app,
+// resource, device and bundle records and for tombstones its value is
+// the whole record, gob-encoded. A live
 // snapshot record is stored the way it is replicated — base and deltas
 // apart — so that appending a 0.5 KB delta or stamping a durable mark
 // does not rewrite the base:
@@ -188,10 +191,10 @@ const (
 	headOnly
 )
 
-// persist writes a record's replication state through to the registry's
-// store, as little of it as scope allows; callers hold c.mu and install
-// the record in c.records only once this returned nil, so memory never
-// runs ahead of a disk that refused the write.
+// persist writes a record's replication state through to the store, as
+// little of it as scope allows; callers hold c.mu and install the record
+// in c.records only once this returned nil, so memory never runs ahead of
+// a disk that refused the write.
 func (c *Center) persist(r Record, scope persistScope) error {
 	if err := c.persistScoped(r, scope); err != nil {
 		c.mPersistErrs.Inc()
@@ -201,7 +204,7 @@ func (c *Center) persist(r Record, scope persistScope) error {
 }
 
 func (c *Center) persistScoped(r Record, scope persistScope) error {
-	db := c.reg.Store()
+	db := c.db
 	old, onDisk := c.chains[r.Key]
 	if r.Kind != RecordSnapshot || r.Deleted {
 		raw, err := transport.Encode(r)
@@ -264,15 +267,17 @@ func dropChain(db *store.Store, key string, dc diskChain) error {
 	return nil
 }
 
-// loadRecords rebuilds c.records, c.durable and c.chains from the store.
-// A record that cannot be read back whole and checked — corrupt gob, bad
-// head, a chain key missing, a frame failing its checksum, a chain that
-// does not reassemble to the head's digest — is dropped: peers re-offer
-// it by anti-entropy, exactly as for a corrupt frame. Chain keys no
-// loaded head names (a generation whose head never landed, a generation
-// the head moved away from, a delta past the head's count) are swept.
+// loadRecords rebuilds c.records, c.durable and c.chains from the store,
+// indexes every live record, and converts what a store written before the
+// one-copy layout holds beside them (importRegistryLayout). A record that
+// cannot be read back whole and checked — corrupt gob, bad head, a chain
+// key missing, a frame failing its checksum, a chain that does not
+// reassemble to the head's digest — is dropped: peers re-offer it by
+// anti-entropy, exactly as for a corrupt frame. Chain keys no loaded head
+// names (a generation whose head never landed, a generation the head
+// moved away from, a delta past the head's count) are swept.
 func (c *Center) loadRecords() {
-	db := c.reg.Store()
+	db := c.db
 	var torn []string
 	_ = db.Scan(fedKeyPrefix, func(k string, raw []byte) error {
 		var r Record
@@ -302,6 +307,76 @@ func (c *Center) loadRecords() {
 		key, gen, delta, ok := parseChainKey(k)
 		if dc, named := c.chains[key]; !ok || !named || gen != dc.gen || delta >= dc.deltas {
 			_ = db.Delete(k)
+		}
+	}
+	// A record the index refuses (one failing validation, as only a peer
+	// can send) was refused when it arrived too: it stays out of the
+	// reads, as it was then.
+	for _, r := range c.records {
+		if !r.Deleted {
+			_ = c.index(r)
+		}
+	}
+	c.importRegistryLayout()
+}
+
+// registryLayout is where a store written before the one-copy layout
+// keeps a second copy of each app, resource, device and bundle record,
+// beside fed/: a registry's own keys, mirrored from the replication table
+// by a federated center and the only copy in a standalone registry's
+// store.
+var registryLayout = []string{"app/", "res/", "dev/", "bundle/"}
+
+// decodeRegistryLayout reads one registry-layout value into a record of
+// its kind: a gob value, or a bundle's raw bytes.
+func decodeRegistryLayout(key string, raw []byte) (Record, error) {
+	r := Record{Key: key}
+	var err error
+	switch {
+	case strings.HasPrefix(key, "app/"):
+		r.Kind, err = RecordApp, transport.Decode(raw, &r.App)
+	case strings.HasPrefix(key, "res/"):
+		r.Kind, err = RecordResource, transport.Decode(raw, &r.Res)
+	case strings.HasPrefix(key, "dev/"):
+		r.Kind, err = RecordDevice, transport.Decode(raw, &r.Dev)
+	default: // copied: a Get result is the store's own buffer
+		r.Kind = RecordBundle
+		r.Bdl = registry.BundleRecord{Name: strings.TrimPrefix(key, "bundle/"), Raw: bytes.Clone(raw)}
+	}
+	return r, err
+}
+
+// importRegistryLayout converts the registry-layout keys of a store
+// written before the one-copy layout. A key a fed/ record covers is that
+// record's mirror — possibly a torn one, written on one side of the
+// record's last write — and is deleted: the fed/ record is the version of
+// record. A key nothing covers is adopted as a local write: stamped,
+// persisted under fed/, indexed, and only then deleted, so a crash during
+// the import re-runs it on the next open. A value that does not decode is
+// left where it is. Called once, from NewCenter.
+func (c *Center) importRegistryLayout() {
+	for _, prefix := range registryLayout {
+		for _, key := range c.db.Keys(prefix) {
+			if _, covered := c.records[key]; !covered {
+				raw, err := c.db.Get(key)
+				if err != nil {
+					continue
+				}
+				r, err := decodeRegistryLayout(key, raw)
+				if err != nil {
+					continue
+				}
+				r.Origin = c.space
+				r.Version = vclock.Version{}.Tick(c.space)
+				if c.persist(r, wholeRecord) != nil {
+					continue
+				}
+				c.records[key] = r
+				_ = c.index(r) // as in loadRecords
+			}
+			// Best effort: a key that survives is covered now, so the next
+			// open deletes it.
+			_ = c.db.Delete(key)
 		}
 	}
 }

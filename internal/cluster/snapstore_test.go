@@ -14,7 +14,6 @@ import (
 
 	"mdagent/internal/app"
 	"mdagent/internal/obs"
-	"mdagent/internal/registry"
 	"mdagent/internal/state"
 	"mdagent/internal/store"
 	"mdagent/internal/transport"
@@ -49,14 +48,10 @@ func (d *diskCenter) open() {
 	if d.db, err = store.Open(d.dir); err != nil {
 		d.t.Fatal(err)
 	}
-	reg, err := registry.New(d.db)
-	if err != nil {
-		d.t.Fatal(err)
-	}
 	if d.ep, err = d.fab.Attach(CenterEndpointName(d.space), ""); err != nil {
 		d.t.Fatal(err)
 	}
-	d.Center = NewCenter(d.space, reg, d.ep, d.cfg)
+	d.Center = NewCenter(d.space, d.db, d.ep, d.cfg)
 }
 
 func (d *diskCenter) close() {
@@ -157,7 +152,7 @@ func markHead(c *Center) {
 	c.markDurable(rec.Key, rec.Version)
 }
 
-func chainKeys(c *Center) []string { return c.reg.Store().Keys(chainKeyPrefix) }
+func chainKeys(c *Center) []string { return c.db.Keys(chainKeyPrefix) }
 
 // TestSnapshotRecordSurvivesRestart: in every state the write path can
 // leave a snapshot record in, a center reopened over the same directory
@@ -299,15 +294,11 @@ func TestSnapshotChainCrashWindows(t *testing.T) {
 		fab := transport.NewLocalFabric(nil)
 		t.Cleanup(func() { fab.Close() })
 		a := openDiskCenter(t, fab, t.TempDir(), "alpha", testConfig())
-		reg, err := registry.New(store.OpenMemory())
-		if err != nil {
-			t.Fatal(err)
-		}
 		ep, err := fab.Attach(CenterEndpointName("beta"), "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewCenter("beta", reg, ep, testConfig())
+		b := NewCenter("beta", store.OpenMemory(), ep, testConfig())
 		b.AddPeer("alpha", CenterEndpointName("alpha"))
 		putChain(t, a.Center, "player", 3)
 		a.AddPeer("beta", CenterEndpointName("beta"))
@@ -339,7 +330,7 @@ func TestSnapshotChainCrashWindows(t *testing.T) {
 			if _, ok := a.LatestSnapshot("player"); ok {
 				t.Fatal("a record with a torn chain was served")
 			}
-			if keys := append(chainKeys(a.Center), a.reg.Store().Keys(fedKeyPrefix+key)...); len(keys) != 0 {
+			if keys := append(chainKeys(a.Center), a.db.Keys(fedKeyPrefix+key)...); len(keys) != 0 {
 				t.Fatalf("the torn record's keys were not swept: %v", keys)
 			}
 			a.AddPeer("beta", CenterEndpointName("beta"))
@@ -482,7 +473,7 @@ func TestLegacySnapshotRecordLoadsAndMigrates(t *testing.T) {
 	if stamp.Seq != 5 || stamp.BaseSeq != 1 || stamp.Chain != 4 {
 		t.Fatalf("delta on a legacy record stamped %+v", stamp)
 	}
-	head, err := c.reg.Store().Get(fedKeyPrefix + key)
+	head, err := c.db.Get(fedKeyPrefix + key)
 	if err != nil || head[0] != snapHeadMagic || len(head) > 256 {
 		t.Fatalf("fed/%s after the write: %d bytes, err %v — not a head", key, len(head), err)
 	}
@@ -556,7 +547,7 @@ func TestRefusedDiskWriteFailsTheWrite(t *testing.T) {
 		a, _ := newCenterPair(t)
 		mustPut(t, a, mustSnapshot(t, "player", "hostA", "0"))
 		before := persistErrors("alpha")
-		a.reg.Store().Close()
+		a.db.Close()
 		if _, err := a.PutSnapshot(ctx, mustDelta(t, "player", "hostA", "0", "1")); !errors.Is(err, store.ErrClosed) {
 			t.Fatalf("delta put over a closed store: err = %v, want ErrClosed", err)
 		}
@@ -582,15 +573,11 @@ func TestRefusedDiskWriteFailsTheWrite(t *testing.T) {
 		fab := transport.NewLocalFabric(nil)
 		t.Cleanup(func() { fab.Close() })
 		mk := func(space string) *Center {
-			reg, err := registry.New(store.OpenMemory())
-			if err != nil {
-				t.Fatal(err)
-			}
 			ep, err := fab.Attach(CenterEndpointName(space), "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewCenter(space, reg, ep, durableConfig(WriteQuorum))
+			return NewCenter(space, store.OpenMemory(), ep, durableConfig(WriteQuorum))
 		}
 		a, b := mk("alpha"), mk("beta")
 		a.AddPeer("beta", CenterEndpointName("beta"))
@@ -600,7 +587,7 @@ func TestRefusedDiskWriteFailsTheWrite(t *testing.T) {
 
 		mustPut(t, a, mustSnapshot(t, "player", "hostA", "0")) // healthy: beta acks
 		before := persistErrors("beta")
-		b.reg.Store().Close()
+		b.db.Close()
 		// The delta push is refused (not applied), the full-record
 		// fallback is refused too (error reply): no ack to book.
 		if _, err := a.PutSnapshot(ctx, mustDelta(t, "player", "hostA", "0", "1")); !errors.Is(err, ErrNotDurable) {

@@ -30,10 +30,10 @@ func duplicateHeads(context.Context) ([]state.SnapshotHead, error) {
 }
 
 // registryBundles backs a Deployment's bundle sources with reg.
-func registryBundles(d *Deployment, reg *registry.Registry) {
-	d.PutBundle = func(_ context.Context, name string, raw []byte) error { return reg.PutBundle(name, raw) }
-	d.GetBundle = func(_ context.Context, _, name string) ([]byte, bool, error) { return reg.GetBundle(name) }
-	d.ListBundles = func(context.Context) ([]registry.BundleInfo, error) { return reg.Bundles() }
+func registryBundles(d *Deployment, reg *cluster.Center) {
+	d.PutBundle = reg.PutBundle
+	d.GetBundle = func(ctx context.Context, _, name string) ([]byte, bool, error) { return reg.GetBundle(ctx, name) }
+	d.ListBundles = reg.Bundles
 }
 
 // serveDeployment serves Backend(d) through a real ctl.Server on fab and
@@ -88,7 +88,7 @@ func daemonShape(t *testing.T) (*transport.LocalFabric, Deployment) {
 		Info:      ctl.ServerInfo{Role: "host", Host: "hostA", Space: "lab"},
 		Hosts:     func() []*HostRuntime { return []*HostRuntime{rt} },
 		Members:   func() []cluster.Member { return []cluster.Member{{ID: "hostA", Space: "lab"}} },
-		Records:   func(context.Context) ([]registry.AppRecord, error) { return reg.Apps() },
+		Records:   func(context.Context) ([]registry.AppRecord, error) { return reg.Registry().Apps() },
 		Heads:     duplicateHeads,
 		Skeletons: map[string]func(string) *app.Application{"smart-media-player": demoapps.MediaPlayerSkeleton},
 		Kernel:    kernel,
@@ -102,7 +102,7 @@ func registryShape(t *testing.T) (*transport.LocalFabric, Deployment) {
 	_, reg, kernel := standaloneHost(t, func(c migrate.Catalog) migrate.Catalog { return c })
 	d := Deployment{
 		Info:    ctl.ServerInfo{Role: "registry", Space: "lab"},
-		Records: func(context.Context) ([]registry.AppRecord, error) { return reg.Apps() },
+		Records: func(context.Context) ([]registry.AppRecord, error) { return reg.Registry().Apps() },
 		Heads:   duplicateHeads,
 		Kernel:  kernel,
 	}
@@ -226,7 +226,7 @@ func TestBackendInstallsSkeletonByName(t *testing.T) {
 	if err := b.Install(ctx, "ubiquitous-slideshow", ""); err != nil {
 		t.Fatal(err)
 	}
-	rec, found, err := reg.LookupApp("ubiquitous-slideshow", "hostA")
+	rec, found, err := reg.Registry().LookupApp("ubiquitous-slideshow", "hostA")
 	if err != nil || !found || rec.Running {
 		t.Fatalf("installation record: found=%v err=%v rec=%+v", found, err, rec)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"mdagent/internal/cluster"
 	"mdagent/internal/ctl"
@@ -18,7 +19,7 @@ import (
 func (m *Middleware) ControlBackend() ctl.Backend { return Backend(m.deployment()) }
 
 // deployment is what the in-process control plane sees: every host, and
-// the single registry or, clustered, every space's center.
+// the single registry center or, clustered, every space's center.
 func (m *Middleware) deployment() Deployment {
 	d := Deployment{
 		Info:    ctl.ServerInfo{Role: "middleware"},
@@ -26,26 +27,9 @@ func (m *Middleware) deployment() Deployment {
 		Trusted: m.cfg.TrustedKeys,
 		Kernel:  m.Kernel,
 	}
-	if m.Cluster == nil {
-		d.Records = func(context.Context) ([]registry.AppRecord, error) { return m.Registry.Apps() }
-		d.PutBundle = func(_ context.Context, name string, raw []byte) error { return m.Registry.PutBundle(name, raw) }
-		d.GetBundle = func(_ context.Context, _, name string) ([]byte, bool, error) { return m.Registry.GetBundle(name) }
-		d.ListBundles = func(context.Context) ([]registry.BundleInfo, error) { return m.Registry.Bundles() }
-		return d
-	}
 	// Clustered, the views are unions over every space's center: centers
 	// converge via federation, and mid-replication Backend keeps the
 	// freshest snapshot head per app.
-	d.Members = func() []cluster.Member {
-		// One node's view, not a union of mid-gossip views: any node
-		// converges to the same table.
-		for _, rt := range m.runtimes() {
-			if node, ok := m.Cluster.Node(rt.Host); ok {
-				return node.Members()
-			}
-		}
-		return nil
-	}
 	d.Records = func(context.Context) ([]registry.AppRecord, error) {
 		var recs []registry.AppRecord
 		seen := make(map[string]bool)
@@ -63,21 +47,15 @@ func (m *Middleware) deployment() Deployment {
 		}
 		return recs, nil
 	}
-	d.Heads = func(context.Context) ([]state.SnapshotHead, error) {
-		var heads []state.SnapshotHead
-		for _, center := range m.centers("") {
-			heads = append(heads, center.SnapshotHeads()...)
-		}
-		return heads, nil
-	}
-	// A push lands at the first space's center, whence it replicates
-	// everywhere; an install reads the installing host's own space center
-	// first, the one it can reach mid-replication.
+	// A push lands at the first center, whence it replicates everywhere;
+	// an install reads the installing host's own space center first, the
+	// one it can reach mid-replication.
 	d.PutBundle = func(ctx context.Context, name string, raw []byte) error {
-		if centers := m.centers(""); len(centers) > 0 {
-			return state.IgnoreNotDurable(centers[0].PutBundle(ctx, name, raw))
+		centers := m.centers("")
+		if len(centers) == 0 {
+			return fmt.Errorf("core: no registry center to store bundle %q", name)
 		}
-		return m.Registry.PutBundle(name, raw)
+		return state.IgnoreNotDurable(centers[0].PutBundle(ctx, name, raw))
 	}
 	d.GetBundle = func(ctx context.Context, space, name string) ([]byte, bool, error) {
 		for _, center := range m.centers(space) {
@@ -105,6 +83,26 @@ func (m *Middleware) deployment() Deployment {
 		}
 		return out, nil
 	}
+	if m.Cluster == nil {
+		return d
+	}
+	d.Members = func() []cluster.Member {
+		// One node's view, not a union of mid-gossip views: any node
+		// converges to the same table.
+		for _, rt := range m.runtimes() {
+			if node, ok := m.Cluster.Node(rt.Host); ok {
+				return node.Members()
+			}
+		}
+		return nil
+	}
+	d.Heads = func(context.Context) ([]state.SnapshotHead, error) {
+		var heads []state.SnapshotHead
+		for _, center := range m.centers("") {
+			heads = append(heads, center.SnapshotHeads()...)
+		}
+		return heads, nil
+	}
 	return d
 }
 
@@ -114,9 +112,13 @@ func (m *Middleware) ServeControl(ep *transport.Endpoint) *ctl.Server {
 	return ctl.NewServer(m.ControlBackend()).Serve(ep)
 }
 
-// centers lists the federation's space centers in space order, the
-// center of first (when it has one) leading.
+// centers lists the registry centers in space order, the center of first
+// (when it has one) leading: the single center when unclustered, else
+// every space's center.
 func (m *Middleware) centers(first string) []*cluster.Center {
+	if m.Cluster == nil {
+		return []*cluster.Center{m.center}
+	}
 	var out []*cluster.Center
 	if center, ok := m.Cluster.Center(first); ok {
 		out = append(out, center)

@@ -35,6 +35,10 @@ import (
 	"mdagent/internal/wsdl"
 )
 
+// A registry center is the catalog in-process engines plan and commit
+// against.
+var _ migrate.Catalog = (*cluster.Center)(nil)
+
 // Config parameterizes a Middleware deployment.
 type Config struct {
 	// Clock drives all costed operations. Nil defaults to a Virtual clock
@@ -51,7 +55,8 @@ type Config struct {
 	// SensorTick is the sampling period of the sensor walker
 	// (default 500 ms).
 	SensorTick time.Duration
-	// StorePath persists the registry to a directory when non-empty.
+	// StorePath persists the single registry center to a directory when
+	// non-empty.
 	StorePath string
 	// Cluster opts the deployment into the distribution layer: gossip
 	// membership per host, one federated registry center per smart space
@@ -106,7 +111,7 @@ type Middleware struct {
 	Clock      vclock.Clock
 	Net        *netsim.Network
 	Fabric     *transport.LocalFabric
-	Registry   *registry.Registry
+	Registry   *registry.Registry // the single registry center's read index
 	Directory  *space.Directory
 	Field      *sensor.Field
 	Kernel     *ctxkernel.Kernel
@@ -117,6 +122,11 @@ type Middleware struct {
 	Platform   *platform.Platform
 	// Cluster is the distribution layer (nil unless Config.Cluster set).
 	Cluster *cluster.Cluster
+
+	// center is the single registry center: a center with no peers over
+	// the StorePath store, served as "registry-center". Clustered hosts
+	// use their space's center instead.
+	center *cluster.Center
 
 	mu    sync.Mutex
 	hosts map[string]*HostRuntime
@@ -157,11 +167,6 @@ func New(cfg Config) (*Middleware, error) {
 			return nil, err
 		}
 	}
-	reg, err := registry.New(db)
-	if err != nil {
-		return nil, err
-	}
-
 	net := netsim.New(cfg.Clock, netsim.WithSeed(cfg.Seed), netsim.WithDefaultLink(cfg.Link))
 	fab := transport.NewLocalFabric(net)
 	mw := &Middleware{
@@ -169,7 +174,6 @@ func New(cfg Config) (*Middleware, error) {
 		Clock:      cfg.Clock,
 		Net:        net,
 		Fabric:     fab,
-		Registry:   reg,
 		Directory:  space.NewDirectory(),
 		Field:      sensor.NewField(cfg.Clock, sensor.WithFieldSeed(cfg.Seed)),
 		Kernel:     ctxkernel.NewKernel(),
@@ -191,7 +195,8 @@ func New(cfg Config) (*Middleware, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg.Serve(regEp)
+	mw.center = cluster.NewCenter("", db, regEp, cluster.Config{}).Serve(regEp)
+	mw.Registry = mw.center.Registry()
 
 	if cfg.Cluster != nil {
 		mw.Cluster = cluster.New(*cfg.Cluster)
@@ -219,20 +224,17 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 		return nil, err
 	}
 	dev.Host = host
-	if err := m.Registry.RegisterDevice(dev); err != nil {
-		return nil, err
-	}
-	cat := migrate.Catalog(migrate.Direct{R: m.Registry})
-	var center *cluster.Center
+	center := m.center
 	if m.Cluster != nil {
 		var err error
-		center, err = m.ensureCenter(spaceName, host)
-		if err != nil {
+		if center, err = m.ensureCenter(spaceName, host); err != nil {
 			return nil, err
 		}
-		if err := state.IgnoreNotDurable(center.RegisterDevice(context.Background(), dev)); err != nil {
-			return nil, err
-		}
+	}
+	if err := state.IgnoreNotDurable(center.RegisterDevice(context.Background(), dev)); err != nil {
+		return nil, err
+	}
+	if m.Cluster != nil {
 		memberEp, err := m.Fabric.Attach(cluster.MemberEndpointName(host), host)
 		if err != nil {
 			return nil, err
@@ -259,13 +261,12 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 				return !ok || mem.State == cluster.StateAlive
 			})
 		}
-		cat = center
 	}
 	ep, err := m.Fabric.Attach(migrate.EndpointName(host), host)
 	if err != nil {
 		return nil, err
 	}
-	eng := migrate.NewEngine(host, dev, ep, m.Net, m.Directory, cat, m.cfg.Costs)
+	eng := migrate.NewEngine(host, dev, ep, m.Net, m.Directory, center, m.cfg.Costs)
 	cont, err := m.Platform.NewContainer("container@"+host, host)
 	if err != nil {
 		return nil, err
@@ -277,9 +278,9 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 	}
 	media.ServeLibrary(lib, mediaEp)
 
-	rt := NewHostRuntime(host, spaceName, eng, lib, cat, m.Kernel, m.Clock, "core", m.cfg.TrustedKeys, m.cfg.Secrets)
+	rt := NewHostRuntime(host, spaceName, eng, lib, center, m.Kernel, m.Clock, "core", m.cfg.TrustedKeys, m.cfg.Secrets)
 	rt.Container = cont
-	if center != nil && m.Cluster.Config().ReplicateState {
+	if m.Cluster != nil && m.Cluster.Config().ReplicateState {
 		ccfg := m.Cluster.Config()
 		// RebaseEvery sits above the center's compaction threshold on
 		// purpose: the center folds chains into fresh bases locally (no
@@ -306,10 +307,6 @@ func (m *Middleware) ensureCenter(spaceName, host string) (*cluster.Center, erro
 	if center, ok := m.Cluster.Center(spaceName); ok {
 		return center, nil
 	}
-	reg, err := registry.New(store.OpenMemory())
-	if err != nil {
-		return nil, err
-	}
 	ep, err := m.Fabric.Attach(cluster.CenterEndpointName(spaceName), host)
 	if err != nil {
 		return nil, err
@@ -317,7 +314,7 @@ func (m *Middleware) ensureCenter(spaceName, host string) (*cluster.Center, erro
 	m.rehomeMu.Lock()
 	m.centerHosts[spaceName] = host
 	m.rehomeMu.Unlock()
-	center := m.Cluster.AddCenter(spaceName, reg, ep)
+	center := m.Cluster.AddCenter(spaceName, store.OpenMemory(), ep)
 	center.OnDurability(func(ev cluster.DurabilityEvent) {
 		m.Kernel.PublishTyped("cluster", ctxkernel.FederationWriteEvent{
 			Space: spaceName, Key: ev.Key, Concern: string(ev.Concern),
@@ -651,14 +648,12 @@ func (m *Middleware) InstallApp(ctx context.Context, host, appName string, desc 
 // owning host's space center when clustered (whence it replicates to
 // every space), else the single center.
 func (m *Middleware) RegisterResource(res owl.Resource) error {
-	if m.Cluster != nil {
-		if space, ok := m.Directory.SpaceOfHost(res.Host); ok {
-			if center, ok := m.Cluster.Center(space); ok {
-				return state.IgnoreNotDurable(center.RegisterResource(context.Background(), res))
-			}
-		}
+	space, _ := m.Directory.SpaceOfHost(res.Host)
+	centers := m.centers(space)
+	if len(centers) == 0 {
+		return fmt.Errorf("core: no registry center for %s's host %q", res.ID, res.Host)
 	}
-	return m.Registry.RegisterResource(res)
+	return state.IgnoreNotDurable(centers[0].RegisterResource(context.Background(), res))
 }
 
 // FindApp returns the host currently running an application instance, if
@@ -791,6 +786,7 @@ func (m *Middleware) Close() error {
 	if m.Cluster != nil {
 		m.Cluster.Stop()
 	}
+	m.center.Stop()
 	err := m.Fabric.Close()
 	if cerr := m.db.Close(); err == nil {
 		err = cerr

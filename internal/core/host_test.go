@@ -8,6 +8,7 @@ import (
 
 	"mdagent/internal/app"
 	"mdagent/internal/bundle"
+	"mdagent/internal/cluster"
 	"mdagent/internal/ctl"
 	"mdagent/internal/ctxkernel"
 	"mdagent/internal/demoapps"
@@ -37,21 +38,22 @@ func (c *flakyCatalog) RegisterApp(ctx context.Context, rec registry.AppRecord) 
 }
 
 // standaloneHost builds a HostRuntime the way cmd/mdagentd does — no
-// Middleware around it — over an in-process registry; wrap decorates the
-// catalog the host registers at.
-func standaloneHost(t *testing.T, wrap func(migrate.Catalog) migrate.Catalog) (*HostRuntime, *registry.Registry, *ctxkernel.Kernel) {
+// Middleware around it — over an in-process registry center with no
+// peers; wrap decorates the catalog the host registers at.
+func standaloneHost(t *testing.T, wrap func(migrate.Catalog) migrate.Catalog) (*HostRuntime, *cluster.Center, *ctxkernel.Kernel) {
 	t.Helper()
-	reg, err := registry.New(store.OpenMemory())
+	fab := transport.NewLocalFabric(nil)
+	t.Cleanup(func() { fab.Close() })
+	regEp, err := fab.Attach("registry-center", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := transport.NewLocalFabric(nil)
-	t.Cleanup(func() { fab.Close() })
+	reg := cluster.NewCenter("", store.OpenMemory(), regEp, cluster.Config{})
 	ep, err := fab.Attach(migrate.EndpointName("hostA"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := wrap(migrate.Direct{R: reg})
+	cat := wrap(reg)
 	eng := migrate.NewEngine("hostA", wsdl.DeviceProfile{}, ep, nil, nil, cat, migrate.DefaultCosts())
 	kernel := ctxkernel.NewKernel()
 	rt := NewHostRuntime("hostA", "lab", eng, media.NewLibrary("hostA"), cat, kernel, &vclock.Real{}, "test", nil, bundle.Resolver{})
@@ -83,7 +85,7 @@ func TestRunRollsBackFailedRegistration(t *testing.T) {
 	if err := rt.Run(ctx, demoapps.NewMediaPlayer("hostA", song)); err != nil {
 		t.Fatalf("retried Run: %v", err)
 	}
-	if rec, found, _ := reg.LookupApp("smart-media-player", "hostA"); !found || !rec.Running {
+	if rec, found, _ := reg.Registry().LookupApp("smart-media-player", "hostA"); !found || !rec.Running {
 		t.Fatalf("retried Run did not register a running record: found=%v rec=%+v", found, rec)
 	}
 	if started != 1 {

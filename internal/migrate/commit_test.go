@@ -11,28 +11,28 @@ import (
 	"time"
 
 	"mdagent/internal/app"
+	"mdagent/internal/cluster"
 	"mdagent/internal/demoapps"
 	"mdagent/internal/media"
 	"mdagent/internal/netsim"
 	"mdagent/internal/owl"
 	"mdagent/internal/registry"
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/wsdl"
 )
 
 // registerRunning records app as running on host, as HostRuntime.Run does.
-func registerRunning(t *testing.T, reg *registry.Registry, appName, host string) {
+func registerRunning(t *testing.T, reg *cluster.Center, appName, host string) {
 	t.Helper()
-	if err := reg.RegisterApp(registry.AppRecord{Name: appName, Host: host, Description: playerDesc(), Running: true}); err != nil {
+	if err := reg.RegisterApp(context.Background(), registry.AppRecord{Name: appName, Host: host, Description: playerDesc(), Running: true}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // runningHosts lists, sorted, the hosts whose record says appName runs.
-func runningHosts(t testing.TB, reg *registry.Registry, appName string) []string {
+func runningHosts(t testing.TB, reg *cluster.Center, appName string) []string {
 	t.Helper()
-	recs, err := reg.Apps()
+	recs, err := reg.Registry().Apps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func runningHosts(t testing.TB, reg *registry.Registry, appName string) []string
 	return hosts
 }
 
-// watchedCatalog is an in-process catalog that checks after every write
+// watchedCatalog is a registry center that checks after every write
 // that at most one record says the application runs, counts the calls
 // each engine makes, and fails or acts at a chosen step.
 type watchedCatalog struct {
-	Direct
+	*cluster.Center
 	t   *testing.T
 	app string
 
@@ -60,8 +60,8 @@ type watchedCatalog struct {
 	afterMove func() // runs once a move committed
 }
 
-func newWatchedCatalog(t *testing.T, reg *registry.Registry, appName string) *watchedCatalog {
-	return &watchedCatalog{Direct: Direct{R: reg}, t: t, app: appName, calls: make(map[string]int)}
+func newWatchedCatalog(t *testing.T, reg *cluster.Center, appName string) *watchedCatalog {
+	return &watchedCatalog{Center: reg, t: t, app: appName, calls: make(map[string]int)}
 }
 
 func (c *watchedCatalog) count(call string) (fail bool) {
@@ -82,7 +82,7 @@ func (c *watchedCatalog) takeCalls() map[string]int {
 // check runs after every write: handler goroutines make some of them, so
 // it reports with Errorf.
 func (c *watchedCatalog) check(op string) {
-	if hosts := runningHosts(c.t, c.R, c.app); len(hosts) > 1 {
+	if hosts := runningHosts(c.t, c.Center, c.app); len(hosts) > 1 {
 		c.t.Errorf("after %s the registry lists %s running on %v", op, c.app, hosts)
 	}
 }
@@ -91,14 +91,14 @@ func (c *watchedCatalog) PlanMove(ctx context.Context, appName, destHost string,
 	if c.count("plan") {
 		return registry.MovePlan{}, errors.New("injected: plan-move failed")
 	}
-	return c.Direct.PlanMove(ctx, appName, destHost, resources, mode)
+	return c.Center.PlanMove(ctx, appName, destHost, resources, mode)
 }
 
 func (c *watchedCatalog) MoveApp(ctx context.Context, rec registry.AppRecord, from string) (bool, error) {
 	if c.count("move") {
 		return false, errors.New("injected: move-app failed")
 	}
-	demoted, err := c.Direct.MoveApp(ctx, rec, from)
+	demoted, err := c.Center.MoveApp(ctx, rec, from)
 	c.check("move-app")
 	c.mu.Lock()
 	after := c.afterMove
@@ -111,19 +111,19 @@ func (c *watchedCatalog) MoveApp(ctx context.Context, rec registry.AppRecord, fr
 
 func (c *watchedCatalog) LookupApp(ctx context.Context, name, host string) (registry.AppRecord, bool, error) {
 	c.count("lookup")
-	return c.Direct.LookupApp(ctx, name, host)
+	return c.Center.LookupApp(ctx, name, host)
 }
 
 func (c *watchedCatalog) RegisterApp(ctx context.Context, rec registry.AppRecord) error {
 	c.count("register")
-	err := c.Direct.RegisterApp(ctx, rec)
+	err := c.Center.RegisterApp(ctx, rec)
 	c.check("register-app")
 	return err
 }
 
 func (c *watchedCatalog) UnregisterApp(ctx context.Context, name, host string) error {
 	c.count("unregister")
-	err := c.Direct.UnregisterApp(ctx, name, host)
+	err := c.Center.UnregisterApp(ctx, name, host)
 	c.check("unregister-app")
 	return err
 }
@@ -141,7 +141,7 @@ func watchedRig(t *testing.T) (*rig, *watchedCatalog) {
 
 // localRing puts one engine per host on a LocalFabric, all on cat, with
 // the media player running — and registered running — on the first.
-func localRing(t *testing.T, reg *registry.Registry, cat Catalog, hosts ...string) []*Engine {
+func localRing(t *testing.T, reg *cluster.Center, cat Catalog, hosts ...string) []*Engine {
 	t.Helper()
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
@@ -157,7 +157,7 @@ func localRing(t *testing.T, reg *registry.Registry, cat Catalog, hosts ...strin
 	if err := engines[0].Run(player); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterApp(registry.AppRecord{Name: player.Name(), Host: hosts[0],
+	if err := reg.RegisterApp(context.Background(), registry.AppRecord{Name: player.Name(), Host: hosts[0],
 		Description: player.Description(), Components: player.Components(), Running: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +185,7 @@ func TestAtMostOneRunningRecordAtEveryWrite(t *testing.T) {
 		}
 	})
 	t.Run("static ring of three", func(t *testing.T) {
-		reg, err := registry.New(store.OpenMemory())
-		if err != nil {
-			t.Fatal(err)
-		}
+		reg := newCenter(t)
 		cat := newWatchedCatalog(t, reg, "smart-media-player")
 		engines := localRing(t, reg, cat, "hostA", "hostB", "hostC")
 		for hop := 0; hop < 20; hop++ {
@@ -291,10 +288,7 @@ func TestFollowMeRegistryRoundTrips(t *testing.T) {
 		}
 	}
 
-	reg, err := registry.New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newCenter(t)
 	ringCat := newWatchedCatalog(t, reg, "smart-media-player")
 	ring := localRing(t, reg, ringCat, "hostA", "hostB", "hostC")
 	ringCat.takeCalls()

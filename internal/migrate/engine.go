@@ -35,10 +35,10 @@ func EndpointName(host string) string { return "migrate@" + host }
 // MediaEndpointName returns the conventional media server endpoint name.
 func MediaEndpointName(host string) string { return "media@" + host }
 
-// Catalog is the registry view the engine needs; *registry.Client
-// satisfies it for networked deployments and Direct adapts an in-process
-// *registry.Registry. A follow-me asks it twice: PlanMove at the source,
-// MoveApp — the migration's commit point — at the destination.
+// Catalog is the registry view the engine needs: *registry.Client over
+// the wire, or a registry center (cluster.Center) in-process. A follow-me
+// asks it twice: PlanMove at the source, MoveApp — the migration's commit
+// point — at the destination.
 type Catalog interface {
 	PlanMove(ctx context.Context, appName, destHost string, resources []owl.Resource, mode owl.MatchMode) (registry.MovePlan, error)
 	MoveApp(ctx context.Context, rec registry.AppRecord, from string) (bool, error)
@@ -48,36 +48,6 @@ type Catalog interface {
 }
 
 var _ Catalog = (*registry.Client)(nil)
-
-// Direct adapts an in-process registry to the Catalog interface.
-type Direct struct{ R *registry.Registry }
-
-var _ Catalog = Direct{}
-
-// LookupApp implements Catalog.
-func (d Direct) LookupApp(_ context.Context, name, host string) (registry.AppRecord, bool, error) {
-	return d.R.LookupApp(name, host)
-}
-
-// RegisterApp implements Catalog.
-func (d Direct) RegisterApp(_ context.Context, rec registry.AppRecord) error {
-	return d.R.RegisterApp(rec)
-}
-
-// UnregisterApp implements Catalog.
-func (d Direct) UnregisterApp(_ context.Context, name, host string) error {
-	return d.R.UnregisterApp(name, host)
-}
-
-// PlanMove implements Catalog.
-func (d Direct) PlanMove(_ context.Context, appName, destHost string, resources []owl.Resource, mode owl.MatchMode) (registry.MovePlan, error) {
-	return d.R.PlanMove(appName, destHost, resources, mode)
-}
-
-// MoveApp implements Catalog.
-func (d Direct) MoveApp(_ context.Context, rec registry.AppRecord, from string) (bool, error) {
-	return d.R.MoveApp(rec, from)
-}
 
 // Engine is one host's migration engine. It holds the running application
 // instances, the installed application factories (what "the application

@@ -10,8 +10,6 @@ import (
 	"mdagent/internal/demoapps"
 	"mdagent/internal/media"
 	"mdagent/internal/owl"
-	"mdagent/internal/registry"
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/wsdl"
 )
@@ -23,11 +21,9 @@ import (
 // source's warm base always belongs to the host before last.
 func tcpRing(tb testing.TB, hosts ...string) []*Engine {
 	tb.Helper()
-	reg, err := registry.New(store.OpenMemory())
-	if err != nil {
-		tb.Fatal(err)
-	}
+	reg := newCenter(tb)
 	nodes := make([]*transport.TCPNode, len(hosts))
+	var err error
 	for i, h := range hosts {
 		if nodes[i], err = transport.ListenTCP(EndpointName(h), "127.0.0.1:0"); err != nil {
 			tb.Fatal(err)
@@ -42,7 +38,7 @@ func tcpRing(tb testing.TB, hosts ...string) []*Engine {
 				nodes[i].AddPeer(EndpointName(peer), nodes[j].Addr())
 			}
 		}
-		engines[i] = NewEngine(h, wsdl.DeviceProfile{}, nodes[i].Endpoint(), nil, nil, Direct{R: reg}, CostProfile{})
+		engines[i] = NewEngine(h, wsdl.DeviceProfile{}, nodes[i].Endpoint(), nil, nil, reg, CostProfile{})
 	}
 	player := demoapps.NewMediaPlayer(hosts[0], media.GenerateFile("song1", songSize, 3))
 	if err := engines[0].Run(player); err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mdagent/internal/app"
+	"mdagent/internal/cluster"
 	"mdagent/internal/media"
 	"mdagent/internal/netsim"
 	"mdagent/internal/owl"
@@ -27,7 +28,7 @@ type rig struct {
 	clk  *vclock.Virtual
 	net  *netsim.Network
 	fab  *transport.LocalFabric
-	reg  *registry.Registry
+	reg  *cluster.Center
 	dir  *space.Directory
 	engA *Engine
 	engB *Engine
@@ -43,6 +44,19 @@ func playerDesc() wsdl.Description {
 		}},
 		Requires: wsdl.Requirements{NeedsAudio: true},
 	}
+}
+
+// newCenter starts a registry center with no peers — the standalone
+// registry — on its own fabric.
+func newCenter(t testing.TB) *cluster.Center {
+	t.Helper()
+	fab := transport.NewLocalFabric(nil)
+	t.Cleanup(func() { fab.Close() })
+	ep, err := fab.Attach("registry-center", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cluster.NewCenter("", store.OpenMemory(), ep, cluster.Config{})
 }
 
 // newRig assembles the Fig. 8 evaluation scenario: player running on
@@ -62,10 +76,7 @@ func newRig(t *testing.T, fileSize int64) *rig {
 	fab := transport.NewLocalFabric(net)
 	t.Cleanup(func() { fab.Close() })
 
-	reg, err := registry.New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newCenter(t)
 	dir := space.NewDirectory()
 	if err := dir.AddSpace("lab-space"); err != nil {
 		t.Fatal(err)
@@ -87,8 +98,8 @@ func newRig(t *testing.T, fileSize int64) *rig {
 	devB := wsdl.DeviceProfile{
 		Host: "hostB", ScreenWidth: 800, ScreenHeight: 600, MemoryMB: 512, HasAudio: true, HasDisplay: true,
 	}
-	engA := NewEngine("hostA", wsdl.DeviceProfile{}, epA, net, dir, Direct{R: reg}, DefaultCosts())
-	engB := NewEngine("hostB", devB, epB, net, dir, Direct{R: reg}, DefaultCosts())
+	engA := NewEngine("hostA", wsdl.DeviceProfile{}, epA, net, dir, reg, DefaultCosts())
+	engB := NewEngine("hostB", devB, epB, net, dir, reg, DefaultCosts())
 
 	// Media library on hostA serving the song.
 	libA := media.NewLibrary("hostA")
@@ -107,17 +118,18 @@ func newRig(t *testing.T, fileSize int64) *rig {
 		}
 		return inst
 	})
-	if err := reg.RegisterApp(registry.AppRecord{
+	ctx := context.Background()
+	if err := reg.RegisterApp(ctx, registry.AppRecord{
 		Name: "player", Host: "hostB", Space: "lab-space",
 		Description: playerDesc(), Components: []string{"main-ui"},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterDevice(devB); err != nil {
+	if err := reg.RegisterDevice(ctx, devB); err != nil {
 		t.Fatal(err)
 	}
 	// The music resource: untransferable data on hostA.
-	if err := reg.RegisterResource(owl.Resource{
+	if err := reg.RegisterResource(ctx, owl.Resource{
 		ID: "song1", Class: rdf.IMCL("MusicFile"), Host: "hostA",
 		SizeBytes: fileSize, Transferable: false, Substitutable: false,
 	}); err != nil {
@@ -409,7 +421,7 @@ func TestInterSpaceRequiresGateway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engD := NewEngine("hostD", wsdl.DeviceProfile{}, epD, r.net, r.dir, Direct{R: r.reg}, DefaultCosts())
+	engD := NewEngine("hostD", wsdl.DeviceProfile{}, epD, r.net, r.dir, r.reg, DefaultCosts())
 	_ = engD
 	rep, err := r.engA.FollowMe(ctx, "player", "hostD", BindingStatic, owl.MatchSemantic)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mdagent/internal/app"
+	"mdagent/internal/cluster"
 	"mdagent/internal/netsim"
 	"mdagent/internal/owl"
 	"mdagent/internal/rdf"
@@ -171,7 +172,7 @@ func TestGoldenCheckinFrames(t *testing.T) {
 // read: no instance, no registry write.
 func TestRetiredCheckinIsRefused(t *testing.T) {
 	r := newRig(t, songSize)
-	before, _ := r.reg.Apps()
+	before, _ := r.reg.Registry().Apps()
 	for _, op := range []string{MsgCheckin, MsgClone} {
 		_, err := r.engA.ep.Request(ctxT(t), EndpointName("hostB"), op, goldenWire(t, "checkin-static-0x30.bin"))
 		if !errors.Is(err, transport.ErrVersion) {
@@ -181,7 +182,7 @@ func TestRetiredCheckinIsRefused(t *testing.T) {
 	if _, ok := r.engB.App("player"); ok {
 		t.Fatal("a refused check-in left an instance behind")
 	}
-	if after, _ := r.reg.Apps(); !reflect.DeepEqual(after, before) {
+	if after, _ := r.reg.Registry().Apps(); !reflect.DeepEqual(after, before) {
 		t.Fatalf("a refused check-in wrote the registry: %+v", after)
 	}
 }
@@ -448,7 +449,7 @@ func TestWarmBaseSurvivesOnADecodedFrame(t *testing.T) {
 
 // failingCatalog refuses to commit moves to one host.
 type failingCatalog struct {
-	Direct
+	*cluster.Center
 	host string
 }
 
@@ -456,7 +457,7 @@ func (c failingCatalog) MoveApp(ctx context.Context, rec registry.AppRecord, fro
 	if rec.Host == c.host {
 		return false, errors.New("registry unreachable")
 	}
-	return c.Direct.MoveApp(ctx, rec, from)
+	return c.Center.MoveApp(ctx, rec, from)
 }
 
 // TestFailedCommitFailsTheMigration: registry.move-app is the migration's
@@ -467,7 +468,7 @@ func TestFailedCommitFailsTheMigration(t *testing.T) {
 	r := newRig(t, songSize)
 	inst := r.startPlayer(t, songSize)
 	registerRunning(t, r.reg, "player", "hostA")
-	r.engB.cat = failingCatalog{Direct: Direct{R: r.reg}, host: "hostB"}
+	r.engB.cat = failingCatalog{Center: r.reg, host: "hostB"}
 
 	_, err := r.engA.FollowMe(ctxT(t), "player", "hostB", BindingAdaptive, owl.MatchSemantic)
 	if err == nil || !strings.Contains(err.Error(), "registry unreachable") {

@@ -1,34 +1,35 @@
-package registry
+package registry_test
 
 import (
 	"context"
 	"testing"
 
 	"mdagent/internal/demoapps"
+	"mdagent/internal/registry"
 	"mdagent/internal/transport"
 )
 
-// benchPair serves a registry on one TCP node and returns a client on
+// benchPair serves a registry center on one TCP node and returns a client on
 // another, both in this process: the round trip the mobile agent pays on
 // every move (paper §4.1), minus the scheduler hop between processes.
-func benchPair(b *testing.B) (*Client, AppRecord) {
+func benchPair(b *testing.B) (*registry.Client, registry.AppRecord) {
 	b.Helper()
 	srv, err := transport.ListenTCP("registry", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { srv.Close() })
-	newReg(b).Serve(srv.Endpoint())
+	serveCenter(srv.Endpoint())
 	cli, err := transport.ListenTCP("agent", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { cli.Close() })
 	cli.AddPeer("registry", srv.Addr())
-	rec := AppRecord{Name: "smart-media-player", Host: "hostA", Space: "lab1",
+	rec := registry.AppRecord{Name: "smart-media-player", Host: "hostA", Space: "lab1",
 		Description: demoapps.MediaPlayerDesc(),
 		Components:  []string{"codec-logic", "player-ui", "song1", "playback-state"}, Running: true}
-	c := NewClient(cli.Endpoint(), "registry")
+	c := registry.NewClient(cli.Endpoint(), "registry")
 	if err := c.RegisterApp(context.Background(), rec); err != nil {
 		b.Fatal(err)
 	}

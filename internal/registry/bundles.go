@@ -1,75 +1,17 @@
 package registry
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-
-	"mdagent/internal/store"
-)
-
 // BundleRecord is one stored portable app bundle: the raw signed bytes,
-// exactly as packed. The registry stores bundles opaquely — signature
-// and trust checks happen at push (the receiving daemon) and again at
-// install (the instantiating host), never here, so a center can relay
-// bundles for apps it could not itself instantiate. The PR 8 engine's
-// blob split keeps multi-megabyte payloads out of the WAL.
+// exactly as packed. The center stores bundles opaquely — signature and
+// trust checks happen at push (the receiving daemon) and again at install
+// (the instantiating host), never there, so a center can relay bundles
+// for apps it could not itself instantiate.
 type BundleRecord struct {
 	Name string // bundle name = manifest app name
 	Raw  []byte // signed bundle bytes (MDAB format)
 }
 
-// Key returns the storage key for the record.
-func (b BundleRecord) Key() string { return "bundle/" + b.Name }
-
 // BundleInfo is the listing view of a stored bundle.
 type BundleInfo struct {
 	Name  string
 	Bytes int64
-}
-
-// PutBundle stores (or replaces) a bundle's raw bytes under its name.
-func (r *Registry) PutBundle(name string, raw []byte) error {
-	if name == "" {
-		return fmt.Errorf("registry: bundle has no name")
-	}
-	if len(raw) == 0 {
-		return fmt.Errorf("registry: bundle %q is empty", name)
-	}
-	return r.db.Put(BundleRecord{Name: name}.Key(), raw)
-}
-
-// GetBundle returns a copy of a stored bundle's bytes. The copy is
-// deliberate: the store's zero-copy Get aliases internal buffers, and
-// bundle bytes outlive the call (they cross the wire and feed the
-// verifier).
-func (r *Registry) GetBundle(name string) ([]byte, bool, error) {
-	raw, err := r.db.Get(BundleRecord{Name: name}.Key())
-	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return append([]byte(nil), raw...), true, nil
-}
-
-// DeleteBundle removes a stored bundle.
-func (r *Registry) DeleteBundle(name string) error {
-	return r.db.Delete(BundleRecord{Name: name}.Key())
-}
-
-// Bundles lists the stored bundles, sorted by name.
-func (r *Registry) Bundles() ([]BundleInfo, error) {
-	prefix := "bundle/"
-	var out []BundleInfo
-	err := r.db.Scan(prefix, func(key string, raw []byte) error {
-		out = append(out, BundleInfo{Name: key[len(prefix):], Bytes: int64(len(raw))})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
 }

@@ -1,11 +1,14 @@
-// Package registry implements MDAgent's application and resource registry
-// center (paper §4.1: mobile agents "retrieve complied resource and
-// application information (maybe owl-enabled as can match in a semantic
-// way) from the registry center"; §5: backed by Juddi + MySQL, here by
-// internal/store). It records which applications (and their WSDL-like
-// interface descriptions) and which resources exist on which hosts, the
-// device profile of each host, and answers semantic OWL-QL queries and
-// rebinding plans for autonomous agents.
+// Package registry holds the records, the index and the wire protocol of
+// MDAgent's application and resource registry center (paper §4.1: mobile
+// agents "retrieve complied resource and application information (maybe
+// owl-enabled as can match in a semantic way) from the registry center";
+// §5: backed by Juddi + MySQL). It describes which applications (and their
+// WSDL-like interface descriptions) and which resources exist on which
+// hosts and the device profile of each host, answers semantic OWL-QL
+// queries and rebinding plans for autonomous agents, and defines the
+// registry.* ops and their Client. The center that serves those ops and
+// keeps the records durable is internal/cluster's Center; a standalone
+// registry is a center with no peers.
 package registry
 
 import (
@@ -58,60 +61,32 @@ func (a AppRecord) HasComponent(name string) bool {
 	return false
 }
 
-// Registry is the registry center state. It is safe for concurrent use
-// and can be embedded in-process or exposed over the network via Service.
+// Registry is a registry center's in-memory index: the reads the center
+// answers — apps by host and name, the resource ontology, device profiles
+// — over records the center owns. It keeps nothing durable; a center
+// rebuilds it from its replication table on every open. It is safe for
+// concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
-	db      *store.Store
+	db      *store.Store // app records, in memory
 	onto    *owl.Ontology
 	devices map[string]wsdl.DeviceProfile
 }
 
-// New creates a registry over db (use store.OpenMemory() for volatile).
-// The ontology is preloaded with the standard resource classes and any
-// resources already present in db are re-asserted into it.
-func New(db *store.Store) (*Registry, error) {
+// New creates an empty index whose ontology is preloaded with the
+// standard resource classes.
+func New() *Registry {
 	r := &Registry{
-		db:      db,
+		db:      store.OpenMemory(),
 		onto:    owl.New(),
 		devices: make(map[string]wsdl.DeviceProfile),
 	}
 	r.onto.StandardResourceClasses()
-	// Recover resource descriptions into the ontology. Scan hands each
-	// value in a single pass (no per-key Get) — Decode only reads the
-	// buffer, which the zero-copy contract permits.
-	err := db.Scan("res/", func(key string, raw []byte) error {
-		var res owl.Resource
-		if err := transport.Decode(raw, &res); err != nil {
-			return fmt.Errorf("registry: corrupt resource %s: %w", key, err)
-		}
-		return r.onto.AddResource(res)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Recover device profiles.
-	err = db.Scan("dev/", func(key string, raw []byte) error {
-		var dev wsdl.DeviceProfile
-		if err := transport.Decode(raw, &dev); err != nil {
-			return fmt.Errorf("registry: corrupt device %s: %w", key, err)
-		}
-		r.devices[dev.Host] = dev
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	return r
 }
 
 // Ontology exposes the registry's resource ontology (read-mostly).
 func (r *Registry) Ontology() *owl.Ontology { return r.onto }
-
-// Store exposes the backing store so cooperating layers (the federated
-// cluster centers) can persist their replication metadata with the same
-// durability as the records themselves.
-func (r *Registry) Store() *store.Store { return r.db }
 
 // RegisterApp stores (or replaces) an application installation record.
 func (r *Registry) RegisterApp(rec AppRecord) error {
@@ -208,21 +183,13 @@ func (r *Registry) AppsOnHost(host string) ([]AppRecord, error) {
 	return out, nil
 }
 
-// RegisterResource stores a resource description and asserts it into the
-// ontology.
+// RegisterResource asserts a resource description into the ontology.
 func (r *Registry) RegisterResource(res owl.Resource) error {
 	if err := res.Validate(); err != nil {
 		return err
 	}
-	raw, err := transport.Encode(res)
-	if err != nil {
-		return err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.db.Put("res/"+res.ID, raw); err != nil {
-		return err
-	}
 	return r.onto.AddResource(res)
 }
 
@@ -246,13 +213,6 @@ func (r *Registry) ResourcesOnHost(host string) ([]owl.Resource, error) {
 func (r *Registry) RegisterDevice(dev wsdl.DeviceProfile) error {
 	if dev.Host == "" {
 		return fmt.Errorf("registry: device profile has no host")
-	}
-	raw, err := transport.Encode(dev)
-	if err != nil {
-		return err
-	}
-	if err := r.db.Put("dev/"+dev.Host, raw); err != nil {
-		return err
 	}
 	r.mu.Lock()
 	r.devices[dev.Host] = dev
@@ -336,33 +296,4 @@ func (r *Registry) PlanMove(appName, destHost string, resources []owl.Resource, 
 		}
 	}
 	return plan, nil
-}
-
-// MoveApp is a follow-me's commit point: it demotes the application's
-// running record at from, then stores rec running — demotion first, so a
-// crash between the writes leaves none running, never two. An empty from
-// (a clone arriving) makes it a plain register. It reports whether the
-// source's record is taken care of: always, on success, since a
-// standalone registry is the only place that record lives.
-func (r *Registry) MoveApp(rec AppRecord, from string) (bool, error) {
-	rec.Running = true
-	if err := rec.Validate(); err != nil {
-		return false, err
-	}
-	if from != "" && from != rec.Host {
-		src, found, err := r.LookupApp(rec.Name, from)
-		if err != nil {
-			return false, err
-		}
-		if found && src.Running {
-			src.Running = false
-			if err := r.RegisterApp(src); err != nil {
-				return false, err
-			}
-		}
-	}
-	if err := r.RegisterApp(rec); err != nil {
-		return false, err
-	}
-	return true, nil
 }

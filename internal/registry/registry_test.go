@@ -1,18 +1,10 @@
 package registry
 
 import (
-	"context"
-	"path/filepath"
-	"reflect"
 	"testing"
-	"time"
 
-	"mdagent/internal/netsim"
 	"mdagent/internal/owl"
 	"mdagent/internal/rdf"
-	"mdagent/internal/store"
-	"mdagent/internal/transport"
-	"mdagent/internal/vclock"
 	"mdagent/internal/wsdl"
 )
 
@@ -30,17 +22,8 @@ func testDesc(name string) wsdl.Description {
 	}
 }
 
-func newReg(t testing.TB) *Registry {
-	t.Helper()
-	r, err := New(store.OpenMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
 func TestRegisterLookupApp(t *testing.T) {
-	r := newReg(t)
+	r := New()
 	rec := AppRecord{
 		Name: "player", Host: "hostA", Space: "lab",
 		Description: testDesc("player"),
@@ -65,7 +48,7 @@ func TestRegisterLookupApp(t *testing.T) {
 }
 
 func TestRegisterAppValidates(t *testing.T) {
-	r := newReg(t)
+	r := New()
 	if err := r.RegisterApp(AppRecord{Host: "h"}); err == nil {
 		t.Fatal("nameless app accepted")
 	}
@@ -78,7 +61,7 @@ func TestRegisterAppValidates(t *testing.T) {
 }
 
 func TestFindAppAcrossHostsAndUnregister(t *testing.T) {
-	r := newReg(t)
+	r := New()
 	for _, host := range []string{"hostB", "hostA", "hostC"} {
 		rec := AppRecord{Name: "editor", Host: host, Description: testDesc("editor")}
 		if err := r.RegisterApp(rec); err != nil {
@@ -102,7 +85,7 @@ func TestFindAppAcrossHostsAndUnregister(t *testing.T) {
 }
 
 func TestAppsOnHost(t *testing.T) {
-	r := newReg(t)
+	r := New()
 	for _, name := range []string{"zeta", "alpha"} {
 		if err := r.RegisterApp(AppRecord{Name: name, Host: "hostA", Description: testDesc(name)}); err != nil {
 			t.Fatal(err)
@@ -121,7 +104,7 @@ func TestAppsOnHost(t *testing.T) {
 }
 
 func TestResourceRegistrationAndQuery(t *testing.T) {
-	r := newReg(t)
+	r := New()
 	res := owl.Resource{
 		ID: "hp821", Class: rdf.IMCL("Printer"), Substitutable: true,
 		Host: "hostB", Location: "office821",
@@ -152,7 +135,7 @@ func TestResourceRegistrationAndQuery(t *testing.T) {
 }
 
 func TestPlanRebindingThroughRegistry(t *testing.T) {
-	r := newReg(t)
+	r := New()
 	src := owl.Resource{ID: "srcPrn", Class: rdf.IMCL("Printer"), Substitutable: true, Host: "hostA"}
 	dst := owl.Resource{ID: "dstPrn", Class: rdf.IMCL("ColorPrinter"), Substitutable: true, Host: "hostB"}
 	if err := r.RegisterResource(src); err != nil {
@@ -179,7 +162,7 @@ func TestPlanRebindingThroughRegistry(t *testing.T) {
 }
 
 func TestDeviceProfiles(t *testing.T) {
-	r := newReg(t)
+	r := New()
 	dev := wsdl.DeviceProfile{Host: "hostB", ScreenWidth: 1024, ScreenHeight: 768, MemoryMB: 512, HasAudio: true}
 	if err := r.RegisterDevice(dev); err != nil {
 		t.Fatal(err)
@@ -193,156 +176,5 @@ func TestDeviceProfiles(t *testing.T) {
 	}
 	if err := r.RegisterDevice(wsdl.DeviceProfile{}); err == nil {
 		t.Fatal("hostless device accepted")
-	}
-}
-
-func TestPersistenceAcrossRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "registry.log")
-	db, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := New(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.RegisterApp(AppRecord{Name: "player", Host: "hostA", Description: testDesc("player")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.RegisterResource(owl.Resource{ID: "prn", Class: rdf.IMCL("Printer"), Host: "hostA", Substitutable: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.RegisterDevice(wsdl.DeviceProfile{Host: "hostA", MemoryMB: 256}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	r2, err := New(db2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, found, _ := r2.LookupApp("player", "hostA"); !found {
-		t.Fatal("app lost across restart")
-	}
-	res, err := r2.ResourcesOnHost("hostA")
-	if err != nil || len(res) != 1 {
-		t.Fatalf("resources lost across restart: %v, %v", res, err)
-	}
-	if _, ok := r2.Device("hostA"); !ok {
-		t.Fatal("device lost across restart")
-	}
-	// Ontology must be rebuilt: a semantic query works post-restart.
-	rows, err := r2.Query(`(?r rdf:type imcl:Printer)`)
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("ontology not rebuilt: %v, %v", rows, err)
-	}
-}
-
-func TestRemoteClientOverLocalFabric(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	net := netsim.New(clk)
-	if _, err := net.AddHost("hostA", "lab", netsim.Pentium4_1700(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.AddHost("regHost", "lab", netsim.PentiumM_1600(), 0); err != nil {
-		t.Fatal(err)
-	}
-	fab := transport.NewLocalFabric(net)
-	defer fab.Close()
-
-	srvEp, err := fab.Attach("registry", "regHost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newReg(t).Serve(srvEp)
-
-	cliEp, err := fab.Attach("agentA", "hostA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewClient(cliEp, "registry")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	if err := cli.RegisterApp(ctx, AppRecord{Name: "player", Host: "hostA", Description: testDesc("player")}); err != nil {
-		t.Fatal(err)
-	}
-	rec, found, err := cli.LookupApp(ctx, "player", "hostA")
-	if err != nil || !found || rec.Name != "player" {
-		t.Fatalf("remote LookupApp = %+v, %v, %v", rec, found, err)
-	}
-
-	if err := cli.RegisterResource(ctx, owl.Resource{ID: "prn", Class: rdf.IMCL("Printer"), Host: "hostA", Substitutable: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := cli.RegisterDevice(ctx, wsdl.DeviceProfile{Host: "hostA", MemoryMB: 128}); err != nil {
-		t.Fatal(err)
-	}
-	dev, ok, err := cli.Device(ctx, "hostA")
-	if err != nil || !ok || dev.MemoryMB != 128 {
-		t.Fatalf("remote Device = %+v, %v, %v", dev, ok, err)
-	}
-
-	prn := owl.Resource{ID: "prn", Class: rdf.IMCL("Printer"), Host: "hostA", Substitutable: true}
-	plan, err := cli.PlanRebinding(ctx, prn, "hostA", owl.MatchSemantic)
-	if err != nil || plan.Action != owl.RebindUseLocal {
-		t.Fatalf("remote PlanRebinding = %+v, %v", plan, err)
-	}
-	mp, err := cli.PlanMove(ctx, "player", "hostA", []owl.Resource{prn, prn}, owl.MatchSemantic)
-	if err != nil || !mp.DestFound || mp.Dest.Name != "player" || len(mp.Rebindings) != 2 || !reflect.DeepEqual(mp.Rebindings[1], plan) {
-		t.Fatalf("remote PlanMove = %+v, %v", mp, err)
-	}
-
-	// The commit of a move hostA -> hostB: hostA's record demoted,
-	// hostB's registered running, the source told it has nothing to do.
-	if err := cli.RegisterApp(ctx, AppRecord{Name: "player", Host: "hostA", Description: testDesc("player"), Running: true}); err != nil {
-		t.Fatal(err)
-	}
-	demoted, err := cli.MoveApp(ctx, AppRecord{Name: "player", Host: "hostB", Description: testDesc("player")}, "hostA")
-	if err != nil || !demoted {
-		t.Fatalf("remote MoveApp = %v, %v", demoted, err)
-	}
-	if a, _, _ := cli.LookupApp(ctx, "player", "hostA"); a.Running {
-		t.Fatal("MoveApp left the source record running")
-	}
-	if b, found, _ := cli.LookupApp(ctx, "player", "hostB"); !found || !b.Running {
-		t.Fatalf("MoveApp did not register the destination running: %+v", b)
-	}
-	if err := cli.UnregisterApp(ctx, "player", "hostA"); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, _ := cli.LookupApp(ctx, "player", "hostA"); found {
-		t.Fatal("app survived remote unregister")
-	}
-}
-
-func TestRemoteErrorsPropagate(t *testing.T) {
-	fab := transport.NewLocalFabric(nil)
-	defer fab.Close()
-	srvEp, err := fab.Attach("registry", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newReg(t).Serve(srvEp)
-	cliEp, err := fab.Attach("cli", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewClient(cliEp, "registry")
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := cli.RegisterApp(ctx, AppRecord{}); err == nil {
-		t.Fatal("invalid app accepted remotely")
-	}
-	if _, err := cli.MoveApp(ctx, AppRecord{Host: "hostB"}, "hostA"); err == nil {
-		t.Fatal("nameless move accepted remotely")
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"mdagent/internal/wsdl"
 )
 
-// Message types served by the registry center.
+// Message types served by the registry center (cluster.Center.Serve).
 const (
 	MsgRegisterApp      = "registry.register-app"
 	MsgUnregisterApp    = "registry.unregister-app"
@@ -28,7 +28,9 @@ const (
 // (transport.Seal); handlers refuse versions they do not speak with a
 // typed transport.ErrVersion reply instead of misparsing the gob body.
 
-// Request/reply bodies (gob-encoded).
+// Request/reply bodies (gob-encoded). Gob writes a struct's unqualified
+// type name into the stream, so the center that serves them uses the
+// exported aliases below and the bytes keep these lower-case names.
 type (
 	appKeyReq struct{ Name, Host string }
 
@@ -72,128 +74,19 @@ type (
 	}
 )
 
-// Serve binds the registry's operations onto a transport endpoint so
-// remote clients can call it. It returns the registry for chaining.
-func (r *Registry) Serve(ep *transport.Endpoint) *Registry {
-	ep.Handle(MsgRegisterApp, func(msg transport.Message) ([]byte, error) {
-		var rec AppRecord
-		if err := transport.DecodeSealed(msg.Payload, &rec); err != nil {
-			return nil, err
-		}
-		return nil, r.RegisterApp(rec)
-	})
-	ep.Handle(MsgUnregisterApp, func(msg transport.Message) ([]byte, error) {
-		var req appKeyReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		return nil, r.UnregisterApp(req.Name, req.Host)
-	})
-	ep.Handle(MsgLookupApp, func(msg transport.Message) ([]byte, error) {
-		var req appKeyReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		rec, found, err := r.LookupApp(req.Name, req.Host)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(lookupAppReply{Rec: rec, Found: found})
-	})
-	ep.Handle(MsgRegisterResource, func(msg transport.Message) ([]byte, error) {
-		var res owl.Resource
-		if err := transport.DecodeSealed(msg.Payload, &res); err != nil {
-			return nil, err
-		}
-		return nil, r.RegisterResource(res)
-	})
-	ep.Handle(MsgRegisterDevice, func(msg transport.Message) ([]byte, error) {
-		var dev wsdl.DeviceProfile
-		if err := transport.DecodeSealed(msg.Payload, &dev); err != nil {
-			return nil, err
-		}
-		return nil, r.RegisterDevice(dev)
-	})
-	ep.Handle(MsgDevice, func(msg transport.Message) ([]byte, error) {
-		var req hostReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		dev, found := r.Device(req.Host)
-		return transport.Encode(deviceReply{Dev: dev, Found: found})
-	})
-	ep.Handle(MsgListApps, func(msg transport.Message) ([]byte, error) {
-		if _, err := transport.Open(msg.Payload); err != nil {
-			return nil, err
-		}
-		recs, err := r.Apps()
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(recs)
-	})
-	ep.Handle(MsgPlanMove, func(msg transport.Message) ([]byte, error) {
-		var req planMoveReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		plan, err := r.PlanMove(req.App, req.DestHost, req.Resources, req.Mode)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(plan)
-	})
-	ep.Handle(MsgMoveApp, MoveAppHandler(r.MoveApp))
-	ep.Handle(MsgPlanRebinding, func(msg transport.Message) ([]byte, error) {
-		var req rebindingReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		plan, err := r.PlanRebinding(req.Src, req.DestHost, req.Mode)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(plan)
-	})
-	ep.Handle(MsgGetBundle, func(msg transport.Message) ([]byte, error) {
-		var req getBundleReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		raw, found, err := r.GetBundle(req.Name)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(getBundleReply{Raw: raw, Found: found})
-	})
-	ep.Handle(MsgListBundles, func(msg transport.Message) ([]byte, error) {
-		if _, err := transport.Open(msg.Payload); err != nil {
-			return nil, err
-		}
-		infos, err := r.Bundles()
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(infos)
-	})
-	return r
-}
-
-// MoveAppHandler serves registry.move-app with move: a registry's own
-// MoveApp, or a federated center's replicating one.
-func MoveAppHandler(move func(rec AppRecord, from string) (bool, error)) transport.Handler {
-	return func(msg transport.Message) ([]byte, error) {
-		var req moveAppReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		demoted, err := move(req.Rec, req.From)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(moveAppReply{SourceDemoted: demoted})
-	}
-}
+// The bodies the serving center decodes and encodes.
+type (
+	AppKeyReq      = appKeyReq
+	LookupAppReply = lookupAppReply
+	HostReq        = hostReq
+	RebindingReq   = rebindingReq
+	PlanMoveReq    = planMoveReq
+	MoveAppReq     = moveAppReq
+	MoveAppReply   = moveAppReply
+	DeviceReply    = deviceReply
+	GetBundleReq   = getBundleReq
+	GetBundleReply = getBundleReply
+)
 
 // Client is a typed remote handle to a registry center endpoint.
 type Client struct {
@@ -301,8 +194,7 @@ func (c *Client) PlanMove(ctx context.Context, appName, destHost string, resourc
 
 // MoveApp commits a follow-me at the center: the record at from is
 // demoted and rec stored running, in one write. It reports whether the
-// center took care of the source's record (see Registry.MoveApp and
-// cluster.Center.MoveApp).
+// center took care of the source's record (see cluster.Center.MoveApp).
 func (c *Client) MoveApp(ctx context.Context, rec AppRecord, from string) (bool, error) {
 	var reply moveAppReply
 	if err := c.call(ctx, MsgMoveApp, moveAppReq{Rec: rec, From: from}, &reply); err != nil {

@@ -1,13 +1,10 @@
 package registry
 
 import (
-	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"mdagent/internal/owl"
 	"mdagent/internal/rdf"
@@ -64,40 +61,4 @@ func TestGoldenRequestBodies(t *testing.T) {
 			t.Fatalf("decoded %+v, want %+v", req, goldenMoveApp)
 		}
 	})
-}
-
-// TestMoveOpsRefuseAFutureSeal: both follow-me ops answer a request
-// sealed with a version they do not speak with the typed ErrVersion, read
-// nothing of its body and write nothing.
-func TestMoveOpsRefuseAFutureSeal(t *testing.T) {
-	fab := transport.NewLocalFabric(nil)
-	defer fab.Close()
-	srvEp, err := fab.Attach("registry", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := newReg(t).Serve(srvEp)
-	cliEp, err := fab.Attach("cli", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for op, golden := range map[string]string{MsgPlanMove: "plan-move-req.gob", MsgMoveApp: "move-app-req.gob"} {
-		body, err := transport.Open(goldenWire(t, golden))
-		if err != nil {
-			t.Fatal(err)
-		}
-		future := transport.SealV(42, body)
-		var req moveAppReq
-		if err := transport.DecodeSealed(future, &req); !errors.Is(err, transport.ErrVersion) {
-			t.Fatalf("%s: DecodeSealed of a v42 body: err = %v, want ErrVersion", op, err)
-		}
-		if _, err := cliEp.Request(ctx, "registry", op, future); !errors.Is(err, transport.ErrVersion) {
-			t.Fatalf("%s with a v42 body: err = %v, want ErrVersion", op, err)
-		}
-	}
-	if recs, _ := reg.Apps(); len(recs) != 0 {
-		t.Fatalf("a refused move wrote %+v", recs)
-	}
 }

@@ -270,9 +270,8 @@ func (r *Replicator) observe(inst *app.Application) {
 		// the suspend window, which must not pay for a state encode and a
 		// center write. The app's slot serializes with the periodic loop,
 		// and any misordering self-heals within one capture interval.
-		// Untracked on purpose (like the federation's pushAsync): a
-		// publish racing Stop fails harmlessly, and tying it to r.wg
-		// would race Stop's Wait.
+		// Untracked on purpose: a publish racing Stop fails harmlessly,
+		// and tying it to r.wg would race Stop's Wait.
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), r.interval*4+time.Second)
 			defer cancel()
