@@ -12,7 +12,6 @@ import (
 	"mdagent/internal/cluster"
 	"mdagent/internal/ctl"
 	"mdagent/internal/registry"
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 )
 
@@ -43,7 +42,7 @@ func bootRegistry(t *testing.T) (string, *registry.Registry) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	center := cluster.NewCenter("", store.OpenMemory(), node.Endpoint(), cluster.Config{}).Serve(node.Endpoint())
+	center := cluster.NewCenter("", nil, node.Endpoint(), cluster.Config{}).Serve(node.Endpoint())
 	return node.Addr(), center.Registry()
 }
 
@@ -129,7 +128,7 @@ func TestFederatedDaemonsGossip(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	cluster.NewCenter("lab", store.OpenMemory(), node.Endpoint(), cluster.Config{}).Serve(node.Endpoint())
+	cluster.NewCenter("lab", nil, node.Endpoint(), cluster.Config{}).Serve(node.Endpoint())
 
 	var outA, outB syncBuffer
 	addrA := startDaemon(t, &outA,
@@ -193,7 +192,7 @@ func TestDaemonReplicatesStateOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	center := cluster.NewCenter("lab", store.OpenMemory(), node.Endpoint(), cluster.Config{})
+	center := cluster.NewCenter("lab", nil, node.Endpoint(), cluster.Config{})
 	center.Serve(node.Endpoint())
 
 	var outA syncBuffer

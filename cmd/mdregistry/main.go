@@ -117,18 +117,17 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 		return fmt.Errorf("-write-concern %s requires -space (a standalone registry has no peers to ack)", wc)
 	}
 
-	db := store.OpenMemory()
+	var db *store.Store // nil: a volatile center
 	if *storePath != "" {
 		pol, err := store.ParseSyncPolicy(*storeSync)
 		if err != nil {
 			return err
 		}
-		db, err = store.Open(*storePath, store.WithSyncPolicy(pol))
-		if err != nil {
+		if db, err = store.Open(*storePath, store.WithSyncPolicy(pol)); err != nil {
 			return err
 		}
+		defer db.Close()
 	}
-	defer db.Close()
 
 	endpoint := "registry-center"
 	if *space != "" {

@@ -18,7 +18,6 @@ import (
 	"mdagent/internal/rdf"
 	"mdagent/internal/registry"
 	"mdagent/internal/space"
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/vclock"
 	"mdagent/internal/wsdl"
@@ -65,7 +64,7 @@ func newAgentRig(t *testing.T) *agentRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := cluster.NewCenter("", store.OpenMemory(), regEp, cluster.Config{})
+	reg := cluster.NewCenter("", nil, regEp, cluster.Config{})
 	dir := space.NewDirectory()
 	if err := dir.AddSpace("lab-space"); err != nil {
 		t.Fatal(err)

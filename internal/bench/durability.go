@@ -12,7 +12,6 @@ import (
 	"mdagent/internal/netsim"
 	"mdagent/internal/registry"
 	"mdagent/internal/state"
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/vclock"
 	"mdagent/internal/wsdl"
@@ -92,7 +91,7 @@ func centerFederation(n int, net *netsim.Network, fab *transport.LocalFabric, cf
 		if err != nil {
 			return nil, err
 		}
-		centers[i] = cluster.NewCenter(space, store.OpenMemory(), ep, cfg)
+		centers[i] = cluster.NewCenter(space, nil, ep, cfg)
 	}
 	for i, a := range centers {
 		for j, b := range centers {

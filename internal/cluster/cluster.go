@@ -20,7 +20,6 @@ import (
 	"sort"
 	"sync"
 
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 )
 
@@ -51,16 +50,17 @@ func New(cfg Config) *Cluster {
 // Config returns the effective (defaulted) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// AddCenter creates the federated registry center for a space over db on
-// ep and meshes it with every existing center. Adding a space twice
-// returns the existing center.
-func (c *Cluster) AddCenter(space string, db *store.Store, ep *transport.Endpoint) *Center {
+// AddCenter creates the federated registry center for a space on ep and
+// meshes it with every existing center. The center is volatile (NewCenter
+// with a nil store): its records live in memory and in its peers' copies.
+// Adding a space twice returns the existing center.
+func (c *Cluster) AddCenter(space string, ep *transport.Endpoint) *Center {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ctr, ok := c.centers[space]; ok {
 		return ctr
 	}
-	ctr := NewCenter(space, db, ep, c.cfg)
+	ctr := NewCenter(space, nil, ep, c.cfg)
 	for peerSpace, peer := range c.centers {
 		ctr.AddPeer(peerSpace, peer.ep.Name())
 		peer.AddPeer(space, ep.Name())

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mdagent/internal/registry"
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 )
 
@@ -35,7 +34,7 @@ func newCenterTrio(t *testing.T, cfg Config) [3]*Center {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = NewCenter(space, store.OpenMemory(), ep, cfg)
+		out[i] = NewCenter(space, nil, ep, cfg)
 	}
 	for i, a := range out {
 		for j, b := range out {
@@ -125,7 +124,7 @@ func TestDurableWriteShortfallReturnsErrNotDurable(t *testing.T) {
 	cfg := durableConfig(WriteOne)
 	cfg.ProbeTimeout = 30 * time.Millisecond
 	cfg.AckTimeout = 100 * time.Millisecond
-	c := NewCenter("alpha", store.OpenMemory(), ep, cfg)
+	c := NewCenter("alpha", nil, ep, cfg)
 	c.AddPeer("beta", CenterEndpointName("beta")) // never attached: unreachable
 	ctx := context.Background()
 
@@ -195,7 +194,7 @@ func TestDurableDeltaFallsBackToFullRecord(t *testing.T) {
 		}
 		cfg := durableConfig(WriteOne)
 		cfg.ProbeTimeout = 50 * time.Millisecond
-		return NewCenter(space, store.OpenMemory(), ep, cfg)
+		return NewCenter(space, nil, ep, cfg)
 	}
 	a := mk("alpha")
 	a.AddPeer("beta", CenterEndpointName("beta"))
@@ -240,7 +239,7 @@ func TestServeRejectsMalformedWriteConcernHeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter(space, store.OpenMemory(), ep, testConfig()).Serve(ep)
+		return NewCenter(space, nil, ep, testConfig()).Serve(ep)
 	}
 	a, b := mk("alpha"), mk("beta")
 	a.AddPeer("beta", CenterEndpointName("beta"))
@@ -345,7 +344,7 @@ func TestSnapshotClientConnectionDropMidAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	NewCenter("real", store.OpenMemory(), srv.Endpoint(), testConfig()).Serve(srv.Endpoint())
+	NewCenter("real", nil, srv.Endpoint(), testConfig()).Serve(srv.Endpoint())
 	node.AddPeer(CenterEndpointName("real"), srv.Addr())
 	cli2 := NewSnapshotClient(node.Endpoint(), CenterEndpointName("real"))
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
@@ -371,7 +370,7 @@ func TestFailoverPrefersDurableSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter(space, store.OpenMemory(), ep, cfg)
+		return NewCenter(space, nil, ep, cfg)
 	}
 	cfg := durableConfig(WriteQuorum)
 	cfg.ProbeTimeout = 50 * time.Millisecond

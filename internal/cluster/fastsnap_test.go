@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mdagent/internal/state"
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 )
 
@@ -23,7 +22,7 @@ func newSnapRig(t *testing.T) (*Center, *transport.Endpoint) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCenter("alpha", store.OpenMemory(), ep, testConfig())
+	c := NewCenter("alpha", nil, ep, testConfig())
 	c.Serve(ep)
 	cliEp, err := fab.Attach("client@test", "")
 	if err != nil {

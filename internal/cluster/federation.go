@@ -31,7 +31,7 @@ import (
 // directly (it has migrate.Catalog's shape) or over the wire.
 type Center struct {
 	space string
-	db    *store.Store // the records' one durable copy, under fed/ (snapstore.go)
+	db    *store.Store // the records' one durable copy, under fed/ (snapstore.go); nil: volatile
 	// reg is the read index over the live records, in memory only: it is
 	// rebuilt from them on every open and updated with every record that
 	// wins, under c.mu.
@@ -111,8 +111,10 @@ const fedKeyPrefix = "fed/"
 // backed by a durable store resumes its version history after a restart
 // instead of re-issuing counters its peers have already seen (which they
 // would reject as stale), and its reads are rebuilt from the same records.
-// Call Start to begin anti-entropy; pushes and digest answers work as
-// soon as it is created.
+// A nil db makes the center volatile: it starts empty, persists nothing,
+// and what it holds lives as long as the process and its peers' copies.
+// Call Start to begin anti-entropy; pushes and digest answers work as soon
+// as it is created.
 func NewCenter(space string, db *store.Store, ep *transport.Endpoint, cfg Config) *Center {
 	cfg = cfg.withDefaults()
 	c := &Center{

@@ -29,7 +29,7 @@ func newCenterPair(t *testing.T) (*Center, *Center) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter(space, store.OpenMemory(), ep, testConfig())
+		return NewCenter(space, nil, ep, testConfig())
 	}
 	a, b := mk("alpha"), mk("beta")
 	a.AddPeer("beta", CenterEndpointName("beta"))
@@ -587,7 +587,7 @@ func TestSnapshotWireProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCenter("alpha", store.OpenMemory(), ep, testConfig())
+	c := NewCenter("alpha", nil, ep, testConfig())
 	c.Serve(ep)
 	cliEp, err := fab.Attach("client@test", "")
 	if err != nil {
@@ -640,7 +640,7 @@ func TestSnapshotDeltaAwareFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCenter("alpha", store.OpenMemory(), ep, testConfig())
+	c := NewCenter("alpha", nil, ep, testConfig())
 	c.Serve(ep)
 	cliEp, err := fab.Attach("client@test", "")
 	if err != nil {

@@ -196,6 +196,9 @@ const (
 // in c.records only once this returned nil, so memory never runs ahead of
 // a disk that refused the write.
 func (c *Center) persist(r Record, scope persistScope) error {
+	if c.db == nil { // a volatile center
+		return nil
+	}
 	if err := c.persistScoped(r, scope); err != nil {
 		c.mPersistErrs.Inc()
 		return fmt.Errorf("cluster: persist %s: %w", r.Key, err)
@@ -273,31 +276,40 @@ func dropChain(db *store.Store, key string, dc diskChain) error {
 // cannot be read back whole and checked — corrupt gob, bad head, a chain
 // key missing, a frame failing its checksum, a chain that does not
 // reassemble to the head's digest — is dropped: peers re-offer it by
-// anti-entropy, exactly as for a corrupt frame. Chain keys no loaded head
-// names (a generation whose head never landed, a generation the head
-// moved away from, a delta past the head's count) are swept.
+// anti-entropy, exactly as for a corrupt frame. A fed/ value the store
+// cannot read back (a blob-routed whole record failing its checksum) is
+// skipped and left on disk: every other record still loads, and a later
+// write of the key replaces it. Chain keys no loaded head names (a
+// generation whose head never landed, a generation the head moved away
+// from, a delta past the head's count) are swept. A center without a
+// store is volatile and starts empty.
 func (c *Center) loadRecords() {
 	db := c.db
+	if db == nil {
+		return
+	}
 	var torn []string
-	_ = db.Scan(fedKeyPrefix, func(k string, raw []byte) error {
+	for _, k := range db.Keys(fedKeyPrefix) {
+		raw, err := db.Get(k)
+		if err != nil {
+			continue
+		}
 		var r Record
 		if len(raw) > 0 && raw[0] == snapHeadMagic {
 			var dc diskChain
-			var err error
 			if r, dc, err = loadChain(db, raw); err != nil || fedKeyPrefix+r.Key != k {
 				torn = append(torn, k)
-				return nil
+				continue
 			}
 			c.chains[r.Key] = dc
 		} else if err := transport.Decode(raw, &r); err != nil {
-			return nil // corrupt frame; the peer re-offers it via anti-entropy
+			continue // corrupt frame; the peer re-offers it via anti-entropy
 		}
 		c.records[r.Key] = r
 		if r.Kind == RecordSnapshot && !r.Deleted && r.Snap.Durable {
 			c.durable[r.Key] = r // durability metadata survives a restart
 		}
-		return nil
-	})
+	}
 	// Best effort from here on: a key that survives is retried by the
 	// next open, and a write over it wins regardless.
 	for _, k := range torn {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -298,7 +299,7 @@ func TestSnapshotChainCrashWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewCenter("beta", store.OpenMemory(), ep, testConfig())
+		b := NewCenter("beta", nil, ep, testConfig())
 		b.AddPeer("alpha", CenterEndpointName("alpha"))
 		putChain(t, a.Center, "player", 3)
 		a.AddPeer("beta", CenterEndpointName("beta"))
@@ -537,6 +538,75 @@ func persistErrors(space string) int64 {
 	return obs.Default.Counter("mdagent_fed_persist_errors_total", "space", space).Value()
 }
 
+// TestUnreadableValueCostsOnlyItself: a fed/ value the store cannot read
+// back — a bundle in a sealed blob segment with one byte flipped — is
+// skipped at open and left on disk. The records that sort after it still
+// load, no chain of a loaded head is swept, on that open or the next, and
+// a later write of the key replaces the unreadable value.
+func TestUnreadableValueCostsOnlyItself(t *testing.T) {
+	ctx := context.Background()
+	fab := transport.NewLocalFabric(nil)
+	t.Cleanup(func() { fab.Close() })
+	dir := t.TempDir()
+	d := openDiskCenter(t, fab, dir, "alpha", testConfig())
+	// 70 KiB is past the store's 64 KiB blob threshold: the value lives in
+	// the blob log, the WAL holds its checksummed reference.
+	if err := d.PutBundle(ctx, "editor", bytes.Repeat([]byte("b"), 70<<10)); err != nil {
+		t.Fatal(err)
+	}
+	putChain(t, d.Center, "player", 2)
+	want, wantChain := viewOf(t, d.Center, "player"), chainKeys(d.Center)
+	if len(wantChain) != 3 {
+		t.Fatalf("chain keys = %v, want a base and 2 deltas", wantChain)
+	}
+
+	d.close()
+	blobs, err := filepath.Glob(filepath.Join(dir, "blob-*.seg"))
+	if err != nil || len(blobs) != 1 {
+		t.Fatalf("blob segments = %v, %v; want one", blobs, err)
+	}
+	raw, err := os.ReadFile(blobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(blobs[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// What a roll of the blob log leaves: the next segment, empty. The
+	// flipped segment is sealed now, so replay checks only its extents
+	// and the flip shows on the first read.
+	if err := os.WriteFile(filepath.Join(dir, "blob-00000002.seg"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for open := 1; open <= 2; open++ {
+		d.open()
+		if got := viewOf(t, d.Center, "player"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("open %d: player = %+v, want %+v", open, got, want)
+		}
+		if got := chainKeys(d.Center); !reflect.DeepEqual(got, wantChain) {
+			t.Fatalf("open %d: chain keys = %v, want %v", open, got, wantChain)
+		}
+		if _, found, _ := d.GetBundle(ctx, "editor"); found {
+			t.Fatalf("open %d: the unreadable bundle is served", open)
+		}
+		if keys := d.db.Keys(fedKeyPrefix + bundleKey("editor")); len(keys) != 1 {
+			t.Fatalf("open %d: the unreadable value's key = %v, want it left on disk", open, keys)
+		}
+		d.close()
+	}
+
+	d.open()
+	if err := d.PutBundle(ctx, "editor", []byte("bundle bytes")); err != nil {
+		t.Fatal(err)
+	}
+	d.reopen(nil)
+	if raw, found, err := d.GetBundle(ctx, "editor"); err != nil || !found || string(raw) != "bundle bytes" {
+		t.Fatalf("rewritten bundle after reopen = %q, %v, %v", raw, found, err)
+	}
+}
+
 // TestRefusedDiskWriteFailsTheWrite: a center whose store refuses writes
 // must not acknowledge them — not to its own caller, and not to a peer
 // counting it toward a quorum.
@@ -544,8 +614,10 @@ func TestRefusedDiskWriteFailsTheWrite(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("local write", func(t *testing.T) {
-		a, _ := newCenterPair(t)
-		mustPut(t, a, mustSnapshot(t, "player", "hostA", "0"))
+		fab := transport.NewLocalFabric(nil)
+		t.Cleanup(func() { fab.Close() })
+		a := openDiskCenter(t, fab, t.TempDir(), "alpha", testConfig())
+		mustPut(t, a.Center, mustSnapshot(t, "player", "hostA", "0"))
 		before := persistErrors("alpha")
 		a.db.Close()
 		if _, err := a.PutSnapshot(ctx, mustDelta(t, "player", "hostA", "0", "1")); !errors.Is(err, store.ErrClosed) {
@@ -572,18 +644,15 @@ func TestRefusedDiskWriteFailsTheWrite(t *testing.T) {
 	t.Run("quorum that needs the refusing peer", func(t *testing.T) {
 		fab := transport.NewLocalFabric(nil)
 		t.Cleanup(func() { fab.Close() })
-		mk := func(space string) *Center {
-			ep, err := fab.Attach(CenterEndpointName(space), "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewCenter(space, store.OpenMemory(), ep, durableConfig(WriteQuorum))
+		ep, err := fab.Attach(CenterEndpointName("alpha"), "")
+		if err != nil {
+			t.Fatal(err)
 		}
-		a, b := mk("alpha"), mk("beta")
+		a := NewCenter("alpha", nil, ep, durableConfig(WriteQuorum))
+		b := openDiskCenter(t, fab, t.TempDir(), "beta", durableConfig(WriteQuorum))
 		a.AddPeer("beta", CenterEndpointName("beta"))
 		b.AddPeer("alpha", CenterEndpointName("alpha"))
 		t.Cleanup(a.Stop)
-		t.Cleanup(b.Stop)
 
 		mustPut(t, a, mustSnapshot(t, "player", "hostA", "0")) // healthy: beta acks
 		before := persistErrors("beta")

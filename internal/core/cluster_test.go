@@ -184,15 +184,21 @@ func TestFederatedFailoverRehomesAcrossSpaces(t *testing.T) {
 		t.Fatalf("music resource lost from replicated registry: %v err=%v", res, err)
 	}
 
-	// The kernel narrated the incident.
+	// The kernel narrated the incident. The rehomed event is published
+	// once the relaunch and its registry write have returned, so it can
+	// trail the app's arrival and the record's replication.
+	var re ctxkernel.Event
+	waitFor(t, 5*time.Second, "a cluster.rehomed event", func() bool {
+		evMu.Lock()
+		defer evMu.Unlock()
+		var ok bool
+		re, ok = events[TopicRehomed]
+		return ok
+	})
 	evMu.Lock()
 	defer evMu.Unlock()
 	if _, ok := events[TopicHostDead]; !ok {
 		t.Error("no cluster.host-dead event published")
-	}
-	re, ok := events[TopicRehomed]
-	if !ok {
-		t.Fatal("no cluster.rehomed event published")
 	}
 	if re.Attr("app") != "smart-media-player" || re.Attr("from") != "h1" || re.Attr("to") != "h2" {
 		t.Fatalf("rehomed event attrs = %v", re.Attrs)

@@ -56,7 +56,9 @@ type Config struct {
 	// (default 500 ms).
 	SensorTick time.Duration
 	// StorePath persists the single registry center to a directory when
-	// non-empty.
+	// non-empty. Empty, the center is volatile: it starts empty and keeps
+	// its records in memory only. The clustered centers are always
+	// volatile.
 	StorePath string
 	// Cluster opts the deployment into the distribution layer: gossip
 	// membership per host, one federated registry center per smart space
@@ -130,7 +132,7 @@ type Middleware struct {
 
 	mu    sync.Mutex
 	hosts map[string]*HostRuntime
-	db    *store.Store
+	db    *store.Store // the StorePath store; nil without one
 
 	rehomeMu    sync.Mutex
 	rehomed     map[string]bool   // dead hosts already re-homed (dedupes reporters)
@@ -159,11 +161,10 @@ func New(cfg Config) (*Middleware, error) {
 		cfg.SensorTick = 500 * time.Millisecond
 	}
 
-	db := store.OpenMemory()
+	var db *store.Store
 	if cfg.StorePath != "" {
 		var err error
-		db, err = store.Open(cfg.StorePath)
-		if err != nil {
+		if db, err = store.Open(cfg.StorePath); err != nil {
 			return nil, err
 		}
 	}
@@ -314,7 +315,7 @@ func (m *Middleware) ensureCenter(spaceName, host string) (*cluster.Center, erro
 	m.rehomeMu.Lock()
 	m.centerHosts[spaceName] = host
 	m.rehomeMu.Unlock()
-	center := m.Cluster.AddCenter(spaceName, store.OpenMemory(), ep)
+	center := m.Cluster.AddCenter(spaceName, ep)
 	center.OnDurability(func(ev cluster.DurabilityEvent) {
 		m.Kernel.PublishTyped("cluster", ctxkernel.FederationWriteEvent{
 			Space: spaceName, Key: ev.Key, Concern: string(ev.Concern),
@@ -788,8 +789,10 @@ func (m *Middleware) Close() error {
 	}
 	m.center.Stop()
 	err := m.Fabric.Close()
-	if cerr := m.db.Close(); err == nil {
-		err = cerr
+	if m.db != nil {
+		if cerr := m.db.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }

@@ -16,7 +16,6 @@ import (
 	"mdagent/internal/migrate"
 	"mdagent/internal/netsim"
 	"mdagent/internal/registry"
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/vclock"
 	"mdagent/internal/wsdl"
@@ -48,7 +47,7 @@ func standaloneHost(t *testing.T, wrap func(migrate.Catalog) migrate.Catalog) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := cluster.NewCenter("", store.OpenMemory(), regEp, cluster.Config{})
+	reg := cluster.NewCenter("", nil, regEp, cluster.Config{})
 	ep, err := fab.Attach(migrate.EndpointName("hostA"), "")
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"mdagent/internal/rdf"
 	"mdagent/internal/registry"
 	"mdagent/internal/space"
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/vclock"
 	"mdagent/internal/wsdl"
@@ -56,7 +55,7 @@ func newCenter(t testing.TB) *cluster.Center {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cluster.NewCenter("", store.OpenMemory(), ep, cluster.Config{})
+	return cluster.NewCenter("", nil, ep, cluster.Config{})
 }
 
 // newRig assembles the Fig. 8 evaluation scenario: player running on

@@ -12,14 +12,11 @@
 package registry
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"mdagent/internal/owl"
-	"mdagent/internal/store"
-	"mdagent/internal/transport"
 	"mdagent/internal/wsdl"
 )
 
@@ -50,6 +47,32 @@ func (a AppRecord) Validate() error {
 	return nil
 }
 
+// clone returns a deep copy of the record, so the index neither keeps a
+// caller's slices nor hands out its own.
+func (a AppRecord) clone() AppRecord {
+	a.Components = cloneSlice(a.Components)
+	d := &a.Description
+	d.Services = cloneSlice(d.Services)
+	for i := range d.Services {
+		ports := cloneSlice(d.Services[i].Ports)
+		for j := range ports {
+			ports[j].Operations = cloneSlice(ports[j].Operations)
+		}
+		d.Services[i].Ports = ports
+	}
+	d.Preferences = cloneSlice(d.Preferences)
+	return a
+}
+
+// cloneSlice copies s; an empty slice comes back nil, as it did from the
+// gob round trip the index used to make.
+func cloneSlice[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append([]T(nil), s...)
+}
+
 // HasComponent reports whether the installation provides a component
 // factory by name.
 func (a AppRecord) HasComponent(name string) bool {
@@ -68,7 +91,7 @@ func (a AppRecord) HasComponent(name string) bool {
 // concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
-	db      *store.Store // app records, in memory
+	apps    map[string]AppRecord // by AppRecord.Key
 	onto    *owl.Ontology
 	devices map[string]wsdl.DeviceProfile
 }
@@ -77,7 +100,7 @@ type Registry struct {
 // standard resource classes.
 func New() *Registry {
 	r := &Registry{
-		db:      store.OpenMemory(),
+		apps:    make(map[string]AppRecord),
 		onto:    owl.New(),
 		devices: make(map[string]wsdl.DeviceProfile),
 	}
@@ -93,94 +116,66 @@ func (r *Registry) RegisterApp(rec AppRecord) error {
 	if err := rec.Validate(); err != nil {
 		return err
 	}
-	raw, err := transport.Encode(rec)
-	if err != nil {
-		return err
-	}
-	return r.db.Put(rec.Key(), raw)
+	rec = rec.clone()
+	r.mu.Lock()
+	r.apps[rec.Key()] = rec
+	r.mu.Unlock()
+	return nil
 }
 
 // UnregisterApp removes an installation record.
 func (r *Registry) UnregisterApp(name, host string) error {
-	return r.db.Delete(AppRecord{Name: name, Host: host}.Key())
+	r.mu.Lock()
+	delete(r.apps, AppRecord{Name: name, Host: host}.Key())
+	r.mu.Unlock()
+	return nil
 }
 
 // LookupApp returns the installation of an app on a specific host.
 func (r *Registry) LookupApp(name, host string) (AppRecord, bool, error) {
-	raw, err := r.db.Get(AppRecord{Name: name, Host: host}.Key())
-	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			return AppRecord{}, false, nil
-		}
-		return AppRecord{}, false, err
+	r.mu.RLock()
+	rec, ok := r.apps[AppRecord{Name: name, Host: host}.Key()]
+	r.mu.RUnlock()
+	if !ok {
+		return AppRecord{}, false, nil
 	}
-	var rec AppRecord
-	if err := transport.Decode(raw, &rec); err != nil {
-		return AppRecord{}, false, err
-	}
-	return rec, true, nil
+	return rec.clone(), true, nil
 }
 
-// FindApp returns every installation of an app across hosts, sorted by host.
-func (r *Registry) FindApp(name string) ([]AppRecord, error) {
+// appsWhere copies out every record keep accepts, sorted by host, then
+// by name.
+func (r *Registry) appsWhere(keep func(AppRecord) bool) []AppRecord {
 	var out []AppRecord
-	err := r.db.Scan("app/", func(key string, raw []byte) error {
-		var rec AppRecord
-		if err := transport.Decode(raw, &rec); err != nil {
-			return err
+	r.mu.RLock()
+	for _, rec := range r.apps {
+		if keep(rec) {
+			out = append(out, rec.clone())
 		}
-		if rec.Name == name {
-			out = append(out, rec)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
-	return out, nil
-}
-
-// Apps lists every application installation record, sorted by host then
-// name — the control plane's `ps` view.
-func (r *Registry) Apps() ([]AppRecord, error) {
-	var out []AppRecord
-	err := r.db.Scan("app/", func(key string, raw []byte) error {
-		var rec AppRecord
-		if err := transport.Decode(raw, &rec); err != nil {
-			return err
-		}
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Host != out[j].Host {
 			return out[i].Host < out[j].Host
 		}
 		return out[i].Name < out[j].Name
 	})
-	return out, nil
+	return out
+}
+
+// FindApp returns every installation of an app across hosts, sorted by host.
+func (r *Registry) FindApp(name string) ([]AppRecord, error) {
+	return r.appsWhere(func(rec AppRecord) bool { return rec.Name == name }), nil
+}
+
+// Apps lists every application installation record, sorted by host then
+// name — the control plane's `ps` view.
+func (r *Registry) Apps() ([]AppRecord, error) {
+	return r.appsWhere(func(AppRecord) bool { return true }), nil
 }
 
 // AppsOnHost lists every application installed on a host, sorted by name.
 func (r *Registry) AppsOnHost(host string) ([]AppRecord, error) {
-	var out []AppRecord
-	err := r.db.Scan("app/"+host+"/", func(key string, raw []byte) error {
-		var rec AppRecord
-		if err := transport.Decode(raw, &rec); err != nil {
-			return err
-		}
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return r.appsWhere(func(rec AppRecord) bool { return rec.Host == host }), nil
 }
 
 // RegisterResource asserts a resource description into the ontology.

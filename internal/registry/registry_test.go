@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"reflect"
 	"testing"
 
 	"mdagent/internal/owl"
@@ -45,6 +46,54 @@ func TestRegisterLookupApp(t *testing.T) {
 	if _, found, _ := r.LookupApp("nosuch", "hostA"); found {
 		t.Fatal("found nonexistent app")
 	}
+}
+
+// The index hands out copies and keeps copies: mutating a record a read
+// returned, or the caller's own record after RegisterApp, changes no
+// later read.
+func TestAppReadsAreCopies(t *testing.T) {
+	fresh := func() AppRecord {
+		return AppRecord{
+			Name: "player", Host: "hostA", Space: "lab",
+			Description: testDesc("player"),
+			Components:  []string{"ui", "codec"},
+		}
+	}
+	mutate := func(rec *AppRecord) {
+		rec.Components[0] = "mutated"
+		rec.Description.Services[0].Ports[0].Name = "mutated"
+		rec.Description.Services[0].Ports[0].Operations[0].Name = "mutated"
+	}
+	r := New()
+	mine := fresh()
+	if err := r.RegisterApp(mine); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&mine)
+	check := func(after string) {
+		t.Helper()
+		got, found, err := r.LookupApp("player", "hostA")
+		if err != nil || !found || !reflect.DeepEqual(got, fresh()) {
+			t.Fatalf("after mutating %s: LookupApp = %+v, %v, %v", after, got, found, err)
+		}
+	}
+	check("the registered record")
+
+	got, _, _ := r.LookupApp("player", "hostA")
+	mutate(&got)
+	check("a LookupApp result")
+	apps, err := r.Apps()
+	if err != nil || len(apps) != 1 {
+		t.Fatalf("Apps = %v, %v", apps, err)
+	}
+	mutate(&apps[0])
+	check("an Apps result")
+	onHost, err := r.AppsOnHost("hostA")
+	if err != nil || len(onHost) != 1 {
+		t.Fatalf("AppsOnHost = %v, %v", onHost, err)
+	}
+	mutate(&onHost[0])
+	check("an AppsOnHost result")
 }
 
 func TestRegisterAppValidates(t *testing.T) {

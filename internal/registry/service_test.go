@@ -17,7 +17,6 @@ import (
 	"mdagent/internal/owl"
 	"mdagent/internal/rdf"
 	"mdagent/internal/registry"
-	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/vclock"
 	"mdagent/internal/wsdl"
@@ -25,7 +24,7 @@ import (
 
 // serveCenter serves a registry center with no peers on ep.
 func serveCenter(ep *transport.Endpoint) *cluster.Center {
-	return cluster.NewCenter("", store.OpenMemory(), ep, cluster.Config{}).Serve(ep)
+	return cluster.NewCenter("", nil, ep, cluster.Config{}).Serve(ep)
 }
 
 func desc(name string) wsdl.Description {

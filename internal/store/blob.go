@@ -28,7 +28,7 @@ func blobSegmentName(id uint64) string { return fmt.Sprintf("blob-%08d.seg", id)
 // segments with no surviving references.
 type blobStore struct {
 	dir  string
-	opts *Options
+	opts *options
 	met  *metrics
 
 	mu         sync.Mutex // append/roll state
@@ -44,7 +44,7 @@ type blobStore struct {
 	readers map[uint64]*os.File
 }
 
-func openBlobStore(dir string, opts *Options, met *metrics) (*blobStore, error) {
+func openBlobStore(dir string, opts *options, met *metrics) (*blobStore, error) {
 	b := &blobStore{
 		dir: dir, opts: opts, met: met,
 		segs:    make(map[uint64]int64),
@@ -108,7 +108,7 @@ func (b *blobStore) openSegmentLocked(id uint64) error {
 // always covers the bytes behind any reference it makes durable.
 func (b *blobStore) append(val []byte) (blobRef, error) {
 	b.mu.Lock()
-	if b.activeSize > 0 && b.activeSize+int64(len(val)) > b.opts.BlobSegmentBytes {
+	if b.activeSize > 0 && b.activeSize+int64(len(val)) > b.opts.blobSegmentBytes {
 		if err := b.sealLocked(); err != nil {
 			b.mu.Unlock()
 			return blobRef{}, err

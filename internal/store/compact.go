@@ -4,20 +4,18 @@ import "path/filepath"
 
 // Compact folds every cold WAL segment into the tail, one segment at a
 // time, then garbage-collects unreferenced blob segments. The write
-// path is never globally blocked: for each key whose live entry still
-// lives in the segment being compacted, the entry is re-emitted to the
-// WAL under that key's shard lock only. Staleness is version-checked —
-// an entry is re-emitted only if its WAL sequence falls inside the
-// segment's range, so a concurrent overwrite (which lands in a newer
-// segment) wins and the stale re-emit is simply skipped.
+// path is never blocked for a whole pass: for each key whose live entry
+// still lives in the segment being compacted, the entry is re-emitted to
+// the WAL under the index lock, one key at a time. Staleness is
+// version-checked — an entry is re-emitted only if its WAL sequence
+// falls inside the segment's range, so a concurrent overwrite (which
+// lands in a newer segment) wins and the stale re-emit is simply
+// skipped.
 //
 // Segments are processed oldest-first, which makes dropping tombstones
 // safe: when the oldest segment is compacted, any put a tombstone in it
 // was masking has already been dropped with an older segment.
 func (s *Store) Compact() error {
-	if s.wal == nil {
-		return nil
-	}
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	if s.closed.Load() {
@@ -49,11 +47,11 @@ func (s *Store) Compact() error {
 // each pass force-rolls and fsyncs the WAL, turning a SyncNever store
 // disk-bound. One pass at a time; the no-op path is two atomic loads.
 func (s *Store) maybeAutoCompact() {
-	if s.wal == nil || s.opts.CompactMinDead < 0 {
+	if s.opts.compactMinDead < 0 {
 		return
 	}
 	dead := s.deadBytes.Load()
-	if dead < s.opts.CompactMinDead {
+	if dead < s.opts.compactMinDead {
 		return
 	}
 	if dead < s.DiskUsage()/2 {
@@ -86,9 +84,8 @@ func (s *Store) compactSegment(seg segmentInfo) error {
 		return err
 	}
 	for _, key := range keys {
-		sh := s.shardOf(key)
-		sh.mu.Lock()
-		e, ok := sh.m[key]
+		s.mu.Lock()
+		e, ok := s.m[key]
 		if ok && e.seq >= seg.minSeq && e.seq <= seg.maxSeq {
 			var frame []byte
 			if e.kind == entryBlob {
@@ -102,9 +99,9 @@ func (s *Store) compactSegment(seg segmentInfo) error {
 				e.val = frame[voff : voff+vlen : voff+vlen]
 			}
 			e.seq = s.wal.enqueue(frame)
-			sh.m[key] = e
+			s.m[key] = e
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 	}
 	// The re-emitted frames must be durable before their old home goes.
 	if err := s.wal.syncBarrier(); err != nil {
@@ -122,16 +119,13 @@ func (s *Store) blobGC() error {
 		return nil
 	}
 	live := make(map[uint64]bool)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.m {
-			if e.kind == entryBlob {
-				live[e.blob.Seg] = true
-			}
+	s.mu.RLock()
+	for _, e := range s.m {
+		if e.kind == entryBlob {
+			live[e.blob.Seg] = true
 		}
-		sh.mu.RUnlock()
 	}
+	s.mu.RUnlock()
 	for _, id := range candidates {
 		if !live[id] {
 			if err := s.blobs.removeSegment(id); err != nil {

@@ -76,7 +76,7 @@ func TestCrashTornFinalFrame(t *testing.T) {
 // segment survives.
 func TestCrashCorruptionAtSegmentBoundary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db")
-	s, err := Open(path, WithSegmentBytes(2<<10), WithCompactMinDead(-1))
+	s, err := Open(path, withSegmentBytes(2<<10), withCompactMinDead(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCrashCorruptionAtSegmentBoundary(t *testing.T) {
 // intact blobs are untouched.
 func TestCrashPartialBlob(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db")
-	s, err := Open(path, WithBlobThreshold(256))
+	s, err := Open(path, withBlobThreshold(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCrashPartialBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(path, WithBlobThreshold(256))
+	s2, err := Open(path, withBlobThreshold(256))
 	if err != nil {
 		t.Fatalf("Open with torn blob: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestCrashPartialBlob(t *testing.T) {
 // compaction pass and verifies the re-emitted entries replay correctly.
 func TestCrashReplayAfterCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db")
-	s, err := Open(path, WithSegmentBytes(2<<10), WithBlobThreshold(512), WithCompactMinDead(-1))
+	s, err := Open(path, withSegmentBytes(2<<10), withBlobThreshold(512), withCompactMinDead(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestCrashReplayAfterCompact(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := Open(path, WithBlobThreshold(512))
+	s2, err := Open(path, withBlobThreshold(512))
 	if err != nil {
 		t.Fatalf("Open after compact+crash: %v", err)
 	}

@@ -8,8 +8,7 @@ import (
 
 // metrics pins the engine's mdagent_store_* series at construction so
 // hot paths pay one atomic op per event. Stores are labeled by the base
-// name of their directory ("mem" for memory stores); stores sharing a
-// directory name share series.
+// name of their directory; stores sharing a directory name share series.
 type metrics struct {
 	puts  *obs.Counter
 	gets  *obs.Counter
@@ -28,10 +27,7 @@ type metrics struct {
 }
 
 func newMetrics(dir string) *metrics {
-	label := "mem"
-	if dir != "" {
-		label = filepath.Base(dir)
-	}
+	label := filepath.Base(dir)
 	r := obs.Default
 	return &metrics{
 		puts:          r.Counter("mdagent_store_puts_total", "dir", label),

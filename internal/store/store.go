@@ -1,27 +1,25 @@
 // Package store implements the embedded storage engine backing the
 // registry center — the stand-in for the paper's Juddi + MySQL backend
 // (§5: "We use Juddi and MySQL as the backend application and resource
-// registry center"). The seed implementation was one map and one
-// replayed gob log behind a single RWMutex; this engine keeps that API
-// but is built to sustain heavy mixed registry/snapshot traffic:
+// registry center"). A store is a directory; its one writer is the
+// center that opened it, which reads the store back only while opening
+// and answers every later read from memory:
 //
-//   - The index is sharded by key hash (fixed power-of-two shard count,
-//     one RWMutex per shard), so concurrent registry writes and snapshot
-//     puts stop serializing on one lock. Keys(prefix) is served by
-//     per-shard sorted iteration merged at the edge.
-//   - Durability is a group-committed write-ahead log: writers encode
-//     their frame off-lock, enqueue it to a committer goroutine, and the
-//     committer batches queued frames into one write (and one fsync,
-//     per SyncPolicy), amortizing syscalls across concurrent writers.
+//   - The index is one map under one RWMutex. Keys and Scan collect their
+//     matches under the read lock and sort once.
+//   - Durability is a group-committed write-ahead log: a writer encodes
+//     its frame off-lock, enqueues it to a committer goroutine, and the
+//     committer batches queued frames into one write (and one fsync, per
+//     SyncPolicy).
 //   - The WAL is rolled into fixed-size segments; compaction folds cold
-//     segments one at a time into the tail off the write path (no
-//     global lock — per-key re-emission under the shard lock), instead
-//     of a stop-the-world full-file rewrite.
-//   - Values at or above BlobThreshold (multi-MB snapshot base frames,
-//     delta chains) are routed to a separate blob log; the WAL holds
-//     only a checksummed reference, so a 2 MB base frame no longer
-//     rides the registry log. Blob segments are garbage-collected when
-//     compaction leaves them unreferenced.
+//     segments one at a time into the tail off the write path (each live
+//     key is re-emitted under the index lock), instead of a
+//     stop-the-world full-file rewrite.
+//   - Values of 64 KiB and more (multi-MB snapshot base frames, delta
+//     chains) are routed to a separate blob log; the WAL holds only a
+//     checksummed reference, so a 2 MB base frame does not ride the
+//     registry log. Blob segments are garbage-collected when compaction
+//     leaves them unreferenced.
 //
 // Ownership contract: Put copies the caller's value exactly once (into
 // the encoded WAL frame, whose bytes also back the in-memory index), so
@@ -56,7 +54,7 @@ type SyncPolicy uint8
 
 const (
 	// SyncInterval (the default) acknowledges a write once the committer
-	// has written its batch; a background flush fsyncs every SyncEvery.
+	// has written its batch; a background flush fsyncs every DefaultSyncEvery.
 	// A crash loses at most the last interval of acknowledged writes.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways acknowledges a write only after its batch is fsynced —
@@ -93,82 +91,53 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return SyncInterval, fmt.Errorf("store: unknown sync policy %q (want always, interval, or never)", s)
 }
 
-// DefaultSyncEvery is the SyncInterval flush cadence when Options does
-// not set one — the loss window a crash can cost under that policy.
+// DefaultSyncEvery is the SyncInterval flush cadence — the loss window
+// a crash can cost under that policy.
 const DefaultSyncEvery = 50 * time.Millisecond
 
-// Options tune the engine. The zero value means defaults.
-type Options struct {
-	// Shards is the index shard count, rounded up to a power of two
-	// (default 16).
-	Shards int
-	// SegmentBytes rolls the WAL into a new segment once the active one
+// options tune the engine. The zero value means defaults; the sync
+// policy is the only one a caller sets (WithSyncPolicy), the others are
+// engine constants this package's tests shrink.
+type options struct {
+	// segmentBytes rolls the WAL into a new segment once the active one
 	// exceeds this size (default 4 MiB).
-	SegmentBytes int64
-	// BlobThreshold routes values of at least this many bytes to the
+	segmentBytes int64
+	// blobThreshold routes values of at least this many bytes to the
 	// blob log (default 64 KiB). <0 disables blob routing.
-	BlobThreshold int
-	// BlobSegmentBytes rolls the blob log (default 64 MiB).
-	BlobSegmentBytes int64
-	// Sync is the commit durability policy (default SyncInterval).
-	Sync SyncPolicy
-	// SyncEvery is the background flush period under SyncInterval
-	// (default DefaultSyncEvery).
-	SyncEvery time.Duration
-	// CompactMinDead triggers a background compaction pass once the
-	// estimated superseded bytes exceed this (default 4x SegmentBytes;
+	blobThreshold int
+	// blobSegmentBytes rolls the blob log (default 64 MiB).
+	blobSegmentBytes int64
+	// sync is the commit durability policy (default SyncInterval).
+	sync SyncPolicy
+	// compactMinDead triggers a background compaction pass once the
+	// estimated superseded bytes exceed this (default 4x segmentBytes;
 	// <0 disables auto-compaction — explicit Compact still works).
-	CompactMinDead int64
+	compactMinDead int64
 }
 
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 16
+func (o options) withDefaults() options {
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 4 << 20
 	}
-	// Round up to a power of two so shard selection is a mask.
-	n := 1
-	for n < o.Shards {
-		n <<= 1
+	if o.blobThreshold == 0 {
+		o.blobThreshold = 64 << 10
 	}
-	o.Shards = n
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
+	if o.blobSegmentBytes <= 0 {
+		o.blobSegmentBytes = 64 << 20
 	}
-	if o.BlobThreshold == 0 {
-		o.BlobThreshold = 64 << 10
-	}
-	if o.BlobSegmentBytes <= 0 {
-		o.BlobSegmentBytes = 64 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = DefaultSyncEvery
-	}
-	if o.CompactMinDead == 0 {
-		o.CompactMinDead = 4 * o.SegmentBytes
+	if o.compactMinDead == 0 {
+		o.compactMinDead = 4 * o.segmentBytes
 	}
 	return o
 }
 
 // Option customizes Open.
-type Option func(*Options)
-
-// WithShards sets the index shard count (rounded up to a power of two).
-func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
-// WithSegmentBytes sets the WAL segment roll size.
-func WithSegmentBytes(n int64) Option { return func(o *Options) { o.SegmentBytes = n } }
-
-// WithBlobThreshold sets the inline/blob routing boundary (<0 disables
-// blob routing).
-func WithBlobThreshold(n int) Option { return func(o *Options) { o.BlobThreshold = n } }
+type Option func(*options)
 
 // WithSyncPolicy sets the commit durability policy.
-func WithSyncPolicy(p SyncPolicy) Option { return func(o *Options) { o.Sync = p } }
+func WithSyncPolicy(p SyncPolicy) Option { return func(o *options) { o.sync = p } }
 
-// WithCompactMinDead sets the auto-compaction trigger (<0 disables).
-func WithCompactMinDead(n int64) Option { return func(o *Options) { o.CompactMinDead = n } }
-
-// entry kinds in the sharded index.
+// entry kinds in the index.
 const (
 	entryInline = iota
 	entryBlob
@@ -191,23 +160,17 @@ func (e entry) liveBytes(key string) int64 {
 	return n + int64(len(e.val))
 }
 
-type shard struct {
+// Store is a concurrency-safe durable KV store. See the package comment
+// for the engine layout and the Get/Put ownership contract.
+type Store struct {
+	opts options
+	dir  string
+
 	mu sync.RWMutex
 	m  map[string]entry
-}
 
-// Store is a concurrency-safe KV store with optional durability. See
-// the package comment for the engine layout and the Get/Put ownership
-// contract.
-type Store struct {
-	opts Options
-	dir  string // "" for memory-only
-
-	shards []shard
-	mask   uint32
-
-	wal   *wal       // nil for memory-only
-	blobs *blobStore // nil for memory-only
+	wal   *wal
+	blobs *blobStore
 
 	deadBytes  atomic.Int64 // estimated superseded log bytes since last compaction
 	compactMu  sync.Mutex   // serializes compaction passes (and Close vs compaction)
@@ -217,40 +180,16 @@ type Store struct {
 	met *metrics
 }
 
-// OpenMemory returns a volatile in-memory store (sharded index, no log).
-func OpenMemory(opts ...Option) *Store {
-	o := Options{}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return newStore("", o.withDefaults())
-}
-
-func newStore(dir string, o Options) *Store {
-	s := &Store{
-		opts:   o,
-		dir:    dir,
-		shards: make([]shard, o.Shards),
-		mask:   uint32(o.Shards - 1),
-		met:    newMetrics(dir),
-	}
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]entry)
-	}
-	return s
-}
-
 // Open opens (or creates) a durable store rooted at path, replaying the
 // write-ahead log to recover state. A regular file at path — a log
 // written by the seed single-file store — is migrated into the new
 // layout first (crash-safely: the legacy file is parked at
 // path+".legacy" until the converted store is on disk).
 func Open(path string, opts ...Option) (*Store, error) {
-	o := Options{}
+	o := options{}
 	for _, fn := range opts {
 		fn(&o)
 	}
-	o = o.withDefaults()
 
 	if err := migrateLegacyIfNeeded(path); err != nil {
 		return nil, err
@@ -258,7 +197,12 @@ func Open(path string, opts ...Option) (*Store, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	s := newStore(path, o)
+	s := &Store{
+		opts: o.withDefaults(),
+		dir:  path,
+		m:    make(map[string]entry),
+		met:  newMetrics(path),
+	}
 	var err error
 	if s.blobs, err = openBlobStore(path, &s.opts, s.met); err != nil {
 		return nil, err
@@ -277,49 +221,39 @@ func Open(path string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) shardOf(key string) *shard {
-	// Inline FNV-1a: the per-op cost must stay trivial next to a map op.
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return &s.shards[h&s.mask]
-}
-
 // replay rebuilds the index from the WAL segments (oldest first). Blob
 // references are validated against the blob files: refs that fall off a
 // torn blob tail are dropped (they were never acknowledged under
 // SyncAlways), refs into the final blob segment are CRC-checked since
 // that is the crash zone.
 func (s *Store) replay() error {
+	// No locking: replay runs before the store is published.
 	return s.wal.replay(func(f frame, seq uint64) {
-		sh := s.shardOf(f.key)
-		// No locking: replay runs before the store is published.
 		switch f.op {
 		case opPutInline:
-			s.applyLocked(sh, f.key, entry{kind: entryInline, val: f.val, seq: seq})
+			s.applyLocked(f.key, entry{kind: entryInline, val: f.val, seq: seq})
 		case opPutBlob:
 			if !s.blobs.validate(f.ref) {
 				s.met.replaySkipped.Inc()
 				return
 			}
-			s.applyLocked(sh, f.key, entry{kind: entryBlob, blob: f.ref, seq: seq})
+			s.applyLocked(f.key, entry{kind: entryBlob, blob: f.ref, seq: seq})
 		case opDelete:
-			if old, ok := sh.m[f.key]; ok {
+			if old, ok := s.m[f.key]; ok {
 				s.deadBytes.Add(old.liveBytes(f.key) + int64(len(f.key)) + frameOverhead)
-				delete(sh.m, f.key)
+				delete(s.m, f.key)
 			}
 		}
 	})
 }
 
-// applyLocked installs an entry (the caller holds the shard lock, or is
+// applyLocked installs an entry (the caller holds s.mu, or is
 // single-threaded replay) and accounts superseded bytes.
-func (s *Store) applyLocked(sh *shard, key string, e entry) {
-	if old, ok := sh.m[key]; ok {
+func (s *Store) applyLocked(key string, e entry) {
+	if old, ok := s.m[key]; ok {
 		s.deadBytes.Add(old.liveBytes(key))
 	}
-	sh.m[key] = e
+	s.m[key] = e
 }
 
 // Put stores value under key, overwriting any previous value. The value
@@ -336,21 +270,11 @@ func (s *Store) Put(key string, value []byte) error {
 	defer func() { s.met.putWait.Observe(time.Since(start)) }()
 	s.met.puts.Inc()
 
-	if s.wal == nil {
-		cp := make([]byte, len(value))
-		copy(cp, value)
-		sh := s.shardOf(key)
-		sh.mu.Lock()
-		sh.m[key] = entry{kind: entryInline, val: cp}
-		sh.mu.Unlock()
-		return nil
-	}
-
 	var (
 		e     entry
 		frame []byte
 	)
-	if s.opts.BlobThreshold >= 0 && len(value) >= s.opts.BlobThreshold {
+	if s.opts.blobThreshold >= 0 && len(value) >= s.opts.blobThreshold {
 		ref, err := s.blobs.append(value)
 		if err != nil {
 			return err
@@ -363,13 +287,17 @@ func (s *Store) Put(key string, value []byte) error {
 		e = entry{kind: entryInline, val: frame[voff : voff+len(value) : voff+len(value)]}
 	}
 
-	sh := s.shardOf(key)
-	sh.mu.Lock()
+	s.mu.Lock()
 	w := s.wal.enqueue(frame)
 	e.seq = w
-	s.applyLocked(sh, key, e)
-	sh.mu.Unlock()
+	s.applyLocked(key, e)
+	s.mu.Unlock()
+	return s.ack(w)
+}
 
+// ack waits for the frame with sequence w as the sync policy requires
+// and starts a compaction pass if one is due.
+func (s *Store) ack(w uint64) error {
 	var err error
 	if s.wal.ackWait() {
 		err = s.wal.wait(w)
@@ -387,11 +315,10 @@ func (s *Store) Put(key string, value []byte) error {
 // comment); blob-routed values are read into a fresh buffer.
 func (s *Store) Get(key string) ([]byte, error) {
 	s.met.gets.Inc()
-	sh := s.shardOf(key)
 	for attempt := 0; ; attempt++ {
-		sh.mu.RLock()
-		e, ok := sh.m[key]
-		sh.mu.RUnlock()
+		s.mu.RLock()
+		e, ok := s.m[key]
+		s.mu.RUnlock()
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
@@ -418,92 +345,40 @@ func (s *Store) Delete(key string) error {
 		return ErrClosed
 	}
 	s.met.dels.Inc()
-	sh := s.shardOf(key)
-	if s.wal == nil {
-		sh.mu.Lock()
-		delete(sh.m, key)
-		sh.mu.Unlock()
-		return nil
-	}
 	frame := encodeDeleteFrame(key)
-	sh.mu.Lock()
-	old, ok := sh.m[key]
+	s.mu.Lock()
+	old, ok := s.m[key]
 	if !ok {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return nil
 	}
 	w := s.wal.enqueue(frame)
-	delete(sh.m, key)
-	sh.mu.Unlock()
+	delete(s.m, key)
+	s.mu.Unlock()
 	s.deadBytes.Add(old.liveBytes(key) + int64(len(key)) + frameOverhead)
-
-	var err error
-	if s.wal.ackWait() {
-		err = s.wal.wait(w)
-	} else {
-		err = s.wal.checkErr()
-	}
-	s.maybeAutoCompact()
-	return err
+	return s.ack(w)
 }
 
-// Keys returns all keys with the given prefix, sorted: each shard
-// contributes its matches pre-sorted and the slices are merged at the
-// edge, so no shard lock is held during the merge.
+// Keys returns all keys with the given prefix, sorted.
 func (s *Store) Keys(prefix string) []string {
-	lists := make([][]string, 0, len(s.shards))
-	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		var ks []string
-		sh.mu.RLock()
-		for k := range sh.m {
-			if strings.HasPrefix(k, prefix) {
-				ks = append(ks, k)
-			}
-		}
-		sh.mu.RUnlock()
-		if len(ks) > 0 {
-			sort.Strings(ks)
-			lists = append(lists, ks)
-			total += len(ks)
+	var ks []string
+	s.mu.RLock()
+	for k := range s.m {
+		if strings.HasPrefix(k, prefix) {
+			ks = append(ks, k)
 		}
 	}
-	return mergeSorted(lists, total)
-}
-
-// mergeSorted k-way merges pre-sorted string slices.
-func mergeSorted(lists [][]string, total int) []string {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	out := make([]string, 0, total)
-	idx := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		for i, l := range lists {
-			if idx[i] >= len(l) {
-				continue
-			}
-			if best < 0 || l[idx[i]] < lists[best][idx[best]] {
-				best = i
-			}
-		}
-		out = append(out, lists[best][idx[best]])
-		idx[best]++
-	}
-	return out
+	s.mu.RUnlock()
+	sort.Strings(ks)
+	return ks
 }
 
 // Scan calls fn for every key with the given prefix in sorted key
 // order, with the stored value — one pass instead of Keys plus per-key
 // Get. Values passed to fn follow the Get ownership contract
 // (read-only for inline values). fn must not call back into the store's
-// write path for the scanned keys. A non-nil error from fn aborts the
-// scan and is returned.
+// write path for the scanned keys. A non-nil error from fn, or from
+// reading a blob-routed value, aborts the scan and is returned.
 func (s *Store) Scan(prefix string, fn func(key string, value []byte) error) error {
 	s.met.scans.Inc()
 	type kv struct {
@@ -511,16 +386,13 @@ func (s *Store) Scan(prefix string, fn func(key string, value []byte) error) err
 		e entry
 	}
 	var all []kv
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.m {
-			if strings.HasPrefix(k, prefix) {
-				all = append(all, kv{k, e})
-			}
+	s.mu.RLock()
+	for k, e := range s.m {
+		if strings.HasPrefix(k, prefix) {
+			all = append(all, kv{k, e})
 		}
-		sh.mu.RUnlock()
 	}
+	s.mu.RUnlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].k < all[j].k })
 	for _, p := range all {
 		v := p.e.val
@@ -557,23 +429,15 @@ func (s *Store) readBlobEntry(key string, e entry) ([]byte, error) {
 
 // Len returns the number of live keys.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.m)
 }
 
 // Sync flushes both logs to stable storage. It runs entirely on the
-// committer, touching no index locks — readers and writers proceed
+// committer, touching no index lock — readers and writers proceed
 // while the disk flush is in flight.
 func (s *Store) Sync() error {
-	if s.wal == nil {
-		return nil
-	}
 	if s.closed.Load() {
 		return ErrClosed
 	}
@@ -581,20 +445,14 @@ func (s *Store) Sync() error {
 }
 
 // DiskUsage reports the bytes the store occupies on disk (WAL segments
-// plus blob segments). Zero for memory stores.
+// plus blob segments).
 func (s *Store) DiskUsage() int64 {
-	if s.wal == nil {
-		return 0
-	}
 	return s.wal.diskUsage() + s.blobs.diskUsage()
 }
 
 // Close flushes and closes the logs. Safe to call twice.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
-		return nil
-	}
-	if s.wal == nil {
 		return nil
 	}
 	// Wait out any in-flight compaction pass before tearing the logs

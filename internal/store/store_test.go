@@ -13,8 +13,25 @@ import (
 	"time"
 )
 
-func TestMemoryPutGetDelete(t *testing.T) {
-	s := OpenMemory()
+// openTemp opens a store in a fresh test directory, closed at cleanup.
+func openTemp(t *testing.T) *Store {
+	t.Helper()
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// The engine constants tests shrink to reach rolls, blobs and
+// compaction with small data.
+func withSegmentBytes(n int64) Option   { return func(o *options) { o.segmentBytes = n } }
+func withBlobThreshold(n int) Option    { return func(o *options) { o.blobThreshold = n } }
+func withCompactMinDead(n int64) Option { return func(o *options) { o.compactMinDead = n } }
+
+func TestPutGetDelete(t *testing.T) {
+	s := openTemp(t)
 	if err := s.Put("k1", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +57,7 @@ func TestMemoryPutGetDelete(t *testing.T) {
 // never mutates a stored buffer in place — a slice returned by Get
 // stays stable across later overwrites of the same key.
 func TestGetStableAcrossOverwrite(t *testing.T) {
-	s := OpenMemory()
+	s := openTemp(t)
 	if err := s.Put("k", []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +75,7 @@ func TestGetStableAcrossOverwrite(t *testing.T) {
 }
 
 func TestPutCopiesInput(t *testing.T) {
-	s := OpenMemory()
+	s := openTemp(t)
 	buf := []byte("abc")
 	if err := s.Put("k", buf); err != nil {
 		t.Fatal(err)
@@ -71,7 +88,7 @@ func TestPutCopiesInput(t *testing.T) {
 }
 
 func TestKeysPrefixSorted(t *testing.T) {
-	s := OpenMemory()
+	s := openTemp(t)
 	for _, k := range []string{"app/zeta", "app/alpha", "res/one"} {
 		if err := s.Put(k, nil); err != nil {
 			t.Fatal(err)
@@ -86,34 +103,8 @@ func TestKeysPrefixSorted(t *testing.T) {
 	}
 }
 
-// Keys must merge correctly across many shards with interleaved
-// lexical order.
-func TestKeysMergesAcrossShards(t *testing.T) {
-	s := OpenMemory(WithShards(8))
-	var want []string
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("p/%03d", i)
-		want = append(want, k)
-		if err := s.Put(k, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.Keys("p/")
-	if len(got) != len(want) {
-		t.Fatalf("Keys len = %d, want %d", len(got), len(want))
-	}
-	if !sort.StringsAreSorted(got) {
-		t.Fatal("Keys not sorted")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Keys[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
 func TestScanVisitsSortedWithValues(t *testing.T) {
-	s := OpenMemory()
+	s := openTemp(t)
 	for i := 0; i < 20; i++ {
 		if err := s.Put(fmt.Sprintf("s/%02d", i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -249,7 +240,7 @@ func TestCompactShrinksAndPreserves(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reg.log")
 	// Small segments so the overwrites span several, with
 	// auto-compaction off to make the explicit Compact observable.
-	s, err := Open(path, WithSegmentBytes(16<<10), WithCompactMinDead(-1))
+	s, err := Open(path, withSegmentBytes(16<<10), withCompactMinDead(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,24 +284,8 @@ func TestCompactShrinksAndPreserves(t *testing.T) {
 	}
 }
 
-func TestMemoryStoreNoopDurabilityCalls(t *testing.T) {
-	s := OpenMemory()
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
-	s := OpenMemory()
+	s := openTemp(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -338,7 +313,7 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestConcurrentDurableWriters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reg.log")
-	s, err := Open(path, WithSegmentBytes(32<<10))
+	s, err := Open(path, withSegmentBytes(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +399,7 @@ func TestSyncDoesNotBlockReaders(t *testing.T) {
 // Large values route to the blob log and survive reopen.
 func TestBlobRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reg.log")
-	s, err := Open(path, WithBlobThreshold(256))
+	s, err := Open(path, withBlobThreshold(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +417,7 @@ func TestBlobRoundtrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path, WithBlobThreshold(256))
+	s2, err := Open(path, withBlobThreshold(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,9 +438,9 @@ func TestBlobRoundtrip(t *testing.T) {
 func TestBlobGC(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reg.log")
 	s, err := Open(path,
-		WithBlobThreshold(256),
-		func(o *Options) { o.BlobSegmentBytes = 8 << 10 },
-		WithCompactMinDead(-1))
+		withBlobThreshold(256),
+		func(o *options) { o.blobSegmentBytes = 8 << 10 },
+		withCompactMinDead(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,9 +552,9 @@ func TestReplayMatchesModel(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "q.log")
 				s, err := Open(path,
 					WithSyncPolicy(pol),
-					WithSegmentBytes(2<<10),
-					WithBlobThreshold(512),
-					WithCompactMinDead(-1))
+					withSegmentBytes(2<<10),
+					withBlobThreshold(512),
+					withCompactMinDead(-1))
 				if err != nil {
 					return false
 				}

@@ -157,11 +157,11 @@ func segmentName(id uint64) string { return fmt.Sprintf("wal-%08d.seg", id) }
 // wal is the segmented, group-committed write-ahead log. Writers
 // enqueue encoded frames; a single committer goroutine batches them
 // into one write (and one fsync, per SyncPolicy) and wakes the waiting
-// writers. All file I/O happens on the committer — Sync never holds an
+// writers. All file I/O happens on the committer — Sync never holds the
 // index lock.
 type wal struct {
 	dir   string
-	opts  *Options
+	opts  *options
 	met   *metrics
 	blobs *blobStore // flushed before the WAL fsync so refs never outlive their bytes
 
@@ -204,7 +204,7 @@ type wal struct {
 
 // openWAL scans dir for segments and prepares (but does not start) the
 // committer. Call replay, then start.
-func openWAL(dir string, opts *Options, met *metrics) (*wal, error) {
+func openWAL(dir string, opts *options, met *metrics) (*wal, error) {
 	w := &wal{
 		dir: dir, opts: opts, met: met,
 		wake:  make(chan struct{}, 1),
@@ -277,7 +277,7 @@ func (w *wal) replay(apply func(f frame, seq uint64)) error {
 	if n := len(w.segs); n > 0 {
 		last := w.segs[n-1]
 		nextID = last.id + 1
-		if last.size < w.opts.SegmentBytes {
+		if last.size < w.opts.segmentBytes {
 			f, err := os.OpenFile(filepath.Join(w.dir, segmentName(last.id)), os.O_RDWR, 0o644)
 			if err != nil {
 				return fmt.Errorf("store: open active segment: %w", err)
@@ -357,8 +357,8 @@ func (w *wal) openSegment(id uint64) error {
 func (w *wal) start() { go w.run() }
 
 // enqueue appends a frame to the commit queue and returns its sequence.
-// Called with the owning shard's lock held, which makes the WAL order
-// agree with the index order for any single key.
+// Called with the index lock held, which makes the WAL order agree with
+// the index order.
 func (w *wal) enqueue(buf []byte) uint64 {
 	w.queuedBytes.Add(int64(len(buf)))
 	w.qmu.Lock()
@@ -381,7 +381,7 @@ const maxQueuedBytes = 8 << 20
 // unwritten frame would break, and skipping the wakeup round-trip is
 // what lets group commit run at memory speed.
 func (w *wal) ackWait() bool {
-	return w.opts.Sync == SyncAlways || w.queuedBytes.Load() > maxQueuedBytes
+	return w.opts.sync == SyncAlways || w.queuedBytes.Load() > maxQueuedBytes
 }
 
 // checkErr is the non-blocking probe fire-and-forget acks use to surface
@@ -462,8 +462,8 @@ func (w *wal) forceRoll() error {
 func (w *wal) run() {
 	defer close(w.done)
 	var tickC <-chan time.Time
-	if w.opts.Sync == SyncInterval {
-		t := time.NewTicker(w.opts.SyncEvery)
+	if w.opts.sync == SyncInterval {
+		t := time.NewTicker(DefaultSyncEvery)
 		defer t.Stop()
 		tickC = t.C
 	}
@@ -511,7 +511,7 @@ func (w *wal) step() {
 	rollWanted := w.rollTarget > w.rolledSeq
 	w.wmu.Unlock()
 
-	if failed == nil && (w.opts.Sync == SyncAlways && len(batch) > 0 || syncWanted) {
+	if failed == nil && (w.opts.sync == SyncAlways && len(batch) > 0 || syncWanted) {
 		failed = w.fsync()
 	}
 	if failed == nil && rollWanted {
@@ -545,13 +545,13 @@ func (w *wal) writeBatch(batch [][]byte) error {
 		active := w.activeSize.Load()
 		total, n := 0, 0
 		for _, b := range batch {
-			if n > 0 && active+int64(total)+int64(len(b)) > w.opts.SegmentBytes {
+			if n > 0 && active+int64(total)+int64(len(b)) > w.opts.segmentBytes {
 				break // at least one frame always lands, even oversized
 			}
 			total += len(b)
 			n++
 		}
-		if active > 0 && active+int64(total) > w.opts.SegmentBytes {
+		if active > 0 && active+int64(total) > w.opts.segmentBytes {
 			if err := w.seal(); err != nil {
 				return err
 			}
