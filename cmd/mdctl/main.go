@@ -201,6 +201,8 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		if *jsonOut {
 			return emit(stats)
 		}
+		// REBASELINES: full frames a host sent because its center
+		// refused a delta (a full chain, or a base the center lost).
 		fmt.Fprintf(out, "%-14s %-9s %-6s %-7s %-10s %-13s %-11s %s\n",
 			"HOST", "PUBLISHES", "FULL", "DELTA", "BYTES", "SKIPPED-CLEAN", "REBASELINES", "NOT-DURABLE")
 		for _, s := range stats {

@@ -34,12 +34,11 @@ type DeltaPoint struct {
 
 // deltaSweepConfig is the cluster config the sweep runs at: state
 // replication on, the periodic loop effectively disabled (captures are
-// driven manually for determinism), no byte-budget pacing.
+// driven manually by SyncNow, which is never paced, for determinism).
 func deltaSweepConfig() cluster.Config {
 	return cluster.Config{
 		ReplicateState:    true,
 		ReplicateInterval: time.Hour,
-		ReplicateBudget:   -1,
 		Seed:              13,
 	}
 }

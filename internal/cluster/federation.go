@@ -391,11 +391,14 @@ var _ state.Publisher = (*Center)(nil)
 // (previous + 1 under the write lock), so concurrent snapshots from
 // different spaces resolve to the longest capture history. A delta whose
 // base digest does not match the stored state fails with
-// state.ErrNeedFull (the publisher re-sends a full frame); an accepted
-// delta is appended to the record's chain, compacted into a fresh base
-// when the chain grows past MaxDeltaChain or outweighs half the
-// base frame, and pushed to peers as a delta-only message so the
-// federation wire carries kilobytes, not the multi-megabyte base.
+// state.ErrNeedFull (the publisher re-sends a full frame), and so does
+// a delta onto a full chain (chainFull): the center alone decides when a
+// record gets a new base, and it never builds one itself. An accepted
+// delta is appended to the record's chain and pushed to peers as a
+// delta-only message, so the federation wire carries kilobytes, not the
+// multi-megabyte base. A full frame is checked (header and checksum, no
+// decode) before anything is stored: a torn base would be served to
+// every restore and dropped at the next load.
 func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.SnapshotStamp, error) {
 	if put.App == "" {
 		return state.SnapshotStamp{}, fmt.Errorf("cluster: snapshot put has no app")
@@ -425,6 +428,8 @@ func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.
 		if d, err := state.DecodeDelta(put.Frame); err != nil || d.BaseDigest != put.BaseDigest {
 			return state.SnapshotStamp{}, fmt.Errorf("cluster: delta put for %s: bad frame: %w", put.App, state.ErrNeedFull)
 		}
+	} else if err := state.VerifySnapshot(put.Frame); err != nil {
+		return state.SnapshotStamp{}, fmt.Errorf("cluster: snapshot put for %s: bad frame: %w", put.App, err)
 	}
 	key := snapKey(put.App)
 	c.mu.Lock()
@@ -432,7 +437,7 @@ func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.
 	var rec Record
 	if put.Delta {
 		if prev.Kind != RecordSnapshot || prev.Deleted || len(prev.Snap.Frame) == 0 ||
-			prev.Snap.StateDigest != put.BaseDigest {
+			prev.Snap.StateDigest != put.BaseDigest || chainFull(prev.Snap, put.Frame) {
 			c.mu.Unlock()
 			return state.SnapshotStamp{}, fmt.Errorf("cluster: delta put for %s: %w", put.App, state.ErrNeedFull)
 		}
@@ -464,11 +469,11 @@ func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.
 	stamp := state.SnapshotStamp{Seq: rec.Snap.Seq, BaseSeq: rec.Snap.BaseSeq, Chain: len(rec.Snap.Deltas)}
 	// Enqueue while still holding c.mu: two racing puts must hit the
 	// ordered push queue in the same order their sequences were assigned.
-	// A delta put always pushes just the delta — even when this center
-	// compacted its own chain — because peers track the state by digest
-	// and compact independently; only a fresh base frame needs the full
-	// record on the wire. (A durable delta push falls back to the full
-	// record per peer when the peer cannot chain the delta.)
+	// A delta put pushes just the delta, because peers track the state by
+	// digest; only a fresh base frame needs the full record on the wire.
+	// A peer that cannot chain the delta (its base diverged, or its chain
+	// is full) nacks it: a durable push then falls back to the full
+	// record for that peer, and anti-entropy repairs an async one.
 	var rep replication
 	if put.Delta {
 		rep = c.replicateLocked(MsgFedSnapDelta, snapDeltaMsg{
@@ -481,7 +486,6 @@ func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.
 	}
 	ver := rec.Version.Clone()
 	c.mu.Unlock()
-	c.compactIfHeavy(key)
 	return stamp, c.verdict(ctx, rep, func() { c.markDurable(key, ver) })
 }
 
@@ -652,68 +656,31 @@ func (c *Center) deliverPush(peer string, it pushItem) error {
 	return err
 }
 
-// chainHeavy reports whether a snapshot record's delta chain has grown
-// past MaxDeltaChain deltas or outweighs half its base — past
-// that point the chain costs more to store, ship, and reassemble than
-// the base it amends.
-func (c *Center) chainHeavy(rec Record) bool {
-	if rec.Kind != RecordSnapshot || rec.Deleted || len(rec.Snap.Deltas) == 0 {
-		return false
-	}
-	var deltaBytes int
-	for _, d := range rec.Snap.Deltas {
-		deltaBytes += len(d)
-	}
-	return len(rec.Snap.Deltas) > MaxDeltaChain || deltaBytes > len(rec.Snap.Frame)/2
-}
+// maxDeltaChain bounds a replicated snapshot record's delta chain.
+const maxDeltaChain = 8
 
-// compactIfHeavy folds a heavy delta chain into a fresh base frame. The
-// multi-megabyte reassembly and re-encode run OUTSIDE c.mu — a failover
-// racing a compaction must not block on the center lock for a gob
-// round-trip — and the result is swapped in only if the record has not
-// changed meanwhile (a newer write will trigger its own compaction).
-// Compaction changes only the representation: digest, sequence, and
-// version are untouched, so peers and publishers are unaffected. A
-// chain that fails to reassemble is left alone (the restore-side
-// fallback handles it).
-func (c *Center) compactIfHeavy(key string) {
-	c.mu.Lock()
-	rec, ok := c.records[key]
-	if !ok || !c.chainHeavy(rec) {
-		c.mu.Unlock()
-		return
+// chainFull reports whether a snapshot record's chain can take no more
+// deltas: it already holds maxDeltaChain of them, or its delta frames
+// plus the next one would outweigh half the base frame — past that
+// point the chain costs more to store, ship and reassemble than a fresh
+// base. A center refuses a delta onto a full chain, and the publisher
+// answers with a full frame: this is the one rule that shapes a chain.
+func chainFull(snap state.SnapshotRecord, next []byte) bool {
+	if len(snap.Deltas) >= maxDeltaChain {
+		return true
 	}
-	snap := rec.Snap // Frame/Deltas are append-only shared slices: safe to read unlocked
-	ver := rec.Version.Clone()
-	c.mu.Unlock()
-
-	ts, err := snap.Snapshot()
-	if err != nil {
-		return
+	n := len(next)
+	for _, d := range snap.Deltas {
+		n += len(d)
 	}
-	frame, err := state.EncodeSnapshot(ts)
-	if err != nil {
-		return
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur, ok := c.records[key]
-	if !ok || cur.Kind != RecordSnapshot || cur.Deleted || cur.Version.Compare(ver) != vclock.Equal {
-		return // superseded while we compacted; the next write re-tries
-	}
-	cur.Snap.Frame = frame
-	cur.Snap.BaseSeq = cur.Snap.Seq
-	cur.Snap.Deltas = nil
-	if c.persist(cur, wholeRecord) == nil { // refused: the uncompacted record stays, in memory as on disk
-		c.records[key] = cur
-	}
+	return 2*n > len(snap.Frame)
 }
 
 // handleSnapDelta appends a peer's delta push to our copy of the record
 // when — and only when — our newest state is exactly the base the delta
-// was computed against and the incoming version strictly supersedes
-// ours. Anything else is not applied — anti-entropy delivers the
+// was computed against, the incoming version strictly supersedes ours
+// and our chain is not full (chainFull, the rule PutSnapshot applies).
+// Anything else is not applied — anti-entropy delivers the
 // authoritative record shortly — but the reply always reports whether
 // this center now holds the pushed write (applied it, or already held
 // that version or newer), so a durable pusher knows when to fall back to
@@ -739,7 +706,7 @@ func (c *Center) handleSnapDelta(msg transport.Message) ([]byte, error) {
 	ex, ok := c.records[m.Key]
 	if !ok || ex.Kind != RecordSnapshot || ex.Deleted ||
 		ex.Snap.StateDigest != m.BaseDigest ||
-		ex.Version.Compare(m.Version) != vclock.Before {
+		ex.Version.Compare(m.Version) != vclock.Before || chainFull(ex.Snap, m.Delta) {
 		applied := false
 		if ok {
 			// Already at (or past) the pushed version: the write is not
@@ -769,7 +736,6 @@ func (c *Center) handleSnapDelta(msg transport.Message) ([]byte, error) {
 	}
 	c.records[m.Key] = rec
 	c.mu.Unlock()
-	c.compactIfHeavy(m.Key)
 	return transport.Encode(snapDeltaAck{Applied: true})
 }
 
@@ -801,7 +767,7 @@ func (c *Center) LatestSnapshot(appName string) (state.SnapshotRecord, bool) {
 // requester's digest pins the chain state at haveSeq, the returned
 // record is tail-only (deltaOnly true): head metadata plus the deltas
 // past haveSeq, no base frame — kilobytes where the full record is
-// megabytes. Any divergence (compacted base, unknown digest, requester
+// megabytes. Any divergence (new base, unknown digest, requester
 // ahead) falls back to the full record, so the caller always ends up
 // restorable.
 func (c *Center) SnapshotSince(appName string, haveBaseSeq, haveSeq uint64, haveDigest [sha256.Size]byte) (rec state.SnapshotRecord, found, deltaOnly bool) {

@@ -290,8 +290,8 @@ func mustSnapshot(t *testing.T, appName, host string, val string) state.Snapshot
 	if err := inst.AddComponent(st); err != nil {
 		t.Fatal(err)
 	}
-	// A payload blob keeps deltas small relative to the base, so a
-	// single-delta chain is not immediately compacted away.
+	// A payload blob keeps deltas small relative to the base, so the
+	// center does not refuse them as outweighing it.
 	if err := inst.AddComponent(app.NewSizedBlob("payload", app.KindData, 8<<10)); err != nil {
 		t.Fatal(err)
 	}
@@ -492,12 +492,13 @@ func TestFederationConcurrentSnapshotsPreferLongerHistory(t *testing.T) {
 	}
 }
 
-// TestFederationDeltaChainCompactionAndPush drives a real replicator
+// TestFederationDeltaChainRefusalAndPush drives a real replicator
 // against one center and checks the whole delta leg: chain growth on the
 // writer, delta-only pushes converging the peer (no anti-entropy pulls
-// are ever run here), and compaction folding a long chain into a fresh
-// base.
-func TestFederationDeltaChainCompactionAndPush(t *testing.T) {
+// are ever run here), and the center's refusal of a delta onto a full
+// chain — not any compaction — bounding it: the replicator answers the
+// refusal with a fresh base in the same capture.
+func TestFederationDeltaChainRefusalAndPush(t *testing.T) {
 	a, b := newCenterPair(t)
 	inst := app.New("player", "hostA", appDesc("player"))
 	st := app.NewState("st")
@@ -508,12 +509,9 @@ func TestFederationDeltaChainCompactionAndPush(t *testing.T) {
 	if err := inst.AddComponent(app.NewSizedBlob("blob", app.KindData, 64<<10)); err != nil {
 		t.Fatal(err)
 	}
-	// RebaseEvery far above the center's MaxDeltaChain so the center's
-	// compaction — not the replicator's re-baseline — is what bounds the
-	// chain.
 	rep := state.NewReplicator("hostA", "alpha",
 		func() []*app.Application { return []*app.Application{inst} },
-		a, nil, time.Hour, state.Tuning{BudgetBytesPerSec: -1, RebaseEvery: 100, RebaseFraction: 100})
+		a, nil, time.Hour, state.Tuning{})
 	ctx := context.Background()
 	if err := rep.SyncNow(ctx); err != nil {
 		t.Fatal(err)
@@ -556,8 +554,8 @@ func TestFederationDeltaChainCompactionAndPush(t *testing.T) {
 		t.Fatalf("peer chain = %d deltas, want 3 (delta pushes applied)", len(got.Deltas))
 	}
 
-	// Push the chain past MaxDeltaChain (testConfig defaults to 8): the
-	// writing center must compact into a fresh base.
+	// Push the chain past maxDeltaChain: seq 9 is the 8th delta, the 9th
+	// is refused and re-sent as a base (seq 10), and deltas chain on it.
 	for i := 4; i <= 14; i++ {
 		st.Set("v", strconv.Itoa(i))
 		if err := rep.SyncNow(ctx); err != nil {
@@ -565,16 +563,19 @@ func TestFederationDeltaChainCompactionAndPush(t *testing.T) {
 		}
 	}
 	rec2, _ := a.LatestSnapshot("player")
-	if len(rec2.Deltas) > 8 {
-		t.Fatalf("chain grew to %d deltas — compaction never fired", len(rec2.Deltas))
+	if rec2.Seq != 15 || rec2.BaseSeq != 10 || len(rec2.Deltas) != 5 {
+		t.Fatalf("writer record = seq %d base %d chain %d, want 15/10/5", rec2.Seq, rec2.BaseSeq, len(rec2.Deltas))
 	}
-	if rec2.BaseSeq == 1 {
-		t.Fatal("base sequence still 1 — chain was never folded into a fresh base")
+	if s := rep.Stats(); s.FullFrames != 2 || s.Rebaselines != 1 {
+		t.Fatalf("replicator stats %+v, want 2 full frames, 1 rebaseline", s)
 	}
 	if v := snapValue(t, rec2); v != "14" {
-		t.Fatalf("post-compaction value = %q, want 14", v)
+		t.Fatalf("value after the re-base = %q, want 14", v)
 	}
 	waitPeer(rec2.Seq, "14")
+	if got, _ := b.LatestSnapshot("player"); got.BaseSeq != 10 || len(got.Deltas) != 5 {
+		t.Fatalf("peer record = base %d chain %d, want the writer's 10/5", got.BaseSeq, len(got.Deltas))
+	}
 }
 
 // TestSnapshotWireProtocol exercises the Serve-bound snapshot handlers

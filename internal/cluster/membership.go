@@ -72,11 +72,6 @@ type Config struct {
 	// ReplicateInterval is the snapshot capture period (default 250 ms;
 	// meaningful only with ReplicateState).
 	ReplicateInterval time.Duration
-	// ReplicateBudget is the size-aware capture cadence in acked bytes
-	// per second: after publishing B bytes for an app, its next periodic
-	// capture is deferred B/budget seconds, so big apps capture less
-	// often (default 64 MB/s; negative disables pacing).
-	ReplicateBudget int64
 
 	// WriteConcern is the federation write durability level: WriteAsync
 	// (default) returns as soon as a write lands locally; WriteOne and
@@ -106,11 +101,6 @@ const (
 	// retransmitMult is λ in the SWIM retransmit budget: a queued update
 	// rides along on λ·log₂N messages before the buffer evicts it.
 	retransmitMult = 4
-	// MaxDeltaChain bounds a replicated snapshot record's delta chain: a
-	// center compacts a stored chain this long into a fresh base, and a
-	// host's replicator re-baselines with a full frame at twice this many
-	// consecutive deltas (core.AddHost).
-	MaxDeltaChain = 8
 )
 
 func (c Config) withDefaults() Config {
@@ -134,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReplicateInterval <= 0 {
 		c.ReplicateInterval = 250 * time.Millisecond
-	}
-	if c.ReplicateBudget == 0 {
-		c.ReplicateBudget = 64 << 20
 	}
 	if c.WriteConcern == "" {
 		c.WriteConcern = WriteAsync

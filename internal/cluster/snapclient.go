@@ -86,7 +86,7 @@ func (c *SnapshotClient) DropSnapshot(ctx context.Context, appName, host string)
 // request describes it (base sequence, head sequence, head digest) and
 // a center whose copy extends the same base answers with just the
 // missing delta tail, which the client grafts onto its cached record. A
-// graft that does not line up — eviction raced a rewrite, compaction
+// graft that does not line up — eviction raced a rewrite, a full frame
 // moved the base — drops the cache and pays for one full fetch, so the
 // optimization can degrade but never corrupt a restore.
 func (c *SnapshotClient) LatestSnapshot(ctx context.Context, appName string) (state.SnapshotRecord, bool, error) {

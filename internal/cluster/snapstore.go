@@ -30,12 +30,11 @@ import (
 //	fedchain/snap/<app>/<gen>/d/<i> delta i of the chain, raw
 //
 // Within a generation every chain key is written once. Anything that
-// replaces the base (a full-frame put, a compaction, a winning remote
-// record) writes a whole new generation, then the head that names it —
-// the commit point, since the store's log replays in write order — then
-// deletes the old generation. A crash therefore leaves a head whose
-// chain is complete plus, at worst, keys no head names; NewCenter sweeps
-// those.
+// replaces the base (a full-frame put, a winning remote record) writes a
+// whole new generation, then the head that names it — the commit point,
+// since the store's log replays in write order — then deletes the old
+// generation. A crash therefore leaves a head whose chain is complete
+// plus, at worst, keys no head names; NewCenter sweeps those.
 
 // chainKeyPrefix holds the frames of live snapshot records. It does not
 // share fedKeyPrefix, so the fed/ scan sees heads only.

@@ -171,11 +171,19 @@ func TestSnapshotRecordSurvivesRestart(t *testing.T) {
 				t.Fatalf("unexpected shape %+v", v)
 			}
 		}},
-		{"center-side compaction", func(t *testing.T, c *Center) {
-			putChain(t, c, "player", MaxDeltaChain+2)
+		{"refused delta", func(t *testing.T, c *Center) {
+			putChain(t, c, "player", maxDeltaChain)
+			keys := chainKeys(c)
+			next := strconv.Itoa(maxDeltaChain + 1)
+			if _, err := c.PutSnapshot(context.Background(), mustDelta(t, "player", "hostA", strconv.Itoa(maxDeltaChain), next)); !errors.Is(err, state.ErrNeedFull) {
+				t.Fatalf("delta onto a full chain: err = %v, want ErrNeedFull", err)
+			}
+			if got := chainKeys(c); !reflect.DeepEqual(got, keys) {
+				t.Fatalf("a refused delta changed the chain keys:\nbefore %v\nafter  %v", keys, got)
+			}
 		}, func(t *testing.T, v snapView) {
-			if v.BaseSeq == 1 || v.Chain > MaxDeltaChain {
-				t.Fatalf("chain was never compacted: %+v", v)
+			if v.Seq != maxDeltaChain+1 || v.BaseSeq != 1 || v.Chain != maxDeltaChain {
+				t.Fatalf("refused delta changed the record: %+v", v)
 			}
 		}},
 		{"durable mark", func(t *testing.T, c *Center) {
@@ -249,9 +257,16 @@ func TestSnapshotRecordSurvivesRestart(t *testing.T) {
 			if got := chainKeys(c.Center); !reflect.DeepEqual(got, keys) {
 				t.Fatalf("chain keys changed across a clean restart:\nbefore %v\nafter  %v", keys, got)
 			}
-			// The reopened record takes the next write like the live one.
+			// The reopened record takes the next write like the live one:
+			// a full chain still refuses it.
 			if before.Found {
 				cur := strconv.Itoa(int(before.Seq - 1))
+				if before.Chain == maxDeltaChain {
+					if _, err := c.PutSnapshot(context.Background(), mustDelta(t, "player", "hostA", cur, "next")); !errors.Is(err, state.ErrNeedFull) {
+						t.Fatalf("post-restart delta onto a full chain: err = %v, want ErrNeedFull", err)
+					}
+					return
+				}
 				stamp := mustPut(t, c.Center, mustDelta(t, "player", "hostA", cur, "next"))
 				if stamp.Seq != before.Seq+1 {
 					t.Fatalf("post-restart delta stamped seq %d, want %d", stamp.Seq, before.Seq+1)
@@ -380,7 +395,7 @@ func TestSnapshotChainCrashWindows(t *testing.T) {
 }
 
 // TestSnapshotChainHoldsOneGeneration: however many puts an app takes —
-// deltas, the replicator's re-base frames, center-side compactions — the
+// deltas, and the full frames that answer the center's refusals — the
 // store holds the chain its head names and nothing else.
 func TestSnapshotChainHoldsOneGeneration(t *testing.T) {
 	fab := transport.NewLocalFabric(nil)
@@ -396,7 +411,7 @@ func TestSnapshotChainHoldsOneGeneration(t *testing.T) {
 	}
 	rep := state.NewReplicator("hostA", "alpha",
 		func() []*app.Application { return []*app.Application{inst} },
-		c.Center, nil, time.Hour, state.Tuning{BudgetBytesPerSec: -1})
+		c.Center, nil, time.Hour, state.Tuning{})
 	for i := 0; i < 100; i++ {
 		st.Set("v", strconv.Itoa(i))
 		if err := rep.SyncNow(context.Background()); err != nil {

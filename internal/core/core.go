@@ -282,16 +282,8 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 	rt := NewHostRuntime(host, spaceName, eng, lib, center, m.Kernel, m.Clock, "core", m.cfg.TrustedKeys, m.cfg.Secrets)
 	rt.Container = cont
 	if m.Cluster != nil && m.Cluster.Config().ReplicateState {
-		ccfg := m.Cluster.Config()
-		// RebaseEvery sits above the center's compaction threshold on
-		// purpose: the center folds chains into fresh bases locally (no
-		// wire cost), so the publisher's own full-frame re-baseline is a
-		// safety net, not the steady-state bound.
 		rt.StartReplicator(state.NewReplicator(host, spaceName, eng.Apps, center, m.Clock,
-			ccfg.ReplicateInterval, state.Tuning{
-				RebaseEvery:       2 * cluster.MaxDeltaChain,
-				BudgetBytesPerSec: ccfg.ReplicateBudget,
-			}))
+			m.Cluster.Config().ReplicateInterval, state.Tuning{}))
 	}
 	m.mu.Lock()
 	m.hosts[host] = rt

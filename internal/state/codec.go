@@ -45,9 +45,9 @@ var (
 	// base state (wrong application or digest) — the receiver must fall
 	// back to requesting a full frame.
 	ErrBaseMismatch = errors.New("state: delta base mismatch")
-	// ErrNeedFull is returned by a Publisher that cannot apply a delta
-	// put (no base, or a base the delta was not computed against); the
-	// replicator reacts by re-publishing a full frame.
+	// ErrNeedFull is returned by a Publisher that will not apply a delta
+	// put (no base, a base the delta was not computed against, or a
+	// full chain); the replicator reacts by re-publishing a full frame.
 	ErrNeedFull = errors.New("state: publisher needs a full frame")
 	// ErrNotDurable is returned by a Publisher (or federation write)
 	// running a synchronous write concern when the write landed locally

@@ -13,8 +13,9 @@ import (
 // federated by the registry centers: a full base frame plus a bounded
 // chain of delta frames on top of it, with the provenance failover needs
 // to pick the freshest copy. The record is always restorable alone —
-// Snapshot() reassembles base and chain — and the writing center
-// compacts long or heavy chains into fresh bases, so chains stay short.
+// Snapshot() reassembles base and chain — and a center refuses a delta
+// onto a long or heavy chain, so the publisher sends a fresh base
+// instead and chains stay short.
 type SnapshotRecord struct {
 	App   string
 	Host  string // host that captured the newest state
@@ -173,7 +174,8 @@ type SnapshotStamp struct {
 type Publisher interface {
 	// PutSnapshot applies one put to the app's stored record, returning
 	// the stamp. A delta put whose BaseDigest does not match the stored
-	// record's newest state fails with ErrNeedFull (wrapped), telling
+	// record's newest state, or that the publisher will not chain (the
+	// record's chain is full), fails with ErrNeedFull (wrapped), telling
 	// the replicator to re-publish a full frame.
 	PutSnapshot(ctx context.Context, put SnapshotPut) (SnapshotStamp, error)
 	// DropSnapshot tombstones an app's snapshot federation-wide — the

@@ -14,41 +14,22 @@ import (
 	"mdagent/internal/vclock"
 )
 
-// Tuning parameterizes the replicator's delta pipeline. The zero value
-// takes the defaults below.
-type Tuning struct {
-	// RebaseEvery forces a full base frame after this many consecutive
-	// delta publishes for one app (default 8), bounding how long a
-	// restore chain can grow even if the center never compacts.
-	RebaseEvery int
-	// RebaseFraction forces a full base frame when the delta bytes
-	// accumulated since the last base exceed this fraction of the base
-	// frame's size (default 0.5) — past that point a fresh base is
-	// cheaper than the chain it replaces.
-	RebaseFraction float64
-	// BudgetBytesPerSec is the size-aware capture cadence: after a
-	// publish of B bytes, the app's next periodic capture is deferred
-	// B/budget seconds, so a multi-megabyte app is captured less often
-	// than a chatty small one under the same acked-bytes budget. Only
-	// the periodic loop is paced — explicit SyncNow/Capture calls (and
-	// the OnRecord immediate path) always publish, so callers that need
-	// bounded replication lag still get it. 0 takes the default
-	// (64 MB/s); negative disables pacing.
-	BudgetBytesPerSec int64
-}
+// Tuning has no fields: a replicator has nothing to tune. A chain's
+// shape is the center's call (it refuses a delta onto a full chain with
+// ErrNeedFull) and periodic captures are paced at a fixed 64 MiB/s of
+// published bytes. The type remains only as NewReplicator's last
+// parameter, which the real-wire benchmark passes as Tuning{}; it goes
+// when that benchmark next changes.
+type Tuning struct{}
 
-func (t Tuning) withDefaults() Tuning {
-	if t.RebaseEvery <= 0 {
-		t.RebaseEvery = 8
-	}
-	if t.RebaseFraction <= 0 {
-		t.RebaseFraction = 0.5
-	}
-	if t.BudgetBytesPerSec == 0 {
-		t.BudgetBytesPerSec = 64 << 20
-	}
-	return t
-}
+// budgetBytesPerSec is the size-aware capture cadence: after a publish
+// of B bytes, the app's next periodic capture is deferred B/budget
+// seconds, so a multi-megabyte app is captured less often than a chatty
+// small one under the same acked-bytes budget. Only the periodic loop is
+// paced — explicit SyncNow/Capture calls (and the OnRecord immediate
+// path) always publish, so callers that need bounded replication lag
+// still get it.
+const budgetBytesPerSec = 64 << 20
 
 // Stats counts what the replicator shipped and, as importantly, what it
 // avoided shipping — the delta pipeline's whole point.
@@ -62,7 +43,7 @@ type Stats struct {
 	SkippedClean   int64 // captures skipped with zero serialization (dirty fast path)
 	SkippedDigest  int64 // serialized but content-identical (digest dedupe)
 	SkippedBudget  int64 // periodic captures deferred by the byte budget
-	Rebaselines    int64 // full frames forced by the chain length/size policy
+	Rebaselines    int64 // full frames sent because the publisher refused a delta (ErrNeedFull)
 	// NotDurable counts puts the publisher accepted locally but could not
 	// replicate to the peers its write concern requires (ErrNotDurable).
 	// Each one leaves the acked base untouched, so the capture re-queues
@@ -89,14 +70,9 @@ type track struct {
 	compSums map[string][sha256.Size]byte // per-component digests of that state
 	// changeSeq is inst.ChangeSeq() at the last acked capture; valid
 	// only while seqValid (same instance, fully tracked components).
-	changeSeq  uint64
-	seqValid   bool
-	ackedSeq   uint64 // center-assigned capture sequence
-	baseSeq    uint64 // the stored record's base sequence at the last ack
-	chain      int    // deltas on the center's record since its base
-	baseBytes  int    // size of the last full frame published
-	deltaBytes int64  // delta frame bytes accumulated since the last (re)base
-	nextAt     time.Time
+	changeSeq uint64
+	seqValid  bool
+	nextAt    time.Time
 }
 
 // Replicator streams one host's application snapshots to its space's
@@ -109,11 +85,10 @@ type track struct {
 // counter has not moved is skipped without serializing a byte; a changed
 // application has only its changed components serialized (enumerated by
 // the per-component counters) and shipped as a checksummed delta frame
-// against the last acked base, re-baselining to a full frame every
-// Tuning.RebaseEvery deltas or when the chain outweighs
-// Tuning.RebaseFraction of the base. A center that cannot apply a delta
-// (restart, conflicting writer) answers ErrNeedFull and the replicator
-// falls back to a full frame in the same capture.
+// against the last acked base. The replicator has no re-base policy of
+// its own: a center that will not chain a delta (its chain is full, or
+// a restart or a conflicting writer lost the base) answers ErrNeedFull,
+// and the replicator sends a full frame in the same capture.
 type Replicator struct {
 	host     string
 	space    string
@@ -121,7 +96,6 @@ type Replicator struct {
 	pub      Publisher
 	clock    vclock.Clock
 	interval time.Duration
-	tune     Tuning
 
 	mu        sync.Mutex
 	hooked    map[*app.Application]int // instance -> its OnRecord hook id
@@ -150,9 +124,9 @@ type Replicator struct {
 
 // NewReplicator creates a replicator for host (in space) over the running
 // apps listed by apps, publishing to pub every interval once started.
-// clock stamps capture times (nil defaults to real time); tune
-// parameterizes the delta pipeline (zero value = defaults).
-func NewReplicator(host, space string, apps func() []*app.Application, pub Publisher, clock vclock.Clock, interval time.Duration, tune Tuning) *Replicator {
+// clock stamps capture times (nil defaults to real time); Tuning has no
+// fields.
+func NewReplicator(host, space string, apps func() []*app.Application, pub Publisher, clock vclock.Clock, interval time.Duration, _ Tuning) *Replicator {
 	if clock == nil {
 		clock = &vclock.Real{}
 	}
@@ -166,7 +140,6 @@ func NewReplicator(host, space string, apps func() []*app.Application, pub Publi
 		pub:      pub,
 		clock:    clock,
 		interval: interval,
-		tune:     tune.withDefaults(),
 		tracks:   make(map[string]*track),
 		retired:  make(map[string]bool),
 		hooked:   make(map[*app.Application]int),
@@ -478,17 +451,6 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, tr *track, inst *app
 		}
 	}
 	if useDelta {
-		var deltaSize int64
-		for _, b := range dComps {
-			deltaSize += int64(len(b))
-		}
-		if tr.chain+1 > r.tune.RebaseEvery ||
-			float64(tr.deltaBytes)+float64(deltaSize) > r.tune.RebaseFraction*float64(tr.baseBytes) {
-			r.count(func(s *Stats) { s.Rebaselines++ })
-			useDelta = false
-		}
-	}
-	if useDelta {
 		frame, err := EncodeDelta(WrapDelta{
 			App: appName, FromHost: w.FromHost, BaseDigest: tr.digest,
 			Components: dComps, Kinds: dKinds,
@@ -512,19 +474,6 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, tr *track, inst *app
 			})
 			r.mPublishes.Inc()
 			r.mDeltaBytes.Add(int64(len(frame)))
-			tr.digest = digest
-			tr.compSums = sums
-			tr.ackedSeq = stamp.Seq
-			tr.chain = stamp.Chain
-			if stamp.BaseSeq != tr.baseSeq || stamp.Chain == 0 {
-				// The center re-based (compacted the chain into a fresh
-				// base) since our last ack: the size-fraction account
-				// starts over.
-				tr.baseSeq = stamp.BaseSeq
-				tr.deltaBytes = int64(len(frame))
-			} else {
-				tr.deltaBytes += int64(len(frame))
-			}
 			r.noteAcked(tr, inst, seq, seqValid, sums, digest)
 			r.paceLocked(tr, len(frame))
 			return &pendingPublish{put: put, stamp: stamp}, nil
@@ -540,8 +489,10 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, tr *track, inst *app
 			r.paceLocked(tr, len(frame))
 			return nil, nil
 		case errors.Is(err, ErrNeedFull):
-			// The center lost or diverged from our base (restart, a
+			// The center will not chain this delta — its chain is full,
+			// or it lost or diverged from our base (restart, a
 			// conflicting writer won): fall through to a full frame now.
+			r.count(func(s *Stats) { s.Rebaselines++ })
 			tr.haveBase = false
 		default:
 			return nil, fmt.Errorf("state: replicate %s: %w", appName, err)
@@ -591,13 +542,6 @@ func (r *Replicator) publishWrapLocked(ctx context.Context, tr *track, inst *app
 	r.mPublishes.Inc()
 	r.mFullBytes.Add(int64(len(frame)))
 	tr.haveBase = true
-	tr.digest = digest
-	tr.compSums = sums
-	tr.ackedSeq = stamp.Seq
-	tr.baseSeq = stamp.BaseSeq
-	tr.chain = 0
-	tr.baseBytes = len(frame)
-	tr.deltaBytes = 0
 	r.noteAcked(tr, inst, seq, seqValid, sums, digest)
 	r.paceLocked(tr, len(frame))
 	return &pendingPublish{put: put, stamp: stamp}, nil
@@ -620,10 +564,7 @@ func (r *Replicator) noteAcked(tr *track, inst *app.Application, seq uint64, seq
 // and would freeze the deferral window forever), so the pacing window
 // must be measured on the same axis the loop runs on.
 func (r *Replicator) paceLocked(tr *track, frameBytes int) {
-	if r.tune.BudgetBytesPerSec <= 0 {
-		return
-	}
-	delay := time.Duration(float64(frameBytes) / float64(r.tune.BudgetBytesPerSec) * float64(time.Second))
+	delay := time.Duration(float64(frameBytes) / budgetBytesPerSec * float64(time.Second))
 	tr.nextAt = time.Now().Add(delay)
 }
 

@@ -119,7 +119,7 @@ func TestReplicatorDistinctAppsPublishConcurrently(t *testing.T) {
 	a1, a2 := testApp(t, "player", "h1"), testApp(t, "editor", "h1")
 	pub := newGatedPublisher()
 	rep := state.NewReplicator("h1", "lab", func() []*app.Application { return []*app.Application{a1, a2} },
-		pub, nil, time.Hour, noPacing)
+		pub, nil, time.Hour, state.Tuning{})
 	release := pub.hold()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -157,7 +157,7 @@ func TestReplicatorDistinctAppsPublishConcurrently(t *testing.T) {
 func TestReplicatorSameAppPublishesOneAtATime(t *testing.T) {
 	a := testApp(t, "player", "h1")
 	pub := newGatedPublisher()
-	rep := newTestReplicator(a, pub, noPacing)
+	rep := newTestReplicator(a, pub)
 	ctx := context.Background()
 	if err := rep.SyncNow(ctx); err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestReplicatorSameAppPublishesOneAtATime(t *testing.T) {
 func TestRetireWaitsForInFlightPublish(t *testing.T) {
 	a := testApp(t, "player", "h1")
 	pub := newGatedPublisher()
-	rep := newTestReplicator(a, pub, noPacing)
+	rep := newTestReplicator(a, pub)
 	ctx := context.Background()
 	if err := rep.SyncNow(ctx); err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestRetireWaitsForInFlightPublish(t *testing.T) {
 func TestForceRepublishRacingCapture(t *testing.T) {
 	a := testApp(t, "player", "h1")
 	pub := newGatedPublisher()
-	rep := newTestReplicator(a, pub, noPacing)
+	rep := newTestReplicator(a, pub)
 	ctx := context.Background()
 	if err := rep.SyncNow(ctx); err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestForceRepublishRacingCapture(t *testing.T) {
 // A publish observer may call back into the replicator.
 func TestStatsFromPublishObserver(t *testing.T) {
 	a := testApp(t, "player", "h1")
-	rep := newTestReplicator(a, newFakePublisher(), noPacing)
+	rep := newTestReplicator(a, newFakePublisher())
 	seen := make(chan state.Stats, 1)
 	rep.OnPublish(func(state.SnapshotPut, state.SnapshotStamp) { seen <- rep.Stats() })
 	done := make(chan error, 1)

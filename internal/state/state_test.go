@@ -306,6 +306,7 @@ type fakePublisher struct {
 	recs         map[string]state.SnapshotRecord
 	drops        []string
 	needFullOnce bool // force the next delta put to fail with ErrNeedFull
+	maxChain     int  // refuse a delta onto a chain this long, as a center bounds it (0: no bound)
 	notDurable   bool // store each put but report ErrNotDurable (peers unreachable)
 }
 
@@ -318,7 +319,8 @@ func (p *fakePublisher) PutSnapshot(_ context.Context, put state.SnapshotPut) (s
 	defer p.mu.Unlock()
 	rec := p.recs[put.App]
 	if put.Delta {
-		if p.needFullOnce || len(rec.Frame) == 0 || rec.StateDigest != put.BaseDigest {
+		if p.needFullOnce || len(rec.Frame) == 0 || rec.StateDigest != put.BaseDigest ||
+			(p.maxChain > 0 && len(rec.Deltas) >= p.maxChain) {
 			p.needFullOnce = false
 			return state.SnapshotStamp{}, state.ErrNeedFull
 		}
@@ -373,13 +375,9 @@ func (p *fakePublisher) record(appName string) (state.SnapshotRecord, bool) {
 	return rec, ok
 }
 
-// noPacing disables the byte-budget cadence so manual SyncNow tests are
-// deterministic.
-var noPacing = state.Tuning{BudgetBytesPerSec: -1}
-
-func newTestReplicator(a *app.Application, pub state.Publisher, tune state.Tuning) *state.Replicator {
+func newTestReplicator(a *app.Application, pub state.Publisher) *state.Replicator {
 	return state.NewReplicator("h1", "lab", func() []*app.Application { return []*app.Application{a} },
-		pub, nil, time.Hour /* manual syncs only */, tune)
+		pub, nil, time.Hour /* manual syncs only */, state.Tuning{})
 }
 
 func recordValue(t *testing.T, pub *fakePublisher, appName, comp, key string) string {
@@ -407,7 +405,7 @@ func recordValue(t *testing.T, pub *fakePublisher, appName, comp, key string) st
 func TestReplicatorPublishesFullThenDelta(t *testing.T) {
 	a := testApp(t, "player", "h1")
 	pub := newFakePublisher()
-	rep := newTestReplicator(a, pub, noPacing)
+	rep := newTestReplicator(a, pub)
 	ctx := context.Background()
 
 	if err := rep.SyncNow(ctx); err != nil {
@@ -477,7 +475,7 @@ func TestReplicatorZeroSerializationWhenClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := newFakePublisher()
-	rep := newTestReplicator(a, pub, noPacing)
+	rep := newTestReplicator(a, pub)
 	ctx := context.Background()
 	if err := rep.SyncNow(ctx); err != nil {
 		t.Fatal(err)
@@ -518,7 +516,7 @@ func TestReplicatorZeroSerializationWhenClean(t *testing.T) {
 func TestReplicatorNeedFullFallback(t *testing.T) {
 	a := testApp(t, "player", "h1")
 	pub := newFakePublisher()
-	rep := newTestReplicator(a, pub, noPacing)
+	rep := newTestReplicator(a, pub)
 	ctx := context.Background()
 	if err := rep.SyncNow(ctx); err != nil {
 		t.Fatal(err)
@@ -559,7 +557,7 @@ func TestReplicatorNotDurableRequeues(t *testing.T) {
 	a := testApp(t, "player", "h1")
 	pub := newFakePublisher()
 	pub.setNotDurable(true)
-	rep := newTestReplicator(a, pub, noPacing)
+	rep := newTestReplicator(a, pub)
 	ctx := context.Background()
 
 	if err := rep.SyncNow(ctx); err != nil {
@@ -600,43 +598,59 @@ func TestReplicatorNotDurableRequeues(t *testing.T) {
 	}
 }
 
+// TestReplicatorRebaselinesAfterChain: the replicator has no re-base
+// policy of its own. It ships a delta whenever it holds an acked base,
+// and when the publisher refuses one (here: the 3rd delta onto a chain
+// bounded at 2) the same capture sends a full frame.
 func TestReplicatorRebaselinesAfterChain(t *testing.T) {
 	a := testApp(t, "player", "h1")
 	pub := newFakePublisher()
-	tune := noPacing
-	tune.RebaseEvery = 2
-	rep := newTestReplicator(a, pub, tune)
+	pub.maxChain = 2
+	rep := newTestReplicator(a, pub)
 	ctx := context.Background()
 	st, _ := a.Component("st")
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 4; i++ {
 		st.(*app.StateComponent).Set("cursor", string(rune('a'+i)))
 		if err := rep.SyncNow(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// base, delta, delta, then the refused 3rd delta re-sent as a base.
+	if n := pub.putCount(); n != 4 {
+		t.Fatalf("%d accepted puts after 4 captures, want 4", n)
+	}
+	if last := pub.put(3); last.Delta {
+		t.Fatal("the capture whose delta was refused did not send a full frame")
+	}
 	s := rep.Stats()
-	if s.FullFrames < 2 {
-		t.Fatalf("chain of 6 changes with RebaseEvery=2 produced %d full frames, want >= 2", s.FullFrames)
+	if s.FullFrames != 2 || s.DeltaFrames != 2 || s.Rebaselines != 1 {
+		t.Fatalf("stats after one refused delta: %+v, want 2 full, 2 delta, 1 rebaseline", s)
 	}
-	if s.DeltaFrames == 0 {
-		t.Fatal("no deltas at all — re-baselining ate the pipeline")
+	// The new base takes deltas again.
+	st.(*app.StateComponent).Set("cursor", "z")
+	if err := rep.SyncNow(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if s.Rebaselines == 0 {
-		t.Fatal("re-baseline policy never fired")
+	if last := pub.put(pub.putCount() - 1); !last.Delta {
+		t.Fatal("the capture after a re-base did not ship a delta")
 	}
-	if v := recordValue(t, pub, "player", "st", "cursor"); v != "f" {
-		t.Fatalf("final record cursor = %q, want f", v)
+	if v := recordValue(t, pub, "player", "st", "cursor"); v != "z" {
+		t.Fatalf("final record cursor = %q, want z", v)
 	}
 }
 
+// TestReplicatorBudgetDefersPeriodicCaptures: after a publish of B bytes
+// the app's next periodic capture waits B/64 MiB s. A 16 MiB blob makes
+// that about 250 ms, so a 1 ms tick is deferred — while an explicit
+// SyncNow still publishes (it promises bounded lag).
 func TestReplicatorBudgetDefersPeriodicCaptures(t *testing.T) {
 	a := testApp(t, "player", "h1")
+	if err := a.AddComponent(app.NewSizedBlob("song", app.KindData, 16<<20)); err != nil {
+		t.Fatal(err)
+	}
 	pub := newFakePublisher()
-	// 1 byte/s: after the first publish the app's budget is spent for
-	// hours, so subsequent *periodic* captures must be deferred — while
-	// an explicit SyncNow still publishes (it promises bounded lag).
 	rep := state.NewReplicator("h1", "lab", func() []*app.Application { return []*app.Application{a} },
-		pub, nil, time.Millisecond, state.Tuning{BudgetBytesPerSec: 1})
+		pub, nil, time.Millisecond, state.Tuning{})
 	rep.Start()
 	defer rep.Stop()
 	deadline := time.Now().Add(5 * time.Second)
@@ -678,7 +692,7 @@ func TestReplicatorForwardsRecordedSnapshots(t *testing.T) {
 			return nil
 		}
 		return []*app.Application{a}
-	}, pub, nil, time.Hour, noPacing)
+	}, pub, nil, time.Hour, state.Tuning{})
 	ctx := context.Background()
 	if err := rep.SyncNow(ctx); err != nil { // attaches the OnRecord hook
 		t.Fatal(err)
@@ -721,7 +735,7 @@ func TestReplicatorForwardsRecordedSnapshots(t *testing.T) {
 func TestReplicatorRetireTombstones(t *testing.T) {
 	a := testApp(t, "player", "h1")
 	pub := newFakePublisher()
-	rep := newTestReplicator(a, pub, noPacing)
+	rep := newTestReplicator(a, pub)
 	ctx := context.Background()
 	if err := rep.SyncNow(ctx); err != nil {
 		t.Fatal(err)
@@ -754,7 +768,7 @@ func TestReplicatorPeriodicLoop(t *testing.T) {
 	a := testApp(t, "player", "h1")
 	pub := newFakePublisher()
 	rep := state.NewReplicator("h1", "lab", func() []*app.Application { return []*app.Application{a} },
-		pub, nil, 2*time.Millisecond, noPacing)
+		pub, nil, 2*time.Millisecond, state.Tuning{})
 	published := make(chan state.SnapshotPut, 16)
 	rep.OnPublish(func(put state.SnapshotPut, _ state.SnapshotStamp) {
 		select {
@@ -777,7 +791,7 @@ func TestReplicatorPeriodicLoop(t *testing.T) {
 func TestRetireBlocksLatePublishesUntilReinstate(t *testing.T) {
 	a := testApp(t, "player", "h1")
 	pub := newFakePublisher()
-	rep := newTestReplicator(a, pub, noPacing)
+	rep := newTestReplicator(a, pub)
 	ctx := context.Background()
 	if err := rep.SyncNow(ctx); err != nil {
 		t.Fatal(err)
@@ -834,7 +848,6 @@ func TestVerifySnapshotCheapCheck(t *testing.T) {
 // uninstrumented figure, BENCH.md PR 6) and a small mutation through
 // the delta pipeline.
 func BenchmarkCaptureTick(b *testing.B) {
-	tune := state.Tuning{BudgetBytesPerSec: -1, RebaseEvery: 1 << 30, RebaseFraction: 1e9}
 	mk := func() (*app.Application, *app.StateComponent, *state.Replicator) {
 		a := app.New("player", "h1", wsdl.Description{Name: "player"})
 		st := app.NewState("st")
@@ -847,7 +860,7 @@ func BenchmarkCaptureTick(b *testing.B) {
 		}
 		rep := state.NewReplicator("h1", "lab",
 			func() []*app.Application { return []*app.Application{a} },
-			newFakePublisher(), nil, time.Hour, tune)
+			newFakePublisher(), nil, time.Hour, state.Tuning{})
 		if err := rep.SyncNow(context.Background()); err != nil {
 			b.Fatal(err)
 		}

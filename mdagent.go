@@ -225,8 +225,9 @@ const (
 // delta pipeline: unchanged applications are skipped without serializing
 // a byte (per-component dirty counters), changed ones ship only their
 // changed components as checksummed delta frames against the last acked
-// base, and centers compact delta chains into fresh bases so failover
-// still restores from a single record. The federation replicates records
+// base, and a center refuses a delta onto a long chain (the host then
+// sends a fresh base) so failover restores from a short, single record.
+// The federation replicates records
 // to every peer space and failover restores the freshest copy, so
 // re-homed applications resume where they left off.
 type (
@@ -239,9 +240,6 @@ type (
 	SnapshotStamp = state.SnapshotStamp
 	// Replicator streams one host's application snapshots.
 	Replicator = state.Replicator
-	// ReplicatorTuning parameterizes the delta pipeline (re-baseline
-	// policy, byte-budget cadence, full-frame fallback).
-	ReplicatorTuning = state.Tuning
 	// ReplicationStats counts what a replicator shipped and skipped.
 	ReplicationStats = state.Stats
 	// WrapDelta is the changed-components-only form of a wrap.
