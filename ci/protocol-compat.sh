@@ -13,8 +13,9 @@
 # forward rides the center's ctl.bundle-push (one trust gate), so a daemon
 # that still forwards over the retired registry.put-bundle op is refused
 # promptly and nothing is stored. Store upgrades: a -store directory the
-# old mdregistry wrote (standalone, then federated) opens under the new
-# one with the same apps and bundles listed. Every wire op has one encoding and
+# old mdregistry wrote (standalone, then federated), holding a bundle
+# over 64 KiB, opens under the new one with the same apps and bundles
+# listed. Every wire op has one encoding and
 # no fallback, so this N<->N-1 run is the only net under a wire-format
 # break (sealed-frame layout, fast-frame layout, reply shapes) that every
 # same-version test is blind to.
@@ -307,9 +308,11 @@ SPEC
 # run_store_upgrade_pair SPACE LABEL: the old mdregistry — standalone
 # when SPACE is empty, else the center of SPACE — takes one install
 # registration (an old mdagentd's -install) and one bundle push into a
-# -store directory, then stops. The new mdregistry opens the same
-# directory (converting the store on first open when the layouts differ)
-# and must list the same apps and bundles.
+# -store directory, then stops. The bundle's notes value makes it larger
+# than 64 KiB, past the blob threshold of a store that still kept a blob
+# log. The new mdregistry opens the same directory (converting the store
+# on first open when the layouts differ) and must list the same apps and
+# bundles, and leave no blob-*.seg behind.
 run_store_upgrade_pair() {
   local space=$1 label=$2
   echo "-- pair: $label"
@@ -325,12 +328,18 @@ run_store_upgrade_pair() {
   "$WORK/new/mdctl" -server 127.0.0.1:1 bundle keygen -out "$dir/publisher" >/dev/null
   local key
   key=$(cat "$dir/publisher.pub")
-  cat >"$dir/spec.json" <<'SPEC'
+  local notes
+  notes=$(printf 'stored by one generation, read by the next. %.0s' $(seq 1500))
+  cat >"$dir/spec.json" <<SPEC
 {"app": "compat-notepad", "components": [{"name": "notes", "kind": "state"}],
- "state": {"notes": {"line1": "stored by one generation, read by the next"}}}
+ "state": {"notes": {"line1": "$notes"}}}
 SPEC
   "$WORK/new/mdctl" -server 127.0.0.1:1 bundle pack -spec "$dir/spec.json" \
     -key "$dir/publisher.key" -out "$dir/notepad.mdab" >/dev/null
+  if [ "$(wc -c <"$dir/notepad.mdab")" -le 65536 ]; then
+    echo "the pushed bundle is not larger than 64 KiB" >&2
+    return 1
+  fi
 
   "$WORK/old/mdregistry" -listen 127.0.0.1:0 "${space_flags[@]}" -store "$dir/store" \
     -trust-key "$key" >"$dir/old-registry.log" 2>&1 &
@@ -359,6 +368,8 @@ SPEC
   wait "$agent_pid" 2>/dev/null || true
   kill "$reg_pid" 2>/dev/null || true
   wait "$reg_pid" 2>/dev/null || true
+  local blob_bytes
+  blob_bytes=$(cat "$dir"/store/blob-*.seg 2>/dev/null | wc -c)
 
   "$WORK/new/mdregistry" -listen 127.0.0.1:0 "${space_flags[@]}" -store "$dir/store" \
     >"$dir/new-registry.log" 2>&1 &
@@ -376,7 +387,12 @@ SPEC
     cat "$dir/new-registry.log" >&2
     return 1
   fi
+  if compgen -G "$dir/store/blob-*.seg" >/dev/null; then
+    echo "the new mdregistry left blob segments in the store: $(ls "$dir/store")" >&2
+    return 1
+  fi
   echo "   same apps and bundles after the upgrade: $(grep smart-media-player "$dir/ps-new.txt" | head -1)"
+  echo "   the old store's blob log held $blob_bytes bytes; none is left after the conversion"
 
   kill "$reg_pid" 2>/dev/null || true
   wait "$reg_pid" 2>/dev/null || true

@@ -275,10 +275,10 @@ func dropChain(db *store.Store, key string, dc diskChain) error {
 // cannot be read back whole and checked — corrupt gob, bad head, a chain
 // key missing, a frame failing its checksum, a chain that does not
 // reassemble to the head's digest — is dropped: peers re-offer it by
-// anti-entropy, exactly as for a corrupt frame. A fed/ value the store
-// cannot read back (a blob-routed whole record failing its checksum) is
-// skipped and left on disk: every other record still loads, and a later
-// write of the key replaces it. Chain keys no loaded head names (a
+// anti-entropy, exactly as for a corrupt frame. A value the store could
+// not read back whole never gets here: the store drops it when it
+// converts a directory an older binary wrote, and every other record
+// still loads. Chain keys no loaded head names (a
 // generation whose head never landed, a generation the head moved away
 // from, a delta past the head's count) are swept. A center without a
 // store is volatile and starts empty.

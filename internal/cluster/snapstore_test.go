@@ -1,8 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -554,60 +554,59 @@ func persistErrors(space string) int64 {
 }
 
 // TestUnreadableValueCostsOnlyItself: a fed/ value the store cannot read
-// back — a bundle in a sealed blob segment with one byte flipped — is
-// skipped at open and left on disk. The records that sort after it still
-// load, no chain of a loaded head is swept, on that open or the next, and
-// a later write of the key replaces the unreadable value.
+// back — in a directory an older store wrote, a bundle whose bytes lie in
+// its blob log, with one byte flipped — is dropped when the store
+// converts the directory at open (testdata/blob-layout/gen_test.go
+// records it). The records that sort after it still load, no chain of a
+// loaded head is swept, on that open or the next, and a later write of
+// the key stores it again.
 func TestUnreadableValueCostsOnlyItself(t *testing.T) {
 	ctx := context.Background()
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
-	dir := t.TempDir()
-	d := openDiskCenter(t, fab, dir, "alpha", testConfig())
-	// 70 KiB is past the store's 64 KiB blob threshold: the value lives in
-	// the blob log, the WAL holds its checksummed reference.
-	if err := d.PutBundle(ctx, "editor", bytes.Repeat([]byte("b"), 70<<10)); err != nil {
-		t.Fatal(err)
-	}
-	putChain(t, d.Center, "player", 2)
-	want, wantChain := viewOf(t, d.Center, "player"), chainKeys(d.Center)
-	if len(wantChain) != 3 {
-		t.Fatalf("chain keys = %v, want a base and 2 deltas", wantChain)
-	}
-
-	d.close()
-	blobs, err := filepath.Glob(filepath.Join(dir, "blob-*.seg"))
-	if err != nil || len(blobs) != 1 {
-		t.Fatalf("blob segments = %v, %v; want one", blobs, err)
-	}
-	raw, err := os.ReadFile(blobs[0])
+	raw, err := os.ReadFile(filepath.Join("testdata", "blob-layout", "expected.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(blobs[0], raw, 0o644); err != nil {
+	var want struct {
+		Player snapView
+		Chain  []string
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	// What a roll of the blob log leaves: the next segment, empty. The
-	// flipped segment is sealed now, so replay checks only its extents
-	// and the flip shows on the first read.
-	if err := os.WriteFile(filepath.Join(dir, "blob-00000002.seg"), nil, 0o644); err != nil {
+	if len(want.Chain) != 3 {
+		t.Fatalf("chain keys = %v, want a base and 2 deltas", want.Chain)
+	}
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "blob-layout", "store"))); err != nil {
+		t.Fatal(err)
+	}
+	blob := filepath.Join(dir, "blob-00000001.seg")
+	if raw, err = os.ReadFile(blob); err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(blob, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
+	d := openDiskCenter(t, fab, dir, "alpha", testConfig())
 	for open := 1; open <= 2; open++ {
-		d.open()
-		if got := viewOf(t, d.Center, "player"); !reflect.DeepEqual(got, want) {
-			t.Fatalf("open %d: player = %+v, want %+v", open, got, want)
+		if open > 1 {
+			d.open()
 		}
-		if got := chainKeys(d.Center); !reflect.DeepEqual(got, wantChain) {
-			t.Fatalf("open %d: chain keys = %v, want %v", open, got, wantChain)
+		if got := viewOf(t, d.Center, "player"); !reflect.DeepEqual(got, want.Player) {
+			t.Fatalf("open %d: player = %+v, want %+v", open, got, want.Player)
+		}
+		if got := chainKeys(d.Center); !reflect.DeepEqual(got, want.Chain) {
+			t.Fatalf("open %d: chain keys = %v, want %v", open, got, want.Chain)
 		}
 		if _, found, _ := d.GetBundle(ctx, "editor"); found {
 			t.Fatalf("open %d: the unreadable bundle is served", open)
 		}
-		if keys := d.db.Keys(fedKeyPrefix + bundleKey("editor")); len(keys) != 1 {
-			t.Fatalf("open %d: the unreadable value's key = %v, want it left on disk", open, keys)
+		if keys := d.db.Keys(fedKeyPrefix + bundleKey("editor")); len(keys) != 0 {
+			t.Fatalf("open %d: the unreadable value's key = %v, want it dropped at conversion", open, keys)
 		}
 		d.close()
 	}

@@ -1,16 +1,18 @@
 package store
 
-import "path/filepath"
+import "sort"
 
 // Compact folds every cold WAL segment into the tail, one segment at a
-// time, then garbage-collects unreferenced blob segments. The write
-// path is never blocked for a whole pass: for each key whose live entry
-// still lives in the segment being compacted, the entry is re-emitted to
-// the WAL under the index lock, one key at a time. Staleness is
-// version-checked — an entry is re-emitted only if its WAL sequence
-// falls inside the segment's range, so a concurrent overwrite (which
-// lands in a newer segment) wins and the stale re-emit is simply
-// skipped.
+// time. The write path is never blocked for a whole pass: for each key
+// whose live entry still lives in the segment being compacted, the
+// entry is re-emitted to the WAL under the index lock, one key at a
+// time. A pass never reads a segment file: one walk of the index finds
+// each segment's live keys, because an entry's WAL sequence falls inside
+// the sequence range of the segment that holds its frame. Staleness is
+// version-checked at the re-emit — an entry is re-emitted only if its
+// sequence still falls inside the segment's range, so a concurrent
+// overwrite (which lands in a newer segment) wins and the stale re-emit
+// is simply skipped.
 //
 // Segments are processed oldest-first, which makes dropping tombstones
 // safe: when the oldest segment is compacted, any put a tombstone in it
@@ -21,22 +23,51 @@ func (s *Store) Compact() error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
+	// Every superseded frame counted so far was enqueued before the roll
+	// below, so this pass reclaims it; what writers supersede while the
+	// pass runs lies in the fresh tail and stays counted.
+	dead := s.deadBytes.Load()
 	// Seal the active segment so everything written so far is cold.
 	// Re-emits land in the fresh tail, which is not in this snapshot.
 	if err := s.wal.forceRoll(); err != nil {
 		return err
 	}
-	for _, seg := range s.wal.sealedSegments() {
-		if err := s.compactSegment(seg); err != nil {
+	segs := s.wal.sealedSegments()
+	live := s.liveKeysBySegment(segs)
+	for i, seg := range segs {
+		if err := s.compactSegment(seg, live[i]); err != nil {
 			return err
 		}
 	}
-	if err := s.blobGC(); err != nil {
-		return err
-	}
-	s.deadBytes.Store(0)
+	s.deadBytes.Add(-dead)
 	s.met.compactions.Inc()
 	return nil
+}
+
+// liveKeysBySegment walks the index once and returns, for each of segs
+// (oldest first, as sealedSegments lists them), the keys whose live
+// entry was defined by a frame in that segment. Entries newer than the
+// last sealed segment are in the tail and are left out.
+func (s *Store) liveKeysBySegment(segs []segmentInfo) [][]string {
+	// The segments' sequence ranges ascend and are disjoint; a segment
+	// no frame was applied from (minSeq 0) has none and is left out of
+	// the search.
+	var held []int
+	for i, seg := range segs {
+		if seg.minSeq != 0 {
+			held = append(held, i)
+		}
+	}
+	live := make([][]string, len(segs))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for k, e := range s.m {
+		j := sort.Search(len(held), func(j int) bool { return segs[held[j]].maxSeq >= e.seq })
+		if j < len(held) && segs[held[j]].minSeq <= e.seq {
+			live[held[j]] = append(live[held[j]], k)
+		}
+	}
+	return live
 }
 
 // maybeAutoCompact starts a background compaction pass when the
@@ -69,35 +100,18 @@ func (s *Store) maybeAutoCompact() {
 	}()
 }
 
-// compactSegment re-emits the live entries whose defining frames are in
-// seg, syncs them, and unlinks the segment.
-func (s *Store) compactSegment(seg segmentInfo) error {
-	path := filepath.Join(s.dir, segmentName(seg.id))
-	seen := make(map[string]struct{})
-	var keys []string
-	if _, err := replaySegment(path, func(f frame) {
-		if _, ok := seen[f.key]; !ok {
-			seen[f.key] = struct{}{}
-			keys = append(keys, f.key)
-		}
-	}); err != nil {
-		return err
-	}
+// compactSegment re-emits the live entries of keys whose defining
+// frames are still in seg, syncs them, and unlinks the segment.
+func (s *Store) compactSegment(seg segmentInfo, keys []string) error {
 	for _, key := range keys {
 		s.mu.Lock()
 		e, ok := s.m[key]
 		if ok && e.seq >= seg.minSeq && e.seq <= seg.maxSeq {
-			var frame []byte
-			if e.kind == entryBlob {
-				frame = encodeBlobFrame(key, e.blob)
-			} else {
-				vlen := len(e.val)
-				var voff int
-				frame, voff = encodeInlineFrame(key, e.val)
-				// Re-point the index at the fresh frame so the old
-				// segment's replay buffer can be released.
-				e.val = frame[voff : voff+vlen : voff+vlen]
-			}
+			vlen := len(e.val)
+			frame, voff := encodeInlineFrame(key, e.val)
+			// Re-point the index at the fresh frame so the old
+			// segment's replay buffer can be released.
+			e.val = frame[voff : voff+vlen : voff+vlen]
 			e.seq = s.wal.enqueue(frame)
 			s.m[key] = e
 		}
@@ -108,30 +122,4 @@ func (s *Store) compactSegment(seg segmentInfo) error {
 		return err
 	}
 	return s.wal.removeSegment(seg.id)
-}
-
-// blobGC deletes sealed blob segments with no surviving index
-// references. New references only ever target the active blob segment,
-// so a sealed segment observed unreferenced stays unreferenced.
-func (s *Store) blobGC() error {
-	candidates := s.blobs.sealedIDs()
-	if len(candidates) == 0 {
-		return nil
-	}
-	live := make(map[uint64]bool)
-	s.mu.RLock()
-	for _, e := range s.m {
-		if e.kind == entryBlob {
-			live[e.blob.Seg] = true
-		}
-	}
-	s.mu.RUnlock()
-	for _, id := range candidates {
-		if !live[id] {
-			if err := s.blobs.removeSegment(id); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -11,9 +11,10 @@ import (
 	"testing"
 )
 
-// Crash-recovery scenarios (satellite: torn final frame, torn frame at
-// a segment boundary, partially-written blob, replay-after-compact,
-// impossible length prefix in the WAL and in a seed-format log).
+// Crash-recovery scenarios (torn final frame, torn frame at a segment
+// boundary, replay-after-compact, impossible length prefix in the WAL
+// and in a seed-format log; a partially-written blob of the old blob
+// layout is in bloblog_test.go).
 // Each simulates the on-disk state a crash can leave and asserts the
 // store recovers to the last acknowledged state.
 
@@ -124,64 +125,18 @@ func TestCrashCorruptionAtSegmentBoundary(t *testing.T) {
 	}
 }
 
-// TestCrashPartialBlob tears the blob log mid-value. The reference's
-// CRC/extent check drops the damaged key at replay; inline keys and
-// intact blobs are untouched.
-func TestCrashPartialBlob(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db")
-	s, err := Open(path, withBlobThreshold(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("inline", []byte("safe")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("blob-ok", bytes.Repeat([]byte("A"), 1024)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("blob-torn", bytes.Repeat([]byte("Z"), 1024)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	blobs, _ := filepath.Glob(filepath.Join(path, "blob-*.seg"))
-	sort.Strings(blobs)
-	last := blobs[len(blobs)-1]
-	fi, _ := os.Stat(last)
-	if err := os.Truncate(last, fi.Size()-100); err != nil { // tear blob-torn's bytes
-		t.Fatal(err)
-	}
-
-	s2, err := Open(path, withBlobThreshold(256))
-	if err != nil {
-		t.Fatalf("Open with torn blob: %v", err)
-	}
-	defer s2.Close()
-	if v, err := s2.Get("inline"); err != nil || string(v) != "safe" {
-		t.Fatalf("inline key lost: %q, %v", v, err)
-	}
-	if v, err := s2.Get("blob-ok"); err != nil || len(v) != 1024 {
-		t.Fatalf("intact blob lost: %d, %v", len(v), err)
-	}
-	if _, err := s2.Get("blob-torn"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("torn blob surfaced instead of being dropped: %v", err)
-	}
-}
-
 // TestCrashReplayAfterCompact crashes (torn tail) after an incremental
 // compaction pass and verifies the re-emitted entries replay correctly.
 func TestCrashReplayAfterCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db")
-	s, err := Open(path, withSegmentBytes(2<<10), withBlobThreshold(512), withCompactMinDead(-1))
+	s, err := Open(path, withSegmentBytes(2<<10), withCompactMinDead(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := make(map[string][]byte)
 	for i := 0; i < 30; i++ {
 		k := fmt.Sprintf("k%02d", i%10)
-		v := bytes.Repeat([]byte{byte(i)}, 100+i*20) // some route to the blob log
+		v := bytes.Repeat([]byte{byte(i)}, 100+i*20)
 		if err := s.Put(k, v); err != nil {
 			t.Fatal(err)
 		}
@@ -208,13 +163,13 @@ func TestCrashReplayAfterCompact(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := Open(path, withBlobThreshold(512))
+	s2, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open after compact+crash: %v", err)
 	}
 	defer s2.Close()
-	if s2.Len() != len(model) {
-		t.Fatalf("Len = %d, want %d", s2.Len(), len(model))
+	if keyCount(s2) != len(model) {
+		t.Fatalf("Len = %d, want %d", keyCount(s2), len(model))
 	}
 	for k, want := range model {
 		got, err := s2.Get(k)
@@ -317,7 +272,7 @@ func TestLegacyMigrationCorruptLength(t *testing.T) {
 	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("legacy-deleted key resurrected")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if keyCount(s) != 1 {
+		t.Fatalf("Len = %d, want 1", keyCount(s))
 	}
 }

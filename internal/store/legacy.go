@@ -83,8 +83,7 @@ func migrateLegacyIfNeeded(path string) error {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return fmt.Errorf("store: migrate: %w", err)
 	}
-	// All records are written inline (blob routing applies to future
-	// writes); replay seals an oversized first segment automatically.
+	// Replay seals an oversized first segment automatically.
 	seg, err := os.OpenFile(path+"/"+segmentName(1), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: migrate: %w", err)

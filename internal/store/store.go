@@ -5,30 +5,30 @@
 // center that opened it, which reads the store back only while opening
 // and answers every later read from memory:
 //
-//   - The index is one map under one RWMutex. Keys and Scan collect their
-//     matches under the read lock and sort once.
+//   - The index is one map under one RWMutex. Keys collects its matches
+//     under the read lock and sorts once.
 //   - Durability is a group-committed write-ahead log: a writer encodes
 //     its frame off-lock, enqueues it to a committer goroutine, and the
 //     committer batches queued frames into one write (and one fsync, per
 //     SyncPolicy).
-//   - The WAL is rolled into fixed-size segments; compaction folds cold
-//     segments one at a time into the tail off the write path (each live
-//     key is re-emitted under the index lock), instead of a
-//     stop-the-world full-file rewrite.
-//   - Values of 64 KiB and more (multi-MB snapshot base frames, delta
-//     chains) are routed to a separate blob log; the WAL holds only a
-//     checksummed reference, so a 2 MB base frame does not ride the
-//     registry log. Blob segments are garbage-collected when compaction
-//     leaves them unreferenced.
+//   - Every value, of any size, lives in the WAL. The WAL is rolled into
+//     fixed-size segments; compaction folds cold segments one at a time
+//     into the tail off the write path, instead of a stop-the-world
+//     full-file rewrite. It learns a segment's live keys from the index
+//     (an entry's WAL sequence names its segment), never by re-reading
+//     the segment, and re-emits each under the index lock.
+//   - A directory written before every value lived in the WAL also holds
+//     blob-*.seg files, which its WAL frames reference. Open reads those
+//     values once and converts the directory (bloblog.go); nothing
+//     writes that layout any more.
 //
 // Ownership contract: Put copies the caller's value exactly once (into
 // the encoded WAL frame, whose bytes also back the in-memory index), so
 // callers may reuse their buffer after Put returns. Get returns the
-// store's internal buffer for inline values — callers MUST treat it as
-// read-only. The store never mutates a stored buffer in place (every
-// overwrite installs a fresh one), so a slice returned by Get stays
-// stable even across later Puts of the same key. Blob-routed values are
-// read back from disk into a fresh buffer the caller owns.
+// store's internal buffer — callers MUST treat it as read-only. The
+// store never mutates a stored buffer in place (every overwrite installs
+// a fresh one), so a slice returned by Get stays stable even across
+// later Puts of the same key.
 package store
 
 import (
@@ -48,7 +48,7 @@ var ErrNotFound = errors.New("store: key not found")
 // ErrClosed is returned by mutations on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// SyncPolicy selects when the engine fsyncs the logs relative to
+// SyncPolicy selects when the engine fsyncs the log relative to
 // acknowledging a write.
 type SyncPolicy uint8
 
@@ -102,11 +102,6 @@ type options struct {
 	// segmentBytes rolls the WAL into a new segment once the active one
 	// exceeds this size (default 4 MiB).
 	segmentBytes int64
-	// blobThreshold routes values of at least this many bytes to the
-	// blob log (default 64 KiB). <0 disables blob routing.
-	blobThreshold int
-	// blobSegmentBytes rolls the blob log (default 64 MiB).
-	blobSegmentBytes int64
 	// sync is the commit durability policy (default SyncInterval).
 	sync SyncPolicy
 	// compactMinDead triggers a background compaction pass once the
@@ -118,12 +113,6 @@ type options struct {
 func (o options) withDefaults() options {
 	if o.segmentBytes <= 0 {
 		o.segmentBytes = 4 << 20
-	}
-	if o.blobThreshold == 0 {
-		o.blobThreshold = 64 << 10
-	}
-	if o.blobSegmentBytes <= 0 {
-		o.blobSegmentBytes = 64 << 20
 	}
 	if o.compactMinDead == 0 {
 		o.compactMinDead = 4 * o.segmentBytes
@@ -137,27 +126,15 @@ type Option func(*options)
 // WithSyncPolicy sets the commit durability policy.
 func WithSyncPolicy(p SyncPolicy) Option { return func(o *options) { o.sync = p } }
 
-// entry kinds in the index.
-const (
-	entryInline = iota
-	entryBlob
-)
-
 type entry struct {
-	kind uint8
-	val  []byte  // inline value bytes (a view into the WAL frame)
-	blob blobRef // valid when kind == entryBlob
-	seq  uint64  // WAL sequence of the frame that defined this entry
+	val []byte // the value bytes (a view into the WAL frame)
+	seq uint64 // WAL sequence of the frame that defined this entry
 }
 
 // liveBytes estimates the log bytes an entry pins (used for the
 // dead-bytes compaction trigger when the entry is superseded).
 func (e entry) liveBytes(key string) int64 {
-	n := int64(len(key)) + frameOverhead
-	if e.kind == entryBlob {
-		return n + e.blob.Len
-	}
-	return n + int64(len(e.val))
+	return int64(len(key)) + frameOverhead + int64(len(e.val))
 }
 
 // Store is a concurrency-safe durable KV store. See the package comment
@@ -169,8 +146,7 @@ type Store struct {
 	mu sync.RWMutex
 	m  map[string]entry
 
-	wal   *wal
-	blobs *blobStore
+	wal *wal
 
 	deadBytes  atomic.Int64 // estimated superseded log bytes since last compaction
 	compactMu  sync.Mutex   // serializes compaction passes (and Close vs compaction)
@@ -184,7 +160,9 @@ type Store struct {
 // write-ahead log to recover state. A regular file at path — a log
 // written by the seed single-file store — is migrated into the new
 // layout first (crash-safely: the legacy file is parked at
-// path+".legacy" until the converted store is on disk).
+// path+".legacy" until the converted store is on disk), and a directory
+// that still holds blob-*.seg files is converted after replay
+// (convertBlobLayout).
 func Open(path string, opts ...Option) (*Store, error) {
 	o := options{}
 	for _, fn := range opts {
@@ -203,41 +181,46 @@ func Open(path string, opts ...Option) (*Store, error) {
 		m:    make(map[string]entry),
 		met:  newMetrics(path),
 	}
-	var err error
-	if s.blobs, err = openBlobStore(path, &s.opts, s.met); err != nil {
+	blobs, err := openBlobLog(path)
+	if err != nil {
 		return nil, err
 	}
 	if s.wal, err = openWAL(path, &s.opts, s.met); err != nil {
-		s.blobs.close()
 		return nil, err
 	}
-	s.wal.blobs = s.blobs
-	if err := s.replay(); err != nil {
+	err = s.replay(blobs)
+	blobs.close()
+	if err != nil {
 		s.wal.close()
-		s.blobs.close()
 		return nil, err
 	}
 	s.wal.start()
+	if len(blobs.paths) > 0 {
+		if err := s.convertBlobLayout(blobs.paths); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
-// replay rebuilds the index from the WAL segments (oldest first). Blob
-// references are validated against the blob files: refs that fall off a
-// torn blob tail are dropped (they were never acknowledged under
-// SyncAlways), refs into the final blob segment are CRC-checked since
-// that is the crash zone.
-func (s *Store) replay() error {
+// replay rebuilds the index from the WAL segments (oldest first). A
+// blob reference an older binary wrote installs the value read from its
+// blob-*.seg; one whose value cannot be read back whole (missing file,
+// past the segment's end, failing its checksum) is dropped and counted.
+func (s *Store) replay(blobs *blobLog) error {
 	// No locking: replay runs before the store is published.
 	return s.wal.replay(func(f frame, seq uint64) {
 		switch f.op {
 		case opPutInline:
-			s.applyLocked(f.key, entry{kind: entryInline, val: f.val, seq: seq})
+			s.applyLocked(f.key, entry{val: f.val, seq: seq})
 		case opPutBlob:
-			if !s.blobs.validate(f.ref) {
+			v, ok := blobs.read(f.ref)
+			if !ok {
 				s.met.replaySkipped.Inc()
 				return
 			}
-			s.applyLocked(f.key, entry{kind: entryBlob, blob: f.ref, seq: seq})
+			s.applyLocked(f.key, entry{val: v, seq: seq})
 		case opDelete:
 			if old, ok := s.m[f.key]; ok {
 				s.deadBytes.Add(old.liveBytes(f.key) + int64(len(f.key)) + frameOverhead)
@@ -270,22 +253,8 @@ func (s *Store) Put(key string, value []byte) error {
 	defer func() { s.met.putWait.Observe(time.Since(start)) }()
 	s.met.puts.Inc()
 
-	var (
-		e     entry
-		frame []byte
-	)
-	if s.opts.blobThreshold >= 0 && len(value) >= s.opts.blobThreshold {
-		ref, err := s.blobs.append(value)
-		if err != nil {
-			return err
-		}
-		frame = encodeBlobFrame(key, ref)
-		e = entry{kind: entryBlob, blob: ref}
-	} else {
-		var voff int
-		frame, voff = encodeInlineFrame(key, value)
-		e = entry{kind: entryInline, val: frame[voff : voff+len(value) : voff+len(value)]}
-	}
+	frame, voff := encodeInlineFrame(key, value)
+	e := entry{val: frame[voff : voff+len(value) : voff+len(value)]}
 
 	s.mu.Lock()
 	w := s.wal.enqueue(frame)
@@ -310,33 +279,17 @@ func (s *Store) ack(w uint64) error {
 	return err
 }
 
-// Get returns the value stored under key. For inline values this is the
-// store's internal buffer — read-only by contract (see the package
-// comment); blob-routed values are read into a fresh buffer.
+// Get returns the value stored under key: the store's internal buffer,
+// read-only by contract (see the package comment).
 func (s *Store) Get(key string) ([]byte, error) {
 	s.met.gets.Inc()
-	for attempt := 0; ; attempt++ {
-		s.mu.RLock()
-		e, ok := s.m[key]
-		s.mu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-		}
-		if e.kind == entryInline {
-			return e.val, nil
-		}
-		v, err := s.blobs.read(e.blob)
-		if err == nil {
-			return v, nil
-		}
-		// A blob segment can be GC'd between the index read and the
-		// pread if the entry was concurrently superseded; the fresh
-		// lookup sees the superseding entry. A second failure is a real
-		// I/O error.
-		if attempt > 0 {
-			return nil, err
-		}
+	s.mu.RLock()
+	e, ok := s.m[key]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
+	return e.val, nil
 }
 
 // Delete removes key. Deleting a missing key is not an error.
@@ -373,68 +326,7 @@ func (s *Store) Keys(prefix string) []string {
 	return ks
 }
 
-// Scan calls fn for every key with the given prefix in sorted key
-// order, with the stored value — one pass instead of Keys plus per-key
-// Get. Values passed to fn follow the Get ownership contract
-// (read-only for inline values). fn must not call back into the store's
-// write path for the scanned keys. A non-nil error from fn, or from
-// reading a blob-routed value, aborts the scan and is returned.
-func (s *Store) Scan(prefix string, fn func(key string, value []byte) error) error {
-	s.met.scans.Inc()
-	type kv struct {
-		k string
-		e entry
-	}
-	var all []kv
-	s.mu.RLock()
-	for k, e := range s.m {
-		if strings.HasPrefix(k, prefix) {
-			all = append(all, kv{k, e})
-		}
-	}
-	s.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].k < all[j].k })
-	for _, p := range all {
-		v := p.e.val
-		if p.e.kind == entryBlob {
-			var err error
-			if v, err = s.readBlobEntry(p.k, p.e); err != nil {
-				return err
-			}
-		}
-		if err := fn(p.k, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readBlobEntry reads a blob value captured by a scan, retrying through
-// the index once if the blob segment was GC'd under a concurrent
-// supersede (mirrors Get's retry).
-func (s *Store) readBlobEntry(key string, e entry) ([]byte, error) {
-	v, err := s.blobs.read(e.blob)
-	if err == nil {
-		return v, nil
-	}
-	v, gerr := s.Get(key)
-	if gerr != nil {
-		if errors.Is(gerr, ErrNotFound) {
-			return nil, err
-		}
-		return nil, gerr
-	}
-	return v, nil
-}
-
-// Len returns the number of live keys.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
-// Sync flushes both logs to stable storage. It runs entirely on the
+// Sync flushes the log to stable storage. It runs entirely on the
 // committer, touching no index lock — readers and writers proceed
 // while the disk flush is in flight.
 func (s *Store) Sync() error {
@@ -444,13 +336,12 @@ func (s *Store) Sync() error {
 	return s.wal.syncBarrier()
 }
 
-// DiskUsage reports the bytes the store occupies on disk (WAL segments
-// plus blob segments).
+// DiskUsage reports the bytes the store's WAL segments occupy on disk.
 func (s *Store) DiskUsage() int64 {
-	return s.wal.diskUsage() + s.blobs.diskUsage()
+	return s.wal.diskUsage()
 }
 
-// Close flushes and closes the logs. Safe to call twice.
+// Close flushes and closes the log. Safe to call twice.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -459,9 +350,5 @@ func (s *Store) Close() error {
 	// down; new passes see the closed flag and refuse.
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	err := s.wal.close()
-	if berr := s.blobs.close(); err == nil {
-		err = berr
-	}
-	return err
+	return s.wal.close()
 }

@@ -24,11 +24,13 @@ func openTemp(t *testing.T) *Store {
 	return s
 }
 
-// The engine constants tests shrink to reach rolls, blobs and
-// compaction with small data.
+// The engine constants tests shrink to reach rolls and compaction with
+// small data.
 func withSegmentBytes(n int64) Option   { return func(o *options) { o.segmentBytes = n } }
-func withBlobThreshold(n int) Option    { return func(o *options) { o.blobThreshold = n } }
 func withCompactMinDead(n int64) Option { return func(o *options) { o.compactMinDead = n } }
+
+// keyCount is the number of live keys.
+func keyCount(s *Store) int { return len(s.Keys("")) }
 
 func TestPutGetDelete(t *testing.T) {
 	s := openTemp(t)
@@ -98,35 +100,8 @@ func TestKeysPrefixSorted(t *testing.T) {
 	if len(got) != 2 || got[0] != "app/alpha" || got[1] != "app/zeta" {
 		t.Fatalf("Keys = %v", got)
 	}
-	if n := s.Len(); n != 3 {
+	if n := keyCount(s); n != 3 {
 		t.Fatalf("Len = %d", n)
-	}
-}
-
-func TestScanVisitsSortedWithValues(t *testing.T) {
-	s := openTemp(t)
-	for i := 0; i < 20; i++ {
-		if err := s.Put(fmt.Sprintf("s/%02d", i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Put("other", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	err := s.Scan("s/", func(k string, v []byte) error {
-		keys = append(keys, k)
-		want := byte(len(keys) - 1)
-		if len(v) != 1 || v[0] != want {
-			return fmt.Errorf("Scan(%s) = %v, want [%d]", k, v, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 20 || !sort.StringsAreSorted(keys) {
-		t.Fatalf("Scan keys = %v", keys)
 	}
 }
 
@@ -182,8 +157,8 @@ func TestMultiSessionAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Len() != 3 {
-		t.Fatalf("Len after 3 sessions = %d, want 3", s.Len())
+	if keyCount(s) != 3 {
+		t.Fatalf("Len after 3 sessions = %d, want 3", keyCount(s))
 	}
 }
 
@@ -231,8 +206,8 @@ func TestTornFinalRecordIgnored(t *testing.T) {
 	if err != nil || string(v) != "ok" {
 		t.Fatalf("good record lost: %q, %v", v, err)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s2.Len())
+	if keyCount(s2) != 1 {
+		t.Fatalf("Len = %d, want 1", keyCount(s2))
 	}
 }
 
@@ -306,8 +281,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", s.Len())
+	if keyCount(s) != 800 {
+		t.Fatalf("Len = %d, want 800", keyCount(s))
 	}
 }
 
@@ -340,8 +315,8 @@ func TestConcurrentDurableWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 1600 {
-		t.Fatalf("Len after replay = %d, want 1600", s2.Len())
+	if keyCount(s2) != 1600 {
+		t.Fatalf("Len after replay = %d, want 1600", keyCount(s2))
 	}
 }
 
@@ -381,7 +356,7 @@ func TestSyncDoesNotBlockReaders(t *testing.T) {
 		if ks := s.Keys(""); len(ks) != 1 {
 			t.Errorf("Keys during sync = %v", ks)
 		}
-		if n := s.Len(); n != 1 {
+		if n := keyCount(s); n != 1 {
 			t.Errorf("Len during sync = %d", n)
 		}
 	}()
@@ -396,15 +371,17 @@ func TestSyncDoesNotBlockReaders(t *testing.T) {
 	}
 }
 
-// Large values route to the blob log and survive reopen.
-func TestBlobRoundtrip(t *testing.T) {
+// Values of any size live in the WAL: a value past the old 64 KiB blob
+// threshold round-trips through a reopen and a compaction, and the
+// store writes no blob segment.
+func TestLargeValuesStayInTheWAL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reg.log")
-	s, err := Open(path, withBlobThreshold(256))
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	small := []byte("inline")
-	big := bytes.Repeat([]byte("B"), 4096)
+	big := bytes.Repeat([]byte("B"), 70<<10)
 	if err := s.Put("small", small); err != nil {
 		t.Fatal(err)
 	}
@@ -417,57 +394,131 @@ func TestBlobRoundtrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path, withBlobThreshold(256))
+	s2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	if err := s2.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	if v, err := s2.Get("big"); err != nil || !bytes.Equal(v, big) {
 		t.Fatalf("Get(big) after reopen = %d bytes, %v", len(v), err)
 	}
 	if v, err := s2.Get("small"); err != nil || !bytes.Equal(v, small) {
 		t.Fatalf("Get(small) after reopen = %q, %v", v, err)
 	}
-	if blobs, _ := filepath.Glob(filepath.Join(path, "blob-*.seg")); len(blobs) == 0 {
-		t.Fatal("no blob segment written for a large value")
+	if blobs, _ := filepath.Glob(filepath.Join(path, "blob-*.seg")); len(blobs) != 0 {
+		t.Fatalf("blob segments written: %v", blobs)
 	}
 }
 
-// Overwritten blobs are garbage-collected with compaction once their
-// segment seals, and survivors stay readable.
-func TestBlobGC(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "reg.log")
-	s, err := Open(path,
-		withBlobThreshold(256),
-		func(o *options) { o.blobSegmentBytes = 8 << 10 },
-		withCompactMinDead(-1))
+// A compaction pass reclaims the dead bytes counted before it started,
+// and keeps counting what a writer supersedes in the fresh tail while it
+// runs: that frame is not reclaimed until a later pass.
+func TestCompactKeepsDeadBytesWrittenDuringPass(t *testing.T) {
+	s, err := Open(t.TempDir(), WithSyncPolicy(SyncNever), withCompactMinDead(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	big := bytes.Repeat([]byte("B"), 4096)
-	// Overwrite one key enough times to seal several blob segments.
-	for i := 0; i < 20; i++ {
-		if err := s.Put("snap", append(big, byte(i))); err != nil {
+	for i := 0; i < 10; i++ {
+		if err := s.Put("cold", bytes.Repeat([]byte{byte(i)}, 1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Put("keep", bytes.Repeat([]byte("K"), 1024)); err != nil {
-		t.Fatal(err)
+	tail := bytes.Repeat([]byte("t"), 4096)
+	var once sync.Once
+	// The pass's first fsync seals the segment it compacts; both puts
+	// land after it, in the fresh tail, and the second supersedes the
+	// first.
+	hook := func() {
+		once.Do(func() {
+			for i := 0; i < 2; i++ {
+				if err := s.Put("tail", tail); err != nil {
+					t.Error(err)
+				}
+			}
+		})
 	}
-	before, _ := filepath.Glob(filepath.Join(path, "blob-*.seg"))
+	s.wal.testHookFsync.Store(&hook)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := filepath.Glob(filepath.Join(path, "blob-*.seg"))
-	if len(after) >= len(before) {
-		t.Fatalf("blob GC removed nothing: %d -> %d segments", len(before), len(after))
+	s.wal.testHookFsync.Store(nil)
+	if got, want := s.deadBytes.Load(), (entry{val: tail}).liveBytes("tail"); got != want {
+		t.Fatalf("dead bytes after the pass = %d, want the %d the tail overwrite left", got, want)
 	}
-	if v, err := s.Get("snap"); err != nil || v[len(v)-1] != 19 {
-		t.Fatalf("live blob lost after GC: %v, %v", len(v), err)
+}
+
+// Compaction passes racing overwrites and deletes lose nothing: each
+// key replays to the last value its writer left, and a deleted key stays
+// deleted.
+func TestCompactDuringConcurrentWrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reg.log")
+	s, err := Open(path, withSegmentBytes(4<<10), withCompactMinDead(-1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v, err := s.Get("keep"); err != nil || len(v) != 1024 {
-		t.Fatalf("keep lost after GC: %d, %v", len(v), err)
+	const writers, keys, rounds = 4, 8, 60
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	compacted := make(chan error, 1)
+	go func() {
+		var err error
+		for err == nil {
+			select {
+			case <-stop:
+				compacted <- nil
+				return
+			default:
+			}
+			err = s.Compact()
+		}
+		compacted <- err
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := 0; k < keys; k++ {
+					key := fmt.Sprintf("w%d/k%d", w, k)
+					if err := s.Put(key, bytes.Repeat([]byte{byte(r)}, 100+k)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := s.Delete(fmt.Sprintf("w%d/k0", w)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if n := keyCount(s2); n != writers*(keys-1) {
+		t.Fatalf("%d keys after replay, want %d", n, writers*(keys-1))
+	}
+	for w := 0; w < writers; w++ {
+		for k := 1; k < keys; k++ {
+			want := bytes.Repeat([]byte{rounds - 1}, 100+k)
+			if v, err := s2.Get(fmt.Sprintf("w%d/k%d", w, k)); err != nil || !bytes.Equal(v, want) {
+				t.Fatalf("w%d/k%d = %d bytes, %v; want the last round's value", w, k, len(v), err)
+			}
+		}
 	}
 }
 
@@ -517,8 +568,8 @@ func TestLegacyMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 2 {
-		t.Fatalf("Len after migration reopen = %d, want 2", s2.Len())
+	if keyCount(s2) != 2 {
+		t.Fatalf("Len after migration reopen = %d, want 2", keyCount(s2))
 	}
 }
 
@@ -553,7 +604,6 @@ func TestReplayMatchesModel(t *testing.T) {
 				s, err := Open(path,
 					WithSyncPolicy(pol),
 					withSegmentBytes(2<<10),
-					withBlobThreshold(512),
 					withCompactMinDead(-1))
 				if err != nil {
 					return false
@@ -586,7 +636,7 @@ func TestReplayMatchesModel(t *testing.T) {
 					return false
 				}
 				defer s2.Close()
-				if s2.Len() != len(model) {
+				if keyCount(s2) != len(model) {
 					return false
 				}
 				for k, want := range model {

@@ -17,7 +17,7 @@ import (
 // WAL op codes.
 const (
 	opPutInline byte = 1
-	opPutBlob   byte = 2
+	opPutBlob   byte = 2 // read only: an older binary's blob-log reference
 	opDelete    byte = 3
 )
 
@@ -29,8 +29,8 @@ const frameOverhead = 24
 type frame struct {
 	op  byte
 	key string
-	val []byte // inline value (a view into the decoded body)
-	ref blobRef
+	val []byte  // inline value (a view into the decoded body)
+	ref blobRef // opPutBlob only: a value in an old blob log (bloblog.go)
 }
 
 func uvlen(v uint64) int {
@@ -59,24 +59,6 @@ func encodeInlineFrame(key string, val []byte) ([]byte, int) {
 	crc := crc32.ChecksumIEEE(buf[hdr:])
 	buf = binary.LittleEndian.AppendUint32(buf, crc)
 	return buf, voff
-}
-
-func encodeBlobFrame(key string, ref blobRef) []byte {
-	payload := 1 + uvlen(uint64(len(key))) + len(key) +
-		uvlen(ref.Seg) + uvlen(uint64(ref.Off)) + uvlen(uint64(ref.Len)) + 4 + 4
-	buf := make([]byte, 0, uvlen(uint64(payload))+payload)
-	buf = binary.AppendUvarint(buf, uint64(payload))
-	hdr := len(buf)
-	buf = append(buf, opPutBlob)
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = append(buf, key...)
-	buf = binary.AppendUvarint(buf, ref.Seg)
-	buf = binary.AppendUvarint(buf, uint64(ref.Off))
-	buf = binary.AppendUvarint(buf, uint64(ref.Len))
-	buf = binary.LittleEndian.AppendUint32(buf, ref.CRC)
-	crc := crc32.ChecksumIEEE(buf[hdr:])
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	return buf
 }
 
 func encodeDeleteFrame(key string) []byte {
@@ -160,10 +142,9 @@ func segmentName(id uint64) string { return fmt.Sprintf("wal-%08d.seg", id) }
 // writers. All file I/O happens on the committer — Sync never holds the
 // index lock.
 type wal struct {
-	dir   string
-	opts  *options
-	met   *metrics
-	blobs *blobStore // flushed before the WAL fsync so refs never outlive their bytes
+	dir  string
+	opts *options
+	met  *metrics
 
 	// Enqueue side.
 	qmu         sync.Mutex
@@ -297,6 +278,11 @@ func (w *wal) replay(apply func(f frame, seq uint64)) error {
 		if err := w.openSegment(nextID); err != nil {
 			return err
 		}
+	}
+	if w.activeMin != 0 {
+		// The reopened active segment's frames are not sealed yet: a
+		// forceRoll must still seal them.
+		w.rolledSeq = w.activeMin - 1
 	}
 	w.met.segments.Set(int64(len(w.segs) + 1))
 	return nil
@@ -579,16 +565,12 @@ func (w *wal) writeBatch(batch [][]byte) error {
 	return nil
 }
 
-// fsync flushes the blob log first (a WAL blob reference must never be
-// durable before its bytes), then the active segment.
+// fsync flushes the active segment.
 func (w *wal) fsync() error {
 	if h := w.testHookFsync.Load(); h != nil {
 		(*h)()
 	}
 	start := time.Now()
-	if err := w.blobs.sync(); err != nil {
-		return err
-	}
 	if err := w.active.Sync(); err != nil {
 		return fmt.Errorf("store: fsync: %w", err)
 	}
