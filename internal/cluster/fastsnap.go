@@ -109,14 +109,14 @@ func encodeSnapOutcome(o snapOutcome) []byte {
 
 // decodeSnapPut parses an OpSnapPut frame. A payload of any other
 // version — a gob seal included — fails with OpenFast's ErrVersion
-// before its body is touched.
+// before its body is touched, and so does one of another opcode.
 func decodeSnapPut(payload []byte) (state.SnapshotPut, error) {
 	op, body, err := transport.OpenFast(payload)
 	if err != nil {
 		return state.SnapshotPut{}, err
 	}
 	if op != transport.OpSnapPut {
-		return state.SnapshotPut{}, fmt.Errorf("cluster: unknown fast opcode %#x on %s", op, MsgPutSnapshot)
+		return state.SnapshotPut{}, fmt.Errorf("%w: cluster: unknown fast opcode %#x on %s", transport.ErrVersion, op, MsgPutSnapshot)
 	}
 	r := transport.NewFastReader(body)
 	put := readSnapPut(r)
@@ -130,7 +130,7 @@ func decodeSnapOutcomeReply(payload []byte) (snapOutcome, error) {
 		return snapOutcome{}, err
 	}
 	if op != transport.OpSnapPutReply {
-		return snapOutcome{}, fmt.Errorf("cluster: unexpected fast reply opcode %#x", op)
+		return snapOutcome{}, fmt.Errorf("%w: cluster: unexpected fast reply opcode %#x", transport.ErrVersion, op)
 	}
 	r := transport.NewFastReader(body)
 	o := readSnapOutcome(r)

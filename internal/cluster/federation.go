@@ -66,12 +66,15 @@ type Center struct {
 	// marks) to one FIFO worker per peer, so each peer receives them in
 	// write order — a reordered delta would be dropped at the peer and
 	// cost an anti-entropy round to repair — while a dead peer only
-	// stalls its own queue, never the healthy ones. Under a synchronous
-	// concern the workers send each delivery verdict back to the writer.
+	// stalls its own queue, never the healthy ones. Each time a worker
+	// wakes it sends everything queued as one batch (fastbatch.go), so
+	// racing writers share one round trip. Under a synchronous concern
+	// the workers send each item's delivery verdict back to its writer.
 	pushers map[string]chan pushItem // peer endpoint -> ordered queue
 
 	// Process-wide metrics, pinned at construction.
 	mPush    *obs.Counter   // items handed to the ordered push workers
+	mBatch   *obs.Counter   // batch requests the push workers sent
 	mAck     *obs.Counter   // deliveries the peer acknowledged
 	mNack    *obs.Counter   // failed deliveries + backlog refusals
 	mRejects *obs.Counter   // inbound deltas this center could not chain
@@ -85,9 +88,11 @@ type Center struct {
 	wg       sync.WaitGroup
 }
 
-// pushItem is one pre-encoded message awaiting ordered delivery.
+// pushItem is one pre-encoded federation message: queued for ordered
+// delivery at the writer, and read back out of a batch at the peer (kind
+// and payload only).
 type pushItem struct {
-	msgType string
+	kind    byte // fedPush, fedSnapDelta or fedDurable
 	payload []byte
 	key     string // record key, for the durable delta full-record fallback
 	// ack, when non-nil, receives exactly one delivery verdict for this
@@ -132,6 +137,7 @@ func NewCenter(space string, db *store.Store, ep *transport.Endpoint, cfg Config
 		stop:    make(chan struct{}),
 
 		mPush:    obs.Default.Counter("mdagent_fed_push_total", "space", space),
+		mBatch:   obs.Default.Counter("mdagent_fed_push_batches_total", "space", space),
 		mAck:     obs.Default.Counter("mdagent_fed_ack_total", "space", space),
 		mNack:    obs.Default.Counter("mdagent_fed_nack_total", "space", space),
 		mRejects: obs.Default.Counter("mdagent_fed_delta_rejects_total", "space", space),
@@ -141,9 +147,7 @@ func NewCenter(space string, db *store.Store, ep *transport.Endpoint, cfg Config
 	}
 	c.loadRecords()
 	ep.Handle(MsgFedDigest, c.handleDigest)
-	ep.Handle(MsgFedPush, c.handlePush)
-	ep.Handle(MsgFedSnapDelta, c.handleSnapDelta)
-	ep.Handle(MsgFedDurable, c.handleDurable)
+	ep.Handle(MsgFedBatch, c.handleFedBatch)
 	return c
 }
 
@@ -269,32 +273,32 @@ func (c *Center) markDurable(key string, ver vclock.Version) {
 		c.records[key] = rec
 		c.durable[key] = rec
 	}
-	c.enqueuePushLocked(MsgFedDurable, transport.MustEncode(durableMsg{
+	c.enqueuePushLocked(fedDurable, transport.MustEncode(durableMsg{
 		From: c.space, Key: key, Version: ver.Clone(),
 	}), key, nil)
 }
 
-// handleDurable adopts a writer's confirmation that a snapshot write met
+// applyDurable adopts a writer's confirmation that a snapshot write met
 // its concern: if our stored record is exactly that version, stamp it
 // and refresh the durable stash.
-func (c *Center) handleDurable(msg transport.Message) ([]byte, error) {
+func (c *Center) applyDurable(body []byte) error {
 	var m durableMsg
-	if err := transport.Decode(msg.Payload, &m); err != nil {
-		return nil, err
+	if err := transport.Decode(body, &m); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec, ok := c.records[m.Key]
 	if !ok || rec.Kind != RecordSnapshot || rec.Deleted || rec.Version.Compare(m.Version) != vclock.Equal {
-		return nil, nil // different (or newer) state here: nothing to stamp
+		return nil // different (or newer) state here: nothing to stamp
 	}
 	rec.Snap.Durable = true
 	if err := c.persist(rec, headOnly); err != nil {
-		return nil, err
+		return err
 	}
 	c.records[m.Key] = rec
 	c.durable[m.Key] = rec
-	return nil, nil
+	return nil
 }
 
 // Start launches the anti-entropy loop.
@@ -476,13 +480,13 @@ func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.
 	// record for that peer, and anti-entropy repairs an async one.
 	var rep replication
 	if put.Delta {
-		rep = c.replicateLocked(MsgFedSnapDelta, snapDeltaMsg{
+		rep = c.replicateLocked(fedSnapDelta, snapDeltaMsg{
 			From: c.space, Key: rec.Key, Version: rec.Version.Clone(),
 			Seq: rec.Snap.Seq, Host: rec.Snap.Host, Space: rec.Snap.Space, At: rec.Snap.At,
 			BaseDigest: put.BaseDigest, NewDigest: put.NewDigest, Delta: put.Frame,
 		}, key, wc, reach)
 	} else {
-		rep = c.replicateLocked(MsgFedPush, pushMsg{From: c.space, Records: []Record{rec}}, key, wc, reach)
+		rep = c.replicateLocked(fedPush, pushMsg{From: c.space, Records: []Record{rec}}, key, wc, reach)
 	}
 	ver := rec.Version.Clone()
 	c.mu.Unlock()
@@ -514,7 +518,7 @@ func (r replication) degraded() bool {
 // write enqueues without an ack channel: a stalled peer's full queue
 // drops it (counted as a nack) and anti-entropy repairs it. Callers hold
 // c.mu.
-func (c *Center) replicateLocked(msgType string, msg any, key string, wc WriteConcern, reach int) replication {
+func (c *Center) replicateLocked(kind byte, msg any, key string, wc WriteConcern, reach int) replication {
 	r := replication{key: key, wc: wc, peers: len(c.peers), reach: reach, required: requiredAcks(wc, len(c.peers))}
 	if r.peers == 0 {
 		return r
@@ -522,7 +526,7 @@ func (c *Center) replicateLocked(msgType string, msg any, key string, wc WriteCo
 	if r.required > 0 && !r.degraded() {
 		r.acks = make(chan error, r.peers)
 	}
-	r.sent = c.enqueuePushLocked(msgType, transport.MustEncode(msg), key, r.acks)
+	r.sent = c.enqueuePushLocked(kind, transport.MustEncode(msg), key, r.acks)
 	return r
 }
 
@@ -562,8 +566,8 @@ func (c *Center) verdict(ctx context.Context, r replication, met func()) error {
 // a durable item gets an immediate backlog verdict instead, so every
 // enqueued peer accounts for exactly one ack-channel send. Callers hold
 // c.mu.
-func (c *Center) enqueuePushLocked(msgType string, payload []byte, key string, ack chan<- error) int {
-	it := pushItem{msgType: msgType, payload: payload, key: key, ack: ack}
+func (c *Center) enqueuePushLocked(kind byte, payload []byte, key string, ack chan<- error) int {
+	it := pushItem{kind: kind, payload: payload, key: key, ack: ack}
 	sent := 0
 	for _, ep := range c.peers {
 		q, ok := c.pushers[ep]
@@ -588,60 +592,101 @@ func (c *Center) enqueuePushLocked(msgType string, payload []byte, key string, a
 	return sent
 }
 
-// pushWorker delivers one peer's queued pushes in order, each under its
-// own timeout, so a dead peer burns only its own queue's time. Durable
-// items get their delivery verdict sent back to the waiting writer.
+// pushWorker delivers one peer's queued pushes in order. Each time it
+// wakes it drains the queue into one batch — up to maxBatchBytes of
+// items, the first always taken — and sends it as one request under one
+// timeout, so a dead peer burns only its own queue's time and writers
+// racing on one peer share its round trip.
 func (c *Center) pushWorker(peer string, q chan pushItem) {
 	defer c.wg.Done()
+	var batch []pushItem
+	var held *pushItem // the item that did not fit the last batch
 	for {
-		select {
-		case <-c.stop:
-			return
-		case it := <-q:
-			err := c.deliverPush(peer, it)
-			if err == nil {
-				c.mAck.Inc()
-			} else {
-				c.mNack.Inc()
+		batch = batch[:0]
+		if held != nil {
+			batch, held = append(batch, *held), nil
+		} else {
+			select {
+			case <-c.stop:
+				return
+			case it := <-q:
+				batch = append(batch, it)
 			}
-			if it.ack != nil {
-				it.ack <- err
+		}
+		size := len(batch[0].payload)
+	fill:
+		for {
+			select {
+			case it := <-q:
+				if size += len(it.payload); size > maxBatchBytes {
+					held = &it
+					break fill
+				}
+				batch = append(batch, it)
+			default:
+				break fill
 			}
+		}
+		c.deliverBatch(peer, batch)
+		clear(batch) // drop the payloads until the next wake-up
+	}
+}
+
+// deliverBatch sends one batch to a peer and books one verdict per item:
+// a failed request fails every item, and an item the peer reports it
+// does not hold fails alone — except a durable delta, which falls back
+// to the whole current record. Durable items get their verdict sent back
+// to the waiting writer.
+func (c *Center) deliverBatch(peer string, batch []pushItem) {
+	results, err := c.sendBatch(peer, batch)
+	for i, it := range batch {
+		ierr := err
+		if ierr == nil && results[i] != "" {
+			ierr = c.notHeld(peer, it, results[i])
+		}
+		if ierr == nil {
+			c.mAck.Inc()
+		} else {
+			c.mNack.Inc()
+		}
+		if it.ack != nil {
+			it.ack <- ierr
 		}
 	}
 }
 
-// deliverPush sends one queued item to a peer. For a durable delta push
-// the peer reports in-band whether it could chain the delta; a peer
-// whose base diverged does not hold the write, so the pusher falls back
-// to the whole current record — apply()'s version rules land it there
-// regardless of the peer's state, making the write (or a successor of
-// it) durable on that peer.
-func (c *Center) deliverPush(peer string, it pushItem) error {
+// sendBatch makes one batch request and returns the peer's one result
+// per item. An error-free result is the item's ack: after the peer
+// applied a push, its stored version supersedes-or-equals the pushed
+// one — it installed the record, already held it (or newer), or resolved
+// a concurrent conflict to the merged vector, which dominates the pushed
+// write. A conflict-losing payload is superseded by deterministic
+// resolution, not lost: the writer converges to the same winner via
+// anti-entropy whether it lives or dies, so it counts as durable.
+func (c *Center) sendBatch(peer string, batch []pushItem) ([]string, error) {
+	c.mBatch.Inc()
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-	reply, err := c.ep.Request(ctx, peer, it.msgType, it.payload)
-	cancel()
+	defer cancel()
+	reply, err := c.ep.Request(ctx, peer, MsgFedBatch, encodeFedBatch(batch))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if it.ack == nil || it.msgType != MsgFedSnapDelta {
-		// Async push, or a full-record push whose error-free reply is the
-		// ack: after handlePush returns, the peer's stored version
-		// supersedes-or-equals the pushed one — either it installed the
-		// record, already held it (or newer), or resolved a concurrent
-		// conflict to the merged vector, which dominates the pushed write.
-		// A conflict-losing payload is superseded by deterministic
-		// resolution, not lost: the writer converges to the same winner
-		// via anti-entropy whether it lives or dies, so it counts as
-		// durable.
-		return nil
+	results, err := decodeFedBatchReply(reply.Payload)
+	if err == nil && len(results) != len(batch) {
+		err = fmt.Errorf("cluster: %s answered %d results for a batch of %d", peer, len(results), len(batch))
 	}
-	var ack snapDeltaAck
-	if err := transport.Decode(reply.Payload, &ack); err != nil {
-		return err
-	}
-	if ack.Applied {
-		return nil
+	return results, err
+}
+
+// notHeld is the verdict on an item the peer did not take, for the
+// reason why. A peer whose base diverged cannot chain a delta, so a
+// durable delta push falls back to the whole current record, as a batch
+// of one — apply()'s version rules land it there regardless of the
+// peer's state, making the write (or a successor of it) durable on that
+// peer. Anything else fails, and anti-entropy repairs it.
+func (c *Center) notHeld(peer string, it pushItem, why string) error {
+	if it.kind != fedSnapDelta || it.ack == nil {
+		return fmt.Errorf("cluster: %s did not take %s: %s", peer, it.key, why)
 	}
 	c.mu.Lock()
 	rec, ok := c.records[it.key]
@@ -649,10 +694,11 @@ func (c *Center) deliverPush(peer string, it pushItem) error {
 	if !ok {
 		return fmt.Errorf("cluster: record %s vanished before durable fallback push", it.key)
 	}
-	fctx, fcancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-	defer fcancel()
-	_, err = c.ep.Request(fctx, peer, MsgFedPush,
-		transport.MustEncode(pushMsg{From: c.space, Records: []Record{rec}}))
+	full := pushItem{kind: fedPush, payload: transport.MustEncode(pushMsg{From: c.space, Records: []Record{rec}}), key: it.key}
+	results, err := c.sendBatch(peer, []pushItem{full})
+	if err == nil && results[0] != "" {
+		err = fmt.Errorf("cluster: %s did not take the full record %s: %s", peer, it.key, results[0])
+	}
 	return err
 }
 
@@ -676,23 +722,22 @@ func chainFull(snap state.SnapshotRecord, next []byte) bool {
 	return 2*n > len(snap.Frame)
 }
 
-// handleSnapDelta appends a peer's delta push to our copy of the record
+// errNotChained is a peer's answer to a delta it did not chain.
+var errNotChained = errors.New("cluster: delta does not chain onto this center's copy")
+
+// applySnapDelta appends a peer's delta push to our copy of the record
 // when — and only when — our newest state is exactly the base the delta
 // was computed against, the incoming version strictly supersedes ours
 // and our chain is not full (chainFull, the rule PutSnapshot applies).
 // Anything else is not applied — anti-entropy delivers the
-// authoritative record shortly — but the reply always reports whether
-// this center now holds the pushed write (applied it, or already held
-// that version or newer), so a durable pusher knows when to fall back to
-// a full-record push.
-func (c *Center) handleSnapDelta(msg transport.Message) ([]byte, error) {
+// authoritative record shortly — but the result always says whether
+// this center now holds the pushed write (nil: applied it, or already
+// held that version or newer), so a durable pusher knows when to fall
+// back to a full-record push.
+func (c *Center) applySnapDelta(body []byte) error {
 	var m snapDeltaMsg
-	if err := transport.Decode(msg.Payload, &m); err != nil {
-		return nil, err
-	}
-	nack, err := transport.Encode(snapDeltaAck{})
-	if err != nil {
-		return nil, err
+	if err := transport.Decode(body, &m); err != nil {
+		return err
 	}
 	// Same up-front frame validation as PutSnapshot: appending a torn or
 	// internally inconsistent delta would poison this replica's chain
@@ -700,26 +745,23 @@ func (c *Center) handleSnapDelta(msg transport.Message) ([]byte, error) {
 	// never re-offer the record).
 	if d, err := state.DecodeDelta(m.Delta); err != nil || d.BaseDigest != m.BaseDigest {
 		c.mRejects.Inc()
-		return nack, nil
+		return errNotChained
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	ex, ok := c.records[m.Key]
 	if !ok || ex.Kind != RecordSnapshot || ex.Deleted ||
 		ex.Snap.StateDigest != m.BaseDigest ||
 		ex.Version.Compare(m.Version) != vclock.Before || chainFull(ex.Snap, m.Delta) {
-		applied := false
 		if ok {
 			// Already at (or past) the pushed version: the write is not
 			// lost if this center is the writer's only surviving peer.
-			cmp := ex.Version.Compare(m.Version)
-			applied = cmp == vclock.Equal || cmp == vclock.After
-		}
-		c.mu.Unlock()
-		if applied {
-			return transport.Encode(snapDeltaAck{Applied: true})
+			if cmp := ex.Version.Compare(m.Version); cmp == vclock.Equal || cmp == vclock.After {
+				return nil
+			}
 		}
 		c.mRejects.Inc()
-		return nack, nil
+		return errNotChained
 	}
 	rec := ex
 	rec.Snap.Deltas = append(append([][]byte(nil), ex.Snap.Deltas...), m.Delta)
@@ -731,12 +773,10 @@ func (c *Center) handleSnapDelta(msg transport.Message) ([]byte, error) {
 	rec.Origin = m.From
 	if err := c.persist(rec, newestDelta); err != nil {
 		// Not stored, so not held: the pusher must not book this ack.
-		c.mu.Unlock()
-		return nack, nil
+		return err
 	}
 	c.records[m.Key] = rec
-	c.mu.Unlock()
-	return transport.Encode(snapDeltaAck{Applied: true})
+	return nil
 }
 
 // DropSnapshot tombstones an application's replicated snapshot — the
@@ -970,7 +1010,7 @@ func (c *Center) writeAll(ctx context.Context, pick func() []Record) error {
 		c.mu.Unlock()
 		return err
 	}
-	rep := c.replicateLocked(MsgFedPush, pushMsg{From: c.space, Records: recs}, recs[len(recs)-1].Key, wc, reach)
+	rep := c.replicateLocked(fedPush, pushMsg{From: c.space, Records: recs}, recs[len(recs)-1].Key, wc, reach)
 	c.mu.Unlock()
 	return c.verdict(ctx, rep, nil)
 }
@@ -1331,15 +1371,43 @@ func (c *Center) handleDigest(msg transport.Message) ([]byte, error) {
 	return transport.Encode(digestReply{Records: c.missingFor(d.Digest)})
 }
 
-func (c *Center) handlePush(msg transport.Message) ([]byte, error) {
-	var p pushMsg
-	if err := transport.Decode(msg.Payload, &p); err != nil {
+// handleFedBatch applies a peer's batch in order, one item at a time,
+// and answers one result per item: an item that fails is reported in
+// its own result, and the items after it still apply.
+func (c *Center) handleFedBatch(msg transport.Message) ([]byte, error) {
+	items, err := decodeFedBatch(msg.Payload)
+	if err != nil {
 		return nil, err
+	}
+	results := make([]string, len(items))
+	for i, it := range items {
+		var err error
+		switch it.kind {
+		case fedPush:
+			err = c.applyPush(it.payload)
+		case fedSnapDelta:
+			err = c.applySnapDelta(it.payload)
+		case fedDurable:
+			err = c.applyDurable(it.payload)
+		}
+		if err != nil {
+			results[i] = err.Error()
+		}
+	}
+	return encodeFedBatchReply(results), nil
+}
+
+// applyPush installs a peer's pushed records, in order, each if its
+// version wins.
+func (c *Center) applyPush(body []byte) error {
+	var p pushMsg
+	if err := transport.Decode(body, &p); err != nil {
+		return err
 	}
 	for _, r := range p.Records {
 		if _, err := c.apply(r); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return nil, nil
+	return nil
 }

@@ -13,16 +13,14 @@ import (
 
 // Transport message types served by cluster nodes and federated centers.
 const (
-	MsgPing         = "cluster.ping"           // direct SWIM probe
-	MsgPingReq      = "cluster.ping-req"       // indirect probe through a relay
-	MsgFedDigest    = "cluster.fed-digest"     // anti-entropy digest exchange
-	MsgFedPush      = "cluster.fed-push"       // best-effort replication push
-	MsgFedSnapDelta = "cluster.fed-snap-delta" // delta-only snapshot push
-	MsgFedDurable   = "cluster.fed-durable"    // write-concern-met confirmation
-	MsgPutSnapshot  = "cluster.snap-put"       // remote replicator put
-	MsgGetSnapshot  = "cluster.snap-get"       // remote snapshot fetch
-	MsgDropSnapshot = "cluster.snap-drop"      // remote graceful-stop tombstone
-	MsgListSnaps    = "cluster.snap-list"      // remote snapshot-head listing
+	MsgPing         = "cluster.ping"       // direct SWIM probe
+	MsgPingReq      = "cluster.ping-req"   // indirect probe through a relay
+	MsgFedDigest    = "cluster.fed-digest" // anti-entropy digest exchange
+	MsgFedBatch     = "cluster.fed-batch"  // ordered replication pushes (fastbatch.go)
+	MsgPutSnapshot  = "cluster.snap-put"   // remote replicator put
+	MsgGetSnapshot  = "cluster.snap-get"   // remote snapshot fetch
+	MsgDropSnapshot = "cluster.snap-drop"  // remote graceful-stop tombstone
+	MsgListSnaps    = "cluster.snap-list"  // remote snapshot-head listing
 )
 
 // MemberEndpointName returns the conventional membership endpoint name for
@@ -116,7 +114,8 @@ type digestReply struct {
 	Records []Record
 }
 
-// pushMsg carries freshly written records to a peer center.
+// pushMsg carries freshly written records to a peer center (a fedPush
+// batch item).
 type pushMsg struct {
 	From    string
 	Records []Record
@@ -132,15 +131,6 @@ type durableMsg struct {
 	From    string
 	Key     string
 	Version vclock.Version
-}
-
-// snapDeltaAck acknowledges a delta push. Applied reports that the
-// receiver now holds the pushed write: it chained the delta, or already
-// held that version or a newer one. A false ack tells a durable pusher
-// to fall back to a full-record push (the receiver's base diverged, so
-// the delta alone cannot make the write durable there).
-type snapDeltaAck struct {
-	Applied bool
 }
 
 // snapDeltaMsg carries just the newest delta of a snapshot record to a

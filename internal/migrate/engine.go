@@ -208,6 +208,19 @@ func (e *Engine) clock() vclock.Clock {
 	return &vclock.Real{}
 }
 
+// traceClock is the clock migration spans are recorded on: the network's
+// reference clock when the engine runs on a simulated network — every
+// simulated host reads it unskewed, so the phases of both hosts order on
+// one axis, and on a virtual clock a span is simulated time, so the
+// check-in reply that carries the destination's spans has the same
+// bytes on every run — and the wall clock otherwise.
+func (e *Engine) traceClock() vclock.Clock {
+	if e.net != nil {
+		return e.net.Clock()
+	}
+	return &vclock.Real{}
+}
+
 func (e *Engine) charge(d time.Duration) {
 	if e.net != nil {
 		e.net.Clock().Charge(d)
@@ -320,12 +333,13 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	}
 	clk := e.clock()
 
-	// Cross-host migration trace. Spans use wall-clock time, not the
-	// engine's (possibly virtual, possibly skewed) host clock: the five
-	// phases land on two hosts and must order on one axis.
+	// Cross-host migration trace. Spans use the trace clock, not the
+	// engine's (possibly skewed) host clock: the five phases land on two
+	// hosts and must order on one axis.
+	tc := e.traceClock()
 	traceID := obs.Traces.Begin(appName, e.host, destHost)
 	span := func(phase string, start time.Time, note string) {
-		d := time.Since(start)
+		d := tc.Now().Sub(start)
 		obs.Traces.Record(obs.Span{Trace: traceID, App: appName, Phase: phase,
 			Host: e.host, Start: start, Dur: d, Note: note})
 		e.mPhase[phase].Observe(d)
@@ -334,7 +348,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	// --- Suspension phase (timed on the source host clock). ---
 	// The autonomous agent may already have suspended the app when the
 	// user left the room (paper §4.3); suspension is then a no-op here.
-	suspendWall := time.Now()
+	suspendBegin := tc.Now()
 	suspendStart := clk.Now()
 	if a.State() == app.Running {
 		if err := a.Suspend(); err != nil {
@@ -351,8 +365,8 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		rollback()
 		return rep, err
 	}
-	span(obs.PhaseSuspend, suspendWall, "")
-	captureWall := time.Now()
+	span(obs.PhaseSuspend, suspendBegin, "")
+	captureBegin := tc.Now()
 	planned, plans, err := e.planComponents(ctx, a, destHost, binding, match)
 	if err != nil {
 		rollback()
@@ -454,10 +468,10 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		e.mu.Unlock()
 	}
 	suspendDur := clk.Now().Sub(suspendStart)
-	span(obs.PhaseCapture, captureWall, fmt.Sprintf("bytes=%d warm=%v", frameLen, warm))
+	span(obs.PhaseCapture, captureBegin, fmt.Sprintf("bytes=%d warm=%v", frameLen, warm))
 
 	// --- Migration phase. ---
-	transferWall := time.Now()
+	transferBegin := tc.Now()
 	migrateStart := clk.Now()
 	e.charge(e.costs.TransferOverhead)
 	var reply checkinReply
@@ -482,7 +496,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		rollback()
 		return rep, fmt.Errorf("migrate: checkin at %s: %w", destHost, err)
 	}
-	span(obs.PhaseTransfer, transferWall, fmt.Sprintf("bytes=%d", frameLen))
+	span(obs.PhaseTransfer, transferBegin, fmt.Sprintf("bytes=%d", frameLen))
 	// Merge the destination's restore/rebind spans so this host's trace
 	// log holds the complete five-phase, two-host timeline.
 	for _, sp := range reply.Spans {
@@ -601,9 +615,10 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 	// reply so the source assembles the full timeline. Clone dispatches
 	// and pre-tracing senders carry no trace id; the histograms still
 	// observe.
+	tc := e.traceClock()
 	var spans []obs.Span
 	addSpan := func(phase string, begin time.Time, note string) {
-		d := time.Since(begin)
+		d := tc.Now().Sub(begin)
 		e.mPhase[phase].Observe(d)
 		if p.TraceID == "" {
 			return
@@ -613,7 +628,7 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 		obs.Traces.Record(sp)
 		spans = append(spans, sp)
 	}
-	restoreWall := time.Now()
+	restoreBegin := tc.Now()
 
 	// The frame aliases the message it arrived in, and the decoded wrap
 	// aliases the frame: from here to the resumed instance (and the warm
@@ -677,8 +692,8 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 	inst.SetHost(e.host)
 	changeSeq := inst.ChangeSeq()
 
-	addSpan(obs.PhaseRestore, restoreWall, fmt.Sprintf("delta=%v", p.Delta))
-	rebindWall := time.Now()
+	addSpan(obs.PhaseRestore, restoreBegin, fmt.Sprintf("delta=%v", p.Delta))
+	rebindBegin := tc.Now()
 
 	// Resource rebinding (paper §3.3).
 	for _, plan := range p.Rebindings {
@@ -743,7 +758,7 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 	e.apps[instanceName] = inst
 	e.mu.Unlock()
 
-	addSpan(obs.PhaseRebind, rebindWall, fmt.Sprintf("rebindings=%d", len(p.Rebindings)))
+	addSpan(obs.PhaseRebind, rebindBegin, fmt.Sprintf("rebindings=%d", len(p.Rebindings)))
 	return checkinReply{
 		ResumeNanos:   int64(clk.Now().Sub(start)),
 		AdaptNotes:    notes,

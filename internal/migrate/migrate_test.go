@@ -3,6 +3,7 @@ package migrate
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"mdagent/internal/cluster"
 	"mdagent/internal/media"
 	"mdagent/internal/netsim"
+	"mdagent/internal/obs"
 	"mdagent/internal/owl"
 	"mdagent/internal/rdf"
 	"mdagent/internal/registry"
@@ -457,6 +459,40 @@ func TestFig7SkewCancellation(t *testing.T) {
 	// Round trip ends back at A.
 	if _, ok := r.engA.App("player"); !ok {
 		t.Fatal("app not back at source")
+	}
+}
+
+// TestSimulatedTraceIsOnTheVirtualClock: on a simulated network every
+// migration span reads the network's virtual clock. The destination's
+// spans travel back in the check-in reply, and the simulated fabric
+// charges the reply's length; a span measured on the wall clock changed
+// that length from run to run with how long the rebind took, and with it
+// the Fig. 7 round trip. Two identical rigs record identical spans.
+func TestSimulatedTraceIsOnTheVirtualClock(t *testing.T) {
+	var runs [2][]obs.Span
+	for i := range runs {
+		r := newRig(t, songSize)
+		r.startPlayer(t, songSize)
+		begin := r.clk.Now()
+		if _, err := r.engA.FollowMe(ctxT(t), "player", "hostB", BindingAdaptive, owl.MatchSemantic); err != nil {
+			t.Fatal(err)
+		}
+		end := r.clk.Now()
+		tr, ok := obs.Traces.Latest("player")
+		if !ok || !tr.Complete() {
+			t.Fatalf("run %d: no complete trace: %+v", i, tr)
+		}
+		for _, sp := range tr.Spans {
+			if sp.Start.Before(begin) || sp.Start.Add(sp.Dur).After(end) {
+				t.Fatalf("run %d: %s span [%v, +%v] lies outside the migration's virtual [%v, %v]",
+					i, sp.Phase, sp.Start, sp.Dur, begin, end)
+			}
+			sp.Trace = ""
+			runs[i] = append(runs[i], sp)
+		}
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("two identical simulated migrations traced differently:\n%+v\n%+v", runs[0], runs[1])
 	}
 }
 

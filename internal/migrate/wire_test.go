@@ -164,6 +164,17 @@ func TestGoldenCheckinFrames(t *testing.T) {
 			}
 		}
 	})
+	t.Run("unknown", func(t *testing.T) {
+		// A check-in of an opcode this build does not know — a newer
+		// host's — is a version refusal too, named as ci/protocol-compat.sh
+		// expects of an old destination.
+		golden := bytes.Clone(goldenWire(t, "checkin-static.bin"))
+		golden[1] = 0x32
+		_, err := decodeCheckin(golden)
+		if !errors.Is(err, transport.ErrVersion) || !strings.Contains(err.Error(), "unknown fast opcode") {
+			t.Fatalf("opcode 0x32: err = %v, want ErrVersion naming the unknown fast opcode", err)
+		}
+	})
 }
 
 // TestRetiredCheckinIsRefused: a host that registers the arrival and

@@ -45,6 +45,11 @@ const (
 	// arrival and left the source to demote its own record; a
 	// destination refuses it with ErrVersion.
 	OpCheckinRetired byte = 0x30
+	// OpFedBatch carries a run of federation pushes from one center to a
+	// peer, in write order: each item a kind byte and its gob body.
+	OpFedBatch byte = 0x40
+	// OpFedBatchReply carries one result per OpFedBatch item.
+	OpFedBatchReply byte = 0x41
 )
 
 // OpenFast validates a v2 frame and returns its opcode and body. A
