@@ -121,21 +121,8 @@ func TestDeterministicRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Suspend != b.Suspend || a.Bytes != b.Bytes {
+	if a != b {
 		t.Fatalf("runs differ: %+v vs %+v", a, b)
-	}
-	// Total carries the one legitimate source of jitter: migration trace
-	// spans ride the checkin reply with wall-clock durations, and gob's
-	// varint encoding makes the reply a few bytes longer or shorter from
-	// run to run, which netsim's per-byte charge turns into sub-µs
-	// virtual-clock noise. Everything upstream of the wire stays exact;
-	// bound the wire-size wiggle tightly instead of demanding bit-equal.
-	diff := a.Total - b.Total
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 10*time.Microsecond {
-		t.Fatalf("totals differ by %v (> 10µs wire-encoding tolerance): %+v vs %+v", diff, a, b)
 	}
 }
 

@@ -24,6 +24,21 @@ import (
 //
 // Need-full and not-durable ride in-band because the remote replicator
 // must tell them from a real failure; a hard failure is an error reply.
+//
+// The snapshot fetch (MsgGetSnapshot) is a fast frame too, its only
+// encoding. A request body (transport.OpSnapGet) is
+//
+//	string app, bool have, uvarint have-base-seq, uvarint have-seq,
+//	32 raw have-digest bytes
+//
+// and a reply body (transport.OpSnapGetReply) is
+//
+//	bool found, bool delta-only, string app, string host, string space,
+//	uvarint seq, time at, uvarint base-seq, 32 raw state-digest bytes,
+//	bool durable, bytes frame, uvarint n, n × bytes delta
+//
+// The client's record aliases the reply it owns: a restore copies the
+// state once, into the reply, and decodes nothing but the head.
 
 const (
 	snapFlagNeedFull   byte = 1 << 0
@@ -107,32 +122,37 @@ func encodeSnapOutcome(o snapOutcome) []byte {
 	return appendSnapOutcome([]byte{transport.ProtoV2, transport.OpSnapPutReply}, o)
 }
 
-// decodeSnapPut parses an OpSnapPut frame. A payload of any other
-// version — a gob seal included — fails with OpenFast's ErrVersion
-// before its body is touched, and so does one of another opcode.
-func decodeSnapPut(payload []byte) (state.SnapshotPut, error) {
+// openSnapFrame opens a fast frame of opcode want, one of msgType's. A
+// payload of any other version — a gob seal included — fails with
+// OpenFast's ErrVersion before its body is touched, and so does one of
+// another opcode.
+func openSnapFrame(payload []byte, want byte, msgType string) (*transport.FastReader, error) {
 	op, body, err := transport.OpenFast(payload)
+	if err != nil {
+		return nil, err
+	}
+	if op != want {
+		return nil, fmt.Errorf("%w: cluster: unknown fast opcode %#x on %s", transport.ErrVersion, op, msgType)
+	}
+	return transport.NewFastReader(body), nil
+}
+
+// decodeSnapPut parses an OpSnapPut frame.
+func decodeSnapPut(payload []byte) (state.SnapshotPut, error) {
+	r, err := openSnapFrame(payload, transport.OpSnapPut, MsgPutSnapshot)
 	if err != nil {
 		return state.SnapshotPut{}, err
 	}
-	if op != transport.OpSnapPut {
-		return state.SnapshotPut{}, fmt.Errorf("%w: cluster: unknown fast opcode %#x on %s", transport.ErrVersion, op, MsgPutSnapshot)
-	}
-	r := transport.NewFastReader(body)
 	put := readSnapPut(r)
 	return put, r.Err()
 }
 
 // decodeSnapOutcomeReply parses an OpSnapPutReply frame.
 func decodeSnapOutcomeReply(payload []byte) (snapOutcome, error) {
-	op, body, err := transport.OpenFast(payload)
+	r, err := openSnapFrame(payload, transport.OpSnapPutReply, MsgPutSnapshot)
 	if err != nil {
 		return snapOutcome{}, err
 	}
-	if op != transport.OpSnapPutReply {
-		return snapOutcome{}, fmt.Errorf("%w: cluster: unexpected fast reply opcode %#x", transport.ErrVersion, op)
-	}
-	r := transport.NewFastReader(body)
 	o := readSnapOutcome(r)
 	return o, r.Err()
 }
@@ -171,4 +191,141 @@ func (o snapOutcome) err(app string) error {
 		return fmt.Errorf("cluster: remote put %s: %w", app, ErrNotDurable)
 	}
 	return nil
+}
+
+// snapGetReq fetches an app's freshest snapshot. When the requester
+// already holds a record of the app (Have set), the Have* fields
+// describe it, and a center whose copy extends the same base replies
+// with just the missing delta tail instead of the full record.
+type snapGetReq struct {
+	App         string
+	Have        bool
+	HaveBaseSeq uint64
+	HaveSeq     uint64
+	HaveDigest  [sha256.Size]byte
+}
+
+// snapGetReply answers a snapGetReq.
+type snapGetReply struct {
+	Rec   state.SnapshotRecord
+	Found bool
+	// DeltaOnly marks Rec as a tail: it carries the head's metadata and
+	// only the deltas past the requester's HaveSeq, no base frame. The
+	// requester grafts the tail onto its cached record.
+	DeltaOnly bool
+}
+
+// encodeSnapGet seals one fetch as an OpSnapGet frame.
+func encodeSnapGet(req snapGetReq) []byte {
+	b := append(make([]byte, 0, 2+10+len(req.App)+1+20+sha256.Size), transport.ProtoV2, transport.OpSnapGet)
+	b = transport.AppendString(b, req.App)
+	b = transport.AppendBool(b, req.Have)
+	b = transport.AppendUint(b, req.HaveBaseSeq)
+	b = transport.AppendUint(b, req.HaveSeq)
+	return append(b, req.HaveDigest[:]...)
+}
+
+// decodeSnapGet parses an OpSnapGet frame.
+func decodeSnapGet(payload []byte) (snapGetReq, error) {
+	r, err := openSnapFrame(payload, transport.OpSnapGet, MsgGetSnapshot)
+	if err != nil {
+		return snapGetReq{}, err
+	}
+	var req snapGetReq
+	req.App = r.String()
+	req.Have = r.Bool()
+	req.HaveBaseSeq = r.Uint()
+	req.HaveSeq = r.Uint()
+	copy(req.HaveDigest[:], r.Fixed(sha256.Size))
+	return req, r.Err()
+}
+
+// encodeSnapGetReply seals one fetch answer as an OpSnapGetReply frame,
+// in a buffer sized for the record's frames: the one copy of the state a
+// restore makes.
+func encodeSnapGetReply(reply snapGetReply) []byte {
+	rec := reply.Rec
+	n := 2 + 2 + 3*10 + len(rec.App) + len(rec.Host) + len(rec.Space) + 3*10 + sha256.Size + 1 + 10 + 10
+	for _, d := range rec.Deltas {
+		n += 10 + len(d)
+	}
+	b := append(make([]byte, 0, n+len(rec.Frame)), transport.ProtoV2, transport.OpSnapGetReply)
+	b = transport.AppendBool(b, reply.Found)
+	b = transport.AppendBool(b, reply.DeltaOnly)
+	b = transport.AppendString(b, rec.App)
+	b = transport.AppendString(b, rec.Host)
+	b = transport.AppendString(b, rec.Space)
+	b = transport.AppendUint(b, rec.Seq)
+	b = transport.AppendTime(b, rec.At)
+	b = transport.AppendUint(b, rec.BaseSeq)
+	b = append(b, rec.StateDigest[:]...)
+	b = transport.AppendBool(b, rec.Durable)
+	b = transport.AppendBytes(b, rec.Frame)
+	b = transport.AppendUint(b, uint64(len(rec.Deltas)))
+	for _, d := range rec.Deltas {
+		b = transport.AppendBytes(b, d)
+	}
+	return b
+}
+
+// decodeSnapGetReply parses an OpSnapGetReply frame. The record's frame
+// and deltas alias payload, which the caller must own and not write.
+func decodeSnapGetReply(payload []byte) (snapGetReply, error) {
+	r, err := openSnapFrame(payload, transport.OpSnapGetReply, MsgGetSnapshot)
+	if err != nil {
+		return snapGetReply{}, err
+	}
+	var reply snapGetReply
+	reply.Found = r.Bool()
+	reply.DeltaOnly = r.Bool()
+	rec := &reply.Rec
+	rec.App = r.String()
+	rec.Host = r.String()
+	rec.Space = r.String()
+	rec.Seq = r.Uint()
+	rec.At = r.Time()
+	rec.BaseSeq = r.Uint()
+	copy(rec.StateDigest[:], r.Fixed(sha256.Size))
+	rec.Durable = r.Bool()
+	rec.Frame = aliasBytes(r)
+	n := r.Uint()
+	if n > 0 && r.Err() == nil {
+		// Every delta takes a byte at least (its length), so the bytes
+		// present bound the allocation, whatever n claims.
+		rec.Deltas = make([][]byte, 0, min(n, uint64(len(payload))))
+	}
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		rec.Deltas = append(rec.Deltas, aliasBytes(r))
+	}
+	if err := r.Err(); err != nil {
+		return snapGetReply{}, err
+	}
+	return reply, nil
+}
+
+// aliasBytes reads a length-prefixed field as a window onto the frame,
+// capped at its own length so an append reallocates instead of growing
+// into the next field. An empty field reads as nil.
+func aliasBytes(r *transport.FastReader) []byte {
+	b := r.Bytes()
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
+}
+
+// getSnapshotFast serves MsgGetSnapshot on the center: the freshest
+// record, or the tail past what the requester describes.
+func (c *Center) getSnapshotFast(payload []byte) ([]byte, error) {
+	req, err := decodeSnapGet(payload)
+	if err != nil {
+		return nil, err
+	}
+	var reply snapGetReply
+	if req.Have {
+		reply.Rec, reply.Found, reply.DeltaOnly = c.SnapshotSince(req.App, req.HaveBaseSeq, req.HaveSeq, req.HaveDigest)
+	} else {
+		reply.Rec, reply.Found = c.LatestSnapshot(req.App)
+	}
+	return encodeSnapGetReply(reply), nil
 }

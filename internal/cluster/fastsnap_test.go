@@ -115,6 +115,44 @@ func TestSnapshotPutRefusesGobSeal(t *testing.T) {
 	}
 }
 
+// TestSnapshotGetRefusesGob: the snapshot fetch has one encoding. A
+// center refuses the gob-sealed request of the last build whose fetch
+// was gob with ErrVersion, and a client refuses that build's gob reply
+// the same way, once, without a second request.
+func TestSnapshotGetRefusesGob(t *testing.T) {
+	center, cliEp := newSnapRig(t)
+	if _, err := center.PutSnapshot(context.Background(), mustSnapshot(t, "player", "hostA", "pos-1")); err != nil {
+		t.Fatal(err)
+	}
+	_, err := cliEp.Request(context.Background(), CenterEndpointName("alpha"), MsgGetSnapshot, goldenWire(t, "snap-get-gob.bin"))
+	if !errors.Is(err, transport.ErrVersion) {
+		t.Fatalf("gob-sealed snapshot fetch: err = %v, want ErrVersion", err)
+	}
+
+	fab := transport.NewLocalFabric(nil)
+	t.Cleanup(func() { fab.Close() })
+	oldEp, err := fab.Attach("old-center", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var requests atomic.Int32
+	oldEp.Handle(MsgGetSnapshot, func(transport.Message) ([]byte, error) {
+		requests.Add(1)
+		return goldenWire(t, "snap-get-reply-gob.bin"), nil
+	})
+	newEp, err := fab.Attach("new-client", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewSnapshotClient(newEp, "old-center")
+	if _, _, err := cli.LatestSnapshot(context.Background(), "player"); !errors.Is(err, transport.ErrVersion) {
+		t.Fatalf("gob fetch reply: err = %v, want ErrVersion", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("the client sent %d fetches, want 1", n)
+	}
+}
+
 // TestSnapshotClientReturnsVersionRefusal: a center from before the fast
 // frame (the old handler shape — DecodeSealed or refuse) answers
 // ErrVersion. The client returns it as the typed error it is, once, and

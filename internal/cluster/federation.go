@@ -1252,16 +1252,7 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 		return c.putSnapshotFast(msg.Payload)
 	})
 	ep.Handle(MsgGetSnapshot, func(msg transport.Message) ([]byte, error) {
-		var req getSnapshotReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		if req.Have {
-			rec, found, deltaOnly := c.SnapshotSince(req.App, req.HaveBaseSeq, req.HaveSeq, req.HaveDigest)
-			return transport.Encode(getSnapshotReply{Rec: rec, Found: found, DeltaOnly: deltaOnly})
-		}
-		rec, found := c.LatestSnapshot(req.App)
-		return transport.Encode(getSnapshotReply{Rec: rec, Found: found})
+		return c.getSnapshotFast(msg.Payload)
 	})
 	ep.Handle(MsgDropSnapshot, func(msg transport.Message) ([]byte, error) {
 		var req dropSnapshotReq

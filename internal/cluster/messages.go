@@ -155,28 +155,6 @@ type snapDeltaMsg struct {
 // daemons join the state pipeline over the same endpoints that serve the
 // registry protocol.
 type (
-	// getSnapshotReq fetches an app's freshest snapshot. When the
-	// requester already holds a record of the app (Have set), the Have*
-	// fields describe it, and a center whose copy extends the same base
-	// replies with just the missing delta tail instead of the full
-	// record. Zero Have preserves the PR 5 behaviour for old clients.
-	getSnapshotReq struct {
-		App         string
-		Have        bool
-		HaveBaseSeq uint64
-		HaveSeq     uint64
-		HaveDigest  [sha256.Size]byte
-	}
-
-	getSnapshotReply struct {
-		Rec   state.SnapshotRecord
-		Found bool
-		// DeltaOnly marks Rec as a tail: it carries the head's metadata
-		// and only the deltas past the requester's HaveSeq, no base
-		// frame. The requester grafts the tail onto its cached record.
-		DeltaOnly bool
-	}
-
 	dropSnapshotReq struct{ App, Host string }
 
 	listSnapsReply struct {

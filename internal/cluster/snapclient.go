@@ -94,7 +94,7 @@ func (c *SnapshotClient) LatestSnapshot(ctx context.Context, appName string) (st
 	cached, have := c.cache[appName]
 	c.mu.Unlock()
 
-	req := getSnapshotReq{App: appName}
+	req := snapGetReq{App: appName}
 	if have {
 		req.Have = true
 		req.HaveBaseSeq = cached.BaseSeq
@@ -113,7 +113,7 @@ func (c *SnapshotClient) LatestSnapshot(ctx context.Context, appName string) (st
 			delete(c.cache, appName)
 			c.stats.Refetches++
 			c.mu.Unlock()
-			if reply, err = c.fetch(ctx, getSnapshotReq{App: appName}); err != nil {
+			if reply, err = c.fetch(ctx, snapGetReq{App: appName}); err != nil {
 				return state.SnapshotRecord{}, false, err
 			}
 			rec = reply.Rec
@@ -136,17 +136,16 @@ func (c *SnapshotClient) LatestSnapshot(ctx context.Context, appName string) (st
 	return rec, reply.Found, nil
 }
 
-// fetch runs one MsgGetSnapshot round trip.
-func (c *SnapshotClient) fetch(ctx context.Context, req getSnapshotReq) (getSnapshotReply, error) {
-	payload, err := transport.EncodeSealed(req)
+// fetch runs one MsgGetSnapshot round trip: an OpSnapGet frame out, an
+// OpSnapGetReply back, whose record aliases the reply's payload (this
+// client owns it). A center that answers in another encoding is refused
+// with transport.ErrVersion.
+func (c *SnapshotClient) fetch(ctx context.Context, req snapGetReq) (snapGetReply, error) {
+	reply, err := c.ep.Request(ctx, c.server, MsgGetSnapshot, encodeSnapGet(req))
 	if err != nil {
-		return getSnapshotReply{}, err
+		return snapGetReply{}, err
 	}
-	var reply getSnapshotReply
-	if err := c.ep.RequestDecode(ctx, c.server, MsgGetSnapshot, payload, &reply); err != nil {
-		return getSnapshotReply{}, err
-	}
-	return reply, nil
+	return decodeSnapGetReply(reply.Payload)
 }
 
 // FetchStats reports how this client's restore fetches were served.

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"mdagent/internal/registry"
-	"mdagent/internal/state"
 	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/vclock"
@@ -417,11 +416,11 @@ func loadChain(db *store.Store, head []byte) (Record, diskChain, error) {
 	if err := r.Snap.Verify(); err != nil {
 		return Record{}, diskChain{}, err
 	}
-	ts, err := r.Snap.Snapshot()
+	_, digest, err := r.Snap.SnapshotDigest()
 	if err != nil {
 		return Record{}, diskChain{}, err
 	}
-	if state.WrapDigest(ts.Wrap) != r.Snap.StateDigest {
+	if digest != r.Snap.StateDigest {
 		return Record{}, diskChain{}, fmt.Errorf("%w: chain of %s does not reassemble to the head's state digest", errBadSnapHead, r.Key)
 	}
 	return r, dc, nil

@@ -71,6 +71,67 @@ func TestGoldenWireFrames(t *testing.T) {
 	}
 }
 
+// goldenSnapGet holds the values snap-get.bin, snap-get-reply.bin and
+// snap-get-reply-tail.bin were written from: a fetch from a requester
+// that holds seq 5 of a chain based at 5, the full record it would get
+// from a center without that base, and the two-delta tail it gets from
+// one with it.
+func goldenSnapGet() (req snapGetReq, full, tail snapGetReply) {
+	req = snapGetReq{App: "player", Have: true, HaveBaseSeq: 5, HaveSeq: 5, HaveDigest: sha256.Sum256([]byte("have"))}
+	rec := state.SnapshotRecord{
+		App: "player", Host: "hostA", Space: "lab", Seq: 7, At: time.Unix(0, 1700000000000000001), BaseSeq: 5,
+		Frame:       []byte("MDST-golden-base-frame\x00\xff"),
+		Deltas:      [][]byte{[]byte("MDST-golden-delta-6"), []byte("MDST-golden-delta-7")},
+		StateDigest: sha256.Sum256([]byte("new")), Durable: true,
+	}
+	full = snapGetReply{Rec: rec, Found: true}
+	rec.Frame = nil
+	tail = snapGetReply{Rec: rec, Found: true, DeltaOnly: true}
+	return req, full, tail
+}
+
+// TestGoldenSnapGetFrames: the recorded fetch and its two answers
+// re-encode to the recorded bytes and decode to goldenSnapGet's values,
+// and each decoder refuses the other's opcode and the gob request and
+// reply of the last commit whose snap-get was gob (372cd28:
+// snap-get-gob.bin, snap-get-reply-gob.bin) with ErrVersion.
+func TestGoldenSnapGetFrames(t *testing.T) {
+	req, full, tail := goldenSnapGet()
+	golden := goldenWire(t, "snap-get.bin")
+	if got := encodeSnapGet(req); !bytes.Equal(got, golden) {
+		t.Fatalf("OpSnapGet re-encodes to\n%x\nrecorded\n%x", got, golden)
+	}
+	if got, err := decodeSnapGet(golden); err != nil || got != req {
+		t.Fatalf("decoded %+v (err %v), want %+v", got, err, req)
+	}
+	for name, want := range map[string]snapGetReply{"snap-get-reply.bin": full, "snap-get-reply-tail.bin": tail} {
+		golden := goldenWire(t, name)
+		if got := encodeSnapGetReply(want); !bytes.Equal(got, golden) {
+			t.Fatalf("%s: OpSnapGetReply re-encodes to\n%x\nrecorded\n%x", name, got, golden)
+		}
+		if got, err := decodeSnapGetReply(golden); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded %+v (err %v), want %+v", name, got, err, want)
+		}
+	}
+
+	for _, frame := range [][]byte{goldenWire(t, "snap-get-reply.bin"), goldenWire(t, "snap-put.bin")} {
+		if _, err := decodeSnapGet(frame); !errors.Is(err, transport.ErrVersion) || !strings.Contains(err.Error(), "unknown fast opcode") {
+			t.Fatalf("opcode %#x decoded as a fetch: err = %v, want ErrVersion", frame[1], err)
+		}
+	}
+	for _, frame := range [][]byte{goldenWire(t, "snap-get.bin"), goldenWire(t, "snap-put-reply.bin")} {
+		if _, err := decodeSnapGetReply(frame); !errors.Is(err, transport.ErrVersion) || !strings.Contains(err.Error(), "unknown fast opcode") {
+			t.Fatalf("opcode %#x decoded as a fetch reply: err = %v, want ErrVersion", frame[1], err)
+		}
+	}
+	if _, err := decodeSnapGet(goldenWire(t, "snap-get-gob.bin")); !errors.Is(err, transport.ErrVersion) {
+		t.Fatalf("the gob-sealed fetch: err = %v, want ErrVersion", err)
+	}
+	if _, err := decodeSnapGetReply(goldenWire(t, "snap-get-reply-gob.bin")); !errors.Is(err, transport.ErrVersion) {
+		t.Fatalf("the gob reply: err = %v, want ErrVersion", err)
+	}
+}
+
 // goldenFedBatch is the batch fed-batch.bin holds: one item of each
 // kind, in the order a delta put and its durable mark follow a record
 // push. The reply gives each a result; the delta's says it did not
@@ -167,6 +228,47 @@ func FuzzSnapPutFrame(f *testing.F) {
 		again, err := decodeSnapPut(encodeSnapPut(put))
 		if err != nil || !reflect.DeepEqual(again, put) {
 			t.Fatalf("round trip changed the put (err %v):\n%+v\n%+v", err, put, again)
+		}
+	})
+}
+
+// FuzzSnapGet: decodeSnapGet reads what a restoring host asks a center,
+// decodeSnapGetReply what the center answers. Any input yields a typed
+// error or a value that survives a re-encode/decode round trip; neither
+// decoder panics or allocates in proportion to a delta count the frame
+// merely claims.
+func FuzzSnapGet(f *testing.F) {
+	for _, name := range []string{"snap-get.bin", "snap-get-reply.bin", "snap-get-reply-tail.bin", "snap-get-gob.bin", "snap-get-reply-gob.bin"} {
+		golden := goldenWire(f, name)
+		f.Add(golden)
+		f.Add(golden[:len(golden)-7]) // torn inside the last field
+	}
+	// A reply claiming 4 G deltas behind an empty head: found, then eight
+	// zero-valued fields up to the digest, then durable, an empty frame
+	// and the count.
+	claim := append([]byte{transport.ProtoV2, transport.OpSnapGetReply, 1, 0, 0, 0, 0, 0, 0, 0}, make([]byte, sha256.Size)...)
+	f.Add(append(claim, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		req, qerr := decodeSnapGet(data)
+		reply, rerr := decodeSnapGetReply(data)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+64*len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+		}
+		if qerr == nil {
+			if again, err := decodeSnapGet(encodeSnapGet(req)); err != nil || again != req {
+				t.Fatalf("round trip changed the fetch (err %v):\n%+v\n%+v", err, req, again)
+			}
+		}
+		if rerr == nil {
+			again, err := decodeSnapGetReply(encodeSnapGetReply(reply))
+			if err != nil || !reflect.DeepEqual(again, reply) {
+				t.Fatalf("round trip changed the reply (err %v):\n%+v\n%+v", err, reply, again)
+			}
 		}
 	})
 }

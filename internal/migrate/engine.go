@@ -2,7 +2,6 @@ package migrate
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
@@ -79,26 +78,20 @@ type Engine struct {
 // this engine sends the application back to the peer that shares it
 // (matched by peer + live instance counters). The wrap is held by
 // reference: it shares its component bytes with the frame or snapshot
-// it came from (captured bytes are immutable, see app.Component).
+// it came from (captured bytes are immutable, see app.Component). It
+// carries its component digests: only a warm hand-off reads them, so a
+// cold hop — the only kind a static ring of three hosts ever makes —
+// hashes nothing, and a warm one hashes a base once and then only the
+// components each hop changes. An entry is replaced, never changed, so a
+// failed hop leaves the old base usable.
 type baseEntry struct {
-	wrap app.Wrap
+	wrap *state.DigestedWrap
 	peer string // host on the other end of the exchange
 	// inst/changeSeq track the live local instance the base was unwrapped
 	// into (arrival entries only): components mutated past changeSeq are
 	// exactly what a send-back delta must carry. nil after a send.
 	inst      *app.Application
 	changeSeq uint64
-
-	digestOnce sync.Once
-	digest     [sha256.Size]byte
-}
-
-// Digest returns state.WrapDigest of the base, hashing it on the first
-// call: only a warm handoff reads it, so a cold hop — the only kind a
-// static ring of three hosts ever makes — hashes nothing.
-func (b *baseEntry) Digest() [sha256.Size]byte {
-	b.digestOnce.Do(func() { b.digest = state.WrapDigest(b.wrap) })
-	return b.digest
 }
 
 // needFullWrap is the in-band signal a destination returns when it
@@ -412,7 +405,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 			return rep, werr
 		}
 		delta = state.WrapDelta{
-			App: appName, FromHost: e.host, BaseDigest: warmBase.Digest(),
+			App: appName, FromHost: e.host, BaseDigest: warmBase.wrap.Digest(),
 			Components: dw.Components, Kinds: dw.Kinds,
 			CoordState: dw.CoordState, Profile: dw.Profile,
 		}
@@ -507,14 +500,14 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	// in place; a full wrap covering every component becomes the new
 	// base; a partial wrap leaves the destination's exact state unknown.
 	if warm {
-		if newBase, aerr := state.ApplyDelta(warmBase.wrap, delta); aerr == nil {
+		if newBase, aerr := warmBase.wrap.Apply(delta); aerr == nil {
 			e.mu.Lock()
 			e.bases[appName] = &baseEntry{wrap: newBase, peer: destHost}
 			e.mu.Unlock()
 		}
 	} else if wrapCovers(wrap, a) {
 		e.mu.Lock()
-		e.bases[appName] = &baseEntry{wrap: wrap, peer: destHost}
+		e.bases[appName] = &baseEntry{wrap: state.NewDigestedWrap(wrap), peer: destHost}
 		e.mu.Unlock()
 	} else {
 		e.mu.Lock()
@@ -635,6 +628,7 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 	// base below) the component bytes are shared, never copied.
 	e.chargeDeserialize(int64(len(p.Frame)))
 	var wrap app.Wrap
+	var arrived *state.DigestedWrap // the arrival's wrap, as a warm base
 	if p.Delta {
 		// Warm handoff: reassemble the full wrap from our cached base.
 		// Any mismatch — no base, wrong digest, torn frame — answers
@@ -647,17 +641,19 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 		e.mu.Lock()
 		be := e.bases[p.App]
 		e.mu.Unlock()
-		if be == nil || be.Digest() != d.BaseDigest {
+		if be == nil || be.wrap.Digest() != d.BaseDigest {
 			return reply, fmt.Errorf("%s: no base for %s", needFullWrap, p.App)
 		}
-		if wrap, err = state.ApplyDelta(be.wrap, d); err != nil {
+		if arrived, err = be.wrap.Apply(d); err != nil {
 			return reply, fmt.Errorf("%s: %v", needFullWrap, err)
 		}
+		wrap = arrived.Wrap
 	} else {
 		var err error
 		if wrap, err = state.DecodeWrap(p.Frame); err != nil {
 			return reply, err
 		}
+		arrived = state.NewDigestedWrap(wrap)
 	}
 
 	// Locate or create the instance: an already-running instance, a
@@ -745,7 +741,7 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 	if p.Mode == FollowMe && wrapCovers(wrap, inst) {
 		e.mu.Lock()
 		e.bases[p.App] = &baseEntry{
-			wrap: wrap, peer: p.FromHost,
+			wrap: arrived, peer: p.FromHost,
 			inst: inst, changeSeq: changeSeq,
 		}
 		e.mu.Unlock()

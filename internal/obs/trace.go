@@ -78,9 +78,12 @@ var Traces = NewTraceLog(128)
 
 var traceSeq atomic.Int64
 
-// NewTraceID mints a process-unique migration trace id.
+// NewTraceID mints a process-unique migration trace id. Its numbers are
+// fixed-width hex, so an id's length depends on the app and host alone:
+// a migration's frames, which carry it, are the same size whichever
+// migration of the process it is (the simulated network prices bytes).
 func NewTraceID(app, host string) string {
-	return fmt.Sprintf("mig-%s-%s-%x-%d", app, host, time.Now().UnixNano(), traceSeq.Add(1))
+	return fmt.Sprintf("mig-%s-%s-%016x-%016x", app, host, uint64(time.Now().UnixNano()), uint64(traceSeq.Add(1)))
 }
 
 // Begin registers a new trace for app migrating from -> to and returns

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"mdagent/internal/app"
+	"mdagent/internal/obs"
 )
 
 // WrapDelta is the changed-components-only form of a wrap: everything a
@@ -70,12 +72,61 @@ func VerifyDelta(raw []byte) error {
 // base is the one way this pipeline could restore wrong state, so it is
 // checked at every reassembly site. The returned wrap shares no maps
 // with the base, which stays usable as a base for later deltas.
+//
+// ApplyDelta hashes the whole base; a caller applying a run of deltas
+// keeps a DigestedWrap instead, so each component is hashed once.
 func ApplyDelta(base app.Wrap, d WrapDelta) (app.Wrap, error) {
-	if base.App != d.App {
-		return app.Wrap{}, fmt.Errorf("%w: delta for %q, base for %q", ErrBaseMismatch, d.App, base.App)
+	out, err := NewDigestedWrap(base).Apply(d)
+	if err != nil {
+		return app.Wrap{}, err
 	}
-	if got := WrapDigest(base); got != d.BaseDigest {
-		return app.Wrap{}, fmt.Errorf("%w: base digest %x, delta wants %x", ErrBaseMismatch, got[:4], d.BaseDigest[:4])
+	return out.Wrap, nil
+}
+
+// DigestedWrap is a wrap that carries the digests of its components, so
+// a run of deltas over one base hashes each component once: the base's
+// when its digest is first read, then only the components each delta
+// changes. Nothing is hashed before the first Digest or Apply call, so a
+// wrap nobody checks costs nothing. A DigestedWrap is never changed once
+// built: Apply returns a new one and leaves its receiver usable as a
+// base for other deltas.
+type DigestedWrap struct {
+	Wrap app.Wrap
+
+	once   sync.Once
+	sums   map[string][sha256.Size]byte // per component; nil until hashed
+	digest [sha256.Size]byte
+}
+
+// NewDigestedWrap carries w; its components are hashed on first use.
+func NewDigestedWrap(w app.Wrap) *DigestedWrap { return &DigestedWrap{Wrap: w} }
+
+// Digest returns WrapDigest of the wrap, from the carried component
+// digests when Apply built it, else hashing every component once.
+func (dw *DigestedWrap) Digest() [sha256.Size]byte {
+	dw.once.Do(func() {
+		if dw.sums == nil {
+			dw.sums = make(map[string][sha256.Size]byte, len(dw.Wrap.Components))
+			for n, b := range dw.Wrap.Components {
+				dw.sums[n] = ComponentDigest(dw.Wrap.Kinds[n], b)
+			}
+		}
+		dw.digest = CombineDigests(dw.Wrap.App, dw.sums, dw.Wrap.CoordState, dw.Wrap.Profile)
+	})
+	return dw.digest
+}
+
+// Apply is ApplyDelta over a wrap whose component digests are carried:
+// the base check reads them (hashing the base only if nothing has yet),
+// and the result carries them too, with only the delta's components
+// hashed anew.
+func (dw *DigestedWrap) Apply(d WrapDelta) (*DigestedWrap, error) {
+	base := dw.Wrap
+	if base.App != d.App {
+		return nil, fmt.Errorf("%w: delta for %q, base for %q", ErrBaseMismatch, d.App, base.App)
+	}
+	if got := dw.Digest(); got != d.BaseDigest {
+		return nil, fmt.Errorf("%w: base digest %x, delta wants %x", ErrBaseMismatch, got[:4], d.BaseDigest[:4])
 	}
 	out := app.Wrap{
 		App:        d.App,
@@ -85,25 +136,33 @@ func ApplyDelta(base app.Wrap, d WrapDelta) (app.Wrap, error) {
 		CoordState: make(map[string]string, len(d.CoordState)),
 		Profile:    d.Profile,
 	}
+	sums := make(map[string][sha256.Size]byte, len(base.Components)+len(d.Components))
 	for n, b := range base.Components {
 		out.Components[n] = b
 		out.Kinds[n] = base.Kinds[n]
+		sums[n] = dw.sums[n]
 	}
 	for n, b := range d.Components {
 		out.Components[n] = b
 		out.Kinds[n] = d.Kinds[n]
+		sums[n] = ComponentDigest(d.Kinds[n], b)
 	}
 	for k, v := range d.CoordState {
 		out.CoordState[k] = v
 	}
-	return out, nil
+	return &DigestedWrap{Wrap: out, sums: sums}, nil
 }
+
+// mDigestBytes counts the bytes ComponentDigest hashes, process-wide:
+// the measure of how often a state is hashed again.
+var mDigestBytes = obs.Default.Counter("mdagent_state_digest_bytes_total")
 
 // ComponentDigest hashes one component's serialized content with its
 // kind — the per-component unit WrapDigest is built from, maintained
 // incrementally by the replicator so unchanged components are never
 // re-hashed (let alone re-serialized).
 func ComponentDigest(kind app.ComponentKind, data []byte) [sha256.Size]byte {
+	mDigestBytes.Add(int64(len(data)))
 	h := sha256.New()
 	_ = binary.Write(h, binary.BigEndian, int32(kind))
 	_ = binary.Write(h, binary.BigEndian, uint32(len(data)))

@@ -49,29 +49,48 @@ type SnapshotRecord struct {
 }
 
 // Snapshot reassembles the record's newest state: decode the base frame,
-// then apply each delta in order (every step digest-checked). Any
-// failure — torn frame, checksum, base mismatch from a reordered chain —
-// surfaces as an error so callers degrade to a skeleton relaunch rather
-// than restoring garbage.
+// then apply each delta in order (every step digest-checked, each
+// component hashed once over the whole chain). Any failure — torn frame,
+// checksum, base mismatch from a reordered chain — surfaces as an error
+// so callers degrade to a skeleton relaunch rather than restoring
+// garbage.
 func (r SnapshotRecord) Snapshot() (app.TaggedSnapshot, error) {
+	ts, _, err := r.reassemble()
+	return ts, err
+}
+
+// SnapshotDigest is Snapshot plus the reassembled state's WrapDigest,
+// read from the component digests the chain already carries: compare it
+// with StateDigest to check a record end to end without hashing the
+// state a second time.
+func (r SnapshotRecord) SnapshotDigest() (app.TaggedSnapshot, [sha256.Size]byte, error) {
+	ts, dw, err := r.reassemble()
+	if err != nil {
+		return app.TaggedSnapshot{}, [sha256.Size]byte{}, err
+	}
+	return ts, dw.Digest(), nil
+}
+
+func (r SnapshotRecord) reassemble() (app.TaggedSnapshot, *DigestedWrap, error) {
 	ts, err := DecodeSnapshot(r.Frame)
 	if err != nil {
-		return app.TaggedSnapshot{}, err
+		return app.TaggedSnapshot{}, nil, err
 	}
+	dw := NewDigestedWrap(ts.Wrap)
 	for i, raw := range r.Deltas {
 		d, err := DecodeDelta(raw)
-		if err != nil {
-			return app.TaggedSnapshot{}, fmt.Errorf("state: delta %d/%d: %w", i+1, len(r.Deltas), err)
+		if err == nil {
+			dw, err = dw.Apply(d)
 		}
-		ts.Wrap, err = ApplyDelta(ts.Wrap, d)
 		if err != nil {
-			return app.TaggedSnapshot{}, fmt.Errorf("state: delta %d/%d: %w", i+1, len(r.Deltas), err)
+			return app.TaggedSnapshot{}, nil, fmt.Errorf("state: delta %d/%d: %w", i+1, len(r.Deltas), err)
 		}
 	}
+	ts.Wrap = dw.Wrap
 	if len(r.Deltas) > 0 {
 		ts.At = r.At
 	}
-	return ts, nil
+	return ts, dw, nil
 }
 
 // Verify checks every frame's header and checksum without decoding —

@@ -10,9 +10,10 @@ import (
 // [version byte 0x02][opcode byte][binary body]: no gob type dictionary,
 // no reflection, just length-prefixed fields in a fixed per-opcode
 // layout. Gob (ProtoVersion=1 frames) is the long-tail encoding. Each op
-// has exactly one of the two — the hot ops (snapshot put, watch event
-// push, bundle push, migration check-in) are v2 frames — and either
-// opener refuses the other's version byte with a typed ErrVersion.
+// has exactly one of the two — the hot ops (snapshot put and fetch,
+// watch event push, bundle push, migration check-in, federation batch)
+// are v2 frames — and either opener refuses the other's version byte
+// with a typed ErrVersion.
 const ProtoV2 byte = 2
 
 // MaxProto is the newest protocol version this build speaks; servers
@@ -29,6 +30,12 @@ const (
 	OpSnapPut byte = 0x01
 	// OpSnapPutReply carries one snapshot-put outcome (stamp + flags).
 	OpSnapPutReply byte = 0x03
+	// OpSnapGet carries one snapshot fetch: the app and what the
+	// requester already holds of it.
+	OpSnapGet byte = 0x05
+	// OpSnapGetReply carries the fetched record's head and its frames
+	// (the base, unless the reply is a delta-only tail, then each delta).
+	OpSnapGetReply byte = 0x06
 	// OpEventBatch carries a watch-id-tagged run of sequenced events.
 	OpEventBatch byte = 0x10
 	// OpBundlePush carries one signed app bundle (name + raw bytes) —
