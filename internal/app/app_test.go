@@ -86,23 +86,77 @@ func TestBlobSnapshotRestoreChecksum(t *testing.T) {
 	}
 }
 
-// TestSizedBlobFillMatchesFormula: the period-doubling fill writes the
-// same bytes as the per-byte formula, at sizes around the 256-byte
-// period and at the skeleton UI's size, for names of several lengths.
-func TestSizedBlobFillMatchesFormula(t *testing.T) {
-	for _, name := range []string{"", "x", "main-ui", strings.Repeat("n", 300)} {
-		for _, size := range []int64{0, 1, 255, 256, 257, 400<<10 + 3} {
-			b := NewSizedBlob(name, KindUI, size)
-			if int64(len(b.data)) != size {
-				t.Fatalf("name %q: %d bytes, want %d", name, len(b.data), size)
-			}
-			for i, got := range b.data {
-				if want := byte(i*131 + len(name)); got != want {
-					t.Fatalf("name %q, size %d: byte %d = %#x, want %#x", name, size, i, got, want)
-				}
-			}
+// checkFill fails t unless b holds the per-byte formula's bytes for a
+// name of length k. It may run on any goroutine.
+func checkFill(t *testing.T, b *BlobComponent, k int, size int64) {
+	t.Helper()
+	if int64(len(b.data)) != size {
+		t.Errorf("name length %d: %d bytes, want %d", k, len(b.data), size)
+		return
+	}
+	for i, got := range b.data {
+		if want := byte(i*131 + k); got != want {
+			t.Errorf("name length %d, size %d: byte %d = %#x, want %#x", k, size, i, got, want)
+			return
 		}
 	}
+}
+
+// TestSizedBlobFillMatchesFormula: the shared fill gives the same bytes
+// as the per-byte formula, at sizes around the 256-byte period and at the
+// skeleton UI's size, for names of several lengths. Names of one length
+// share backing bytes; each view is capacity-capped; growing the fill
+// replaces it and leaves earlier views intact, also under concurrent
+// calls (run with -race).
+func TestSizedBlobFillMatchesFormula(t *testing.T) {
+	// Start from no fill, so the sizes below, which grow past whatever
+	// fill exists, stay bounded however often the test runs (-count).
+	// Dropping the fill is safe: views keep their own backing array.
+	sized.mu.Lock()
+	sized.fill = nil
+	sized.mu.Unlock()
+
+	for _, name := range []string{"", "x", "main-ui", strings.Repeat("n", 300)} {
+		for _, size := range []int64{0, 1, 255, 256, 257, 400<<10 + 3} {
+			checkFill(t, NewSizedBlob(name, KindUI, size), len(name), size)
+		}
+	}
+
+	a, b := NewSizedBlob("ui-a", KindUI, 4096), NewSizedBlob("ui-b", KindLogic, 4096)
+	if &a.data[0] != &b.data[0] {
+		t.Fatal("two blobs whose names have the same length do not share their bytes")
+	}
+	if cap(a.data) != len(a.data) {
+		t.Fatalf("view capacity %d, length %d: an append would write into the shared fill", cap(a.data), len(a.data))
+	}
+	if grown := append(a.data, 0xAA); &grown[0] == &a.data[0] {
+		t.Fatal("append to a view did not reallocate")
+	}
+
+	sized.mu.Lock()
+	n := int64(len(sized.fill))
+	sized.mu.Unlock()
+	c := NewSizedBlob("ui-c", KindUI, n+1)
+	if &c.data[0] == &a.data[0] {
+		t.Fatal("a request past the fill's end did not replace the fill")
+	}
+	checkFill(t, a, 4, 4096)
+	checkFill(t, c, 4, n+1)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for step := int64(1); step <= 4; step++ {
+				size := 2*n + step*int64(g+1)*1000
+				name := strings.Repeat("g", g)
+				checkFill(t, NewSizedBlob(name, KindData, size), g, size)
+			}
+		}()
+	}
+	wg.Wait()
+	checkFill(t, a, 4, 4096)
 }
 
 func TestStateComponentRoundTrip(t *testing.T) {

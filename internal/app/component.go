@@ -100,19 +100,46 @@ func NewBlob(name string, kind ComponentKind, data []byte) *BlobComponent {
 
 // NewSizedBlob creates a blob of size bytes of deterministic content,
 // convenient for synthetic logic/UI/data payloads. Byte i is
-// byte(i*131 + len(name)), which repeats every 256 bytes: one period is
-// computed and then doubled with copy, so the fill costs the same
-// wherever the linker places it.
+// byte(i*131 + len(name)).
+//
+// Every such blob in the process is a view of one shared fill: captured
+// bytes are never written (see Component), so an installed skeleton's UI
+// bundle costs no allocation however many arrivals instantiate it. Since
+// 131*43 = 1 (mod 256), byte i for name length k is byte i+43k of the
+// k = 0 fill, so one buffer serves every name at offset 43k mod 256. The
+// view is capacity-capped: an append reallocates instead of writing into
+// the next view's bytes.
 func NewSizedBlob(name string, kind ComponentKind, size int64) *BlobComponent {
-	data := make([]byte, size)
-	period := data[:min(len(data), 256)]
+	off := int64(43*len(name)) % 256
+	fill := sharedFill(off + size)
+	return NewBlob(name, kind, fill[off:off+size:off+size])
+}
+
+// sized holds the process-wide fill behind NewSizedBlob: byte i is
+// byte(i*131). It is only ever replaced by a longer one, never edited, so
+// earlier views keep their bytes.
+var sized struct {
+	mu   sync.Mutex
+	fill []byte
+}
+
+// sharedFill returns the shared fill, at least n bytes long.
+func sharedFill(n int64) []byte {
+	sized.mu.Lock()
+	defer sized.mu.Unlock()
+	if n <= int64(len(sized.fill)) {
+		return sized.fill
+	}
+	fill := make([]byte, n)
+	period := fill[:min(len(fill), 256)]
 	for i := range period {
-		period[i] = byte(i*131 + len(name))
+		period[i] = byte(i * 131)
 	}
-	for n := len(period); n < len(data); n *= 2 {
-		copy(data[n:], data[:n])
+	for n := len(period); n < len(fill); n *= 2 {
+		copy(fill[n:], fill[:n])
 	}
-	return NewBlob(name, kind, data)
+	sized.fill = fill
+	return fill
 }
 
 // Name implements Component.

@@ -115,64 +115,6 @@ func (l *Library) Names() []string {
 	return out
 }
 
-// Playlist is an ordered set of track names with a cursor — the state the
-// follow-me player migrates.
-type Playlist struct {
-	mu     sync.Mutex
-	tracks []string
-	cursor int
-}
-
-// NewPlaylist creates a playlist over tracks.
-func NewPlaylist(tracks ...string) *Playlist {
-	cp := make([]string, len(tracks))
-	copy(cp, tracks)
-	return &Playlist{tracks: cp}
-}
-
-// Current returns the track at the cursor.
-func (p *Playlist) Current() (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cursor < 0 || p.cursor >= len(p.tracks) {
-		return "", false
-	}
-	return p.tracks[p.cursor], true
-}
-
-// Next advances the cursor, wrapping, and returns the new track.
-func (p *Playlist) Next() (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.tracks) == 0 {
-		return "", false
-	}
-	p.cursor = (p.cursor + 1) % len(p.tracks)
-	return p.tracks[p.cursor], true
-}
-
-// Seek positions the cursor at the named track.
-func (p *Playlist) Seek(track string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, t := range p.tracks {
-		if t == track {
-			p.cursor = i
-			return true
-		}
-	}
-	return false
-}
-
-// Tracks returns a copy of the track list.
-func (p *Playlist) Tracks() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cp := make([]string, len(p.tracks))
-	copy(cp, p.tracks)
-	return cp
-}
-
 // SlideDeck is a presentation deck: n slides of roughly equal size. The
 // clone-dispatch demo carries decks to overflow rooms.
 type SlideDeck struct {

@@ -2,6 +2,7 @@ package media
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -59,35 +60,6 @@ func TestLibrary(t *testing.T) {
 	}
 }
 
-func TestPlaylist(t *testing.T) {
-	p := NewPlaylist("a", "b", "c")
-	if cur, ok := p.Current(); !ok || cur != "a" {
-		t.Fatalf("Current = %q, %v", cur, ok)
-	}
-	if next, _ := p.Next(); next != "b" {
-		t.Fatalf("Next = %q", next)
-	}
-	if !p.Seek("c") {
-		t.Fatal("Seek failed")
-	}
-	if next, _ := p.Next(); next != "a" { // wraps
-		t.Fatalf("wrap Next = %q", next)
-	}
-	if p.Seek("zzz") {
-		t.Fatal("Seek to missing track succeeded")
-	}
-	if got := p.Tracks(); len(got) != 3 {
-		t.Fatalf("Tracks = %v", got)
-	}
-	empty := NewPlaylist()
-	if _, ok := empty.Current(); ok {
-		t.Fatal("empty Current ok")
-	}
-	if _, ok := empty.Next(); ok {
-		t.Fatal("empty Next ok")
-	}
-}
-
 func TestSlideDeck(t *testing.T) {
 	deck := GenerateDeck("lecture", 10, 1<<20, 7)
 	if len(deck.Slides) != 10 {
@@ -105,7 +77,7 @@ func TestSlideDeck(t *testing.T) {
 	}
 }
 
-func streamRig(t *testing.T) (*transport.Endpoint, *Library) {
+func streamRig(t testing.TB) (*transport.Endpoint, *Library) {
 	t.Helper()
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
@@ -181,5 +153,26 @@ func TestRemoteStreamErrors(t *testing.T) {
 	}
 	if _, err := OpenRemote(ctx, cli, "media@hostA", URL("hostA", "missing.mp3")); err == nil {
 		t.Fatal("missing file opened")
+	}
+}
+
+// TestFetchClampsAnOverlongRange: a length that overflows when added to
+// the offset reads to the end of the file instead of panicking the
+// handler's goroutine, and with it the serving daemon.
+func TestFetchClampsAnOverlongRange(t *testing.T) {
+	cli, lib := streamRig(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	song, _ := lib.Get("song.mp3")
+	for _, off := range []int64{1, song.Size() / 2, song.Size()} {
+		payload := transport.MustEncode(fetchReq{Name: "song.mp3", Offset: off, Length: math.MaxInt64})
+		var reply fetchReply
+		if err := cli.RequestDecode(ctx, "media@hostA", MsgFetch, payload, &reply); err != nil {
+			t.Fatalf("offset %d, length MaxInt64: %v", off, err)
+		}
+		if int64(len(reply.Data)) != song.Size()-off || !reply.EOF {
+			t.Fatalf("offset %d, length MaxInt64: %d bytes (eof %v), want the %d to the end",
+				off, len(reply.Data), reply.EOF, song.Size()-off)
+		}
 	}
 }

@@ -45,8 +45,10 @@ func ServeLibrary(lib *Library, ep *transport.Endpoint) {
 		if req.Offset < 0 || req.Offset > f.Size() {
 			return nil, fmt.Errorf("media: offset %d out of range for %q (%d bytes)", req.Offset, req.Name, f.Size())
 		}
+		// Offset is in [0, Size], so end-Offset cannot overflow; a sum
+		// with a wire-given Length can.
 		end := f.Size()
-		if req.Length > 0 && req.Offset+req.Length < end {
+		if req.Length > 0 && req.Length < end-req.Offset {
 			end = req.Offset + req.Length
 		}
 		// Encode only reads the slice; the reply is its own copy.

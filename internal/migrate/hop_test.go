@@ -10,6 +10,7 @@ import (
 	"mdagent/internal/demoapps"
 	"mdagent/internal/media"
 	"mdagent/internal/owl"
+	"mdagent/internal/registry"
 	"mdagent/internal/transport"
 	"mdagent/internal/wsdl"
 )
@@ -116,4 +117,126 @@ func BenchmarkStaticHopTCP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	hopRing(b, engines, at, b.N)
+}
+
+// tcpAdaptivePair builds the followme-roundtrip deployment inside this
+// process the way mdagentd sets it up: two engines on their own
+// transport.ListenTCP nodes sharing one registry, the player skeleton
+// installed and registered on both, each node answering for its media
+// name, and the player running on hostA with its 2 MB song in hostA's
+// served library and registered as untransferable data.
+func tcpAdaptivePair(tb testing.TB) []*Engine {
+	tb.Helper()
+	ctx := context.Background()
+	reg := newCenter(tb)
+	hosts := []string{"hostA", "hostB"}
+	nodes := make([]*transport.TCPNode, len(hosts))
+	for i, h := range hosts {
+		node, err := transport.ListenTCP(EndpointName(h), "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { node.Close() })
+		node.AddAlias(MediaEndpointName(h))
+		nodes[i] = node
+	}
+	song := media.GenerateFile("song1", songSize, 3)
+	engines := make([]*Engine, len(hosts))
+	for i, h := range hosts {
+		peer := hosts[1-i]
+		nodes[i].AddPeer(EndpointName(peer), nodes[1-i].Addr())
+		nodes[i].AddPeer(MediaEndpointName(peer), nodes[1-i].Addr())
+		lib := media.NewLibrary(h)
+		if i == 0 {
+			lib.Add(song)
+		}
+		media.ServeLibrary(lib, nodes[i].Endpoint())
+		dev := wsdl.DeviceProfile{Host: h, ScreenWidth: 1024, ScreenHeight: 768, MemoryMB: 512, HasAudio: true, HasDisplay: true}
+		if err := reg.RegisterDevice(ctx, dev); err != nil {
+			tb.Fatal(err)
+		}
+		engines[i] = NewEngine(h, dev, nodes[i].Endpoint(), nil, nil, reg, DefaultCosts())
+		engines[i].InstallFactory("smart-media-player", demoapps.MediaPlayerSkeleton)
+		if err := reg.RegisterApp(ctx, registry.AppRecord{
+			Name: "smart-media-player", Host: h, Description: demoapps.MediaPlayerDesc(),
+			Components: demoapps.MediaPlayerSkeletonComponents(),
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := engines[0].Run(demoapps.NewMediaPlayer("hostA", song)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := reg.RegisterResource(ctx, demoapps.MusicResource(song, "hostA")); err != nil {
+		tb.Fatal(err)
+	}
+	return engines
+}
+
+// pingPong moves the player legs times between the pair with adaptive
+// binding, starting at engine at, and returns the index it ends on and
+// the most bytes one leg moved.
+func pingPong(tb testing.TB, engines []*Engine, at, legs int) (int, int64) {
+	tb.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var moved int64
+	for i := 0; i < legs; i++ {
+		to := 1 - at
+		rep, err := engines[at].FollowMe(ctx, "smart-media-player", engines[to].Host(), BindingAdaptive, owl.MatchSemantic)
+		if err != nil {
+			tb.Fatalf("leg %s -> %s: %v", engines[at].Host(), engines[to].Host(), err)
+		}
+		moved = max(moved, rep.BytesMoved)
+		at = to
+	}
+	return at, moved
+}
+
+// adaptiveLegBudget bounds what one adaptive leg allocates in both
+// engines together, averaged over legs both ways. A leg moves a few
+// hundred bytes of state; what it does allocate is, on each leg into
+// hostB, the 64 KiB prebuffer (encoded by the media server, then read
+// off the socket, buffered and decoded by the stream), plus per-message
+// bookkeeping: about 190 KB per leg measured on linux/amd64, up to about
+// 270 KB under -race, where sync.Pool drops entries at random and gob
+// decoders are rebuilt. Instantiating the installed skeleton shares its 400 KiB UI bundle with
+// every earlier arrival (app.NewSizedBlob); a fresh bundle per arrival
+// alone would exceed the budget.
+const adaptiveLegBudget = 320 << 10
+
+// TestAdaptiveLegAllocationBudget: a follow-me leg into a host holding
+// the player skeleton allocates for what it moves, not for the installed
+// UI bundle it instantiates.
+func TestAdaptiveLegAllocationBudget(t *testing.T) {
+	engines := tcpAdaptivePair(t)
+	// Warm-up legs: connections dialed and handshaken, the gob codec's
+	// descriptors primed, the codec logic carried once each way so both
+	// hosts hold a warm base and later legs ship deltas.
+	at, _ := pingPong(t, engines, 0, 4)
+	const legs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, moved := pingPong(t, engines, at, legs)
+	runtime.ReadMemStats(&after)
+	if moved >= 4<<10 {
+		t.Fatalf("a measured leg moved %d bytes: not the warm adaptive round trip", moved)
+	}
+	perLeg := (after.TotalAlloc - before.TotalAlloc) / legs
+	if perLeg > adaptiveLegBudget {
+		t.Fatalf("an adaptive leg moving at most %d bytes allocated %d bytes, budget %d (the UI bundle is %d)",
+			moved, perLeg, adaptiveLegBudget, 400<<10)
+	}
+	t.Logf("adaptive leg: at most %d bytes moved, %d bytes allocated", moved, perLeg)
+}
+
+// BenchmarkAdaptiveLegTCP prices one adaptive follow-me leg of the player
+// between two TCP nodes in one process, each leg arriving at an installed
+// skeleton: ns, bytes allocated and allocations per leg.
+func BenchmarkAdaptiveLegTCP(b *testing.B) {
+	engines := tcpAdaptivePair(b)
+	at, _ := pingPong(b, engines, 0, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	pingPong(b, engines, at, b.N)
 }

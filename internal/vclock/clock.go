@@ -109,25 +109,3 @@ func (s *Skewed) Charge(d time.Duration) { s.base.Charge(d) }
 
 // Offset returns the constant skew applied by this clock.
 func (s *Skewed) Offset() time.Duration { return s.offset }
-
-// Stopwatch measures an interval on a single Clock.
-type Stopwatch struct {
-	clock Clock
-	start time.Time
-}
-
-// NewStopwatch starts a stopwatch on c.
-func NewStopwatch(c Clock) *Stopwatch {
-	return &Stopwatch{clock: c, start: c.Now()}
-}
-
-// Elapsed reports time since the stopwatch started.
-func (s *Stopwatch) Elapsed() time.Duration { return s.clock.Now().Sub(s.start) }
-
-// Restart resets the start point to now and returns the previous lap.
-func (s *Stopwatch) Restart() time.Duration {
-	now := s.clock.Now()
-	lap := now.Sub(s.start)
-	s.start = now
-	return lap
-}

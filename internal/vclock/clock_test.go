@@ -105,19 +105,6 @@ func TestSkewConstantDifference(t *testing.T) {
 	}
 }
 
-func TestStopwatchLaps(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	sw := NewStopwatch(v)
-	v.Charge(100 * time.Millisecond)
-	if lap := sw.Restart(); lap != 100*time.Millisecond {
-		t.Fatalf("first lap = %v, want 100ms", lap)
-	}
-	v.Charge(250 * time.Millisecond)
-	if got := sw.Elapsed(); got != 250*time.Millisecond {
-		t.Fatalf("Elapsed = %v, want 250ms", got)
-	}
-}
-
 func TestRealChargeSleeps(t *testing.T) {
 	var r Real
 	before := time.Now()
