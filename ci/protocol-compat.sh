@@ -15,7 +15,10 @@
 # promptly and nothing is stored. Store upgrades: a -store directory the
 # old mdregistry wrote (standalone, then federated), holding a bundle
 # over 64 KiB, opens under the new one with the same apps and bundles
-# listed. Every wire op has one encoding and
+# listed. These two pairs are the proof of the compatibility window for
+# bytes at rest (DESIGN.md §2): a build reads the layout the build before
+# it wrote, and refuses anything older with store.ErrLayout. Every wire
+# op has one encoding and
 # no fallback, so this N<->N-1 run is the only net under a wire-format
 # break (sealed-frame layout, fast-frame layout, reply shapes) that every
 # same-version test is blind to.
@@ -312,7 +315,8 @@ SPEC
 # than 64 KiB, past the blob threshold of a store that still kept a blob
 # log. The new mdregistry opens the same directory (converting the store
 # on first open when the layouts differ) and must list the same apps and
-# bundles, and leave no blob-*.seg behind.
+# bundles, and leave no blob-*.seg behind: the window's proof that a store
+# the base wrote opens under the change.
 run_store_upgrade_pair() {
   local space=$1 label=$2
   echo "-- pair: $label"

@@ -42,7 +42,11 @@ func bootRegistry(t *testing.T) (string, *registry.Registry) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	center := cluster.NewCenter("", nil, node.Endpoint(), cluster.Config{}).Serve(node.Endpoint())
+	center, err := cluster.NewCenter("", nil, node.Endpoint(), cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	center.Serve(node.Endpoint())
 	return node.Addr(), center.Registry()
 }
 
@@ -128,7 +132,11 @@ func TestFederatedDaemonsGossip(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	cluster.NewCenter("lab", nil, node.Endpoint(), cluster.Config{}).Serve(node.Endpoint())
+	center, err := cluster.NewCenter("lab", nil, node.Endpoint(), cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	center.Serve(node.Endpoint())
 
 	var outA, outB syncBuffer
 	addrA := startDaemon(t, &outA,
@@ -192,7 +200,10 @@ func TestDaemonReplicatesStateOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	center := cluster.NewCenter("lab", nil, node.Endpoint(), cluster.Config{})
+	center, err := cluster.NewCenter("lab", nil, node.Endpoint(), cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	center.Serve(node.Endpoint())
 
 	var outA syncBuffer

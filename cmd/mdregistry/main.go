@@ -22,9 +22,10 @@
 // centers serve "registry@<space>" (point mdagentd's -registry and -space
 // flags accordingly). Both are the same cluster.Center: a standalone
 // registry is a center with no peers, so both serve the same registry and
-// snapshot ops, keep one durable copy of each record under the store's
-// fed/ keys, and convert a store written by an older binary (which kept a
-// second, registry-layout copy) the first time they open it.
+// snapshot ops and keep one durable copy of each record under the store's
+// fed/ keys. A store in a layout this build no longer reads (DESIGN.md §2)
+// stops mdregistry with an error wrapping store.ErrLayout before it serves
+// anything; the error names the commit whose build converts that store.
 package main
 
 import (
@@ -146,7 +147,10 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	node.AddAlias(ctl.Alias)
 
 	// Standalone is a center with no peers.
-	center := cluster.NewCenter(*space, db, node.Endpoint(), cluster.Config{WriteConcern: wc})
+	center, err := cluster.NewCenter(*space, db, node.Endpoint(), cluster.Config{WriteConcern: wc})
+	if err != nil {
+		return fmt.Errorf("%s: %w", *storePath, err)
+	}
 	for peerSpace, addr := range peers {
 		peerEndpoint := cluster.CenterEndpointName(peerSpace)
 		node.AddPeer(peerEndpoint, addr)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +16,7 @@ import (
 	"mdagent/internal/cluster"
 	"mdagent/internal/ctl"
 	"mdagent/internal/registry"
+	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/wsdl"
 )
@@ -229,5 +233,104 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-space", "lab1", "-fed-peer", "garbage"}, &out, nil, nil); err == nil {
 		t.Fatal("malformed -fed-peer accepted")
+	}
+}
+
+// retiredStores are store fixtures in layouts a build no longer reads: a
+// seed-format log file, and a standalone registry's directory in the
+// registry layout.
+var retiredStores = map[string]string{
+	"seed-log":        "../../internal/store/testdata/seed-v0.log",
+	"registry-layout": "../../internal/cluster/testdata/parent-stores/standalone",
+}
+
+// copyStore copies a store fixture — a file or a directory — to path.
+func copyStore(t *testing.T, fixture, path string) {
+	t.Helper()
+	fi, err := os.Stat(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.IsDir() {
+		err = os.CopyFS(path, os.DirFS(fixture))
+	} else {
+		var raw []byte
+		if raw, err = os.ReadFile(fixture); err == nil {
+			err = os.WriteFile(path, raw, 0o644)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// treeFiles reads every file under root, keyed by its path relative to
+// root; a directory maps to nil.
+func treeFiles(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		if d.IsDir() {
+			out[rel] = nil
+			return nil
+		}
+		out[rel], err = os.ReadFile(p)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRetiredStoreIsRefused: mdregistry over a store in a retired layout
+// exits with an error wrapping store.ErrLayout that names the converting
+// commit, before it serves anything, and leaves the files as they were.
+// The registry-layout fixture also holds a blob log, the one retired
+// layout a build still reads; the store converts that on its own first.
+func TestRetiredStoreIsRefused(t *testing.T) {
+	for name, fixture := range retiredStores {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "store")
+			copyStore(t, fixture, path)
+			if db, err := store.Open(path); err == nil {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := treeFiles(t, dir)
+
+			var out syncBuffer
+			stop := make(chan struct{})
+			ready := make(chan string, 1)
+			errc := make(chan error, 1)
+			go func() {
+				errc <- run([]string{"-listen", "127.0.0.1:0", "-store", path}, &out, func(addr string) { ready <- addr }, stop)
+			}()
+			var err error
+			select {
+			case err = <-errc:
+			case <-ready:
+				close(stop)
+				<-errc
+				t.Fatalf("mdregistry served a retired store:\n%s", out.String())
+			case <-time.After(10 * time.Second):
+				t.Fatal("mdregistry neither served nor exited")
+			}
+			if !errors.Is(err, store.ErrLayout) || !strings.Contains(err.Error(), "3a28188") {
+				t.Fatalf("run = %v, want store.ErrLayout naming 3a28188", err)
+			}
+			if strings.Contains(out.String(), "serving") {
+				t.Fatalf("mdregistry printed a serving line:\n%s", out.String())
+			}
+			if !reflect.DeepEqual(treeFiles(t, dir), before) {
+				t.Fatal("the refused run changed the store's files")
+			}
+		})
 	}
 }

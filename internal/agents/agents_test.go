@@ -64,7 +64,10 @@ func newAgentRig(t *testing.T) *agentRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := cluster.NewCenter("", nil, regEp, cluster.Config{})
+	reg, err := cluster.NewCenter("", nil, regEp, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := space.NewDirectory()
 	if err := dir.AddSpace("lab-space"); err != nil {
 		t.Fatal(err)

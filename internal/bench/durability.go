@@ -91,7 +91,9 @@ func centerFederation(n int, net *netsim.Network, fab *transport.LocalFabric, cf
 		if err != nil {
 			return nil, err
 		}
-		centers[i] = cluster.NewCenter(space, nil, ep, cfg)
+		if centers[i], err = cluster.NewCenter(space, nil, ep, cfg); err != nil {
+			return nil, err
+		}
 	}
 	for i, a := range centers {
 		for j, b := range centers {

@@ -67,7 +67,7 @@ func batchCenters(t *testing.T, cfg Config, spaces ...string) []*Center {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = NewCenter(space, nil, ep, cfg)
+		out[i] = volatileCenter(space, ep, cfg)
 		t.Cleanup(out[i].Stop)
 	}
 	for _, a := range out {
@@ -201,7 +201,7 @@ func TestNackedDeltaMidBatchFallsBackAlone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewCenter(space, nil, ep, cfg)
+		c := volatileCenter(space, ep, cfg)
 		t.Cleanup(c.Stop)
 		return c
 	}
@@ -299,7 +299,7 @@ func TestFailedBatchAnswersEveryItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewCenter("fail-a", nil, ep, cfg)
+	a := volatileCenter("fail-a", ep, cfg)
 	t.Cleanup(a.Stop)
 	peerEp, err := fab.Attach(CenterEndpointName("fail-b"), "")
 	if err != nil {

@@ -87,7 +87,7 @@ func TestCenterBoundsEveryChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewCenter("alpha", nil, ep, testConfig())
+		c := volatileCenter("alpha", ep, testConfig())
 		c.Serve(ep)
 		cliEp, err := fab.Attach("client@test", "")
 		if err != nil {
@@ -156,7 +156,7 @@ func loneCenter(t *testing.T) *Center {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCenter("alpha", nil, ep, testConfig())
+	return volatileCenter("alpha", ep, testConfig())
 }
 
 // waitSeq waits until c's player record reaches seq.

@@ -60,7 +60,7 @@ func (c *Cluster) AddCenter(space string, ep *transport.Endpoint) *Center {
 	if ctr, ok := c.centers[space]; ok {
 		return ctr
 	}
-	ctr := NewCenter(space, nil, ep, c.cfg)
+	ctr, _ := NewCenter(space, nil, ep, c.cfg) // volatile: nothing to refuse
 	for peerSpace, peer := range c.centers {
 		ctr.AddPeer(peerSpace, peer.ep.Name())
 		peer.AddPeer(space, ep.Name())

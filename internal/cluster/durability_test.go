@@ -34,7 +34,7 @@ func newCenterTrio(t *testing.T, cfg Config) [3]*Center {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = NewCenter(space, nil, ep, cfg)
+		out[i] = volatileCenter(space, ep, cfg)
 	}
 	for i, a := range out {
 		for j, b := range out {
@@ -124,7 +124,7 @@ func TestDurableWriteShortfallReturnsErrNotDurable(t *testing.T) {
 	cfg := durableConfig(WriteOne)
 	cfg.ProbeTimeout = 30 * time.Millisecond
 	cfg.AckTimeout = 100 * time.Millisecond
-	c := NewCenter("alpha", nil, ep, cfg)
+	c := volatileCenter("alpha", ep, cfg)
 	c.AddPeer("beta", CenterEndpointName("beta")) // never attached: unreachable
 	ctx := context.Background()
 
@@ -194,7 +194,7 @@ func TestDurableDeltaFallsBackToFullRecord(t *testing.T) {
 		}
 		cfg := durableConfig(WriteOne)
 		cfg.ProbeTimeout = 50 * time.Millisecond
-		return NewCenter(space, nil, ep, cfg)
+		return volatileCenter(space, ep, cfg)
 	}
 	a := mk("alpha")
 	a.AddPeer("beta", CenterEndpointName("beta"))
@@ -239,7 +239,7 @@ func TestServeRejectsMalformedWriteConcernHeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter(space, nil, ep, testConfig()).Serve(ep)
+		return volatileCenter(space, ep, testConfig()).Serve(ep)
 	}
 	a, b := mk("alpha"), mk("beta")
 	a.AddPeer("beta", CenterEndpointName("beta"))
@@ -344,7 +344,7 @@ func TestSnapshotClientConnectionDropMidAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	NewCenter("real", nil, srv.Endpoint(), testConfig()).Serve(srv.Endpoint())
+	volatileCenter("real", srv.Endpoint(), testConfig()).Serve(srv.Endpoint())
 	node.AddPeer(CenterEndpointName("real"), srv.Addr())
 	cli2 := NewSnapshotClient(node.Endpoint(), CenterEndpointName("real"))
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
@@ -370,7 +370,7 @@ func TestFailoverPrefersDurableSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter(space, nil, ep, cfg)
+		return volatileCenter(space, ep, cfg)
 	}
 	cfg := durableConfig(WriteQuorum)
 	cfg.ProbeTimeout = 50 * time.Millisecond

@@ -22,7 +22,7 @@ func newSnapRig(t *testing.T) (*Center, *transport.Endpoint) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCenter("alpha", nil, ep, testConfig())
+	c := volatileCenter("alpha", ep, testConfig())
 	c.Serve(ep)
 	cliEp, err := fab.Attach("client@test", "")
 	if err != nil {

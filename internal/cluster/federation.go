@@ -117,10 +117,12 @@ const fedKeyPrefix = "fed/"
 // instead of re-issuing counters its peers have already seen (which they
 // would reject as stale), and its reads are rebuilt from the same records.
 // A nil db makes the center volatile: it starts empty, persists nothing,
-// and what it holds lives as long as the process and its peers' copies.
-// Call Start to begin anti-entropy; pushes and digest answers work as soon
-// as it is created.
-func NewCenter(space string, db *store.Store, ep *transport.Endpoint, cfg Config) *Center {
+// and what it holds lives as long as the process and its peers' copies;
+// it never fails. A store in a retired layout fails with an error wrapping
+// store.ErrLayout, before anything is written or served. Call Start to
+// begin anti-entropy; pushes and digest answers work as soon as it is
+// created.
+func NewCenter(space string, db *store.Store, ep *transport.Endpoint, cfg Config) (*Center, error) {
 	cfg = cfg.withDefaults()
 	c := &Center{
 		space:   space,
@@ -145,10 +147,12 @@ func NewCenter(space string, db *store.Store, ep *transport.Endpoint, cfg Config
 
 		mPersistErrs: obs.Default.Counter("mdagent_fed_persist_errors_total", "space", space),
 	}
-	c.loadRecords()
+	if err := c.loadRecords(); err != nil {
+		return nil, err
+	}
 	ep.Handle(MsgFedDigest, c.handleDigest)
 	ep.Handle(MsgFedBatch, c.handleFedBatch)
-	return c
+	return c, nil
 }
 
 // Space returns the smart space this center serves.

@@ -20,6 +20,16 @@ import (
 	"mdagent/internal/wsdl"
 )
 
+// volatileCenter is NewCenter without a store, which reads no layout and
+// so cannot fail.
+func volatileCenter(space string, ep *transport.Endpoint, cfg Config) *Center {
+	c, err := NewCenter(space, nil, ep, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func newCenterPair(t *testing.T) (*Center, *Center) {
 	t.Helper()
 	fab := transport.NewLocalFabric(nil)
@@ -29,7 +39,7 @@ func newCenterPair(t *testing.T) (*Center, *Center) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter(space, nil, ep, testConfig())
+		return volatileCenter(space, ep, testConfig())
 	}
 	a, b := mk("alpha"), mk("beta")
 	a.AddPeer("beta", CenterEndpointName("beta"))
@@ -245,7 +255,11 @@ func TestFederationVersionsSurviveRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewCenter("alpha", db, ep, testConfig()), func() {
+		c, err := NewCenter("alpha", db, ep, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, func() {
 			fab.Close()
 			db.Close()
 		}
@@ -588,7 +602,7 @@ func TestSnapshotWireProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCenter("alpha", nil, ep, testConfig())
+	c := volatileCenter("alpha", ep, testConfig())
 	c.Serve(ep)
 	cliEp, err := fab.Attach("client@test", "")
 	if err != nil {
@@ -641,7 +655,7 @@ func TestSnapshotDeltaAwareFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCenter("alpha", nil, ep, testConfig())
+	c := volatileCenter("alpha", ep, testConfig())
 	c.Serve(ep)
 	cliEp, err := fab.Attach("client@test", "")
 	if err != nil {

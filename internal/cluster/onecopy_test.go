@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -130,12 +130,61 @@ func TestStandaloneCenterSurvivesRestart(t *testing.T) {
 	}
 }
 
+// dirFiles reads every file of a flat store directory.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(ents))
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(raw)
+	}
+	return out
+}
+
+// assertLayoutRefused opens a center over the closed store directory dir
+// and checks that NewCenter fails with store.ErrLayout, names the commit
+// that converts the layout, and leaves every file of dir as it was.
+func assertLayoutRefused(t *testing.T, dir, space string) {
+	t.Helper()
+	before := dirFiles(t, dir)
+	db, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := transport.NewLocalFabric(nil)
+	defer fab.Close()
+	ep, err := fab.Attach(CenterEndpointName(space), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCenter(space, db, ep, testConfig())
+	if cerr := db.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err == nil {
+		c.Stop()
+		t.Fatal("NewCenter over a retired layout succeeded")
+	}
+	if !errors.Is(err, store.ErrLayout) || !strings.Contains(err.Error(), "3a28188") {
+		t.Fatalf("NewCenter = %v, want store.ErrLayout naming 3a28188", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused open changed the store's files")
+	}
+}
+
 // TestTornMirrorNeverDisagreesAfterReopen: the layout that kept a second,
 // registry-layout copy of each record wrote fed/<key> first and <key>
-// second. A log cut between the two leaves a demoted replication record
-// beside a mirror still saying the app runs. The reopened center answers
-// every read — the lookup, failover's per-host listing, what anti-entropy
-// offers a peer — from the replication record, and the stale mirror goes.
+// second, so a log cut between the two left a demoted replication record
+// beside a mirror still saying the app runs. That layout is refused
+// whole, so no center ever serves from a torn mirror.
 func TestTornMirrorNeverDisagreesAfterReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := store.Open(dir)
@@ -153,98 +202,27 @@ func TestTornMirrorNeverDisagreesAfterReopen(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	fab := transport.NewLocalFabric(nil)
-	t.Cleanup(func() { fab.Close() })
-	c := openDiskCenter(t, fab, dir, "lab", testConfig())
-	got, found, err := c.LookupApp(context.Background(), "player", "hostA")
-	if err != nil || !found {
-		t.Fatalf("LookupApp = %v, %v", found, err)
-	}
-	if got.Running {
-		t.Fatal("replication table Running=false, registry LookupApp Running=true")
-	}
-	onHost, err := c.Registry().AppsOnHost("hostA")
-	if err != nil || len(onHost) != 1 || onHost[0].Running {
-		t.Fatalf("AppsOnHost (failover's read) = %+v, %v; want one record, not running", onHost, err)
-	}
-	offered := c.missingFor(nil)
-	if len(offered) != 1 || offered[0].App.Running || !reflect.DeepEqual(offered[0].Version, demoted.Version) {
-		t.Fatalf("anti-entropy offers %+v, want the demoted record at %v", offered, demoted.Version)
-	}
-	c.close()
-	assertOneCopy(t, dir)
-}
-
-// servedView is what a center serves of the parent-store fixtures'
-// records; expected.json holds what the writer of the fixtures served.
-type servedView struct {
-	Apps      []registry.AppRecord
-	Resources []owl.Resource
-	Device    wsdl.DeviceProfile
-	Bundles   []registry.BundleInfo
-	BundleRaw []byte
-	Versions  map[string]vclock.Version
+	assertLayoutRefused(t, dir, "lab")
 }
 
 // TestParentStoresOpen: the store directories under testdata/parent-stores
 // were written by the layout that kept a registry-layout copy of every
 // record (testdata/parent-stores/gen_test.go): a federated center's, with
 // both copies, and a standalone registry's, with only the registry copy.
-// A center opened over either serves what the writer served — the
-// federated one at the same version vectors — and leaves nothing in the
-// store but the replication table; opening it again changes nothing.
+// The store converts their blob log, the one retired layout it still
+// reads; the center then refuses the registry layout and writes nothing.
 func TestParentStoresOpen(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "parent-stores", "expected.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var expected map[string]servedView
-	if err := json.Unmarshal(raw, &expected); err != nil {
-		t.Fatal(err)
-	}
 	for kind, space := range map[string]string{"federated": "lab", "standalone": ""} {
 		t.Run(kind, func(t *testing.T) {
 			dir := t.TempDir()
 			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "parent-stores", kind))); err != nil {
 				t.Fatal(err)
 			}
-			fab := transport.NewLocalFabric(nil)
-			t.Cleanup(func() { fab.Close() })
-			c := openDiskCenter(t, fab, dir, space, testConfig())
-			ctx := context.Background()
-			var got servedView
-			if got.Apps, err = c.Registry().Apps(); err != nil {
-				t.Fatal(err)
+			// Opening the store alone converts the blob log.
+			if len(storeContents(t, dir)) == 0 {
+				t.Fatal("the fixture holds no keys")
 			}
-			if got.Resources, err = c.Registry().ResourcesOnHost("hostA"); err != nil {
-				t.Fatal(err)
-			}
-			got.Device, _ = c.Registry().Device("hostA")
-			if got.Bundles, err = c.Bundles(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if got.BundleRaw, _, err = c.GetBundle(ctx, "player"); err != nil {
-				t.Fatal(err)
-			}
-			want := expected[kind]
-			if want.Versions != nil {
-				got.Versions = c.digest()
-			}
-			gotJS, _ := json.Marshal(got)
-			wantJS, _ := json.Marshal(want)
-			if string(gotJS) != string(wantJS) {
-				t.Fatalf("the center serves\n%s\nthe writer served\n%s", gotJS, wantJS)
-			}
-			c.close()
-			assertOneCopy(t, dir)
-
-			before := storeContents(t, dir)
-			c.reopen(nil)
-			c.close()
-			if after := storeContents(t, dir); !reflect.DeepEqual(after, before) {
-				t.Fatal("a second open changed the store")
-			}
+			assertLayoutRefused(t, dir, space)
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mdagent/internal/registry"
 	"mdagent/internal/store"
 	"mdagent/internal/transport"
 	"mdagent/internal/vclock"
@@ -41,9 +39,10 @@ const chainKeyPrefix = "fedchain/"
 
 // snapHeadMagic leads a persisted snapshot head. A gob stream opens with
 // a message length, whose first byte is below 0x80 or above 0xf7, so a
-// whole-record gob written before the chain layout can never be taken
-// for a head — nor a head for gob: an older binary's decoder rejects it
-// as a corrupt frame and re-fetches the record by anti-entropy.
+// whole-record gob value (any other record, or a tombstone) can never be
+// taken for a head — nor a head for gob: an older binary's decoder
+// rejects it as a corrupt frame and re-fetches the record by
+// anti-entropy.
 const snapHeadMagic byte = 0xc5
 
 // errBadSnapHead marks fed/snap/* bytes that are not a decodable head.
@@ -233,8 +232,8 @@ func (c *Center) persistScoped(r Record, scope persistScope) error {
 	case scope == headOnly && onDisk && old.deltas == n:
 	default:
 		// The base changed, or the disk does not hold this record as a
-		// chain yet (first write, or a whole-gob record from before the
-		// chain layout): write everything under a fresh generation.
+		// chain yet (its first write): write everything under a fresh
+		// generation.
 		dc = diskChain{gen: old.gen + 1, deltas: n}
 		if err := db.Put(chainBaseKey(r.Key, dc.gen), r.Snap.Frame); err != nil {
 			return err
@@ -268,23 +267,31 @@ func dropChain(db *store.Store, key string, dc diskChain) error {
 	return nil
 }
 
-// loadRecords rebuilds c.records, c.durable and c.chains from the store,
-// indexes every live record, and converts what a store written before the
-// one-copy layout holds beside them (importRegistryLayout). A record that
-// cannot be read back whole and checked — corrupt gob, bad head, a chain
-// key missing, a frame failing its checksum, a chain that does not
-// reassemble to the head's digest — is dropped: peers re-offer it by
-// anti-entropy, exactly as for a corrupt frame. A value the store could
-// not read back whole never gets here: the store drops it when it
-// converts a directory an older binary wrote, and every other record
-// still loads. Chain keys no loaded head names (a
-// generation whose head never landed, a generation the head moved away
-// from, a delta past the head's count) are swept. A center without a
-// store is volatile and starts empty.
-func (c *Center) loadRecords() {
+// loadRecords rebuilds c.records, c.durable and c.chains from the store
+// and indexes every live record. A record that cannot be read back whole
+// and checked — corrupt gob, bad head, a chain key missing, a frame
+// failing its checksum, a chain that does not reassemble to the head's
+// digest — is dropped: peers re-offer it by anti-entropy, exactly as for
+// a corrupt frame. A value the store could not read back whole never gets
+// here: the store drops it when it converts a directory an older binary
+// wrote, and every other record still loads. Chain keys no loaded head
+// names (a generation whose head never landed, a generation the head
+// moved away from, a delta past the head's count) are swept. A center
+// without a store is volatile and starts empty.
+//
+// A store in a layout two changes back fails with store.ErrLayout before
+// anything is written: registry-layout keys (a second copy of each
+// record, beside fed/ or in place of it) or a live snapshot record stored
+// as one gob (before the chain layout).
+func (c *Center) loadRecords() error {
 	db := c.db
 	if db == nil {
-		return
+		return nil
+	}
+	for _, prefix := range []string{"app/", "res/", "dev/", "bundle/"} {
+		if ks := db.Keys(prefix); len(ks) > 0 {
+			return fmt.Errorf("cluster: %w: registry-layout key %q", store.ErrLayout, ks[0])
+		}
 	}
 	var torn []string
 	for _, k := range db.Keys(fedKeyPrefix) {
@@ -302,6 +309,8 @@ func (c *Center) loadRecords() {
 			c.chains[r.Key] = dc
 		} else if err := transport.Decode(raw, &r); err != nil {
 			continue // corrupt frame; the peer re-offers it via anti-entropy
+		} else if r.Kind == RecordSnapshot && !r.Deleted {
+			return fmt.Errorf("cluster: %w: snapshot record %q is one gob value, not a chain", store.ErrLayout, k)
 		}
 		c.records[r.Key] = r
 		if r.Kind == RecordSnapshot && !r.Deleted && r.Snap.Durable {
@@ -327,68 +336,7 @@ func (c *Center) loadRecords() {
 			_ = c.index(r)
 		}
 	}
-	c.importRegistryLayout()
-}
-
-// registryLayout is where a store written before the one-copy layout
-// keeps a second copy of each app, resource, device and bundle record,
-// beside fed/: a registry's own keys, mirrored from the replication table
-// by a federated center and the only copy in a standalone registry's
-// store.
-var registryLayout = []string{"app/", "res/", "dev/", "bundle/"}
-
-// decodeRegistryLayout reads one registry-layout value into a record of
-// its kind: a gob value, or a bundle's raw bytes.
-func decodeRegistryLayout(key string, raw []byte) (Record, error) {
-	r := Record{Key: key}
-	var err error
-	switch {
-	case strings.HasPrefix(key, "app/"):
-		r.Kind, err = RecordApp, transport.Decode(raw, &r.App)
-	case strings.HasPrefix(key, "res/"):
-		r.Kind, err = RecordResource, transport.Decode(raw, &r.Res)
-	case strings.HasPrefix(key, "dev/"):
-		r.Kind, err = RecordDevice, transport.Decode(raw, &r.Dev)
-	default: // copied: a Get result is the store's own buffer
-		r.Kind = RecordBundle
-		r.Bdl = registry.BundleRecord{Name: strings.TrimPrefix(key, "bundle/"), Raw: bytes.Clone(raw)}
-	}
-	return r, err
-}
-
-// importRegistryLayout converts the registry-layout keys of a store
-// written before the one-copy layout. A key a fed/ record covers is that
-// record's mirror — possibly a torn one, written on one side of the
-// record's last write — and is deleted: the fed/ record is the version of
-// record. A key nothing covers is adopted as a local write: stamped,
-// persisted under fed/, indexed, and only then deleted, so a crash during
-// the import re-runs it on the next open. A value that does not decode is
-// left where it is. Called once, from NewCenter.
-func (c *Center) importRegistryLayout() {
-	for _, prefix := range registryLayout {
-		for _, key := range c.db.Keys(prefix) {
-			if _, covered := c.records[key]; !covered {
-				raw, err := c.db.Get(key)
-				if err != nil {
-					continue
-				}
-				r, err := decodeRegistryLayout(key, raw)
-				if err != nil {
-					continue
-				}
-				r.Origin = c.space
-				r.Version = vclock.Version{}.Tick(c.space)
-				if c.persist(r, wholeRecord) != nil {
-					continue
-				}
-				c.records[key] = r
-				_ = c.index(r) // as in loadRecords
-			}
-			// Best effort: a key that survives is covered now, so the next
-			// open deletes it.
-			_ = c.db.Delete(key)
-		}
-	}
+	return nil
 }
 
 // loadChain reads the record a head describes and proves it whole.

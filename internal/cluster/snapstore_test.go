@@ -52,7 +52,9 @@ func (d *diskCenter) open() {
 	if d.ep, err = d.fab.Attach(CenterEndpointName(d.space), ""); err != nil {
 		d.t.Fatal(err)
 	}
-	d.Center = NewCenter(d.space, d.db, d.ep, d.cfg)
+	if d.Center, err = NewCenter(d.space, d.db, d.ep, d.cfg); err != nil {
+		d.t.Fatal(err)
+	}
 }
 
 func (d *diskCenter) close() {
@@ -314,7 +316,7 @@ func TestSnapshotChainCrashWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewCenter("beta", nil, ep, testConfig())
+		b := volatileCenter("beta", ep, testConfig())
 		b.AddPeer("alpha", CenterEndpointName("alpha"))
 		putChain(t, a.Center, "player", 3)
 		a.AddPeer("beta", CenterEndpointName("beta"))
@@ -443,12 +445,12 @@ func TestSnapshotChainHoldsOneGeneration(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRecordLoadsAndMigrates: testdata/legacy-snap-record.gob
-// is a snapshot record (base + 3 deltas, durable) as the last commit with
-// the whole-gob layout persisted it — that commit's own
-// transport.Encode(Record). It still opens, restores the same value,
-// and becomes a chain on its next write.
-func TestLegacySnapshotRecordLoadsAndMigrates(t *testing.T) {
+// TestLegacySnapshotRecordIsRefused: testdata/legacy-snap-record.gob is a
+// snapshot record (base + 3 deltas, durable) as the last commit with the
+// whole-gob layout persisted it — that commit's own
+// transport.Encode(Record). A live snapshot record in that layout is
+// refused, never served without the checks a chain gets on load.
+func TestLegacySnapshotRecordIsRefused(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "legacy-snap-record.gob"))
 	if err != nil {
 		t.Fatal(err)
@@ -456,97 +458,22 @@ func TestLegacySnapshotRecordLoadsAndMigrates(t *testing.T) {
 	if raw[0] == snapHeadMagic {
 		t.Fatal("fixture starts with the head magic")
 	}
-	key := snapKey("player")
+	var r Record
+	if err := transport.Decode(raw, &r); err != nil || r.Kind != RecordSnapshot || r.Deleted {
+		t.Fatalf("fixture decodes to kind %v, deleted %v (err %v); want a live snapshot record", r.Kind, r.Deleted, err)
+	}
 	dir := t.TempDir()
 	db, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put(fedKeyPrefix+key, raw); err != nil {
+	if err := db.Put(fedKeyPrefix+snapKey("player"), raw); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	fab := transport.NewLocalFabric(nil)
-	t.Cleanup(func() { fab.Close() })
-	c := openDiskCenter(t, fab, dir, "alpha", testConfig())
-	v := viewOf(t, c.Center, "player")
-	if !v.Found || v.Seq != 4 || v.BaseSeq != 1 || v.Chain != 3 || !v.Durable || !v.DurableFound ||
-		v.Version.Counter("alpha") != 4 {
-		t.Fatalf("legacy record loaded as %+v", v)
-	}
-	rec, _ := c.LatestSnapshot("player")
-	if got := snapValue(t, rec); got != "3" {
-		t.Fatalf("legacy record restores %q, want 3", got)
-	}
-	if keys := chainKeys(c.Center); len(keys) != 0 {
-		t.Fatalf("loading alone wrote chain keys %v", keys)
-	}
-
-	stamp := mustPut(t, c.Center, deltaOnRecord(t, rec, "4"))
-	if stamp.Seq != 5 || stamp.BaseSeq != 1 || stamp.Chain != 4 {
-		t.Fatalf("delta on a legacy record stamped %+v", stamp)
-	}
-	head, err := c.db.Get(fedKeyPrefix + key)
-	if err != nil || head[0] != snapHeadMagic || len(head) > 256 {
-		t.Fatalf("fed/%s after the write: %d bytes, err %v — not a head", key, len(head), err)
-	}
-	want := []string{chainBaseKey(key, 1)}
-	for i := 0; i < 4; i++ {
-		want = append(want, chainDeltaKey(key, 1, i))
-	}
-	if got := chainKeys(c.Center); !reflect.DeepEqual(got, want) {
-		t.Fatalf("chain keys %v, want %v", got, want)
-	}
-	c.reopen(nil)
-	rec, _ = c.LatestSnapshot("player")
-	if got := snapValue(t, rec); got != "4" || rec.Seq != 5 {
-		t.Fatalf("migrated record restores %q at seq %d, want 4 at 5", got, rec.Seq)
-	}
-}
-
-// deltaOnRecord builds the put a host that restored rec would send next:
-// a delta setting "st".v on top of exactly the state rec holds. (mustDelta
-// rebuilds its base from scratch, which digests differently from bytes
-// another process serialized — gob type ids are per process.)
-func deltaOnRecord(t *testing.T, rec state.SnapshotRecord, val string) state.SnapshotPut {
-	t.Helper()
-	ts, err := rec.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := app.New(rec.App, rec.Host, appDesc(rec.App))
-	if err := inst.Unwrap(ts.Wrap); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := inst.Component("st")
-	st.(*app.StateComponent).Set("v", val)
-	changed, err := inst.WrapComponents([]string{"st"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := state.ApplyDelta(ts.Wrap, state.WrapDelta{
-		App: rec.App, BaseDigest: rec.StateDigest,
-		Components: changed.Components, Kinds: changed.Kinds,
-		CoordState: changed.CoordState, Profile: changed.Profile,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := state.EncodeDelta(state.WrapDelta{
-		App: rec.App, FromHost: rec.Host, BaseDigest: rec.StateDigest,
-		Components: changed.Components, Kinds: changed.Kinds,
-		CoordState: changed.CoordState, Profile: changed.Profile,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return state.SnapshotPut{
-		App: rec.App, Host: rec.Host, At: time.Unix(3, 0), Delta: true, Frame: frame,
-		BaseDigest: rec.StateDigest, NewDigest: state.WrapDigest(next),
-	}
+	assertLayoutRefused(t, dir, "alpha")
 }
 
 func persistErrors(space string) int64 {
@@ -662,7 +589,7 @@ func TestRefusedDiskWriteFailsTheWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := NewCenter("alpha", nil, ep, durableConfig(WriteQuorum))
+		a := volatileCenter("alpha", ep, durableConfig(WriteQuorum))
 		b := openDiskCenter(t, fab, t.TempDir(), "beta", durableConfig(WriteQuorum))
 		a.AddPeer("beta", CenterEndpointName("beta"))
 		b.AddPeer("alpha", CenterEndpointName("alpha"))

@@ -196,7 +196,14 @@ func New(cfg Config) (*Middleware, error) {
 	if err != nil {
 		return nil, err
 	}
-	mw.center = cluster.NewCenter("", db, regEp, cluster.Config{}).Serve(regEp)
+	if mw.center, err = cluster.NewCenter("", db, regEp, cluster.Config{}); err != nil {
+		fab.Close()
+		if db != nil {
+			db.Close()
+		}
+		return nil, err
+	}
+	mw.center.Serve(regEp)
 	mw.Registry = mw.center.Registry()
 
 	if cfg.Cluster != nil {

@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +18,7 @@ import (
 	"mdagent/internal/netsim"
 	"mdagent/internal/owl"
 	"mdagent/internal/sensor"
+	"mdagent/internal/store"
 	"mdagent/internal/wsdl"
 )
 
@@ -336,4 +341,77 @@ func TestPersistentRegistryAcrossDeployments(t *testing.T) {
 	if err != nil || len(res) != 1 || res[0].ID != "p1" {
 		t.Fatalf("resources after restart = %v, %v", res, err)
 	}
+}
+
+// TestRetiredStoreIsRefused: New over a StorePath in a retired layout — a
+// seed-format log, a standalone registry's directory in the registry
+// layout — fails with an error wrapping store.ErrLayout that names the
+// converting commit, and leaves the files as they were. (The directory's
+// blob log, the one retired layout a build still reads, the store
+// converts on its own first.)
+func TestRetiredStoreIsRefused(t *testing.T) {
+	for name, fixture := range map[string]string{
+		"seed-log":        "../store/testdata/seed-v0.log",
+		"registry-layout": "../cluster/testdata/parent-stores/standalone",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "store")
+			fi, err := os.Stat(fixture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.IsDir() {
+				err = os.CopyFS(path, os.DirFS(fixture))
+			} else {
+				var raw []byte
+				if raw, err = os.ReadFile(fixture); err == nil {
+					err = os.WriteFile(path, raw, 0o644)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db, err := store.Open(path); err == nil {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := treeFiles(t, dir)
+			mw, err := New(Config{StorePath: path})
+			if err == nil {
+				mw.Close()
+				t.Fatal("New over a retired store succeeded")
+			}
+			if !errors.Is(err, store.ErrLayout) || !strings.Contains(err.Error(), "3a28188") {
+				t.Fatalf("New = %v, want store.ErrLayout naming 3a28188", err)
+			}
+			if !reflect.DeepEqual(treeFiles(t, dir), before) {
+				t.Fatal("the refused New changed the store's files")
+			}
+		})
+	}
+}
+
+// treeFiles reads every file under root, keyed by its path relative to
+// root; a directory maps to nil.
+func treeFiles(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		if d.IsDir() {
+			out[rel] = nil
+			return nil
+		}
+		out[rel], err = os.ReadFile(p)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -47,7 +47,10 @@ func standaloneHost(t *testing.T, wrap func(migrate.Catalog) migrate.Catalog) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := cluster.NewCenter("", nil, regEp, cluster.Config{})
+	reg, err := cluster.NewCenter("", nil, regEp, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ep, err := fab.Attach(migrate.EndpointName("hostA"), "")
 	if err != nil {
 		t.Fatal(err)

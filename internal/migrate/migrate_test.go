@@ -57,7 +57,11 @@ func newCenter(t testing.TB) *cluster.Center {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cluster.NewCenter("", nil, ep, cluster.Config{})
+	c, err := cluster.NewCenter("", nil, ep, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // newRig assembles the Fig. 8 evaluation scenario: player running on

@@ -98,9 +98,9 @@ func appendCheckinHead(p checkinPayload) ([]byte, error) {
 
 // decodeCheckin parses a check-in body. A payload of any other version —
 // the gob check-in of an older host included — fails with OpenFast's
-// ErrVersion before its body is touched, as do the retired 0x30
-// check-in of a host that leaves the source to demote its own record
-// and a frame of an opcode this build does not know. A budget past
+// ErrVersion before its body is touched, as does a frame of an opcode
+// this build does not know (the retired 0x30 check-in of a host that
+// leaves the source to demote its own record among them). A budget past
 // restoreTimeout reads as restoreTimeout. Frame aliases payload.
 func decodeCheckin(payload []byte) (checkinPayload, error) {
 	var p checkinPayload
@@ -110,8 +110,6 @@ func decodeCheckin(payload []byte) (checkinPayload, error) {
 	}
 	switch op {
 	case transport.OpCheckin:
-	case transport.OpCheckinRetired:
-		return p, fmt.Errorf("%w: check-in opcode %#x is retired: the sending host does not commit moves at the destination", transport.ErrVersion, op)
 	default:
 		return p, fmt.Errorf("%w: migrate: unknown fast opcode %#x on a check-in", transport.ErrVersion, op)
 	}

@@ -22,7 +22,7 @@ func benchPair(b *testing.B) (*registry.Client, registry.AppRecord) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { srv.Close() })
-	serveCenter(srv.Endpoint())
+	serveCenter(b, srv.Endpoint())
 	cli, err := transport.ListenTCP("agent", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

@@ -23,8 +23,13 @@ import (
 )
 
 // serveCenter serves a registry center with no peers on ep.
-func serveCenter(ep *transport.Endpoint) *cluster.Center {
-	return cluster.NewCenter("", nil, ep, cluster.Config{}).Serve(ep)
+func serveCenter(t testing.TB, ep *transport.Endpoint) *cluster.Center {
+	t.Helper()
+	c, err := cluster.NewCenter("", nil, ep, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Serve(ep)
 }
 
 func desc(name string) wsdl.Description {
@@ -66,7 +71,7 @@ func TestRemoteClientOverLocalFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveCenter(srvEp)
+	serveCenter(t, srvEp)
 
 	cliEp, err := fab.Attach("agentA", "hostA")
 	if err != nil {
@@ -136,7 +141,7 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveCenter(srvEp)
+	serveCenter(t, srvEp)
 	cliEp, err := fab.Attach("cli", "")
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +167,7 @@ func TestMoveOpsRefuseAFutureSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := serveCenter(srvEp).Registry()
+	reg := serveCenter(t, srvEp).Registry()
 	cliEp, err := fab.Attach("cli", "")
 	if err != nil {
 		t.Fatal(err)

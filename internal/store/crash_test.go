@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -238,8 +237,9 @@ func TestCrashCorruptLengthPrefix(t *testing.T) {
 }
 
 // TestLegacyMigrationCorruptLength replaces the golden seed log's torn
-// final frame with a length prefix of 2^62: the migration must stop at
-// the last intact record instead of trying to allocate the body.
+// final frame with a length prefix of 2^62 and parks it where an older
+// build's interrupted conversion would: Open refuses it with ErrLayout
+// without reading it, so nothing is allocated from the claimed length.
 func TestLegacyMigrationCorruptLength(t *testing.T) {
 	golden, err := os.ReadFile(goldenLegacyLog)
 	if err != nil {
@@ -256,23 +256,15 @@ func TestLegacyMigrationCorruptLength(t *testing.T) {
 	if intact == 0 || intact == len(golden) {
 		t.Fatalf("golden log has %d intact bytes of %d, want a torn tail after some records", intact, len(golden))
 	}
-	path := filepath.Join(t.TempDir(), "reg.log")
-	if err := os.WriteFile(path, append(golden[:intact:intact], impossibleLength(1<<62)...), 0o644); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "reg.log")
+	if err := os.Mkdir(path, 0o755); err != nil {
 		t.Fatal(err)
 	}
-
-	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open over legacy log with a corrupt length: %v", err)
+	if err := os.WriteFile(path+".legacy", append(golden[:intact:intact], impossibleLength(1<<62)...), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	defer s.Close()
-	if v, err := s.Get("b"); err != nil || string(v) != "2" {
-		t.Fatalf("Get(b) = %q, %v", v, err)
-	}
-	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("legacy-deleted key resurrected")
-	}
-	if keyCount(s) != 1 {
-		t.Fatalf("Len = %d, want 1", keyCount(s))
+	if n := allocatedBy(func() { assertRefused(t, dir, path) }); n > 1<<20 {
+		t.Fatalf("refusing a %d-byte log allocated %d bytes", intact, n)
 	}
 }

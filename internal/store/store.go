@@ -20,7 +20,8 @@
 //   - A directory written before every value lived in the WAL also holds
 //     blob-*.seg files, which its WAL frames reference. Open reads those
 //     values once and converts the directory (bloblog.go); nothing
-//     writes that layout any more.
+//     writes that layout any more. It is the one retired layout Open
+//     still reads: anything older fails with ErrLayout (DESIGN.md §2).
 //
 // Ownership contract: Put copies the caller's value exactly once (into
 // the encoded WAL frame, whose bytes also back the in-memory index), so
@@ -47,6 +48,11 @@ var ErrNotFound = errors.New("store: key not found")
 
 // ErrClosed is returned by mutations on a closed store.
 var ErrClosed = errors.New("store: closed")
+
+// ErrLayout is returned when the bytes at rest are in a layout this
+// build no longer reads. Commit 3a28188 is the last build that converts
+// every retired layout: open the store once with it, then with this one.
+var ErrLayout = errors.New("store: retired on-disk layout (open it once with a build of commit 3a28188 to convert it)")
 
 // SyncPolicy selects when the engine fsyncs the log relative to
 // acknowledging a write.
@@ -157,20 +163,21 @@ type Store struct {
 }
 
 // Open opens (or creates) a durable store rooted at path, replaying the
-// write-ahead log to recover state. A regular file at path — a log
-// written by the seed single-file store — is migrated into the new
-// layout first (crash-safely: the legacy file is parked at
-// path+".legacy" until the converted store is on disk), and a directory
-// that still holds blob-*.seg files is converted after replay
-// (convertBlobLayout).
+// write-ahead log to recover state. A directory that still holds
+// blob-*.seg files is converted after replay (convertBlobLayout). A
+// regular file at path (the seed single-file log), or one parked at
+// path+".legacy" by an older build's interrupted conversion of it, fails
+// with ErrLayout and is left as it is.
 func Open(path string, opts ...Option) (*Store, error) {
 	o := options{}
 	for _, fn := range opts {
 		fn(&o)
 	}
 
-	if err := migrateLegacyIfNeeded(path); err != nil {
-		return nil, err
+	for _, p := range []string{path, path + ".legacy"} {
+		if fi, err := os.Stat(p); err == nil && !fi.IsDir() {
+			return nil, fmt.Errorf("%w: %s is a seed-format log", ErrLayout, p)
+		}
 	}
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
@@ -324,16 +331,6 @@ func (s *Store) Keys(prefix string) []string {
 	s.mu.RUnlock()
 	sort.Strings(ks)
 	return ks
-}
-
-// Sync flushes the log to stable storage. It runs entirely on the
-// committer, touching no index lock — readers and writers proceed
-// while the disk flush is in flight.
-func (s *Store) Sync() error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return s.wal.syncBarrier()
 }
 
 // DiskUsage reports the bytes the store's WAL segments occupy on disk.

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -228,7 +230,7 @@ func TestCompactShrinksAndPreserves(t *testing.T) {
 	if err := s.Put("cold", []byte("keep")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Sync(); err != nil {
+	if err := s.wal.syncBarrier(); err != nil {
 		t.Fatal(err)
 	}
 	before := s.DiskUsage()
@@ -320,8 +322,8 @@ func TestConcurrentDurableWriters(t *testing.T) {
 	}
 }
 
-// Satellite (a): Sync must not block readers — the flush runs on the
-// committer with no index locks held.
+// An fsync must not block readers — the flush runs on the committer with
+// no index locks held (compaction's barrier before it drops a segment).
 func TestSyncDoesNotBlockReaders(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reg.log")
 	s, err := Open(path, WithSyncPolicy(SyncNever))
@@ -344,7 +346,7 @@ func TestSyncDoesNotBlockReaders(t *testing.T) {
 	defer close(release)
 
 	syncDone := make(chan error, 1)
-	go func() { syncDone <- s.Sync() }()
+	go func() { syncDone <- s.wal.syncBarrier() }()
 	<-entered // the committer is now stuck inside the "disk flush"
 
 	readDone := make(chan struct{})
@@ -363,11 +365,11 @@ func TestSyncDoesNotBlockReaders(t *testing.T) {
 	select {
 	case <-readDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("reads blocked while Sync was flushing")
+		t.Fatal("reads blocked while the committer was flushing")
 	}
 	release <- struct{}{} // let the stuck flush finish
 	if err := <-syncDone; err != nil {
-		t.Fatalf("Sync = %v", err)
+		t.Fatalf("syncBarrier = %v", err)
 	}
 }
 
@@ -527,50 +529,75 @@ func TestCompactDuringConcurrentWrites(t *testing.T) {
 // commit that still had the seed writer.
 const goldenLegacyLog = "testdata/seed-v0.log"
 
-// A pre-PR-8 single-file gob log is migrated into the engine layout.
+// dirFiles reads every file under root, keyed by its path relative to
+// root; a directory maps to nil.
+func dirFiles(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		if d.IsDir() {
+			out[rel] = nil
+			return nil
+		}
+		out[rel], err = os.ReadFile(p)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// assertRefused opens a store at path and checks that Open fails with
+// ErrLayout, names the commit that converts the layout, and leaves every
+// file under dir as it found it.
+func assertRefused(t *testing.T, dir, path string) {
+	t.Helper()
+	before := dirFiles(t, dir)
+	s, err := Open(path)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open over a retired layout succeeded")
+	}
+	if !errors.Is(err, ErrLayout) || !strings.Contains(err.Error(), "3a28188") {
+		t.Fatalf("Open = %v, want ErrLayout naming 3a28188", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused Open changed the files: %d before, %d after", len(before), len(after))
+	}
+}
+
+// A seed-format log — at the store's path, or parked beside an empty
+// directory by an older build's interrupted conversion — is refused with
+// ErrLayout and left as it is.
 func TestLegacyMigration(t *testing.T) {
 	golden, err := os.ReadFile(goldenLegacyLog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "reg.log")
-	if err := os.WriteFile(path, golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open over legacy log: %v", err)
-	}
-	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("legacy-deleted key resurrected")
-	}
-	if v, err := s.Get("b"); err != nil || string(v) != "2" {
-		t.Fatalf("Get(b) = %q, %v", v, err)
-	}
-	if _, err := s.Get("c"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("torn final legacy frame surfaced as a record")
-	}
-	if err := s.Put("c", []byte("3")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("store path not a directory after migration: %v", err)
-	}
-	if _, err := os.Stat(path + ".legacy"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("parked legacy file not removed after migration")
-	}
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if keyCount(s2) != 2 {
-		t.Fatalf("Len after migration reopen = %d, want 2", keyCount(s2))
-	}
+	t.Run("seed-log", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "reg.log")
+		if err := os.WriteFile(path, golden, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		assertRefused(t, dir, path)
+	})
+	t.Run("parked", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "reg.log")
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+".legacy", golden, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		assertRefused(t, dir, path)
+	})
 }
 
 func TestParseSyncPolicy(t *testing.T) {

@@ -3,6 +3,8 @@ package transport
 import (
 	"context"
 	"fmt"
+	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -197,23 +199,32 @@ func (e *Endpoint) dispatch(msg Message) {
 }
 
 // invoke runs one handler and sends the reply when the message was a
-// request. It balances the inflight count taken by dispatch.
+// request. It balances the inflight count taken by dispatch. A handler
+// that panics costs only its own message: the requester gets an error
+// wrapping ErrHandlerPanic, and the panic and its stack go to stderr, as
+// net/http's server reports a panicking handler.
 func (e *Endpoint) invoke(msg Message, h Handler, ok bool) {
-	defer e.inflight.Done()
 	reply := Message{To: msg.From, From: e.name, ID: msg.ID, IsReply: true, Type: msg.Type}
+	defer func() {
+		if v := recover(); v != nil {
+			fmt.Fprintf(os.Stderr, "transport: %s: handler for %s panicked: %v\n%s", e.name, msg.Type, v, debug.Stack())
+			reply.Payload, reply.Err = nil, fmt.Sprintf("%v: %s: %v", ErrHandlerPanic, msg.Type, v)
+		}
+		// Only requests (ID != 0) get replies.
+		if msg.ID != 0 {
+			_ = e.fab.deliver(reply) // best effort; requester may be gone
+		}
+		e.inflight.Done()
+	}()
 	if !ok {
 		reply.Err = ErrNoHandler.Error() + ": " + msg.Type
-	} else {
-		payload, err := h(msg)
-		if err != nil {
-			reply.Err = err.Error()
-		} else {
-			reply.Payload = payload
-		}
+		return
 	}
-	// Only requests (ID != 0) get replies.
-	if msg.ID != 0 {
-		_ = e.fab.deliver(reply) // best effort; requester may be gone
+	payload, err := h(msg)
+	if err != nil {
+		reply.Err = err.Error()
+	} else {
+		reply.Payload = payload
 	}
 }
 

@@ -48,10 +48,6 @@ const (
 	// multi-megabyte frame is neither re-encoded on the way out nor
 	// copied on the way in.
 	OpCheckin byte = 0x31
-	// OpCheckinRetired is the check-in of hosts that registered the
-	// arrival and left the source to demote its own record; a
-	// destination refuses it with ErrVersion.
-	OpCheckinRetired byte = 0x30
 	// OpFedBatch carries a run of federation pushes from one center to a
 	// peer, in write order: each item a kind byte and its gob body.
 	OpFedBatch byte = 0x40

@@ -41,6 +41,11 @@ var ErrNoRoute = errors.New("transport: no route to endpoint")
 // handler for the message type.
 var ErrNoHandler = errors.New("transport: no handler for message type")
 
+// ErrHandlerPanic is returned (as an error reply) when the destination's
+// handler panicked on the request; the reply names the message type and
+// the panic value.
+var ErrHandlerPanic = errors.New("transport: handler panicked")
+
 // RemoteError wraps an error string carried back in a reply message.
 type RemoteError struct {
 	Endpoint string
@@ -76,6 +81,7 @@ func init() {
 	RegisterWireSentinel(ErrVersion)
 	RegisterWireSentinel(ErrNoHandler)
 	RegisterWireSentinel(ErrNoRoute)
+	RegisterWireSentinel(ErrHandlerPanic)
 }
 
 // Is makes registered typed sentinels survive the wire: a handler's

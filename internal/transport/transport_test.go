@@ -405,3 +405,86 @@ func TestFabricCloseIsIdempotent(t *testing.T) {
 		t.Fatalf("Attach after close = %v, want ErrClosed", err)
 	}
 }
+
+// TestHandlerPanicIsAnErrorReply: a handler that panics — registered with
+// Handle or HandleOrdered, on a request or a one-way Send — costs only its
+// own message. The requester gets ErrHandlerPanic naming the message type
+// and the value, the next message is served, and Close still returns (the
+// inflight count balanced).
+func TestHandlerPanicIsAnErrorReply(t *testing.T) {
+	t.Run("local", func(t *testing.T) {
+		f := NewLocalFabric(nil)
+		defer f.Close()
+		a, err := f.Attach("a", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := f.Attach("b", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkHandlerPanics(t, a, b, "b", b.Close)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		srv, err := ListenTCP("server", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		cli, err := ListenTCP("client", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		cli.AddPeer("server", srv.Addr())
+		checkHandlerPanics(t, cli.Endpoint(), srv.Endpoint(), "server", srv.Close)
+	})
+}
+
+func checkHandlerPanics(t *testing.T, from, srv *Endpoint, to string, closeSrv func() error) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sent := make(chan struct{}, 1)
+	h := func(msg Message) ([]byte, error) {
+		switch string(msg.Payload) {
+		case "panic":
+			panic("boom")
+		case "send":
+			sent <- struct{}{}
+			panic("one-way boom")
+		}
+		return msg.Payload, nil
+	}
+	srv.Handle("plain", h)
+	srv.HandleOrdered("ordered", h)
+	served := func(typ string) {
+		t.Helper()
+		if reply, err := from.Request(ctx, to, typ, []byte("ok")); err != nil || string(reply.Payload) != "ok" {
+			t.Fatalf("%s after a panic: %q, %v", typ, reply.Payload, err)
+		}
+	}
+	for _, typ := range []string{"plain", "ordered"} {
+		_, err := from.Request(ctx, to, typ, []byte("panic"))
+		if !errors.Is(err, ErrHandlerPanic) || !strings.Contains(err.Error(), typ+": boom") {
+			t.Fatalf("%s: err = %v, want ErrHandlerPanic naming %s and the value", typ, err, typ)
+		}
+		served(typ)
+		if err := from.Send(to, typ, []byte("send")); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-sent:
+		case <-ctx.Done():
+			t.Fatalf("%s: the one-way message never reached its handler", typ)
+		}
+		served(typ)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- closeSrv() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after handlers panicked")
+	}
+}
