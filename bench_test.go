@@ -10,6 +10,7 @@
 package mdagent_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -23,6 +24,7 @@ import (
 	"mdagent/internal/rdf"
 	"mdagent/internal/registry"
 	"mdagent/internal/rules"
+	"mdagent/internal/transport"
 	"mdagent/internal/wsdl"
 )
 
@@ -240,8 +242,7 @@ func BenchmarkFlapStability(b *testing.B) {
 // matching beats syntax-based matching: destination resources are
 // same-function printers under different names/subclasses.
 func BenchmarkAblationMatching(b *testing.B) {
-	onto := owl.New()
-	onto.StandardResourceClasses()
+	onto := owl.Classes()
 	src := owl.Resource{ID: "src", Class: rdf.IMCL("Printer"), Substitutable: true, Host: "h1",
 		Attrs: map[string]string{"name": "hp LaserJet 4"}}
 	dest := make([]owl.Resource, 0, 64)
@@ -299,7 +300,8 @@ func BenchmarkAblationRuleEngine(b *testing.B) {
 }
 
 // BenchmarkAblationRegistry measures lookup latency as the registered
-// population grows.
+// population grows, against a volatile registry center (one with no
+// peers and no store).
 func BenchmarkAblationRegistry(b *testing.B) {
 	desc := wsdl.Description{
 		Name: "app",
@@ -309,11 +311,21 @@ func BenchmarkAblationRegistry(b *testing.B) {
 	}
 	for _, population := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("apps-%d", population), func(b *testing.B) {
-			reg := registry.New()
+			fab := transport.NewLocalFabric(nil)
+			b.Cleanup(func() { fab.Close() })
+			ep, err := fab.Attach("registry-center", "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg, err := cluster.NewCenter("", nil, ep, cluster.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
 			for i := 0; i < population; i++ {
 				d := desc
 				d.Name = fmt.Sprintf("app-%d", i)
-				if err := reg.RegisterApp(registry.AppRecord{
+				if err := reg.RegisterApp(ctx, registry.AppRecord{
 					Name: d.Name, Host: fmt.Sprintf("host-%d", i%10), Description: d,
 				}); err != nil {
 					b.Fatal(err)
@@ -321,7 +333,7 @@ func BenchmarkAblationRegistry(b *testing.B) {
 			}
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				if _, _, err := reg.LookupApp(fmt.Sprintf("app-%d", n%population), fmt.Sprintf("host-%d", (n%population)%10)); err != nil {
+				if _, _, err := reg.LookupApp(ctx, fmt.Sprintf("app-%d", n%population), fmt.Sprintf("host-%d", (n%population)%10)); err != nil {
 					b.Fatal(err)
 				}
 			}

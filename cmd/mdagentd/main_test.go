@@ -11,7 +11,6 @@ import (
 
 	"mdagent/internal/cluster"
 	"mdagent/internal/ctl"
-	"mdagent/internal/registry"
 	"mdagent/internal/transport"
 )
 
@@ -34,8 +33,8 @@ func (s *syncBuffer) String() string {
 }
 
 // bootRegistry serves a standalone registry center (one with no peers)
-// on 127.0.0.1:0 and returns its address and its index for assertions.
-func bootRegistry(t *testing.T) (string, *registry.Registry) {
+// on 127.0.0.1:0 and returns its address and the center for assertions.
+func bootRegistry(t *testing.T) (string, *cluster.Center) {
 	t.Helper()
 	node, err := transport.ListenTCP("registry-center", "127.0.0.1:0")
 	if err != nil {
@@ -47,7 +46,7 @@ func bootRegistry(t *testing.T) (string, *registry.Registry) {
 		t.Fatal(err)
 	}
 	center.Serve(node.Endpoint())
-	return node.Addr(), center.Registry()
+	return node.Addr(), center
 }
 
 // startDaemon runs the mdagentd run() in a goroutine and returns its
@@ -110,7 +109,7 @@ func TestEndToEndMigrationOverTCP(t *testing.T) {
 	}
 
 	// The registry records the app's new home as running.
-	rec, found, err := reg.LookupApp("smart-media-player", "hostB")
+	rec, found, err := reg.LookupApp(context.Background(), "smart-media-player", "hostB")
 	if err != nil || !found {
 		t.Fatalf("registry lookup after migration: found=%v err=%v", found, err)
 	}
@@ -118,7 +117,7 @@ func TestEndToEndMigrationOverTCP(t *testing.T) {
 		t.Fatalf("hostB record not marked running: %+v", rec)
 	}
 	// And the source record is demoted to a non-running installation.
-	if src, found, _ := reg.LookupApp("smart-media-player", "hostA"); found && src.Running {
+	if src, found, _ := reg.LookupApp(context.Background(), "smart-media-player", "hostA"); found && src.Running {
 		t.Fatalf("hostA record still marked running after follow-me: %+v", src)
 	}
 }
@@ -275,7 +274,7 @@ func TestDaemonLifecycleOverCtl(t *testing.T) {
 	defer cancel()
 	const player = "smart-media-player"
 	running := func(host string) bool {
-		rec, found, err := reg.LookupApp(player, host)
+		rec, found, err := reg.LookupApp(context.Background(), player, host)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +308,7 @@ func TestDaemonLifecycleOverCtl(t *testing.T) {
 	if err := cli.StopApp(ctx, player, ""); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	if _, found, _ := reg.LookupApp(player, "hostA"); found {
+	if _, found, _ := reg.LookupApp(context.Background(), player, "hostA"); found {
 		t.Fatal("stop left the registry record behind")
 	}
 	if err := cli.StopApp(ctx, player, ""); !errors.Is(err, ctl.ErrAppNotFound) {

@@ -172,7 +172,7 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 	// center runs no applications, so lifecycle ops are unsupported.
 	d := core.Deployment{
 		Info:    ctl.ServerInfo{Role: "registry", Space: *space},
-		Records: func(context.Context) ([]registry.AppRecord, error) { return center.Registry().Apps() },
+		Records: func(context.Context) ([]registry.AppRecord, error) { return center.Apps(nil), nil },
 		Heads:   func(context.Context) ([]state.SnapshotHead, error) { return center.SnapshotHeads(), nil },
 		// A durability shortfall still stored the bundle locally;
 		// anti-entropy finishes the fan-out (same contract as the

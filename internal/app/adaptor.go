@@ -130,7 +130,6 @@ type UIComponent struct {
 	width    int
 	height   int
 	mirrored bool
-	muted    bool
 	renders  int // Notify count, for tests and demos
 }
 
@@ -160,7 +159,6 @@ func (u *UIComponent) Adapt(ad Adaptation) error {
 		return fmt.Errorf("app: adaptation collapsed %s to %dx%d", u.Name(), u.width, u.height)
 	}
 	u.mirrored = ad.MirrorLayout
-	u.muted = ad.MutedAudio
 	return nil
 }
 
@@ -183,13 +181,6 @@ func (u *UIComponent) Mirrored() bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return u.mirrored
-}
-
-// Muted reports whether audio is disabled.
-func (u *UIComponent) Muted() bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.muted
 }
 
 // Renders reports how many state notifications the presentation received.

@@ -62,10 +62,7 @@ type Failover struct {
 // successful rehomings; a per-app failure aborts with the rehomings
 // completed so far.
 func (f *Failover) Rehome(ctx context.Context, deadHost string) ([]Rehoming, error) {
-	recs, err := f.Center.Registry().AppsOnHost(deadHost)
-	if err != nil {
-		return nil, err
-	}
+	recs := f.Center.Apps(func(r registry.AppRecord) bool { return r.Host == deadHost })
 	alive := make(map[string]bool)
 	for _, h := range f.Alive() {
 		if h != deadHost {
@@ -146,10 +143,7 @@ func (f *Failover) snapshotFor(appName string) *state.SnapshotRecord {
 // holding an installation record beat bare hosts, more installed
 // components beat fewer, and host id breaks ties deterministically.
 func (f *Failover) pickTarget(rec registry.AppRecord, alive map[string]bool) (string, error) {
-	installs, err := f.Center.Registry().FindApp(rec.Name)
-	if err != nil {
-		return "", err
-	}
+	installs := f.Center.Apps(func(r registry.AppRecord) bool { return r.Name == rec.Name })
 	type candidate struct {
 		host       string
 		components int

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -32,15 +34,18 @@ import (
 type Center struct {
 	space string
 	db    *store.Store // the records' one durable copy, under fed/ (snapstore.go); nil: volatile
-	// reg is the read index over the live records, in memory only: it is
-	// rebuilt from them on every open and updated with every record that
-	// wins, under c.mu.
-	reg *registry.Registry
-	ep  *transport.Endpoint
-	cfg Config
+	ep    *transport.Endpoint
+	cfg   Config
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// records is the replication table, and every read is answered from
+	// it: the one in-memory copy of each record. install is the only code
+	// that stores into it.
 	records map[string]Record
+	// hosted is the one secondary index: per host, the sorted keys of its
+	// live resource records. It holds keys, not values, so a plan reads a
+	// host's inventory without scanning every record.
+	hosted map[string][]string
 	// durable is the last copy of each snapshot record known to have met
 	// a synchronous write concern — refreshed when a local write collects
 	// its acks or a replicated record arrives already stamped durable,
@@ -127,10 +132,10 @@ func NewCenter(space string, db *store.Store, ep *transport.Endpoint, cfg Config
 	c := &Center{
 		space:   space,
 		db:      db,
-		reg:     registry.New(),
 		ep:      ep,
 		cfg:     cfg,
 		records: make(map[string]Record),
+		hosted:  make(map[string][]string),
 		durable: make(map[string]Record),
 		chains:  make(map[string]diskChain),
 		peers:   make(map[string]string),
@@ -157,11 +162,6 @@ func NewCenter(space string, db *store.Store, ep *transport.Endpoint, cfg Config
 
 // Space returns the smart space this center serves.
 func (c *Center) Space() string { return c.space }
-
-// Registry exposes the center's read index — after convergence it holds
-// the union of every federated space's records. Writes go through the
-// center.
-func (c *Center) Registry() *registry.Registry { return c.reg }
 
 // AddPeer federates with another space's center at the given endpoint.
 func (c *Center) AddPeer(space, endpoint string) {
@@ -274,7 +274,7 @@ func (c *Center) markDurable(key string, ver vclock.Version) {
 	// stash keeps its older record); the write itself did meet its
 	// concern, so the peers holding it are still told.
 	if c.persist(rec, headOnly) == nil {
-		c.records[key] = rec
+		c.install(rec)
 		c.durable[key] = rec
 	}
 	c.enqueuePushLocked(fedDurable, transport.MustEncode(durableMsg{
@@ -300,7 +300,7 @@ func (c *Center) applyDurable(body []byte) error {
 	if err := c.persist(rec, headOnly); err != nil {
 		return err
 	}
-	c.records[m.Key] = rec
+	c.install(rec)
 	c.durable[m.Key] = rec
 	return nil
 }
@@ -338,10 +338,7 @@ func (c *Center) RegisterApp(ctx context.Context, rec registry.AppRecord) error 
 	if rec.Space == "" {
 		rec.Space = c.space
 	}
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	return c.write(ctx, Record{Key: rec.Key(), Kind: RecordApp, App: rec})
+	return c.write(ctx, Record{Key: rec.Key(), Kind: RecordApp, App: rec.Clone()})
 }
 
 // MoveApp is a follow-me's commit point (DESIGN §6): one writeAll that
@@ -356,10 +353,8 @@ func (c *Center) MoveApp(ctx context.Context, rec registry.AppRecord, from strin
 	if rec.Space == "" {
 		rec.Space = c.space
 	}
+	rec = rec.Clone()
 	rec.Running = true
-	if err := rec.Validate(); err != nil {
-		return false, err
-	}
 	owned := from == "" || from == rec.Host
 	err := c.writeAll(ctx, func() []Record {
 		var recs []Record
@@ -473,7 +468,7 @@ func (c *Center) PutSnapshot(ctx context.Context, put state.SnapshotPut) (state.
 		c.mu.Unlock()
 		return state.SnapshotStamp{}, err
 	}
-	c.records[key] = rec
+	c.install(rec)
 	stamp := state.SnapshotStamp{Seq: rec.Snap.Seq, BaseSeq: rec.Snap.BaseSeq, Chain: len(rec.Snap.Deltas)}
 	// Enqueue while still holding c.mu: two racing puts must hit the
 	// ordered push queue in the same order their sequences were assigned.
@@ -779,7 +774,7 @@ func (c *Center) applySnapDelta(body []byte) error {
 		// Not stored, so not held: the pusher must not book this ack.
 		return err
 	}
-	c.records[m.Key] = rec
+	c.install(rec)
 	return nil
 }
 
@@ -891,18 +886,13 @@ func (c *Center) LatestDurableSnapshot(appName string) (state.SnapshotRecord, bo
 
 // RegisterResource registers a resource description federation-wide.
 func (c *Center) RegisterResource(ctx context.Context, res owl.Resource) error {
-	if err := res.Validate(); err != nil {
-		return err
-	}
-	return c.write(ctx, Record{Key: "res/" + res.ID, Kind: RecordResource, Res: res})
+	res.Attrs = maps.Clone(res.Attrs)
+	return c.write(ctx, Record{Key: resKey(res.ID), Kind: RecordResource, Res: res})
 }
 
 // RegisterDevice registers a host device profile federation-wide.
 func (c *Center) RegisterDevice(ctx context.Context, dev wsdl.DeviceProfile) error {
-	if dev.Host == "" {
-		return fmt.Errorf("cluster: device profile has no host")
-	}
-	return c.write(ctx, Record{Key: "dev/" + dev.Host, Kind: RecordDevice, Dev: dev})
+	return c.write(ctx, Record{Key: devKey(dev.Host), Kind: RecordDevice, Dev: dev})
 }
 
 // PutBundle stores a signed app bundle federation-wide: one push to any
@@ -913,12 +903,6 @@ func (c *Center) RegisterDevice(ctx context.Context, dev wsdl.DeviceProfile) err
 // set first, and every installing host verifies again before
 // instantiating.
 func (c *Center) PutBundle(ctx context.Context, name string, raw []byte) error {
-	if name == "" {
-		return fmt.Errorf("cluster: bundle has no name")
-	}
-	if len(raw) == 0 {
-		return fmt.Errorf("cluster: bundle %q is empty", name)
-	}
 	return c.write(ctx, Record{
 		Key:  bundleKey(name),
 		Kind: RecordBundle,
@@ -956,6 +940,12 @@ func (c *Center) Bundles(_ context.Context) ([]registry.BundleInfo, error) {
 // bundleKey is the replication-table key of a bundle.
 func bundleKey(name string) string { return "bundle/" + name }
 
+// resKey is the replication-table key of a resource.
+func resKey(id string) string { return "res/" + id }
+
+// devKey is the replication-table key of a host's device profile.
+func devKey(host string) string { return "dev/" + host }
+
 // write stamps a locally originated record and replicates it under the
 // center's configured write concern.
 func (c *Center) write(ctx context.Context, r Record) error {
@@ -964,8 +954,10 @@ func (c *Center) write(ctx context.Context, r Record) error {
 
 // writeAll stamps the locally originated records pick returns, in order,
 // and replicates them as one push. pick runs under c.mu, so what it reads
-// of c.records cannot change before the write lands. Stamping, persisting,
-// installing and indexing happen under that one critical section: two
+// of c.records cannot change before the write lands. Every record is
+// checked (Record.check) before any is stamped: a record that fails
+// leaves nothing written. Stamping, persisting and installing happen
+// under that one critical section: two
 // racing writers must produce two *ordered* versions (the second ticks on
 // top of the first), never two identical vectors that peers could receive
 // in different orders and diverge on. Every record is persisted, in
@@ -984,6 +976,12 @@ func (c *Center) writeAll(ctx context.Context, pick func() []Record) error {
 	}
 	c.mu.Lock()
 	recs := pick()
+	for _, r := range recs {
+		if err := r.check(); err != nil {
+			c.mu.Unlock()
+			return err
+		}
+	}
 	for i := range recs {
 		r := &recs[i]
 		prev := c.records[r.Key]
@@ -997,7 +995,6 @@ func (c *Center) writeAll(ctx context.Context, pick func() []Record) error {
 			return err
 		}
 	}
-	var err error
 	for _, r := range recs {
 		if r.Kind == RecordSnapshot && r.Deleted {
 			// A graceful-stop tombstone invalidates the durable stash:
@@ -1005,27 +1002,24 @@ func (c *Center) writeAll(ctx context.Context, pick func() []Record) error {
 			// its last quorum-acked snapshot.
 			delete(c.durable, r.Key)
 		}
-		c.records[r.Key] = r
-		if ierr := c.index(r); err == nil {
-			err = ierr
-		}
-	}
-	if err != nil {
-		c.mu.Unlock()
-		return err
+		c.install(r)
 	}
 	rep := c.replicateLocked(fedPush, pushMsg{From: c.space, Records: recs}, recs[len(recs)-1].Key, wc, reach)
 	c.mu.Unlock()
 	return c.verdict(ctx, rep, nil)
 }
 
-// apply installs a remotely received record if its version wins and
-// indexes it. Concurrent versions resolve deterministically (higher
-// origin space wins) with the merged vector, so every center converges to
-// the same state regardless of delivery order. Indexing happens under
-// c.mu so two winning applies cannot land in the index out of version
-// order.
+// apply installs a remotely received record if its version wins.
+// Concurrent versions resolve deterministically (higher origin space
+// wins) with the merged vector, so every center converges to the same
+// state regardless of delivery order. A record a local write of its kind
+// would refuse (Record.check) is refused before anything is compared or
+// stored: a faulty peer's anti-entropy re-offers it, and it is refused
+// each time.
 func (c *Center) apply(r Record) (bool, error) {
+	if err := r.check(); err != nil {
+		return false, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ex, known := c.records[r.Key]
@@ -1040,7 +1034,7 @@ func (c *Center) apply(r Record) (bool, error) {
 				if err := c.persist(ex, headOnly); err != nil {
 					return false, err
 				}
-				c.records[r.Key] = ex
+				c.install(ex)
 				return false, nil
 			}
 			r.Version = merged
@@ -1049,7 +1043,7 @@ func (c *Center) apply(r Record) (bool, error) {
 	if err := c.persist(r, wholeRecord); err != nil {
 		return false, err
 	}
-	c.records[r.Key] = r
+	c.install(r)
 	if r.Kind == RecordSnapshot {
 		if r.Deleted {
 			// A replicated tombstone invalidates the durable stash too.
@@ -1060,7 +1054,7 @@ func (c *Center) apply(r Record) (bool, error) {
 			c.durable[r.Key] = r
 		}
 	}
-	return true, c.index(r)
+	return true, nil
 }
 
 // concurrentWins resolves a concurrent-version conflict deterministically
@@ -1086,47 +1080,187 @@ func concurrentWins(r, ex Record) bool {
 	return r.Origin >= ex.Origin
 }
 
-// index updates the read index with a winning record. Snapshots and
-// bundles are read from c.records directly, and a resource or device
-// tombstone only stops replication. Callers hold c.mu.
-func (c *Center) index(r Record) error {
+// check refuses a record a local write of its kind would not make: one
+// failing its kind's validation, or stored under a key its body does not
+// name (every read looks a record up by the key its body implies). A
+// tombstone carries no body beyond its key. Snapshot records are checked
+// where their frames are (PutSnapshot, applySnapDelta, loadChain).
+func (r Record) check() error {
+	key := r.Key
+	var err error
 	switch r.Kind {
 	case RecordApp:
-		if r.Deleted {
-			return c.reg.UnregisterApp(r.App.Name, r.App.Host)
-		}
-		return c.reg.RegisterApp(r.App)
+		key, err = r.App.Key(), r.App.Validate()
 	case RecordResource:
-		if r.Deleted {
-			return nil
-		}
-		return c.reg.RegisterResource(r.Res)
+		key, err = resKey(r.Res.ID), r.Res.Validate()
 	case RecordDevice:
-		if r.Deleted {
-			return nil
+		key = devKey(r.Dev.Host)
+		if r.Dev.Host == "" {
+			err = fmt.Errorf("cluster: device profile has no host")
 		}
-		return c.reg.RegisterDevice(r.Dev)
-	case RecordSnapshot, RecordBundle:
-		return nil
+	case RecordBundle:
+		key = bundleKey(r.Bdl.Name)
+		if r.Bdl.Name == "" {
+			err = fmt.Errorf("cluster: bundle has no name")
+		} else if len(r.Bdl.Raw) == 0 {
+			err = fmt.Errorf("cluster: bundle %q is empty", r.Bdl.Name)
+		}
+	case RecordSnapshot:
+	default:
+		return fmt.Errorf("cluster: unknown record kind %d", r.Kind)
 	}
-	return fmt.Errorf("cluster: unknown record kind %d", r.Kind)
+	switch {
+	case r.Deleted:
+		return nil
+	case err != nil:
+		return err
+	case key != r.Key:
+		return fmt.Errorf("cluster: record %q holds the body of %q", r.Key, key)
+	}
+	return nil
 }
 
-// --- Read API (the index holds the converged union; Catalog shape). ---
+// install stores r in the replication table — the only code that does —
+// and keeps c.hosted in step with it. Callers hold c.mu and have decided
+// that r replaces what the table holds.
+func (c *Center) install(r Record) {
+	if old, ok := c.records[r.Key]; ok && old.Kind == RecordResource && !old.Deleted {
+		keys := c.hosted[old.Res.Host]
+		if i, found := slices.BinarySearch(keys, r.Key); found {
+			if keys = slices.Delete(keys, i, i+1); len(keys) == 0 {
+				delete(c.hosted, old.Res.Host)
+			} else {
+				c.hosted[old.Res.Host] = keys
+			}
+		}
+	}
+	c.records[r.Key] = r
+	if r.Kind == RecordResource && !r.Deleted {
+		keys := c.hosted[r.Res.Host]
+		if i, found := slices.BinarySearch(keys, r.Key); !found {
+			c.hosted[r.Res.Host] = slices.Insert(keys, i, r.Key)
+		}
+	}
+}
+
+// --- Read API (the records hold the converged union; Catalog shape). ---
 
 // LookupApp reads one installation record from the replicated view.
 func (c *Center) LookupApp(_ context.Context, name, host string) (registry.AppRecord, bool, error) {
-	return c.reg.LookupApp(name, host)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec, found := c.appLocked(name, host)
+	return rec, found, nil
+}
+
+// appLocked returns a copy of the live installation record of name on
+// host. Callers hold c.mu.
+func (c *Center) appLocked(name, host string) (registry.AppRecord, bool) {
+	r, ok := c.records[registry.AppRecord{Name: name, Host: host}.Key()]
+	if !ok || r.Deleted || r.Kind != RecordApp {
+		return registry.AppRecord{}, false
+	}
+	return r.App.Clone(), true
+}
+
+// Apps returns a copy of every live installation record keep accepts
+// (every one, when keep is nil), sorted by host, then name: the control
+// plane's `ps` view, and failover's dead-host and candidate scans. keep
+// runs outside the center's lock on a record that shares the table's
+// slices; it must not modify it.
+func (c *Center) Apps(keep func(registry.AppRecord) bool) []registry.AppRecord {
+	var live []registry.AppRecord
+	c.mu.Lock()
+	for _, r := range c.records {
+		if r.Kind == RecordApp && !r.Deleted {
+			live = append(live, r.App) // a stored record's slices are never written
+		}
+	}
+	c.mu.Unlock()
+	out := live[:0]
+	for _, rec := range live {
+		if keep == nil || keep(rec) {
+			out = append(out, rec.Clone())
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Host != out[j].Host {
+			return out[i].Host < out[j].Host
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out
+}
+
+// Device returns a host's device profile from the replicated view.
+func (c *Center) Device(host string) (wsdl.DeviceProfile, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.records[devKey(host)]
+	if !ok || r.Deleted || r.Kind != RecordDevice {
+		return wsdl.DeviceProfile{}, false
+	}
+	return r.Dev, true
+}
+
+// ResourcesOnHost returns copies of the resource descriptions hosted on
+// host, sorted by ID.
+func (c *Center) ResourcesOnHost(host string) []owl.Resource {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.resourcesLocked(host)
+}
+
+// resourcesLocked copies host's resources out of the records c.hosted
+// names. Callers hold c.mu.
+func (c *Center) resourcesLocked(host string) []owl.Resource {
+	keys := c.hosted[host]
+	out := make([]owl.Resource, len(keys))
+	for i, k := range keys {
+		out[i] = c.records[k].Res
+		out[i].Attrs = maps.Clone(out[i].Attrs)
+	}
+	return out
+}
+
+// PlanRebinding answers the rebinding question for a source resource
+// against a destination host's inventory, using the given match mode.
+func (c *Center) PlanRebinding(src owl.Resource, destHost string, mode owl.MatchMode) owl.Rebinding {
+	return rebind([]owl.Resource{src}, c.ResourcesOnHost(destHost), mode)[0]
 }
 
 // PlanMove answers a follow-me source's one read against the replicated
-// union of every space's records and resources.
+// union of every space's records and resources: the application's
+// installation at destHost and one rebinding plan per resource, both
+// read under one hold of the lock.
 func (c *Center) PlanMove(_ context.Context, appName, destHost string, resources []owl.Resource, mode owl.MatchMode) (registry.MovePlan, error) {
-	return c.reg.PlanMove(appName, destHost, resources, mode)
+	var plan registry.MovePlan
+	var avail []owl.Resource
+	c.mu.Lock()
+	plan.Dest, plan.DestFound = c.appLocked(appName, destHost)
+	if len(resources) > 0 {
+		avail = c.resourcesLocked(destHost)
+	}
+	c.mu.Unlock()
+	if len(resources) > 0 {
+		plan.Rebindings = rebind(resources, avail, mode)
+	}
+	return plan, nil
+}
+
+// rebind plans each resource against avail, a destination's inventory,
+// over the standard class tree.
+func rebind(resources, avail []owl.Resource, mode owl.MatchMode) []owl.Rebinding {
+	m := owl.NewMatcher(owl.Classes(), mode)
+	plans := make([]owl.Rebinding, len(resources))
+	for i, res := range resources {
+		plans[i] = m.PlanRebinding(res, avail)
+	}
+	return plans
 }
 
 // Serve binds the registry wire protocol and the snapshot ops onto ep —
-// the only server of either. Reads come from the index (the converged
+// the only server of either. Reads come from the records (the converged
 // union); writes are stamped and replicated. The registry wire protocol
 // has no reply body for writes, so a durability shortfall cannot be
 // reported in-band there; the write landed locally and anti-entropy
@@ -1155,10 +1289,7 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		rec, found, err := c.reg.LookupApp(req.Name, req.Host)
-		if err != nil {
-			return nil, err
-		}
+		rec, found, _ := c.LookupApp(bg, req.Name, req.Host)
 		return transport.Encode(registry.LookupAppReply{Rec: rec, Found: found})
 	})
 	ep.Handle(registry.MsgRegisterResource, func(msg transport.Message) ([]byte, error) {
@@ -1180,7 +1311,7 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		dev, found := c.reg.Device(req.Host)
+		dev, found := c.Device(req.Host)
 		return transport.Encode(registry.DeviceReply{Dev: dev, Found: found})
 	})
 	ep.Handle(registry.MsgPlanRebinding, func(msg transport.Message) ([]byte, error) {
@@ -1188,18 +1319,14 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		plan, err := c.reg.PlanRebinding(req.Src, req.DestHost, req.Mode)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(plan)
+		return transport.Encode(c.PlanRebinding(req.Src, req.DestHost, req.Mode))
 	})
 	ep.Handle(registry.MsgPlanMove, func(msg transport.Message) ([]byte, error) {
 		var req registry.PlanMoveReq
 		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
 			return nil, err
 		}
-		plan, err := c.reg.PlanMove(req.App, req.DestHost, req.Resources, req.Mode)
+		plan, err := c.PlanMove(bg, req.App, req.DestHost, req.Resources, req.Mode)
 		if err != nil {
 			return nil, err
 		}
@@ -1220,11 +1347,7 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 		if _, err := transport.Open(msg.Payload); err != nil {
 			return nil, err
 		}
-		recs, err := c.reg.Apps()
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(recs)
+		return transport.Encode(c.Apps(nil))
 	})
 	ep.Handle(registry.MsgGetBundle, func(msg transport.Message) ([]byte, error) {
 		var req registry.GetBundleReq
@@ -1343,6 +1466,9 @@ func (c *Center) SyncNow(ctx context.Context) error {
 }
 
 // pullFrom sends our digest to a peer and applies whatever it returns.
+// The records are independent, so one that fails — a refused record is
+// re-offered by every round — does not hold back the others; the first
+// failure is returned.
 func (c *Center) pullFrom(ctx context.Context, endpoint string) error {
 	var reply digestReply
 	err := c.ep.RequestDecode(ctx, endpoint, MsgFedDigest,
@@ -1351,11 +1477,11 @@ func (c *Center) pullFrom(ctx context.Context, endpoint string) error {
 		return err
 	}
 	for _, r := range reply.Records {
-		if _, err := c.apply(r); err != nil {
-			return err
+		if _, aerr := c.apply(r); err == nil {
+			err = aerr
 		}
 	}
-	return nil
+	return err
 }
 
 func (c *Center) handleDigest(msg transport.Message) ([]byte, error) {

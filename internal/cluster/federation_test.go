@@ -91,12 +91,11 @@ func TestFederationReplicatesAllRecordKinds(t *testing.T) {
 	if !got.Running || len(got.Components) != 2 || got.Space != "alpha" {
 		t.Fatalf("replicated record mangled: %+v", got)
 	}
-	if _, found := b.Registry().Device("hostA"); !found {
+	if _, found := b.Device("hostA"); !found {
 		t.Fatal("device profile not replicated")
 	}
-	res, err := b.Registry().ResourcesOnHost("hostA")
-	if err != nil || len(res) != 1 || res[0].ID != "song-1" {
-		t.Fatalf("resource not replicated: %v err=%v", res, err)
+	if res := b.ResourcesOnHost("hostA"); len(res) != 1 || res[0].ID != "song-1" {
+		t.Fatalf("resource not replicated: %v", res)
 	}
 }
 

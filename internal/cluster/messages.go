@@ -86,7 +86,7 @@ const (
 // interfaces without registration churn, so the union is explicit.
 // (Adding a union arm is gob-additive: old decoders ignore the unknown
 // field, and old centers never receive RecordBundle pushes they would
-// misfile because applyToRegistry rejects unknown kinds.)
+// misfile because Record.check refuses unknown kinds.)
 type Record struct {
 	Key     string // store key, e.g. "app/hostA/smart-media-player"
 	Kind    RecordKind

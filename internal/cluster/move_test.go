@@ -10,12 +10,8 @@ import (
 // runningOn lists the hosts c's replicated view says run appName.
 func runningOn(t *testing.T, c *Center, appName string) []string {
 	t.Helper()
-	recs, err := c.Registry().Apps()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var hosts []string
-	for _, rec := range recs {
+	for _, rec := range c.Apps(nil) {
 		if rec.Name == appName && rec.Running {
 			hosts = append(hosts, rec.Host)
 		}

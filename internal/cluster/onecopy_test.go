@@ -90,7 +90,7 @@ func TestStoreHoldsOneCopyPerRecord(t *testing.T) {
 
 // TestStandaloneCenterSurvivesRestart: a center with no peers — the
 // standalone registry — serves the same reads after a restart over its
-// store: records, the rebuilt ontology, device profiles and bundles.
+// store: app records, resources, device profiles and bundles.
 func TestStandaloneCenterSurvivesRestart(t *testing.T) {
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
@@ -113,17 +113,11 @@ func TestStandaloneCenterSurvivesRestart(t *testing.T) {
 	if _, found, _ := c.LookupApp(ctx, "player", "hostA"); !found {
 		t.Fatal("app lost across restart")
 	}
-	res, err := c.Registry().ResourcesOnHost("hostA")
-	if err != nil || len(res) != 1 {
-		t.Fatalf("resources lost across restart: %v, %v", res, err)
+	if res := c.ResourcesOnHost("hostA"); len(res) != 1 {
+		t.Fatalf("resources lost across restart: %v", res)
 	}
-	if dev, ok := c.Registry().Device("hostA"); !ok || dev.MemoryMB != 256 {
+	if dev, ok := c.Device("hostA"); !ok || dev.MemoryMB != 256 {
 		t.Fatalf("device after restart = %+v, %v", dev, ok)
-	}
-	// The ontology is rebuilt: a semantic query works after the restart.
-	rows, err := c.Registry().Query(`(?r rdf:type imcl:Printer)`)
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("ontology not rebuilt: %v, %v", rows, err)
 	}
 	if raw, found, err := c.GetBundle(ctx, "player"); err != nil || !found || string(raw) != "bundle bytes" {
 		t.Fatalf("bundle after restart = %q, %v, %v", raw, found, err)

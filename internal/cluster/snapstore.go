@@ -267,8 +267,8 @@ func dropChain(db *store.Store, key string, dc diskChain) error {
 	return nil
 }
 
-// loadRecords rebuilds c.records, c.durable and c.chains from the store
-// and indexes every live record. A record that cannot be read back whole
+// loadRecords rebuilds c.records (and c.hosted with it), c.durable and
+// c.chains from the store. A record that cannot be read back whole
 // and checked — corrupt gob, bad head, a chain key missing, a frame
 // failing its checksum, a chain that does not reassemble to the head's
 // digest — is dropped: peers re-offer it by anti-entropy, exactly as for
@@ -311,8 +311,12 @@ func (c *Center) loadRecords() error {
 			continue // corrupt frame; the peer re-offers it via anti-entropy
 		} else if r.Kind == RecordSnapshot && !r.Deleted {
 			return fmt.Errorf("cluster: %w: snapshot record %q is one gob value, not a chain", store.ErrLayout, k)
+		} else if r.check() != nil {
+			// A record apply refuses (an older build stored a faulty
+			// peer's) stays out of the reads, as it was then.
+			continue
 		}
-		c.records[r.Key] = r
+		c.install(r)
 		if r.Kind == RecordSnapshot && !r.Deleted && r.Snap.Durable {
 			c.durable[r.Key] = r // durability metadata survives a restart
 		}
@@ -326,14 +330,6 @@ func (c *Center) loadRecords() error {
 		key, gen, delta, ok := parseChainKey(k)
 		if dc, named := c.chains[key]; !ok || !named || gen != dc.gen || delta >= dc.deltas {
 			_ = db.Delete(k)
-		}
-	}
-	// A record the index refuses (one failing validation, as only a peer
-	// can send) was refused when it arrived too: it stays out of the
-	// reads, as it was then.
-	for _, r := range c.records {
-		if !r.Deleted {
-			_ = c.index(r)
 		}
 	}
 	return nil

@@ -88,7 +88,7 @@ func daemonShape(t *testing.T) (*transport.LocalFabric, Deployment) {
 		Info:      ctl.ServerInfo{Role: "host", Host: "hostA", Space: "lab"},
 		Hosts:     func() []*HostRuntime { return []*HostRuntime{rt} },
 		Members:   func() []cluster.Member { return []cluster.Member{{ID: "hostA", Space: "lab"}} },
-		Records:   func(context.Context) ([]registry.AppRecord, error) { return reg.Registry().Apps() },
+		Records:   func(context.Context) ([]registry.AppRecord, error) { return reg.Apps(nil), nil },
 		Heads:     duplicateHeads,
 		Skeletons: map[string]func(string) *app.Application{"smart-media-player": demoapps.MediaPlayerSkeleton},
 		Kernel:    kernel,
@@ -102,7 +102,7 @@ func registryShape(t *testing.T) (*transport.LocalFabric, Deployment) {
 	_, reg, kernel := standaloneHost(t, func(c migrate.Catalog) migrate.Catalog { return c })
 	d := Deployment{
 		Info:    ctl.ServerInfo{Role: "registry", Space: "lab"},
-		Records: func(context.Context) ([]registry.AppRecord, error) { return reg.Registry().Apps() },
+		Records: func(context.Context) ([]registry.AppRecord, error) { return reg.Apps(nil), nil },
 		Heads:   duplicateHeads,
 		Kernel:  kernel,
 	}
@@ -226,7 +226,7 @@ func TestBackendInstallsSkeletonByName(t *testing.T) {
 	if err := b.Install(ctx, "ubiquitous-slideshow", ""); err != nil {
 		t.Fatal(err)
 	}
-	rec, found, err := reg.Registry().LookupApp("ubiquitous-slideshow", "hostA")
+	rec, found, err := reg.LookupApp(context.Background(), "ubiquitous-slideshow", "hostA")
 	if err != nil || !found || rec.Running {
 		t.Fatalf("installation record: found=%v err=%v rec=%+v", found, err, rec)
 	}

@@ -124,8 +124,7 @@ func TestFederatedFailoverRehomesAcrossSpaces(t *testing.T) {
 		if !found || !rec.Running {
 			return false
 		}
-		res, err := lab3.Registry().ResourcesOnHost("h1")
-		return err == nil && len(res) == 1
+		return len(lab3.ResourcesOnHost("h1")) == 1
 	})
 
 	// Membership: everyone sees three alive.
@@ -179,9 +178,8 @@ func TestFederatedFailoverRehomesAcrossSpaces(t *testing.T) {
 		return !stale
 	})
 	// The resource registered on h1 is still known federation-wide.
-	res, err := lab3.Registry().ResourcesOnHost("h1")
-	if err != nil || len(res) != 1 {
-		t.Fatalf("music resource lost from replicated registry: %v err=%v", res, err)
+	if res := lab3.ResourcesOnHost("h1"); len(res) != 1 {
+		t.Fatalf("music resource lost from replicated registry: %v", res)
 	}
 
 	// The kernel narrated the incident. The rehomed event is published
@@ -573,12 +571,8 @@ func TestFollowMeAcrossCentersLeavesOneRunningRecord(t *testing.T) {
 		}
 	}
 	running := func(c *cluster.Center) []string {
-		recs, err := c.Registry().Apps()
-		if err != nil {
-			t.Fatal(err)
-		}
 		var hosts []string
-		for _, rec := range recs {
+		for _, rec := range c.Apps(nil) {
 			if rec.Name == player && rec.Running {
 				hosts = append(hosts, rec.Host)
 			}

@@ -34,11 +34,7 @@ func (m *Middleware) deployment() Deployment {
 		var recs []registry.AppRecord
 		seen := make(map[string]bool)
 		for _, center := range m.centers("") {
-			rs, err := center.Registry().Apps()
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range rs {
+			for _, r := range center.Apps(nil) {
 				if key := r.Name + "\x00" + r.Host; !seen[key] {
 					seen[key] = true
 					recs = append(recs, r)
@@ -117,7 +113,7 @@ func (m *Middleware) ServeControl(ep *transport.Endpoint) *ctl.Server {
 // every space's center.
 func (m *Middleware) centers(first string) []*cluster.Center {
 	if m.Cluster == nil {
-		return []*cluster.Center{m.center}
+		return []*cluster.Center{m.Center}
 	}
 	var out []*cluster.Center
 	if center, ok := m.Cluster.Center(first); ok {

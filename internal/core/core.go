@@ -113,7 +113,6 @@ type Middleware struct {
 	Clock      vclock.Clock
 	Net        *netsim.Network
 	Fabric     *transport.LocalFabric
-	Registry   *registry.Registry // the single registry center's read index
 	Directory  *space.Directory
 	Field      *sensor.Field
 	Kernel     *ctxkernel.Kernel
@@ -125,10 +124,10 @@ type Middleware struct {
 	// Cluster is the distribution layer (nil unless Config.Cluster set).
 	Cluster *cluster.Cluster
 
-	// center is the single registry center: a center with no peers over
+	// Center is the single registry center: a center with no peers over
 	// the StorePath store, served as "registry-center". Clustered hosts
 	// use their space's center instead.
-	center *cluster.Center
+	Center *cluster.Center
 
 	mu    sync.Mutex
 	hosts map[string]*HostRuntime
@@ -196,15 +195,14 @@ func New(cfg Config) (*Middleware, error) {
 	if err != nil {
 		return nil, err
 	}
-	if mw.center, err = cluster.NewCenter("", db, regEp, cluster.Config{}); err != nil {
+	if mw.Center, err = cluster.NewCenter("", db, regEp, cluster.Config{}); err != nil {
 		fab.Close()
 		if db != nil {
 			db.Close()
 		}
 		return nil, err
 	}
-	mw.center.Serve(regEp)
-	mw.Registry = mw.center.Registry()
+	mw.Center.Serve(regEp)
 
 	if cfg.Cluster != nil {
 		mw.Cluster = cluster.New(*cfg.Cluster)
@@ -232,7 +230,7 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 		return nil, err
 	}
 	dev.Host = host
-	center := m.center
+	center := m.Center
 	if m.Cluster != nil {
 		var err error
 		if center, err = m.ensureCenter(spaceName, host); err != nil {
@@ -498,20 +496,13 @@ func (m *Middleware) reconcileRevived(host string) {
 			if runningHere {
 				continue // possibly stale; re-checked next round
 			}
-			installs, err := center.Registry().FindApp(name)
-			if err != nil {
-				continue
-			}
-			elsewhere := ""
-			for _, other := range installs {
-				if other.Host != host && other.Running {
-					elsewhere = other.Host
-					break
-				}
-			}
-			if elsewhere == "" {
+			homes := center.Apps(func(r registry.AppRecord) bool {
+				return r.Name == name && r.Host != host && r.Running
+			})
+			if len(homes) == 0 {
 				continue // tombstone seen but no new home yet: wait
 			}
+			elsewhere := homes[0].Host
 			// Tombstoned here, running elsewhere: our copy is stale.
 			if inst.State() == app.Running {
 				_ = inst.Suspend()
@@ -786,7 +777,7 @@ func (m *Middleware) Close() error {
 	if m.Cluster != nil {
 		m.Cluster.Stop()
 	}
-	m.center.Stop()
+	m.Center.Stop()
 	err := m.Fabric.Close()
 	if m.db != nil {
 		if cerr := m.db.Close(); err == nil {

@@ -286,7 +286,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mw.Close()
-	if mw.Clock == nil || mw.Net == nil || mw.Registry == nil {
+	if mw.Clock == nil || mw.Net == nil || mw.Center == nil {
 		t.Fatal("defaults not applied")
 	}
 	if got := mw.Hosts(); len(got) != 0 {
@@ -337,9 +337,8 @@ func TestPersistentRegistryAcrossDeployments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mw2.Close()
-	res, err := mw2.Registry.ResourcesOnHost("h1")
-	if err != nil || len(res) != 1 || res[0].ID != "p1" {
-		t.Fatalf("resources after restart = %v, %v", res, err)
+	if res := mw2.Center.ResourcesOnHost("h1"); len(res) != 1 || res[0].ID != "p1" {
+		t.Fatalf("resources after restart = %v", res)
 	}
 }
 

@@ -87,7 +87,7 @@ func TestRunRollsBackFailedRegistration(t *testing.T) {
 	if err := rt.Run(ctx, demoapps.NewMediaPlayer("hostA", song)); err != nil {
 		t.Fatalf("retried Run: %v", err)
 	}
-	if rec, found, _ := reg.Registry().LookupApp("smart-media-player", "hostA"); !found || !rec.Running {
+	if rec, found, _ := reg.LookupApp(context.Background(), "smart-media-player", "hostA"); !found || !rec.Running {
 		t.Fatalf("retried Run did not register a running record: found=%v rec=%+v", found, rec)
 	}
 	if started != 1 {

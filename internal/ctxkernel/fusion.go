@@ -20,42 +20,26 @@ type Fusion struct {
 	field  *sensor.Field
 	kernel *Kernel
 
-	mu       sync.Mutex
-	location map[string]string // user -> current room
-	// confirmations debounces noise: a new room must win this many
-	// consecutive samples before a move is declared.
-	confirmations int
-	pending       map[string]string // user -> candidate room
-	pendingCount  map[string]int
+	mu           sync.Mutex
+	location     map[string]string // user -> current room
+	pending      map[string]string // user -> candidate room
+	pendingCount map[string]int
 }
 
-// FusionOption configures a Fusion.
-type FusionOption func(*Fusion)
-
-// WithConfirmations sets how many consecutive samples must agree before a
-// location change is published (default 2, filtering single-sample noise).
-func WithConfirmations(n int) FusionOption {
-	return func(f *Fusion) {
-		if n > 0 {
-			f.confirmations = n
-		}
-	}
-}
+// confirmations debounces noise: a new room must win this many
+// consecutive samples before a move is declared, which filters
+// single-sample noise.
+const confirmations = 2
 
 // NewFusion builds a fusion stage publishing into kernel.
-func NewFusion(field *sensor.Field, kernel *Kernel, opts ...FusionOption) *Fusion {
-	f := &Fusion{
-		field:         field,
-		kernel:        kernel,
-		location:      make(map[string]string),
-		confirmations: 2,
-		pending:       make(map[string]string),
-		pendingCount:  make(map[string]int),
+func NewFusion(field *sensor.Field, kernel *Kernel) *Fusion {
+	return &Fusion{
+		field:        field,
+		kernel:       kernel,
+		location:     make(map[string]string),
+		pending:      make(map[string]string),
+		pendingCount: make(map[string]int),
 	}
-	for _, o := range opts {
-		o(f)
-	}
-	return f
 }
 
 // Location returns the fused current room of a user.
@@ -129,7 +113,7 @@ func (f *Fusion) observe(user, badge, room string, readings []sensor.Reading) {
 		f.pending[user] = room
 		f.pendingCount[user] = 1
 	}
-	confirmed := f.pendingCount[user] >= f.confirmations || !known
+	confirmed := f.pendingCount[user] >= confirmations || !known
 	if !confirmed {
 		f.mu.Unlock()
 		return

@@ -32,12 +32,8 @@ func registerRunning(t *testing.T, reg *cluster.Center, appName, host string) {
 // runningHosts lists, sorted, the hosts whose record says appName runs.
 func runningHosts(t testing.TB, reg *cluster.Center, appName string) []string {
 	t.Helper()
-	recs, err := reg.Registry().Apps()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var hosts []string
-	for _, rec := range recs {
+	for _, rec := range reg.Apps(nil) {
 		if rec.Name == appName && rec.Running {
 			hosts = append(hosts, rec.Host)
 		}

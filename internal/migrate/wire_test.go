@@ -183,7 +183,7 @@ func TestGoldenCheckinFrames(t *testing.T) {
 // read: no instance, no registry write.
 func TestRetiredCheckinIsRefused(t *testing.T) {
 	r := newRig(t, songSize)
-	before, _ := r.reg.Registry().Apps()
+	before := r.reg.Apps(nil)
 	for _, op := range []string{MsgCheckin, MsgClone} {
 		_, err := r.engA.ep.Request(ctxT(t), EndpointName("hostB"), op, goldenWire(t, "checkin-static-0x30.bin"))
 		if !errors.Is(err, transport.ErrVersion) || !strings.Contains(err.Error(), "unknown fast opcode") {
@@ -193,7 +193,7 @@ func TestRetiredCheckinIsRefused(t *testing.T) {
 	if _, ok := r.engB.App("player"); ok {
 		t.Fatal("a refused check-in left an instance behind")
 	}
-	if after, _ := r.reg.Registry().Apps(); !reflect.DeepEqual(after, before) {
+	if after := r.reg.Apps(nil); !reflect.DeepEqual(after, before) {
 		t.Fatalf("a refused check-in wrote the registry: %+v", after)
 	}
 }

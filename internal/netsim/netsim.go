@@ -124,12 +124,15 @@ type Network struct {
 	hosts       map[string]*Host
 	links       map[edge]LinkProfile
 	defaultLink LinkProfile
-	gatewayCost time.Duration // per gateway traversal (paper: inter-space requires gateway support)
 	rng         *rand.Rand
 	down        map[string]bool   // fault injection: crashed hosts
 	partition   map[string]string // fault injection: host -> partition side
 	linkDown    map[edge]bool     // fault injection: severed host pairs
 }
+
+// gatewayCost is charged each time a transfer crosses a space gateway
+// (paper: inter-space communication requires gateway support).
+const gatewayCost = 25 * time.Millisecond
 
 // Option configures a Network.
 type Option func(*Network)
@@ -138,12 +141,6 @@ type Option func(*Network)
 // no explicit link.
 func WithDefaultLink(l LinkProfile) Option {
 	return func(n *Network) { n.defaultLink = l }
-}
-
-// WithGatewayCost sets the extra cost charged each time a transfer crosses
-// a space gateway.
-func WithGatewayCost(d time.Duration) Option {
-	return func(n *Network) { n.gatewayCost = d }
 }
 
 // WithSeed seeds the deterministic jitter source.
@@ -158,7 +155,6 @@ func New(clock vclock.Clock, opts ...Option) *Network {
 		hosts:       make(map[string]*Host),
 		links:       make(map[edge]LinkProfile),
 		defaultLink: Ethernet10(),
-		gatewayCost: 25 * time.Millisecond,
 		rng:         rand.New(rand.NewSource(1)),
 		down:        make(map[string]bool),
 		partition:   make(map[string]string),
@@ -456,7 +452,7 @@ func (n *Network) Transfer(from, to string, bytes int64) (time.Duration, Route, 
 		l := n.linkFor(route.Hops[i], route.Hops[i+1])
 		total += n.jitter(transferCost(l, bytes), l.JitterFrac)
 	}
-	total += time.Duration(route.Gateways) * n.gatewayCost
+	total += time.Duration(route.Gateways) * gatewayCost
 	n.mu.Unlock()
 	n.clock.Charge(total)
 	return total, route, nil
@@ -476,7 +472,7 @@ func (n *Network) EstimateTransfer(from, to string, bytes int64) (time.Duration,
 	for i := 0; i+1 < len(route.Hops); i++ {
 		total += transferCost(n.linkFor(route.Hops[i], route.Hops[i+1]), bytes)
 	}
-	total += time.Duration(route.Gateways) * n.gatewayCost
+	total += time.Duration(route.Gateways) * gatewayCost
 	return total, nil
 }
 

@@ -156,7 +156,7 @@ func (m *Matcher) PlanRebinding(src Resource, destAvail []Resource) Rebinding {
 			Reason: fmt.Sprintf("no destination equivalent; %s is transferable (%d bytes)", src.ID, src.SizeBytes),
 		}
 	}
-	if m.onto.IsA(src.Term(), dataClass) {
+	if m.onto.SubClassOf(src.Class, dataClass) {
 		return Rebinding{
 			Source: src,
 			Action: RebindRemote,

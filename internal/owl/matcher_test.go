@@ -137,7 +137,6 @@ func TestPlanRebindingRemoteURLForData(t *testing.T) {
 	// "played remotely through URL in the original host". Model the music
 	// as untransferable data (e.g. licensing pins it to the source).
 	src := Resource{ID: "song1", Class: rdf.IMCL("MusicFile"), Host: "hostA", SizeBytes: 4 << 20}
-	o.AssertType(src.Term(), src.Class)
 	plan := m.PlanRebinding(src, nil)
 	if plan.Action != RebindRemote {
 		t.Fatalf("action = %v, want remote-url (%s)", plan.Action, plan.Reason)
@@ -149,52 +148,9 @@ func TestPlanRebindingImpossible(t *testing.T) {
 	m := NewMatcher(o, MatchSemantic)
 	// Database: neither transferable nor substitutable, no local twin.
 	src := Resource{ID: "db1", Class: rdf.IMCL("Database"), Host: "hostA"}
-	o.AssertType(src.Term(), src.Class)
 	plan := m.PlanRebinding(src, nil)
 	if plan.Action != RebindImpossible {
 		t.Fatalf("action = %v, want impossible (%s)", plan.Action, plan.Reason)
-	}
-}
-
-func TestResourceTriplesRoundTrip(t *testing.T) {
-	o := stdOnto(t)
-	src := Resource{
-		ID: "hp821", Class: rdf.IMCL("ColorPrinter"),
-		Substitutable: true, Transferable: false,
-		Host: "hostA", Location: "office821", SizeBytes: 0,
-		Attrs: map[string]string{"name": "hp LaserJet", "dpi": "600"},
-	}
-	if err := o.AddResource(src); err != nil {
-		t.Fatal(err)
-	}
-	got, err := o.ResourceFromGraph("hp821")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Class != src.Class || got.Host != src.Host || got.Location != src.Location {
-		t.Fatalf("round trip = %+v", got)
-	}
-	if !got.Substitutable || got.Transferable {
-		t.Fatalf("flags lost: %+v", got)
-	}
-	if got.Attrs["name"] != "hp LaserJet" || got.Attrs["dpi"] != "600" {
-		t.Fatalf("attrs lost: %v", got.Attrs)
-	}
-}
-
-func TestResourceFromGraphPrefersMostSpecificType(t *testing.T) {
-	o := stdOnto(t)
-	r := Resource{ID: "hp", Class: rdf.IMCL("ColorPrinter"), Substitutable: true, Host: "h"}
-	if err := o.AddResource(r); err != nil {
-		t.Fatal(err)
-	}
-	o.Materialize() // adds Printer, Device, Resource types
-	got, err := o.ResourceFromGraph("hp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Class != rdf.IMCL("ColorPrinter") {
-		t.Fatalf("class = %v, want most specific ColorPrinter", got.Class)
 	}
 }
 
@@ -214,25 +170,6 @@ func TestResourceValidate(t *testing.T) {
 				t.Fatal("invalid resource accepted")
 			}
 		})
-	}
-	if err := NewMatcher(stdOnto(t), MatchSemantic).onto.AddResource(Resource{}); err == nil {
-		t.Fatal("AddResource accepted invalid resource")
-	}
-}
-
-func TestResourcesOnHost(t *testing.T) {
-	o := stdOnto(t)
-	for _, id := range []string{"b-res", "a-res"} {
-		if err := o.AddResource(Resource{ID: id, Class: rdf.IMCL("Printer"), Host: "hostA"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := o.AddResource(Resource{ID: "other", Class: rdf.IMCL("Printer"), Host: "hostB"}); err != nil {
-		t.Fatal(err)
-	}
-	got := o.ResourcesOnHost("hostA")
-	if len(got) != 2 || got[0] != "a-res" || got[1] != "b-res" {
-		t.Fatalf("ResourcesOnHost = %v, want sorted [a-res b-res]", got)
 	}
 }
 
@@ -279,7 +216,6 @@ func TestPlanRebindingSameResourceAtDestination(t *testing.T) {
 	// the destination's song1 is not a substitute — it is the song.
 	src := Resource{ID: "song1", Class: rdf.IMCL("MusicFile"), Host: "hostA", SizeBytes: 4 << 20,
 		Attrs: map[string]string{"url": "mdagent://hostA/media/song1"}}
-	o.AssertType(src.Term(), src.Class)
 	own := Resource{ID: "song1", Class: rdf.IMCL("MusicFile"), Host: "hostA", SizeBytes: 4 << 20}
 	other := Resource{ID: "song2", Class: rdf.IMCL("MusicFile"), Host: "hostA", SizeBytes: 1 << 20}
 	plan := m.PlanRebinding(src, []Resource{other, own})

@@ -2,7 +2,6 @@ package owl
 
 import (
 	"fmt"
-	"sort"
 
 	"mdagent/internal/rdf"
 )
@@ -25,9 +24,6 @@ type Resource struct {
 	Attrs         map[string]string // free-form attributes (model, format, ...)
 }
 
-// Term returns the individual's IRI term in the imcl namespace.
-func (r Resource) Term() rdf.Term { return rdf.IMCL(r.ID) }
-
 // Validate checks the description is usable.
 func (r Resource) Validate() error {
 	if r.ID == "" {
@@ -43,146 +39,4 @@ func (r Resource) Validate() error {
 		return fmt.Errorf("owl: resource %s has negative size", r.ID)
 	}
 	return nil
-}
-
-// Vocabulary properties used by resource descriptions.
-var (
-	PropTransferable  = rdf.IMCL("transferable")
-	PropSubstitutable = rdf.IMCL("substitutable")
-	PropHostedOn      = rdf.IMCL("hostedOn")
-	PropLocatedIn     = rdf.IMCL("locatedIn")
-	PropSizeBytes     = rdf.IMCL("sizeBytes")
-	PropAttrPrefix    = rdf.IMCLNS + "attr-"
-)
-
-// Triples renders the resource description as RDF, mirroring the paper's
-// Fig. 5 OWL illustration.
-func (r Resource) Triples() []rdf.Triple {
-	ind := r.Term()
-	out := []rdf.Triple{
-		rdf.T(ind, rdf.RDFType, r.Class),
-		rdf.T(ind, PropTransferable, rdf.Bool(r.Transferable)),
-		rdf.T(ind, PropSubstitutable, rdf.Bool(r.Substitutable)),
-		rdf.T(ind, PropHostedOn, rdf.IMCL(r.Host)),
-	}
-	if r.Location != "" {
-		out = append(out, rdf.T(ind, PropLocatedIn, rdf.IMCL(r.Location)))
-	}
-	if r.SizeBytes > 0 {
-		out = append(out, rdf.T(ind, PropSizeBytes, rdf.Integer(r.SizeBytes)))
-	}
-	keys := make([]string, 0, len(r.Attrs))
-	for k := range r.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out = append(out, rdf.T(ind, rdf.IRI(PropAttrPrefix+k), rdf.Lit(r.Attrs[k])))
-	}
-	return out
-}
-
-// AddResource asserts the resource's description into the ontology.
-func (o *Ontology) AddResource(r Resource) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	for _, tr := range r.Triples() {
-		o.g.Add(tr)
-	}
-	return nil
-}
-
-// ResourceFromGraph reconstructs a resource description from the ontology.
-func (o *Ontology) ResourceFromGraph(id string) (Resource, error) {
-	ind := rdf.IMCL(id)
-	types := o.g.Objects(ind, rdf.RDFType)
-	if len(types) == 0 {
-		return Resource{}, fmt.Errorf("owl: no such resource %q", id)
-	}
-	r := Resource{ID: id, Attrs: map[string]string{}}
-	// Prefer the most specific type: one that is a subclass of all others.
-	r.Class = types[0]
-	for _, t := range types[1:] {
-		if o.SubClassOf(t, r.Class) {
-			r.Class = t
-		}
-	}
-	if v, ok := o.g.FirstObject(ind, PropTransferable); ok {
-		r.Transferable, _ = v.AsBool()
-	}
-	if v, ok := o.g.FirstObject(ind, PropSubstitutable); ok {
-		r.Substitutable, _ = v.AsBool()
-	}
-	if v, ok := o.g.FirstObject(ind, PropHostedOn); ok {
-		r.Host = localName(v)
-	}
-	if v, ok := o.g.FirstObject(ind, PropLocatedIn); ok {
-		r.Location = localName(v)
-	}
-	if v, ok := o.g.FirstObject(ind, PropSizeBytes); ok {
-		r.SizeBytes, _ = v.AsInt()
-	}
-	for _, tr := range o.g.Match(rdf.Triple{S: ind}) {
-		if tr.P.Kind == rdf.KindIRI && len(tr.P.Value) > len(PropAttrPrefix) &&
-			tr.P.Value[:len(PropAttrPrefix)] == PropAttrPrefix {
-			r.Attrs[tr.P.Value[len(PropAttrPrefix):]] = tr.O.Value
-		}
-	}
-	if err := r.Validate(); err != nil {
-		return Resource{}, err
-	}
-	return r, nil
-}
-
-// ResourcesOnHost lists the resource ids described as hosted on host.
-func (o *Ontology) ResourcesOnHost(host string) []string {
-	subs := o.g.Subjects(PropHostedOn, rdf.IMCL(host))
-	out := make([]string, 0, len(subs))
-	for _, s := range subs {
-		out = append(out, localName(s))
-	}
-	sort.Strings(out)
-	return out
-}
-
-func localName(t rdf.Term) string {
-	if t.Kind != rdf.KindIRI {
-		return t.Value
-	}
-	s := t.Value
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '#' || s[i] == '/' {
-			return s[i+1:]
-		}
-	}
-	return s
-}
-
-// StandardResourceClasses declares the class tree used throughout the
-// examples and benchmarks, mirroring the paper's running examples (§4.4):
-// printers (substitutable, untransferable), databases (neither), PDAs
-// (transferable, not substitutable), media files, displays, projectors.
-func (o *Ontology) StandardResourceClasses() {
-	res := rdf.IMCL("Resource")
-	o.DefineClass(res)
-	for _, c := range []string{"Device", "Data", "Service"} {
-		o.DefineClass(rdf.IMCL(c), res)
-	}
-	o.DefineClass(rdf.IMCL("Printer"), rdf.IMCL("Device"))
-	o.DefineClass(rdf.IMCL("ColorPrinter"), rdf.IMCL("Printer"))
-	o.DefineClass(rdf.IMCL("LaserPrinter"), rdf.IMCL("Printer"))
-	o.DefineClass(rdf.IMCL("Display"), rdf.IMCL("Device"))
-	o.DefineClass(rdf.IMCL("Projector"), rdf.IMCL("Display"))
-	o.DefineClass(rdf.IMCL("PDA"), rdf.IMCL("Device"))
-	o.DefineClass(rdf.IMCL("Database"), rdf.IMCL("Service"))
-	o.DefineClass(rdf.IMCL("MediaFile"), rdf.IMCL("Data"))
-	o.DefineClass(rdf.IMCL("MusicFile"), rdf.IMCL("MediaFile"))
-	o.DefineClass(rdf.IMCL("SlideDeck"), rdf.IMCL("Data"))
-	o.DefineClass(rdf.IMCL("Document"), rdf.IMCL("Data"))
-	o.DefineObjectProperty(PropLocatedIn, Transitive())
-	o.DefineObjectProperty(PropHostedOn)
-	o.DefineDatatypeProperty(PropTransferable)
-	o.DefineDatatypeProperty(PropSubstitutable)
-	o.DefineDatatypeProperty(PropSizeBytes)
 }

@@ -221,8 +221,7 @@ func bindPosition(b Binding, pt, gt Term) bool {
 }
 
 // Solve answers a conjunctive query: it returns every binding of the
-// pattern variables under which all patterns hold in the graph. This is
-// the evaluation core for both OWL-QL queries and rule bodies.
+// pattern variables under which all patterns hold in the graph.
 func (g *Graph) Solve(patterns []Triple) []Binding {
 	bindings := []Binding{{}}
 	for _, p := range patterns {
@@ -292,12 +291,4 @@ func (g *Graph) Objects(s, p Term) []Term {
 		}
 	}
 	return out
-}
-
-// FirstObject returns the object of one (s, p, -) triple, if any.
-func (g *Graph) FirstObject(s, p Term) (Term, bool) {
-	for _, tr := range g.Match(Triple{S: s, P: p}) {
-		return tr.O, true
-	}
-	return Term{}, false
 }

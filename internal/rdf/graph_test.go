@@ -148,11 +148,8 @@ func TestSubjectsObjectsHelpers(t *testing.T) {
 	if len(objs) != 1 || objs[0] != IMCL("r1") {
 		t.Fatalf("Objects = %v", objs)
 	}
-	if o, ok := g.FirstObject(IMCL("p1"), IMCL("type")); !ok || o != IMCL("Printer") {
-		t.Fatalf("FirstObject = %v, %v", o, ok)
-	}
-	if _, ok := g.FirstObject(IMCL("p1"), IMCL("missing")); ok {
-		t.Fatal("FirstObject on absent predicate returned ok")
+	if objs := g.Objects(IMCL("p1"), IMCL("missing")); len(objs) != 0 {
+		t.Fatalf("Objects on absent predicate = %v", objs)
 	}
 }
 

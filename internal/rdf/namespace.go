@@ -23,24 +23,12 @@ const (
 	XSDBoolean = XSDNS + "boolean"
 )
 
-// Frequently used vocabulary terms.
+// Vocabulary terms the class tree is built from.
 var (
 	RDFType            = IRI(RDFNS + "type")
 	RDFSSubClassOf     = IRI(RDFSNS + "subClassOf")
-	RDFSSubPropertyOf  = IRI(RDFSNS + "subPropertyOf")
-	RDFSComment        = IRI(RDFSNS + "comment")
-	RDFSLabel          = IRI(RDFSNS + "label")
-	RDFSDomain         = IRI(RDFSNS + "domain")
-	RDFSRange          = IRI(RDFSNS + "range")
 	OWLClass           = IRI(OWLNS + "Class")
-	OWLObjectProperty  = IRI(OWLNS + "ObjectProperty")
-	OWLDatatypeProp    = IRI(OWLNS + "DatatypeProperty")
-	OWLTransitiveProp  = IRI(OWLNS + "TransitiveProperty")
-	OWLSymmetricProp   = IRI(OWLNS + "SymmetricProperty")
-	OWLFunctionalProp  = IRI(OWLNS + "FunctionalProperty")
-	OWLInverseOf       = IRI(OWLNS + "inverseOf")
 	OWLEquivalentClass = IRI(OWLNS + "equivalentClass")
-	OWLSameAs          = IRI(OWLNS + "sameAs")
 	OWLThing           = IRI(OWLNS + "Thing")
 )
 

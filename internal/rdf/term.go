@@ -67,9 +67,6 @@ func TypedLit(lexical, datatype string) Term {
 	return Term{Kind: KindLiteral, Value: lexical, Datatype: datatype}
 }
 
-// Integer returns an xsd:integer literal.
-func Integer(i int64) Term { return TypedLit(strconv.FormatInt(i, 10), XSDInteger) }
-
 // Float returns an xsd:double literal.
 func Float(f float64) Term {
 	return TypedLit(strconv.FormatFloat(f, 'g', -1, 64), XSDDouble)
@@ -84,15 +81,6 @@ func Blank(label string) Term { return Term{Kind: KindBlank, Value: label} }
 // Var returns a pattern variable, e.g. Var("p") matches any term and binds ?p.
 func Var(name string) Term { return Term{Kind: KindVariable, Value: name} }
 
-// AsInt parses the literal as an integer.
-func (t Term) AsInt() (int64, bool) {
-	if t.Kind != KindLiteral {
-		return 0, false
-	}
-	i, err := strconv.ParseInt(t.Value, 10, 64)
-	return i, err == nil
-}
-
 // AsFloat parses the literal as a float. Integer literals qualify.
 func (t Term) AsFloat() (float64, bool) {
 	if t.Kind != KindLiteral {
@@ -100,15 +88,6 @@ func (t Term) AsFloat() (float64, bool) {
 	}
 	f, err := strconv.ParseFloat(t.Value, 64)
 	return f, err == nil
-}
-
-// AsBool parses the literal as a boolean.
-func (t Term) AsBool() (bool, bool) {
-	if t.Kind != KindLiteral {
-		return false, false
-	}
-	b, err := strconv.ParseBool(t.Value)
-	return b, err == nil
 }
 
 // String renders the term in N-Triples-like syntax.

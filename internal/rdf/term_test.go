@@ -14,7 +14,7 @@ func TestTermConstructorsAndKinds(t *testing.T) {
 		{"iri", IRI("http://x/y"), KindIRI, "<http://x/y>"},
 		{"lit", Lit("hello"), KindLiteral, `"hello"`},
 		{"typed", TypedLit("1.5", XSDDouble), KindLiteral, `"1.5"^^<` + XSDDouble + ">"},
-		{"int", Integer(42), KindLiteral, `"42"^^<` + XSDInteger + ">"},
+		{"int", TypedLit("42", XSDInteger), KindLiteral, `"42"^^<` + XSDInteger + ">"},
 		{"float", Float(2.5), KindLiteral, `"2.5"^^<` + XSDDouble + ">"},
 		{"bool", Bool(true), KindLiteral, `"true"^^<` + XSDBoolean + ">"},
 		{"blank", Blank("b0"), KindBlank, "_:b0"},
@@ -52,20 +52,14 @@ func TestTermZeroAndKindString(t *testing.T) {
 }
 
 func TestLiteralConversions(t *testing.T) {
-	if v, ok := Integer(7).AsInt(); !ok || v != 7 {
-		t.Fatalf("AsInt = %d, %v", v, ok)
-	}
-	if v, ok := Integer(7).AsFloat(); !ok || v != 7 {
+	if v, ok := TypedLit("7", XSDInteger).AsFloat(); !ok || v != 7 {
 		t.Fatalf("int AsFloat = %g, %v", v, ok)
 	}
 	if v, ok := Float(1.25).AsFloat(); !ok || v != 1.25 {
 		t.Fatalf("AsFloat = %g, %v", v, ok)
 	}
-	if v, ok := Bool(true).AsBool(); !ok || !v {
-		t.Fatalf("AsBool = %v, %v", v, ok)
-	}
-	if _, ok := Lit("abc").AsInt(); ok {
-		t.Fatal("non-numeric literal parsed as int")
+	if _, ok := Lit("abc").AsFloat(); ok {
+		t.Fatal("non-numeric literal parsed as float")
 	}
 	if _, ok := IRI("x").AsFloat(); ok {
 		t.Fatal("IRI parsed as float")

@@ -66,15 +66,17 @@ func BenchmarkRegisterAppRTT(b *testing.B) {
 
 // BenchmarkRegistryPlanMove is the center's side of a follow-me's plan
 // read (registry.plan-move) without the wire: the destination's
-// installation and one rebinding plan, in an index of 1,000 app records.
+// installation and one rebinding plan, read from a volatile center that
+// holds 1,000 app records, the destination's resource found through the
+// center's resource key index.
 func BenchmarkRegistryPlanMove(b *testing.B) {
-	r := registry.New()
+	r, ctx := newCenter(b), context.Background()
 	for h := 0; h < 100; h++ {
 		for a := 0; a < 10; a++ {
 			rec := registry.AppRecord{Name: fmt.Sprintf("app-%d", a), Host: fmt.Sprintf("host-%03d", h), Space: "lab1",
 				Description: demoapps.MediaPlayerDesc(),
 				Components:  []string{"codec-logic", "player-ui", "song1", "playback-state"}}
-			if err := r.RegisterApp(rec); err != nil {
+			if err := r.RegisterApp(ctx, rec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -82,7 +84,7 @@ func BenchmarkRegistryPlanMove(b *testing.B) {
 	src := owl.Resource{ID: "srcPrn", Class: rdf.IMCL("Printer"), Substitutable: true, Host: "host-000"}
 	dst := owl.Resource{ID: "dstPrn", Class: rdf.IMCL("ColorPrinter"), Substitutable: true, Host: "host-050"}
 	for _, res := range []owl.Resource{src, dst} {
-		if err := r.RegisterResource(res); err != nil {
+		if err := r.RegisterResource(ctx, res); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,7 +92,7 @@ func BenchmarkRegistryPlanMove(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := r.PlanMove("app-3", "host-050", resources, owl.MatchSemantic)
+		plan, err := r.PlanMove(ctx, "app-3", "host-050", resources, owl.MatchSemantic)
 		if err != nil || !plan.DestFound || len(plan.Rebindings) != 1 {
 			b.Fatalf("plan = %+v, %v", plan, err)
 		}

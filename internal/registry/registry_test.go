@@ -1,229 +1,225 @@
-package registry
+package registry_test
+
+// The registry's reads and writes against the center that holds the
+// records: a volatile one (no store, no peers), read directly.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"mdagent/internal/cluster"
 	"mdagent/internal/owl"
 	"mdagent/internal/rdf"
+	"mdagent/internal/registry"
+	"mdagent/internal/transport"
 	"mdagent/internal/wsdl"
 )
 
-func testDesc(name string) wsdl.Description {
-	return wsdl.Description{
-		Name: name,
-		Services: []wsdl.Service{{
-			Name: "svc",
-			Ports: []wsdl.Port{{
-				Name:       "p",
-				Operations: []wsdl.Operation{{Name: "run"}},
-			}},
-		}},
-		Requires: wsdl.Requirements{MinMemoryMB: 64},
+// newCenter returns a volatile registry center with no peers.
+func newCenter(t testing.TB) *cluster.Center {
+	t.Helper()
+	fab := transport.NewLocalFabric(nil)
+	t.Cleanup(func() { fab.Close() })
+	ep, err := fab.Attach("registry", "")
+	if err != nil {
+		t.Fatal(err)
 	}
+	return serveCenter(t, ep)
 }
 
 func TestRegisterLookupApp(t *testing.T) {
-	r := New()
-	rec := AppRecord{
+	c, ctx := newCenter(t), context.Background()
+	rec := registry.AppRecord{
 		Name: "player", Host: "hostA", Space: "lab",
-		Description: testDesc("player"),
+		Description: desc("player"),
 		Components:  []string{"ui", "codec"},
 	}
-	if err := r.RegisterApp(rec); err != nil {
+	if err := c.RegisterApp(ctx, rec); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := r.LookupApp("player", "hostA")
+	got, found, err := c.LookupApp(ctx, "player", "hostA")
 	if err != nil || !found {
 		t.Fatalf("LookupApp = %v, %v", found, err)
 	}
 	if got.Space != "lab" || !got.HasComponent("codec") || got.HasComponent("gpu") {
 		t.Fatalf("record = %+v", got)
 	}
-	if _, found, _ := r.LookupApp("player", "hostB"); found {
+	if _, found, _ := c.LookupApp(ctx, "player", "hostB"); found {
 		t.Fatal("found app on wrong host")
 	}
-	if _, found, _ := r.LookupApp("nosuch", "hostA"); found {
+	if _, found, _ := c.LookupApp(ctx, "nosuch", "hostA"); found {
 		t.Fatal("found nonexistent app")
 	}
 }
 
-// The index hands out copies and keeps copies: mutating a record a read
+// The center hands out copies and keeps copies: mutating a record a read
 // returned, or the caller's own record after RegisterApp, changes no
 // later read.
 func TestAppReadsAreCopies(t *testing.T) {
-	fresh := func() AppRecord {
-		return AppRecord{
+	fresh := func() registry.AppRecord {
+		return registry.AppRecord{
 			Name: "player", Host: "hostA", Space: "lab",
-			Description: testDesc("player"),
+			Description: desc("player"),
 			Components:  []string{"ui", "codec"},
 		}
 	}
-	mutate := func(rec *AppRecord) {
+	mutate := func(rec *registry.AppRecord) {
 		rec.Components[0] = "mutated"
 		rec.Description.Services[0].Ports[0].Name = "mutated"
 		rec.Description.Services[0].Ports[0].Operations[0].Name = "mutated"
 	}
-	r := New()
+	c, ctx := newCenter(t), context.Background()
 	mine := fresh()
-	if err := r.RegisterApp(mine); err != nil {
+	if err := c.RegisterApp(ctx, mine); err != nil {
 		t.Fatal(err)
 	}
 	mutate(&mine)
 	check := func(after string) {
 		t.Helper()
-		got, found, err := r.LookupApp("player", "hostA")
+		got, found, err := c.LookupApp(ctx, "player", "hostA")
 		if err != nil || !found || !reflect.DeepEqual(got, fresh()) {
 			t.Fatalf("after mutating %s: LookupApp = %+v, %v, %v", after, got, found, err)
 		}
 	}
 	check("the registered record")
 
-	got, _, _ := r.LookupApp("player", "hostA")
+	got, _, _ := c.LookupApp(ctx, "player", "hostA")
 	mutate(&got)
 	check("a LookupApp result")
-	apps, err := r.Apps()
-	if err != nil || len(apps) != 1 {
-		t.Fatalf("Apps = %v, %v", apps, err)
+	apps := c.Apps(nil)
+	if len(apps) != 1 {
+		t.Fatalf("Apps = %v", apps)
 	}
 	mutate(&apps[0])
 	check("an Apps result")
-	onHost, err := r.AppsOnHost("hostA")
-	if err != nil || len(onHost) != 1 {
-		t.Fatalf("AppsOnHost = %v, %v", onHost, err)
+	onHost := c.Apps(func(r registry.AppRecord) bool { return r.Host == "hostA" })
+	if len(onHost) != 1 {
+		t.Fatalf("Apps on hostA = %v", onHost)
 	}
 	mutate(&onHost[0])
-	check("an AppsOnHost result")
+	check("a filtered Apps result")
+	plan, err := c.PlanMove(ctx, "player", "hostA", nil, owl.MatchSemantic)
+	if err != nil || !plan.DestFound {
+		t.Fatalf("PlanMove = %+v, %v", plan, err)
+	}
+	mutate(&plan.Dest)
+	check("a PlanMove destination")
 }
 
 func TestRegisterAppValidates(t *testing.T) {
-	r := New()
-	if err := r.RegisterApp(AppRecord{Host: "h"}); err == nil {
+	c, ctx := newCenter(t), context.Background()
+	if err := c.RegisterApp(ctx, registry.AppRecord{Host: "h"}); err == nil {
 		t.Fatal("nameless app accepted")
 	}
-	if err := r.RegisterApp(AppRecord{Name: "x", Description: testDesc("x")}); err == nil {
+	if err := c.RegisterApp(ctx, registry.AppRecord{Name: "x", Description: desc("x")}); err == nil {
 		t.Fatal("hostless app accepted")
 	}
-	if err := r.RegisterApp(AppRecord{Name: "x", Host: "h"}); err == nil {
+	if err := c.RegisterApp(ctx, registry.AppRecord{Name: "x", Host: "h"}); err == nil {
 		t.Fatal("descriptionless app accepted")
+	}
+	if apps := c.Apps(nil); len(apps) != 0 {
+		t.Fatalf("refused registrations stored %v", apps)
 	}
 }
 
 func TestFindAppAcrossHostsAndUnregister(t *testing.T) {
-	r := New()
+	c, ctx := newCenter(t), context.Background()
 	for _, host := range []string{"hostB", "hostA", "hostC"} {
-		rec := AppRecord{Name: "editor", Host: host, Description: testDesc("editor")}
-		if err := r.RegisterApp(rec); err != nil {
+		rec := registry.AppRecord{Name: "editor", Host: host, Description: desc("editor")}
+		if err := c.RegisterApp(ctx, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recs, err := r.FindApp("editor")
-	if err != nil {
-		t.Fatal(err)
-	}
+	editors := func(r registry.AppRecord) bool { return r.Name == "editor" }
+	recs := c.Apps(editors)
 	if len(recs) != 3 || recs[0].Host != "hostA" || recs[2].Host != "hostC" {
-		t.Fatalf("FindApp = %v", recs)
+		t.Fatalf("Apps(editor) = %v", recs)
 	}
-	if err := r.UnregisterApp("editor", "hostB"); err != nil {
+	if err := c.UnregisterApp(ctx, "editor", "hostB"); err != nil {
 		t.Fatal(err)
 	}
-	recs, _ = r.FindApp("editor")
-	if len(recs) != 2 {
-		t.Fatalf("after unregister, FindApp = %v", recs)
+	if recs = c.Apps(editors); len(recs) != 2 {
+		t.Fatalf("after unregister, Apps(editor) = %v", recs)
 	}
 }
 
 func TestAppsOnHost(t *testing.T) {
-	r := New()
+	c, ctx := newCenter(t), context.Background()
 	for _, name := range []string{"zeta", "alpha"} {
-		if err := r.RegisterApp(AppRecord{Name: name, Host: "hostA", Description: testDesc(name)}); err != nil {
+		if err := c.RegisterApp(ctx, registry.AppRecord{Name: name, Host: "hostA", Description: desc(name)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := r.RegisterApp(AppRecord{Name: "other", Host: "hostB", Description: testDesc("other")}); err != nil {
+	if err := c.RegisterApp(ctx, registry.AppRecord{Name: "other", Host: "hostB", Description: desc("other")}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := r.AppsOnHost("hostA")
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := c.Apps(func(r registry.AppRecord) bool { return r.Host == "hostA" })
 	if len(recs) != 2 || recs[0].Name != "alpha" {
-		t.Fatalf("AppsOnHost = %v", recs)
+		t.Fatalf("Apps on hostA = %v", recs)
 	}
 }
 
+// TestResourceRegistrationAndQuery: a host's resources read back as
+// registered, sorted by ID, as copies; an invalid one is refused.
 func TestResourceRegistrationAndQuery(t *testing.T) {
-	r := New()
+	c, ctx := newCenter(t), context.Background()
 	res := owl.Resource{
 		ID: "hp821", Class: rdf.IMCL("Printer"), Substitutable: true,
-		Host: "hostB", Location: "office821",
+		Host: "hostB", Location: "office821", Attrs: map[string]string{"name": "hp"},
 	}
-	if err := r.RegisterResource(res); err != nil {
-		t.Fatal(err)
+	for _, r := range []owl.Resource{res, {ID: "a-prn", Class: rdf.IMCL("ColorPrinter"), Host: "hostB"},
+		{ID: "other", Class: rdf.IMCL("Printer"), Host: "hostA"}} {
+		if err := c.RegisterResource(ctx, r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := r.ResourcesOnHost("hostB")
-	if err != nil {
-		t.Fatal(err)
+	res.Attrs["name"] = "mutated"
+	got := c.ResourcesOnHost("hostB")
+	if len(got) != 2 || got[0].ID != "a-prn" || got[1].ID != "hp821" || got[1].Attrs["name"] != "hp" {
+		t.Fatalf("ResourcesOnHost = %+v", got)
 	}
-	if len(got) != 1 || got[0].ID != "hp821" {
-		t.Fatalf("ResourcesOnHost = %v", got)
+	got[1].Attrs["name"] = "mutated"
+	if again := c.ResourcesOnHost("hostB"); again[1].Attrs["name"] != "hp" {
+		t.Fatalf("mutating a read changed the record: %+v", again[1])
 	}
-	rows, err := r.Query(`(?r rdf:type imcl:Printer), (?r imcl:hostedOn ?h)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0]["r"] != "imcl:hp821" || rows[0]["h"] != "imcl:hostB" {
-		t.Fatalf("Query rows = %v", rows)
-	}
-	if err := r.RegisterResource(owl.Resource{}); err == nil {
+	if err := c.RegisterResource(ctx, owl.Resource{}); err == nil {
 		t.Fatal("invalid resource accepted")
-	}
-	if _, err := r.Query(`broken(`); err == nil {
-		t.Fatal("broken query accepted")
 	}
 }
 
 func TestPlanRebindingThroughRegistry(t *testing.T) {
-	r := New()
+	c, ctx := newCenter(t), context.Background()
 	src := owl.Resource{ID: "srcPrn", Class: rdf.IMCL("Printer"), Substitutable: true, Host: "hostA"}
 	dst := owl.Resource{ID: "dstPrn", Class: rdf.IMCL("ColorPrinter"), Substitutable: true, Host: "hostB"}
-	if err := r.RegisterResource(src); err != nil {
-		t.Fatal(err)
+	for _, r := range []owl.Resource{src, dst} {
+		if err := c.RegisterResource(ctx, r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := r.RegisterResource(dst); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := r.PlanRebinding(src, "hostB", owl.MatchSemantic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Action != owl.RebindUseLocal || plan.Target.ID != "dstPrn" {
+	if plan := c.PlanRebinding(src, "hostB", owl.MatchSemantic); plan.Action != owl.RebindUseLocal || plan.Target.ID != "dstPrn" {
 		t.Fatalf("plan = %+v", plan)
 	}
 	// Syntactic mode misses the subclass printer.
-	plan, err = r.PlanRebinding(src, "hostB", owl.MatchSyntactic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Action == owl.RebindUseLocal {
+	if plan := c.PlanRebinding(src, "hostB", owl.MatchSyntactic); plan.Action == owl.RebindUseLocal {
 		t.Fatalf("syntactic plan unexpectedly matched: %+v", plan)
 	}
 }
 
 func TestDeviceProfiles(t *testing.T) {
-	r := New()
+	c, ctx := newCenter(t), context.Background()
 	dev := wsdl.DeviceProfile{Host: "hostB", ScreenWidth: 1024, ScreenHeight: 768, MemoryMB: 512, HasAudio: true}
-	if err := r.RegisterDevice(dev); err != nil {
+	if err := c.RegisterDevice(ctx, dev); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := r.Device("hostB")
+	got, ok := c.Device("hostB")
 	if !ok || got.ScreenWidth != 1024 {
 		t.Fatalf("Device = %+v, %v", got, ok)
 	}
-	if _, ok := r.Device("ghost"); ok {
+	if _, ok := c.Device("ghost"); ok {
 		t.Fatal("ghost device found")
 	}
-	if err := r.RegisterDevice(wsdl.DeviceProfile{}); err == nil {
+	if err := c.RegisterDevice(ctx, wsdl.DeviceProfile{}); err == nil {
 		t.Fatal("hostless device accepted")
 	}
 }

@@ -167,7 +167,7 @@ func TestMoveOpsRefuseAFutureSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := serveCenter(t, srvEp).Registry()
+	reg := serveCenter(t, srvEp)
 	cliEp, err := fab.Attach("cli", "")
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestMoveOpsRefuseAFutureSeal(t *testing.T) {
 			t.Fatalf("%s with a v42 body: err = %v, want ErrVersion", op, err)
 		}
 	}
-	if recs, _ := reg.Apps(); len(recs) != 0 {
+	if recs := reg.Apps(nil); len(recs) != 0 {
 		t.Fatalf("a refused move wrote %+v", recs)
 	}
 }

@@ -9,7 +9,22 @@ import (
 	"mdagent/internal/owl"
 	"mdagent/internal/rdf"
 	"mdagent/internal/transport"
+	"mdagent/internal/wsdl"
 )
+
+func testDesc(name string) wsdl.Description {
+	return wsdl.Description{
+		Name: name,
+		Services: []wsdl.Service{{
+			Name: "svc",
+			Ports: []wsdl.Port{{
+				Name:       "p",
+				Operations: []wsdl.Operation{{Name: "run"}},
+			}},
+		}},
+		Requires: wsdl.Requirements{MinMemoryMB: 64},
+	}
+}
 
 func goldenWire(t testing.TB, name string) []byte {
 	t.Helper()

@@ -98,10 +98,10 @@ func TestPaperPipelineRule2ThenRule3(t *testing.T) {
 	if a.Kind != rdf.KindBlank {
 		t.Fatalf("action node = %v, want blank (skolem)", a)
 	}
-	if _, ok := g.FirstObject(a, rdf.IMCL("srcAddress")); !ok {
+	if len(g.Objects(a, rdf.IMCL("srcAddress"))) == 0 {
 		t.Fatal("move action missing srcAddress")
 	}
-	if _, ok := g.FirstObject(a, rdf.IMCL("destAddress")); !ok {
+	if len(g.Objects(a, rdf.IMCL("destAddress"))) == 0 {
 		t.Fatal("move action missing destAddress")
 	}
 }
@@ -155,17 +155,17 @@ func TestBuiltinGuards(t *testing.T) {
 		want bool
 	}{
 		{"ltPass", `[R: (?x imcl:v ?t), lessThan(?t, 10) -> (?x imcl:ok "y")]`,
-			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.Integer(5)), true},
+			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.TypedLit("5", rdf.XSDInteger)), true},
 		{"ltFail", `[R: (?x imcl:v ?t), lessThan(?t, 10) -> (?x imcl:ok "y")]`,
-			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.Integer(15)), false},
+			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.TypedLit("15", rdf.XSDInteger)), false},
 		{"gtPass", `[R: (?x imcl:v ?t), greaterThan(?t, 10) -> (?x imcl:ok "y")]`,
-			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.Integer(15)), true},
+			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.TypedLit("15", rdf.XSDInteger)), true},
 		{"gePassBoundary", `[R: (?x imcl:v ?t), ge(?t, 10) -> (?x imcl:ok "y")]`,
-			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.Integer(10)), true},
+			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.TypedLit("10", rdf.XSDInteger)), true},
 		{"leFailBoundary", `[R: (?x imcl:v ?t), le(?t, 9) -> (?x imcl:ok "y")]`,
-			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.Integer(10)), false},
+			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.TypedLit("10", rdf.XSDInteger)), false},
 		{"equalNumericCrossType", `[R: (?x imcl:v ?t), equal(?t, '5'^^xsd:double) -> (?x imcl:ok "y")]`,
-			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.Integer(5)), true},
+			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.TypedLit("5", rdf.XSDInteger)), true},
 		{"notEqualTerm", `[R: (?x imcl:v ?t), notEqual(?t, "other") -> (?x imcl:ok "y")]`,
 			rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.Lit("this")), true},
 		{"boundPass", `[R: (?x imcl:v ?t), bound(?t) -> (?x imcl:ok "y")]`,
@@ -192,7 +192,7 @@ func TestBuiltinGuards(t *testing.T) {
 func TestBuiltinArityError(t *testing.T) {
 	e := mustEngine(t, `[R: (?x imcl:v ?t), lessThan(?t) -> (?x imcl:ok "y")]`)
 	g := rdf.NewGraph()
-	g.Add(rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.Integer(1)))
+	g.Add(rdf.T(rdf.IMCL("a"), rdf.IMCL("v"), rdf.TypedLit("1", rdf.XSDInteger)))
 	if _, err := e.Infer(g); err == nil || !strings.Contains(err.Error(), "lessThan") {
 		t.Fatalf("err = %v, want lessThan arity error", err)
 	}

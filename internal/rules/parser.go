@@ -39,35 +39,6 @@ func MustParse(src string, ns *rdf.Namespaces) []Rule {
 	return rs
 }
 
-// ParsePatterns parses a comma-separated sequence of (s p o) triple
-// patterns — the same syntax as a rule body without builtins. It backs the
-// OWL-QL-style query text accepted by internal/owl.
-func ParsePatterns(src string, ns *rdf.Namespaces) ([]rdf.Triple, error) {
-	p := &ruleParser{src: src, ns: ns, line: 1}
-	var out []rdf.Triple
-	for {
-		p.skipWS()
-		if p.pos >= len(p.src) {
-			if len(out) == 0 {
-				return nil, p.errf("empty pattern list")
-			}
-			return out, nil
-		}
-		c, err := p.parseClause()
-		if err != nil {
-			return nil, err
-		}
-		if c.Kind != ClausePattern {
-			return nil, p.errf("builtin %q not allowed in a query", c.Builtin)
-		}
-		out = append(out, c.Pattern)
-		p.skipWS()
-		if p.pos < len(p.src) && p.src[p.pos] == ',' {
-			p.pos++
-		}
-	}
-}
-
 type ruleParser struct {
 	src  string
 	pos  int

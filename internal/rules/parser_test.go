@@ -94,7 +94,7 @@ func TestParseTermVariants(t *testing.T) {
 	if b[0].Pattern.O != rdf.IRI("http://example.org/abs") {
 		t.Fatalf("IRI term = %v", b[0].Pattern.O)
 	}
-	if b[1].Pattern.O != rdf.Integer(42) {
+	if b[1].Pattern.O != rdf.TypedLit("42", rdf.XSDInteger) {
 		t.Fatalf("integer term = %v", b[1].Pattern.O)
 	}
 	if b[2].Pattern.O != rdf.TypedLit("2.5", rdf.XSDDouble) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"maps"
 	"os"
@@ -109,6 +110,37 @@ func TestBlobLayoutConverts(t *testing.T) {
 	}
 	if n := replaySkips(dir) - skips; n != 0 {
 		t.Fatalf("an intact directory cost %d replay skips", n)
+	}
+}
+
+// TestConversionIsDeterministic: converting the same directory gives the
+// same bytes every time — the conversion's compaction pass re-emits the
+// live values in the log's write order, not in the index map's.
+func TestConversionIsDeterministic(t *testing.T) {
+	var first map[string][]byte
+	for i := 0; i < 4; i++ {
+		dir, want := copyBlobLayout(t, fmt.Sprintf("blob-layout-deterministic-%d", i))
+		if err := openConverted(t, dir, want).Close(); err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string][]byte)
+		segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range segs {
+			if files[filepath.Base(p)], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if first == nil {
+			first = files
+			continue
+		}
+		if !maps.EqualFunc(files, first, bytes.Equal) {
+			t.Fatalf("conversion %d wrote %v, conversion 0 wrote %v (same names, different bytes, or both)",
+				i, slices.Sorted(maps.Keys(files)), slices.Sorted(maps.Keys(first)))
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package store
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Compact folds every cold WAL segment into the tail, one segment at a
 // time. The write path is never blocked for a whole pass: for each key
@@ -46,8 +50,10 @@ func (s *Store) Compact() error {
 
 // liveKeysBySegment walks the index once and returns, for each of segs
 // (oldest first, as sealedSegments lists them), the keys whose live
-// entry was defined by a frame in that segment. Entries newer than the
-// last sealed segment are in the tail and are left out.
+// entry was defined by a frame in that segment, in the order their
+// frames were written, so a pass re-emits them in the log's own order
+// and not the map's. Entries newer than the last sealed segment are in
+// the tail and are left out.
 func (s *Store) liveKeysBySegment(segs []segmentInfo) [][]string {
 	// The segments' sequence ranges ascend and are disjoint; a segment
 	// no frame was applied from (minSeq 0) has none and is left out of
@@ -58,13 +64,25 @@ func (s *Store) liveKeysBySegment(segs []segmentInfo) [][]string {
 			held = append(held, i)
 		}
 	}
-	live := make([][]string, len(segs))
+	type liveKey struct {
+		key string
+		seq uint64
+	}
+	bySeg := make([][]liveKey, len(segs))
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for k, e := range s.m {
 		j := sort.Search(len(held), func(j int) bool { return segs[held[j]].maxSeq >= e.seq })
 		if j < len(held) && segs[held[j]].minSeq <= e.seq {
-			live[held[j]] = append(live[held[j]], k)
+			bySeg[held[j]] = append(bySeg[held[j]], liveKey{k, e.seq})
+		}
+	}
+	s.mu.RUnlock()
+	live := make([][]string, len(segs))
+	for i, lks := range bySeg {
+		slices.SortFunc(lks, func(a, b liveKey) int { return cmp.Compare(a.seq, b.seq) })
+		live[i] = make([]string, len(lks))
+		for j, lk := range lks {
+			live[i][j] = lk.key
 		}
 	}
 	return live

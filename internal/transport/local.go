@@ -51,14 +51,6 @@ func (f *LocalFabric) Attach(name, host string) (*Endpoint, error) {
 	return ep, nil
 }
 
-// HostOf reports the netsim host an endpoint lives on.
-func (f *LocalFabric) HostOf(endpoint string) (string, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	h, ok := f.hostOf[endpoint]
-	return h, ok
-}
-
 // Lookup returns the endpoint registered under name.
 func (f *LocalFabric) Lookup(name string) (*Endpoint, bool) {
 	f.mu.RLock()
