@@ -13,9 +13,10 @@ import (
 )
 
 // TestMain lets the test binary serve as the kill-mid-commit audit
-// child when RunStoreCrash re-execs it with the crash env var set.
+// child when RunStoreCrash re-execs it with the crash env var set, and as
+// the paper-figures child of TestPaperFiguresGolden.
 func TestMain(m *testing.M) {
-	if bench.StoreCrashChildMain() {
+	if bench.StoreCrashChildMain() || paperFigsChildMain() {
 		return
 	}
 	os.Exit(m.Run())
