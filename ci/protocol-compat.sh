@@ -6,8 +6,10 @@
 # Snapshot wire: old mdagentd replicating to a new mdregistry and the
 # reverse, each asserting the center lists the app's snapshot. Migration:
 # an mdagentd of one generation checks an application in at one of the
-# other; whenever the check-in encoding differs between the two, the
-# migration must fail promptly with the receiver's refusal and leave the
+# other, and two new ones move it through a center of the old; whenever
+# an encoding of the leg differs between the generations, the migration
+# must fail promptly with the receiver's typed refusal (ErrVersion from a
+# center or engine, ErrNoHandler from a media server) and leave the
 # application running on the source. Bundles: a bundle pushed through an
 # mdagentd of one generation is forwarded to a center of the other; the
 # forward rides the center's ctl.bundle-push (one trust gate), so a daemon
@@ -26,7 +28,7 @@
 # All of that rides on the link envelope and its handshake
 # (internal/transport/envelope.go), which is probed first and judged by
 # outcome: a new mdctl asks an old mdregistry for info. If it answers,
-# the generations share the envelope and the eight pairs run. If it is
+# the generations share the envelope and the nine pairs run. If it is
 # refused naming "unsupported protocol version" — a base from before the
 # envelope — every cross-generation link ends at the handshake, so the
 # script checks instead that each direction is refused in time and that
@@ -165,22 +167,25 @@ run_snap_pair() {
   wait "$agent_pid" "$reg_pid" 2>/dev/null || true
 }
 
-# run_migrate_pair SRC_DIR DST_DIR LABEL REFUSAL: hostA (one generation)
-# runs the player and is told to migrate it to hostB (the other). With
-# the same check-in encoding on both sides the migration succeeds and the
-# center lists the player running on hostB. Otherwise mdctl must exit
-# non-zero within 10 s — a hang is a failure — naming REFUSAL (the
-# receiver's own error text), and the center must still list the player
-# running on hostA. Either way the center must list it running on exactly
-# one host: a pair that both registers the arrival and leaves the source's
-# record running would show two.
+# run_migrate_pair SRC_DIR DST_DIR LABEL REFUSAL [REGISTRY_DIR]: hostA
+# (SRC_DIR's generation) runs the player and is told to migrate it, with
+# adaptive binding, to hostB (DST_DIR's), both registered at a center of
+# REGISTRY_DIR's generation (default: the new one). With the same
+# encodings of every request of the leg on all sides (plan-move,
+# check-in, media read, move-app) the migration succeeds and the center
+# lists the player running on hostB. Otherwise mdctl must exit non-zero
+# within 10 s — a hang is a failure — naming REFUSAL (the receiver's own
+# error text), and the center must still list the player running on
+# hostA. Either way the center must list it running on exactly one host:
+# a pair that both registers the arrival and leaves the source's record
+# running would show two.
 run_migrate_pair() {
-  local src=$1 dst=$2 label=$3 refusal=$4
+  local src=$1 dst=$2 label=$3 refusal=$4 registry=${5:-$WORK/new}
   echo "-- pair: $label"
   local dir="$WORK/run-$label"
   mkdir -p "$dir"
 
-  "$WORK/new/mdregistry" -listen 127.0.0.1:0 -space lab >"$dir/registry.log" 2>&1 &
+  "$registry/mdregistry" -listen 127.0.0.1:0 -space lab >"$dir/registry.log" 2>&1 &
   local reg_pid=$!
   wait_line "$dir/registry.log" "serving registry@lab on "
   local reg_addr
@@ -210,9 +215,9 @@ run_migrate_pair() {
   fi
   local running_on=hostB
   if [ "$status" -eq 0 ]; then
-    # Same check-in encoding on both sides (the change under test did
-    # not touch it): the migration simply works.
-    echo "   migrated: check-in encoding unchanged between the generations"
+    # Same encodings on all sides (the change under test did not touch
+    # the leg's frames): the migration simply works.
+    echo "   migrated: the leg's encodings unchanged between the generations"
   else
     if ! grep -q "$refusal" "$dir/migrate.log"; then
       echo "migration failed without the receiver's refusal '$refusal'" >&2
@@ -492,8 +497,9 @@ run_snap_pair "$WORK/old" "$WORK/new" old-agentd-vs-new-registry
 run_snap_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry
 run_migrate_pair "$WORK/old" "$WORK/new" old-source-vs-new-destination "unsupported protocol version"
 run_migrate_pair "$WORK/new" "$WORK/old" new-source-vs-old-destination "unknown fast opcode"
+run_migrate_pair "$WORK/new" "$WORK/new" new-hosts-vs-old-center "unsupported protocol version" "$WORK/old"
 run_bundle_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry-bundle ""
 run_bundle_pair "$WORK/old" "$WORK/new" old-agentd-vs-new-registry-bundle "no handler"
 run_store_upgrade_pair "" standalone-store-upgrade
 run_store_upgrade_pair lab federated-store-upgrade
-echo "== protocol-compat: all eight mixed pairs and both store upgrades passed"
+echo "== protocol-compat: all nine mixed pairs and both store upgrades passed"

@@ -122,24 +122,9 @@ func encodeSnapOutcome(o snapOutcome) []byte {
 	return appendSnapOutcome([]byte{transport.ProtoV2, transport.OpSnapPutReply}, o)
 }
 
-// openSnapFrame opens a fast frame of opcode want, one of msgType's. A
-// payload of any other version — a gob seal included — fails with
-// OpenFast's ErrVersion before its body is touched, and so does one of
-// another opcode.
-func openSnapFrame(payload []byte, want byte, msgType string) (*transport.FastReader, error) {
-	op, body, err := transport.OpenFast(payload)
-	if err != nil {
-		return nil, err
-	}
-	if op != want {
-		return nil, fmt.Errorf("%w: cluster: unknown fast opcode %#x on %s", transport.ErrVersion, op, msgType)
-	}
-	return transport.NewFastReader(body), nil
-}
-
 // decodeSnapPut parses an OpSnapPut frame.
 func decodeSnapPut(payload []byte) (state.SnapshotPut, error) {
-	r, err := openSnapFrame(payload, transport.OpSnapPut, MsgPutSnapshot)
+	r, err := transport.OpenFastOp(payload, transport.OpSnapPut, MsgPutSnapshot)
 	if err != nil {
 		return state.SnapshotPut{}, err
 	}
@@ -149,7 +134,7 @@ func decodeSnapPut(payload []byte) (state.SnapshotPut, error) {
 
 // decodeSnapOutcomeReply parses an OpSnapPutReply frame.
 func decodeSnapOutcomeReply(payload []byte) (snapOutcome, error) {
-	r, err := openSnapFrame(payload, transport.OpSnapPutReply, MsgPutSnapshot)
+	r, err := transport.OpenFastOp(payload, transport.OpSnapPutReply, MsgPutSnapshot)
 	if err != nil {
 		return snapOutcome{}, err
 	}
@@ -227,7 +212,7 @@ func encodeSnapGet(req snapGetReq) []byte {
 
 // decodeSnapGet parses an OpSnapGet frame.
 func decodeSnapGet(payload []byte) (snapGetReq, error) {
-	r, err := openSnapFrame(payload, transport.OpSnapGet, MsgGetSnapshot)
+	r, err := transport.OpenFastOp(payload, transport.OpSnapGet, MsgGetSnapshot)
 	if err != nil {
 		return snapGetReq{}, err
 	}
@@ -271,7 +256,7 @@ func encodeSnapGetReply(reply snapGetReply) []byte {
 // decodeSnapGetReply parses an OpSnapGetReply frame. The record's frame
 // and deltas alias payload, which the caller must own and not write.
 func decodeSnapGetReply(payload []byte) (snapGetReply, error) {
-	r, err := openSnapFrame(payload, transport.OpSnapGetReply, MsgGetSnapshot)
+	r, err := transport.OpenFastOp(payload, transport.OpSnapGetReply, MsgGetSnapshot)
 	if err != nil {
 		return snapGetReply{}, err
 	}

@@ -1321,28 +1321,11 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 		}
 		return transport.Encode(c.PlanRebinding(req.Src, req.DestHost, req.Mode))
 	})
-	ep.Handle(registry.MsgPlanMove, func(msg transport.Message) ([]byte, error) {
-		var req registry.PlanMoveReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		plan, err := c.PlanMove(bg, req.App, req.DestHost, req.Resources, req.Mode)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(plan)
-	})
-	ep.Handle(registry.MsgMoveApp, func(msg transport.Message) ([]byte, error) {
-		var req registry.MoveAppReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		demoted, err := c.MoveApp(bg, req.Rec, req.From)
-		if err = state.IgnoreNotDurable(err); err != nil {
-			return nil, err
-		}
-		return transport.Encode(registry.MoveAppReply{SourceDemoted: demoted})
-	})
+	ep.Handle(registry.MsgPlanMove, registry.PlanMoveHandler(c.PlanMove))
+	ep.Handle(registry.MsgMoveApp, registry.MoveAppHandler(func(ctx context.Context, rec registry.AppRecord, from string) (bool, error) {
+		demoted, err := c.MoveApp(ctx, rec, from)
+		return demoted, state.IgnoreNotDurable(err)
+	}))
 	ep.Handle(registry.MsgListApps, func(msg transport.Message) ([]byte, error) {
 		if _, err := transport.Open(msg.Payload); err != nil {
 			return nil, err

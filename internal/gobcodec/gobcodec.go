@@ -48,8 +48,17 @@ const (
 	maxPrefixes = 4
 )
 
+// calls counts Encode and Decode calls, so a test can hold a code path
+// to a budget of gob calls.
+var calls atomic.Uint64
+
+// Calls returns how many times Encode and Decode have been called in this
+// process.
+func Calls() uint64 { return calls.Load() }
+
 // Encode gob-encodes v into a new slice the caller owns.
 func Encode(v any) ([]byte, error) {
+	calls.Add(1)
 	et := encTypeOf(v)
 	if et == nil {
 		return encodeFresh(v)
@@ -95,6 +104,7 @@ func encodeFresh(v any) ([]byte, error) {
 
 // Decode gob-decodes the payload p into v, a non-nil pointer.
 func Decode(p []byte, v any) error {
+	calls.Add(1)
 	dt := decTypeOf(v)
 	if dt == nil || len(p) > maxPooled {
 		return decodeFresh(p, v)

@@ -3,6 +3,7 @@ package media
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -11,68 +12,63 @@ import (
 	"mdagent/internal/transport"
 )
 
-// FuzzServeLibrary: the media.fetch and media.meta handlers read gob
-// payloads any peer may send a daemon. Any payload yields an error or a
-// well-formed reply — a range of the file, or its true size and checksum
-// — and never panics the handler's goroutine. Nothing is allocated in
-// proportion to a count the payload merely claims: the bound is the
-// payload and the served file.
+// FuzzServeLibrary: the media.read handler reads what any peer may send
+// a daemon. Any payload yields a typed error (ErrVersion, ErrBadFrame)
+// or an unknown-file or out-of-range error, or a well-formed reply — the
+// file's true size and checksum and a range of it — and never panics the
+// handler's goroutine. Nothing is allocated in proportion to a length the
+// payload merely claims: the bound is the payload and the served file.
 func FuzzServeLibrary(f *testing.F) {
-	for _, req := range []fetchReq{
+	for _, q := range []readReq{
 		{Name: "song.mp3"},
 		{Name: "song.mp3", Offset: 100, Length: 4096},
-		{Name: "song.mp3", Offset: 1, Length: math.MaxInt64},
-		{Name: "song.mp3", Offset: math.MaxInt64, Length: math.MaxInt64},
-		{Name: "song.mp3", Offset: -1},
+		{Name: "song.mp3", Offset: 1, Length: math.MaxUint64},
+		{Name: "song.mp3", Offset: math.MaxUint64, Length: math.MaxUint64},
 		{Name: "missing.mp3"},
 	} {
-		f.Add(false, transport.MustEncode(req))
-		f.Add(true, transport.MustEncode(req))
+		f.Add(encodeReadReq(q))
 	}
-	good := transport.MustEncode(fetchReq{Name: "song.mp3", Offset: 7, Length: 9})
-	f.Add(false, good[:len(good)/2])
-	f.Add(false, append(good[:len(good):len(good)], 0xff, 0xff, 0xff, 0xff, 0x0f)) // trailing 4 GiB claim
-	f.Add(true, []byte{})
+	good := encodeReadReq(readReq{Name: "song.mp3", Offset: 7, Length: 9})
+	for _, cut := range []int{1, 2, 3, len(good) / 2, len(good) - 1} {
+		f.Add(good[:cut])
+	}
+	f.Add(append(good[:len(good):len(good)], 0xff))                                               // a trailing byte
+	f.Add(encodeReadReq(readReq{Name: "song.mp3", Offset: 300_000}))                              // an open at the end
+	f.Add(encodeReadReq(readReq{Name: "song.mp3", Offset: 300_001, Length: 1}))                   // one past the end
+	f.Add(append([]byte{transport.ProtoV2, transport.OpMediaRead}, 0xff, 0xff, 0xff, 0xff, 0x0f)) // a 4 GiB name claimed
+	f.Add(transport.MustEncode(struct{ Name string }{"song.mp3"}))                                // the retired gob body
+	f.Add([]byte{})
 	cli, lib := streamRig(f)
 	song, _ := lib.Get("song.mp3")
 
-	f.Fuzz(func(t *testing.T, meta bool, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		op := MsgFetch
-		if meta {
-			op = MsgMeta
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		reply, err := cli.Request(ctx, "media@hostA", op, data)
+		reply, err := cli.Request(ctx, "media@hostA", MsgRead, data)
 		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+64*len(data)+4*len(song.Data)); got > limit {
-			t.Fatalf("a %d-byte %s allocated %d (limit %d)", len(data), op, got, limit)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+64*len(data)+2*len(song.Data)); got > limit {
+			t.Fatalf("a %d-byte request allocated %d (limit %d)", len(data), got, limit)
 		}
 		if err != nil {
-			return
-		}
-		if meta {
-			var m metaReply
-			if err := transport.Decode(reply.Payload, &m); err != nil {
-				t.Fatalf("meta reply does not decode: %v", err)
-			}
-			if m.Found && (m.Size != song.Size() || m.Checksum != song.Checksum) {
-				t.Fatalf("meta reply %+v, the file has %d bytes, checksum %s", m, song.Size(), song.Checksum)
+			if !errors.Is(err, transport.ErrVersion) && !errors.Is(err, transport.ErrBadFrame) && !bytes.Contains([]byte(err.Error()), []byte("media: ")) {
+				t.Fatalf("untyped error: %v", err)
 			}
 			return
 		}
-		var r fetchReply
-		if err := transport.Decode(reply.Payload, &r); err != nil {
-			t.Fatalf("fetch reply does not decode: %v", err)
+		r, err := decodeReadReply(reply.Payload)
+		if err != nil {
+			t.Fatalf("reply does not decode: %v", err)
 		}
-		off := bytes.Index(song.Data, r.Data)
-		if len(r.Data) > 0 && off < 0 {
-			t.Fatalf("fetch reply of %d bytes is not a range of the file", len(r.Data))
+		if r.Size != uint64(song.Size()) || r.Checksum != song.Checksum {
+			t.Fatalf("reply says %d bytes, checksum %s; the file has %d, %s", r.Size, r.Checksum, song.Size(), song.Checksum)
 		}
-		if r.EOF && len(r.Data) > 0 && !bytes.HasSuffix(song.Data, r.Data) {
-			t.Fatalf("fetch reply says EOF but its %d bytes do not end the file", len(r.Data))
+		if len(r.Data) > 0 && bytes.Index(song.Data, r.Data) < 0 {
+			t.Fatalf("reply of %d bytes is not a range of the file", len(r.Data))
+		}
+		if r.EOF && !bytes.HasSuffix(song.Data, r.Data) {
+			t.Fatalf("reply says EOF but its %d bytes do not end the file", len(r.Data))
 		}
 	})
 }

@@ -1,8 +1,12 @@
 package media
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -130,17 +134,27 @@ func TestRemoteStreamReadsWholeFile(t *testing.T) {
 	}
 }
 
+// TestRemoteStreamPrebuffer: one request opens the file and reads the
+// player's prebuffer window, which aliases the reply.
 func TestRemoteStreamPrebuffer(t *testing.T) {
-	cli, _ := streamRig(t)
+	cli, lib := streamRig(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	rs, err := OpenRemote(ctx, cli, "media@hostA", URL("hostA", "song.mp3"))
+	before := cli.Requests()
+	rs, window, err := OpenRemoteWindow(ctx, cli, "media@hostA", URL("hostA", "song.mp3"), 128<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := rs.Prebuffer(ctx, 128<<10)
-	if err != nil || n != 128<<10 {
-		t.Fatalf("Prebuffer = %d, %v", n, err)
+	want, _ := lib.Get("song.mp3")
+	if n := cli.Requests() - before; n != 1 {
+		t.Fatalf("open and prebuffer took %d requests, want 1", n)
+	}
+	if !bytes.Equal(window, want.Data[:128<<10]) || rs.Pos() != 128<<10 || rs.Size() != want.Size() || rs.Checksum() != want.Checksum {
+		t.Fatalf("window of %d bytes, pos %d, size %d, checksum %s", len(window), rs.Pos(), rs.Size(), rs.Checksum())
+	}
+	rest, eof, err := rs.ReadChunk(ctx, want.Size())
+	if err != nil || !eof || !bytes.Equal(rest, want.Data[128<<10:]) {
+		t.Fatalf("the rest: %d bytes, eof %v, err %v", len(rest), eof, err)
 	}
 }
 
@@ -164,15 +178,73 @@ func TestFetchClampsAnOverlongRange(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	song, _ := lib.Get("song.mp3")
-	for _, off := range []int64{1, song.Size() / 2, song.Size()} {
-		payload := transport.MustEncode(fetchReq{Name: "song.mp3", Offset: off, Length: math.MaxInt64})
-		var reply fetchReply
-		if err := cli.RequestDecode(ctx, "media@hostA", MsgFetch, payload, &reply); err != nil {
-			t.Fatalf("offset %d, length MaxInt64: %v", off, err)
+	for _, off := range []uint64{1, uint64(song.Size() / 2), uint64(song.Size())} {
+		reply, err := cli.Request(ctx, "media@hostA", MsgRead, encodeReadReq(readReq{Name: "song.mp3", Offset: off, Length: math.MaxUint64}))
+		if err != nil {
+			t.Fatalf("offset %d, length MaxUint64: %v", off, err)
 		}
-		if int64(len(reply.Data)) != song.Size()-off || !reply.EOF {
-			t.Fatalf("offset %d, length MaxInt64: %d bytes (eof %v), want the %d to the end",
-				off, len(reply.Data), reply.EOF, song.Size()-off)
+		rep, err := decodeReadReply(reply.Payload)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if uint64(len(rep.Data)) != uint64(song.Size())-off || !rep.EOF {
+			t.Fatalf("offset %d, length MaxUint64: %d bytes (eof %v), want the %d to the end",
+				off, len(rep.Data), rep.EOF, uint64(song.Size())-off)
+		}
+	}
+}
+
+// TestGoldenReadFrames pins media.read: the recorded request and reply
+// are what today's encoders write, byte for byte. The request decodes to
+// the recorded value, and the reply is what the library serves for it.
+func TestGoldenReadFrames(t *testing.T) {
+	cli, _ := streamRig(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req := readReq{Name: "song.mp3", Offset: 299_990, Length: 64}
+	golden := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join("testdata", "wire", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	if got, want := encodeReadReq(req), golden("read-req.bin"); !bytes.Equal(got, want) {
+		t.Fatalf("request:\n%x\nthe recorded frame is\n%x", got, want)
+	}
+	if q, err := decodeReadReq(golden("read-req.bin")); err != nil || q != req {
+		t.Fatalf("recorded request decodes to %+v (err %v)", q, err)
+	}
+	reply, err := cli.Request(ctx, "media@hostA", MsgRead, golden("read-req.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := golden("read-reply.bin"); !bytes.Equal(reply.Payload, want) {
+		t.Fatalf("reply:\n%x\nthe recorded frame is\n%x", reply.Payload, want)
+	}
+	if rep, err := decodeReadReply(reply.Payload); err != nil || len(rep.Data) != 10 || !rep.EOF || rep.Size != 300_000 {
+		t.Fatalf("recorded reply decodes to %+v (err %v)", rep, err)
+	}
+}
+
+// TestRetiredMediaOpsAreGone: media.meta and media.fetch have no handler,
+// so a peer of the build before gets the typed ErrNoHandler, as this
+// build does from it; and media.read refuses their gob body with
+// ErrVersion.
+func TestRetiredMediaOpsAreGone(t *testing.T) {
+	cli, _ := streamRig(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	gobReq := transport.MustEncode(struct {
+		Name           string
+		Offset, Length int64
+	}{Name: "song.mp3"})
+	for _, op := range []string{"media.meta", "media.fetch"} {
+		if _, err := cli.Request(ctx, "media@hostA", op, gobReq); !errors.Is(err, transport.ErrNoHandler) {
+			t.Fatalf("%s: err = %v, want ErrNoHandler", op, err)
+		}
+	}
+	if _, err := cli.Request(ctx, "media@hostA", MsgRead, gobReq); !errors.Is(err, transport.ErrVersion) {
+		t.Fatalf("a gob body on %s: err = %v, want ErrVersion", MsgRead, err)
 	}
 }

@@ -66,15 +66,11 @@ func (e *Engine) CloneDispatch(ctx context.Context, appName, destHost, cloneName
 		_ = a.Resume()
 		return rep, err
 	}
-	head, err := appendCheckinHead(checkinPayload{
+	head := appendCheckinHead(&checkinPayload{
 		App: appName, CloneName: cloneName, Mode: CloneDispatch,
 		Binding: BindingAdaptive, FromHost: e.host, FromEngine: e.ep.Name(), Budget: budgetOf(ctx),
-		checkinMeta: checkinMeta{Desc: a.Description(), Rebindings: plans},
+		Desc: a.Description(), Rebindings: plans,
 	})
-	if err != nil {
-		_ = a.Resume()
-		return rep, err
-	}
 	enc, err := state.AppendWrap(head, wrap)
 	if err != nil {
 		_ = a.Resume()
@@ -91,8 +87,8 @@ func (e *Engine) CloneDispatch(ctx context.Context, appName, destHost, cloneName
 	// --- Dispatch. ---
 	migrateStart := clk.Now()
 	e.charge(e.costs.TransferOverhead)
-	var reply checkinReply
-	if err := e.ep.RequestDecode(ctx, EndpointName(destHost), MsgClone, enc, &reply); err != nil {
+	reply, err := e.requestCheckin(ctx, destHost, MsgClone, enc)
+	if err != nil {
 		return rep, fmt.Errorf("migrate: clone checkin at %s: %w", destHost, err)
 	}
 	resumeDur := time.Duration(reply.ResumeNanos)
@@ -148,7 +144,7 @@ func (e *Engine) handleClone(tm transport.Message) ([]byte, error) {
 	inst := e.apps[p.CloneName]
 	e.mu.Unlock()
 	inst.Coordinator().AddLink(p.App, e.syncForwarder(p.FromEngine, p.App))
-	return transport.Encode(reply)
+	return encodeCheckinReply(&reply), nil
 }
 
 // handleSync applies a synchronization-link change to a local instance.

@@ -220,7 +220,7 @@ func TestAtMostOneRunningRecordAtEveryWrite(t *testing.T) {
 		{"destination rebind", func(t *testing.T, r *rig, cat *watchedCatalog) string {
 			// The song's owner stops serving it: the remote bind fails.
 			ep, _ := r.fab.Lookup(MediaEndpointName("hostA"))
-			ep.Handle(media.MsgMeta, func(transport.Message) ([]byte, error) {
+			ep.Handle(media.MsgRead, func(transport.Message) ([]byte, error) {
 				return nil, errors.New("injected: media server down")
 			})
 			return "hostB"
@@ -319,10 +319,10 @@ func TestDestinationStopsAtTheSourceBudget(t *testing.T) {
 	media.ServeLibrary(r.libA, real)
 	front, _ := r.fab.Lookup(MediaEndpointName("hostA"))
 	served := make(chan struct{}, 4)
-	front.Handle(media.MsgMeta, func(m transport.Message) ([]byte, error) {
+	front.Handle(media.MsgRead, func(m transport.Message) ([]byte, error) {
 		time.Sleep(stall)
 		defer func() { served <- struct{}{} }()
-		reply, err := front.Request(context.Background(), "media-behind@hostA", media.MsgMeta, m.Payload)
+		reply, err := front.Request(context.Background(), "media-behind@hostA", media.MsgRead, m.Payload)
 		return reply.Payload, err
 	})
 
@@ -344,5 +344,28 @@ func TestDestinationStopsAtTheSourceBudget(t *testing.T) {
 	}
 	if got := runningHosts(t, r.reg, "player"); !reflect.DeepEqual(got, []string{"hostA"}) {
 		t.Fatalf("running on %v, want [hostA]", got)
+	}
+}
+
+// TestRemoteBindToAMissingFileAsksOnce: the destination opens and
+// prebuffers a remote file in one request to the owner's media endpoint.
+// When the owner no longer has the file, that one request is the whole
+// cost: the bind fails, nothing retries it elsewhere, the migration fails
+// and the application runs on at the source.
+func TestRemoteBindToAMissingFileAsksOnce(t *testing.T) {
+	r := newRig(t, songSize)
+	inst := r.startPlayer(t, songSize)
+	mediaA, _ := r.fab.Lookup(MediaEndpointName("hostA"))
+	media.ServeLibrary(media.NewLibrary("hostA"), mediaA) // the song is gone
+	before := r.engB.ep.Requests()
+	_, err := r.engA.FollowMe(ctxT(t), "player", "hostB", BindingAdaptive, owl.MatchSemantic)
+	if err == nil || !strings.Contains(err.Error(), `has no file "song1"`) {
+		t.Fatalf("FollowMe with the remote file gone: err = %v", err)
+	}
+	if n := r.engB.ep.Requests() - before; n != 1 {
+		t.Fatalf("the destination sent %d requests for the missing file, want 1", n)
+	}
+	if got, ok := r.engA.App("player"); !ok || got != inst || inst.State() != app.Running {
+		t.Fatal("the application does not run at the source")
 	}
 }

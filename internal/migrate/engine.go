@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -381,7 +382,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	head := checkinPayload{
 		App: appName, Mode: FollowMe, Binding: binding,
 		FromHost: e.host, FromEngine: e.ep.Name(), TraceID: traceID, Budget: budgetOf(ctx),
-		checkinMeta: checkinMeta{Desc: a.Description(), Rebindings: plans},
+		Desc: a.Description(), Rebindings: plans,
 	}
 	// Warm only when the plan would carry every component anyway (static
 	// binding, or an adaptive plan that found nothing at the
@@ -415,12 +416,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 			return rep, werr
 		}
 		head.Delta = true
-		h, werr := appendCheckinHead(head)
-		if werr != nil {
-			rollback()
-			return rep, werr
-		}
-		enc, frameLen = append(h, raw...), len(raw)
+		enc, frameLen = append(appendCheckinHead(&head), raw...), len(raw)
 		e.chargeSerialize(delta.TotalBytes())
 		carried = changed
 		warm = true
@@ -431,10 +427,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		if wrap, werr = ts.Wrap.View(planned); werr != nil {
 			return werr
 		}
-		h, werr := appendCheckinHead(head)
-		if werr != nil {
-			return werr
-		}
+		h := appendCheckinHead(&head)
 		if enc, werr = state.AppendWrap(h, wrap); werr != nil {
 			return werr
 		}
@@ -467,8 +460,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	transferBegin := tc.Now()
 	migrateStart := clk.Now()
 	e.charge(e.costs.TransferOverhead)
-	var reply checkinReply
-	err = e.ep.RequestDecode(ctx, EndpointName(destHost), MsgCheckin, enc, &reply)
+	reply, err := e.requestCheckin(ctx, destHost, MsgCheckin, enc)
 	if err != nil && warm && strings.Contains(err.Error(), needFullWrap) {
 		// The destination lost (or never had) our base: degrade to a cold
 		// full-wrap checkin in the same migration.
@@ -477,7 +469,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 			rollback()
 			return rep, ferr
 		}
-		err = e.ep.RequestDecode(ctx, EndpointName(destHost), MsgCheckin, enc, &reply)
+		reply, err = e.requestCheckin(ctx, destHost, MsgCheckin, enc)
 	}
 	if err != nil {
 		// Check-in failed: restore from the pre-migration snapshot and
@@ -585,7 +577,7 @@ func (e *Engine) handleCheckin(tm transport.Message) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return transport.Encode(reply)
+	return encodeCheckinReply(&reply), nil
 }
 
 // restore is the shared arrival path for follow-me and clone-dispatch. It
@@ -766,25 +758,21 @@ func (e *Engine) restore(p checkinPayload, instanceName string) (checkinReply, e
 
 // bindRemote establishes a remote URL binding to data that stays on its
 // owning host (the resource record's host, which may differ from the host
-// the application just left): open the stream, prebuffer the playback
-// window, and charge the remote-scan cost that makes resume grow gently
-// with file size (Fig. 8).
+// the application just left): open the stream and prebuffer the playback
+// window in one round trip, and charge the remote-scan cost that makes
+// resume grow gently with file size (Fig. 8).
 func (e *Engine) bindRemote(ctx context.Context, inst *app.Application, res owl.Resource) error {
-	file := dataComponentFor(res)
-	url := media.URL(res.Host, file)
-	rs, err := media.OpenRemote(ctx, e.ep, MediaEndpointName(res.Host), url)
-	if err != nil {
-		// Multi-process deployments (cmd/mdagentd) serve the media
-		// library on the engine endpoint itself rather than a dedicated
-		// media endpoint; fall back to it before giving up.
-		var ferr error
-		rs, ferr = media.OpenRemote(ctx, e.ep, EndpointName(res.Host), url)
-		if ferr != nil {
-			return fmt.Errorf("migrate: remote bind %s: %w", url, err)
-		}
+	url := media.URL(res.Host, dataComponentFor(res))
+	_, _, err := media.OpenRemoteWindow(ctx, e.ep, MediaEndpointName(res.Host), url, e.costs.PrebufferBytes)
+	if errors.Is(err, transport.ErrNoRoute) {
+		// mdagentd serves its library on the engine endpoint too, and a
+		// destination that has no peer address for the owner reaches it
+		// only by the engine name its check-in arrived from. No library
+		// answered under the media name, so no read is asked twice.
+		_, _, err = media.OpenRemoteWindow(ctx, e.ep, EndpointName(res.Host), url, e.costs.PrebufferBytes)
 	}
-	if _, err := rs.Prebuffer(ctx, e.costs.PrebufferBytes); err != nil {
-		return fmt.Errorf("migrate: prebuffer %s: %w", url, err)
+	if err != nil {
+		return fmt.Errorf("migrate: remote bind %s: %w", url, err)
 	}
 	if e.costs.RemoteScanMBps > 0 && res.SizeBytes > 0 {
 		secs := float64(res.SizeBytes) / (e.costs.RemoteScanMBps * 1e6)

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"mdagent/internal/app"
+	"mdagent/internal/cluster"
 	"mdagent/internal/demoapps"
+	"mdagent/internal/gobcodec"
 	"mdagent/internal/media"
 	"mdagent/internal/owl"
 	"mdagent/internal/registry"
@@ -124,11 +126,27 @@ func BenchmarkStaticHopTCP(b *testing.B) {
 // transport.ListenTCP nodes sharing one registry, the player skeleton
 // installed and registered on both, each node answering for its media
 // name, and the player running on hostA with its 2 MB song in hostA's
-// served library and registered as untransferable data.
-func tcpAdaptivePair(tb testing.TB) []*Engine {
+// served library and registered as untransferable data. With served set
+// the registry is a center on a third node, which the engines reach
+// through a registry.Client, as mdagentd reaches mdregistry; otherwise
+// they call the center in-process.
+func tcpAdaptivePair(tb testing.TB, served bool) []*Engine {
 	tb.Helper()
 	ctx := context.Background()
 	reg := newCenter(tb)
+	var regAddr string
+	if served {
+		node, err := transport.ListenTCP("registry", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { node.Close() })
+		if reg, err = cluster.NewCenter("", nil, node.Endpoint(), cluster.Config{}); err != nil {
+			tb.Fatal(err)
+		}
+		reg.Serve(node.Endpoint())
+		regAddr = node.Addr()
+	}
 	hosts := []string{"hostA", "hostB"}
 	nodes := make([]*transport.TCPNode, len(hosts))
 	for i, h := range hosts {
@@ -155,7 +173,12 @@ func tcpAdaptivePair(tb testing.TB) []*Engine {
 		if err := reg.RegisterDevice(ctx, dev); err != nil {
 			tb.Fatal(err)
 		}
-		engines[i] = NewEngine(h, dev, nodes[i].Endpoint(), nil, nil, reg, DefaultCosts())
+		var cat Catalog = reg
+		if served {
+			nodes[i].AddPeer("registry", regAddr)
+			cat = registry.NewClient(nodes[i].Endpoint(), "registry")
+		}
+		engines[i] = NewEngine(h, dev, nodes[i].Endpoint(), nil, nil, cat, DefaultCosts())
 		engines[i].InstallFactory("smart-media-player", demoapps.MediaPlayerSkeleton)
 		if err := reg.RegisterApp(ctx, registry.AppRecord{
 			Name: "smart-media-player", Host: h, Description: demoapps.MediaPlayerDesc(),
@@ -196,20 +219,23 @@ func pingPong(tb testing.TB, engines []*Engine, at, legs int) (int, int64) {
 // adaptiveLegBudget bounds what one adaptive leg allocates in both
 // engines together, averaged over legs both ways. A leg moves a few
 // hundred bytes of state; what it does allocate is, on each leg into
-// hostB, the 64 KiB prebuffer (encoded by the media server, then read
-// off the socket, buffered and decoded by the stream), plus per-message
-// bookkeeping: about 190 KB per leg measured on linux/amd64, up to about
-// 270 KB under -race, where sync.Pool drops entries at random and gob
-// decoders are rebuilt. Instantiating the installed skeleton shares its 400 KiB UI bundle with
-// every earlier arrival (app.NewSizedBlob); a fresh bundle per arrival
-// alone would exceed the budget.
-const adaptiveLegBudget = 320 << 10
+// hostB, the 64 KiB prebuffer twice — once into the media server's reply,
+// once off the socket, where the stream's window aliases it; the Go heap
+// rounds each of those 64 KiB-and-a-header objects up to 72 KiB, about
+// 74 KB per leg on average — plus per-message bookkeeping: about 97 KB
+// per leg measured on linux/amd64, up to about 106 KB under -race, where
+// sync.Pool drops entries at random and gob decoders are rebuilt. One
+// more copy of the prebuffer would exceed the budget. Instantiating the
+// installed skeleton shares its 400 KiB UI bundle with every earlier
+// arrival (app.NewSizedBlob); a fresh bundle per arrival alone would
+// exceed it too.
+const adaptiveLegBudget = 120 << 10
 
 // TestAdaptiveLegAllocationBudget: a follow-me leg into a host holding
 // the player skeleton allocates for what it moves, not for the installed
 // UI bundle it instantiates.
 func TestAdaptiveLegAllocationBudget(t *testing.T) {
-	engines := tcpAdaptivePair(t)
+	engines := tcpAdaptivePair(t, false)
 	// Warm-up legs: connections dialed and handshaken, the gob codec's
 	// descriptors primed, the codec logic carried once each way so both
 	// hosts hold a warm base and later legs ship deltas.
@@ -234,9 +260,44 @@ func TestAdaptiveLegAllocationBudget(t *testing.T) {
 // between two TCP nodes in one process, each leg arriving at an installed
 // skeleton: ns, bytes allocated and allocations per leg.
 func BenchmarkAdaptiveLegTCP(b *testing.B) {
-	engines := tcpAdaptivePair(b)
+	engines := tcpAdaptivePair(b, false)
 	at, _ := pingPong(b, engines, 0, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	pingPong(b, engines, at, b.N)
+}
+
+// TestAdaptiveLegGobCalls holds a warm adaptive leg to its count budget,
+// with the registry in-process and served on its own node: gob codec
+// calls per leg, and requests per pair of legs (there and back) that the
+// two engines send. The leg's framing is fast frames; what gob is left
+// is the application's own (the wrap frame's head and one state
+// component's body, each encoded once and decoded once).
+func TestAdaptiveLegGobCalls(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		served         bool
+		gobCalls, reqs uint64
+	}{
+		{"in-process center", false, 4, 3},
+		{"served center", true, 4, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engines := tcpAdaptivePair(t, tc.served)
+			at, _ := pingPong(t, engines, 0, 4)
+			requests := func() uint64 { return engines[0].ep.Requests() + engines[1].ep.Requests() }
+			const pairs = 4
+			gob0, req0 := gobcodec.Calls(), requests()
+			pingPong(t, engines, at, 2*pairs)
+			gobPerLeg := float64(gobcodec.Calls()-gob0) / (2 * pairs)
+			reqPerPair := float64(requests()-req0) / pairs
+			t.Logf("%.2f gob calls per leg, %.2f requests per pair of legs", gobPerLeg, reqPerPair)
+			if gobPerLeg > float64(tc.gobCalls) {
+				t.Errorf("a warm adaptive leg made %.2f gob calls, budget %d", gobPerLeg, tc.gobCalls)
+			}
+			if reqPerPair > float64(tc.reqs) {
+				t.Errorf("a pair of warm adaptive legs sent %.2f requests, budget %d", reqPerPair, tc.reqs)
+			}
+		})
+	}
 }

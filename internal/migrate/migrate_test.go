@@ -719,12 +719,10 @@ func TestFollowMeBackToDataOwnerBindsLocally(t *testing.T) {
 		t.Fatal("no media endpoint on hostA")
 	}
 	var selfServed atomic.Int32
-	for _, op := range []string{media.MsgMeta, media.MsgFetch} {
-		mediaA.Handle(op, func(m transport.Message) ([]byte, error) {
-			selfServed.Add(1)
-			return nil, fmt.Errorf("%s from %s: hostA asked itself for its own data", m.Type, m.From)
-		})
-	}
+	mediaA.Handle(media.MsgRead, func(m transport.Message) ([]byte, error) {
+		selfServed.Add(1)
+		return nil, fmt.Errorf("%s from %s: hostA asked itself for its own data", m.Type, m.From)
+	})
 	rep, err := r.engB.FollowMe(ctx, "player", "hostA", BindingAdaptive, owl.MatchSemantic)
 	if err != nil {
 		t.Fatal(err)

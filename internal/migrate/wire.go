@@ -2,19 +2,19 @@ package migrate
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"mdagent/internal/obs"
 	"mdagent/internal/owl"
+	"mdagent/internal/registry"
 	"mdagent/internal/transport"
 	"mdagent/internal/wsdl"
 )
 
 // checkinPayload crosses the wire for follow-me and clone-dispatch as one
 // fast frame, [ProtoV2][OpCheckin]: the source's budget, the head fields,
-// Desc and Rebindings as one gob blob, the Delta flag, then Frame as the
-// rest of the body.
+// Desc and Rebindings (internal/registry's codecs), the Delta flag, then
+// Frame as the rest of the body.
 // The head is what appendCheckinHead writes; the source appends the state
 // frame straight behind it (state.AppendWrap), so the check-in body is
 // the only payload-sized buffer it allocates, and the destination's Frame
@@ -34,20 +34,20 @@ type checkinPayload struct {
 	// TraceID is the migration trace minted at the source; the
 	// destination records its restore/rebind spans under it. Empty on a
 	// clone dispatch, which is not traced.
-	TraceID string
-	checkinMeta
+	TraceID    string
+	Desc       wsdl.Description
+	Rebindings []owl.Rebinding
 	// Delta says what Frame is: a delta frame against a base the
 	// destination already holds (the warm handoff), or a full wrap frame.
 	Delta bool
 	Frame []byte
 }
 
-// checkinMeta is the structured part of the head, sent as one gob value.
-type checkinMeta struct {
-	Desc       wsdl.Description
-	Rebindings []owl.Rebinding
-}
-
+// checkinReply is the destination's answer, one [ProtoV2][OpCheckinReply]
+// frame: int resume-nanos, list of adapt-note strings, string
+// restored-app, list of spans, bool source-demoted. A span is string
+// trace, string app, string phase, string host, time start, int dur,
+// string note.
 type checkinReply struct {
 	ResumeNanos int64
 	AdaptNotes  []string
@@ -77,12 +77,8 @@ func budgetOf(ctx context.Context) time.Duration {
 }
 
 // appendCheckinHead writes everything of a check-in body but p.Frame.
-func appendCheckinHead(p checkinPayload) ([]byte, error) {
-	meta, err := transport.Encode(&p.checkinMeta)
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, 0, 128+len(meta))
+func appendCheckinHead(p *checkinPayload) []byte {
+	b := make([]byte, 0, 512)
 	b = append(b, transport.ProtoV2, transport.OpCheckin)
 	b = transport.AppendUint(b, uint64(p.Budget))
 	b = transport.AppendString(b, p.App)
@@ -92,28 +88,23 @@ func appendCheckinHead(p checkinPayload) ([]byte, error) {
 	b = transport.AppendString(b, p.FromHost)
 	b = transport.AppendString(b, p.FromEngine)
 	b = transport.AppendString(b, p.TraceID)
-	b = transport.AppendBytes(b, meta)
-	return transport.AppendBool(b, p.Delta), nil
+	b = registry.AppendDescription(b, &p.Desc)
+	b = registry.AppendRebindings(b, p.Rebindings)
+	return transport.AppendBool(b, p.Delta)
 }
 
 // decodeCheckin parses a check-in body. A payload of any other version —
 // the gob check-in of an older host included — fails with OpenFast's
 // ErrVersion before its body is touched, as does a frame of an opcode
-// this build does not know (the retired 0x30 check-in of a host that
-// leaves the source to demote its own record among them). A budget past
-// restoreTimeout reads as restoreTimeout. Frame aliases payload.
+// this build does not know (the retired 0x30 and 0x31 check-ins among
+// them). A budget past restoreTimeout reads as restoreTimeout. Frame
+// aliases payload.
 func decodeCheckin(payload []byte) (checkinPayload, error) {
 	var p checkinPayload
-	op, body, err := transport.OpenFast(payload)
+	r, err := transport.OpenFastOp(payload, transport.OpCheckin, "a check-in")
 	if err != nil {
 		return p, err
 	}
-	switch op {
-	case transport.OpCheckin:
-	default:
-		return p, fmt.Errorf("%w: migrate: unknown fast opcode %#x on a check-in", transport.ErrVersion, op)
-	}
-	r := transport.NewFastReader(body)
 	p.Budget = time.Duration(min(r.Uint(), uint64(restoreTimeout)))
 	p.App = r.String()
 	p.CloneName = r.String()
@@ -122,14 +113,60 @@ func decodeCheckin(payload []byte) (checkinPayload, error) {
 	p.FromHost = r.String()
 	p.FromEngine = r.String()
 	p.TraceID = r.String()
-	meta := r.Bytes()
+	p.Desc = registry.ReadDescription(r)
+	p.Rebindings = registry.ReadRebindings(r)
 	p.Delta = r.Bool()
 	p.Frame = r.Rest()
 	if err := r.Err(); err != nil {
 		return checkinPayload{}, err
 	}
-	if err := transport.Decode(meta, &p.checkinMeta); err != nil {
-		return checkinPayload{}, err
-	}
 	return p, nil
+}
+
+func encodeCheckinReply(rep *checkinReply) []byte {
+	b := make([]byte, 0, 256)
+	b = append(b, transport.ProtoV2, transport.OpCheckinReply)
+	b = transport.AppendInt(b, rep.ResumeNanos)
+	b = transport.AppendStrings(b, rep.AdaptNotes)
+	b = transport.AppendString(b, rep.RestoredApp)
+	b = transport.AppendList(b, rep.Spans, func(b []byte, sp obs.Span) []byte {
+		b = transport.AppendString(b, sp.Trace)
+		b = transport.AppendString(b, sp.App)
+		b = transport.AppendString(b, sp.Phase)
+		b = transport.AppendString(b, sp.Host)
+		b = transport.AppendTime(b, sp.Start)
+		b = transport.AppendInt(b, int64(sp.Dur))
+		return transport.AppendString(b, sp.Note)
+	})
+	return transport.AppendBool(b, rep.SourceDemoted)
+}
+
+func decodeCheckinReply(payload []byte) (checkinReply, error) {
+	var rep checkinReply
+	r, err := transport.OpenFastOp(payload, transport.OpCheckinReply, "a check-in reply")
+	if err != nil {
+		return rep, err
+	}
+	rep.ResumeNanos = r.Int()
+	rep.AdaptNotes = r.Strings()
+	rep.RestoredApp = r.String()
+	rep.Spans = transport.ReadList(r, func(r *transport.FastReader) obs.Span {
+		return obs.Span{Trace: r.String(), App: r.String(), Phase: r.String(), Host: r.String(),
+			Start: r.Time(), Dur: time.Duration(r.Int()), Note: r.String()}
+	})
+	rep.SourceDemoted = r.Bool()
+	if err := r.Err(); err != nil {
+		return checkinReply{}, err
+	}
+	return rep, nil
+}
+
+// requestCheckin sends a check-in body to the engine of destHost as op
+// (MsgCheckin or MsgClone) and reads the reply.
+func (e *Engine) requestCheckin(ctx context.Context, destHost, op string, body []byte) (checkinReply, error) {
+	reply, err := e.ep.Request(ctx, EndpointName(destHost), op, body)
+	if err != nil {
+		return checkinReply{}, err
+	}
+	return decodeCheckinReply(reply.Payload)
 }

@@ -21,6 +21,14 @@ import (
 // use to the extent the underlying graph is.
 type Ontology struct {
 	g *rdf.Graph
+
+	mu sync.RWMutex
+	// up memoises each class's ancestors — every class it reaches through
+	// subClassOf, and equivalentClass both ways — for graph generation
+	// gen: a query is a map lookup, and a graph that changed since drops
+	// the memo.
+	up  map[rdf.Term]map[rdf.Term]struct{}
+	gen uint64
 }
 
 // New returns an empty ontology.
@@ -44,38 +52,55 @@ func (o *Ontology) SubClassOf(a, b rdf.Term) bool {
 	if a == b || b == rdf.OWLThing {
 		return true
 	}
-	seen := map[rdf.Term]bool{a: true}
+	_, ok := o.ancestors(a)[b]
+	return ok
+}
+
+// ancestors returns the classes a reaches, from the memo when the graph
+// has not changed since it was filled. A class the graph says nothing
+// about is not memoised: a matcher asks about classes a peer named, and
+// those must not grow the memo.
+func (o *Ontology) ancestors(a rdf.Term) map[rdf.Term]struct{} {
+	gen := o.g.Generation()
+	o.mu.RLock()
+	up, ok := o.up[a]
+	ok = ok && o.gen == gen
+	o.mu.RUnlock()
+	if ok {
+		return up
+	}
+	up = o.walk(a)
+	if len(up) == 0 && !o.g.Has(rdf.T(a, rdf.RDFType, rdf.OWLClass)) {
+		return up
+	}
+	o.mu.Lock()
+	if o.gen != gen || o.up == nil {
+		o.up, o.gen = make(map[rdf.Term]map[rdf.Term]struct{}), gen
+	}
+	o.up[a] = up
+	o.mu.Unlock()
+	return up
+}
+
+// walk collects the classes a reaches through subClassOf, and
+// equivalentClass both ways, breadth first.
+func (o *Ontology) walk(a rdf.Term) map[rdf.Term]struct{} {
+	up := map[rdf.Term]struct{}{}
 	frontier := []rdf.Term{a}
 	for len(frontier) > 0 {
 		cur := frontier[0]
 		frontier = frontier[1:]
-		for _, sup := range o.g.Objects(cur, rdf.RDFSSubClassOf) {
-			if sup == b {
-				return true
-			}
-			if !seen[sup] {
-				seen[sup] = true
-				frontier = append(frontier, sup)
-			}
-		}
-		// equivalentClass links count both ways.
-		for _, eq := range o.equivalents(cur) {
-			if eq == b {
-				return true
-			}
-			if !seen[eq] {
-				seen[eq] = true
-				frontier = append(frontier, eq)
+		next := o.g.Objects(cur, rdf.RDFSSubClassOf)
+		next = append(next, o.g.Objects(cur, rdf.OWLEquivalentClass)...)
+		next = append(next, o.g.Subjects(rdf.OWLEquivalentClass, cur)...)
+		for _, c := range next {
+			if _, seen := up[c]; !seen {
+				up[c] = struct{}{}
+				frontier = append(frontier, c)
 			}
 		}
 	}
-	return false
-}
-
-func (o *Ontology) equivalents(c rdf.Term) []rdf.Term {
-	out := o.g.Objects(c, rdf.OWLEquivalentClass)
-	out = append(out, o.g.Subjects(rdf.OWLEquivalentClass, c)...)
-	return out
+	return up
 }
 
 // Classes returns the standard resource class tree used throughout the

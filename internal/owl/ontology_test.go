@@ -1,6 +1,7 @@
 package owl
 
 import (
+	"sync"
 	"testing"
 
 	"mdagent/internal/rdf"
@@ -53,4 +54,44 @@ func TestEquivalentClassBridging(t *testing.T) {
 	if !o.SubClassOf(rdf.IMCL("Drucker"), rdf.IMCL("Device")) {
 		t.Error("reverse equivalence did not bridge")
 	}
+}
+
+// TestSubClassOfFollowsTheGraph: the ancestor memo is dropped whenever
+// the graph gains or loses a triple, so an answer never outlives the
+// tree it was read from. Readers on many goroutines share the memo.
+func TestSubClassOfFollowsTheGraph(t *testing.T) {
+	o := New()
+	o.DefineClass(rdf.IMCL("Scanner"), rdf.IMCL("Device"))
+	scanner, device, peripheral := rdf.IMCL("Scanner"), rdf.IMCL("Device"), rdf.IMCL("Peripheral")
+	if o.SubClassOf(scanner, peripheral) {
+		t.Fatal("Scanner is a Peripheral before anything says so")
+	}
+	o.DefineClass(device, peripheral)
+	if !o.SubClassOf(scanner, peripheral) {
+		t.Fatal("a superclass added after a query is not seen")
+	}
+	o.Graph().Remove(rdf.T(device, rdf.RDFSSubClassOf, peripheral))
+	if o.SubClassOf(scanner, peripheral) {
+		t.Fatal("a removed superclass is still seen")
+	}
+	// A class the graph does not know reaches nothing and is not kept.
+	if o.SubClassOf(rdf.IMCL("NoSuchClass"), device) || len(o.up) != 1 {
+		t.Fatalf("an unknown class: memo holds %d classes", len(o.up))
+	}
+
+	std := Classes()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if !std.SubClassOf(rdf.IMCL("MusicFile"), rdf.IMCL("Data")) || std.SubClassOf(rdf.IMCL("Database"), rdf.IMCL("Device")) {
+					t.Error("wrong answer from the shared tree")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

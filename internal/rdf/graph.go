@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Graph is an in-memory triple store indexed by subject, predicate, and
@@ -16,6 +17,7 @@ type Graph struct {
 	pos map[Term]map[Term]map[Term]struct{}
 	osp map[Term]map[Term]map[Term]struct{}
 	n   int
+	gen atomic.Uint64 // bumped by every Add or Remove that changes the graph
 }
 
 // NewGraph returns an empty graph.
@@ -81,6 +83,7 @@ func (g *Graph) Add(tr Triple) bool {
 	idx3add(g.pos, tr.P, tr.O, tr.S)
 	idx3add(g.osp, tr.O, tr.S, tr.P)
 	g.n++
+	g.gen.Add(1)
 	return true
 }
 
@@ -105,8 +108,14 @@ func (g *Graph) Remove(tr Triple) bool {
 	idx3del(g.pos, tr.P, tr.O, tr.S)
 	idx3del(g.osp, tr.O, tr.S, tr.P)
 	g.n--
+	g.gen.Add(1)
 	return true
 }
+
+// Generation returns a number that changes whenever the graph gains or
+// loses a triple, so a reader can tell whether what it derived from the
+// graph is still current.
+func (g *Graph) Generation() uint64 { return g.gen.Load() }
 
 // Has reports whether the ground triple is present.
 func (g *Graph) Has(tr Triple) bool {

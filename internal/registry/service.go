@@ -24,9 +24,10 @@ const (
 	MsgListBundles      = "registry.list-bundles"
 )
 
-// Every request payload is sealed with a protocol version byte
-// (transport.Seal); handlers refuse versions they do not speak with a
-// typed transport.ErrVersion reply instead of misparsing the gob body.
+// Every request payload but plan-move's and move-app's (fast frames, see
+// fast.go) is sealed with a protocol version byte (transport.Seal);
+// handlers refuse versions they do not speak with a typed
+// transport.ErrVersion reply instead of misparsing the gob body.
 
 // Request/reply bodies (gob-encoded). Gob writes a struct's unqualified
 // type name into the stream, so the center that serves them uses the
@@ -47,20 +48,6 @@ type (
 		Mode     owl.MatchMode
 	}
 
-	planMoveReq struct {
-		App       string
-		DestHost  string
-		Resources []owl.Resource
-		Mode      owl.MatchMode
-	}
-
-	moveAppReq struct {
-		Rec  AppRecord
-		From string
-	}
-
-	moveAppReply struct{ SourceDemoted bool }
-
 	deviceReply struct {
 		Dev   wsdl.DeviceProfile
 		Found bool
@@ -80,9 +67,6 @@ type (
 	LookupAppReply = lookupAppReply
 	HostReq        = hostReq
 	RebindingReq   = rebindingReq
-	PlanMoveReq    = planMoveReq
-	MoveAppReq     = moveAppReq
-	MoveAppReply   = moveAppReply
 	DeviceReply    = deviceReply
 	GetBundleReq   = getBundleReq
 	GetBundleReply = getBundleReply
@@ -185,20 +169,21 @@ func (c *Client) PlanRebinding(ctx context.Context, src owl.Resource, destHost s
 // PlanMove asks for a follow-me's plan in one round trip: the app's
 // installation at destHost and a rebinding plan per resource.
 func (c *Client) PlanMove(ctx context.Context, appName, destHost string, resources []owl.Resource, mode owl.MatchMode) (MovePlan, error) {
-	var plan MovePlan
-	if err := c.call(ctx, MsgPlanMove, planMoveReq{App: appName, DestHost: destHost, Resources: resources, Mode: mode}, &plan); err != nil {
+	reply, err := c.ep.Request(ctx, c.server, MsgPlanMove,
+		encodePlanMoveReq(planMoveReq{App: appName, DestHost: destHost, Resources: resources, Mode: mode}))
+	if err != nil {
 		return MovePlan{}, err
 	}
-	return plan, nil
+	return decodeMovePlan(reply.Payload)
 }
 
 // MoveApp commits a follow-me at the center: the record at from is
 // demoted and rec stored running, in one write. It reports whether the
 // center took care of the source's record (see cluster.Center.MoveApp).
 func (c *Client) MoveApp(ctx context.Context, rec AppRecord, from string) (bool, error) {
-	var reply moveAppReply
-	if err := c.call(ctx, MsgMoveApp, moveAppReq{Rec: rec, From: from}, &reply); err != nil {
+	reply, err := c.ep.Request(ctx, c.server, MsgMoveApp, encodeMoveAppReq(moveAppReq{Rec: rec, From: from}))
+	if err != nil {
 		return false, err
 	}
-	return reply.SourceDemoted, nil
+	return decodeMoveAppReply(reply.Payload)
 }

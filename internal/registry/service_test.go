@@ -157,9 +157,10 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	}
 }
 
-// TestMoveOpsRefuseAFutureSeal: both follow-me ops answer a request
-// sealed with a version they do not speak with the typed ErrVersion, read
-// nothing of its body and write nothing.
+// TestMoveOpsRefuseAFutureSeal: both follow-me ops are fast frames. A
+// request in the sealed gob body of the build before (the recorded
+// goldens), or sealed with a version nobody speaks, is refused with the
+// typed ErrVersion; nothing of its body is read and nothing is written.
 func TestMoveOpsRefuseAFutureSeal(t *testing.T) {
 	fab := transport.NewLocalFabric(nil)
 	defer fab.Close()
@@ -175,17 +176,15 @@ func TestMoveOpsRefuseAFutureSeal(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for op, golden := range map[string]string{registry.MsgPlanMove: "plan-move-req.gob", registry.MsgMoveApp: "move-app-req.gob"} {
-		body, err := transport.Open(goldenBody(t, golden))
+		sealed := goldenBody(t, golden)
+		body, err := transport.Open(sealed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		future := transport.SealV(42, body)
-		var req registry.MoveAppReq
-		if err := transport.DecodeSealed(future, &req); !errors.Is(err, transport.ErrVersion) {
-			t.Fatalf("%s: DecodeSealed of a v42 body: err = %v, want ErrVersion", op, err)
-		}
-		if _, err := cliEp.Request(ctx, "registry", op, future); !errors.Is(err, transport.ErrVersion) {
-			t.Fatalf("%s with a v42 body: err = %v, want ErrVersion", op, err)
+		for _, payload := range [][]byte{sealed, transport.SealV(42, body)} {
+			if _, err := cliEp.Request(ctx, "registry", op, payload); !errors.Is(err, transport.ErrVersion) {
+				t.Fatalf("%s with a v%d body: err = %v, want ErrVersion", op, payload[0], err)
+			}
 		}
 	}
 	if recs := reg.Apps(nil); len(recs) != 0 {

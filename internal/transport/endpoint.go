@@ -65,6 +65,9 @@ func newEndpoint(name string, fab fabric) *Endpoint {
 // Name returns the endpoint's fabric-unique name.
 func (e *Endpoint) Name() string { return e.name }
 
+// Requests returns how many requests this endpoint has sent.
+func (e *Endpoint) Requests() uint64 { return e.nextID.Load() }
+
 // Handle registers a handler for a message type. Registering twice for the
 // same type replaces the handler.
 func (e *Endpoint) Handle(msgType string, h Handler) {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 )
@@ -11,7 +12,8 @@ import (
 // no reflection, just length-prefixed fields in a fixed per-opcode
 // layout. Gob (ProtoVersion=1 frames) is the long-tail encoding. Each op
 // has exactly one of the two — the hot ops (snapshot put and fetch,
-// watch event push, bundle push, migration check-in, federation batch)
+// watch event push, bundle push, federation batch, and every request and
+// reply of a follow-me leg: check-in, plan-move, move-app, media read)
 // are v2 frames — and either opener refuses the other's version byte
 // with a typed ErrVersion.
 const ProtoV2 byte = 2
@@ -22,9 +24,10 @@ const MaxProto byte = ProtoV2
 
 // Fast-path opcodes. The opcode selects the body layout; request and
 // reply layouts are distinct opcodes so a frame is self-describing.
-// 0x02 and 0x04 (the batched snapshot put and its reply) and 0x30 (the
+// 0x02 and 0x04 (the batched snapshot put and its reply), 0x30 (the
 // check-in before it carried the source's budget and ended in a commit)
-// are retired: do not reuse.
+// and 0x31 (the check-in whose Desc and Rebindings were a gob blob, with
+// a gob reply) are retired: do not reuse.
 const (
 	// OpSnapPut carries one state.SnapshotPut.
 	OpSnapPut byte = 0x01
@@ -43,16 +46,32 @@ const (
 	// makes gob's reflection and copy costs visible.
 	OpBundlePush byte = 0x20
 	// OpCheckin carries one migration check-in (follow-me or clone): a
-	// small head, led by the source's remaining budget, then the
-	// application's state frame as the rest of the body, so the
+	// head of fixed fields, led by the source's remaining budget, then
+	// the application's state frame as the rest of the body, so the
 	// multi-megabyte frame is neither re-encoded on the way out nor
 	// copied on the way in.
-	OpCheckin byte = 0x31
+	OpCheckin byte = 0x32
+	// OpCheckinReply carries the destination's answer to a check-in.
+	OpCheckinReply byte = 0x33
 	// OpFedBatch carries a run of federation pushes from one center to a
 	// peer, in write order: each item a kind byte and its gob body.
 	OpFedBatch byte = 0x40
 	// OpFedBatchReply carries one result per OpFedBatch item.
 	OpFedBatchReply byte = 0x41
+	// OpPlanMove carries a follow-me source's registry.plan-move request.
+	OpPlanMove byte = 0x50
+	// OpPlanMoveReply carries the move plan.
+	OpPlanMoveReply byte = 0x51
+	// OpMoveApp carries a follow-me destination's registry.move-app
+	// request, the migration's commit.
+	OpMoveApp byte = 0x52
+	// OpMoveAppReply carries whether the center demoted the source.
+	OpMoveAppReply byte = 0x53
+	// OpMediaRead carries one media.read request: a file and a range.
+	OpMediaRead byte = 0x60
+	// OpMediaReadReply carries the file's size and checksum and the
+	// range's bytes as the rest of the body.
+	OpMediaReadReply byte = 0x61
 )
 
 // OpenFast validates a v2 frame and returns its opcode and body. A
@@ -69,11 +88,32 @@ func OpenFast(payload []byte) (op byte, body []byte, err error) {
 	return payload[1], payload[2:], nil
 }
 
+// OpenFastOp opens a fast frame that must be of opcode want, one of
+// msgType's frames, and returns a reader over its body. A payload of any
+// other version fails with OpenFast's ErrVersion before its body is
+// touched, and so does a frame of another opcode — a retired one, or a
+// newer build's — naming the unknown fast opcode.
+func OpenFastOp(payload []byte, want byte, msgType string) (*FastReader, error) {
+	op, body, err := OpenFast(payload)
+	if err != nil {
+		return nil, err
+	}
+	if op != want {
+		return nil, fmt.Errorf("%w: unknown fast opcode %#x on %s", ErrVersion, op, msgType)
+	}
+	return NewFastReader(body), nil
+}
+
 // --- Field writers: append-style, uvarint-based. ---
 
 // AppendUint appends a uvarint.
 func AppendUint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
+}
+
+// AppendInt appends a zig-zag varint.
+func AppendInt(b []byte, v int64) []byte {
+	return binary.AppendVarint(b, v)
 }
 
 // AppendBytes appends a uvarint length prefix and the bytes.
@@ -110,7 +150,25 @@ func AppendTime(b []byte, t time.Time) []byte {
 	return binary.AppendUvarint(b, uint64(t.UnixNano()))
 }
 
+// AppendList appends a uvarint count and then each element of s, written
+// by appendElem. ReadList reads it back.
+func AppendList[T any](b []byte, s []T, appendElem func([]byte, T) []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	for _, v := range s {
+		b = appendElem(b, v)
+	}
+	return b
+}
+
+// AppendStrings appends a list of strings.
+func AppendStrings(b []byte, s []string) []byte { return AppendList(b, s, AppendString) }
+
 // --- FastReader: bounds-checked sequential reads with one error. ---
+
+// ErrBadFrame reports a fast-frame body that does not hold what its
+// layout says: a field runs past the end, or a count claims more
+// elements than bytes remain.
+var ErrBadFrame = errors.New("transport: malformed fast frame")
 
 // FastReader decodes a fast-frame body sequentially. Every read is
 // bounds-checked; the first failure sticks (subsequent reads return
@@ -129,7 +187,7 @@ func (r *FastReader) Err() error { return r.err }
 
 func (r *FastReader) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("transport: fast frame truncated at %s (offset %d of %d)", what, r.off, len(r.b))
+		r.err = fmt.Errorf("%w: truncated at %s (offset %d of %d)", ErrBadFrame, what, r.off, len(r.b))
 	}
 }
 
@@ -145,6 +203,36 @@ func (r *FastReader) Uint() uint64 {
 	}
 	r.off += n
 	return v
+}
+
+// Int reads a zig-zag varint (AppendInt's layout).
+func (r *FastReader) Int() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b[r.off:])
+	if n <= 0 {
+		r.fail("varint")
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// Count reads a uvarint element count. Every element takes at least one
+// byte of the body, so a count above the bytes that remain fails the
+// read: a decoder that sizes a slice or map by a count allocates in
+// proportion to the frame, not to what it claims.
+func (r *FastReader) Count() int {
+	n := r.Uint()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(len(r.b)-r.off) {
+		r.fail("count")
+		return 0
+	}
+	return int(n)
 }
 
 // Bytes reads a length-prefixed byte slice. The result aliases the
@@ -206,6 +294,24 @@ func (r *FastReader) Rest() []byte {
 	r.off = len(r.b)
 	return v
 }
+
+// ReadList reads AppendList's layout, each element with readElem. A zero
+// count reads as nil, as gob decodes an empty slice; the count is
+// bounded by the bytes that remain (Count).
+func ReadList[T any](r *FastReader, readElem func(*FastReader) T) []T {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = readElem(r)
+	}
+	return out
+}
+
+// Strings reads AppendStrings' layout.
+func (r *FastReader) Strings() []string { return ReadList(r, (*FastReader).String) }
 
 // Time reads a presence flag + uvarint UnixNano (AppendTime's layout).
 // Decoded times carry no monotonic clock; compare with time.Time.Equal.

@@ -82,6 +82,7 @@ func init() {
 	RegisterWireSentinel(ErrNoHandler)
 	RegisterWireSentinel(ErrNoRoute)
 	RegisterWireSentinel(ErrHandlerPanic)
+	RegisterWireSentinel(ErrBadFrame)
 }
 
 // Is makes registered typed sentinels survive the wire: a handler's
