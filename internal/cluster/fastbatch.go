@@ -110,14 +110,10 @@ func decodeFedBatchReply(payload []byte) ([]string, error) {
 // openFedFrame opens a batch frame of opcode want and reads its item
 // count.
 func openFedFrame(payload []byte, want byte) (*transport.FastReader, uint64, error) {
-	op, body, err := transport.OpenFast(payload)
+	r, err := transport.OpenFastOp(payload, want, MsgFedBatch)
 	if err != nil {
 		return nil, 0, err
 	}
-	if op != want {
-		return nil, 0, fmt.Errorf("%w: cluster: unknown fast opcode %#x on %s", transport.ErrVersion, op, MsgFedBatch)
-	}
-	r := transport.NewFastReader(body)
 	n := r.Uint()
 	return r, n, r.Err()
 }

@@ -214,7 +214,7 @@ type planMoveReq struct {
 }
 
 func encodePlanMoveReq(q planMoveReq) []byte {
-	b := []byte{transport.ProtoV2, transport.OpPlanMove}
+	b := append(make([]byte, 0, 256), transport.ProtoV2, transport.OpPlanMove)
 	b = transport.AppendString(b, q.App)
 	b = transport.AppendString(b, q.DestHost)
 	b = transport.AppendList(b, q.Resources, appendResource)
@@ -235,7 +235,7 @@ func decodePlanMoveReq(payload []byte) (planMoveReq, error) {
 }
 
 func encodeMovePlan(p MovePlan) []byte {
-	b := []byte{transport.ProtoV2, transport.OpPlanMoveReply}
+	b := append(make([]byte, 0, 512), transport.ProtoV2, transport.OpPlanMoveReply)
 	b = appendAppRecord(b, &p.Dest)
 	b = transport.AppendBool(b, p.DestFound)
 	return AppendRebindings(b, p.Rebindings)
@@ -260,7 +260,7 @@ type moveAppReq struct {
 }
 
 func encodeMoveAppReq(q moveAppReq) []byte {
-	b := []byte{transport.ProtoV2, transport.OpMoveApp}
+	b := append(make([]byte, 0, 512), transport.ProtoV2, transport.OpMoveApp)
 	b = appendAppRecord(b, &q.Rec)
 	return transport.AppendString(b, q.From)
 }

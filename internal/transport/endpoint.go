@@ -65,7 +65,7 @@ func newEndpoint(name string, fab fabric) *Endpoint {
 // Name returns the endpoint's fabric-unique name.
 func (e *Endpoint) Name() string { return e.name }
 
-// Requests returns how many requests this endpoint has sent.
+// Requests returns how many requests this endpoint has issued.
 func (e *Endpoint) Requests() uint64 { return e.nextID.Load() }
 
 // Handle registers a handler for a message type. Registering twice for the
