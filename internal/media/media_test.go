@@ -156,6 +156,17 @@ func TestRemoteStreamPrebuffer(t *testing.T) {
 	if err != nil || !eof || !bytes.Equal(rest, want.Data[128<<10:]) {
 		t.Fatalf("the rest: %d bytes, eof %v, err %v", len(rest), eof, err)
 	}
+	// A chunk of n <= 0 reads to the end.
+	rs, _, err = OpenRemoteWindow(ctx, cli, "media@hostA", URL("hostA", "song.mp3"), 128<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{0, -1} {
+		rest, eof, err = rs.ReadChunk(ctx, n)
+		if err != nil || !eof || !bytes.Equal(rest, want.Data[rs.Pos()-int64(len(rest)):]) || rs.Pos() != want.Size() {
+			t.Fatalf("ReadChunk(%d): %d bytes, eof %v, pos %d, err %v", n, len(rest), eof, rs.Pos(), err)
+		}
+	}
 }
 
 func TestRemoteStreamErrors(t *testing.T) {

@@ -141,6 +141,10 @@ func encodeCheckinReply(rep *checkinReply) []byte {
 	return transport.AppendBool(b, rep.SourceDemoted)
 }
 
+// minSpan is a span's smallest encoding in bytes: five strings, the
+// start's presence flag and the duration.
+const minSpan = 7
+
 func decodeCheckinReply(payload []byte) (checkinReply, error) {
 	var rep checkinReply
 	r, err := transport.OpenFastOp(payload, transport.OpCheckinReply, "a check-in reply")
@@ -150,7 +154,7 @@ func decodeCheckinReply(payload []byte) (checkinReply, error) {
 	rep.ResumeNanos = r.Int()
 	rep.AdaptNotes = r.Strings()
 	rep.RestoredApp = r.String()
-	rep.Spans = transport.ReadList(r, func(r *transport.FastReader) obs.Span {
+	rep.Spans = transport.ReadList(r, minSpan, func(r *transport.FastReader) obs.Span {
 		return obs.Span{Trace: r.String(), App: r.String(), Phase: r.String(), Host: r.String(),
 			Start: r.Time(), Dur: time.Duration(r.Int()), Note: r.String()}
 	})

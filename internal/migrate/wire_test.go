@@ -244,8 +244,19 @@ func FuzzDecodeCheckin(f *testing.F) {
 	f.Add(false, append(huge, static[2+len(transport.AppendUint(nil, uint64(goldenHead.Budget))):]...))   // a 2^64-1 ns budget on a good check-in
 	f.Add(false, append([]byte{transport.ProtoV2, transport.OpCheckin, 0}, 0xff, 0xff, 0xff, 0xff, 0x0f)) // 4 GiB app name claimed
 	f.Add(true, []byte{transport.ProtoV2, transport.OpCheckinReply, 0, 0xff, 0xff, 0xff, 0x0f})           // 33M adapt notes claimed
-	f.Add(false, transport.MustEncode(goldenHead))                                                        // an older host's gob check-in
-	f.Add(true, transport.MustEncode(goldenReply))                                                        // an older host's gob reply
+	// Rebindings claimed over a large frame: one per byte left, which no
+	// rebinding's smallest encoding (22 bytes) fits, and the most that do.
+	noPlans := goldenHead
+	noPlans.Rebindings = nil
+	head := appendCheckinHead(&noPlans)
+	head = head[:len(head)-2] // the empty rebindings count and the delta flag
+	left := 1 + 1<<20         // the delta flag and a 1 MiB frame
+	for _, claim := range []int{left, left / 22} {
+		seed := transport.AppendUint(append([]byte(nil), head...), uint64(claim))
+		f.Add(false, append(seed, make([]byte, left)...))
+	}
+	f.Add(false, transport.MustEncode(goldenHead)) // an older host's gob check-in
+	f.Add(true, transport.MustEncode(goldenReply)) // an older host's gob reply
 	f.Add(false, []byte{})
 
 	f.Fuzz(func(t *testing.T, isReply bool, data []byte) {
@@ -259,7 +270,7 @@ func FuzzDecodeCheckin(f *testing.F) {
 			runtime.ReadMemStats(&before)
 			rep, err := decodeCheckinReply(data)
 			runtime.ReadMemStats(&after)
-			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4096+256*len(data)); got > limit {
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+16*len(data)); got > limit {
 				t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
 			}
 			if err != nil {
@@ -284,7 +295,7 @@ func FuzzDecodeCheckin(f *testing.F) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(gobSlack+256*len(data)); got > limit {
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(gobSlack+16*len(data)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
 		}
 		if err != nil {

@@ -52,6 +52,17 @@ import (
 // ErrVersion before it reads the body, and this build refuses a sealed
 // v1 body the same way.
 
+// The smallest encoding of each list element, in bytes: every string
+// and count takes one at least. ReadList bounds a claimed count by it.
+const (
+	minPair      = 2  // a preference or an attr: key, value
+	minOperation = 3  // name, input, output
+	minPort      = 2  // name, operations
+	minService   = 2  // name, ports
+	minResource  = 10 // five strings, two ints, two bools, the attrs count
+	minRebinding = 2*minResource + 2
+)
+
 // AppendDescription appends d.
 func AppendDescription(b []byte, d *wsdl.Description) []byte {
 	b = transport.AppendString(b, d.XMLName.Space)
@@ -94,7 +105,7 @@ func ReadDescription(r *transport.FastReader) wsdl.Description {
 	d.Provider = r.String()
 	d.Version = r.String()
 	d.Doc = r.String()
-	d.Services = transport.ReadList(r, readService)
+	d.Services = transport.ReadList(r, minService, readService)
 	q := &d.Requires
 	q.MinScreenWidth = int(r.Int())
 	q.MinScreenHeight = int(r.Int())
@@ -102,7 +113,7 @@ func ReadDescription(r *transport.FastReader) wsdl.Description {
 	q.NeedsAudio = r.Bool()
 	q.NeedsDisplay = r.Bool()
 	q.Platform = r.String()
-	d.Preferences = transport.ReadList(r, func(r *transport.FastReader) wsdl.Preference {
+	d.Preferences = transport.ReadList(r, minPair, func(r *transport.FastReader) wsdl.Preference {
 		return wsdl.Preference{Key: r.String(), Value: r.String()}
 	})
 	return d
@@ -110,9 +121,9 @@ func ReadDescription(r *transport.FastReader) wsdl.Description {
 
 func readService(r *transport.FastReader) wsdl.Service {
 	s := wsdl.Service{Name: r.String()}
-	s.Ports = transport.ReadList(r, func(r *transport.FastReader) wsdl.Port {
+	s.Ports = transport.ReadList(r, minPort, func(r *transport.FastReader) wsdl.Port {
 		p := wsdl.Port{Name: r.String()}
-		p.Operations = transport.ReadList(r, func(r *transport.FastReader) wsdl.Operation {
+		p.Operations = transport.ReadList(r, minOperation, func(r *transport.FastReader) wsdl.Operation {
 			return wsdl.Operation{Name: r.String(), Input: r.String(), Output: r.String()}
 		})
 		return p
@@ -149,8 +160,8 @@ func readResource(r *transport.FastReader) owl.Resource {
 	res.Host = r.String()
 	res.Location = r.String()
 	res.SizeBytes = r.Int()
-	if n := r.Count(); n > 0 {
-		res.Attrs = make(map[string]string, n)
+	if n := r.Count(minPair); n > 0 {
+		res.Attrs = make(map[string]string)
 		for range n {
 			k := r.String()
 			res.Attrs[k] = r.String()
@@ -182,7 +193,7 @@ func AppendRebindings(b []byte, plans []owl.Rebinding) []byte {
 
 // ReadRebindings reads AppendRebindings' layout.
 func ReadRebindings(r *transport.FastReader) []owl.Rebinding {
-	return transport.ReadList(r, readRebinding)
+	return transport.ReadList(r, minRebinding, readRebinding)
 }
 
 func appendAppRecord(b []byte, rec *AppRecord) []byte {
@@ -229,7 +240,7 @@ func decodePlanMoveReq(payload []byte) (planMoveReq, error) {
 	var q planMoveReq
 	q.App = r.String()
 	q.DestHost = r.String()
-	q.Resources = transport.ReadList(r, readResource)
+	q.Resources = transport.ReadList(r, minResource, readResource)
 	q.Mode = owl.MatchMode(r.Int())
 	return q, r.Err()
 }

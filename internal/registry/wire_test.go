@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mdagent/internal/owl"
 	"mdagent/internal/rdf"
@@ -165,11 +166,68 @@ func TestMoveFramesDecodeEmptyAsNil(t *testing.T) {
 	}
 }
 
+// TestClaimedCountsAllocateInProportion: a count bounds the slice it
+// sizes by its element's smallest encoding, and a list nested in another
+// cannot count on the bytes held back for the outer list's unread
+// elements. Each frame claims counts over a 1 MiB body of zeros, every
+// field of which reads as empty; decoding it allocates the slice of the
+// one count the bytes can hold (kept) and 64 KiB at most besides.
+func TestClaimedCountsAllocateInProportion(t *testing.T) {
+	const left = 1 << 20
+	frame := func(op byte, head []byte, claims ...int) []byte {
+		b := append([]byte{transport.ProtoV2, op}, head...)
+		for i, c := range claims {
+			if i > 0 {
+				b = append(b, 0) // the outer element's name
+			}
+			b = transport.AppendUint(b, uint64(c))
+		}
+		return append(b, make([]byte, left)...)
+	}
+	planReq := func(b []byte) error { _, err := decodePlanMoveReq(b); return err }
+	plan := func(b []byte) error { _, err := decodeMovePlan(b); return err }
+	var (
+		hosts    = make([]byte, 2)                                       // app, dest-host
+		oneRes   = append(make([]byte, 2), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0) // one resource, up to its attrs
+		recHead  = make([]byte, 9)                                       // a record, up to its services
+		planHead = append(appendAppRecord(nil, &AppRecord{}), 0)         // a plan, up to its rebindings
+		resSize  = int(unsafe.Sizeof(owl.Resource{}))
+		rbSize   = int(unsafe.Sizeof(owl.Rebinding{}))
+		svcSize  = int(unsafe.Sizeof(wsdl.Service{}))
+	)
+	for _, c := range []struct {
+		name   string
+		b      []byte
+		decode func([]byte) error
+		kept   int
+	}{
+		{"resources the body holds", frame(transport.OpPlanMove, hosts, left/minResource), planReq, left / minResource * resSize},
+		{"a resource per byte", frame(transport.OpPlanMove, hosts, left), planReq, 0},
+		{"attrs of one repeated key", frame(transport.OpPlanMove, oneRes, left/minPair), planReq, 0},
+		{"rebindings the body holds", frame(transport.OpPlanMoveReply, planHead, left/minRebinding), plan, left / minRebinding * rbSize},
+		{"services the body holds", frame(transport.OpPlanMoveReply, recHead, left/minService), plan, left / minService * svcSize},
+		{"ports on bytes held for services", frame(transport.OpPlanMoveReply, recHead, left/4, left/2), plan, left / 4 * svcSize},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode(c.b)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(c.kept+1<<16); got > limit {
+			t.Errorf("%s: decoding %d bytes allocated %d (limit %d)", c.name, len(c.b), got, limit)
+		}
+		if err != nil && !errors.Is(err, transport.ErrBadFrame) {
+			t.Errorf("%s: untyped error %v", c.name, err)
+		}
+	}
+}
+
 // FuzzMoveFrames: the plan-move and move-app decoders read what any peer
 // sends a center, and what a center sends back. Any input yields a typed
 // error (ErrVersion or ErrBadFrame) or a value that survives a
 // re-encode/decode round trip; it never panics and allocates in
-// proportion to the input, not to what its counts claim.
+// proportion to the input, not to what its counts claim: a list's slice
+// at most its element's size over its smallest encoding per byte (20 B
+// for a wsdl.Service), a map of distinct one-byte keys about 48.
 func FuzzMoveFrames(f *testing.F) {
 	for i, name := range []string{"plan-move-req.bin", "plan-move-reply.bin", "move-app-req.bin", "move-app-reply.bin"} {
 		g := goldenWire(f, name)
@@ -197,7 +255,7 @@ func FuzzMoveFrames(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		v, err := c.decode(data)
 		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4096+512*len(data)); got > limit {
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+64*len(data)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
 		}
 		if err != nil {

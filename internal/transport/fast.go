@@ -177,6 +177,9 @@ type FastReader struct {
 	b   []byte
 	off int
 	err error
+	// held is the bytes the unread elements of the enclosing lists take
+	// at least (ReadList): a list an element nests cannot count on them.
+	held int
 }
 
 // NewFastReader reads from body (typically the body from OpenFast).
@@ -219,16 +222,18 @@ func (r *FastReader) Int() int64 {
 	return v
 }
 
-// Count reads a uvarint element count. Every element takes at least one
-// byte of the body, so a count above the bytes that remain fails the
-// read: a decoder that sizes a slice or map by a count allocates in
-// proportion to the frame, not to what it claims.
-func (r *FastReader) Count() int {
+// Count reads a uvarint element count of a list whose every element
+// takes at least minElem (>= 1) bytes of the body. A count that the
+// bytes which remain cannot hold fails the read — the bytes held for the
+// unread elements of the lists it is nested in excluded — so a decoder
+// that sizes a slice or map by a count allocates at most its element's
+// size over minElem per byte of the frame, not what the count claims.
+func (r *FastReader) Count(minElem int) int {
 	n := r.Uint()
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(len(r.b)-r.off) {
+	if avail := len(r.b) - r.off - r.held; n > 0 && (avail <= 0 || n > uint64(avail/minElem)) {
 		r.fail("count")
 		return 0
 	}
@@ -295,23 +300,26 @@ func (r *FastReader) Rest() []byte {
 	return v
 }
 
-// ReadList reads AppendList's layout, each element with readElem. A zero
-// count reads as nil, as gob decodes an empty slice; the count is
-// bounded by the bytes that remain (Count).
-func ReadList[T any](r *FastReader, readElem func(*FastReader) T) []T {
-	n := r.Count()
+// ReadList reads AppendList's layout, each element with readElem, whose
+// smallest encoding is minElem bytes (Count). A zero count reads as nil,
+// as gob decodes an empty slice.
+func ReadList[T any](r *FastReader, minElem int, readElem func(*FastReader) T) []T {
+	n := r.Count(minElem)
 	if n == 0 {
 		return nil
 	}
 	out := make([]T, n)
+	held := r.held
 	for i := range out {
+		r.held = held + (n-1-i)*minElem
 		out[i] = readElem(r)
 	}
+	r.held = held
 	return out
 }
 
 // Strings reads AppendStrings' layout.
-func (r *FastReader) Strings() []string { return ReadList(r, (*FastReader).String) }
+func (r *FastReader) Strings() []string { return ReadList(r, 1, (*FastReader).String) }
 
 // Time reads a presence flag + uvarint UnixNano (AppendTime's layout).
 // Decoded times carry no monotonic clock; compare with time.Time.Equal.
