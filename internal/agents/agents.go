@@ -151,7 +151,6 @@ type AutonomousBody struct {
 	Locator Locator // optional: current-location source for re-evaluation
 
 	ruleSet []rules.Rule
-	subIDs  []int
 	agent   *platform.Agent
 }
 
@@ -192,29 +191,29 @@ func (b *AutonomousBody) Setup(a *platform.Agent) error {
 			Content:      content,
 		})
 	}
-	b.subIDs = append(b.subIDs, b.Kernel.Subscribe("user.*", func(ev ctxkernel.Event) {
+	b.Kernel.Subscribe("user.*", func(ev ctxkernel.Event) {
 		if ev.Attr(ctxkernel.AttrUser) != b.Policy.User {
 			return
 		}
 		repost(ev)
-	}))
+	})
 	// Arrival of the managed app anywhere triggers re-evaluation here.
-	b.subIDs = append(b.subIDs, b.Kernel.Subscribe(TopicMigrated, func(ev ctxkernel.Event) {
+	b.Kernel.Subscribe(TopicMigrated, func(ev ctxkernel.Event) {
 		if ev.Attr("app") != b.Policy.App {
 			return
 		}
 		repost(ev)
-	}))
+	})
 	// Failover re-homing is an arrival too: when the cluster layer
 	// relaunches the managed app on this AA's host, the AA re-attaches —
 	// it re-evaluates immediately so a user who moved on during the
 	// outage is chased without waiting for their next movement event.
-	b.subIDs = append(b.subIDs, b.Kernel.Subscribe(ctxkernel.TopicClusterRehomed, func(ev ctxkernel.Event) {
+	b.Kernel.Subscribe(ctxkernel.TopicClusterRehomed, func(ev ctxkernel.Event) {
 		if ev.Attr("app") != b.Policy.App {
 			return
 		}
 		repost(ev)
-	}))
+	})
 
 	tmpl := platform.MatchAnd(platform.MatchPerformative(platform.Inform), platform.MatchOntology("mdagent-context"))
 	a.AddBehaviour(platform.MessageHandler(tmpl, func(a *platform.Agent, msg platform.ACLMessage) {
@@ -225,14 +224,6 @@ func (b *AutonomousBody) Setup(a *platform.Agent) error {
 		b.handleEvent(ev)
 	}))
 	return nil
-}
-
-// Unsubscribe detaches the AA from the kernel (call before killing it).
-func (b *AutonomousBody) Unsubscribe() {
-	for _, id := range b.subIDs {
-		b.Kernel.Unsubscribe(id)
-	}
-	b.subIDs = nil
 }
 
 func (b *AutonomousBody) handleEvent(ev ctxkernel.Event) {
@@ -436,7 +427,6 @@ func StartMobileAgent(c *platform.Container, name string, eng *migrate.Engine) (
 	if err != nil {
 		return nil, fmt.Errorf("agents: start MA: %w", err)
 	}
-	c.Platform().RegisterService(platform.ServiceAd{Agent: name, Type: "mobility-manager", Name: name})
 	return a, nil
 }
 
@@ -446,6 +436,5 @@ func StartAutonomousAgent(c *platform.Container, name string, body *AutonomousBo
 	if err != nil {
 		return nil, fmt.Errorf("agents: start AA: %w", err)
 	}
-	c.Platform().RegisterService(platform.ServiceAd{Agent: name, Type: "autonomous-agent", Name: name})
 	return a, nil
 }

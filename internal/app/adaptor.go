@@ -29,37 +29,19 @@ type Adaptable interface {
 }
 
 // Adaptor computes adaptations from device profiles and user preferences.
-// Reference geometry defaults to 1024x768 (the paper-era desktop).
-type Adaptor struct {
-	mu         sync.Mutex
-	refWidth   int
-	refHeight  int
-	lastReport *Adaptation
-}
+type Adaptor struct{}
 
-// NewAdaptor returns an adaptor with the default reference geometry.
+// refW x refH is the geometry presentations were designed for: the
+// paper-era desktop.
+const refW, refH = 1024, 768
+
+// NewAdaptor returns an adaptor.
 func NewAdaptor() *Adaptor {
-	return &Adaptor{refWidth: 1024, refHeight: 768}
-}
-
-// SetReference overrides the reference geometry presentations were
-// designed for.
-func (ad *Adaptor) SetReference(w, h int) error {
-	if w <= 0 || h <= 0 {
-		return fmt.Errorf("app: invalid reference geometry %dx%d", w, h)
-	}
-	ad.mu.Lock()
-	ad.refWidth, ad.refHeight = w, h
-	ad.mu.Unlock()
-	return nil
+	return &Adaptor{}
 }
 
 // Plan computes the adaptation for a device and user profile.
 func (ad *Adaptor) Plan(dev wsdl.DeviceProfile, profile UserProfile) Adaptation {
-	ad.mu.Lock()
-	refW, refH := ad.refWidth, ad.refHeight
-	ad.mu.Unlock()
-
 	a := Adaptation{TargetHost: dev.Host, ScaleX: 1, ScaleY: 1, FontScale: 1}
 	if dev.ScreenWidth > 0 && dev.ScreenWidth != refW {
 		a.ScaleX = float64(dev.ScreenWidth) / float64(refW)
@@ -83,11 +65,6 @@ func (ad *Adaptor) Plan(dev wsdl.DeviceProfile, profile UserProfile) Adaptation 
 		a.MutedAudio = true
 		a.Notes = append(a.Notes, "no audio device: visual-only mode")
 	}
-
-	ad.mu.Lock()
-	cp := a
-	ad.lastReport = &cp
-	ad.mu.Unlock()
 	return a
 }
 
@@ -109,16 +86,6 @@ func (ad *Adaptor) Apply(a *Application, dev wsdl.DeviceProfile) (Adaptation, in
 		}
 	}
 	return plan, adapted, nil
-}
-
-// LastPlan returns the most recently computed adaptation, if any.
-func (ad *Adaptor) LastPlan() (Adaptation, bool) {
-	ad.mu.Lock()
-	defer ad.mu.Unlock()
-	if ad.lastReport == nil {
-		return Adaptation{}, false
-	}
-	return *ad.lastReport, true
 }
 
 // UIComponent is a presentation: a blob payload (the UI bundle) plus

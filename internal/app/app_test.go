@@ -215,20 +215,6 @@ func TestCoordinatorObserverNotification(t *testing.T) {
 	}
 }
 
-func TestCoordinatorDeregisterAndLists(t *testing.T) {
-	c := NewCoordinator("o")
-	n := 0
-	c.Register("ui", ObserverFunc(func(StateChange) { n++ }))
-	if obs := c.Observers(); len(obs) != 1 || obs[0] != "ui" {
-		t.Fatalf("Observers = %v", obs)
-	}
-	c.Deregister("ui")
-	c.Set("k", "v")
-	if n != 0 {
-		t.Fatal("deregistered observer notified")
-	}
-}
-
 func TestCoordinatorFreezeRejectsChanges(t *testing.T) {
 	c := NewCoordinator("o")
 	c.Freeze()
@@ -266,14 +252,6 @@ func TestCoordinatorSyncLinkForwardingAndEchoSuppression(t *testing.T) {
 	}
 	if v, _ := clone.Get("slide"); v != "7" {
 		t.Fatalf("clone state = %q", v)
-	}
-	if links := master.Links(); len(links) != 1 || links[0] != "clone" {
-		t.Fatalf("Links = %v", links)
-	}
-	master.RemoveLink("clone")
-	master.Set("slide", "8")
-	if v, _ := clone.Get("slide"); v != "7" {
-		t.Fatal("removed link still forwarding")
 	}
 }
 
@@ -425,18 +403,13 @@ func TestSnapshotManagerRecordRollback(t *testing.T) {
 
 func TestSnapshotHistoryCap(t *testing.T) {
 	a := playerApp(t)
-	a.Snapshots().SetCap(2)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < historyCap+3; i++ {
 		if _, err := a.Snapshots().Record("t", time.Unix(int64(i), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := a.Snapshots().Len(); got != 2 {
-		t.Fatalf("history len = %d, want 2", got)
-	}
-	a.Snapshots().SetCap(0) // clamps to 1
-	if got := a.Snapshots().Len(); got != 1 {
-		t.Fatalf("after cap clamp, len = %d", got)
+	if got := a.Snapshots().Len(); got != historyCap {
+		t.Fatalf("history len = %d, want %d", got, historyCap)
 	}
 }
 
@@ -457,11 +430,13 @@ func TestAdaptorPlanHandheld(t *testing.T) {
 	if plan.FontScale <= plan.ScaleX {
 		t.Fatal("small-screen font compensation missing")
 	}
-	if _, ok := ad.LastPlan(); !ok {
-		t.Fatal("LastPlan missing")
-	}
 	if strings.Join(plan.Notes, ";") == "" {
 		t.Fatal("plan carries no notes")
+	}
+	// The reference geometry presentations were designed for scales by 1.
+	desk := ad.Plan(wsdl.DeviceProfile{Host: "h", ScreenWidth: 1024, ScreenHeight: 768, HasAudio: true}, UserProfile{})
+	if desk.ScaleX != 1 || desk.ScaleY != 1 {
+		t.Fatalf("reference-geometry plan scales = %v, %v", desk.ScaleX, desk.ScaleY)
 	}
 }
 
@@ -491,20 +466,6 @@ func TestAdaptorRejectsCollapse(t *testing.T) {
 	err := ui.Adapt(Adaptation{ScaleX: 0.0001, ScaleY: 0.0001, FontScale: 1})
 	if err == nil {
 		t.Fatal("collapsing adaptation accepted")
-	}
-}
-
-func TestAdaptorReferenceValidation(t *testing.T) {
-	ad := NewAdaptor()
-	if err := ad.SetReference(0, 100); err == nil {
-		t.Fatal("zero reference accepted")
-	}
-	if err := ad.SetReference(800, 600); err != nil {
-		t.Fatal(err)
-	}
-	plan := ad.Plan(wsdl.DeviceProfile{Host: "h", ScreenWidth: 800, ScreenHeight: 600, HasAudio: true}, UserProfile{})
-	if plan.ScaleX != 1 || plan.ScaleY != 1 {
-		t.Fatalf("same-geometry plan scales = %v, %v", plan.ScaleX, plan.ScaleY)
 	}
 }
 
@@ -663,3 +624,9 @@ func TestUntrackedComponentsAreAlwaysDirty(t *testing.T) {
 		t.Fatalf("ChangedSince = %v, want [plain]", got)
 	}
 }
+
+// ObserverFunc adapts a function to Observer.
+type ObserverFunc func(StateChange)
+
+// Notify implements Observer.
+func (f ObserverFunc) Notify(c StateChange) { f(c) }

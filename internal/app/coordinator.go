@@ -23,12 +23,6 @@ type Observer interface {
 	Notify(change StateChange)
 }
 
-// ObserverFunc adapts a function to Observer.
-type ObserverFunc func(StateChange)
-
-// Notify implements Observer.
-func (f ObserverFunc) Notify(c StateChange) { f(c) }
-
 // Coordinator is the base-level hub: it keeps canonical application
 // state, notifies registered presentations on change, and forwards
 // changes down synchronization links to cloned instances (clone-dispatch
@@ -69,50 +63,12 @@ func (c *Coordinator) Register(name string, o Observer) {
 	c.mu.Unlock()
 }
 
-// Deregister removes an observer.
-func (c *Coordinator) Deregister(name string) {
-	c.mu.Lock()
-	delete(c.observers, name)
-	c.mu.Unlock()
-}
-
-// Observers lists registered observer names, sorted.
-func (c *Coordinator) Observers() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.observers))
-	for n := range c.observers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // AddLink attaches a synchronization link: every accepted change is
 // forwarded to fn (which typically ships it to a cloned instance).
 func (c *Coordinator) AddLink(name string, fn func(StateChange)) {
 	c.mu.Lock()
 	c.links[name] = fn
 	c.mu.Unlock()
-}
-
-// RemoveLink detaches a synchronization link.
-func (c *Coordinator) RemoveLink(name string) {
-	c.mu.Lock()
-	delete(c.links, name)
-	c.mu.Unlock()
-}
-
-// Links lists attached link names, sorted.
-func (c *Coordinator) Links() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.links))
-	for n := range c.links {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Set applies a local state change, notifying observers and links.

@@ -16,7 +16,6 @@ type SnapshotManager struct {
 
 	mu         sync.Mutex
 	history    []TaggedSnapshot
-	cap        int
 	onRecord   map[int]func(TaggedSnapshot)
 	nextHookID int
 }
@@ -33,26 +32,13 @@ type TaggedSnapshot struct {
 	ChangeSeq uint64
 }
 
-// NewSnapshotManager creates a manager for app with a history cap of 8.
+// historyCap bounds a SnapshotManager's history; the oldest snapshot is
+// evicted first.
+const historyCap = 8
+
+// NewSnapshotManager creates a manager for app.
 func NewSnapshotManager(app *Application) *SnapshotManager {
-	return &SnapshotManager{app: app, cap: 8}
-}
-
-// SetCap adjusts the history bound (minimum 1).
-func (m *SnapshotManager) SetCap(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	m.cap = n
-	m.trimLocked()
-}
-
-func (m *SnapshotManager) trimLocked() {
-	if len(m.history) > m.cap {
-		m.history = m.history[len(m.history)-m.cap:]
-	}
+	return &SnapshotManager{app: app}
 }
 
 // OnRecord registers an observer fired (outside the manager's lock, on
@@ -93,7 +79,9 @@ func (m *SnapshotManager) Record(tag string, at time.Time) (TaggedSnapshot, erro
 	ts := TaggedSnapshot{Tag: tag, At: at, Wrap: w, ChangeSeq: seq}
 	m.mu.Lock()
 	m.history = append(m.history, ts)
-	m.trimLocked()
+	if len(m.history) > historyCap {
+		m.history = m.history[len(m.history)-historyCap:]
+	}
 	observers := make([]func(TaggedSnapshot), 0, len(m.onRecord))
 	for _, f := range m.onRecord {
 		observers = append(observers, f)

@@ -24,42 +24,25 @@ func at(sec int) time.Time { return time.Unix(int64(sec), 0) }
 func TestSnapshotHistoryCapEvictsOldestFirst(t *testing.T) {
 	a, st := snapApp(t)
 	m := a.Snapshots()
-	m.SetCap(3)
-	for i := 1; i <= 5; i++ {
+	for i := 1; i <= historyCap+2; i++ {
 		st.Set("v", fmt.Sprint(i))
 		if _, err := m.Record(fmt.Sprintf("t%d", i), at(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m.Len() != 3 {
-		t.Fatalf("Len = %d, want cap 3", m.Len())
+	if m.Len() != historyCap {
+		t.Fatalf("Len = %d, want cap %d", m.Len(), historyCap)
 	}
-	// The two oldest are evicted in order; the newest three survive.
-	for _, gone := range []string{"t1", "t2"} {
-		if _, ok := m.Find(gone); ok {
-			t.Fatalf("%s survived past the cap", gone)
-		}
-	}
-	for _, kept := range []string{"t3", "t4", "t5"} {
-		if _, ok := m.Find(kept); !ok {
-			t.Fatalf("%s evicted while newer than cap", kept)
+	// The two oldest are evicted in order; the newest historyCap survive.
+	for i := 1; i <= historyCap+2; i++ {
+		_, ok := m.Find(fmt.Sprintf("t%d", i))
+		if ok != (i > 2) {
+			t.Fatalf("t%d kept = %v, want %v", i, ok, i > 2)
 		}
 	}
 	latest, ok := m.Latest()
-	if !ok || latest.Tag != "t5" {
-		t.Fatalf("Latest = %+v, want t5", latest)
-	}
-
-	// Shrinking the cap trims from the oldest end immediately.
-	m.SetCap(1)
-	if m.Len() != 1 {
-		t.Fatalf("Len after SetCap(1) = %d", m.Len())
-	}
-	if _, ok := m.Find("t4"); ok {
-		t.Fatal("t4 survived SetCap(1)")
-	}
-	if only, ok := m.Latest(); !ok || only.Tag != "t5" {
-		t.Fatalf("Latest after shrink = %+v, want t5", only)
+	if want := fmt.Sprintf("t%d", historyCap+2); !ok || latest.Tag != want {
+		t.Fatalf("Latest = %+v, want %s", latest, want)
 	}
 }
 

@@ -47,51 +47,24 @@ func DefaultTopicClasses() map[string]TemporalClass {
 	}
 }
 
-// entry is one stored fact with bounded history for dynamic facts.
-type entry struct {
-	latest  Event
-	history []Event // ring, newest last, dynamic class only
-}
-
 // Classifier routes events into per-class databases and answers queries
-// about the latest and historical values.
+// about the latest value of each fact.
 type Classifier struct {
-	mu         sync.RWMutex
-	classes    map[string]TemporalClass // topic prefix (or exact) -> class
-	dbs        map[TemporalClass]map[string]*entry
-	historyCap int
-}
-
-// ClassifierOption configures a Classifier.
-type ClassifierOption func(*Classifier)
-
-// WithHistoryCap bounds per-fact history length for dynamic facts
-// (default 32).
-func WithHistoryCap(n int) ClassifierOption {
-	return func(c *Classifier) { c.historyCap = n }
-}
-
-// WithTopicClass adds or overrides a topic-to-class mapping. Longest
-// matching prefix wins; exact topic beats prefix.
-func WithTopicClass(topicPrefix string, class TemporalClass) ClassifierOption {
-	return func(c *Classifier) { c.classes[topicPrefix] = class }
+	mu      sync.RWMutex
+	classes map[string]TemporalClass // topic prefix (or exact) -> class
+	dbs     map[TemporalClass]map[string]Event
 }
 
 // NewClassifier builds a classifier with the default topic classes.
-func NewClassifier(opts ...ClassifierOption) *Classifier {
-	c := &Classifier{
+func NewClassifier() *Classifier {
+	return &Classifier{
 		classes: DefaultTopicClasses(),
-		dbs: map[TemporalClass]map[string]*entry{
-			ClassStatic:  make(map[string]*entry),
-			ClassStable:  make(map[string]*entry),
-			ClassDynamic: make(map[string]*entry),
+		dbs: map[TemporalClass]map[string]Event{
+			ClassStatic:  make(map[string]Event),
+			ClassStable:  make(map[string]Event),
+			ClassDynamic: make(map[string]Event),
 		},
-		historyCap: 32,
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
 }
 
 // ClassOf resolves the temporal class for a topic: exact match first, then
@@ -119,20 +92,7 @@ func (c *Classifier) Store(ev Event) TemporalClass {
 	class := c.ClassOf(ev.Topic)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	db := c.dbs[class]
-	k := key(ev.Topic, ev.Subject())
-	e, ok := db[k]
-	if !ok {
-		e = &entry{}
-		db[k] = e
-	}
-	e.latest = ev
-	if class == ClassDynamic {
-		e.history = append(e.history, ev)
-		if len(e.history) > c.historyCap {
-			e.history = e.history[len(e.history)-c.historyCap:]
-		}
-	}
+	c.dbs[class][key(ev.Topic, ev.Subject())] = ev
 	return class
 }
 
@@ -141,33 +101,8 @@ func (c *Classifier) Latest(topic, subject string) (Event, bool) {
 	class := c.ClassOf(topic)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	e, ok := c.dbs[class][key(topic, subject)]
-	if !ok {
-		return Event{}, false
-	}
-	return e.latest, true
-}
-
-// History returns up to n most recent facts for (topic, subject), oldest
-// first. Non-dynamic topics keep no history and return just the latest.
-func (c *Classifier) History(topic, subject string, n int) []Event {
-	class := c.ClassOf(topic)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.dbs[class][key(topic, subject)]
-	if !ok {
-		return nil
-	}
-	if class != ClassDynamic {
-		return []Event{e.latest}
-	}
-	h := e.history
-	if n > 0 && len(h) > n {
-		h = h[len(h)-n:]
-	}
-	out := make([]Event, len(h))
-	copy(out, h)
-	return out
+	ev, ok := c.dbs[class][key(topic, subject)]
+	return ev, ok
 }
 
 // Size reports how many facts are stored in a class database.

@@ -76,16 +76,6 @@ var topicStrings = map[Topic]string{
 	EvClusterDegraded:     TopicClusterDegraded,
 }
 
-// Topics lists every exported event kind (stable order) — the typed-event
-// catalog tests and the doc generator iterate it.
-func Topics() []Topic {
-	out := make([]Topic, 0, len(topicStrings))
-	for t := EvUserEntered; t <= EvClusterDegraded; t++ {
-		out = append(out, t)
-	}
-	return out
-}
-
 // String returns the kind's bus topic ("" for EvUnknown).
 func (t Topic) String() string { return topicStrings[t] }
 

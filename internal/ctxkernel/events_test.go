@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -51,7 +52,7 @@ func catalogSamples() map[Topic]TypedEvent {
 // its bus event and decodes it back — the Watch stream's wire contract.
 func TestTypedEventRoundTrip(t *testing.T) {
 	samples := catalogSamples()
-	for _, topic := range Topics() {
+	for topic := EvUserEntered; topic <= EvClusterDegraded; topic++ {
 		sample, ok := samples[topic]
 		if !ok {
 			t.Fatalf("no sample for exported topic %v (%q) — extend catalogSamples", topic, topic.String())
@@ -71,7 +72,7 @@ func TestTypedEventRoundTrip(t *testing.T) {
 }
 
 func TestTopicStringParseRoundTrip(t *testing.T) {
-	for _, topic := range Topics() {
+	for topic := EvUserEntered; topic <= EvClusterDegraded; topic++ {
 		s := topic.String()
 		if s == "" {
 			t.Fatalf("topic %d has no bus string", topic)
@@ -201,7 +202,12 @@ func TestKernelConcurrentChurn(t *testing.T) {
 	}
 	// Publishers on a shared topic with a wildcard subscriber.
 	var total sync.WaitGroup
-	k.Subscribe("*", func(Event) {})
+	var shared atomic.Int64
+	k.Subscribe("*", func(ev Event) {
+		if ev.Topic == "shared.tick" {
+			shared.Add(1)
+		}
+	})
 	for i := 0; i < 4; i++ {
 		total.Add(1)
 		go func() {
@@ -214,7 +220,7 @@ func TestKernelConcurrentChurn(t *testing.T) {
 	total.Wait()
 	close(stop)
 	wg.Wait()
-	if got := k.Published("shared.tick"); got != 800 {
-		t.Fatalf("Published(shared.tick) = %d, want 800", got)
+	if got := shared.Load(); got != 800 {
+		t.Fatalf("shared.tick deliveries = %d, want 800", got)
 	}
 }

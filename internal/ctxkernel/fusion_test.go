@@ -24,6 +24,13 @@ func fusionRig(t *testing.T) (*sensor.Field, *Kernel, *Fusion, *vclock.Virtual) 
 	return f, k, fu, clk
 }
 
+// count returns a counter of the events published on topic from now on.
+func count(k *Kernel, topic string) *int {
+	n := new(int)
+	k.Subscribe(topic, func(Event) { *n++ })
+	return n
+}
+
 func TestFusionInitialLocationPublishesEntered(t *testing.T) {
 	f, k, fu, _ := fusionRig(t)
 	var entered, left int
@@ -42,6 +49,7 @@ func TestFusionInitialLocationPublishesEntered(t *testing.T) {
 func TestFusionDebouncedMove(t *testing.T) {
 	f, k, fu, _ := fusionRig(t)
 	var lefts, enters []string
+	locations := count(k, TopicUserLocation)
 	k.Subscribe(TopicUserLeft, func(e Event) { lefts = append(lefts, e.Attr(AttrRoom)) })
 	k.Subscribe(TopicUserEntered, func(e Event) { enters = append(enters, e.Attr(AttrRoom)) })
 
@@ -64,20 +72,20 @@ func TestFusionDebouncedMove(t *testing.T) {
 		t.Fatalf("Location = %q", room)
 	}
 	// user.entered carries the origin for the predictor.
-	if k.Published(TopicUserLocation) != 2 {
-		t.Fatalf("location events = %d", k.Published(TopicUserLocation))
+	if *locations != 2 {
+		t.Fatalf("location events = %d", *locations)
 	}
 }
 
 func TestFusionStableLocationQuiet(t *testing.T) {
 	f, k, fu, _ := fusionRig(t)
 	fu.Consume(f.Sample())
-	before := k.Published(TopicUserLocation)
+	locations := count(k, TopicUserLocation)
 	for i := 0; i < 5; i++ {
 		fu.Consume(f.Sample())
 	}
-	if got := k.Published(TopicUserLocation); got != before {
-		t.Fatalf("stable user produced %d extra location events", got-before)
+	if *locations != 0 {
+		t.Fatalf("stable user produced %d extra location events", *locations)
 	}
 }
 
@@ -85,6 +93,7 @@ func TestFusionFlickerSuppressed(t *testing.T) {
 	// A single-sample flicker to another room (noise) must not move the
 	// user: pending resets when the home room wins again.
 	f, k, fu, _ := fusionRig(t)
+	lefts := count(k, TopicUserLeft)
 	fu.Consume(f.Sample()) // at office821
 	if err := f.MoveBadge("b1", "office822"); err != nil {
 		t.Fatal(err)
@@ -98,8 +107,8 @@ func TestFusionFlickerSuppressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	fu.Consume(f.Sample()) // single again — still pending
-	if got := k.Published(TopicUserLeft); got != 0 {
-		t.Fatalf("flicker published %d user.left events", got)
+	if *lefts != 0 {
+		t.Fatalf("flicker published %d user.left events", *lefts)
 	}
 	if room, _ := fu.Location("alice"); room != "office821" {
 		t.Fatalf("Location = %q, want office821 retained", room)

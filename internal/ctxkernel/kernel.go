@@ -26,9 +26,6 @@ const (
 	TopicUserLeft     = "user.left"     // user left a room
 	TopicUserLocation = "user.location" // current (user, room) fact
 	TopicNetworkRTT   = "network.rtt"   // observed response time between hosts
-	TopicPreference   = "user.preference"
-	TopicDevice       = "device.profile"
-	TopicAppState     = "app.state"
 )
 
 // Well-known topics published by the cluster layer (internal/core's
@@ -73,7 +70,6 @@ const (
 	AttrTo    = "to"
 	AttrRTTMs = "rtt_ms"
 	AttrKey   = "key"
-	AttrValue = "value"
 )
 
 // Event is one context fact flowing through the kernel.
@@ -111,18 +107,16 @@ type subscription struct {
 	handler Handler
 }
 
-// Kernel is the pub/sub hub. The zero value is not usable; call NewKernel.
+// Kernel is the pub/sub hub.
 type Kernel struct {
 	mu     sync.RWMutex
 	subs   []subscription
 	nextID int
-	// published counts per topic, for diagnostics and tests.
-	counts map[string]int
 }
 
 // NewKernel returns an empty kernel.
 func NewKernel() *Kernel {
-	return &Kernel{counts: make(map[string]int)}
+	return &Kernel{}
 }
 
 // Subscribe registers a handler for a topic pattern: either an exact topic
@@ -180,19 +174,9 @@ func (k *Kernel) Publish(ev Event) {
 		}
 	}
 	k.mu.RUnlock()
-	k.mu.Lock()
-	k.counts[ev.Topic]++
-	k.mu.Unlock()
 	for _, h := range handlers {
 		h(ev)
 	}
-}
-
-// Published reports how many events have been published on a topic.
-func (k *Kernel) Published(topic string) int {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.counts[topic]
 }
 
 // SubscriberCount reports the number of live subscriptions (diagnostics).

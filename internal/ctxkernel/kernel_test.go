@@ -22,9 +22,6 @@ func TestPublishMulticastsToMatchingSubscribers(t *testing.T) {
 	if exact != 1 || prefix != 1 || all != 1 || other != 0 {
 		t.Fatalf("deliveries = exact:%d prefix:%d all:%d other:%d", exact, prefix, all, other)
 	}
-	if k.Published(TopicUserEntered) != 1 {
-		t.Fatalf("Published = %d", k.Published(TopicUserEntered))
-	}
 }
 
 func TestPrefixDoesNotMatchBareName(t *testing.T) {
@@ -103,11 +100,11 @@ func TestClassifierClassOf(t *testing.T) {
 		topic string
 		want  TemporalClass
 	}{
-		{TopicPreference, ClassStatic},
+		{"user.preference", ClassStatic},
 		{TopicUserLocation, ClassDynamic}, // "user." prefix
 		{TopicNetworkRTT, ClassDynamic},
-		{TopicDevice, ClassStable},
-		{TopicAppState, ClassStable},
+		{"device.profile", ClassStable},
+		{"app.state", ClassStable},
 		{"totally.unknown", ClassDynamic}, // default
 	}
 	for _, tc := range tests {
@@ -121,13 +118,11 @@ func TestClassifierExactBeatsPrefix(t *testing.T) {
 	// user.preference is static even though user.* is dynamic: the exact
 	// entry must win over the shorter prefix.
 	c := NewClassifier()
-	if got := c.ClassOf(TopicPreference); got != ClassStatic {
+	if got := c.ClassOf("user.preference"); got != ClassStatic {
 		t.Fatalf("ClassOf(user.preference) = %v, want static", got)
 	}
-	// A custom override applies.
-	c2 := NewClassifier(WithTopicClass("user.gait", ClassStable))
-	if got := c2.ClassOf("user.gait"); got != ClassStable {
-		t.Fatalf("override ClassOf = %v", got)
+	if got := c.ClassOf("user.gait"); got != ClassDynamic {
+		t.Fatalf("ClassOf(user.gait) = %v, want dynamic", got)
 	}
 }
 
@@ -148,33 +143,6 @@ func TestClassifierStoreAndLatest(t *testing.T) {
 	}
 	if c.Size(ClassDynamic) != 1 {
 		t.Fatalf("dynamic size = %d, want 1 (same subject)", c.Size(ClassDynamic))
-	}
-}
-
-func TestClassifierHistoryDynamicOnly(t *testing.T) {
-	c := NewClassifier(WithHistoryCap(3))
-	for _, room := range []string{"r1", "r2", "r3", "r4", "r5"} {
-		c.Store(ev(TopicUserLocation, map[string]string{AttrUser: "alice", AttrRoom: room}))
-	}
-	h := c.History(TopicUserLocation, "alice", 0)
-	if len(h) != 3 {
-		t.Fatalf("history len = %d, want cap 3", len(h))
-	}
-	if h[0].Attr(AttrRoom) != "r3" || h[2].Attr(AttrRoom) != "r5" {
-		t.Fatalf("history order wrong: %v %v", h[0].Attrs, h[2].Attrs)
-	}
-	// n limits the slice further.
-	h2 := c.History(TopicUserLocation, "alice", 1)
-	if len(h2) != 1 || h2[0].Attr(AttrRoom) != "r5" {
-		t.Fatalf("History(n=1) = %v", h2)
-	}
-	// Static topics keep only the latest.
-	c.Store(ev(TopicPreference, map[string]string{AttrUser: "alice", AttrKey: "hand", AttrValue: "left"}))
-	if hs := c.History(TopicPreference, "alice", 0); len(hs) != 1 {
-		t.Fatalf("static history = %d entries, want 1", len(hs))
-	}
-	if hs := c.History("no.such", "x", 0); hs != nil {
-		t.Fatalf("unknown history = %v", hs)
 	}
 }
 
@@ -202,7 +170,8 @@ func TestMonitorWatchFiresOnCondition(t *testing.T) {
 	k := NewKernel()
 	m := NewMonitor(k)
 	var fired []string
-	m.Watch("alice-leaves", TopicUserLeft, AttrEquals(AttrUser, "alice"), func(e Event) {
+	alice := func(e Event) bool { return e.Attr(AttrUser) == "alice" }
+	m.Watch("alice-leaves", TopicUserLeft, alice, func(e Event) {
 		fired = append(fired, e.Attr(AttrRoom))
 	})
 	k.Publish(ev(TopicUserLeft, map[string]string{AttrUser: "bob", AttrRoom: "r9"}))
@@ -210,11 +179,10 @@ func TestMonitorWatchFiresOnCondition(t *testing.T) {
 	if len(fired) != 1 || fired[0] != "office821" {
 		t.Fatalf("fired = %v", fired)
 	}
-	if m.Fires("alice-leaves") != 1 {
-		t.Fatalf("Fires = %d", m.Fires("alice-leaves"))
-	}
 }
 
+// TestMonitorReplaceAndUnwatch: a watch installed under a taken name
+// replaces the old one, whose subscription is dropped.
 func TestMonitorReplaceAndUnwatch(t *testing.T) {
 	k := NewKernel()
 	m := NewMonitor(k)
@@ -225,21 +193,8 @@ func TestMonitorReplaceAndUnwatch(t *testing.T) {
 	if a != 0 || b != 1 {
 		t.Fatalf("replace failed: a=%d b=%d", a, b)
 	}
-	m.Unwatch("w")
-	k.Publish(ev("x", nil))
-	if b != 1 {
-		t.Fatalf("unwatch failed: b=%d", b)
-	}
-	m.Unwatch("never-existed")
-}
-
-func TestConditionCombinators(t *testing.T) {
-	c := And(AttrEquals("a", "1"), AttrEquals("b", "2"))
-	if !c(ev("t", map[string]string{"a": "1", "b": "2"})) {
-		t.Fatal("And rejected satisfying event")
-	}
-	if c(ev("t", map[string]string{"a": "1", "b": "X"})) {
-		t.Fatal("And accepted failing event")
+	if n := k.SubscriberCount(); n != 1 {
+		t.Fatalf("SubscriberCount = %d after replace, want 1", n)
 	}
 }
 

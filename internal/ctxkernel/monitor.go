@@ -16,7 +16,6 @@ type Monitor struct {
 
 	mu      sync.Mutex
 	watches map[string]int // watch name -> subscription id
-	fires   map[string]int // watch name -> fire count
 }
 
 // NewMonitor creates a monitor over kernel.
@@ -24,7 +23,6 @@ func NewMonitor(kernel *Kernel) *Monitor {
 	return &Monitor{
 		kernel:  kernel,
 		watches: make(map[string]int),
-		fires:   make(map[string]int),
 	}
 }
 
@@ -42,47 +40,10 @@ func (m *Monitor) Watch(name, topicPattern string, cond Condition, action func(E
 		if cond != nil && !cond(ev) {
 			return
 		}
-		m.mu.Lock()
-		m.fires[name]++
-		m.mu.Unlock()
 		action(ev)
 	})
 
 	m.mu.Lock()
 	m.watches[name] = id
 	m.mu.Unlock()
-}
-
-// Unwatch removes a named watch.
-func (m *Monitor) Unwatch(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if id, ok := m.watches[name]; ok {
-		m.kernel.Unsubscribe(id)
-		delete(m.watches, name)
-	}
-}
-
-// Fires reports how many times a watch has fired.
-func (m *Monitor) Fires(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fires[name]
-}
-
-// AttrEquals returns a condition matching events whose attribute equals v.
-func AttrEquals(key, v string) Condition {
-	return func(ev Event) bool { return ev.Attr(key) == v }
-}
-
-// And combines conditions conjunctively.
-func And(conds ...Condition) Condition {
-	return func(ev Event) bool {
-		for _, c := range conds {
-			if !c(ev) {
-				return false
-			}
-		}
-		return true
-	}
 }

@@ -1,7 +1,8 @@
-// Package demoapps builds the six demo applications the paper implemented
-// on the MDAgent prototype (§5): "smart media player, follow-me editor,
+// Package demoapps builds the demo applications the paper implemented on
+// the MDAgent prototype (§5): "smart media player, follow-me editor,
 // ubiquitous slide show, handheld editor, handheld music player, and
-// follow-me instant messenger". Each constructor assembles an
+// follow-me instant messenger" — all but the handheld editor, which no
+// scenario runs. Each constructor assembles an
 // app.Application from the two-level model's components; *Skeleton
 // constructors build the partial installations destinations typically
 // have (e.g. the player UI without data or logic, or a meeting room's
@@ -203,28 +204,6 @@ func ProjectorResource(id, host, room string) owl.Resource {
 		ID: id, Class: rdf.IMCL("Projector"), Host: host, Location: room,
 		Transferable: false, Substitutable: true,
 	}
-}
-
-// HandheldEditorDesc targets PDA-class devices (small screen, no strict
-// memory demands).
-func HandheldEditorDesc() wsdl.Description {
-	return desc("handheld-editor", "handheld editor for PDA-class devices",
-		[]wsdl.Operation{{Name: "insert", Input: "text"}, {Name: "save"}},
-		wsdl.Requirements{MinScreenWidth: 240, MinScreenHeight: 160, MinMemoryMB: 16})
-}
-
-// NewHandheldEditor assembles the handheld editor.
-func NewHandheldEditor(host, note string) *app.Application {
-	a := app.New("handheld-editor", host, HandheldEditorDesc())
-	mustAdd(a,
-		app.NewSizedBlob("hh-editor-logic", app.KindLogic, 120<<10),
-		app.NewUI("hh-editor-ui", 80<<10, 320, 240),
-		app.NewBlob("note", app.KindData, []byte(note)),
-		app.NewState("hh-edit-state"),
-	)
-	ui, _ := a.Component("hh-editor-ui")
-	a.Coordinator().Register("hh-editor-ui", ui.(*app.UIComponent))
-	return a
 }
 
 // HandheldPlayerDesc targets PDA-class playback.

@@ -104,14 +104,8 @@ func TestHandheldApps(t *testing.T) {
 	if err := hd.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	he := NewHandheldEditor("pda1", "memo")
-	note, _ := he.Component("note")
-	snap, err := note.Snapshot()
-	if err != nil || string(snap) != "memo" {
-		t.Fatalf("note = %q, %v", snap, err)
-	}
-	if he.Description().Requires.MinScreenWidth > 240 {
-		t.Fatal("handheld editor demands too much screen")
+	if hd.Requires.MinScreenWidth > 240 {
+		t.Fatal("handheld player demands too much screen")
 	}
 }
 
@@ -146,7 +140,6 @@ func TestAllDescriptionsValidate(t *testing.T) {
 		"player":    MediaPlayerDesc(),
 		"editor":    EditorDesc(),
 		"slideshow": SlideShowDesc(),
-		"hh-editor": HandheldEditorDesc(),
 		"hh-player": HandheldPlayerDesc(),
 		"messenger": MessengerDesc(),
 	}

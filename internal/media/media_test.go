@@ -113,12 +113,12 @@ func TestRemoteStreamReadsWholeFile(t *testing.T) {
 	}
 	var got []byte
 	for {
-		chunk, eof, err := rs.ReadChunk(ctx, 64<<10)
+		rep, err := rs.read(ctx, 64<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, chunk...)
-		if eof {
+		got = append(got, rep.Data...)
+		if rep.EOF {
 			break
 		}
 	}
@@ -152,20 +152,9 @@ func TestRemoteStreamPrebuffer(t *testing.T) {
 	if !bytes.Equal(window, want.Data[:128<<10]) || rs.Pos() != 128<<10 || rs.Size() != want.Size() || rs.Checksum() != want.Checksum {
 		t.Fatalf("window of %d bytes, pos %d, size %d, checksum %s", len(window), rs.Pos(), rs.Size(), rs.Checksum())
 	}
-	rest, eof, err := rs.ReadChunk(ctx, want.Size())
-	if err != nil || !eof || !bytes.Equal(rest, want.Data[128<<10:]) {
-		t.Fatalf("the rest: %d bytes, eof %v, err %v", len(rest), eof, err)
-	}
-	// A chunk of n <= 0 reads to the end.
-	rs, _, err = OpenRemoteWindow(ctx, cli, "media@hostA", URL("hostA", "song.mp3"), 128<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int64{0, -1} {
-		rest, eof, err = rs.ReadChunk(ctx, n)
-		if err != nil || !eof || !bytes.Equal(rest, want.Data[rs.Pos()-int64(len(rest)):]) || rs.Pos() != want.Size() {
-			t.Fatalf("ReadChunk(%d): %d bytes, eof %v, pos %d, err %v", n, len(rest), eof, rs.Pos(), err)
-		}
+	rest, err := rs.read(ctx, want.Size())
+	if err != nil || !rest.EOF || !bytes.Equal(rest.Data, want.Data[128<<10:]) {
+		t.Fatalf("the rest: %d bytes, eof %v, err %v", len(rest.Data), rest.EOF, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package media
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"mdagent/internal/transport"
 )
@@ -153,17 +152,3 @@ func (r *RemoteStream) Checksum() string { return r.sum }
 
 // Pos returns the current read position.
 func (r *RemoteStream) Pos() int64 { return r.pos }
-
-// ReadChunk fetches up to n bytes from the current position, advancing
-// it; n <= 0 reads to the end of the file. It returns the chunk, which
-// aliases the reply, and whether the end of file was reached.
-func (r *RemoteStream) ReadChunk(ctx context.Context, n int64) ([]byte, bool, error) {
-	if n <= 0 {
-		n = math.MaxInt64
-	}
-	rep, err := r.read(ctx, n)
-	if err != nil {
-		return nil, false, err
-	}
-	return rep.Data, rep.EOF, nil
-}

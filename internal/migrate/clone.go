@@ -66,17 +66,15 @@ func (e *Engine) CloneDispatch(ctx context.Context, appName, destHost, cloneName
 		_ = a.Resume()
 		return rep, err
 	}
-	head := appendCheckinHead(&checkinPayload{
+	enc, frameLen, err := encodeCheckin(&checkinPayload{
 		App: appName, CloneName: cloneName, Mode: CloneDispatch,
 		Binding: BindingAdaptive, FromHost: e.host, FromEngine: e.ep.Name(), Budget: budgetOf(ctx),
 		Desc: a.Description(), Rebindings: plans,
-	})
-	enc, err := state.AppendWrap(head, wrap)
+	}, func(h []byte) ([]byte, error) { return state.AppendWrap(h, wrap) })
 	if err != nil {
 		_ = a.Resume()
 		return rep, err
 	}
-	frameLen := len(enc) - len(head)
 	e.chargeSerialize(wrap.TotalBytes())
 	e.charge(e.costs.CheckoutOverhead)
 	if err := a.Resume(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -416,7 +417,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 			return rep, werr
 		}
 		head.Delta = true
-		enc, frameLen = append(appendCheckinHead(&head), raw...), len(raw)
+		enc, frameLen, _ = encodeCheckin(&head, func(h []byte) ([]byte, error) { return slices.Concat(h, raw), nil })
 		e.chargeSerialize(delta.TotalBytes())
 		carried = changed
 		warm = true
@@ -427,11 +428,9 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		if wrap, werr = ts.Wrap.View(planned); werr != nil {
 			return werr
 		}
-		h := appendCheckinHead(&head)
-		if enc, werr = state.AppendWrap(h, wrap); werr != nil {
+		if enc, frameLen, werr = encodeCheckin(&head, func(h []byte) ([]byte, error) { return state.AppendWrap(h, wrap) }); werr != nil {
 			return werr
 		}
-		frameLen = len(enc) - len(h)
 		e.chargeSerialize(wrap.TotalBytes())
 		return nil
 	}

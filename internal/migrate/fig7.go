@@ -36,10 +36,6 @@ func (rt RoundTrip) SkewCanceled() time.Duration {
 // what the paper's method avoids.
 func (rt RoundTrip) NaiveOneWay() time.Duration { return rt.T2.Sub(rt.T1) }
 
-// OneWay returns the skew-cancelled per-direction estimate (half the
-// round trip), the quantity the paper reports as migration time.
-func (rt RoundTrip) OneWay() time.Duration { return rt.SkewCanceled() / 2 }
-
 // MeasureRoundTrip performs a follow-me migration from src's host to
 // dst's host and back, recording the four Fig. 7 timestamps on the
 // respective host clocks.

@@ -223,13 +223,13 @@ func pingPong(tb testing.TB, engines []*Engine, at, legs int) (int, int64) {
 // once off the socket, where the stream's window aliases it; the Go heap
 // rounds each of those 64 KiB-and-a-header objects up to 72 KiB, about
 // 74 KB per leg on average — plus per-message bookkeeping: about 97 KB
-// per leg measured on linux/amd64, up to about 106 KB under -race, where
+// per leg measured on linux/amd64, up to about 104 KB under -race, where
 // sync.Pool drops entries at random and gob decoders are rebuilt. One
 // more copy of the prebuffer would exceed the budget. Instantiating the
 // installed skeleton shares its 400 KiB UI bundle with every earlier
 // arrival (app.NewSizedBlob); a fresh bundle per arrival alone would
 // exceed it too.
-const adaptiveLegBudget = 120 << 10
+const adaptiveLegBudget = 116 << 10
 
 // TestAdaptiveLegAllocationBudget: a follow-me leg into a host holding
 // the player skeleton allocates for what it moves, not for the installed

@@ -457,9 +457,6 @@ func TestFig7SkewCancellation(t *testing.T) {
 	if naiveErr < 2900*time.Millisecond {
 		t.Fatalf("naive reading error = %v, want ~3s contamination", naiveErr)
 	}
-	if rt.OneWay() != rt.SkewCanceled()/2 {
-		t.Fatal("OneWay != SkewCanceled/2")
-	}
 	// Round trip ends back at A.
 	if _, ok := r.engA.App("player"); !ok {
 		t.Fatal("app not back at source")

@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"mdagent/internal/obs"
@@ -15,10 +16,11 @@ import (
 // fast frame, [ProtoV2][OpCheckin]: the source's budget, the head fields,
 // Desc and Rebindings (internal/registry's codecs), the Delta flag, then
 // Frame as the rest of the body.
-// The head is what appendCheckinHead writes; the source appends the state
-// frame straight behind it (state.AppendWrap), so the check-in body is
-// the only payload-sized buffer it allocates, and the destination's Frame
-// aliases the message it arrived in.
+// The head is what appendCheckinHead writes; encodeCheckin builds it in a
+// pooled buffer and the state frame's encoder copies it in front of the
+// frame (state.AppendWrap), so the check-in body is the only buffer a
+// check-in allocates, and the destination's Frame aliases the message it
+// arrived in.
 type checkinPayload struct {
 	// Budget is what was left of the source's deadline when it wrote the
 	// head — a duration, not a time, because host clocks are skewed; 0
@@ -76,9 +78,28 @@ func budgetOf(ctx context.Context) time.Duration {
 	return max(time.Until(dl), 1) // already spent: 1 ns, never 0 ("none")
 }
 
-// appendCheckinHead writes everything of a check-in body but p.Frame.
-func appendCheckinHead(p *checkinPayload) []byte {
-	b := make([]byte, 0, 512)
+// checkinHeads recycles the buffers check-in heads are built in: a head
+// is copied into the body that carries it with its frame, so its buffer
+// is free again once that body exists.
+var checkinHeads = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeCheckin returns the check-in body for p — its head followed by
+// the frame join puts behind it — and the frame's length. join must copy
+// the head into a buffer of its own, sized for head and frame: the head
+// is built in a pooled buffer and copied once.
+func encodeCheckin(p *checkinPayload, join func(head []byte) ([]byte, error)) ([]byte, int, error) {
+	bp := checkinHeads.Get().(*[]byte)
+	head := appendCheckinHead((*bp)[:0], p)
+	body, err := join(head)
+	if cap(head) <= 64<<10 {
+		*bp = head
+		checkinHeads.Put(bp)
+	}
+	return body, len(body) - len(head), err
+}
+
+// appendCheckinHead appends everything of a check-in body but p.Frame to b.
+func appendCheckinHead(b []byte, p *checkinPayload) []byte {
 	b = append(b, transport.ProtoV2, transport.OpCheckin)
 	b = transport.AppendUint(b, uint64(p.Budget))
 	b = transport.AppendString(b, p.App)

@@ -86,7 +86,7 @@ func warmHead() checkinPayload {
 // does: the head, then the frame behind it in the same buffer.
 func goldenCheckins(t testing.TB) (static, delta []byte) {
 	t.Helper()
-	static, err := state.AppendWrap(appendCheckinHead(&goldenHead), goldenWrap)
+	static, err := state.AppendWrap(appendCheckinHead(nil, &goldenHead), goldenWrap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func goldenCheckins(t testing.TB) (static, delta []byte) {
 		t.Fatal(err)
 	}
 	warm := warmHead()
-	return static, append(appendCheckinHead(&warm), frame...)
+	return static, append(appendCheckinHead(nil, &warm), frame...)
 }
 
 // TestGoldenCheckinFrames pins the check-in and its reply. The head and
@@ -108,7 +108,7 @@ func goldenCheckins(t testing.TB) (static, delta []byte) {
 func TestGoldenCheckinFrames(t *testing.T) {
 	t.Run("static", func(t *testing.T) {
 		golden := goldenWire(t, "checkin-static.bin")
-		if head := appendCheckinHead(&goldenHead); !bytes.HasPrefix(golden, head) {
+		if head := appendCheckinHead(nil, &goldenHead); !bytes.HasPrefix(golden, head) {
 			t.Fatalf("the recorded head is not today's:\n%x\nwant prefix\n%x", golden, head)
 		}
 		if !bytes.HasSuffix(golden, []byte("\x7fELF-golden-logic"+"ID3-golden-song\x00\xff")) {
@@ -133,7 +133,7 @@ func TestGoldenCheckinFrames(t *testing.T) {
 	t.Run("delta", func(t *testing.T) {
 		golden := goldenWire(t, "checkin-delta.bin")
 		warm := warmHead()
-		if head := appendCheckinHead(&warm); !bytes.HasPrefix(golden, head) {
+		if head := appendCheckinHead(nil, &warm); !bytes.HasPrefix(golden, head) {
 			t.Fatalf("the recorded head is not today's:\n%x\nwant prefix\n%x", golden, head)
 		}
 		p, err := decodeCheckin(golden)
@@ -248,7 +248,7 @@ func FuzzDecodeCheckin(f *testing.F) {
 	// rebinding's smallest encoding (22 bytes) fits, and the most that do.
 	noPlans := goldenHead
 	noPlans.Rebindings = nil
-	head := appendCheckinHead(&noPlans)
+	head := appendCheckinHead(nil, &noPlans)
 	head = head[:len(head)-2] // the empty rebindings count and the delta flag
 	left := 1 + 1<<20         // the delta flag and a 1 MiB frame
 	for _, claim := range []int{left, left / 22} {
@@ -300,7 +300,7 @@ func FuzzDecodeCheckin(f *testing.F) {
 		}
 		if err != nil {
 			typed(err)
-		} else if again, err := decodeCheckin(append(appendCheckinHead(&p), p.Frame...)); err != nil || !reflect.DeepEqual(again, p) {
+		} else if again, err := decodeCheckin(append(appendCheckinHead(nil, &p), p.Frame...)); err != nil || !reflect.DeepEqual(again, p) {
 			t.Fatalf("round trip: %+v became %+v (err %v)", p, again, err)
 		}
 		if good, err := decodeCheckin(static); err != nil || good.App != "player" || good.Delta {

@@ -16,9 +16,6 @@ func TestHostDownBlocksTransfers(t *testing.T) {
 	if err := n.SetHostDown("h2", true); err != nil {
 		t.Fatal(err)
 	}
-	if !n.HostDown("h2") {
-		t.Fatal("HostDown(h2) = false after SetHostDown")
-	}
 	if _, _, err := n.Transfer("h1", "h2", 1024); !errors.Is(err, ErrHostDown) {
 		t.Fatalf("transfer to down host: err = %v, want ErrHostDown", err)
 	}
@@ -109,9 +106,6 @@ func TestLinkDownBlocksOnlyThatPair(t *testing.T) {
 		}
 	}
 	n.SetLinkDown("h1", "h2", true)
-	if !n.LinkDown("h1", "h2") || !n.LinkDown("h2", "h1") {
-		t.Fatal("LinkDown not symmetric")
-	}
 	if _, _, err := n.Transfer("h1", "h2", 64); !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("transfer over severed link: err = %v, want ErrLinkDown", err)
 	}
@@ -139,12 +133,16 @@ func TestFlapTogglesAndStops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	linkDown := func() bool {
+		_, _, err := n.Transfer("h1", "h2", 64)
+		return errors.Is(err, ErrLinkDown)
+	}
 	stop := n.Flap("h1", "h2", time.Millisecond)
 	// The schedule must produce both states within a generous window.
 	sawDown, sawUp := false, false
 	deadline := time.Now().Add(5 * time.Second)
 	for !(sawDown && sawUp) {
-		if n.LinkDown("h1", "h2") {
+		if linkDown() {
 			sawDown = true
 		} else if sawDown {
 			sawUp = true
@@ -157,9 +155,6 @@ func TestFlapTogglesAndStops(t *testing.T) {
 	// Stop restores the link and is idempotent.
 	stop()
 	stop()
-	if n.LinkDown("h1", "h2") {
-		t.Fatal("link still down after stop")
-	}
 	if _, _, err := n.Transfer("h1", "h2", 64); err != nil {
 		t.Fatalf("transfer after flap stop: %v", err)
 	}

@@ -275,13 +275,6 @@ func (n *Network) SetHostDown(id string, down bool) error {
 	return nil
 }
 
-// HostDown reports whether a host is currently failed.
-func (n *Network) HostDown(id string) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.down[id]
-}
-
 // Partition splits the network: hosts named in groups can only reach hosts
 // within their own group. Hosts in no group stay reachable from every
 // group. It replaces any previous partition; call HealPartition to rejoin.
@@ -335,13 +328,6 @@ func (n *Network) SetLinkDown(a, b string, down bool) {
 	} else {
 		delete(n.linkDown, normEdge(a, b))
 	}
-}
-
-// LinkDown reports whether the a-b link is currently severed.
-func (n *Network) LinkDown(a, b string) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.linkDown[normEdge(a, b)]
 }
 
 // Flap starts a flapping-link fault schedule: the a-b link toggles

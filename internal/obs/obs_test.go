@@ -212,3 +212,20 @@ func TestServeDebug(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordSizesSpansOnce: a trace's span slice is made for the five
+// phases when the trace is created, so recording all five allocates no
+// more than recording the first.
+func TestRecordSizesSpansOnce(t *testing.T) {
+	record := func(ps []string) float64 {
+		return testing.AllocsPerRun(100, func() {
+			l := NewTraceLog(1)
+			for _, p := range ps {
+				l.Record(Span{Trace: "t1", App: "a", Phase: p, Host: "h"})
+			}
+		})
+	}
+	if one, five := record(phases[:1]), record(phases[:]); five != one {
+		t.Fatalf("recording five spans makes %v allocations, one span %v; want the same", five, one)
+	}
+}

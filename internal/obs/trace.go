@@ -19,6 +19,10 @@ const (
 	PhaseRebind   = "rebind"
 )
 
+// phases lists the phases in protocol order; a complete trace holds a
+// span of each.
+var phases = [...]string{PhaseSuspend, PhaseCapture, PhaseTransfer, PhaseRestore, PhaseRebind}
+
 // Span is one timed phase of one migration, attributed to the host whose
 // clock measured it. Spans cross the wire inside the checkin reply, so
 // every field must stay gob-friendly.
@@ -48,8 +52,12 @@ func (t MigrationTrace) Complete() bool {
 	for _, sp := range t.Spans {
 		seen[sp.Phase] = true
 	}
-	return seen[PhaseSuspend] && seen[PhaseCapture] && seen[PhaseTransfer] &&
-		seen[PhaseRestore] && seen[PhaseRebind]
+	for _, p := range phases {
+		if !seen[p] {
+			return false
+		}
+	}
+	return true
 }
 
 // TraceLog retains recent migration traces, bounded FIFO per process.
@@ -109,7 +117,7 @@ func (l *TraceLog) Record(sp Span) {
 	defer l.mu.Unlock()
 	tr, ok := l.byID[sp.Trace]
 	if !ok {
-		tr = &MigrationTrace{ID: sp.Trace, App: sp.App, Start: sp.Start}
+		tr = &MigrationTrace{ID: sp.Trace, App: sp.App, Start: sp.Start, Spans: make([]Span, 0, len(phases))}
 		l.insertLocked(tr)
 	}
 	if tr.Start.IsZero() || (!sp.Start.IsZero() && sp.Start.Before(tr.Start)) {

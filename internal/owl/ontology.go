@@ -36,9 +36,6 @@ func New() *Ontology {
 	return &Ontology{g: rdf.NewGraph()}
 }
 
-// Graph exposes the underlying triple store.
-func (o *Ontology) Graph() *rdf.Graph { return o.g }
-
 // DefineClass declares class as an owl:Class with the given superclasses.
 func (o *Ontology) DefineClass(class rdf.Term, parents ...rdf.Term) {
 	o.g.Add(rdf.T(class, rdf.RDFType, rdf.OWLClass))

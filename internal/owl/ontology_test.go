@@ -44,13 +44,13 @@ func TestEquivalentClassBridging(t *testing.T) {
 	o.DefineClass(rdf.IMCL("Printer"), rdf.IMCL("Device"))
 	// A foreign vocabulary's "Imprimante" is declared equivalent to Printer.
 	o.DefineClass(rdf.IMCL("Imprimante"))
-	o.Graph().Add(rdf.T(rdf.IMCL("Imprimante"), rdf.OWLEquivalentClass, rdf.IMCL("Printer")))
+	o.g.Add(rdf.T(rdf.IMCL("Imprimante"), rdf.OWLEquivalentClass, rdf.IMCL("Printer")))
 	if !o.SubClassOf(rdf.IMCL("Imprimante"), rdf.IMCL("Device")) {
 		t.Error("equivalence did not bridge to superclass")
 	}
 	// Symmetric direction: declared object side also reaches Device.
 	o.DefineClass(rdf.IMCL("Drucker"))
-	o.Graph().Add(rdf.T(rdf.IMCL("Printer"), rdf.OWLEquivalentClass, rdf.IMCL("Drucker")))
+	o.g.Add(rdf.T(rdf.IMCL("Printer"), rdf.OWLEquivalentClass, rdf.IMCL("Drucker")))
 	if !o.SubClassOf(rdf.IMCL("Drucker"), rdf.IMCL("Device")) {
 		t.Error("reverse equivalence did not bridge")
 	}
@@ -70,7 +70,7 @@ func TestSubClassOfFollowsTheGraph(t *testing.T) {
 	if !o.SubClassOf(scanner, peripheral) {
 		t.Fatal("a superclass added after a query is not seen")
 	}
-	o.Graph().Remove(rdf.T(device, rdf.RDFSSubClassOf, peripheral))
+	o.g.Remove(rdf.T(device, rdf.RDFSSubClassOf, peripheral))
 	if o.SubClassOf(scanner, peripheral) {
 		t.Fatal("a removed superclass is still seen")
 	}

@@ -4,10 +4,9 @@
 // specific agents inheriting JADE's Agent class"). It provides
 // FIPA-flavoured ACL messages, JADE-style behaviours scheduled on a
 // per-agent goroutine, agent lifecycle management (start / suspend /
-// resume / kill), containers with an AMS (agent directory) and DF (service
-// directory), and remote messaging over internal/transport. Platform
-// agents do not move: applications move through migrate.Engine, which the
-// mobile agents drive (DESIGN.md §3.1).
+// resume), containers with an AMS (agent directory), and remote messaging
+// over internal/transport. Platform agents do not move: applications move
+// through migrate.Engine, which the mobile agents drive (DESIGN.md §3.1).
 package platform
 
 import (

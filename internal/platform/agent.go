@@ -53,7 +53,6 @@ type Agent struct {
 	mailSeq    uint64 // bumped on every Post
 	behaviours []Behaviour
 	added      []Behaviour
-	done       chan struct{}
 }
 
 func newAgent(name string, body Body, c *Container) *Agent {
@@ -62,7 +61,6 @@ func newAgent(name string, body Body, c *Container) *Agent {
 		container: c,
 		body:      body,
 		state:     StateInitiated,
-		done:      make(chan struct{}),
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a
@@ -96,7 +94,6 @@ func (a *Agent) start() error {
 			a.mu.Lock()
 			a.state = StateDeleted
 			a.mu.Unlock()
-			close(a.done)
 			return fmt.Errorf("platform: agent %s setup: %w", a.name, err)
 		}
 	}
@@ -199,29 +196,9 @@ func (a *Agent) Resume() {
 	a.mu.Unlock()
 }
 
-// Kill terminates the agent and waits for its scheduler to exit.
-func (a *Agent) Kill() {
-	a.mu.Lock()
-	if a.state == StateDeleted {
-		a.mu.Unlock()
-		<-a.done
-		return
-	}
-	prev := a.state
-	a.state = StateDeleted
-	a.cond.Broadcast()
-	a.mu.Unlock()
-	if prev == StateInitiated {
-		// Scheduler never started; close done ourselves.
-		close(a.done)
-	}
-	<-a.done
-}
-
 // run is the scheduler goroutine: JADE-style rounds over the behaviour
 // queue, parking when every behaviour is blocked and no new mail arrived.
 func (a *Agent) run() {
-	defer close(a.done)
 	var seenMail uint64
 	for {
 		a.mu.Lock()
@@ -229,11 +206,7 @@ func (a *Agent) run() {
 		a.behaviours = append(a.behaviours, a.added...)
 		a.added = nil
 
-		switch a.state {
-		case StateDeleted:
-			a.mu.Unlock()
-			return
-		case StateSuspended:
+		if a.state == StateSuspended {
 			a.cond.Wait()
 			a.mu.Unlock()
 			continue

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"mdagent/internal/transport"
@@ -12,23 +11,14 @@ import (
 // containers.
 const MsgACL = "platform.acl"
 
-// ServiceAd is a DF (directory facilitator) advertisement.
-type ServiceAd struct {
-	Agent string // providing agent
-	Type  string // service type, e.g. "mobility-manager"
-	Name  string // service instance name
-}
-
-// Platform is the agent platform: the AMS (agent directory), the DF
-// (service directory), and the set of containers. It plays the role of
-// JADE's main container.
+// Platform is the agent platform: the AMS (agent directory) and the set
+// of containers. It plays the role of JADE's main container.
 type Platform struct {
 	fabric *transport.LocalFabric
 
 	mu         sync.RWMutex
 	containers map[string]*Container // container name -> container
 	ams        map[string]string     // agent name -> container name
-	df         map[string][]ServiceAd
 }
 
 // NewPlatform creates a platform over a local fabric.
@@ -37,7 +27,6 @@ func NewPlatform(fabric *transport.LocalFabric) *Platform {
 		fabric:     fabric,
 		containers: make(map[string]*Container),
 		ams:        make(map[string]string),
-		df:         make(map[string][]ServiceAd),
 	}
 }
 
@@ -92,51 +81,7 @@ func (p *Platform) registerAgent(agent, container string) error {
 func (p *Platform) unregisterAgent(agent string) {
 	p.mu.Lock()
 	delete(p.ams, agent)
-	// Drop DF ads from this agent.
-	for typ, ads := range p.df {
-		kept := ads[:0]
-		for _, ad := range ads {
-			if ad.Agent != agent {
-				kept = append(kept, ad)
-			}
-		}
-		if len(kept) == 0 {
-			delete(p.df, typ)
-		} else {
-			p.df[typ] = kept
-		}
-	}
 	p.mu.Unlock()
-}
-
-// RegisterService advertises a service in the DF.
-func (p *Platform) RegisterService(ad ServiceAd) {
-	p.mu.Lock()
-	p.df[ad.Type] = append(p.df[ad.Type], ad)
-	p.mu.Unlock()
-}
-
-// SearchService returns DF advertisements of a service type, sorted by
-// agent name.
-func (p *Platform) SearchService(serviceType string) []ServiceAd {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	ads := make([]ServiceAd, len(p.df[serviceType]))
-	copy(ads, p.df[serviceType])
-	sort.Slice(ads, func(i, j int) bool { return ads[i].Agent < ads[j].Agent })
-	return ads
-}
-
-// Agents returns all registered agent names, sorted (diagnostics).
-func (p *Platform) Agents() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	names := make([]string, 0, len(p.ams))
-	for n := range p.ams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Container hosts agents on one netsim host, with a transport endpoint
@@ -182,19 +127,6 @@ func (c *Container) Agent(name string) (*Agent, bool) {
 	defer c.mu.RUnlock()
 	a, ok := c.agents[name]
 	return a, ok
-}
-
-// KillAgent terminates a local agent and deregisters it.
-func (c *Container) KillAgent(name string) error {
-	c.mu.Lock()
-	a, ok := c.agents[name]
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("platform: no agent %q on %s", name, c.name)
-	}
-	a.Kill()
-	c.removeAgent(name)
-	return nil
 }
 
 func (c *Container) removeAgent(name string) {

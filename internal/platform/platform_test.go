@@ -2,6 +2,7 @@ package platform
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -73,17 +74,8 @@ func TestAgentLifecycle(t *testing.T) {
 	if got := a.State(); got != StateActive {
 		t.Fatalf("state after resume = %v", got)
 	}
-	if err := ca.KillAgent("echo"); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.State(); got != StateDeleted {
-		t.Fatalf("state after kill = %v", got)
-	}
-	if _, ok := ca.Agent("echo"); ok {
-		t.Fatal("agent still listed after kill")
-	}
-	if err := ca.KillAgent("echo"); err == nil {
-		t.Fatal("double kill accepted")
+	if got, ok := ca.Agent("echo"); !ok || got != a {
+		t.Fatal("agent not listed in its container")
 	}
 }
 
@@ -109,8 +101,8 @@ func (r *recorderBody) handled() []string {
 }
 
 // TestSuspendedAgentParks checks the scheduler's park paths: a suspended
-// agent runs no behaviour while mail queues, handles the queue in order
-// once resumed, and can be killed while suspended.
+// agent runs no behaviour while mail queues and handles the queue in
+// order once resumed.
 func TestSuspendedAgentParks(t *testing.T) {
 	_, ca, _ := testRig(t)
 	body := &recorderBody{}
@@ -140,20 +132,6 @@ func TestSuspendedAgentParks(t *testing.T) {
 		t.Fatalf("handled %v, want %v", got, want)
 	}
 
-	a.Suspend()
-	killed := make(chan error, 1)
-	go func() { killed <- ca.KillAgent("rec") }()
-	select {
-	case err := <-killed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("KillAgent of a suspended agent did not return")
-	}
-	if got := a.State(); got != StateDeleted {
-		t.Fatalf("state after kill = %v, want deleted", got)
-	}
 }
 
 func TestDuplicateAgentNameRejected(t *testing.T) {
@@ -223,7 +201,7 @@ func TestSendToUnknownAgentFails(t *testing.T) {
 	}
 }
 
-func TestAMSAndDF(t *testing.T) {
+func TestAMS(t *testing.T) {
 	p, ca, cb := testRig(t)
 	if _, err := ca.CreateAgent("a1", nil); err != nil {
 		t.Fatal(err)
@@ -234,25 +212,21 @@ func TestAMSAndDF(t *testing.T) {
 	if where, ok := p.WhereIs("b1"); !ok || where != "remote" {
 		t.Fatalf("WhereIs(b1) = %q, %v", where, ok)
 	}
-	if agents := p.Agents(); len(agents) != 2 || agents[0] != "a1" {
-		t.Fatalf("Agents = %v", agents)
+	if where, ok := p.WhereIs("a1"); !ok || where != "main" {
+		t.Fatalf("WhereIs(a1) = %q, %v", where, ok)
 	}
-	p.RegisterService(ServiceAd{Agent: "b1", Type: "mobility-manager", Name: "mm"})
-	ads := p.SearchService("mobility-manager")
-	if len(ads) != 1 || ads[0].Agent != "b1" {
-		t.Fatalf("SearchService = %v", ads)
+	// An agent whose setup fails leaves the AMS as it found it.
+	if _, err := cb.CreateAgent("b2", failingBody{}); err == nil {
+		t.Fatal("failing setup accepted")
 	}
-	// Killing the agent cleans the DF.
-	if err := cb.KillAgent("b1"); err != nil {
-		t.Fatal(err)
-	}
-	if ads := p.SearchService("mobility-manager"); len(ads) != 0 {
-		t.Fatalf("DF retains dead agent: %v", ads)
-	}
-	if _, ok := p.WhereIs("b1"); ok {
-		t.Fatal("AMS retains dead agent")
+	if _, ok := p.WhereIs("b2"); ok {
+		t.Fatal("AMS retains an agent whose setup failed")
 	}
 }
+
+type failingBody struct{}
+
+func (failingBody) Setup(*Agent) error { return errors.New("no") }
 
 func TestReceiveWaitCancellation(t *testing.T) {
 	_, ca, _ := testRig(t)

@@ -1,8 +1,6 @@
 package rdf
 
 import (
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -227,39 +225,6 @@ func bindPosition(b Binding, pt, gt Term) bool {
 	}
 	b[pt.Value] = gt
 	return true
-}
-
-// Solve answers a conjunctive query: it returns every binding of the
-// pattern variables under which all patterns hold in the graph.
-func (g *Graph) Solve(patterns []Triple) []Binding {
-	bindings := []Binding{{}}
-	for _, p := range patterns {
-		var next []Binding
-		for _, b := range bindings {
-			next = append(next, g.MatchBindings(p, b)...)
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		bindings = next
-	}
-	return bindings
-}
-
-// Triples returns a snapshot of all triples sorted lexically — a stable
-// order for serialization and tests.
-func (g *Graph) Triples() []Triple {
-	all := g.Match(Triple{})
-	sort.Slice(all, func(i, j int) bool {
-		if c := strings.Compare(all[i].S.String(), all[j].S.String()); c != 0 {
-			return c < 0
-		}
-		if c := strings.Compare(all[i].P.String(), all[j].P.String()); c != 0 {
-			return c < 0
-		}
-		return all[i].O.String() < all[j].O.String()
-	})
-	return all
 }
 
 // Clone returns a deep copy of the graph.

@@ -100,41 +100,6 @@ func TestMatchBindingsRepeatedVariable(t *testing.T) {
 	}
 }
 
-func TestSolveConjunction(t *testing.T) {
-	g := NewGraph()
-	g.Add(tr("printer1", "type", "Printer"))
-	g.Add(tr("printer2", "type", "Printer"))
-	g.Add(tr("printer1", "locatedIn", "office821"))
-	g.Add(tr("printer2", "locatedIn", "office822"))
-
-	bs := g.Solve([]Triple{
-		T(Var("p"), IMCL("type"), IMCL("Printer")),
-		T(Var("p"), IMCL("locatedIn"), Var("room")),
-	})
-	if len(bs) != 2 {
-		t.Fatalf("Solve returned %d bindings, want 2", len(bs))
-	}
-	rooms := map[Term]Term{}
-	for _, b := range bs {
-		rooms[b["p"]] = b["room"]
-	}
-	if rooms[IMCL("printer1")] != IMCL("office821") || rooms[IMCL("printer2")] != IMCL("office822") {
-		t.Fatalf("wrong rooms: %v", rooms)
-	}
-}
-
-func TestSolveEmptyOnNoMatch(t *testing.T) {
-	g := NewGraph()
-	g.Add(tr("a", "p", "b"))
-	bs := g.Solve([]Triple{
-		T(Var("x"), IMCL("p"), Var("y")),
-		T(Var("y"), IMCL("p"), Var("z")), // no chain exists
-	})
-	if bs != nil {
-		t.Fatalf("Solve = %v, want nil", bs)
-	}
-}
-
 func TestSubjectsObjectsHelpers(t *testing.T) {
 	g := NewGraph()
 	g.Add(tr("p1", "type", "Printer"))
@@ -174,19 +139,6 @@ func TestMergeCountsNew(t *testing.T) {
 	}
 	if g.Len() != 2 {
 		t.Fatalf("Len after merge = %d", g.Len())
-	}
-}
-
-func TestTriplesSortedStable(t *testing.T) {
-	g := NewGraph()
-	g.Add(tr("b", "p", "x"))
-	g.Add(tr("a", "p", "x"))
-	g.Add(tr("a", "o", "x"))
-	ts := g.Triples()
-	for i := 1; i < len(ts); i++ {
-		if ts[i-1].String() > ts[i].String() {
-			t.Fatalf("Triples not sorted: %v before %v", ts[i-1], ts[i])
-		}
 	}
 }
 

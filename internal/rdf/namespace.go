@@ -79,16 +79,6 @@ func (n *Namespaces) Expand(qname string) (Term, error) {
 	return IRI(base + local), nil
 }
 
-// MustExpand is Expand for statically known names; it panics on error and
-// is intended for package-level vocabulary construction only.
-func (n *Namespaces) MustExpand(qname string) Term {
-	t, err := n.Expand(qname)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Compact renders an IRI term as prefix:local when a binding matches,
 // preferring the longest base. Non-IRI terms render with Term.String.
 func (n *Namespaces) Compact(t Term) string {

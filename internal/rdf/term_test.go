@@ -175,12 +175,3 @@ func TestNamespacesBindOverride(t *testing.T) {
 		t.Fatalf("rebind not effective: %v", got)
 	}
 }
-
-func TestMustExpandPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustExpand did not panic")
-		}
-	}()
-	NewNamespaces().MustExpand("bogus:x")
-}

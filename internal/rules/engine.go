@@ -27,33 +27,23 @@ type Derivation struct {
 // memory persists across Infer calls so re-running on the same knowledge
 // base is idempotent; call Reset when switching to an unrelated graph.
 type Engine struct {
-	mu      sync.Mutex
-	rules   []Rule
-	maxIter int
-	skolem  int             // counter for fresh blank nodes
-	fired   map[string]bool // (rule, binding) keys for skolemizing rules
+	mu     sync.Mutex
+	rules  []Rule
+	skolem int             // counter for fresh blank nodes
+	fired  map[string]bool // (rule, binding) keys for skolemizing rules
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithMaxIterations bounds the number of fixpoint rounds (default 100).
-func WithMaxIterations(n int) Option {
-	return func(e *Engine) { e.maxIter = n }
-}
+// maxIterations bounds the number of fixpoint rounds of one Infer call.
+const maxIterations = 100
 
 // NewEngine builds an engine over the given rules. Rules are validated.
-func NewEngine(rs []Rule, opts ...Option) (*Engine, error) {
+func NewEngine(rs []Rule) (*Engine, error) {
 	for _, r := range rs {
 		if err := r.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	e := &Engine{rules: rs, maxIter: 100, fired: make(map[string]bool)}
-	for _, o := range opts {
-		o(e)
-	}
-	return e, nil
+	return &Engine{rules: rs, fired: make(map[string]bool)}, nil
 }
 
 // Reset clears the engine's firing memory. Use it when reusing an engine
@@ -62,26 +52,6 @@ func (e *Engine) Reset() {
 	e.mu.Lock()
 	e.fired = make(map[string]bool)
 	e.mu.Unlock()
-}
-
-// AddRule appends a rule to the engine.
-func (e *Engine) AddRule(r Rule) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.rules = append(e.rules, r)
-	e.mu.Unlock()
-	return nil
-}
-
-// Rules returns a copy of the engine's rule set.
-func (e *Engine) Rules() []Rule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Rule, len(e.rules))
-	copy(out, e.rules)
-	return out
 }
 
 // Result summarizes one Infer run.
@@ -100,7 +70,7 @@ func (e *Engine) Infer(g *rdf.Graph) (Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var res Result
-	for res.Iterations < e.maxIter {
+	for res.Iterations < maxIterations {
 		res.Iterations++
 		addedThisRound := 0
 		for _, r := range e.rules {
@@ -118,7 +88,7 @@ func (e *Engine) Infer(g *rdf.Graph) (Result, error) {
 			return res, nil
 		}
 	}
-	return res, fmt.Errorf("rules: no fixpoint after %d iterations (%d triples added)", e.maxIter, res.Added)
+	return res, fmt.Errorf("rules: no fixpoint after %d iterations (%d triples added)", maxIterations, res.Added)
 }
 
 // fireLocked evaluates one rule against g and adds novel conclusions.

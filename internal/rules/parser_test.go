@@ -170,16 +170,3 @@ func TestValidateDirectly(t *testing.T) {
 		t.Fatal("invalid clause kind accepted")
 	}
 }
-
-func TestBuiltinsListed(t *testing.T) {
-	names := Builtins()
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
-	for _, want := range []string{"lessThan", "greaterThan", "equal", "notEqual", "bound", "ge", "le"} {
-		if !set[want] {
-			t.Fatalf("builtin %q missing from %v", want, names)
-		}
-	}
-}

@@ -175,12 +175,3 @@ var builtins = map[string]builtinFunc{
 		return !args[0].IsVar(), nil
 	},
 }
-
-// Builtins returns the names of all registered builtins, for diagnostics.
-func Builtins() []string {
-	names := make([]string, 0, len(builtins))
-	for n := range builtins {
-		names = append(names, n)
-	}
-	return names
-}

@@ -90,9 +90,11 @@ type Field struct {
 	badges    map[string]string
 	positions map[string]Point // badge -> current position
 	noiseStd  float64          // distance noise, meters
-	rangeM    float64          // beacon detection range, meters
 	rng       *rand.Rand
 }
+
+// beaconRange is the beacon detection range in meters.
+const beaconRange = 12
 
 // FieldOption configures a Field.
 type FieldOption func(*Field)
@@ -101,11 +103,6 @@ type FieldOption func(*Field)
 // meters (default 0.15, in line with Cricket's reported accuracy).
 func WithNoise(std float64) FieldOption {
 	return func(f *Field) { f.noiseStd = std }
-}
-
-// WithRange sets the beacon detection range in meters (default 12).
-func WithRange(r float64) FieldOption {
-	return func(f *Field) { f.rangeM = r }
 }
 
 // WithFieldSeed seeds the deterministic noise source.
@@ -121,7 +118,6 @@ func NewField(clock vclock.Clock, opts ...FieldOption) *Field {
 		badges:    make(map[string]string),
 		positions: make(map[string]Point),
 		noiseStd:  0.15,
-		rangeM:    12,
 		rng:       rand.New(rand.NewSource(17)),
 	}
 	for _, o := range opts {
@@ -140,18 +136,6 @@ func (f *Field) AddRoom(room string, center Point) {
 		Room: room,
 		Pos:  center,
 	})
-}
-
-// Rooms returns the room names, sorted.
-func (f *Field) Rooms() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	rooms := make([]string, 0, len(f.roomPos))
-	for r := range f.roomPos {
-		rooms = append(rooms, r)
-	}
-	sort.Strings(rooms)
-	return rooms
 }
 
 // AddBadge registers a badge worn by user, initially placed in room.
@@ -211,7 +195,7 @@ func (f *Field) Sample() []Reading {
 		})
 		for _, bc := range f.beacons {
 			d := pos.dist(bc.Pos)
-			if d > f.rangeM {
+			if d > beaconRange {
 				continue
 			}
 			noisy := d + f.rng.NormFloat64()*f.noiseStd

@@ -20,14 +20,6 @@ func labField(t *testing.T) (*Field, *vclock.Virtual) {
 	return f, clk
 }
 
-func TestRoomsSorted(t *testing.T) {
-	f, _ := labField(t)
-	rooms := f.Rooms()
-	if len(rooms) != 3 || rooms[0] != "corridor" || rooms[2] != "office822" {
-		t.Fatalf("Rooms = %v", rooms)
-	}
-}
-
 func TestAddBadgeValidation(t *testing.T) {
 	f, _ := labField(t)
 	if err := f.AddBadge("b1", "alice", "atlantis"); err == nil {
@@ -116,7 +108,7 @@ func TestNearestBeaconMatchesRoom(t *testing.T) {
 
 func TestOutOfRangeBeaconsFiltered(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	f := NewField(clk, WithRange(5), WithFieldSeed(5))
+	f := NewField(clk, WithFieldSeed(5))
 	f.AddRoom("near", Point{X: 0, Y: 0})
 	f.AddRoom("far", Point{X: 100, Y: 100})
 	if err := f.AddBadge("b1", "alice", "near"); err != nil {

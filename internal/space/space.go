@@ -25,20 +25,18 @@ type Space struct {
 
 // Directory maps rooms to serving hosts and hosts to spaces.
 type Directory struct {
-	mu         sync.RWMutex
-	spaces     map[string]*Space
-	hostSpace  map[string]string // host -> space
-	roomHost   map[string]string // room -> serving host
-	hostsRooms map[string][]string
+	mu        sync.RWMutex
+	spaces    map[string]*Space
+	hostSpace map[string]string // host -> space
+	roomHost  map[string]string // room -> serving host
 }
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
 	return &Directory{
-		spaces:     make(map[string]*Space),
-		hostSpace:  make(map[string]string),
-		roomHost:   make(map[string]string),
-		hostsRooms: make(map[string][]string),
+		spaces:    make(map[string]*Space),
+		hostSpace: make(map[string]string),
+		roomHost:  make(map[string]string),
 	}
 }
 
@@ -91,7 +89,6 @@ func (d *Directory) AssignRoom(room, host string) error {
 		return fmt.Errorf("space: room %q already served by %q", room, existing)
 	}
 	d.roomHost[room] = host
-	d.hostsRooms[host] = append(d.hostsRooms[host], room)
 	return nil
 }
 
@@ -109,16 +106,6 @@ func (d *Directory) SpaceOfHost(host string) (string, bool) {
 	defer d.mu.RUnlock()
 	s, ok := d.hostSpace[host]
 	return s, ok
-}
-
-// RoomsOfHost lists the rooms a host serves, sorted.
-func (d *Directory) RoomsOfHost(host string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	rooms := make([]string, len(d.hostsRooms[host]))
-	copy(rooms, d.hostsRooms[host])
-	sort.Strings(rooms)
-	return rooms
 }
 
 // Spaces lists space names, sorted.

@@ -42,9 +42,6 @@ func TestDirectoryLookups(t *testing.T) {
 	if got := d.Spaces(); len(got) != 2 || got[0] != "lab-space" {
 		t.Fatalf("Spaces = %v", got)
 	}
-	if rooms := d.RoomsOfHost("hostA"); len(rooms) != 1 || rooms[0] != "office821" {
-		t.Fatalf("RoomsOfHost = %v", rooms)
-	}
 }
 
 func TestDirectoryValidation(t *testing.T) {

@@ -186,7 +186,8 @@ type wrapMeta struct {
 // AppendWrap returns dst with the wrap frame of w behind it, in a buffer
 // allocated once at its final size (the frame's length is known from the
 // component lengths): a caller that puts a head in front of the frame
-// pays one allocation, and one copy of the components, for both.
+// pays one allocation, and one copy of the components, for both. The
+// result never aliases dst, so dst's buffer may be reused at once.
 //
 // Layout (version 2): the 10-byte header, then the CRC'd body — a uvarint
 // meta length, the gob wrapMeta, the component bytes in Names order.

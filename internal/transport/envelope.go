@@ -92,6 +92,24 @@ func appendEnvelope(b []byte, msg Message) ([]byte, error) {
 	return b, nil
 }
 
+// envelopeLen is the length of msg on a TCP link: what appendEnvelope
+// writes, then the payload. The in-process fabric charges it to the
+// simulated network, so both fabrics price a message alike.
+func envelopeLen(msg Message) int {
+	str := func(n int) int { return uvarintLen(uint64(n)) + n }
+	return envPrefixLen + 1 + uvarintLen(msg.ID) + str(len(msg.Type)) + str(len(msg.From)) +
+		str(len(msg.To)) + str(min(len(msg.Err), envErrMax)) + len(msg.Payload)
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // readEnvelope reads one envelope from r. scratch holds the prefix and
 // the header and is returned, possibly grown, for the next call; the
 // payload is a fresh slice the handler owns. A stream that ends cleanly

@@ -352,3 +352,24 @@ func TestBulkRequestAllocatesOnePayload(t *testing.T) {
 	}
 	t.Logf("a %d-byte request allocated %.2f payload lengths", len(bulk), per)
 }
+
+// TestEnvelopeLen: the length the in-process fabric charges is the length
+// of the envelope a TCP link writes, for a request, a reply and an error
+// reply (one whose error text the envelope cuts at envErrMax included).
+func TestEnvelopeLen(t *testing.T) {
+	msgs := []Message{
+		{Type: "registry.lookup", From: "migrate@hostA", To: "registry@lab", ID: 42, Payload: []byte("\x01sealed-body")},
+		{Type: "registry.lookup", From: "registry@lab", To: "migrate@hostA", ID: 1<<40 + 7, IsReply: true, Payload: make([]byte, 300)},
+		{Type: "echo", From: "migrate@hostX", To: "migrate@hostY", ID: 1, IsReply: true, Err: `transport: no route to endpoint: "other@hostX"`},
+		{Type: "echo", From: "a", To: "b", ID: 200, IsReply: true, Err: strings.Repeat("e", envErrMax+10)},
+	}
+	for _, msg := range msgs {
+		b, err := appendEnvelope(nil, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := envelopeLen(msg), len(b)+len(msg.Payload); got != want {
+			t.Errorf("envelopeLen(%s reply=%v err=%d B) = %d, envelope is %d bytes", msg.Type, msg.IsReply, len(msg.Err), got, want)
+		}
+	}
+}

@@ -74,8 +74,8 @@ func (f *LocalFabric) deliver(msg Message) error {
 		return fmt.Errorf("%w: %q", ErrNoRoute, msg.To)
 	}
 	if net != nil && srcHost != "" && dstHost != "" && srcHost != dstHost {
-		// Frame overhead + payload; headers are small and constant.
-		if _, _, err := net.Transfer(srcHost, dstHost, int64(len(msg.Payload))+64); err != nil {
+		// The bytes TCP would send: envelope prefix, header and payload.
+		if _, _, err := net.Transfer(srcHost, dstHost, int64(envelopeLen(msg))); err != nil {
 			return fmt.Errorf("transport: %w", err)
 		}
 	}

@@ -79,11 +79,6 @@ func (v *Virtual) Charge(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// Elapsed reports the virtual time elapsed since start.
-func (v *Virtual) Elapsed(start time.Time) time.Duration {
-	return v.Now().Sub(start)
-}
-
 // Skewed wraps a Clock and offsets every reading by a constant amount,
 // modeling a host whose crystal runs at the same rate but was set
 // differently — exactly the assumption behind the paper's Fig. 7:

@@ -55,15 +55,6 @@ func TestVirtualConcurrentCharges(t *testing.T) {
 	}
 }
 
-func TestVirtualElapsed(t *testing.T) {
-	v := NewVirtual(time.Unix(100, 0))
-	start := v.Now()
-	v.Charge(42 * time.Millisecond)
-	if got := v.Elapsed(start); got != 42*time.Millisecond {
-		t.Fatalf("Elapsed = %v, want 42ms", got)
-	}
-}
-
 func TestSkewedOffsetsReading(t *testing.T) {
 	v := NewVirtual(time.Unix(0, 0))
 	s := NewSkewed(v, 3*time.Second)

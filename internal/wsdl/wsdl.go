@@ -7,7 +7,7 @@
 //
 // A Description declares the services an application exposes (ports of
 // operations), the device requirements the destination must satisfy, and
-// user preference defaults. Descriptions encode to XML.
+// user preference defaults; its field tags mirror wsdl:definitions.
 package wsdl
 
 import (
@@ -121,32 +121,8 @@ func (d *Description) Operations() []string {
 	return out
 }
 
-// HasOperation reports whether the description exposes the operation.
-func (d *Description) HasOperation(name string) bool {
-	for _, s := range d.Services {
-		for _, p := range s.Ports {
-			for _, op := range p.Operations {
-				if op.Name == name {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// Preference returns the value of a user preference key.
-func (d *Description) Preference(key string) (string, bool) {
-	for _, p := range d.Preferences {
-		if p.Key == key {
-			return p.Value, true
-		}
-	}
-	return "", false
-}
-
-// DeviceProfile describes a concrete device's capabilities, matched
-// against Requirements during migration planning.
+// DeviceProfile describes a concrete device's capabilities: what a host
+// registers at its center and what an arriving application adapts to.
 type DeviceProfile struct {
 	Host         string
 	ScreenWidth  int
@@ -155,49 +131,4 @@ type DeviceProfile struct {
 	HasAudio     bool
 	HasDisplay   bool
 	Platform     string
-}
-
-// Satisfies reports whether the device meets the requirements, returning
-// the first unmet requirement as a reason when it does not.
-func (p DeviceProfile) Satisfies(r Requirements) (bool, string) {
-	switch {
-	case p.ScreenWidth < r.MinScreenWidth:
-		return false, fmt.Sprintf("screen width %d < required %d", p.ScreenWidth, r.MinScreenWidth)
-	case p.ScreenHeight < r.MinScreenHeight:
-		return false, fmt.Sprintf("screen height %d < required %d", p.ScreenHeight, r.MinScreenHeight)
-	case p.MemoryMB < r.MinMemoryMB:
-		return false, fmt.Sprintf("memory %dMB < required %dMB", p.MemoryMB, r.MinMemoryMB)
-	case r.NeedsAudio && !p.HasAudio:
-		return false, "audio required but absent"
-	case r.NeedsDisplay && !p.HasDisplay:
-		return false, "display required but absent"
-	case r.Platform != "" && r.Platform != p.Platform:
-		return false, fmt.Sprintf("platform %q != required %q", p.Platform, r.Platform)
-	default:
-		return true, ""
-	}
-}
-
-// Marshal renders the description as indented XML.
-func Marshal(d *Description) ([]byte, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	out, err := xml.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("wsdl: marshal: %w", err)
-	}
-	return append([]byte(xml.Header), out...), nil
-}
-
-// Unmarshal parses an XML description and validates it.
-func Unmarshal(data []byte) (*Description, error) {
-	var d Description
-	if err := xml.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("wsdl: unmarshal: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }
