@@ -66,15 +66,16 @@ func (e *Engine) CloneDispatch(ctx context.Context, appName, destHost, cloneName
 		_ = a.Resume()
 		return rep, err
 	}
-	enc, frameLen, err := encodeCheckin(&checkinPayload{
-		App: appName, CloneName: cloneName, Mode: CloneDispatch,
-		Binding: BindingAdaptive, FromHost: e.host, FromEngine: e.ep.Name(), Budget: budgetOf(ctx),
-		Desc: a.Description(), Rebindings: plans,
-	}, func(h []byte) ([]byte, error) { return state.AppendWrap(h, wrap) })
+	parts, err := state.WrapParts(wrap)
 	if err != nil {
 		_ = a.Resume()
 		return rep, err
 	}
+	body, frameLen := encodeCheckin(&checkinPayload{
+		App: appName, CloneName: cloneName, Mode: CloneDispatch,
+		Binding: BindingAdaptive, FromHost: e.host, FromEngine: e.ep.Name(), Budget: budgetOf(ctx),
+		Desc: a.Description(), Rebindings: plans,
+	}, parts...)
 	e.chargeSerialize(wrap.TotalBytes())
 	e.charge(e.costs.CheckoutOverhead)
 	if err := a.Resume(); err != nil {
@@ -85,7 +86,7 @@ func (e *Engine) CloneDispatch(ctx context.Context, appName, destHost, cloneName
 	// --- Dispatch. ---
 	migrateStart := clk.Now()
 	e.charge(e.costs.TransferOverhead)
-	reply, err := e.requestCheckin(ctx, destHost, MsgClone, enc)
+	reply, err := e.requestCheckin(ctx, destHost, MsgClone, body)
 	if err != nil {
 		return rep, fmt.Errorf("migrate: clone checkin at %s: %w", destHost, err)
 	}

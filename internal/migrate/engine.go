@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -374,8 +373,8 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	// between two hosts), ship only the components mutated since — the
 	// dirty counters enumerate them, so nothing else is even serialized.
 	var (
-		enc      []byte   // check-in body: head, then the state frame
-		frameLen int      // bytes of enc that are the state frame
+		body     checkinBody
+		frameLen int      // bytes of body that are the state frame
 		wrap     app.Wrap // full wrap (cold path / fallback)
 		delta    state.WrapDelta
 		warm     bool
@@ -417,7 +416,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 			return rep, werr
 		}
 		head.Delta = true
-		enc, frameLen, _ = encodeCheckin(&head, func(h []byte) ([]byte, error) { return slices.Concat(h, raw), nil })
+		body, frameLen = encodeCheckin(&head, raw)
 		e.chargeSerialize(delta.TotalBytes())
 		carried = changed
 		warm = true
@@ -428,9 +427,11 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 		if wrap, werr = ts.Wrap.View(planned); werr != nil {
 			return werr
 		}
-		if enc, frameLen, werr = encodeCheckin(&head, func(h []byte) ([]byte, error) { return state.AppendWrap(h, wrap) }); werr != nil {
+		parts, werr := state.WrapParts(wrap)
+		if werr != nil {
 			return werr
 		}
+		body, frameLen = encodeCheckin(&head, parts...)
 		e.chargeSerialize(wrap.TotalBytes())
 		return nil
 	}
@@ -459,7 +460,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 	transferBegin := tc.Now()
 	migrateStart := clk.Now()
 	e.charge(e.costs.TransferOverhead)
-	reply, err := e.requestCheckin(ctx, destHost, MsgCheckin, enc)
+	reply, err := e.requestCheckin(ctx, destHost, MsgCheckin, body)
 	if err != nil && warm && strings.Contains(err.Error(), needFullWrap) {
 		// The destination lost (or never had) our base: degrade to a cold
 		// full-wrap checkin in the same migration.
@@ -468,7 +469,7 @@ func (e *Engine) FollowMe(ctx context.Context, appName, destHost string, binding
 			rollback()
 			return rep, ferr
 		}
-		reply, err = e.requestCheckin(ctx, destHost, MsgCheckin, enc)
+		reply, err = e.requestCheckin(ctx, destHost, MsgCheckin, body)
 	}
 	if err != nil {
 		// Check-in failed: restore from the pre-migration snapshot and

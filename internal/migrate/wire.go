@@ -16,11 +16,12 @@ import (
 // fast frame, [ProtoV2][OpCheckin]: the source's budget, the head fields,
 // Desc and Rebindings (internal/registry's codecs), the Delta flag, then
 // Frame as the rest of the body.
-// The head is what appendCheckinHead writes; encodeCheckin builds it in a
-// pooled buffer and the state frame's encoder copies it in front of the
-// frame (state.AppendWrap), so the check-in body is the only buffer a
-// check-in allocates, and the destination's Frame aliases the message it
-// arrived in.
+// The head is what appendCheckinHead writes. The source sends the body as
+// parts (encodeCheckin): the head, then the state frame as its encoder
+// returns it (state.WrapParts: a small head, then the capture's own
+// component slices), so no buffer holds the whole body until the
+// destination's socket read; the destination's Frame aliases the message
+// it arrived in.
 type checkinPayload struct {
 	// Budget is what was left of the source's deadline when it wrote the
 	// head — a duration, not a time, because host clocks are skewed; 0
@@ -78,24 +79,28 @@ func budgetOf(ctx context.Context) time.Duration {
 	return max(time.Until(dl), 1) // already spent: 1 ns, never 0 ("none")
 }
 
-// checkinHeads recycles the buffers check-in heads are built in: a head
-// is copied into the body that carries it with its frame, so its buffer
-// is free again once that body exists.
+// checkinHeads recycles the buffers check-in heads are built in. A head
+// goes to the socket from its buffer, so the buffer is free again only
+// once the Request that sent it has returned (requestCheckin).
 var checkinHeads = sync.Pool{New: func() any { return new([]byte) }}
 
-// encodeCheckin returns the check-in body for p — its head followed by
-// the frame join puts behind it — and the frame's length. join must copy
-// the head into a buffer of its own, sized for head and frame: the head
-// is built in a pooled buffer and copied once.
-func encodeCheckin(p *checkinPayload, join func(head []byte) ([]byte, error)) ([]byte, int, error) {
+// checkinBody is a check-in body as requestCheckin sends it: the head, in
+// a pooled buffer, then the state frame's parts, which are not copied.
+type checkinBody struct {
+	head  *[]byte
+	frame [][]byte
+}
+
+// encodeCheckin returns the check-in body for p with frame behind its
+// head, and the frame's length.
+func encodeCheckin(p *checkinPayload, frame ...[]byte) (checkinBody, int) {
 	bp := checkinHeads.Get().(*[]byte)
-	head := appendCheckinHead((*bp)[:0], p)
-	body, err := join(head)
-	if cap(head) <= 64<<10 {
-		*bp = head
-		checkinHeads.Put(bp)
+	*bp = appendCheckinHead((*bp)[:0], p)
+	n := 0
+	for _, f := range frame {
+		n += len(f)
 	}
-	return body, len(body) - len(head), err
+	return checkinBody{head: bp, frame: frame}, n
 }
 
 // appendCheckinHead appends everything of a check-in body but p.Frame to b.
@@ -187,9 +192,13 @@ func decodeCheckinReply(payload []byte) (checkinReply, error) {
 }
 
 // requestCheckin sends a check-in body to the engine of destHost as op
-// (MsgCheckin or MsgClone) and reads the reply.
-func (e *Engine) requestCheckin(ctx context.Context, destHost, op string, body []byte) (checkinReply, error) {
-	reply, err := e.ep.Request(ctx, EndpointName(destHost), op, body)
+// (MsgCheckin or MsgClone) and reads the reply. The body's head goes back
+// to its pool: a body is sent once.
+func (e *Engine) requestCheckin(ctx context.Context, destHost, op string, body checkinBody) (checkinReply, error) {
+	reply, err := e.ep.Request(ctx, EndpointName(destHost), op, *body.head, body.frame...)
+	if cap(*body.head) <= 64<<10 {
+		checkinHeads.Put(body.head)
+	}
 	if err != nil {
 		return checkinReply{}, err
 	}

@@ -82,22 +82,6 @@ func warmHead() checkinPayload {
 	return warm
 }
 
-// goldenCheckins encodes the two recorded check-ins the way FollowMe
-// does: the head, then the frame behind it in the same buffer.
-func goldenCheckins(t testing.TB) (static, delta []byte) {
-	t.Helper()
-	static, err := state.AppendWrap(appendCheckinHead(nil, &goldenHead), goldenWrap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := state.EncodeDelta(goldenDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := warmHead()
-	return static, append(appendCheckinHead(nil, &warm), frame...)
-}
-
 // TestGoldenCheckinFrames pins the check-in and its reply. The head and
 // the reply are fast-frame fields only, so each is what today's encoder
 // writes, byte for byte. The state frame behind the head carries gob

@@ -12,7 +12,7 @@
 // Before this package, three serialization paths had diverged: follow-me
 // shipped raw-gob Wraps, clone-dispatch re-encoded the same shape
 // separately, and failover shipped nothing at all. Every frame now goes
-// through EncodeWrap/EncodeSnapshot, which prepend a magic + version +
+// through WrapParts/EncodeSnapshot, which prepend a magic + version +
 // CRC32 header, so a torn or corrupted frame is detected at decode time
 // instead of silently restoring garbage state, and future frame-format
 // changes can coexist with old persisted frames.
@@ -105,17 +105,16 @@ var magic = [4]byte{'M', 'D', 'S', 'T'}
 // headerLen = magic(4) + version(1) + kind(1) + crc32(4).
 const headerLen = 10
 
-// appendHeader appends a frame header whose CRC sealFrame fills in once
-// the body is behind it.
+// appendHeader appends a frame header whose CRC is filled in once the
+// body is known.
 func appendHeader(dst []byte, version byte, kind frameKind) []byte {
 	dst = append(dst, magic[:]...)
 	return append(dst, version, byte(kind), 0, 0, 0, 0)
 }
 
-// sealFrame writes the CRC32 of the body into the header of the frame
-// that starts at dst[start:].
-func sealFrame(dst []byte, start int) {
-	binary.BigEndian.PutUint32(dst[start+6:start+headerLen], crc32.ChecksumIEEE(dst[start+headerLen:]))
+// sealFrame writes the CRC32 of frame's body into its header.
+func sealFrame(frame []byte) {
+	binary.BigEndian.PutUint32(frame[6:headerLen], crc32.ChecksumIEEE(frame[headerLen:]))
 }
 
 // encodeFrame gob-encodes payload behind a version 1 header.
@@ -126,7 +125,7 @@ func encodeFrame(kind frameKind, payload any) ([]byte, error) {
 	}
 	frame := appendHeader(make([]byte, 0, headerLen+len(body)), frameV1, kind)
 	frame = append(frame, body...)
-	sealFrame(frame, 0)
+	sealFrame(frame)
 	return frame, nil
 }
 
@@ -183,15 +182,16 @@ type wrapMeta struct {
 	Profile    app.UserProfile
 }
 
-// AppendWrap returns dst with the wrap frame of w behind it, in a buffer
-// allocated once at its final size (the frame's length is known from the
-// component lengths): a caller that puts a head in front of the frame
-// pays one allocation, and one copy of the components, for both. The
-// result never aliases dst, so dst's buffer may be reused at once.
+// WrapParts returns the wrap frame of w as parts whose join is the
+// frame: first the header, the meta length and the meta in one fresh
+// slice, then each component slice of w in Names order, shared, not
+// copied. The checksum is computed across the parts. A sender that can
+// write a list of slices (transport.Endpoint.Request) puts the
+// components on the wire from the capture's own bytes.
 //
 // Layout (version 2): the 10-byte header, then the CRC'd body — a uvarint
 // meta length, the gob wrapMeta, the component bytes in Names order.
-func AppendWrap(dst []byte, w app.Wrap) ([]byte, error) {
+func WrapParts(w app.Wrap) ([][]byte, error) {
 	names := make([]string, 0, len(w.Components))
 	for n := range w.Components {
 		names = append(names, n)
@@ -202,31 +202,35 @@ func AppendWrap(dst []byte, w app.Wrap) ([]byte, error) {
 		Kinds: make([]app.ComponentKind, len(names)), Sizes: make([]uint64, len(names)),
 		CoordState: w.CoordState, Profile: w.Profile,
 	}
-	// bytes.Join sizes its result from the parts and does not zero it
-	// first; at 2.77 MB a grow-then-append pays a memclr per frame.
-	parts := make([][]byte, 3, 3+len(names))
+	parts := make([][]byte, 1, 1+len(names))
 	for i, n := range names {
 		meta.Kinds[i] = w.Kinds[n]
 		meta.Sizes[i] = uint64(len(w.Components[n]))
 		parts = append(parts, w.Components[n])
 	}
-	head, err := gobcodec.Encode(&meta)
+	enc, err := gobcodec.Encode(&meta)
 	if err != nil {
 		return nil, fmt.Errorf("state: encode frame: %w", err)
 	}
-	parts[0] = dst
-	parts[1] = binary.AppendUvarint(appendHeader(make([]byte, 0, headerLen+binary.MaxVarintLen64), frameV2, frameWrap), uint64(len(head)))
-	parts[2] = head
-	out := bytes.Join(parts, nil)
-	sealFrame(out, len(dst))
-	return out, nil
+	head := appendHeader(make([]byte, 0, headerLen+binary.MaxVarintLen64+len(enc)), frameV2, frameWrap)
+	head = append(binary.AppendUvarint(head, uint64(len(enc))), enc...)
+	sum := crc32.ChecksumIEEE(head[headerLen:])
+	for _, p := range parts[1:] {
+		sum = crc32.Update(sum, crc32.IEEETable, p)
+	}
+	binary.BigEndian.PutUint32(head[6:headerLen], sum)
+	parts[0] = head
+	return parts, nil
 }
 
-// EncodeWrap serializes a mobile-agent wrap for transfer — the frame
-// follow-me and clone-dispatch put on the wire and a bundle carries as
-// its initial state.
+// EncodeWrap serializes a mobile-agent wrap into one buffer — the frame
+// a bundle carries as its initial state. It is the join of WrapParts.
 func EncodeWrap(w app.Wrap) ([]byte, error) {
-	return AppendWrap(nil, w)
+	parts, err := WrapParts(w)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Join(parts, nil), nil
 }
 
 // DecodeWrap verifies and deserializes a wrap frame. The components of a

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +118,29 @@ func TestGoldenWrapFrames(t *testing.T) {
 	})
 }
 
+// TestWrapPartsShareComponents: the wrap encoder's parts are the frame's
+// head, then the wrap's own component slices in name order, not copies,
+// and their join is a frame whose checksum holds.
+func TestWrapPartsShareComponents(t *testing.T) {
+	parts, err := WrapParts(goldenWrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := slices.Sorted(maps.Keys(goldenWrap.Components))
+	if len(parts) != 1+len(names) {
+		t.Fatalf("%d parts for %d components", len(parts), len(names))
+	}
+	for i, name := range names {
+		c, p := goldenWrap.Components[name], parts[1+i]
+		if len(p) != len(c) || len(c) > 0 && &p[0] != &c[0] {
+			t.Fatalf("part %d is not component %q itself", 1+i, name)
+		}
+	}
+	if got, err := DecodeWrap(bytes.Join(parts, nil)); err != nil || !sameWrap(got, goldenWrap) {
+		t.Fatalf("the joined parts decode to %+v (err %v)", got, err)
+	}
+}
+
 // v2Frame seals an arbitrary meta and tail as a version 2 wrap frame with
 // a correct CRC, so the decoder's own checks are what refuses it.
 func v2Frame(t testing.TB, meta wrapMeta, tail []byte) []byte {
@@ -129,7 +153,7 @@ func v2Frame(t testing.TB, meta wrapMeta, tail []byte) []byte {
 	f = binary.AppendUvarint(f, uint64(len(head)))
 	f = append(f, head...)
 	f = append(f, tail...)
-	sealFrame(f, 0)
+	sealFrame(f)
 	return f
 }
 
@@ -151,12 +175,12 @@ func TestDecodeWrapRefusesMalformedV2(t *testing.T) {
 			f := appendHeader(nil, frameV2, frameWrap)
 			f = binary.AppendUvarint(f, 1<<40)
 			f = append(f, "short"...)
-			sealFrame(f, 0)
+			sealFrame(f)
 			return f
 		}(),
 		"no meta length": func() []byte {
 			f := appendHeader(nil, frameV2, frameWrap)
-			sealFrame(f, 0)
+			sealFrame(f)
 			return f
 		}(),
 	} {
@@ -259,13 +283,13 @@ func FuzzDecodeWrap(f *testing.F) {
 		f.Add(g[:headerLen+1])
 		flipped := append([]byte(nil), g...)
 		flipped[headerLen] ^= 0x7f // the v2 meta length / the first gob count
-		sealFrame(flipped, 0)
+		sealFrame(flipped)
 		f.Add(flipped)
 	}
 	f.Add(v2Frame(f, wrapMeta{Names: []string{"a"}, Kinds: []app.ComponentKind{1}, Sizes: []uint64{1 << 40}}, nil))
 	huge := appendHeader(nil, frameV2, frameWrap)
 	huge = binary.AppendUvarint(huge, 1<<62)
-	sealFrame(huge, 0)
+	sealFrame(huge)
 	f.Add(huge)
 	f.Add([]byte{})
 
@@ -274,7 +298,7 @@ func FuzzDecodeWrap(f *testing.F) {
 		// The CRC stops most mutations at the door; let them in as well.
 		if len(data) >= headerLen {
 			sealed := append([]byte(nil), data...)
-			sealFrame(sealed, 0)
+			sealFrame(sealed)
 			fuzzOneWrapFrame(t, sealed)
 		}
 		if good, err := DecodeWrap(v2); err != nil || !sameWrap(good, goldenWrap) {

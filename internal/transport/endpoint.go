@@ -17,7 +17,8 @@ import (
 // A handler owns msg.Payload: it may keep the slice, or slices of it,
 // for as long as it likes, and nobody writes into it again. A TCP link
 // decodes a fresh slice per message; LocalFabric hands over the sender's
-// own, which is why no sender writes into a payload after sending it.
+// own, which is why no sender writes into a payload after sending it (a
+// body sent as parts is joined into a fresh slice first).
 type Handler func(msg Message) ([]byte, error)
 
 // fabric is the delivery substrate endpoints hang off.
@@ -124,7 +125,11 @@ func (e *Endpoint) Send(to, msgType string, payload []byte) error {
 }
 
 // Request sends a message and waits for the correlated reply or ctx done.
-func (e *Endpoint) Request(ctx context.Context, to, msgType string, payload []byte) (Message, error) {
+// The body is payload followed by the parts in more. A TCP link writes
+// them to the socket as they are, in one writev behind the envelope
+// header; a handler is always handed the body as one Payload. As with a
+// payload, nobody writes into a part after sending it.
+func (e *Endpoint) Request(ctx context.Context, to, msgType string, payload []byte, more ...[]byte) (Message, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -142,6 +147,10 @@ func (e *Endpoint) Request(ctx context.Context, to, msgType string, payload []by
 	}()
 
 	msg := Message{Type: msgType, From: e.name, To: to, ID: id, Payload: payload}
+	if len(more) > 0 {
+		parts := more // moved to the heap only for a body sent as parts
+		msg.more = &parts
+	}
 	if err := e.fab.deliver(msg); err != nil {
 		return Message{}, err
 	}

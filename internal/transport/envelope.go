@@ -21,8 +21,9 @@ import (
 //	payload  the Message's bytes, as the sender holds them
 //
 // The header uses the fast-frame field codec (fast.go). The payload is
-// written from the sender's slice and read into one fresh slice, so a
-// multi-megabyte check-in crosses the socket without a user-space copy.
+// written from the sender's slices, which may be several (Request's
+// parts), and read into one fresh slice, so a multi-megabyte check-in
+// crosses the socket without a user-space copy.
 
 // envVersion is the envelope generation this build speaks. A flag bit or
 // header field a peer must understand bumps it.
@@ -62,11 +63,12 @@ const (
 // build reads; the link is closed.
 var errBadEnvelope = errors.New("transport: malformed envelope")
 
-// appendEnvelope appends msg's prefix and header to b. The payload is
-// not copied: the caller writes it behind the returned bytes.
+// appendEnvelope appends msg's prefix and header to b. The body is not
+// copied: the caller writes its parts behind the returned bytes.
 func appendEnvelope(b []byte, msg Message) ([]byte, error) {
-	if uint64(len(msg.Payload)) > math.MaxUint32 {
-		return b, fmt.Errorf("%w: %d-byte payload", errBadEnvelope, len(msg.Payload))
+	body := msg.bodyLen()
+	if uint64(body) > math.MaxUint32 {
+		return b, fmt.Errorf("%w: %d-byte payload", errBadEnvelope, body)
 	}
 	if len(msg.Err) > envErrMax {
 		msg.Err = msg.Err[:envErrMax]
@@ -88,17 +90,17 @@ func appendEnvelope(b []byte, msg Message) ([]byte, error) {
 		return b[:start], fmt.Errorf("%w: %d-byte header (max %d)", errBadEnvelope, hl, envHeaderMax)
 	}
 	binary.BigEndian.PutUint32(b[start:], uint32(hl))
-	binary.BigEndian.PutUint32(b[start+4:], uint32(len(msg.Payload)))
+	binary.BigEndian.PutUint32(b[start+4:], uint32(body))
 	return b, nil
 }
 
 // envelopeLen is the length of msg on a TCP link: what appendEnvelope
-// writes, then the payload. The in-process fabric charges it to the
+// writes, then the body. The in-process fabric charges it to the
 // simulated network, so both fabrics price a message alike.
 func envelopeLen(msg Message) int {
 	str := func(n int) int { return uvarintLen(uint64(n)) + n }
 	return envPrefixLen + 1 + uvarintLen(msg.ID) + str(len(msg.Type)) + str(len(msg.From)) +
-		str(len(msg.To)) + str(min(len(msg.Err), envErrMax)) + len(msg.Payload)
+		str(len(msg.To)) + str(min(len(msg.Err), envErrMax)) + msg.bodyLen()
 }
 
 // uvarintLen is the length of v's uvarint encoding.

@@ -40,14 +40,23 @@ func goldenEnvelope(t testing.TB, name string) []byte {
 	return raw
 }
 
-// encodeEnvelope is one whole envelope as send puts it on the wire.
+// recConn is a connection that keeps what is written to it.
+type recConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *recConn) Write(b []byte) (int, error) { return c.buf.Write(b) }
+
+// encodeEnvelope is one whole envelope as a link's send puts it on the
+// wire.
 func encodeEnvelope(t testing.TB, msg Message) []byte {
 	t.Helper()
-	b, err := appendEnvelope(nil, msg)
-	if err != nil {
+	c := new(recConn)
+	if err := (&tcpLink{conn: c}).send(msg); err != nil {
 		t.Fatal(err)
 	}
-	return append(b, msg.Payload...)
+	return c.buf.Bytes()
 }
 
 // TestGoldenEnvelopes: the recorded messages encode to the recorded bytes
@@ -123,11 +132,12 @@ func TestEnvelopePayloadPastOneChunk(t *testing.T) {
 
 // FuzzReadEnvelope: readEnvelope is what every TCP link runs on the bytes
 // a peer sends. For any input it returns a typed error or a message that
-// survives an encode/read round trip; it never panics; it allocates at
-// most 16 bytes per input byte plus one payload chunk, however much the
-// prefix claims (plus 4 KiB for the scratch buffer and what the fuzzing
-// engine allocates beside it); and its scratch buffer still reads a
-// valid envelope afterwards.
+// survives an encode/read round trip, and whose body sent as parts —
+// split where the input's last byte says — encodes to the same bytes;
+// it never panics; it allocates at most 16 bytes per input byte plus one
+// payload chunk, however much the prefix claims (plus 4 KiB for the
+// scratch buffer and what the fuzzing engine allocates beside it); and
+// its scratch buffer still reads a valid envelope afterwards.
 func FuzzReadEnvelope(f *testing.F) {
 	for _, name := range []string{"request.bin", "error-reply.bin", "preamble.bin"} {
 		f.Add(goldenEnvelope(f, name))
@@ -152,9 +162,16 @@ func FuzzReadEnvelope(f *testing.F) {
 				t.Fatalf("untyped error %v", err)
 			}
 		} else {
-			again, _, err := readEnvelope(bytes.NewReader(encodeEnvelope(t, msg)), nil)
+			whole := encodeEnvelope(t, msg)
+			again, _, err := readEnvelope(bytes.NewReader(whole), nil)
 			if err != nil || !reflect.DeepEqual(again, msg) {
 				t.Fatalf("round trip changed the message (err %v):\n%+v\n%+v", err, msg, again)
+			}
+			cut := int(data[len(data)-1]) % (len(msg.Payload) + 1)
+			parts := msg
+			parts.Payload, parts.more = msg.Payload[:cut], &[][]byte{nil, msg.Payload[cut:]}
+			if got := encodeEnvelope(t, parts); !bytes.Equal(got, whole) {
+				t.Fatalf("the body sent as parts cut at %d encodes to\n%x\nwhole\n%x", cut, got, whole)
 			}
 		}
 		got, _, err := readEnvelope(bytes.NewReader(valid), scratch)
@@ -324,51 +341,56 @@ func TestTCPRequestToUnservedNameIsRefused(t *testing.T) {
 
 // TestBulkRequestAllocatesOnePayload: a 2.77 MB request between two TCP
 // nodes allocates the payload once, at the receiver — the sender writes
-// from the caller's slice and the receiver reads into the handler's.
+// from the caller's slices, one or several (a check-in's head, wrap head
+// and components), and the receiver reads into the handler's.
 func TestBulkRequestAllocatesOnePayload(t *testing.T) {
 	srv := node(t, "server")
 	srv.Endpoint().Handle("sink", func(Message) ([]byte, error) { return make([]byte, 8), nil })
 	cli := node(t, "client")
 	cli.AddPeer("server", srv.Addr())
 	bulk := make([]byte, 2_768_467)
-	send := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if _, err := cli.Endpoint().Request(ctx, "server", "sink", bulk); err != nil {
-			t.Fatal(err)
+	for name, body := range map[string][][]byte{
+		"one slice": {bulk},
+		"parts":     {bulk[:669], bulk[669:1000], bulk[1000:2_000_000], bulk[2_000_000:]},
+	} {
+		send := func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if _, err := cli.Endpoint().Request(ctx, "server", "sink", body[0], body[1:]...); err != nil {
+				t.Fatal(err)
+			}
 		}
+		send() // dial and handshake
+		const n = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			send()
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / n / float64(len(bulk))
+		if per > 1.25 {
+			t.Fatalf("%s: a %d-byte request allocated %.2f payload lengths, want at most 1.25", name, len(bulk), per)
+		}
+		t.Logf("%s: a %d-byte request allocated %.2f payload lengths", name, len(bulk), per)
 	}
-	send() // dial and handshake
-	const n = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		send()
-	}
-	runtime.ReadMemStats(&after)
-	per := float64(after.TotalAlloc-before.TotalAlloc) / n / float64(len(bulk))
-	if per > 1.25 {
-		t.Fatalf("a %d-byte request allocated %.2f payload lengths, want at most 1.25", len(bulk), per)
-	}
-	t.Logf("a %d-byte request allocated %.2f payload lengths", len(bulk), per)
 }
 
 // TestEnvelopeLen: the length the in-process fabric charges is the length
-// of the envelope a TCP link writes, for a request, a reply and an error
-// reply (one whose error text the envelope cuts at envErrMax included).
+// of the envelope a TCP link writes, for a request, a request whose body
+// is sent as parts, a reply and an error reply (one whose error text the
+// envelope cuts at envErrMax included).
 func TestEnvelopeLen(t *testing.T) {
 	msgs := []Message{
 		{Type: "registry.lookup", From: "migrate@hostA", To: "registry@lab", ID: 42, Payload: []byte("\x01sealed-body")},
+		{Type: "migrate.checkin", From: "migrate@hostA", To: "migrate@hostB", ID: 43, Payload: []byte("\x02\x30head"),
+			more: &[][]byte{nil, make([]byte, 300), []byte("component")}},
 		{Type: "registry.lookup", From: "registry@lab", To: "migrate@hostA", ID: 1<<40 + 7, IsReply: true, Payload: make([]byte, 300)},
 		{Type: "echo", From: "migrate@hostX", To: "migrate@hostY", ID: 1, IsReply: true, Err: `transport: no route to endpoint: "other@hostX"`},
 		{Type: "echo", From: "a", To: "b", ID: 200, IsReply: true, Err: strings.Repeat("e", envErrMax+10)},
 	}
 	for _, msg := range msgs {
-		b, err := appendEnvelope(nil, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := envelopeLen(msg), len(b)+len(msg.Payload); got != want {
+		if got, want := envelopeLen(msg), len(encodeEnvelope(t, msg)); got != want {
 			t.Errorf("envelopeLen(%s reply=%v err=%d B) = %d, envelope is %d bytes", msg.Type, msg.IsReply, len(msg.Err), got, want)
 		}
 	}

@@ -79,7 +79,7 @@ func (f *LocalFabric) deliver(msg Message) error {
 			return fmt.Errorf("transport: %w", err)
 		}
 	}
-	dst.dispatch(msg)
+	dst.dispatch(msg.joined())
 	return nil
 }
 

@@ -10,6 +10,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -27,6 +28,41 @@ type Message struct {
 	IsReply bool   // set on responses
 	Err     string // non-empty on error replies
 	Payload []byte // opaque body (typically gob- or JSON-encoded)
+
+	// more holds the body's further parts, behind Payload. Only a sender
+	// sets it (Request): a TCP link writes the parts as they are, and a
+	// message is joined into one Payload before any handler sees it. It
+	// is a pointer so that a Message keeps its allocation size class:
+	// every request's reply channel and every handler goroutine copy one.
+	more *[][]byte
+}
+
+// parts is the body's further parts, behind Payload.
+func (msg Message) parts() [][]byte {
+	if msg.more == nil {
+		return nil
+	}
+	return *msg.more
+}
+
+// bodyLen is the length of msg's body: Payload and every further part.
+func (msg Message) bodyLen() int {
+	n := len(msg.Payload)
+	for _, p := range msg.parts() {
+		n += len(p)
+	}
+	return n
+}
+
+// joined returns msg with its body in one fresh Payload, when the sender
+// gave it as parts, so that a handler delivered it in-process owns one
+// slice.
+func (msg Message) joined() Message {
+	if msg.more != nil {
+		msg.Payload = bytes.Join(append([][]byte{msg.Payload}, *msg.more...), nil)
+		msg.more = nil
+	}
+	return msg
 }
 
 // ErrClosed is returned when sending through a closed endpoint or fabric.

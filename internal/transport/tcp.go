@@ -33,10 +33,12 @@ type tcpLink struct {
 	// Writes are serialized by mu, which guards the fields below. vec and
 	// out live in the link because net.Buffers.WriteTo takes its receiver
 	// by pointer through an interface: a local would escape, an
-	// allocation per send.
+	// allocation per send. WriteTo consumes its receiver, the elements
+	// included, so vec is the link's own copy of the body's list: the
+	// caller's stays whole for a resend over a redialled link.
 	mu  sync.Mutex
 	hdr []byte      // the outgoing envelope's prefix and header
-	vec [2][]byte   // header, payload: one writev
+	vec net.Buffers // header, payload, further parts: one writev
 	out net.Buffers // vec as WriteTo consumes it
 }
 
@@ -45,7 +47,7 @@ func newTCPLink(conn net.Conn) *tcpLink {
 }
 
 // send writes one envelope: the header from the link's scratch buffer and
-// the payload from the caller's slice, in one writev.
+// the body from the caller's slices, in one writev.
 func (l *tcpLink) send(msg Message) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -54,10 +56,10 @@ func (l *tcpLink) send(msg Message) error {
 		return err
 	}
 	l.hdr = hdr
-	l.vec = [2][]byte{hdr, msg.Payload}
-	l.out = l.vec[:]
+	l.vec = append(append(l.vec[:0], hdr, msg.Payload), msg.parts()...)
+	l.out = l.vec
 	_, err = l.out.WriteTo(l.conn)
-	l.vec[1] = nil // do not pin the payload until the next send
+	clear(l.vec) // do not pin the body until the next send
 	if err != nil {
 		// The peer may hold a torn envelope; nothing can follow it.
 		l.conn.Close()
@@ -200,7 +202,7 @@ func (n *TCPNode) readLoop(link *tcpLink, inbound bool) {
 // deliver implements fabric.
 func (n *TCPNode) deliver(msg Message) error {
 	if n.isLocal(msg.To) {
-		n.ep.dispatch(msg)
+		n.ep.dispatch(msg.joined())
 		return nil
 	}
 	n.mu.Lock()
