@@ -1,7 +1,11 @@
 // Package user reaches lib's Used* names.
 package user
 
-import "fixture/internal/lib"
+import (
+	"fmt"
+
+	"fixture/internal/lib"
+)
 
 // DeadVar is user's own name: it does not reach lib.DeadVar.
 var DeadVar = lib.UsedVar
@@ -14,4 +18,11 @@ func Run(l local) {
 	lib.UsedFunc()
 	lib.UsedType{}.UsedMethod()
 	l.DeadFunc()
+}
+
+// Speak reaches lib.Loud's Speak and String only by converting a Loud to
+// an interface.
+func Speak() {
+	var s lib.Speaker = lib.Loud{}
+	fmt.Println(s.Speak(), lib.Loud{})
 }

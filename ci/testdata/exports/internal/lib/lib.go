@@ -21,7 +21,8 @@ func (UsedType) UsedMethod() {}
 // DeadMethod is called by nothing.
 func (UsedType) DeadMethod() {}
 
-// UsedMethod shares its name with a called method, so it counts as reached.
+// UsedMethod shares its name with UsedType.UsedMethod, which package user
+// calls; no call resolves to this one.
 func (DeadType) UsedMethod() {}
 
 // UsedVar is read by package user, DeadVar by nothing.
@@ -49,3 +50,20 @@ func Allowed() {}
 
 // unexported names are not checked.
 func unexported() {}
+
+// Speaker is the interface package user converts Loud to.
+type Speaker interface{ Speak() string }
+
+// Loud is converted to Speaker and to fmt.Stringer by package user; no
+// selector names its methods.
+type Loud struct{}
+
+// Speak is reached through Speaker, an interface of the module.
+func (Loud) Speak() string { return "hi" }
+
+// String is reached through fmt.Stringer, an interface of an imported
+// package.
+func (Loud) String() string { return "loud" }
+
+// Whisper is in no interface Loud satisfies.
+func (Loud) Whisper() string { return "psst" }

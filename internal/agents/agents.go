@@ -30,14 +30,11 @@ import (
 // MobilityOntology is the ACL ontology tag for mobility conversations.
 const MobilityOntology = "mdagent-mobility"
 
-// Topics published by the agent layer (canonical strings live in
-// ctxkernel's typed-event catalog; the control plane's Migrate shares
-// them, so a Watch stream sees agent- and operator-driven moves
-// identically).
-const (
-	TopicMigrated      = ctxkernel.TopicAppMigrated
-	TopicMigrateFailed = ctxkernel.TopicAppMigrateFailed
-)
+// TopicMigrated is published by the agent layer on a completed move (the
+// canonical string lives in ctxkernel's typed-event catalog; the control
+// plane's Migrate shares it, so a Watch stream sees agent- and
+// operator-driven moves identically).
+const TopicMigrated = ctxkernel.TopicAppMigrated
 
 // MoveOrder is the AA -> MA command payload.
 type MoveOrder struct {

@@ -248,7 +248,7 @@ func TestAARespectsRTTThreshold(t *testing.T) {
 	r.net.SetLink("hostA", "hostB", netsim.LinkProfile{BandwidthMbps: 0.001, Latency: 2 * time.Second})
 	var mu sync.Mutex
 	var failures []string
-	r.kernel.Subscribe(TopicMigrateFailed, func(ev ctxkernel.Event) {
+	r.kernel.Subscribe(ctxkernel.TopicAppMigrateFailed, func(ev ctxkernel.Event) {
 		mu.Lock()
 		failures = append(failures, ev.Attr("reason"))
 		mu.Unlock()
@@ -359,7 +359,7 @@ func TestAAReportsUndecodableReplyAsFailure(t *testing.T) {
 		migrated = append(migrated, ev.Attr("dest"))
 		mu.Unlock()
 	})
-	r.kernel.Subscribe(TopicMigrateFailed, func(ev ctxkernel.Event) {
+	r.kernel.Subscribe(ctxkernel.TopicAppMigrateFailed, func(ev ctxkernel.Event) {
 		mu.Lock()
 		failed = append(failed, ev.Attr("dest"))
 		mu.Unlock()

@@ -166,8 +166,8 @@ func TestStateComponentRoundTrip(t *testing.T) {
 	if v, ok := s.Get("track"); !ok || v != "song-3" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	if s.Len() != 2 || s.SizeBytes() <= 0 {
-		t.Fatalf("Len=%d Size=%d", s.Len(), s.SizeBytes())
+	if n := len(s.fields); n != 2 || s.SizeBytes() <= 0 {
+		t.Fatalf("fields=%d Size=%d", n, s.SizeBytes())
 	}
 	snap, err := s.Snapshot()
 	if err != nil {
@@ -393,8 +393,8 @@ func TestSnapshotManagerRecordRollback(t *testing.T) {
 	if err := a.Snapshots().Rollback("never"); err == nil {
 		t.Fatal("rollback to unknown tag accepted")
 	}
-	if _, ok := a.Snapshots().Latest(); !ok {
-		t.Fatal("Latest missing")
+	if _, ok := latest(a.Snapshots()); !ok {
+		t.Fatal("latest missing")
 	}
 	if _, ok := a.Snapshots().Find("pre-migration"); !ok {
 		t.Fatal("Find missing")
@@ -408,7 +408,7 @@ func TestSnapshotHistoryCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := a.Snapshots().Len(); got != historyCap {
+	if got := len(retained(a.Snapshots())); got != historyCap {
 		t.Fatalf("history len = %d, want %d", got, historyCap)
 	}
 }

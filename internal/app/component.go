@@ -251,13 +251,6 @@ func (s *StateComponent) Get(key string) (string, bool) {
 	return v, ok
 }
 
-// Len reports the number of fields.
-func (s *StateComponent) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.fields)
-}
-
 // SizeBytes implements Component.
 func (s *StateComponent) SizeBytes() int64 {
 	s.mu.Lock()

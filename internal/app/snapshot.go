@@ -93,16 +93,6 @@ func (m *SnapshotManager) Record(tag string, at time.Time) (TaggedSnapshot, erro
 	return ts, nil
 }
 
-// Latest returns the most recent snapshot.
-func (m *SnapshotManager) Latest() (TaggedSnapshot, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.history) == 0 {
-		return TaggedSnapshot{}, false
-	}
-	return m.history[len(m.history)-1], true
-}
-
 // Find returns the most recent snapshot with the given tag.
 func (m *SnapshotManager) Find(tag string) (TaggedSnapshot, bool) {
 	m.mu.Lock()
@@ -113,13 +103,6 @@ func (m *SnapshotManager) Find(tag string) (TaggedSnapshot, bool) {
 		}
 	}
 	return TaggedSnapshot{}, false
-}
-
-// Len reports how many snapshots are retained.
-func (m *SnapshotManager) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.history)
 }
 
 // Rollback restores the application from the most recent snapshot with

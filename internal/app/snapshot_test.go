@@ -21,6 +21,22 @@ func snapApp(t *testing.T) (*Application, *StateComponent) {
 
 func at(sec int) time.Time { return time.Unix(int64(sec), 0) }
 
+// retained returns a copy of m's history, oldest first.
+func retained(m *SnapshotManager) []TaggedSnapshot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]TaggedSnapshot(nil), m.history...)
+}
+
+// latest returns m's most recent snapshot.
+func latest(m *SnapshotManager) (TaggedSnapshot, bool) {
+	h := retained(m)
+	if len(h) == 0 {
+		return TaggedSnapshot{}, false
+	}
+	return h[len(h)-1], true
+}
+
 func TestSnapshotHistoryCapEvictsOldestFirst(t *testing.T) {
 	a, st := snapApp(t)
 	m := a.Snapshots()
@@ -30,8 +46,8 @@ func TestSnapshotHistoryCapEvictsOldestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Len() != historyCap {
-		t.Fatalf("Len = %d, want cap %d", m.Len(), historyCap)
+	if n := len(retained(m)); n != historyCap {
+		t.Fatalf("retained %d, want cap %d", n, historyCap)
 	}
 	// The two oldest are evicted in order; the newest historyCap survive.
 	for i := 1; i <= historyCap+2; i++ {
@@ -40,9 +56,9 @@ func TestSnapshotHistoryCapEvictsOldestFirst(t *testing.T) {
 			t.Fatalf("t%d kept = %v, want %v", i, ok, i > 2)
 		}
 	}
-	latest, ok := m.Latest()
-	if want := fmt.Sprintf("t%d", historyCap+2); !ok || latest.Tag != want {
-		t.Fatalf("Latest = %+v, want %s", latest, want)
+	last, ok := latest(m)
+	if want := fmt.Sprintf("t%d", historyCap+2); !ok || last.Tag != want {
+		t.Fatalf("latest = %+v, want %s", last, want)
 	}
 }
 
@@ -140,23 +156,22 @@ func TestConcurrentCaptureRollback(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			m.Latest()
-			m.Len()
+			latest(m)
 			m.Find("base")
 		}
 	}()
 	wg.Wait()
 
-	if m.Len() == 0 {
+	if len(retained(m)) == 0 {
 		t.Fatal("history empty after concurrent run")
 	}
 	// "base" may have been evicted by the cap under concurrent Records;
 	// the latest surviving snapshot must still restore cleanly.
-	latest, ok := m.Latest()
+	last, ok := latest(m)
 	if !ok {
 		t.Fatal("no latest snapshot after concurrent run")
 	}
-	if err := m.Rollback(latest.Tag); err != nil {
+	if err := m.Rollback(last.Tag); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -190,12 +190,12 @@ func TestFederatedFailoverRehomesAcrossSpaces(t *testing.T) {
 		evMu.Lock()
 		defer evMu.Unlock()
 		var ok bool
-		re, ok = events[TopicRehomed]
+		re, ok = events[ctxkernel.TopicClusterRehomed]
 		return ok
 	})
 	evMu.Lock()
 	defer evMu.Unlock()
-	if _, ok := events[TopicHostDead]; !ok {
+	if _, ok := events[ctxkernel.TopicClusterHostDead]; !ok {
 		t.Error("no cluster.host-dead event published")
 	}
 	if re.Attr("app") != "smart-media-player" || re.Attr("from") != "h1" || re.Attr("to") != "h2" {
@@ -354,12 +354,12 @@ func TestFailoverRestoresReplicatedState(t *testing.T) {
 			return ok
 		}
 	}
-	waitFor(t, 5*time.Second, "cluster.rehomed event", seen(TopicRehomed))
-	waitFor(t, 5*time.Second, "cluster.state.restored event", seen(TopicStateRestored))
-	waitFor(t, 5*time.Second, "cluster.state.replicated event", seen(TopicStateReplicated))
+	waitFor(t, 5*time.Second, "cluster.rehomed event", seen(ctxkernel.TopicClusterRehomed))
+	waitFor(t, 5*time.Second, "cluster.state.restored event", seen(ctxkernel.TopicStateRestored))
+	waitFor(t, 5*time.Second, "cluster.state.replicated event", seen(ctxkernel.TopicStateReplicated))
 	evMu.Lock()
 	defer evMu.Unlock()
-	if re := events[TopicRehomed]; re.Attr("restored") != "true" {
+	if re := events[ctxkernel.TopicClusterRehomed]; re.Attr("restored") != "true" {
 		t.Fatalf("rehomed event restored attr = %q, want true", re.Attr("restored"))
 	}
 }
@@ -380,10 +380,10 @@ func TestStopAppRetiresSnapshot(t *testing.T) {
 		return ok
 	})
 
-	if err := mw.StopApp(context.Background(), "h1", "smart-media-player"); err != nil {
+	rt1, _ := mw.Host("h1")
+	if err := rt1.Stop(ctx, "smart-media-player"); err != nil {
 		t.Fatal(err)
 	}
-	rt1, _ := mw.Host("h1")
 	if _, still := rt1.Engine.App("smart-media-player"); still {
 		t.Fatal("engine still lists the stopped app")
 	}
@@ -417,12 +417,12 @@ func TestDurableWritesPublishKernelEvents(t *testing.T) {
 	t.Cleanup(func() { mw2.Close() })
 	var mu sync.Mutex
 	durable, degraded := 0, 0
-	mw2.Kernel.Subscribe(TopicClusterDurable, func(ctxkernel.Event) {
+	mw2.Kernel.Subscribe(ctxkernel.TopicClusterDurable, func(ctxkernel.Event) {
 		mu.Lock()
 		durable++
 		mu.Unlock()
 	})
-	mw2.Kernel.Subscribe(TopicClusterDegraded, func(ctxkernel.Event) {
+	mw2.Kernel.Subscribe(ctxkernel.TopicClusterDegraded, func(ctxkernel.Event) {
 		mu.Lock()
 		degraded++
 		mu.Unlock()
@@ -561,7 +561,8 @@ func TestFollowMeAcrossCentersLeavesOneRunningRecord(t *testing.T) {
 		return found && rec.Running
 	})
 
-	rep, err := mw.Migrate(ctx, player, "h2", migrate.BindingAdaptive)
+	rt1, _ := mw.Host("h1")
+	rep, err := rt1.Migrate(ctx, player, "h2", migrate.BindingAdaptive)
 	if err != nil {
 		t.Fatal(err)
 	}

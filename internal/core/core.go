@@ -2,7 +2,7 @@
 // Context, Agent, Application) into one middleware deployment. A
 // Middleware models a whole pervasive environment: the simulated network
 // of hosts and spaces, the Cricket sensor field, the context kernel with
-// its classifier/monitor/fusion/predictor, the agent platform, a registry
+// its classifier/fusion/predictor, the agent platform, a registry
 // center, and one migration engine + media library per host. The root
 // mdagent package re-exports this facade as the public API.
 package core
@@ -50,11 +50,6 @@ type Config struct {
 	// Link is the default link profile (default: the paper's 10 Mbps
 	// Ethernet).
 	Link netsim.LinkProfile
-	// Costs calibrates migration overheads (default: DefaultCosts).
-	Costs migrate.CostProfile
-	// SensorTick is the sampling period of the sensor walker
-	// (default 500 ms).
-	SensorTick time.Duration
 	// StorePath persists the single registry center to a directory when
 	// non-empty. Empty, the center is volatile: it starts empty and keeps
 	// its records in memory only. The clustered centers are always
@@ -76,36 +71,6 @@ type Config struct {
 	Secrets bundle.Resolver
 }
 
-// Kernel topics published by the cluster layer (canonical strings live in
-// ctxkernel so the agent layer can subscribe without importing core).
-const (
-	// TopicHostDead fires when membership declares a host dead (with
-	// quorum) and failover begins.
-	TopicHostDead = ctxkernel.TopicClusterHostDead
-	// TopicRehomed fires for each application relaunched on a survivor.
-	TopicRehomed = ctxkernel.TopicClusterRehomed
-	// TopicRehomeFailed fires when failover could not re-home an app.
-	TopicRehomeFailed = ctxkernel.TopicClusterRehomeFailed
-	// TopicSuperseded fires when a revived host stops its stale copy of
-	// an app that was re-homed during its conviction (attrs: app, host).
-	TopicSuperseded = ctxkernel.TopicClusterSuperseded
-	// TopicStateReplicated fires per snapshot published by a host's
-	// replicator (attrs: app, host, seq, bytes).
-	TopicStateReplicated = ctxkernel.TopicStateReplicated
-	// TopicStateRestored fires when failover restores a re-homed app from
-	// a replicated snapshot (attrs: app, to, seq).
-	TopicStateRestored = ctxkernel.TopicStateRestored
-	// TopicClusterDurable fires when a synchronous-concern federation
-	// write met its write concern (attrs: space, key, concern, acked,
-	// required).
-	TopicClusterDurable = ctxkernel.TopicClusterDurable
-	// TopicClusterDegraded fires when a synchronous-concern federation
-	// write fell short of its concern or skipped the wait because the
-	// membership view said a quorum was unreachable (attrs: space, key,
-	// concern, acked, required, degraded).
-	TopicClusterDegraded = ctxkernel.TopicClusterDegraded
-)
-
 // Middleware is one MDAgent deployment.
 type Middleware struct {
 	cfg Config
@@ -117,7 +82,6 @@ type Middleware struct {
 	Field      *sensor.Field
 	Kernel     *ctxkernel.Kernel
 	Classifier *ctxkernel.Classifier
-	Monitor    *ctxkernel.Monitor
 	Fusion     *ctxkernel.Fusion
 	Predictor  *ctxkernel.Predictor
 	Platform   *platform.Platform
@@ -142,6 +106,9 @@ type Middleware struct {
 // maxRehomeAttempts bounds the failover retry loop for one dead host.
 const maxRehomeAttempts = 5
 
+// sensorTick is the sampling period of the sensor walker.
+const sensorTick = 500 * time.Millisecond
+
 // New builds an empty deployment from cfg.
 func New(cfg Config) (*Middleware, error) {
 	if cfg.Clock == nil {
@@ -152,12 +119,6 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	if cfg.Link == (netsim.LinkProfile{}) {
 		cfg.Link = netsim.Ethernet10()
-	}
-	if cfg.Costs == (migrate.CostProfile{}) {
-		cfg.Costs = migrate.DefaultCosts()
-	}
-	if cfg.SensorTick <= 0 {
-		cfg.SensorTick = 500 * time.Millisecond
 	}
 
 	var db *store.Store
@@ -178,13 +139,11 @@ func New(cfg Config) (*Middleware, error) {
 		Field:      sensor.NewField(cfg.Clock, sensor.WithFieldSeed(cfg.Seed)),
 		Kernel:     ctxkernel.NewKernel(),
 		Classifier: ctxkernel.NewClassifier(),
-		Monitor:    ctxkernel.NewMonitor(ctxkernel.NewKernel()), // replaced below
 		Predictor:  ctxkernel.NewPredictor(),
 		Platform:   platform.NewPlatform(fab),
 		hosts:      make(map[string]*HostRuntime),
 		db:         db,
 	}
-	mw.Monitor = ctxkernel.NewMonitor(mw.Kernel)
 	mw.Fusion = ctxkernel.NewFusion(mw.Field, mw.Kernel)
 	mw.Classifier.AttachTo(mw.Kernel)
 	mw.Predictor.AttachTo(mw.Kernel)
@@ -272,7 +231,7 @@ func (m *Middleware) AddHost(host, spaceName string, profile netsim.HostProfile,
 	if err != nil {
 		return nil, err
 	}
-	eng := migrate.NewEngine(host, dev, ep, m.Net, m.Directory, center, m.cfg.Costs)
+	eng := migrate.NewEngine(host, dev, ep, m.Net, m.Directory, center, migrate.DefaultCosts())
 	cont, err := m.Platform.NewContainer("container@"+host, host)
 	if err != nil {
 		return nil, err
@@ -615,16 +574,6 @@ func (m *Middleware) RunApp(ctx context.Context, host string, inst *app.Applicat
 	return rt.Run(ctx, inst)
 }
 
-// StopApp gracefully stops a running application on a host
-// (HostRuntime.Stop).
-func (m *Middleware) StopApp(ctx context.Context, host, appName string) error {
-	rt, err := pickHost(m.runtimes(), host, "")
-	if err != nil {
-		return err
-	}
-	return rt.Stop(ctx, appName)
-}
-
 // InstallApp provisions an application skeleton factory on a host
 // (HostRuntime.Install).
 func (m *Middleware) InstallApp(ctx context.Context, host, appName string, desc wsdl.Description, components []string, factory func(host string) *app.Application) error {
@@ -691,19 +640,8 @@ func (m *Middleware) StartAgents(ctx context.Context, policy agents.Policy) erro
 // Walk replays a movement script through the sensor field and fusion,
 // driving the whole context -> agent -> migration pipeline.
 func (m *Middleware) Walk(ctx context.Context, script sensor.Script) error {
-	w := sensor.NewWalker(m.Field, m.cfg.SensorTick)
+	w := sensor.NewWalker(m.Field, sensorTick)
 	return w.Run(ctx, script, m.Fusion.Consume)
-}
-
-// Migrate follow-mes a running application, wherever it runs, to destHost
-// (HostRuntime.Migrate on the host that holds it, which also answers an
-// unknown destination with ctl.ErrUnknownHost).
-func (m *Middleware) Migrate(ctx context.Context, appName, destHost string, binding migrate.BindingMode) (migrate.Report, error) {
-	rt, err := pickHost(m.runtimes(), "", appName)
-	if err != nil {
-		return migrate.Report{}, err
-	}
-	return rt.Migrate(ctx, appName, destHost, binding)
 }
 
 // WaitAppOn blocks until the app runs on host, the timeout expires, or

@@ -105,13 +105,6 @@ func (c *Classifier) Latest(topic, subject string) (Event, bool) {
 	return ev, ok
 }
 
-// Size reports how many facts are stored in a class database.
-func (c *Classifier) Size(class TemporalClass) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.dbs[class])
-}
-
 // AttachTo subscribes the classifier to every event on the kernel.
 func (c *Classifier) AttachTo(k *Kernel) int {
 	return k.Subscribe("*", func(ev Event) { c.Store(ev) })

@@ -3,12 +3,13 @@
 // publish/subscribe design pattern. When the subscribed events occur, the
 // information will be multicast to the registered listeners"), a
 // classifier that stores context facts into databases by temporal
-// characteristics, a context monitor that triggers autonomous agents when
-// predefined conditions occur, fusion of raw sensor readings into semantic
+// characteristics, fusion of raw sensor readings into semantic
 // facts ("to map these data to useful information such as location, user
 // identity ... requires context fusion mechanisms"), and a Markov
 // next-location predictor ("some context reasoning and prediction
-// functionalities should also be provided").
+// functionalities should also be provided"). The paper's context monitor,
+// which triggers autonomous agents when predefined conditions occur, is
+// each autonomous agent's own kernel subscription (internal/agents).
 package ctxkernel
 
 import (

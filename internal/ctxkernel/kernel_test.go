@@ -141,8 +141,8 @@ func TestClassifierStoreAndLatest(t *testing.T) {
 	if _, ok := c.Latest(TopicUserLocation, "bob"); ok {
 		t.Fatal("Latest for unknown subject reported ok")
 	}
-	if c.Size(ClassDynamic) != 1 {
-		t.Fatalf("dynamic size = %d, want 1 (same subject)", c.Size(ClassDynamic))
+	if n := len(c.dbs[ClassDynamic]); n != 1 {
+		t.Fatalf("dynamic size = %d, want 1 (same subject)", n)
 	}
 }
 
@@ -163,38 +163,6 @@ func TestTemporalClassString(t *testing.T) {
 		if got := c.String(); got != want {
 			t.Fatalf("String(%d) = %q, want %q", c, got, want)
 		}
-	}
-}
-
-func TestMonitorWatchFiresOnCondition(t *testing.T) {
-	k := NewKernel()
-	m := NewMonitor(k)
-	var fired []string
-	alice := func(e Event) bool { return e.Attr(AttrUser) == "alice" }
-	m.Watch("alice-leaves", TopicUserLeft, alice, func(e Event) {
-		fired = append(fired, e.Attr(AttrRoom))
-	})
-	k.Publish(ev(TopicUserLeft, map[string]string{AttrUser: "bob", AttrRoom: "r9"}))
-	k.Publish(ev(TopicUserLeft, map[string]string{AttrUser: "alice", AttrRoom: "office821"}))
-	if len(fired) != 1 || fired[0] != "office821" {
-		t.Fatalf("fired = %v", fired)
-	}
-}
-
-// TestMonitorReplaceAndUnwatch: a watch installed under a taken name
-// replaces the old one, whose subscription is dropped.
-func TestMonitorReplaceAndUnwatch(t *testing.T) {
-	k := NewKernel()
-	m := NewMonitor(k)
-	a, b := 0, 0
-	m.Watch("w", "*", nil, func(Event) { a++ })
-	m.Watch("w", "*", nil, func(Event) { b++ }) // replaces
-	k.Publish(ev("x", nil))
-	if a != 0 || b != 1 {
-		t.Fatalf("replace failed: a=%d b=%d", a, b)
-	}
-	if n := k.SubscriberCount(); n != 1 {
-		t.Fatalf("SubscriberCount = %d after replace, want 1", n)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -37,12 +36,6 @@ func GenerateFile(name string, size int64, seed byte) File {
 	}
 	sum := sha256.Sum256(data)
 	return File{Name: name, Data: data, Checksum: hex.EncodeToString(sum[:])}
-}
-
-// Verify recomputes the checksum and reports integrity.
-func (f File) Verify() bool {
-	sum := sha256.Sum256(f.Data)
-	return hex.EncodeToString(sum[:]) == f.Checksum
 }
 
 // Size returns the payload length.
@@ -97,24 +90,6 @@ func (l *Library) Get(name string) (File, bool) {
 	return f, ok
 }
 
-// Has reports presence.
-func (l *Library) Has(name string) bool {
-	_, ok := l.Get(name)
-	return ok
-}
-
-// Names lists file names, sorted.
-func (l *Library) Names() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]string, 0, len(l.byN))
-	for n := range l.byN {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SlideDeck is a presentation deck: n slides of roughly equal size. The
 // clone-dispatch demo carries decks to overflow rooms.
 type SlideDeck struct {
@@ -143,14 +118,4 @@ func (d SlideDeck) Size() int64 {
 		n += s.Size()
 	}
 	return n
-}
-
-// Verify checks every slide's integrity.
-func (d SlideDeck) Verify() bool {
-	for _, s := range d.Slides {
-		if !s.Verify() {
-			return false
-		}
-	}
-	return true
 }

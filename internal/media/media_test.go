@@ -3,6 +3,8 @@ package media
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"os"
@@ -13,17 +15,23 @@ import (
 	"mdagent/internal/transport"
 )
 
+// verified recomputes f's checksum and reports integrity.
+func verified(f File) bool {
+	sum := sha256.Sum256(f.Data)
+	return hex.EncodeToString(sum[:]) == f.Checksum
+}
+
 func TestGenerateFileDeterministicAndVerifies(t *testing.T) {
 	a := GenerateFile("song.mp3", 1<<16, 3)
 	b := GenerateFile("song.mp3", 1<<16, 3)
 	if a.Checksum != b.Checksum {
 		t.Fatal("same inputs produced different files")
 	}
-	if !a.Verify() {
+	if !verified(a) {
 		t.Fatal("fresh file fails verification")
 	}
 	a.Data[0] ^= 0xff
-	if a.Verify() {
+	if verified(a) {
 		t.Fatal("corrupted file verified")
 	}
 	c := GenerateFile("song.mp3", 1<<16, 4)
@@ -52,12 +60,10 @@ func TestLibrary(t *testing.T) {
 	lib := NewLibrary("hostA")
 	lib.Add(GenerateFile("b.mp3", 100, 1))
 	lib.Add(GenerateFile("a.mp3", 100, 1))
-	if !lib.Has("a.mp3") || lib.Has("zzz.mp3") {
-		t.Fatal("Has wrong")
-	}
-	names := lib.Names()
-	if len(names) != 2 || names[0] != "a.mp3" {
-		t.Fatalf("Names = %v", names)
+	_, hasA := lib.Get("a.mp3")
+	_, hasZ := lib.Get("zzz.mp3")
+	if !hasA || hasZ || len(lib.byN) != 2 {
+		t.Fatalf("library holds %d files, a.mp3 %v, zzz.mp3 %v", len(lib.byN), hasA, hasZ)
 	}
 	if lib.Host() != "hostA" {
 		t.Fatal("Host wrong")
@@ -69,8 +75,10 @@ func TestSlideDeck(t *testing.T) {
 	if len(deck.Slides) != 10 {
 		t.Fatalf("slides = %d", len(deck.Slides))
 	}
-	if !deck.Verify() {
-		t.Fatal("deck failed verification")
+	for _, s := range deck.Slides {
+		if !verified(s) {
+			t.Fatalf("slide %s failed verification", s.Name)
+		}
 	}
 	if deck.Size() < (1<<20)-16 || deck.Size() > 1<<20 {
 		t.Fatalf("deck size = %d", deck.Size())
@@ -108,8 +116,8 @@ func TestRemoteStreamReadsWholeFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := lib.Get("song.mp3")
-	if rs.Size() != want.Size() || rs.Checksum() != want.Checksum {
-		t.Fatalf("meta = %d %s", rs.Size(), rs.Checksum())
+	if rs.Size() != want.Size() || rs.sum != want.Checksum {
+		t.Fatalf("meta = %d %s", rs.Size(), rs.sum)
 	}
 	var got []byte
 	for {
@@ -126,11 +134,11 @@ func TestRemoteStreamReadsWholeFile(t *testing.T) {
 		t.Fatalf("read %d bytes, want %d", len(got), want.Size())
 	}
 	f := File{Name: "song.mp3", Data: got, Checksum: want.Checksum}
-	if !f.Verify() {
+	if !verified(f) {
 		t.Fatal("streamed bytes corrupt")
 	}
-	if rs.Pos() != want.Size() {
-		t.Fatalf("Pos = %d", rs.Pos())
+	if rs.pos != want.Size() {
+		t.Fatalf("Pos = %d", rs.pos)
 	}
 }
 
@@ -149,8 +157,8 @@ func TestRemoteStreamPrebuffer(t *testing.T) {
 	if n := cli.Requests() - before; n != 1 {
 		t.Fatalf("open and prebuffer took %d requests, want 1", n)
 	}
-	if !bytes.Equal(window, want.Data[:128<<10]) || rs.Pos() != 128<<10 || rs.Size() != want.Size() || rs.Checksum() != want.Checksum {
-		t.Fatalf("window of %d bytes, pos %d, size %d, checksum %s", len(window), rs.Pos(), rs.Size(), rs.Checksum())
+	if !bytes.Equal(window, want.Data[:128<<10]) || rs.pos != 128<<10 || rs.Size() != want.Size() || rs.sum != want.Checksum {
+		t.Fatalf("window of %d bytes, pos %d, size %d, checksum %s", len(window), rs.pos, rs.Size(), rs.sum)
 	}
 	rest, err := rs.read(ctx, want.Size())
 	if err != nil || !rest.EOF || !bytes.Equal(rest.Data, want.Data[128<<10:]) {

@@ -146,9 +146,3 @@ func (r *RemoteStream) read(ctx context.Context, n int64) (readReply, error) {
 
 // Size returns the remote file size.
 func (r *RemoteStream) Size() int64 { return r.size }
-
-// Checksum returns the remote file checksum.
-func (r *RemoteStream) Checksum() string { return r.sum }
-
-// Pos returns the current read position.
-func (r *RemoteStream) Pos() int64 { return r.pos }

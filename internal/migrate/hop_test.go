@@ -238,8 +238,10 @@ const adaptiveLegBudget = 115 << 10
 func TestAdaptiveLegAllocationBudget(t *testing.T) {
 	engines := tcpAdaptivePair(t, false)
 	// Warm-up legs: connections dialed and handshaken, the gob codec's
-	// descriptors primed, the codec logic carried once each way so both
-	// hosts hold a warm base and later legs ship deltas.
+	// descriptors primed. No later leg ships a delta: the adaptive plan
+	// leaves components behind, so FollowMe's warm check (every component
+	// planned) never passes, and each measured leg is a cold wrap of the
+	// one component the plan carries (playback-state).
 	at, _ := pingPong(t, engines, 0, 4)
 	const legs = 8
 	var before, after runtime.MemStats
@@ -247,7 +249,7 @@ func TestAdaptiveLegAllocationBudget(t *testing.T) {
 	_, moved := pingPong(t, engines, at, legs)
 	runtime.ReadMemStats(&after)
 	if moved >= 4<<10 {
-		t.Fatalf("a measured leg moved %d bytes: not the warm adaptive round trip", moved)
+		t.Fatalf("a measured leg moved %d bytes: not a cold one-component wrap", moved)
 	}
 	perLeg := (after.TotalAlloc - before.TotalAlloc) / legs
 	if perLeg > adaptiveLegBudget {
@@ -268,12 +270,14 @@ func BenchmarkAdaptiveLegTCP(b *testing.B) {
 	pingPong(b, engines, at, b.N)
 }
 
-// TestAdaptiveLegGobCalls holds a warm adaptive leg to its count budget,
-// with the registry in-process and served on its own node: gob codec
-// calls per leg, and requests per pair of legs (there and back) that the
-// two engines send. The leg's framing is fast frames; what gob is left
-// is the application's own (the wrap frame's head and one state
-// component's body, each encoded once and decoded once).
+// TestAdaptiveLegGobCalls holds an adaptive leg after warm-up (a cold
+// wrap of the one state component the plan carries; no leg ships a
+// delta) to its count budget, with the registry in-process and served on
+// its own node: gob codec calls per leg, and requests per pair of legs
+// (there and back) that the two engines send. The leg's framing is fast
+// frames; what gob is left is the application's own (the wrap frame's
+// head and one state component's body, each encoded once and decoded
+// once).
 func TestAdaptiveLegGobCalls(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -294,10 +298,10 @@ func TestAdaptiveLegGobCalls(t *testing.T) {
 			reqPerPair := float64(requests()-req0) / pairs
 			t.Logf("%.2f gob calls per leg, %.2f requests per pair of legs", gobPerLeg, reqPerPair)
 			if gobPerLeg > float64(tc.gobCalls) {
-				t.Errorf("a warm adaptive leg made %.2f gob calls, budget %d", gobPerLeg, tc.gobCalls)
+				t.Errorf("an adaptive leg made %.2f gob calls, budget %d", gobPerLeg, tc.gobCalls)
 			}
 			if reqPerPair > float64(tc.reqs) {
-				t.Errorf("a pair of warm adaptive legs sent %.2f requests, budget %d", reqPerPair, tc.reqs)
+				t.Errorf("a pair of adaptive legs sent %.2f requests, budget %d", reqPerPair, tc.reqs)
 			}
 		})
 	}

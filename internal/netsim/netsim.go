@@ -212,17 +212,6 @@ func (n *Network) Host(id string) (*Host, bool) {
 	return h, ok
 }
 
-// Hosts returns the ids of all hosts, in unspecified order.
-func (n *Network) Hosts() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	ids := make([]string, 0, len(n.hosts))
-	for id := range n.hosts {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 func (n *Network) linkFor(a, b string) LinkProfile {
 	if l, ok := n.links[normEdge(a, b)]; ok {
 		return l

@@ -268,11 +268,3 @@ func TestCustomLinkOverridesDefault(t *testing.T) {
 		t.Fatalf("100Mbps (%v) not ~10x faster than 10Mbps (%v)", fast, slow)
 	}
 }
-
-func TestHostsList(t *testing.T) {
-	n, _ := newTestNet(t)
-	ids := n.Hosts()
-	if len(ids) != 2 {
-		t.Fatalf("Hosts() = %v, want 2 entries", ids)
-	}
-}

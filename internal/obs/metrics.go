@@ -40,9 +40,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the value by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -73,12 +70,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 	h.sum.Add(ns)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // Bucket is one non-cumulative histogram bucket: Count observations with
 // duration <= Le nanoseconds (and above the previous bucket's Le).

@@ -21,7 +21,7 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(int64(j + 1))
 			}
 		}()
 	}
@@ -29,8 +29,8 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d, want 8000", c.Value())
 	}
-	if g.Value() != 8000 {
-		t.Fatalf("gauge = %d, want 8000", g.Value())
+	if g.Value() != 1000 {
+		t.Fatalf("gauge = %d, want 1000, every writer's last value", g.Value())
 	}
 	// Same name+labels resolves to the same counter.
 	if reg.Counter("test_total", "host", "h1") != c {
@@ -52,16 +52,16 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, d := range []time.Duration{0, 1, 100, 1000, 1000, 1 << 20} {
 		h.Observe(d)
 	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d, want 6", h.Count())
-	}
-	want := time.Duration(0 + 1 + 100 + 1000 + 1000 + 1<<20)
-	if h.Sum() != want {
-		t.Fatalf("sum = %v, want %v", h.Sum(), want)
-	}
 	snap := reg.Snapshot()
 	if len(snap) != 1 || snap[0].Type != "histogram" {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+	if snap[0].Count != 6 {
+		t.Fatalf("count = %d, want 6", snap[0].Count)
+	}
+	want := time.Duration(0 + 1 + 100 + 1000 + 1000 + 1<<20)
+	if got := time.Duration(snap[0].Sum); got != want {
+		t.Fatalf("sum = %v, want %v", got, want)
 	}
 	var total int64
 	for _, b := range snap[0].Bkts {
@@ -145,8 +145,8 @@ func TestTraceLogTimeline(t *testing.T) {
 			t.Fatal("spans not sorted by start")
 		}
 	}
-	if got, _ := l.Get(id); len(got.Spans) != 5 {
-		t.Fatalf("Get spans = %d, want 5", len(got.Spans))
+	if len(tr.Spans) != 5 {
+		t.Fatalf("spans = %d, want 5", len(tr.Spans))
 	}
 }
 
@@ -170,15 +170,15 @@ func TestTraceLogDestSideAssembly(t *testing.T) {
 func TestTraceLogEviction(t *testing.T) {
 	l := NewTraceLog(2)
 	a := l.Begin("a", "h1", "h2")
-	b := l.Begin("b", "h1", "h2")
-	c := l.Begin("c", "h1", "h2")
-	if _, ok := l.Get(a); ok {
+	l.Begin("b", "h1", "h2")
+	l.Begin("c", "h1", "h2")
+	if _, ok := l.byID[a]; ok {
 		t.Fatal("oldest trace should be evicted")
 	}
-	if _, ok := l.Get(b); !ok {
+	if _, ok := l.Latest("b"); !ok {
 		t.Fatal("b should survive")
 	}
-	if _, ok := l.Get(c); !ok {
+	if _, ok := l.Latest("c"); !ok {
 		t.Fatal("c should survive")
 	}
 	if _, ok := l.Latest("a"); ok {

@@ -157,17 +157,6 @@ func (l *TraceLog) insertLocked(tr *MigrationTrace) {
 	}
 }
 
-// Get returns a trace by id, spans sorted by start time.
-func (l *TraceLog) Get(id string) (MigrationTrace, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	tr, ok := l.byID[id]
-	if !ok {
-		return MigrationTrace{}, false
-	}
-	return tr.sorted(), true
-}
-
 // Latest returns the most recently touched trace for app.
 func (l *TraceLog) Latest(app string) (MigrationTrace, bool) {
 	l.mu.Lock()

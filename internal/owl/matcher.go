@@ -45,9 +45,6 @@ func NewMatcher(o *Ontology, mode MatchMode) *Matcher {
 	return &Matcher{onto: o, mode: mode}
 }
 
-// Mode returns the matcher's mode.
-func (m *Matcher) Mode() MatchMode { return m.mode }
-
 // Compatible reports whether dst can serve in place of src. Syntactic mode
 // requires the exact same class name (and, when both declare a "name"
 // attribute, the same name). Semantic mode accepts any dst whose class is

@@ -3,9 +3,8 @@
 // JADE 3.4 ... Both autonomous agents and mobile agents are implemented as
 // specific agents inheriting JADE's Agent class"). It provides
 // FIPA-flavoured ACL messages, JADE-style behaviours scheduled on a
-// per-agent goroutine, agent lifecycle management (start / suspend /
-// resume), containers with an AMS (agent directory), and remote messaging
-// over internal/transport. Platform agents do not move: applications move
+// per-agent goroutine, agent lifecycle management, containers with an AMS
+// (agent directory), and remote messaging over internal/transport. Platform agents do not move: applications move
 // through migrate.Engine, which the mobile agents drive (DESIGN.md §3.1).
 package platform
 

@@ -13,7 +13,6 @@ type AgentState int
 const (
 	StateInitiated AgentState = iota + 1
 	StateActive
-	StateSuspended
 	StateDeleted
 )
 
@@ -23,8 +22,6 @@ func (s AgentState) String() string {
 		return "initiated"
 	case StateActive:
 		return "active"
-	case StateSuspended:
-		return "suspended"
 	case StateDeleted:
 		return "deleted"
 	default:
@@ -68,9 +65,6 @@ func newAgent(name string, body Body, c *Container) *Agent {
 
 // Name returns the agent's platform-unique name.
 func (a *Agent) Name() string { return a.name }
-
-// Container returns the agent's current container.
-func (a *Agent) Container() *Container { return a.container }
 
 // State returns the agent's lifecycle state.
 func (a *Agent) State() AgentState {
@@ -176,26 +170,6 @@ func (a *Agent) RequestReply(ctx context.Context, msg ACLMessage) (ACLMessage, e
 	return a.ReceiveWait(ctx, MatchConversation(msg.ConversationID))
 }
 
-// Suspend parks the agent after the current behaviour action completes.
-func (a *Agent) Suspend() {
-	a.mu.Lock()
-	if a.state == StateActive {
-		a.state = StateSuspended
-		a.cond.Broadcast()
-	}
-	a.mu.Unlock()
-}
-
-// Resume reactivates a suspended agent.
-func (a *Agent) Resume() {
-	a.mu.Lock()
-	if a.state == StateSuspended {
-		a.state = StateActive
-		a.cond.Broadcast()
-	}
-	a.mu.Unlock()
-}
-
 // run is the scheduler goroutine: JADE-style rounds over the behaviour
 // queue, parking when every behaviour is blocked and no new mail arrived.
 func (a *Agent) run() {
@@ -205,12 +179,6 @@ func (a *Agent) run() {
 		// Absorb newly added behaviours.
 		a.behaviours = append(a.behaviours, a.added...)
 		a.added = nil
-
-		if a.state == StateSuspended {
-			a.cond.Wait()
-			a.mu.Unlock()
-			continue
-		}
 
 		if len(a.behaviours) == 0 {
 			a.cond.Wait()

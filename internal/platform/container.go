@@ -16,17 +16,15 @@ const MsgACL = "platform.acl"
 type Platform struct {
 	fabric *transport.LocalFabric
 
-	mu         sync.RWMutex
-	containers map[string]*Container // container name -> container
-	ams        map[string]string     // agent name -> container name
+	mu  sync.RWMutex
+	ams map[string]string // agent name -> container name
 }
 
 // NewPlatform creates a platform over a local fabric.
 func NewPlatform(fabric *transport.LocalFabric) *Platform {
 	return &Platform{
-		fabric:     fabric,
-		containers: make(map[string]*Container),
-		ams:        make(map[string]string),
+		fabric: fabric,
+		ams:    make(map[string]string),
 	}
 }
 
@@ -40,23 +38,11 @@ func (p *Platform) NewContainer(name, host string) (*Container, error) {
 	c := &Container{
 		platform: p,
 		name:     name,
-		host:     host,
 		ep:       ep,
 		agents:   make(map[string]*Agent),
 	}
 	ep.Handle(MsgACL, c.handleRemoteACL)
-	p.mu.Lock()
-	p.containers[name] = c
-	p.mu.Unlock()
 	return c, nil
-}
-
-// Container looks up a container by name.
-func (p *Platform) Container(name string) (*Container, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	c, ok := p.containers[name]
-	return c, ok
 }
 
 // WhereIs returns the container name hosting an agent (AMS lookup).
@@ -89,21 +75,11 @@ func (p *Platform) unregisterAgent(agent string) {
 type Container struct {
 	platform *Platform
 	name     string
-	host     string
 	ep       *transport.Endpoint
 
 	mu     sync.RWMutex
 	agents map[string]*Agent
 }
-
-// Name returns the container name.
-func (c *Container) Name() string { return c.name }
-
-// Host returns the netsim host id the container runs on.
-func (c *Container) Host() string { return c.host }
-
-// Platform returns the owning platform.
-func (c *Container) Platform() *Platform { return c.platform }
 
 // CreateAgent creates and starts an agent with the given body.
 func (c *Container) CreateAgent(name string, body Body) (*Agent, error) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -66,72 +65,9 @@ func TestAgentLifecycle(t *testing.T) {
 	if a.State() != StateActive {
 		t.Fatalf("state = %v, want active", a.State())
 	}
-	a.Suspend()
-	if got := a.State(); got != StateSuspended {
-		t.Fatalf("state after suspend = %v", got)
-	}
-	a.Resume()
-	if got := a.State(); got != StateActive {
-		t.Fatalf("state after resume = %v", got)
-	}
 	if got, ok := ca.Agent("echo"); !ok || got != a {
 		t.Fatal("agent not listed in its container")
 	}
-}
-
-// recorderBody records the content of every Inform it handles, in order.
-type recorderBody struct {
-	mu  sync.Mutex
-	got []string
-}
-
-func (r *recorderBody) Setup(a *Agent) error {
-	a.AddBehaviour(MessageHandler(MatchPerformative(Inform), func(_ *Agent, msg ACLMessage) {
-		r.mu.Lock()
-		r.got = append(r.got, string(msg.Content))
-		r.mu.Unlock()
-	}))
-	return nil
-}
-
-func (r *recorderBody) handled() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.got...)
-}
-
-// TestSuspendedAgentParks checks the scheduler's park paths: a suspended
-// agent runs no behaviour while mail queues and handles the queue in
-// order once resumed.
-func TestSuspendedAgentParks(t *testing.T) {
-	_, ca, _ := testRig(t)
-	body := &recorderBody{}
-	a, err := ca.CreateAgent("rec", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Suspend()
-	want := []string{"m0", "m1", "m2", "m3", "m4"}
-	for _, m := range want {
-		a.Post(ACLMessage{Performative: Inform, Receiver: "rec", Content: []byte(m)})
-	}
-	time.Sleep(20 * time.Millisecond)
-	if got := body.handled(); len(got) != 0 {
-		t.Fatalf("suspended agent handled %v", got)
-	}
-
-	a.Resume()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(body.handled()) < len(want) {
-		if time.Now().After(deadline) {
-			t.Fatalf("handled %v after resume, want %v", body.handled(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := body.handled(); strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("handled %v, want %v", got, want)
-	}
-
 }
 
 func TestDuplicateAgentNameRejected(t *testing.T) {

@@ -85,17 +85,6 @@ func (g *Graph) Add(tr Triple) bool {
 	return true
 }
 
-// AddAll inserts all triples, returning how many were new.
-func (g *Graph) AddAll(trs []Triple) int {
-	added := 0
-	for _, tr := range trs {
-		if g.Add(tr) {
-			added++
-		}
-	}
-	return added
-}
-
 // Remove deletes a ground triple, reporting whether it was present.
 func (g *Graph) Remove(tr Triple) bool {
 	g.mu.Lock()
@@ -225,20 +214,6 @@ func bindPosition(b Binding, pt, gt Term) bool {
 	}
 	b[pt.Value] = gt
 	return true
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	for _, tr := range g.Match(Triple{}) {
-		c.Add(tr)
-	}
-	return c
-}
-
-// Merge adds every triple of other into g, returning the number added.
-func (g *Graph) Merge(other *Graph) int {
-	return g.AddAll(other.Match(Triple{}))
 }
 
 // Subjects returns the distinct subjects of triples matching (-, p, o).

@@ -118,30 +118,6 @@ func TestSubjectsObjectsHelpers(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	g := NewGraph()
-	g.Add(tr("a", "p", "b"))
-	c := g.Clone()
-	c.Add(tr("c", "p", "d"))
-	if g.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("Len g=%d c=%d, want 1 and 2", g.Len(), c.Len())
-	}
-}
-
-func TestMergeCountsNew(t *testing.T) {
-	g := NewGraph()
-	g.Add(tr("a", "p", "b"))
-	h := NewGraph()
-	h.Add(tr("a", "p", "b"))
-	h.Add(tr("x", "p", "y"))
-	if added := g.Merge(h); added != 1 {
-		t.Fatalf("Merge added %d, want 1", added)
-	}
-	if g.Len() != 2 {
-		t.Fatalf("Len after merge = %d", g.Len())
-	}
-}
-
 func TestConcurrentAddMatch(t *testing.T) {
 	g := NewGraph()
 	var wg sync.WaitGroup

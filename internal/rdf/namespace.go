@@ -55,12 +55,6 @@ func (n *Namespaces) Bind(prefix, base string) {
 	n.byPrefix[prefix] = base
 }
 
-// Base returns the base IRI bound to prefix.
-func (n *Namespaces) Base(prefix string) (string, bool) {
-	b, ok := n.byPrefix[prefix]
-	return b, ok
-}
-
 // Expand resolves a qualified name like "imcl:locatedIn" to a full IRI term.
 // Already-expanded IRIs (containing "://") pass through unchanged.
 func (n *Namespaces) Expand(qname string) (Term, error) {
@@ -77,24 +71,6 @@ func (n *Namespaces) Expand(qname string) (Term, error) {
 		return Term{}, fmt.Errorf("rdf: unknown namespace prefix %q", prefix)
 	}
 	return IRI(base + local), nil
-}
-
-// Compact renders an IRI term as prefix:local when a binding matches,
-// preferring the longest base. Non-IRI terms render with Term.String.
-func (n *Namespaces) Compact(t Term) string {
-	if t.Kind != KindIRI {
-		return t.String()
-	}
-	bestPrefix, bestBase := "", ""
-	for p, b := range n.byPrefix {
-		if strings.HasPrefix(t.Value, b) && len(b) > len(bestBase) {
-			bestPrefix, bestBase = p, b
-		}
-	}
-	if bestBase == "" {
-		return t.String()
-	}
-	return bestPrefix + ":" + t.Value[len(bestBase):]
 }
 
 // IMCL expands a local name in the paper's namespace, e.g. IMCL("locatedIn").

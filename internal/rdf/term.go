@@ -53,9 +53,6 @@ func (t Term) Zero() bool { return t.Kind == 0 }
 // IsVar reports whether t is a pattern variable.
 func (t Term) IsVar() bool { return t.Kind == KindVariable }
 
-// Equal reports structural equality of two terms.
-func (t Term) Equal(o Term) bool { return t == o }
-
 // IRI returns an IRI term.
 func IRI(iri string) Term { return Term{Kind: KindIRI, Value: iri} }
 

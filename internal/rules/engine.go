@@ -46,14 +46,6 @@ func NewEngine(rs []Rule) (*Engine, error) {
 	return &Engine{rules: rs, fired: make(map[string]bool)}, nil
 }
 
-// Reset clears the engine's firing memory. Use it when reusing an engine
-// on a different knowledge base.
-func (e *Engine) Reset() {
-	e.mu.Lock()
-	e.fired = make(map[string]bool)
-	e.mu.Unlock()
-}
-
 // Result summarizes one Infer run.
 type Result struct {
 	Added       int // number of new triples inferred

@@ -10,7 +10,6 @@ package space
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -106,29 +105,6 @@ func (d *Directory) SpaceOfHost(host string) (string, bool) {
 	defer d.mu.RUnlock()
 	s, ok := d.hostSpace[host]
 	return s, ok
-}
-
-// Spaces lists space names, sorted.
-func (d *Directory) Spaces() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.spaces))
-	for n := range d.spaces {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Gateway returns a space's gateway host.
-func (d *Directory) Gateway(spaceName string) (string, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	s, ok := d.spaces[spaceName]
-	if !ok || s.Gateway == "" {
-		return "", false
-	}
-	return s.Gateway, true
 }
 
 // CrossesSpaces reports whether moving between two hosts crosses a space

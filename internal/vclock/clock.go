@@ -101,6 +101,3 @@ func (s *Skewed) Now() time.Time { return s.base.Now().Add(s.offset) }
 
 // Charge forwards to the underlying clock.
 func (s *Skewed) Charge(d time.Duration) { s.base.Charge(d) }
-
-// Offset returns the constant skew applied by this clock.
-func (s *Skewed) Offset() time.Duration { return s.offset }

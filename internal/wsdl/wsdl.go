@@ -13,7 +13,6 @@ package wsdl
 import (
 	"encoding/xml"
 	"fmt"
-	"sort"
 )
 
 // Description is the root document, loosely mirroring wsdl:definitions.
@@ -105,20 +104,6 @@ func (d *Description) Validate() error {
 		return fmt.Errorf("wsdl: %s: negative device requirement", d.Name)
 	}
 	return nil
-}
-
-// Operations returns all operation names across services, sorted.
-func (d *Description) Operations() []string {
-	var out []string
-	for _, s := range d.Services {
-		for _, p := range s.Ports {
-			for _, op := range p.Operations {
-				out = append(out, op.Name)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DeviceProfile describes a concrete device's capabilities: what a host

@@ -1,9 +1,6 @@
 package wsdl
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 func playerDesc() *Description {
 	return &Description{
@@ -62,25 +59,5 @@ func TestValidateRejects(t *testing.T) {
 				t.Fatal("invalid description accepted")
 			}
 		})
-	}
-}
-
-func TestOperationsSortedAndHasOperation(t *testing.T) {
-	d := playerDesc()
-	ops := d.Operations()
-	want := []string{"pause", "play", "seek"}
-	if len(ops) != len(want) {
-		t.Fatalf("Operations = %v", ops)
-	}
-	for i := range want {
-		if ops[i] != want[i] {
-			t.Fatalf("Operations = %v, want %v", ops, want)
-		}
-	}
-	if !slices.Contains(ops, "play") {
-		t.Fatal("play missing from Operations")
-	}
-	if slices.Contains(ops, "explode") {
-		t.Fatal("explode listed in Operations")
 	}
 }
