@@ -4,7 +4,13 @@
 # over real localhost TCP. Control plane: old client vs new daemon and
 # new client vs old daemon, each smoking info, ps, and one watch event.
 # Snapshot wire: old mdagentd replicating to a new mdregistry and the
-# reverse, each asserting the center lists the app's snapshot. Migration:
+# reverse, each asserting the center lists the app's snapshot — or, when
+# the new mdagentd writes a snapshot frame version the old center does
+# not read, that the center refuses every put with its typed "unsupported
+# frame version" and lists nothing. (No pair drives registry.lookup-app:
+# a single-center migration's commit demotes the source itself. An N-1
+# center refuses the fast lookup with ErrVersion; see the registry's
+# golden frame tests.) Migration:
 # an mdagentd of one generation checks an application in at one of the
 # other, and two new ones move it through a center of the old; whenever
 # an encoding of the leg differs between the generations, the migration
@@ -130,11 +136,16 @@ run_pair() {
   wait "$agent_pid" "$reg_pid" 2>/dev/null || true
 }
 
-# run_snap_pair AGENTD_DIR REGISTRY_DIR LABEL: a replicating mdagentd of
-# one generation streams its running app's state to a center of the
-# other; the center must list the snapshot within 10 s.
+# run_snap_pair AGENTD_DIR REGISTRY_DIR LABEL [REFUSAL]: a replicating
+# mdagentd of one generation streams its running app's state to a center
+# of the other. When both read the frames the agentd writes, the center
+# must list the snapshot within 10 s. When the center is older than the
+# frames (REFUSAL set: an mdagentd writing snapshot and delta frames v3
+# against a center that reads v1 only), the agentd must print the
+# center's typed refusal (REFUSAL, its error text) within 10 s and the
+# center must list no snapshot.
 run_snap_pair() {
-  local agentd=$1 registry=$2 label=$3
+  local agentd=$1 registry=$2 label=$3 refusal=${4:-}
   echo "-- pair: $label"
   local dir="$WORK/run-$label"
   mkdir -p "$dir"
@@ -153,6 +164,17 @@ run_snap_pair() {
   local deadline=$((SECONDS + 10))
   until "$WORK/new/mdctl" -server "$reg_addr" snapshots 2>/dev/null |
     awk '$1 == "smart-media-player" && $4 >= 1 { found = 1 } END { exit !found }'; do
+    if [ -n "$refusal" ] && grep -q "$refusal" "$dir/agentd.log"; then
+      if "$WORK/new/mdctl" -server "$reg_addr" snapshots 2>/dev/null | grep -q smart-media-player; then
+        echo "the center lists a snapshot of a put it refused" >&2
+        "$WORK/new/mdctl" -server "$reg_addr" snapshots >&2 || true
+        return 1
+      fi
+      echo "   refused, nothing listed: $(grep -m1 "$refusal" "$dir/agentd.log")"
+      kill "$agent_pid" "$reg_pid" 2>/dev/null || true
+      wait "$agent_pid" "$reg_pid" 2>/dev/null || true
+      return 0
+    fi
     if [ "$SECONDS" -ge "$deadline" ]; then
       echo "center never listed a smart-media-player snapshot with seq >= 1" >&2
       "$WORK/new/mdctl" -server "$reg_addr" snapshots >&2 || true
@@ -317,11 +339,11 @@ SPEC
 # when SPACE is empty, else the center of SPACE — takes one install
 # registration (an old mdagentd's -install) and one bundle push into a
 # -store directory, then stops. The bundle's notes value makes it larger
-# than 64 KiB, past the blob threshold of a store that still kept a blob
-# log. The new mdregistry opens the same directory (converting the store
-# on first open when the layouts differ) and must list the same apps and
-# bundles, and leave no blob-*.seg behind: the window's proof that a store
-# the base wrote opens under the change.
+# than 64 KiB, past the blob threshold of the stores that kept a blob log
+# (a base older than commit 63a41ad, whose store this build refuses). The new
+# mdregistry opens the same directory and must list the same apps and
+# bundles: the window's proof that a store the base wrote opens under
+# the change.
 run_store_upgrade_pair() {
   local space=$1 label=$2
   echo "-- pair: $label"
@@ -377,10 +399,6 @@ SPEC
   wait "$agent_pid" 2>/dev/null || true
   kill "$reg_pid" 2>/dev/null || true
   wait "$reg_pid" 2>/dev/null || true
-  local blob_bytes
-  # A base from PR 35 on writes no blob log: no file matches, and under
-  # pipefail a failed cat would end the script here.
-  blob_bytes=$({ cat "$dir"/store/blob-*.seg 2>/dev/null || true; } | wc -c)
 
   "$WORK/new/mdregistry" -listen 127.0.0.1:0 "${space_flags[@]}" -store "$dir/store" \
     >"$dir/new-registry.log" 2>&1 &
@@ -398,12 +416,7 @@ SPEC
     cat "$dir/new-registry.log" >&2
     return 1
   fi
-  if compgen -G "$dir/store/blob-*.seg" >/dev/null; then
-    echo "the new mdregistry left blob segments in the store: $(ls "$dir/store")" >&2
-    return 1
-  fi
   echo "   same apps and bundles after the upgrade: $(grep smart-media-player "$dir/ps-new.txt" | head -1)"
-  echo "   the old store's blob log held $blob_bytes bytes; none is left after the conversion"
 
   kill "$reg_pid" 2>/dev/null || true
   wait "$reg_pid" 2>/dev/null || true
@@ -494,7 +507,7 @@ esac
 run_pair "$WORK/new" "$WORK/old" old-client-vs-new-daemon
 run_pair "$WORK/old" "$WORK/new" new-client-vs-old-daemon
 run_snap_pair "$WORK/old" "$WORK/new" old-agentd-vs-new-registry
-run_snap_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry
+run_snap_pair "$WORK/new" "$WORK/old" new-agentd-vs-old-registry "unsupported frame version"
 run_migrate_pair "$WORK/old" "$WORK/new" old-source-vs-new-destination "unsupported protocol version"
 run_migrate_pair "$WORK/new" "$WORK/old" new-source-vs-old-destination "unknown fast opcode"
 run_migrate_pair "$WORK/new" "$WORK/new" new-hosts-vs-old-center "unsupported protocol version" "$WORK/old"

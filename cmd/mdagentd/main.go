@@ -253,7 +253,18 @@ func run(args []string, out io.Writer, ready func(addr string), stop <-chan stru
 		if *concern != "" {
 			snapCli.SetWriteConcern(wc)
 		}
-		rt.StartReplicator(state.NewReplicator(*host, *space, eng.Apps, snapCli, nil, *replicate, state.Tuning{}))
+		rep := state.NewReplicator(*host, *space, eng.Apps, snapCli, nil, *replicate, state.Tuning{})
+		// A failed sweep prints once per distinct error, so a center that
+		// refuses every put (an older build refusing a newer frame
+		// version) says why without a line per tick.
+		var lastErr string
+		rep.OnError(func(err error) {
+			if msg := err.Error(); msg != lastErr {
+				lastErr = msg
+				fmt.Fprintf(out, "mdagentd[%s]: replication failed: %v\n", *host, err)
+			}
+		})
+		rt.StartReplicator(rep)
 		defer rt.Replicator.Stop()
 		if wc != cluster.WriteAsync {
 			fmt.Fprintf(out, "mdagentd[%s]: replicating application state every %v (write concern %s)\n", *host, *replicate, wc)

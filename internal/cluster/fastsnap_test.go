@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mdagent/internal/gobcodec"
+	"mdagent/internal/registry"
 	"mdagent/internal/state"
 	"mdagent/internal/transport"
 )
@@ -183,5 +186,62 @@ func TestSnapshotClientReturnsVersionRefusal(t *testing.T) {
 	}
 	if n := requests.Load(); n != 1 {
 		t.Fatalf("old center saw %d requests for one refused put, want exactly 1", n)
+	}
+}
+
+// TestRestoreMakesNoGobCalls holds one restore — the restore-read
+// workload's op: the latest snapshot fetched from a center served on a
+// TCPNode, reassembled from a base and 4 deltas, then the app's
+// installation record looked up — to its count budget of gob calls: 0.
+// The fetch (snap-get), the frames (v3) and the lookup are fast-frame
+// fields only.
+func TestRestoreMakesNoGobCalls(t *testing.T) {
+	srv, err := transport.ListenTCP(CenterEndpointName("alpha"), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := volatileCenter("alpha", srv.Endpoint(), testConfig())
+	c.Serve(srv.Endpoint())
+	ctx := context.Background()
+	putChain(t, c, "player", 4)
+	rec := registry.AppRecord{Name: "player", Host: "hostA", Space: "alpha",
+		Description: appDesc("player"), Components: []string{"st", "payload"}, Running: true}
+	if err := c.RegisterApp(ctx, rec); err != nil {
+		t.Fatal(err)
+	}
+	node, err := transport.ListenTCP("client@test", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	node.AddPeer(CenterEndpointName("alpha"), srv.Addr())
+	reg := registry.NewClient(node.Endpoint(), CenterEndpointName("alpha"))
+
+	const restores = 3
+	var snaps []state.SnapshotRecord
+	before := gobcodec.Calls()
+	for range restores {
+		// A fresh client holds no earlier copy: the whole record comes.
+		snap, found, err := NewSnapshotClient(node.Endpoint(), CenterEndpointName("alpha")).LatestSnapshot(ctx, "player")
+		if err != nil || !found {
+			t.Fatalf("fetch: found=%v err=%v", found, err)
+		}
+		if _, digest, err := snap.SnapshotDigest(); err != nil || digest != snap.StateDigest {
+			t.Fatalf("reassembly: err %v", err)
+		}
+		got, found, err := reg.LookupApp(ctx, "player", "hostA")
+		if err != nil || !found || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("lookup: %+v found=%v err=%v", got, found, err)
+		}
+		snaps = append(snaps, snap)
+	}
+	calls := gobcodec.Calls() - before
+	t.Logf("%.2f gob calls per restore", float64(calls)/restores)
+	if calls != 0 {
+		t.Fatalf("%d restores made %d gob calls, budget 0", restores, calls)
+	}
+	if v := snapValue(t, snaps[0]); v != "4" || len(snaps[0].Deltas) != 4 {
+		t.Fatalf("restored %q from %d deltas, want \"4\" from 4", v, len(snaps[0].Deltas))
 	}
 }

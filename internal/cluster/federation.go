@@ -1284,14 +1284,7 @@ func (c *Center) Serve(ep *transport.Endpoint) *Center {
 		}
 		return nil, state.IgnoreNotDurable(c.UnregisterApp(bg, req.Name, req.Host))
 	})
-	ep.Handle(registry.MsgLookupApp, func(msg transport.Message) ([]byte, error) {
-		var req registry.AppKeyReq
-		if err := transport.DecodeSealed(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		rec, found, _ := c.LookupApp(bg, req.Name, req.Host)
-		return transport.Encode(registry.LookupAppReply{Rec: rec, Found: found})
-	})
+	ep.Handle(registry.MsgLookupApp, registry.LookupAppHandler(c.LookupApp))
 	ep.Handle(registry.MsgRegisterResource, func(msg transport.Message) ([]byte, error) {
 		var res owl.Resource
 		if err := transport.DecodeSealed(msg.Payload, &res); err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -143,31 +144,32 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 }
 
 // assertLayoutRefused opens a center over the closed store directory dir
-// and checks that NewCenter fails with store.ErrLayout, names the commit
-// that converts the layout, and leaves every file of dir as it was.
+// and checks that store.Open or NewCenter fails with store.ErrLayout,
+// names the commit that converts the layout, and leaves every file of
+// dir as it was.
 func assertLayoutRefused(t *testing.T, dir, space string) {
 	t.Helper()
 	before := dirFiles(t, dir)
 	db, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab := transport.NewLocalFabric(nil)
-	defer fab.Close()
-	ep, err := fab.Attach(CenterEndpointName(space), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCenter(space, db, ep, testConfig())
-	if cerr := db.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
 	if err == nil {
-		c.Stop()
-		t.Fatal("NewCenter over a retired layout succeeded")
+		fab := transport.NewLocalFabric(nil)
+		defer fab.Close()
+		ep, aerr := fab.Attach(CenterEndpointName(space), "")
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		var c *Center
+		c, err = NewCenter(space, db, ep, testConfig())
+		if cerr := db.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if err == nil {
+			c.Stop()
+			t.Fatal("NewCenter over a retired layout succeeded")
+		}
 	}
 	if !errors.Is(err, store.ErrLayout) || !strings.Contains(err.Error(), "3a28188") {
-		t.Fatalf("NewCenter = %v, want store.ErrLayout naming 3a28188", err)
+		t.Fatalf("open = %v, want store.ErrLayout naming 3a28188", err)
 	}
 	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatal("a refused open changed the store's files")
@@ -202,9 +204,10 @@ func TestTornMirrorNeverDisagreesAfterReopen(t *testing.T) {
 // TestParentStoresOpen: the store directories under testdata/parent-stores
 // were written by the layout that kept a registry-layout copy of every
 // record (testdata/parent-stores/gen_test.go): a federated center's, with
-// both copies, and a standalone registry's, with only the registry copy.
-// The store converts their blob log, the one retired layout it still
-// reads; the center then refuses the registry layout and writes nothing.
+// both copies, and a standalone registry's, with only the registry copy;
+// a later build converted their blob log. The store opens with their
+// records; the center then refuses the registry layout and writes
+// nothing.
 func TestParentStoresOpen(t *testing.T) {
 	for kind, space := range map[string]string{"federated": "lab", "standalone": ""} {
 		t.Run(kind, func(t *testing.T) {
@@ -212,11 +215,24 @@ func TestParentStoresOpen(t *testing.T) {
 			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "parent-stores", kind))); err != nil {
 				t.Fatal(err)
 			}
-			// Opening the store alone converts the blob log.
 			if len(storeContents(t, dir)) == 0 {
 				t.Fatal("the fixture holds no keys")
 			}
 			assertLayoutRefused(t, dir, space)
 		})
+	}
+}
+
+// TestBlobLayoutStoreIsRefused: a center's directory in the blob layout
+// (testdata/blob-layout/gen_test.go records it) is refused when its store
+// opens, naming the commits that convert it, and nothing in it changes.
+func TestBlobLayoutStoreIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "blob-layout", "store"))); err != nil {
+		t.Fatal(err)
+	}
+	assertLayoutRefused(t, dir, "alpha")
+	if _, err := store.Open(dir); !strings.Contains(fmt.Sprint(err), "9387257") {
+		t.Fatalf("store.Open = %v, want the refusal to name 9387257", err)
 	}
 }

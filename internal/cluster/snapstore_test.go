@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +16,7 @@ import (
 
 	"mdagent/internal/app"
 	"mdagent/internal/obs"
+	"mdagent/internal/registry"
 	"mdagent/internal/state"
 	"mdagent/internal/store"
 	"mdagent/internal/transport"
@@ -480,43 +482,39 @@ func persistErrors(space string) int64 {
 	return obs.Default.Counter("mdagent_fed_persist_errors_total", "space", space).Value()
 }
 
-// TestUnreadableValueCostsOnlyItself: a fed/ value the store cannot read
-// back — in a directory an older store wrote, a bundle whose bytes lie in
-// its blob log, with one byte flipped — is dropped when the store
-// converts the directory at open (testdata/blob-layout/gen_test.go
-// records it). The records that sort after it still load, no chain of a
-// loaded head is swept, on that open or the next, and a later write of
-// the key stores it again.
+// TestUnreadableValueCostsOnlyItself: a fed/ value the center cannot read
+// back — a bundle record whose gob was cut short — is skipped when the
+// center loads its store. The records that sort after it still load, no
+// chain of a loaded head is swept, on that open or the next, and a later
+// write of the key stores it again.
 func TestUnreadableValueCostsOnlyItself(t *testing.T) {
 	ctx := context.Background()
 	fab := transport.NewLocalFabric(nil)
 	t.Cleanup(func() { fab.Close() })
-	raw, err := os.ReadFile(filepath.Join("testdata", "blob-layout", "expected.json"))
-	if err != nil {
+	dir := t.TempDir()
+	w := openDiskCenter(t, fab, dir, "alpha", testConfig())
+	if err := w.PutBundle(ctx, "editor", bytes.Repeat([]byte("b"), 70<<10)); err != nil {
 		t.Fatal(err)
 	}
-	var want struct {
+	putChain(t, w.Center, "player", 2)
+	want := struct {
 		Player snapView
 		Chain  []string
-	}
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	}{viewOf(t, w.Center, "player"), chainKeys(w.Center)}
 	if len(want.Chain) != 3 {
 		t.Fatalf("chain keys = %v, want a base and 2 deltas", want.Chain)
 	}
-	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "blob-layout", "store"))); err != nil {
-		t.Fatal(err)
-	}
-	blob := filepath.Join(dir, "blob-00000001.seg")
-	if raw, err = os.ReadFile(blob); err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(blob, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	w.reopen(func(db *store.Store) {
+		k := fedKeyPrefix + bundleKey("editor")
+		raw, err := db.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put(k, raw[:len(raw)/2]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	w.close()
 
 	d := openDiskCenter(t, fab, dir, "alpha", testConfig())
 	for open := 1; open <= 2; open++ {
@@ -531,9 +529,6 @@ func TestUnreadableValueCostsOnlyItself(t *testing.T) {
 		}
 		if _, found, _ := d.GetBundle(ctx, "editor"); found {
 			t.Fatalf("open %d: the unreadable bundle is served", open)
-		}
-		if keys := d.db.Keys(fedKeyPrefix + bundleKey("editor")); len(keys) != 0 {
-			t.Fatalf("open %d: the unreadable value's key = %v, want it dropped at conversion", open, keys)
 		}
 		d.close()
 	}
@@ -714,4 +709,75 @@ func FuzzSnapHead(f *testing.F) {
 			t.Fatalf("round trip changed the head (err %v):\n%+v %+v\n%+v %+v", err, rec, dc, again, againDC)
 		}
 	})
+}
+
+// TestV1FrameStoreServes: a store written by the last build whose
+// snapshot and delta frames were version 1 (testdata/v1-frames/gen_test.go
+// records it) opens and serves the same records — the app's installation
+// and a snapshot record reassembling to the same digest — with nothing
+// rewritten. A v3 delta then chains onto the v1 frames, and the mixed
+// chain survives a reopen.
+func TestV1FrameStoreServes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "v1-frames", "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Player snapView
+		Chain  []string
+		App    registry.AppRecord
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "v1-frames", "store"))); err != nil {
+		t.Fatal(err)
+	}
+	fab := transport.NewLocalFabric(nil)
+	t.Cleanup(func() { fab.Close() })
+	d := openDiskCenter(t, fab, dir, "alpha", testConfig())
+	if got := viewOf(t, d.Center, "player"); !reflect.DeepEqual(got, want.Player) {
+		t.Fatalf("player = %+v, want %+v", got, want.Player)
+	}
+	if got := chainKeys(d.Center); !reflect.DeepEqual(got, want.Chain) {
+		t.Fatalf("chain keys = %v, want %v", got, want.Chain)
+	}
+	if got, found, _ := d.LookupApp(context.Background(), "player", "hostA"); !found || !reflect.DeepEqual(got, want.App) {
+		t.Fatalf("app = %+v (found %v), want %+v", got, found, want.App)
+	}
+	sr, _ := d.LatestSnapshot("player")
+	for i, f := range append([][]byte{sr.Frame}, sr.Deltas...) {
+		if f[4] != 1 {
+			t.Fatalf("frame %d is v%d: the open rewrote it", i, f[4])
+		}
+	}
+
+	// The delta is built on the reassembled state: a state component's
+	// gob bytes carry type ids of the process that captured it.
+	ts, err := sr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := app.NewState("st")
+	st.Set("v", "3")
+	stBytes, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := state.WrapDelta{App: "player", FromHost: "hostA", BaseDigest: sr.StateDigest,
+		Components: map[string][]byte{"st": stBytes}, Kinds: map[string]app.ComponentKind{"st": app.KindState},
+		CoordState: ts.Wrap.CoordState, Profile: ts.Wrap.Profile}
+	next, err := state.ApplyDelta(ts.Wrap, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, _ := state.EncodeDelta(delta)
+	mustPut(t, d.Center, state.SnapshotPut{App: "player", Host: "hostA", At: time.Unix(3, 0), Delta: true,
+		Frame: frame, BaseDigest: sr.StateDigest, NewDigest: state.WrapDigest(next)})
+	d.reopen(nil)
+	sr, _ = d.LatestSnapshot("player")
+	if v := snapValue(t, sr); v != "3" || len(sr.Deltas) != 3 || sr.Deltas[2][4] != 3 {
+		t.Fatalf("after a v3 delta and a reopen: %q from %d deltas", v, len(sr.Deltas))
+	}
 }

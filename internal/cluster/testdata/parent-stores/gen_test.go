@@ -14,7 +14,16 @@ package cluster
 // It writes two store directories — federated (a center of space "lab")
 // and standalone (a bare registry) — each holding one app, one resource,
 // one device and one bundle, and expected.json with what the writer then
-// served.
+// served. That store still kept its bundles in a blob log; the
+// directories were then opened once with a build of commit 9387257, the
+// last that converts a blob log, so they hold the one-log layout and the
+// registry layout is the one retired thing in them:
+//
+//	git archive 9387257 | tar -x -C /tmp/converter
+//	# in /tmp/converter/internal/store: a test that calls Open and Close
+//	# on each of the two directories
+//
+// The conversion is deterministic (TestConversionIsDeterministic).
 
 import (
 	"context"

@@ -12,7 +12,8 @@ import (
 
 // Fast-frame codecs of the records a follow-me leg carries — the one
 // encoder and decoder of each, shared by the registry's two follow-me
-// ops and the migration check-in — and the frames of those two ops.
+// ops, its lookup and the migration check-in — and the frames of those
+// three ops.
 //
 // A wsdl.Description is
 //
@@ -43,10 +44,12 @@ import (
 //	OpPlanMove       string app, string dest-host, list of resources, int mode
 //	OpPlanMoveReply  move plan
 //
-// and so is registry.move-app:
+// and so are registry.move-app and registry.lookup-app:
 //
-//	OpMoveApp        record, string from
-//	OpMoveAppReply   bool source-demoted
+//	OpMoveApp         record, string from
+//	OpMoveAppReply    bool source-demoted
+//	OpLookupApp       string app, string host
+//	OpLookupAppReply  record, bool found
 //
 // A center of the build before refuses the v2 version byte with
 // ErrVersion before it reads the body, and this build refuses a sealed
@@ -300,6 +303,46 @@ func decodeMoveAppReply(payload []byte) (bool, error) {
 	return demoted, r.Err()
 }
 
+func encodeLookupAppReq(q appKeyReq) []byte {
+	b := append(make([]byte, 0, 64), transport.ProtoV2, transport.OpLookupApp)
+	b = transport.AppendString(b, q.Name)
+	return transport.AppendString(b, q.Host)
+}
+
+func decodeLookupAppReq(payload []byte) (appKeyReq, error) {
+	r, err := transport.OpenFastOp(payload, transport.OpLookupApp, MsgLookupApp)
+	if err != nil {
+		return appKeyReq{}, err
+	}
+	var q appKeyReq
+	q.Name = r.String()
+	q.Host = r.String()
+	return q, r.Err()
+}
+
+// lookupAppReply is a registry.lookup-app reply.
+type lookupAppReply struct {
+	Rec   AppRecord
+	Found bool
+}
+
+func encodeLookupAppReply(p lookupAppReply) []byte {
+	b := append(make([]byte, 0, 512), transport.ProtoV2, transport.OpLookupAppReply)
+	b = appendAppRecord(b, &p.Rec)
+	return transport.AppendBool(b, p.Found)
+}
+
+func decodeLookupAppReply(payload []byte) (lookupAppReply, error) {
+	r, err := transport.OpenFastOp(payload, transport.OpLookupAppReply, MsgLookupApp)
+	if err != nil {
+		return lookupAppReply{}, err
+	}
+	var p lookupAppReply
+	p.Rec = readAppRecord(r)
+	p.Found = r.Bool()
+	return p, r.Err()
+}
+
 // PlanMoveHandler serves registry.plan-move with plan (a center's
 // PlanMove).
 func PlanMoveHandler(plan func(ctx context.Context, appName, destHost string, resources []owl.Resource, mode owl.MatchMode) (MovePlan, error)) transport.Handler {
@@ -328,5 +371,21 @@ func MoveAppHandler(move func(ctx context.Context, rec AppRecord, from string) (
 			return nil, err
 		}
 		return encodeMoveAppReply(demoted), nil
+	}
+}
+
+// LookupAppHandler serves registry.lookup-app with lookup (a center's
+// LookupApp).
+func LookupAppHandler(lookup func(ctx context.Context, name, host string) (AppRecord, bool, error)) transport.Handler {
+	return func(msg transport.Message) ([]byte, error) {
+		q, err := decodeLookupAppReq(msg.Payload)
+		if err != nil {
+			return nil, err
+		}
+		rec, found, err := lookup(context.Background(), q.Name, q.Host)
+		if err != nil {
+			return nil, err
+		}
+		return encodeLookupAppReply(lookupAppReply{Rec: rec, Found: found}), nil
 	}
 }

@@ -24,21 +24,16 @@ const (
 	MsgListBundles      = "registry.list-bundles"
 )
 
-// Every request payload but plan-move's and move-app's (fast frames, see
-// fast.go) is sealed with a protocol version byte (transport.Seal);
-// handlers refuse versions they do not speak with a typed
-// transport.ErrVersion reply instead of misparsing the gob body.
+// Every request payload but plan-move's, move-app's and lookup-app's
+// (fast frames, see fast.go) is sealed with a protocol version byte
+// (transport.Seal); handlers refuse versions they do not speak with a
+// typed transport.ErrVersion reply instead of misparsing the gob body.
 
 // Request/reply bodies (gob-encoded). Gob writes a struct's unqualified
 // type name into the stream, so the center that serves them uses the
 // exported aliases below and the bytes keep these lower-case names.
 type (
 	appKeyReq struct{ Name, Host string }
-
-	lookupAppReply struct {
-		Rec   AppRecord
-		Found bool
-	}
 
 	hostReq struct{ Host string }
 
@@ -64,7 +59,6 @@ type (
 // The bodies the serving center decodes and encodes.
 type (
 	AppKeyReq      = appKeyReq
-	LookupAppReply = lookupAppReply
 	HostReq        = hostReq
 	RebindingReq   = rebindingReq
 	DeviceReply    = deviceReply
@@ -104,11 +98,12 @@ func (c *Client) UnregisterApp(ctx context.Context, name, host string) error {
 
 // LookupApp fetches one installation record.
 func (c *Client) LookupApp(ctx context.Context, name, host string) (AppRecord, bool, error) {
-	var reply lookupAppReply
-	if err := c.call(ctx, MsgLookupApp, appKeyReq{Name: name, Host: host}, &reply); err != nil {
+	reply, err := c.ep.Request(ctx, c.server, MsgLookupApp, encodeLookupAppReq(appKeyReq{Name: name, Host: host}))
+	if err != nil {
 		return AppRecord{}, false, err
 	}
-	return reply.Rec, reply.Found, nil
+	p, err := decodeLookupAppReply(reply.Payload)
+	return p.Rec, p.Found, err
 }
 
 // Apps lists every application installation record at the center.

@@ -77,24 +77,34 @@ var (
 	}
 )
 
-// goldenFrames are the four follow-me frames of the registry, each
-// encoded from its recorded value.
+// goldenLookup is the recorded lookup-app request (lookup-app-req.gob
+// holds it as the build before sealed it) and goldenLookupReply its reply.
+var (
+	goldenLookup      = appKeyReq{Name: "player", Host: "hostB"}
+	goldenLookupReply = lookupAppReply{Rec: goldenMoveApp.Rec, Found: true}
+)
+
+// goldenFrames are the six fast frames of the registry, each encoded
+// from its recorded value.
 func goldenFrames() map[string][]byte {
 	return map[string][]byte{
-		"plan-move-req.bin":   encodePlanMoveReq(goldenPlanMove),
-		"plan-move-reply.bin": encodeMovePlan(goldenPlan),
-		"move-app-req.bin":    encodeMoveAppReq(goldenMoveApp),
-		"move-app-reply.bin":  encodeMoveAppReply(true),
+		"plan-move-req.bin":    encodePlanMoveReq(goldenPlanMove),
+		"plan-move-reply.bin":  encodeMovePlan(goldenPlan),
+		"move-app-req.bin":     encodeMoveAppReq(goldenMoveApp),
+		"move-app-reply.bin":   encodeMoveAppReply(true),
+		"lookup-app-req.bin":   encodeLookupAppReq(goldenLookup),
+		"lookup-app-reply.bin": encodeLookupAppReply(goldenLookupReply),
 	}
 }
 
-// TestGoldenRequestBodies pins registry.plan-move and registry.move-app,
-// request and reply: each recorded frame is what today's encoder writes,
-// byte for byte (maps in key order), and decodes to the recorded value.
-// The build before sealed both requests as gob (the two .gob files):
-// this build refuses them with ErrVersion, and that build's Open refuses
-// a fast frame the same way. A frame of the other op, or a request read
-// as a reply, names the opcode it does not serve.
+// TestGoldenRequestBodies pins registry.plan-move, registry.move-app and
+// registry.lookup-app, request and reply: each recorded frame is what
+// today's encoder writes, byte for byte (maps in key order), and decodes
+// to the recorded value. The builds before sealed each request as gob
+// (the three .gob files): this build refuses them with ErrVersion, and
+// those builds' Open refuses a fast frame the same way. A frame of
+// another op, or a request read as a reply, names the opcode it does not
+// serve.
 func TestGoldenRequestBodies(t *testing.T) {
 	pinned := func(t *testing.T, name string, frame []byte) []byte {
 		t.Helper()
@@ -142,6 +152,26 @@ func TestGoldenRequestBodies(t *testing.T) {
 		}
 		_, err := decodeMoveAppReq(goldenWire(t, "plan-move-req.bin"))
 		unknownOp(t, "a plan-move request on move-app", err)
+	})
+	t.Run("lookup-app", func(t *testing.T) {
+		req := pinned(t, "lookup-app-req.bin", encodeLookupAppReq(goldenLookup))
+		if q, err := decodeLookupAppReq(req); err != nil || q != goldenLookup {
+			t.Fatalf("request decodes to %+v (err %v)", q, err)
+		}
+		reply := pinned(t, "lookup-app-reply.bin", encodeLookupAppReply(goldenLookupReply))
+		if p, err := decodeLookupAppReply(reply); err != nil || !reflect.DeepEqual(p, goldenLookupReply) {
+			t.Fatalf("reply decodes to %+v (err %v)", p, err)
+		}
+		if p, err := decodeLookupAppReply(encodeLookupAppReply(lookupAppReply{})); err != nil || p.Found || p.Rec.Name != "" {
+			t.Fatalf("a not-found reply decodes to %+v (err %v)", p, err)
+		}
+		if _, err := decodeLookupAppReq(goldenWire(t, "lookup-app-req.gob")); !errors.Is(err, transport.ErrVersion) {
+			t.Fatalf("sealed gob request: err = %v, want ErrVersion", err)
+		}
+		_, err := decodeLookupAppReply(req)
+		unknownOp(t, "request read as the reply", err)
+		_, err = decodeLookupAppReq(goldenWire(t, "move-app-req.bin"))
+		unknownOp(t, "a move-app request on lookup-app", err)
 	})
 }
 
@@ -221,10 +251,10 @@ func TestClaimedCountsAllocateInProportion(t *testing.T) {
 	}
 }
 
-// FuzzMoveFrames: the plan-move and move-app decoders read what any peer
-// sends a center, and what a center sends back. Any input yields a typed
-// error (ErrVersion or ErrBadFrame) or a value that survives a
-// re-encode/decode round trip; it never panics and allocates in
+// FuzzMoveFrames: the plan-move, move-app and lookup-app decoders read
+// what any peer sends a center, and what a center sends back. Any input
+// yields a typed error (ErrVersion or ErrBadFrame) or a value that
+// survives a re-encode/decode round trip; it never panics and allocates in
 // proportion to the input, not to what its counts claim: a list's slice
 // at most its element's size over its smallest encoding per byte (20 B
 // for a wsdl.Service), a map of distinct one-byte keys about 48.
@@ -238,6 +268,13 @@ func FuzzMoveFrames(f *testing.F) {
 	f.Add(uint8(0), goldenWire(f, "plan-move-req.gob"))
 	f.Add(uint8(2), goldenWire(f, "move-app-req.gob"))
 	f.Add(uint8(1), transport.AppendUint([]byte{transport.ProtoV2, transport.OpPlanMoveReply}, math.MaxUint64))
+	for i, name := range []string{"lookup-app-req.bin", "lookup-app-reply.bin"} {
+		g := goldenWire(f, name)
+		f.Add(uint8(4+i), g)
+		f.Add(uint8(4+i), g[:len(g)/2])
+		f.Add(uint8(4+i), append(g[:2:2], 0xff, 0xff, 0xff, 0xff, 0x0f))
+	}
+	f.Add(uint8(4), goldenWire(f, "lookup-app-req.gob"))
 
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		type codec struct {
@@ -249,6 +286,8 @@ func FuzzMoveFrames(f *testing.F) {
 			{func(b []byte) (any, error) { return decodeMovePlan(b) }, func(v any) []byte { return encodeMovePlan(v.(MovePlan)) }},
 			{func(b []byte) (any, error) { return decodeMoveAppReq(b) }, func(v any) []byte { return encodeMoveAppReq(v.(moveAppReq)) }},
 			{func(b []byte) (any, error) { return decodeMoveAppReply(b) }, func(v any) []byte { return encodeMoveAppReply(v.(bool)) }},
+			{func(b []byte) (any, error) { return decodeLookupAppReq(b) }, func(v any) []byte { return encodeLookupAppReq(v.(appKeyReq)) }},
+			{func(b []byte) (any, error) { return decodeLookupAppReply(b) }, func(v any) []byte { return encodeLookupAppReply(v.(lookupAppReply)) }},
 		}
 		c := codecs[int(which)%len(codecs)]
 		var before, after runtime.MemStats

@@ -12,10 +12,10 @@
 // Before this package, three serialization paths had diverged: follow-me
 // shipped raw-gob Wraps, clone-dispatch re-encoded the same shape
 // separately, and failover shipped nothing at all. Every frame now goes
-// through WrapParts/EncodeSnapshot, which prepend a magic + version +
-// CRC32 header, so a torn or corrupted frame is detected at decode time
-// instead of silently restoring garbage state, and future frame-format
-// changes can coexist with old persisted frames.
+// through WrapParts, EncodeSnapshot or EncodeDelta, which prepend a
+// magic + version + CRC32 header, so a torn or corrupted frame is
+// detected at decode time instead of silently restoring garbage state,
+// and future frame-format changes can coexist with old persisted frames.
 package state
 
 import (
@@ -28,6 +28,7 @@ import (
 
 	"mdagent/internal/app"
 	"mdagent/internal/gobcodec"
+	"mdagent/internal/transport"
 )
 
 // Codec errors, wrapped with frame detail.
@@ -73,13 +74,15 @@ func IgnoreNotDurable(err error) error {
 }
 
 // Frame-format versions. Version 1 is a gob payload behind the header:
-// every snapshot and delta frame (persisted at the centers), and the wrap
-// frames written before version 2 existed. Version 2 exists for wrap
-// frames only — a small gob meta, then the component bytes raw — because
-// a wrap is the multi-megabyte frame every migration copies.
+// the snapshot and delta frames written before version 3, and the wrap
+// frames written before version 2. This build reads v1 and writes none.
+// Version 2 is a wrap frame: a small gob meta, then the component bytes
+// raw. Version 3 is a snapshot or delta frame: the same raw-component
+// layout, with a meta of fast-frame fields (codec_v3.go).
 const (
 	frameV1 = 1
 	frameV2 = 2
+	frameV3 = 3
 )
 
 // frameKind tags what a frame's payload decodes into.
@@ -91,12 +94,13 @@ const (
 	frameDelta    frameKind = 3 // state.WrapDelta (changed components only)
 )
 
-// maxVersion is the newest format of a kind this build reads.
-func (k frameKind) maxVersion() byte {
+// reads reports whether this build reads version v of a frame of kind
+// k: a wrap at v1 and v2, a snapshot or delta at v1 and v3.
+func (k frameKind) reads(v byte) bool {
 	if k == frameWrap {
-		return frameV2
+		return v == frameV1 || v == frameV2
 	}
-	return frameV1
+	return v == frameV1 || v == frameV3
 }
 
 // magic identifies MDAgent state frames ("MDST").
@@ -117,18 +121,6 @@ func sealFrame(frame []byte) {
 	binary.BigEndian.PutUint32(frame[6:headerLen], crc32.ChecksumIEEE(frame[headerLen:]))
 }
 
-// encodeFrame gob-encodes payload behind a version 1 header.
-func encodeFrame(kind frameKind, payload any) ([]byte, error) {
-	body, err := gobcodec.Encode(payload)
-	if err != nil {
-		return nil, fmt.Errorf("state: encode frame: %w", err)
-	}
-	frame := appendHeader(make([]byte, 0, headerLen+len(body)), frameV1, kind)
-	frame = append(frame, body...)
-	sealFrame(frame)
-	return frame, nil
-}
-
 // verifyFrame validates the header and payload checksum, returning the
 // format version and the payload body. It is the single source of truth
 // for frame validation — both the decoders and the cheap pre-restore
@@ -138,8 +130,8 @@ func verifyFrame(raw []byte, kind frameKind) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("%w (%d bytes)", ErrBadFrame, len(raw))
 	}
 	got := frameKind(raw[5])
-	if v := raw[4]; v == 0 || v > got.maxVersion() {
-		return 0, nil, fmt.Errorf("%w: frame v%d, codec v%d", ErrVersion, v, got.maxVersion())
+	if v := raw[4]; !got.reads(v) {
+		return 0, nil, fmt.Errorf("%w: frame v%d of kind %d", ErrVersion, v, got)
 	}
 	if got != kind {
 		return 0, nil, fmt.Errorf("%w: frame kind %d, want %d", ErrKind, got, kind)
@@ -150,16 +142,6 @@ func verifyFrame(raw []byte, kind frameKind) (byte, []byte, error) {
 			sum, binary.BigEndian.Uint32(raw[6:10]))
 	}
 	return raw[4], body, nil
-}
-
-// decodeFrame verifies the header and checksum, then gob-decodes the
-// payload into out.
-func decodeFrame(raw []byte, kind frameKind, out any) error {
-	_, body, err := verifyFrame(raw, kind)
-	if err != nil {
-		return err
-	}
-	return decodeBody(body, out)
 }
 
 func decodeBody(body []byte, out any) error {
@@ -292,23 +274,45 @@ func DecodeWrap(raw []byte) (app.Wrap, error) {
 }
 
 // VerifySnapshot checks a snapshot frame's header and payload checksum
-// without the cost of a full gob decode — failover uses it to validate a
-// multi-megabyte frame before committing to a restore.
+// without decoding it — failover uses it to validate a multi-megabyte
+// frame before committing to a restore.
 func VerifySnapshot(raw []byte) error {
 	_, _, err := verifyFrame(raw, frameSnapshot)
 	return err
 }
 
 // EncodeSnapshot serializes a tagged snapshot — the frame the Replicator
-// streams to registry centers and failover restores from.
+// streams to registry centers and failover restores from — as a version
+// 3 frame. It does not fail; the error is kept for the callers' shape.
 func EncodeSnapshot(ts app.TaggedSnapshot) ([]byte, error) {
-	return encodeFrame(frameSnapshot, ts)
+	head := transport.AppendString(make([]byte, 0, 64), ts.Tag)
+	head = transport.AppendTime(head, ts.At)
+	head = transport.AppendUint(head, ts.ChangeSeq)
+	return encodeV3(frameSnapshot, head, &ts.Wrap), nil
 }
 
 // DecodeSnapshot verifies and deserializes a replicated snapshot frame.
+// The components of a version 3 frame alias raw, as DecodeWrap's do;
+// a version 1 frame (written before version 3 existed, and still at
+// rest in the centers' stores) is gob-decoded.
 func DecodeSnapshot(raw []byte) (app.TaggedSnapshot, error) {
+	version, body, err := verifyFrame(raw, frameSnapshot)
+	if err != nil {
+		return app.TaggedSnapshot{}, err
+	}
 	var ts app.TaggedSnapshot
-	if err := decodeFrame(raw, frameSnapshot, &ts); err != nil {
+	if version == frameV1 {
+		if err := decodeBody(body, &ts); err != nil {
+			return app.TaggedSnapshot{}, err
+		}
+		return ts, nil
+	}
+	ts.Wrap, err = decodeV3(body, "snapshot", func(r *transport.FastReader) {
+		ts.Tag = r.String()
+		ts.At = r.Time()
+		ts.ChangeSeq = r.Uint()
+	})
+	if err != nil {
 		return app.TaggedSnapshot{}, err
 	}
 	return ts, nil

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 
 	"mdagent/internal/app"
 	"mdagent/internal/obs"
+	"mdagent/internal/transport"
 )
 
 // WrapDelta is the changed-components-only form of a wrap: everything a
@@ -44,22 +46,43 @@ func (d WrapDelta) TotalBytes() int64 {
 }
 
 // EncodeDelta serializes a delta frame — what the replicator ships to
-// its center and a warm follow-me handoff puts on the wire.
+// its center and a warm follow-me handoff puts on the wire — as a
+// version 3 frame. It does not fail; the error is kept for the callers'
+// shape.
 func EncodeDelta(d WrapDelta) ([]byte, error) {
-	return encodeFrame(frameDelta, d)
+	return encodeV3(frameDelta, append(make([]byte, 0, 64), d.BaseDigest[:]...), &app.Wrap{
+		App: d.App, FromHost: d.FromHost, Components: d.Components, Kinds: d.Kinds,
+		CoordState: d.CoordState, Profile: d.Profile,
+	}), nil
 }
 
-// DecodeDelta verifies and deserializes a delta frame.
+// DecodeDelta verifies and deserializes a delta frame. The components of
+// a version 3 frame alias raw; a version 1 frame is gob-decoded.
 func DecodeDelta(raw []byte) (WrapDelta, error) {
-	var d WrapDelta
-	if err := decodeFrame(raw, frameDelta, &d); err != nil {
+	version, body, err := verifyFrame(raw, frameDelta)
+	if err != nil {
 		return WrapDelta{}, err
 	}
+	var d WrapDelta
+	if version == frameV1 {
+		if err := decodeBody(body, &d); err != nil {
+			return WrapDelta{}, err
+		}
+		return d, nil
+	}
+	w, err := decodeV3(body, "delta", func(r *transport.FastReader) {
+		copy(d.BaseDigest[:], r.Fixed(sha256.Size))
+	})
+	if err != nil {
+		return WrapDelta{}, err
+	}
+	d.App, d.FromHost, d.Components, d.Kinds = w.App, w.FromHost, w.Components, w.Kinds
+	d.CoordState, d.Profile = w.CoordState, w.Profile
 	return d, nil
 }
 
 // VerifyDelta checks a delta frame's header and payload checksum without
-// a full gob decode.
+// decoding it.
 func VerifyDelta(raw []byte) error {
 	_, _, err := verifyFrame(raw, frameDelta)
 	return err
@@ -121,36 +144,57 @@ func (dw *DigestedWrap) Digest() [sha256.Size]byte {
 // and the result carries them too, with only the delta's components
 // hashed anew.
 func (dw *DigestedWrap) Apply(d WrapDelta) (*DigestedWrap, error) {
+	if err := dw.check(d); err != nil {
+		return nil, err
+	}
 	base := dw.Wrap
-	if base.App != d.App {
-		return nil, fmt.Errorf("%w: delta for %q, base for %q", ErrBaseMismatch, d.App, base.App)
+	size := len(base.Components) + len(d.Components)
+	own := &DigestedWrap{
+		Wrap: app.Wrap{Components: make(map[string][]byte, size), Kinds: make(map[string]app.ComponentKind, size)},
+		sums: make(map[string][sha256.Size]byte, size),
+	}
+	for n, b := range base.Components {
+		own.Wrap.Components[n] = b
+		own.Wrap.Kinds[n] = base.Kinds[n]
+		own.sums[n] = dw.sums[n]
+	}
+	out := own.overlaid(d)
+	out.Wrap.CoordState = make(map[string]string, len(d.CoordState))
+	maps.Copy(out.Wrap.CoordState, d.CoordState)
+	return out, nil
+}
+
+// check refuses a delta that was not computed against dw: another
+// app's, or one whose base digest is not dw's.
+func (dw *DigestedWrap) check(d WrapDelta) error {
+	if dw.Wrap.App != d.App {
+		return fmt.Errorf("%w: delta for %q, base for %q", ErrBaseMismatch, d.App, dw.Wrap.App)
 	}
 	if got := dw.Digest(); got != d.BaseDigest {
-		return nil, fmt.Errorf("%w: base digest %x, delta wants %x", ErrBaseMismatch, got[:4], d.BaseDigest[:4])
+		return fmt.Errorf("%w: base digest %x, delta wants %x", ErrBaseMismatch, got[:4], d.BaseDigest[:4])
 	}
-	out := app.Wrap{
-		App:        d.App,
-		FromHost:   d.FromHost,
-		Components: make(map[string][]byte, len(base.Components)+len(d.Components)),
-		Kinds:      make(map[string]app.ComponentKind, len(base.Kinds)+len(d.Kinds)),
-		CoordState: make(map[string]string, len(d.CoordState)),
-		Profile:    d.Profile,
+	return nil
+}
+
+// overlaid is Apply for a caller that owns dw and drops it (check has
+// passed, so dw's digests are carried): d is written over dw's own maps
+// and the result shares them, taking d's coordinator state and profile
+// as they are. Reassembly folds a chain into one wrap this way.
+func (dw *DigestedWrap) overlaid(d WrapDelta) *DigestedWrap {
+	w := dw.Wrap
+	if w.Components == nil {
+		w.Components = make(map[string][]byte, len(d.Components))
 	}
-	sums := make(map[string][sha256.Size]byte, len(base.Components)+len(d.Components))
-	for n, b := range base.Components {
-		out.Components[n] = b
-		out.Kinds[n] = base.Kinds[n]
-		sums[n] = dw.sums[n]
+	if w.Kinds == nil {
+		w.Kinds = make(map[string]app.ComponentKind, len(d.Components))
 	}
+	w.App, w.FromHost, w.CoordState, w.Profile = d.App, d.FromHost, d.CoordState, d.Profile
 	for n, b := range d.Components {
-		out.Components[n] = b
-		out.Kinds[n] = d.Kinds[n]
-		sums[n] = ComponentDigest(d.Kinds[n], b)
+		w.Components[n] = b
+		w.Kinds[n] = d.Kinds[n]
+		dw.sums[n] = ComponentDigest(d.Kinds[n], b)
 	}
-	for k, v := range d.CoordState {
-		out.CoordState[k] = v
-	}
-	return &DigestedWrap{Wrap: out, sums: sums}, nil
+	return &DigestedWrap{Wrap: w, sums: dw.sums}
 }
 
 // mDigestBytes counts the bytes ComponentDigest hashes, process-wide:
@@ -163,12 +207,14 @@ var mDigestBytes = obs.Default.Counter("mdagent_state_digest_bytes_total")
 // re-hashed (let alone re-serialized).
 func ComponentDigest(kind app.ComponentKind, data []byte) [sha256.Size]byte {
 	mDigestBytes.Add(int64(len(data)))
+	var head [8]byte
+	binary.BigEndian.PutUint32(head[:4], uint32(int32(kind)))
+	binary.BigEndian.PutUint32(head[4:], uint32(len(data)))
 	h := sha256.New()
-	_ = binary.Write(h, binary.BigEndian, int32(kind))
-	_ = binary.Write(h, binary.BigEndian, uint32(len(data)))
+	_, _ = h.Write(head[:])
 	_, _ = h.Write(data)
 	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
+	h.Sum(sum[:0])
 	return sum
 }
 
@@ -191,8 +237,10 @@ func WrapDigest(w app.Wrap) [sha256.Size]byte {
 // walk is deterministic.
 func CombineDigests(appName string, comps map[string][sha256.Size]byte, coord map[string]string, profile app.UserProfile) [sha256.Size]byte {
 	h := sha256.New()
+	var size [4]byte
 	writeField := func(s string) {
-		_ = binary.Write(h, binary.BigEndian, uint32(len(s)))
+		binary.BigEndian.PutUint32(size[:], uint32(len(s)))
+		_, _ = h.Write(size[:])
 		_, _ = io.WriteString(h, s)
 	}
 	writeField(appName)
@@ -226,6 +274,6 @@ func CombineDigests(appName string, comps map[string][sha256.Size]byte, coord ma
 		writeField(profile.Preferences[k])
 	}
 	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
+	h.Sum(sum[:0])
 	return sum
 }

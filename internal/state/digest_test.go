@@ -2,6 +2,7 @@ package state_test
 
 import (
 	"errors"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,6 +98,31 @@ func TestChainReassemblyHashesEachComponentOnce(t *testing.T) {
 		if got := digestBytes() - before; k == 0 && got != 0 {
 			t.Errorf("a base-only Snapshot hashed %d bytes", got)
 		}
+	}
+}
+
+// TestChainReassemblyAllocatesUnderAnEighthOfTheFrames holds the restore
+// workload's reassembly — a 64 KiB base and 4 deltas, every frame's CRC
+// and the digest chain checked — to its byte budget: under an eighth of
+// the record's frame bytes per reassembly. The components alias the
+// frames, so what is allocated is maps, names and the hash state, not
+// the 64 KiB blob (a gob-decoded base copied it out of its frame).
+func TestChainReassemblyAllocatesUnderAnEighthOfTheFrames(t *testing.T) {
+	rec, _ := sessionChain(t, 4)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, digest, err := rec.SnapshotDigest(); err != nil || digest != rec.StateDigest {
+			t.Fatalf("reassembly: digest %x, err %v", digest[:4], err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	budget := uint64(rec.FrameBytes() / 8)
+	t.Logf("reassembling %d frame bytes allocated %d bytes (budget %d)", rec.FrameBytes(), perRun, budget)
+	if perRun >= budget {
+		t.Fatalf("reassembling %d frame bytes allocated %d bytes, budget under %d", rec.FrameBytes(), perRun, budget)
 	}
 }
 

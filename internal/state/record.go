@@ -76,15 +76,18 @@ func (r SnapshotRecord) reassemble() (app.TaggedSnapshot, *DigestedWrap, error) 
 	if err != nil {
 		return app.TaggedSnapshot{}, nil, err
 	}
+	// The decoded base's maps are this reassembly's own, so each delta is
+	// folded into them in place.
 	dw := NewDigestedWrap(ts.Wrap)
 	for i, raw := range r.Deltas {
 		d, err := DecodeDelta(raw)
 		if err == nil {
-			dw, err = dw.Apply(d)
+			err = dw.check(d)
 		}
 		if err != nil {
 			return app.TaggedSnapshot{}, nil, fmt.Errorf("state: delta %d/%d: %w", i+1, len(r.Deltas), err)
 		}
+		dw = dw.overlaid(d)
 	}
 	ts.Wrap = dw.Wrap
 	if len(r.Deltas) > 0 {

@@ -100,6 +100,7 @@ type Replicator struct {
 	mu        sync.Mutex
 	hooked    map[*app.Application]int // instance -> its OnRecord hook id
 	onPublish func(SnapshotPut, SnapshotStamp)
+	onError   func(error)
 
 	// pubMu guards the tables below and nothing else — it is never held
 	// across I/O or while waiting for a track's slot. Publishes are
@@ -162,6 +163,15 @@ func (r *Replicator) OnPublish(f func(SnapshotPut, SnapshotStamp)) {
 	r.mu.Unlock()
 }
 
+// OnError registers an observer of the periodic loop's failed sweeps,
+// called with the first error of each (a put the center refused, a
+// capture that failed). A SyncNow caller gets its error returned.
+func (r *Replicator) OnError(f func(error)) {
+	r.mu.Lock()
+	r.onError = f
+	r.mu.Unlock()
+}
+
 // Stats returns a copy of the replication counters.
 func (r *Replicator) Stats() Stats {
 	r.pubMu.Lock()
@@ -182,8 +192,16 @@ func (r *Replicator) Start() {
 				return
 			case <-t.C:
 				ctx, cancel := context.WithTimeout(context.Background(), r.interval*4+time.Second)
-				_ = r.sync(ctx, false)
+				err := r.sync(ctx, false)
 				cancel()
+				if err != nil {
+					r.mu.Lock()
+					f := r.onError
+					r.mu.Unlock()
+					if f != nil {
+						f(err)
+					}
+				}
 			}
 		}
 	}()

@@ -891,3 +891,38 @@ func BenchmarkCaptureTick(b *testing.B) {
 		}
 	})
 }
+
+// refusingPublisher refuses every put, as a center of an older build
+// refuses a frame version it does not read.
+type refusingPublisher struct{}
+
+func (refusingPublisher) PutSnapshot(context.Context, state.SnapshotPut) (state.SnapshotStamp, error) {
+	return state.SnapshotStamp{}, fmt.Errorf("refused: %w", state.ErrVersion)
+}
+
+func (refusingPublisher) DropSnapshot(context.Context, string, string) error { return nil }
+
+// TestReplicatorReportsFailedSweeps: the periodic loop hands each failed
+// sweep's error to the OnError observer instead of dropping it.
+func TestReplicatorReportsFailedSweeps(t *testing.T) {
+	a := testApp(t, "x", "h1")
+	r := state.NewReplicator("h1", "s", func() []*app.Application { return []*app.Application{a} },
+		refusingPublisher{}, nil, 5*time.Millisecond, state.Tuning{})
+	errs := make(chan error, 1)
+	r.OnError(func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	})
+	r.Start()
+	defer r.Stop()
+	select {
+	case err := <-errs:
+		if !errors.Is(err, state.ErrVersion) {
+			t.Fatalf("reported %v, want the put's ErrVersion", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no failed sweep reported")
+	}
+}

@@ -205,29 +205,133 @@ func TestDecodeWrapRefusesMalformedV2(t *testing.T) {
 	}
 }
 
-// TestSnapshotAndDeltaFramesStayV1: version 2 is a wrap-frame format.
-// The frames persisted at the centers are written as v1, and a v2 stamp
-// on one is a frame from a codec this build does not have.
-func TestSnapshotAndDeltaFramesStayV1(t *testing.T) {
-	snap, err := EncodeSnapshot(app.TaggedSnapshot{Tag: "t", At: time.Unix(1, 0), Wrap: goldenWrap})
+// goldenSnapshot and goldenDelta are what the snapshot and delta frames
+// under testdata/wire hold, at v3 (this build's writer) and at v1
+// (testdata/wire/gen_test.go, run on the last build that wrote v1).
+var (
+	goldenSnapshot = app.TaggedSnapshot{Tag: "replica", At: time.Unix(1_700_000_000, 5), Wrap: goldenWrap, ChangeSeq: 7}
+	goldenDelta    = WrapDelta{
+		App: "player", FromHost: "hostB", BaseDigest: WrapDigest(goldenWrap),
+		Components: map[string][]byte{"song1": []byte("ID3-golden-song-2")},
+		Kinds:      map[string]app.ComponentKind{"song1": app.KindData},
+		CoordState: map[string]string{"track": "song2"},
+		Profile:    goldenWrap.Profile,
+	}
+)
+
+func sameSnapshot(a, b app.TaggedSnapshot) bool {
+	return a.Tag == b.Tag && a.At.Equal(b.At) && a.ChangeSeq == b.ChangeSeq && sameWrap(a.Wrap, b.Wrap)
+}
+
+func sameDelta(a, b WrapDelta) bool {
+	return a.BaseDigest == b.BaseDigest && sameWrap(deltaWrap(a), deltaWrap(b))
+}
+
+// deltaWrap is d's fields as a wrap, for comparing two deltas.
+func deltaWrap(d WrapDelta) app.Wrap {
+	return app.Wrap{App: d.App, FromHost: d.FromHost, Components: d.Components, Kinds: d.Kinds,
+		CoordState: d.CoordState, Profile: d.Profile}
+}
+
+// TestGoldenSnapshotAndDeltaFrames pins both generations of the snapshot
+// and delta frames. A v3 frame holds no gob, so each golden is what
+// today's encoder writes, byte for byte (maps in key order); it decodes
+// to the recorded value with its components aliasing the frame. The v1
+// fixtures were written by the last build that wrote v1: the centers'
+// stores hold such frames, so each must keep decoding to the same value
+// and digest as its v3 twin.
+func TestGoldenSnapshotAndDeltaFrames(t *testing.T) {
+	snap, err := EncodeSnapshot(goldenSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := EncodeDelta(WrapDelta{App: "player", Components: goldenWrap.Components, Kinds: goldenWrap.Kinds})
+	delta, err := EncodeDelta(goldenDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("snapshot-v3", func(t *testing.T) {
+		golden := goldenWire(t, "snapshot-v3.bin")
+		if !bytes.Equal(snap, golden) {
+			t.Fatalf("today's encoder writes\n%x\nthe recorded frame is\n%x", snap, golden)
+		}
+		if !bytes.HasPrefix(golden, []byte("MDST\x03\x02")) ||
+			!bytes.HasSuffix(golden, []byte("\x7fELF-golden-logic"+""+"ID3-golden-song\x00\xff")) {
+			t.Fatalf("not a v3 snapshot frame ending in the raw components in name order:\n%x", golden)
+		}
+		ts, err := DecodeSnapshot(golden)
+		if err != nil || !sameSnapshot(ts, goldenSnapshot) {
+			t.Fatalf("decoded %+v (err %v)", ts, err)
+		}
+		song := ts.Wrap.Components["song1"]
+		if &song[0] != &golden[len(golden)-len(song)] || cap(song) != len(song) {
+			t.Fatal("the decoded component does not alias the frame, capped at its length")
+		}
+	})
+	t.Run("delta-v3", func(t *testing.T) {
+		golden := goldenWire(t, "delta-v3.bin")
+		if !bytes.Equal(delta, golden) {
+			t.Fatalf("today's encoder writes\n%x\nthe recorded frame is\n%x", delta, golden)
+		}
+		if !bytes.HasPrefix(golden, []byte("MDST\x03\x03")) || !bytes.HasSuffix(golden, []byte("ID3-golden-song-2")) {
+			t.Fatalf("not a v3 delta frame ending in the raw component:\n%x", golden)
+		}
+		d, err := DecodeDelta(golden)
+		if err != nil || !sameDelta(d, goldenDelta) {
+			t.Fatalf("decoded %+v (err %v)", d, err)
+		}
+	})
+	t.Run("v1-from-parent", func(t *testing.T) {
+		snapV1, deltaV1 := goldenWire(t, "snapshot-v1.bin"), goldenWire(t, "delta-v1.bin")
+		if snapV1[4] != frameV1 || deltaV1[4] != frameV1 {
+			t.Fatalf("fixtures are v%d and v%d frames", snapV1[4], deltaV1[4])
+		}
+		ts, err := DecodeSnapshot(snapV1)
+		if err != nil || !sameSnapshot(ts, goldenSnapshot) || WrapDigest(ts.Wrap) != WrapDigest(goldenWrap) {
+			t.Fatalf("v1 snapshot decoded to %+v (err %v)", ts, err)
+		}
+		d1, err := DecodeDelta(deltaV1)
+		if err != nil || !sameDelta(d1, goldenDelta) {
+			t.Fatalf("v1 delta decoded to %+v (err %v)", d1, err)
+		}
+		d3, _ := DecodeDelta(delta)
+		w1, err1 := ApplyDelta(ts.Wrap, d1)
+		w3, err3 := ApplyDelta(goldenWrap, d3)
+		if err1 != nil || err3 != nil || !sameWrap(w1, w3) || WrapDigest(w1) != WrapDigest(w3) {
+			t.Fatalf("the v1 chain reassembles to %+v (err %v), the v3 one to %+v (err %v)", w1, err1, w3, err3)
+		}
+	})
+}
+
+// TestSnapshotAndDeltaFramesAreV3: the snapshot and delta writers write
+// v3 only. A v2 stamp on either kind is a frame from a codec this build
+// does not have, and so is a v3 stamp on a wrap frame.
+func TestSnapshotAndDeltaFramesAreV3(t *testing.T) {
+	snap, _ := EncodeSnapshot(goldenSnapshot)
+	delta, _ := EncodeDelta(goldenDelta)
+	wrap, err := EncodeWrap(goldenWrap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name   string
-		frame  []byte
-		verify func([]byte) error
-	}{{"snapshot", snap, VerifySnapshot}, {"delta", delta, VerifyDelta}} {
-		if c.frame[4] != frameV1 {
-			t.Fatalf("%s frame written as v%d", c.name, c.frame[4])
+		name    string
+		frame   []byte
+		written byte
+		stamp   byte
+		verify  func([]byte) error
+	}{
+		{"snapshot", snap, frameV3, frameV2, VerifySnapshot},
+		{"delta", delta, frameV3, frameV2, VerifyDelta},
+		{"wrap", wrap, frameV2, frameV3, func(b []byte) error { _, err := DecodeWrap(b); return err }},
+	} {
+		if c.frame[4] != c.written {
+			t.Fatalf("%s frame written as v%d, want v%d", c.name, c.frame[4], c.written)
 		}
-		c.frame[4] = frameV2 // the CRC covers the body only
+		if err := c.verify(c.frame); err != nil {
+			t.Fatalf("%s frame: %v", c.name, err)
+		}
+		c.frame[4] = c.stamp // the CRC covers the body only
 		if err := c.verify(c.frame); !errors.Is(err, ErrVersion) {
-			t.Fatalf("v2-stamped %s frame: err = %v, want ErrVersion", c.name, err)
+			t.Fatalf("v%d-stamped %s frame: err = %v, want ErrVersion", c.stamp, c.name, err)
 		}
 	}
 }
@@ -328,5 +432,108 @@ func fuzzOneWrapFrame(t *testing.T, data []byte) {
 	}
 	if again, err := DecodeWrap(raw); err != nil || !sameWrap(again, w) {
 		t.Fatalf("round trip changed the wrap (err %v):\n%+v\n%+v", err, w, again)
+	}
+}
+
+// FuzzStateFrame: DecodeSnapshot and DecodeDelta read what a center
+// stores and serves, and a warm check-in's delta off a socket. Any input,
+// read as either kind, yields a typed error or a value that survives a
+// re-encode/decode round trip; it never panics. A v3 frame's component
+// count is bounded by the smallest encoding of an entry, and decoding it
+// allocates in proportion to the input; a v1 frame's gob gets gobSlack.
+// Every input is also tried with its CRC re-sealed, so mutations reach
+// the meta reader.
+func FuzzStateFrame(f *testing.F) {
+	good := goldenWire(f, "snapshot-v3.bin")
+	for _, name := range []string{"snapshot-v3.bin", "delta-v3.bin", "snapshot-v1.bin", "delta-v1.bin"} {
+		g := goldenWire(f, name)
+		f.Add(g)
+		f.Add(g[:len(g)/2])
+		f.Add(g[:headerLen+1])
+		flipped := append([]byte(nil), g...)
+		flipped[headerLen] ^= 0x7f // the v3 meta length / the first gob count
+		sealFrame(flipped)
+		f.Add(flipped)
+	}
+	for _, kind := range []frameKind{frameSnapshot, frameDelta} {
+		huge := appendHeader(nil, frameV3, kind)
+		huge = binary.AppendUvarint(huge, 1<<62)
+		sealFrame(huge)
+		f.Add(huge)
+	}
+	// A delta meta claiming 2^40 components after its digest and two
+	// empty strings, and one claiming a 2^40-byte component.
+	claims := appendHeader(nil, frameV3, frameDelta)
+	meta := binary.AppendUvarint(append(make([]byte, 32), 0, 0), 1<<40)
+	claims = append(binary.AppendUvarint(claims, uint64(len(meta))), meta...)
+	sealFrame(claims)
+	f.Add(claims)
+	big := appendHeader(nil, frameV3, frameDelta)
+	meta = binary.AppendUvarint(append(make([]byte, 32), 0, 0, 1, 1, 'a', 2), 1<<40)
+	big = append(binary.AppendUvarint(big, uint64(len(meta)+3)), append(meta, 0, 0, 0)...)
+	sealFrame(big)
+	f.Add(big)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzOneStateFrame(t, data)
+		if len(data) >= headerLen {
+			sealed := append([]byte(nil), data...)
+			sealFrame(sealed)
+			fuzzOneStateFrame(t, sealed)
+		}
+		if ts, err := DecodeSnapshot(good); err != nil || !sameSnapshot(ts, goldenSnapshot) {
+			t.Fatalf("a good frame no longer decodes: %v", err)
+		}
+	})
+}
+
+// representable reports whether AppendTime keeps t: its UnixNano must
+// not overflow (years 1678 to 2262), or it is the zero time.
+func representable(t time.Time) bool {
+	return t.IsZero() || time.Unix(0, t.UnixNano()).Equal(t)
+}
+
+func fuzzOneStateFrame(t *testing.T, data []byte) {
+	limit := uint64(1<<16 + 64*len(data))
+	if len(data) > 4 && data[4] == frameV1 {
+		limit += gobSlack
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ts, serr := DecodeSnapshot(data)
+	d, derr := DecodeDelta(data)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+	}
+	for _, err := range []error{serr, derr} {
+		if err != nil && !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrKind) &&
+			!errors.Is(err, ErrChecksum) && !strings.HasPrefix(err.Error(), "state: decode frame: ") {
+			t.Fatalf("untyped error %v", err)
+		}
+	}
+	v3 := len(data) > 4 && data[4] == frameV3
+	if serr == nil {
+		if n := len(ts.Wrap.Components); v3 && n > len(data)/minComponentEntry {
+			t.Fatalf("%d components from %d bytes", n, len(data))
+		}
+		raw, _ := EncodeSnapshot(ts)
+		again, err := DecodeSnapshot(raw)
+		if !representable(ts.At) {
+			again.At = ts.At
+		}
+		if err != nil || !sameSnapshot(again, ts) {
+			t.Fatalf("snapshot round trip (err %v):\n%+v\n%+v", err, ts, again)
+		}
+	}
+	if derr == nil {
+		if n := len(d.Components); v3 && n > len(data)/minComponentEntry {
+			t.Fatalf("%d components from %d bytes", n, len(data))
+		}
+		raw, _ := EncodeDelta(d)
+		if again, err := DecodeDelta(raw); err != nil || !sameDelta(again, d) {
+			t.Fatalf("delta round trip (err %v):\n%+v\n%+v", err, d, again)
+		}
 	}
 }

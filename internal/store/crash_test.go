@@ -12,8 +12,7 @@ import (
 
 // Crash-recovery scenarios (torn final frame, torn frame at a segment
 // boundary, replay-after-compact, impossible length prefix in the WAL
-// and in a seed-format log; a partially-written blob of the old blob
-// layout is in bloblog_test.go).
+// and in a seed-format log).
 // Each simulates the on-disk state a crash can leave and asserts the
 // store recovers to the last acknowledged state.
 

@@ -18,10 +18,10 @@
 //     (an entry's WAL sequence names its segment), never by re-reading
 //     the segment, and re-emits each under the index lock.
 //   - A directory written before every value lived in the WAL also holds
-//     blob-*.seg files, which its WAL frames reference. Open reads those
-//     values once and converts the directory (bloblog.go); nothing
-//     writes that layout any more. It is the one retired layout Open
-//     still reads: anything older fails with ErrLayout (DESIGN.md §2).
+//     blob-*.seg files, which its WAL frames reference. That layout is
+//     refused with ErrLayout, as is anything older (DESIGN.md §2): the
+//     one retired format this build still reads is inside the values,
+//     the version 1 snapshot and delta frames (internal/state).
 //
 // Ownership contract: Put copies the caller's value exactly once (into
 // the encoded WAL frame, whose bytes also back the in-memory index), so
@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -163,11 +164,10 @@ type Store struct {
 }
 
 // Open opens (or creates) a durable store rooted at path, replaying the
-// write-ahead log to recover state. A directory that still holds
-// blob-*.seg files is converted after replay (convertBlobLayout). A
-// regular file at path (the seed single-file log), or one parked at
-// path+".legacy" by an older build's interrupted conversion of it, fails
-// with ErrLayout and is left as it is.
+// write-ahead log to recover state. A regular file at path (the seed
+// single-file log), or one parked at path+".legacy" by an older build's
+// interrupted conversion of it, and a directory that holds blob-*.seg
+// files (the blob log) fail with ErrLayout and are left as they are.
 func Open(path string, opts ...Option) (*Store, error) {
 	o := options{}
 	for _, fn := range opts {
@@ -179,6 +179,10 @@ func Open(path string, opts ...Option) (*Store, error) {
 			return nil, fmt.Errorf("%w: %s is a seed-format log", ErrLayout, p)
 		}
 	}
+	if blobs, _ := filepath.Glob(filepath.Join(path, "blob-*.seg")); len(blobs) > 0 {
+		return nil, fmt.Errorf("%w: %s holds a blob log (%d blob-*.seg files), which commit %s is the last build to convert",
+			ErrLayout, path, len(blobs), blobLogConverter)
+	}
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
@@ -188,46 +192,34 @@ func Open(path string, opts ...Option) (*Store, error) {
 		m:    make(map[string]entry),
 		met:  newMetrics(path),
 	}
-	blobs, err := openBlobLog(path)
-	if err != nil {
-		return nil, err
-	}
+	var err error
 	if s.wal, err = openWAL(path, &s.opts, s.met); err != nil {
 		return nil, err
 	}
-	err = s.replay(blobs)
-	blobs.close()
-	if err != nil {
+	if err := s.replay(); err != nil {
 		s.wal.close()
 		return nil, err
 	}
 	s.wal.start()
-	if len(blobs.paths) > 0 {
-		if err := s.convertBlobLayout(blobs.paths); err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
+// blobLogConverter is the last commit whose Open converts a directory in
+// the blob layout (values of 64 KiB and more in blob-*.seg files, WAL
+// frames referencing them) to the one-log layout.
+const blobLogConverter = "9387257"
+
 // replay rebuilds the index from the WAL segments (oldest first). A
-// blob reference an older binary wrote installs the value read from its
-// blob-*.seg; one whose value cannot be read back whole (missing file,
-// past the segment's end, failing its checksum) is dropped and counted.
-func (s *Store) replay(blobs *blobLog) error {
+// reference into a blob log is dropped and counted: Open refuses a
+// directory that holds one, so such a frame's value is gone.
+func (s *Store) replay() error {
 	// No locking: replay runs before the store is published.
 	return s.wal.replay(func(f frame, seq uint64) {
 		switch f.op {
 		case opPutInline:
 			s.applyLocked(f.key, entry{val: f.val, seq: seq})
 		case opPutBlob:
-			v, ok := blobs.read(f.ref)
-			if !ok {
-				s.met.replaySkipped.Inc()
-				return
-			}
-			s.applyLocked(f.key, entry{val: v, seq: seq})
+			s.met.replaySkipped.Inc()
 		case opDelete:
 			if old, ok := s.m[f.key]; ok {
 				s.deadBytes.Add(old.liveBytes(f.key) + int64(len(f.key)) + frameOverhead)

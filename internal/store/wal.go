@@ -17,7 +17,7 @@ import (
 // WAL op codes.
 const (
 	opPutInline byte = 1
-	opPutBlob   byte = 2 // read only: an older binary's blob-log reference
+	opPutBlob   byte = 2 // read only: an older binary's blob-log reference, dropped
 	opDelete    byte = 3
 )
 
@@ -29,8 +29,7 @@ const frameOverhead = 24
 type frame struct {
 	op  byte
 	key string
-	val []byte  // inline value (a view into the decoded body)
-	ref blobRef // opPutBlob only: a value in an old blob log (bloblog.go)
+	val []byte // inline value (a view into the decoded body)
 }
 
 func uvlen(v uint64) int {
@@ -102,20 +101,17 @@ func decodeBody(body []byte) (frame, error) {
 		}
 		f.val = rest[n : n+int(vlen) : n+int(vlen)]
 	case opPutBlob:
-		var vals [3]uint64
-		for i := range vals {
-			v, n := binary.Uvarint(rest)
+		// Segment, offset and length uvarints, then the value's CRC.
+		for range 3 {
+			_, n := binary.Uvarint(rest)
 			if n <= 0 {
 				return frame{}, errBadFrame
 			}
-			vals[i] = v
 			rest = rest[n:]
 		}
 		if len(rest) != 4 {
 			return frame{}, errBadFrame
 		}
-		f.ref = blobRef{Seg: vals[0], Off: int64(vals[1]), Len: int64(vals[2]),
-			CRC: binary.LittleEndian.Uint32(rest)}
 	case opDelete:
 		if len(rest) != 0 {
 			return frame{}, errBadFrame

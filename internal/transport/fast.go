@@ -12,9 +12,9 @@ import (
 // no reflection, just length-prefixed fields in a fixed per-opcode
 // layout. Gob (ProtoVersion=1 frames) is the long-tail encoding. Each op
 // has exactly one of the two — the hot ops (snapshot put and fetch,
-// watch event push, bundle push, federation batch, and every request and
-// reply of a follow-me leg: check-in, plan-move, move-app, media read)
-// are v2 frames — and either opener refuses the other's version byte
+// watch event push, bundle push, federation batch, every request and
+// reply of a follow-me leg: check-in, plan-move, move-app, media read,
+// and a restore's registry lookup) are v2 frames — and either opener refuses the other's version byte
 // with a typed ErrVersion.
 const ProtoV2 byte = 2
 
@@ -67,6 +67,12 @@ const (
 	OpMoveApp byte = 0x52
 	// OpMoveAppReply carries whether the center demoted the source.
 	OpMoveAppReply byte = 0x53
+	// OpLookupApp carries a registry.lookup-app request: an app and the
+	// host it is installed on.
+	OpLookupApp byte = 0x54
+	// OpLookupAppReply carries the installation record and whether the
+	// center found it.
+	OpLookupAppReply byte = 0x55
 	// OpMediaRead carries one media.read request: a file and a range.
 	OpMediaRead byte = 0x60
 	// OpMediaReadReply carries the file's size and checksum and the
